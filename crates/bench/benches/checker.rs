@@ -1,8 +1,8 @@
 //! Criterion benches: ABC-condition checking scalability.
 //!
 //! The polynomial checker (Bellman–Ford reduction) vs. brute-force cycle
-//! enumeration, and the exact max-ratio query — the ablation DESIGN.md
-//! calls out for the "model checking awkward" gap.
+//! enumeration, and the exact max-ratio query (Definition 4 quantifies
+//! over all relevant cycles; the reduction is what makes it checkable).
 
 use abc_bench::workloads;
 use abc_core::enumerate::{enumerate_cycles, EnumerationLimits};

@@ -1,7 +1,7 @@
 //! Criterion benches: the Theorem 7 delay-assignment routes.
 //!
 //! Polynomial difference-constraint route vs. the paper-literal cycle-LP
-//! (exact simplex over enumerated cycles) — DESIGN.md ablation 3.3a/3.3b.
+//! (exact simplex over enumerated cycles, the paper's Fig. 6 system).
 
 use abc_bench::workloads;
 use abc_core::assign::{assign_delays, assign_delays_via_cycle_lp};

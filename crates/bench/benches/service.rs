@@ -5,8 +5,9 @@
 //! running server and waits for the verdict — i.e. it measures the full
 //! pipeline: line assembly, streaming parse, incremental checking, and
 //! reply traffic. Divide events by the reported per-iteration time for
-//! events/s; `cargo run --release -p abc-bench --bin service_snapshot`
-//! writes the same measurement as `BENCH_service.json`.
+//! events/s; the `serve_v1` / `serve_v2` workloads of `bench_ledger`
+//! (`BENCHMARK.json`, `crates/bench/src/bin/bench_ledger/README.md`) are
+//! the tracked form of the same measurement.
 
 use abc_bench::workloads;
 use abc_core::Xi;

@@ -27,7 +27,6 @@ fn sweep_spec(runs: usize) -> ScenarioSpec {
         xi: Xi::from_integer(2),
         runs_per_point: runs,
         base_seed: 99,
-        sim_workers: 1,
     }
 }
 

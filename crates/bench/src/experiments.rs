@@ -1,8 +1,7 @@
-//! The experiment implementations (one per DESIGN.md index entry).
+//! The experiment implementations (one per [`crate::registry`] entry).
 //!
 //! Each prints a table in the spirit of the paper's figures and returns
-//! `true` iff all checked properties held. EXPERIMENTS.md records the
-//! output of `experiments all`.
+//! `true` iff all checked properties held.
 
 use abc_clocksync::{byzantine::TickRusher, instrument, LockStep, RoundApp, TickGen};
 use abc_core::assign::{

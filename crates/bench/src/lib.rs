@@ -1,9 +1,10 @@
 //! Experiment harness for the ABC-model reproduction.
 //!
-//! One function per experiment of DESIGN.md's index; each prints the
-//! paper-shaped table and returns `true` iff every checked property held.
-//! The `experiments` binary dispatches on experiment ids; `cargo bench`
-//! runs the Criterion performance benches in `benches/`.
+//! One function per paper figure and theorem ([`registry`]); each prints
+//! the paper-shaped table and returns `true` iff every checked property
+//! held. The `experiments` binary dispatches on experiment ids,
+//! `tests/experiments_gate.rs` runs them all under `cargo test`, and
+//! `cargo bench` runs the Criterion performance benches in `benches/`.
 
 #![forbid(unsafe_code)]
 

@@ -1,8 +1,8 @@
 //! Shared workload generators for experiments and benches.
 
 use abc_core::graph::{ExecutionGraph, ProcessId};
-use abc_sim::delay::{BandDelay, FixedDelay};
-use abc_sim::{Context, Process, RunLimits, Simulation};
+use abc_sim::delay::BandDelay;
+use abc_sim::{RunLimits, Simulation};
 
 /// The canonical "two chains" graph: a fast chain of `hops` messages
 /// spanned by one slow direct message (max relevant cycle ratio = `hops`).
@@ -43,62 +43,6 @@ pub fn clocksync_trace(
         max_time: u64::MAX,
     });
     sim.trace().clone()
-}
-
-/// splitmix64's finalizer — the compute kernel burned by [`RingPulse`]
-/// steps (the same mixer `SmallRng::seed_stream` splits with).
-#[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One process of the wide-ring workload ([`wide_ring_sim`]): every step
-/// folds the incoming value through `spins` splitmix64 rounds (the "real
-/// compute" knob), records the digest as the event label (keeping the
-/// work observable), and forwards it one hop around the ring.
-pub struct RingPulse {
-    spins: u32,
-}
-
-impl Process<u64> for RingPulse {
-    fn on_init(&mut self, ctx: &mut Context<'_, u64>) {
-        // Two pulses per process: every later discrete time delivers two
-        // messages to each of the n processes, so each parallel batch is
-        // n jobs wide with two steps per job.
-        let me = ctx.me().0;
-        let n = ctx.num_processes();
-        ctx.send(ProcessId((me + 1) % n), me as u64);
-        ctx.send(ProcessId((me + 2) % n), !(me as u64));
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: abc_core::ProcessId, msg: &u64) {
-        let mut digest = msg ^ ((from.0 as u64) << 32) ^ ctx.me().0 as u64;
-        for _ in 0..self.spins {
-            digest = splitmix64(digest);
-        }
-        ctx.set_label(digest);
-        let me = ctx.me().0;
-        let n = ctx.num_processes();
-        ctx.send(ProcessId((me + 1) % n), digest);
-    }
-}
-
-/// The wide fan-out scenario the parallel engine is benchmarked on: `n`
-/// processes in a ring, unit delays (every discrete time steps all `n`
-/// processes — maximum batch width), `spins` splitmix64 rounds of compute
-/// per step. Run it with [`Simulation::run`] under an event budget; the
-/// trace is byte-identical at any `workers`.
-#[must_use]
-pub fn wide_ring_sim(n: usize, spins: u32, workers: usize) -> Simulation<u64, FixedDelay> {
-    let mut sim = Simulation::new(FixedDelay::new(1));
-    sim.set_sim_workers(workers);
-    for _ in 0..n {
-        sim.add_process(RingPulse { spins });
-    }
-    sim
 }
 
 /// A random sparse execution graph with `n` processes and `msgs` messages

@@ -44,3 +44,32 @@ fn incremental_append_beats_batch_recheck_by_10x() {
          in {stream_total:?} vs one batch re-check in {batch_once:?}"
     );
 }
+
+#[test]
+fn bounded_monitor_compacts_the_10k_stream_with_the_same_verdict() {
+    // Band [1, 4] is admissible for Ξ = 5, so neither monitor exits early
+    // via a latch.
+    let events = 10_000usize;
+    let xi = Xi::from_integer(5);
+    let trace = workloads::clocksync_trace(4, 1, 1, 4, 42, events);
+    let g = trace.to_execution_graph();
+    assert_eq!(g.num_events(), events, "trace did not reach the budget");
+    assert!(check::is_admissible(&g, &xi).unwrap());
+
+    let plain = trace.replay_into_monitor(&xi).unwrap();
+    let pruned = trace.replay_into_monitor_bounded(&xi, 256).unwrap();
+    assert!(plain.is_admissible());
+    assert!(pruned.is_admissible(), "pruned verdict must match");
+    let (plain, pruned) = (plain.stats(), pruned.stats());
+    assert!(
+        pruned.pruned_events > events / 2,
+        "the bounded monitor must compact most of the stream, got {}",
+        pruned.pruned_events
+    );
+    assert!(
+        pruned.live_events_peak < plain.live_events_peak / 4,
+        "pruning must cut the live window: {} vs {}",
+        pruned.live_events_peak,
+        plain.live_events_peak
+    );
+}

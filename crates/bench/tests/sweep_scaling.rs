@@ -32,7 +32,6 @@ fn spec_512() -> ScenarioSpec {
         xi: Xi::from_integer(2),
         runs_per_point: 512,
         base_seed: 4711,
-        sim_workers: 1,
     }
 }
 

@@ -32,11 +32,9 @@ pub struct TickMsg<P> {
 /// Round 0 only emits messages ([`RoundApp::first_message`]); every later
 /// round `r ≥ 1` receives the round-`r−1` messages and emits the round-`r`
 /// message ([`RoundApp::on_round`]).
-pub trait RoundApp: Send {
-    /// The application's round message type. `Send` because payloads ride
-    /// in simulation messages, which cross engine worker threads
-    /// (`abc_sim::Process` requires it).
-    type Payload: Clone + std::fmt::Debug + Send;
+pub trait RoundApp {
+    /// The application's round message type.
+    type Payload: Clone + std::fmt::Debug;
 
     /// The round-0 message (sent at wake-up).
     fn first_message(&mut self, me: ProcessId, n: usize) -> Self::Payload;

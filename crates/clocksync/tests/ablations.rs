@@ -1,6 +1,5 @@
-//! Ablations called out in DESIGN.md §3.5: the design choices of
-//! Algorithms 1 and 2 are load-bearing — removing them visibly breaks the
-//! guarantees.
+//! Ablations of the paper's Section 3: the design choices of Algorithms 1
+//! and 2 are load-bearing — removing them visibly breaks the guarantees.
 
 use abc_clocksync::{LockStep, RoundApp, TickGen};
 use abc_core::{ProcessId, Xi};

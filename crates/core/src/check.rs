@@ -42,8 +42,8 @@
 //! feasible and one changeless verification sweep decides in `O(V + E)` —
 //! instead of the `Θ(V)` full-arc rounds the classical all-zero-source
 //! pass pays (its shortest walks zigzag through the whole execution),
-//! which is what `BENCH_core.json` quantifies. Only when a violation
-//! exists does
+//! which is what the `core.check.*` rows of `bench_ledger` (see
+//! `BENCHMARK.json`) quantify. Only when a violation exists does
 //! [`find_violation`] fall back to the classical round-based pass with
 //! predecessor extraction (`violating_cycle_arcs`) to pull out the
 //! violating relevant cycle itself, over the same arc arena in the same
@@ -434,7 +434,7 @@ fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool 
     let num_nodes = tg.num_live_nodes();
     let (in_starts, in_arcs) = tg.in_csr();
     let mut dist = vec![0i128; a_count];
-    for round in 0..=a_count {
+    for _ in 0..=a_count {
         // Per node: best and second-best incoming dist (by arc).
         let mut best: Vec<Option<(i128, usize)>> = vec![None; num_nodes];
         let mut second: Vec<Option<i128>> = vec![None; num_nodes];
@@ -477,7 +477,6 @@ fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool 
         if !changed {
             return false;
         }
-        let _ = round;
     }
     true
 }

@@ -31,9 +31,8 @@ USAGE:
   abc sweep  (--preset NAME | --protocol clocksync --n N --f F |
               --protocol gossip --n N --budget B)
              [--delay SPEC] --xi XI [--runs N] [--seed S] [--threads T]
-             [--max-events E] [--sim-workers W] [--crash SLOT@STEPS]...
-             [--byz SLOT]... [--drop FROM:TO]... [--save-violations DIR]
-             [--name NAME]
+             [--max-events E] [--crash SLOT@STEPS]... [--byz SLOT]...
+             [--drop FROM:TO]... [--save-violations DIR] [--name NAME]
   abc check   (FILE | --scenario NAME) --xi XI
   abc monitor FILE --xi XI
   abc replay  FILE
@@ -45,7 +44,7 @@ USAGE:
   abc feed    FILE --addr A --xi XI [--binary] [--margin-every N]
   abc loadgen --addr A [--connections C] [--traces N] [--preset NAME]
               [--delay SPEC] [--xi XI] [--max-events E] [--seed S]
-              [--sim-workers W] [--verify BOOL] [--binary]
+              [--verify BOOL] [--binary]
   abc inspect FILE        (a .forensics bundle or a Chrome trace JSON)
   abc lint    [--root DIR] [--json] [--rule R1[,R2…]]...
 
@@ -210,7 +209,6 @@ fn cmd_sweep(args: &Args) -> Result<i32, String> {
         "seed",
         "threads",
         "max-events",
-        "sim-workers",
         "crash",
         "byz",
         "drop",
@@ -272,15 +270,10 @@ fn cmd_sweep(args: &Args) -> Result<i32, String> {
             xi,
             runs_per_point: runs,
             base_seed: seed,
-            sim_workers: 1,
         }
     };
     spec.limits.max_events = max_events;
     spec.runs_per_point = runs;
-    // Per-simulation engine workers (trace-identical at any value); the
-    // sweep's own `--threads` fan-out across runs is usually the better
-    // lever, so this defaults to the sequential engine.
-    spec.sim_workers = args.parsed("sim-workers", 1usize)?;
     // CLI fault flags *extend* the spec's plan (a preset's Byzantine slots
     // survive `--drop`/`--crash` additions); `run_sweep` validates the
     // merged plan against the system size.

@@ -263,7 +263,6 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, String> {
         "xi",
         "max-events",
         "seed",
-        "sim-workers",
         "verify",
         "binary",
     ])?;
@@ -286,9 +285,6 @@ pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, String> {
         spec.xi = xi.parse()?;
     }
     spec.limits.max_events = args.parsed("max-events", 2_000usize)?;
-    // Engine workers per generated simulation; traces are byte-identical
-    // at any value, so this is purely a wall-clock knob for wide presets.
-    spec.sim_workers = args.parsed("sim-workers", 1usize)?;
     let points = spec.delay.points();
     if points.is_empty() {
         return Err("delay sweep has no grid points".into());

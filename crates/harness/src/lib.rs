@@ -61,7 +61,6 @@
 //!     xi: Xi::from_integer(2),
 //!     runs_per_point: 4,
 //!     base_seed: 7,
-//!     sim_workers: 1,
 //! };
 //! let report = run_sweep(&spec, SweepOptions { threads: 2, ..Default::default() }).unwrap();
 //! assert_eq!(report.total_runs, 4);

@@ -404,12 +404,6 @@ pub struct ScenarioSpec {
     pub runs_per_point: usize,
     /// Master seed for stream-splitting.
     pub base_seed: u64,
-    /// Engine worker threads per simulation
-    /// ([`abc_sim::Simulation::set_sim_workers`]; values below 1 are
-    /// clamped to 1 = the sequential engine). Traces and verdicts are
-    /// byte-identical at any value; workers only change wall-clock time
-    /// on wide scenarios.
-    pub sim_workers: usize,
 }
 
 impl ScenarioSpec {
@@ -449,7 +443,6 @@ impl ScenarioSpec {
             xi: preset.xi(),
             runs_per_point,
             base_seed,
-            sim_workers: 1,
         }
     }
 
@@ -524,7 +517,6 @@ mod tests {
             xi: Xi::from_integer(2),
             runs_per_point: 8,
             base_seed: 1,
-            sim_workers: 1,
         };
         assert!(spec.validate().is_ok());
         assert_eq!(spec.total_runs(), 8);

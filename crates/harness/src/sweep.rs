@@ -393,7 +393,6 @@ fn simulate_run(
     let seed = SmallRng::seed_stream(spec.base_seed, run_index as u64).next_u64();
     let delay = point.build(seed, &spec.faults.dropped_links);
     let mut sim: Simulation<u64, _> = Simulation::new(delay);
-    sim.set_sim_workers(spec.sim_workers.max(1));
     match spec.protocol {
         Protocol::ClockSync { n, f } => spawn_clocksync(&mut sim, n, f, spec),
         Protocol::Gossip { n, budget } => spawn_gossip(&mut sim, n, budget, spec),
@@ -581,7 +580,6 @@ mod tests {
             xi: Xi::from_integer(2),
             runs_per_point: 6,
             base_seed: 11,
-            sim_workers: 1,
         }
     }
 

@@ -54,6 +54,13 @@ fn missing_and_corrupt_files_error_cleanly() {
 }
 
 #[test]
+fn sweep_rejects_the_removed_engine_worker_flag() {
+    // The engine is single-threaded; the flag is gone, not ignored.
+    let err = run(&sv(&["sweep", "--preset", "quartet", "--sim-workers", "4"])).unwrap_err();
+    assert_eq!(err, "unknown flag --sim-workers");
+}
+
+#[test]
 fn sweep_saves_violating_traces_that_recheck_identically() {
     let dir = std::env::temp_dir().join(format!("abc-sweep-save-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

@@ -67,5 +67,10 @@ fn loadgen_verifies_verdicts_against_the_offline_monitor() {
     .unwrap();
     assert_eq!(code, EXIT_OK);
     assert!(run(&sv(&["loadgen", "--addr", &addr, "--preset", "nope"])).is_err());
+    assert_eq!(
+        run(&sv(&["loadgen", "--addr", &addr, "--sim-workers", "4"])).unwrap_err(),
+        "unknown flag --sim-workers",
+        "the removed flag is rejected, not ignored"
+    );
     handle.join();
 }

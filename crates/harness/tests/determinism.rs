@@ -29,7 +29,6 @@ fn spec_512() -> ScenarioSpec {
         xi: Xi::from_integer(2),
         runs_per_point: 128,
         base_seed: 2024,
-        sim_workers: 1,
     }
 }
 

@@ -329,7 +329,6 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 .name(format!("abc-shard-{shard}"))
                 .spawn(move || {
                     shard_loop(
-                        shard,
                         &rx,
                         &config,
                         &metrics,
@@ -477,9 +476,7 @@ fn accept_loop(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn shard_loop(
-    shard: usize,
     rx: &Receiver<NewConn>,
     config: &ServerConfig,
     metrics: &Arc<Metrics>,
@@ -488,7 +485,6 @@ fn shard_loop(
     dump_epoch: &AtomicU64,
     shards_done: &AtomicUsize,
 ) {
-    let _ = shard;
     let mut sessions: Vec<Session> = Vec::new();
     let mut seen_epoch = dump_epoch.load(Ordering::Relaxed);
     // Idle backoff: yield to the scheduler for a bounded number of rounds

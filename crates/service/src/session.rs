@@ -433,8 +433,6 @@ impl Session {
         }
     }
 
-    /// Folds the open document's monitor `pruned_events` running total into
-    /// the session-lifetime counter (exactly once per pruned event).
     /// Folds locally accumulated event counts into the shared atomics.
     /// Called at reply boundaries (frame ack, text drain, latch, `end`,
     /// error) so the status-port counters are exact whenever a client can
@@ -473,6 +471,8 @@ impl Session {
         }
     }
 
+    /// Folds the open document's monitor `pruned_events` running total into
+    /// the session-lifetime counter (exactly once per pruned event).
     fn note_pruned(&mut self, doc_total: usize) {
         let delta = doc_total.saturating_sub(self.doc_pruned_reported);
         if delta > 0 {

@@ -26,6 +26,17 @@ fn clocksync_trace(lo: u64, hi: u64, seed: u64, events: usize) -> Trace {
     sim.trace().clone()
 }
 
+/// A loadgen document in both framings, expecting the offline verdict.
+fn doc(label: String, trace: &Trace, xi: &Xi) -> LoadgenDoc {
+    LoadgenDoc {
+        label,
+        events: trace.events().len(),
+        expect: Some(offline_verdict(trace, xi).unwrap()),
+        binary: Some(trace.to_stream_binary()),
+        text: trace.to_stream_text(),
+    }
+}
+
 #[test]
 fn loadgen_8_connections_sustains_throughput_with_exact_verdicts() {
     let xi = Xi::from_fraction(3, 2);
@@ -38,13 +49,7 @@ fn loadgen_8_connections_sustains_throughput_with_exact_verdicts() {
             } else {
                 clocksync_trace(1, 6, s, 2_000)
             };
-            LoadgenDoc {
-                label: format!("doc{s}"),
-                events: trace.events().len(),
-                expect: Some(offline_verdict(&trace, &xi).unwrap()),
-                binary: Some(trace.to_stream_binary()),
-                text: trace.to_stream_text(),
-            }
+            doc(format!("doc{s}"), &trace, &xi)
         })
         .collect();
     let total_events: usize = docs.iter().map(|d| d.events).sum();
@@ -113,5 +118,17 @@ fn loadgen_8_connections_sustains_throughput_with_exact_verdicts() {
         report_v2.acks,
         report_v2.total_events
     );
+
+    // The admissible set: band [1, 4] cannot exceed Ξ = 5, so no session
+    // may latch, over either framing.
+    let xi5 = Xi::from_integer(5);
+    let admissible: Vec<LoadgenDoc> = (100..108u64)
+        .map(|s| doc(format!("adm{s}"), &clocksync_trace(1, 4, s, 2_000), &xi5))
+        .collect();
+    for binary in [false, true] {
+        let report = run_loadgen(&addr, &xi5, &admissible, 8, binary).unwrap();
+        assert_eq!(report.outcomes.len(), admissible.len());
+        assert_eq!((report.violations, report.mismatches), (0, 0));
+    }
     handle.join();
 }

@@ -1,27 +1,10 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine has two execution strategies with byte-identical output:
-//!
-//! * **sequential** (the default): one loop pops queue entries in
-//!   `(time, tie)` order and executes each step inline;
-//! * **parallel** ([`Simulation::set_sim_workers`] > 1): a two-phase
-//!   stepper. At each discrete time the [`scheduler`] partitions the
-//!   ready entries by destination process, the [`pool`] steps distinct
-//!   processes concurrently (processes own their state and never share
-//!   it, so same-timestamp steps at distinct processes are causally
-//!   independent — the ABC model's correctness depends on bounded delay
-//!   *ratios*, never on synchronized stepping), and the [`commit`] phase
-//!   then replays every side effect (trace append, monitor feed, delay
-//!   draw, payload-slab recycling) on the main thread in `(time, tie)`
-//!   pop order — exactly the sequential order.
-//!
-//! Both strategies funnel through the single `commit_step` in [`commit`],
-//! so trace event indices, delay-model draws, slab allocation, and the
-//! attached monitor's feed order cannot drift between them.
-
-mod commit;
-mod pool;
-mod scheduler;
+//! One single-threaded loop: [`Simulation::run`] pops queue entries in
+//! `(time, tie)` order, executes the step inline, and commits it — trace
+//! append, monitor feed, outbox dispatch (delay draws, payload-slab
+//! allocation), then the bounded monitor's prune tick, strictly in that
+//! order. Everything order-sensitive lives in that one commit point.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,22 +12,18 @@ use std::collections::BinaryHeap;
 use abc_core::check::CheckError;
 use abc_core::cycle::Cycle;
 use abc_core::monitor::IncrementalChecker;
-use abc_core::{ProcessId, Xi};
+use abc_core::{EventId, ProcessId, Xi};
 
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, Delivery};
 use crate::process::{Context, Process};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEvent, TraceMessage};
 
-use scheduler::{JobBufs, StepEffects};
-
-// Flight-recorder hooks: one span per `run` call (plus per-batch
-// partition/step/commit phase spans on the parallel path), relaxed counter
-// adds per executed step / dispatched message (no-ops unless the embedding
+// Flight-recorder hooks: one span per `run` call, relaxed counter adds
+// per executed step / dispatched message (no-ops unless the embedding
 // process called `abc_obs::enable`).
 static OBS_STEPS: abc_obs::CounterDef = abc_obs::CounterDef::new("sim.steps");
 static OBS_DISPATCHES: abc_obs::CounterDef = abc_obs::CounterDef::new("sim.dispatches");
 static OBS_DROPS: abc_obs::CounterDef = abc_obs::CounterDef::new("sim.drops");
-static OBS_BATCHES: abc_obs::CounterDef = abc_obs::CounterDef::new("sim.parallel_steps");
 
 /// Budgets bounding a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,38 +65,24 @@ pub struct RunStats {
     /// (slots are recycled through a free list, so memory is bounded by
     /// this, not by the total number of messages ever sent).
     pub payload_slab_peak: usize,
-    /// The configured engine worker count
-    /// ([`Simulation::set_sim_workers`]; 1 = the sequential loop).
-    pub sim_workers: usize,
-    /// Same-timestamp batches executed on the worker pool (0 on the
-    /// sequential path).
-    pub parallel_steps: usize,
-    /// The widest batch: the maximum number of distinct processes stepped
-    /// concurrently within one discrete time (0 on the sequential path).
-    pub max_step_width: usize,
 }
 
 impl std::fmt::Display for RunStats {
     /// One parseable line: `events=… sent=… delivered=… dropped=…
-    /// final_time=… quiescent=… slab_peak=… sim_workers=…
-    /// parallel_steps=… max_step_width=…` (the exact inverse of
+    /// final_time=… quiescent=… slab_peak=…` (the exact inverse of
     /// `RunStats::from_str`, so stats survive text round trips alongside
     /// serialized traces).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "events={} sent={} delivered={} dropped={} final_time={} quiescent={} slab_peak={} \
-             sim_workers={} parallel_steps={} max_step_width={}",
+            "events={} sent={} delivered={} dropped={} final_time={} quiescent={} slab_peak={}",
             self.events_executed,
             self.messages_sent,
             self.messages_delivered,
             self.messages_dropped,
             self.final_time,
             self.quiescent,
-            self.payload_slab_peak,
-            self.sim_workers,
-            self.parallel_steps,
-            self.max_step_width
+            self.payload_slab_peak
         )
     }
 }
@@ -129,7 +94,7 @@ impl std::str::FromStr for RunStats {
     /// duplicate, and *missing* keys are all rejected — a truncated stats
     /// line must not parse into fabricated zeros.
     fn from_str(s: &str) -> Result<RunStats, String> {
-        const KEYS: [&str; 10] = [
+        const KEYS: [&str; 7] = [
             "events",
             "sent",
             "delivered",
@@ -137,9 +102,6 @@ impl std::str::FromStr for RunStats {
             "final_time",
             "quiescent",
             "slab_peak",
-            "sim_workers",
-            "parallel_steps",
-            "max_step_width",
         ];
         let mut stats = RunStats::default();
         let mut seen = [false; KEYS.len()];
@@ -165,10 +127,7 @@ impl std::str::FromStr for RunStats {
                 "quiescent" => {
                     stats.quiescent = value.parse().map_err(|e| format!("quiescent: {e}"))?;
                 }
-                "slab_peak" => stats.payload_slab_peak = num(value)? as usize,
-                "sim_workers" => stats.sim_workers = num(value)? as usize,
-                "parallel_steps" => stats.parallel_steps = num(value)? as usize,
-                _ => stats.max_step_width = num(value)? as usize,
+                _ => stats.payload_slab_peak = num(value)? as usize,
             }
         }
         if let Some(missing) = KEYS.iter().zip(&seen).find(|(_, s)| !**s) {
@@ -180,12 +139,9 @@ impl std::str::FromStr for RunStats {
 
 /// A simulation of `n` message-driven processes over an adversarial network.
 ///
-/// See the crate docs for an end-to-end example, and the module docs for
-/// the sequential/parallel execution strategies.
+/// See the crate docs for an end-to-end example.
 pub struct Simulation<M, D> {
-    /// Process slots. `None` only transiently, while a slot's state
-    /// machine is checked out to a worker during a parallel batch.
-    processes: Vec<Option<Box<dyn Process<M>>>>,
+    processes: Vec<Box<dyn Process<M>>>,
     faulty: Vec<bool>,
     start_times: Vec<u64>,
     delay_model: D,
@@ -200,23 +156,6 @@ pub struct Simulation<M, D> {
     /// `Some(interval)`: the attached monitor prunes its settled prefix
     /// every `interval` executed events (bounded-memory monitoring).
     monitor_prune_every: Option<usize>,
-    /// Engine worker threads (1 = sequential loop, no pool).
-    sim_workers: usize,
-    /// The persistent worker pool, created lazily at the first parallel
-    /// batch and reused across `run` calls.
-    pool: Option<pool::WorkerPool<M>>,
-    /// Partition scratch: process index → job index within the current
-    /// batch (`usize::MAX` = not yet in the batch).
-    job_of: Vec<usize>,
-    /// Recycled per-job buffers (inputs/effects/outbox arenas), so
-    /// steady-state batches allocate nothing.
-    spare: Vec<JobBufs<M>>,
-    /// Parallel-path prune correction: the minimum send event referenced
-    /// by the current batch's *not yet committed* steps (`usize::MAX`
-    /// outside a batch, and always on the sequential path). Those steps
-    /// left the queue at partition time, so the watermark scan in
-    /// `commit` cannot see them there.
-    batch_send_floor: usize,
 }
 
 /// Queue entries order by (time, tie_seq).
@@ -235,7 +174,7 @@ enum EntryKind {
     Deliver(usize, usize, usize),
 }
 
-impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
+impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
     /// Creates an empty simulation over the given delay model.
     #[must_use]
     pub fn new(delay_model: D) -> Simulation<M, D> {
@@ -253,11 +192,6 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
             monitor_xi: None,
             monitor: None,
             monitor_prune_every: None,
-            sim_workers: 1,
-            pool: None,
-            job_of: Vec::new(),
-            spare: Vec::new(),
-            batch_send_floor: usize::MAX,
         }
     }
 
@@ -285,7 +219,7 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
     fn push_process(&mut self, p: Box<dyn Process<M>>, faulty: bool, start: u64) -> ProcessId {
         assert!(!self.started, "cannot add processes after the run started");
         let id = ProcessId(self.processes.len());
-        self.processes.push(Some(p));
+        self.processes.push(p);
         self.faulty.push(faulty);
         self.start_times.push(start);
         id
@@ -314,31 +248,6 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
     /// incremental runs).
     pub fn delay_model_mut(&mut self) -> &mut D {
         &mut self.delay_model
-    }
-
-    /// Sets the number of engine worker threads for same-timestamp
-    /// fan-out (clamped to at least 1; the default 1 runs the classic
-    /// sequential loop with no pool).
-    ///
-    /// With `workers > 1`, every discrete time's ready entries are
-    /// partitioned by destination process, stepped concurrently, and
-    /// committed in the sequential `(time, tie)` order — traces, stats
-    /// (besides [`RunStats::parallel_steps`] /
-    /// [`RunStats::max_step_width`] themselves), delay-model draws, and
-    /// attached-monitor verdicts are byte-identical to the sequential
-    /// engine at any worker count. Workers pay off when many processes
-    /// step at the same discrete time and each step does real compute;
-    /// narrow or chatty scenarios are usually faster sequentially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has already started.
-    pub fn set_sim_workers(&mut self, workers: usize) {
-        assert!(
-            !self.started,
-            "cannot change sim workers after the run started"
-        );
-        self.sim_workers = workers.max(1);
     }
 
     /// Attaches an online ABC monitor: during [`Simulation::run`] every
@@ -470,30 +379,10 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
     pub fn run(&mut self, limits: RunLimits) -> RunStats {
         let _span = abc_obs::span("sim.run");
         self.ensure_started();
-        let mut stats = RunStats {
-            sim_workers: self.sim_workers,
-            ..RunStats::default()
-        };
-        if self.sim_workers > 1 {
-            self.run_parallel(limits, &mut stats);
-        } else {
-            self.run_sequential(limits, &mut stats);
-        }
-        if self.queue.is_empty() {
-            stats.quiescent = true;
-        }
-        // With the free list, the slab length IS the lifetime peak of
-        // concurrently in-flight messages.
-        stats.payload_slab_peak = self.payloads.len();
-        stats
-    }
-
-    /// The classic single-threaded loop: pop, step inline, commit.
-    fn run_sequential(&mut self, limits: RunLimits, stats: &mut RunStats) {
+        let mut stats = RunStats::default();
         let mut outbox: Vec<(ProcessId, M)> = Vec::new();
         while stats.events_executed < limits.max_events {
             let Some(Reverse(entry)) = self.queue.peek().copied() else {
-                stats.quiescent = true;
                 break;
             };
             if entry.time > limits.max_time {
@@ -509,13 +398,10 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
                 }
             };
             let num_processes = self.processes.len();
-            let behavior = self.processes[process.0]
-                .as_mut()
-                .expect("process present between batches");
+            let behavior = &mut self.processes[process.0];
             let was_crashed = behavior.has_crashed();
             let mut label = None;
             let mut distinguished = false;
-            outbox.clear();
             {
                 let mut ctx = Context {
                     me: process,
@@ -534,105 +420,162 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
                     (Some(_), None) => unreachable!("payload consumed exactly once"),
                 }
             }
-            let effects = StepEffects {
-                outbox_len: outbox.len(),
+            let event = TraceEvent {
+                seq: self.trace.events.len(),
+                process,
+                time: entry.time,
+                trigger,
+                received_only: was_crashed && trigger.is_some(),
                 label,
                 distinguished,
-                was_crashed,
             };
-            self.commit_step(stats, entry.time, process, trigger, effects, &mut outbox);
+            self.commit_step(&mut stats, event, &mut outbox);
+        }
+        stats.quiescent = self.queue.is_empty();
+        // With the free list, the slab length IS the lifetime peak of
+        // concurrently in-flight messages.
+        stats.payload_slab_peak = self.payloads.len();
+        stats
+    }
+
+    /// The one ordered commit point of an executed step: records the trace
+    /// event, feeds the monitor, dispatches the step's outbox through the
+    /// delay model (in send order), and runs the bounded monitor's prune
+    /// tick. `outbox` is drained and left empty for reuse.
+    fn commit_step(
+        &mut self,
+        stats: &mut RunStats,
+        event: TraceEvent,
+        outbox: &mut Vec<(ProcessId, M)>,
+    ) {
+        let TraceEvent {
+            seq: event_idx,
+            process,
+            time,
+            trigger,
+            ..
+        } = event;
+        if let Some(mi) = trigger {
+            self.trace.messages[mi].recv_event = Some(event_idx);
+            self.trace.messages[mi].recv_time = Some(time);
+            stats.messages_delivered += 1;
+        }
+        self.trace.events.push(event);
+        self.feed_monitor_ordered(process, trigger, time);
+        stats.events_executed += 1;
+        stats.final_time = time;
+        OBS_STEPS.add(1);
+        self.dispatch_outbox(stats, process, event_idx, time, outbox);
+        self.monitor_prune_tick();
+    }
+
+    /// Streams the committed event into the attached monitor. Trace events
+    /// map to monitor graph events by index (every executed event is a
+    /// receive event of the execution graph, in creation order).
+    fn feed_monitor_ordered(&mut self, process: ProcessId, trigger: Option<usize>, time: u64) {
+        if let Some(mon) = &mut self.monitor {
+            match trigger {
+                None => {
+                    mon.append_init(process);
+                }
+                Some(mi) => {
+                    // The ABC model (and the execution-graph builder)
+                    // require a process's wake-up step to precede any
+                    // reception; fail with a configuration-level
+                    // message instead of a builder assert deep inside.
+                    assert!(
+                        mon.process_has_events(process),
+                        "online monitor: message delivered to {process} at t={time} before \
+                         its wake-up (staggered start with an early delivery); such \
+                         executions fall outside Definition 1 — start {process} earlier \
+                         or delay its incoming messages"
+                    );
+                    let send_event = EventId(self.trace.messages[mi].send_event);
+                    mon.append_send(send_event, process);
+                }
+            }
         }
     }
 
-    /// The two-phase parallel stepper: partition each discrete time's
-    /// ready entries by destination process, step distinct processes on
-    /// the worker pool, then commit every step in `(time, tie)` pop order
-    /// (see the module docs for why this is byte-identical to the
-    /// sequential loop).
-    fn run_parallel(&mut self, limits: RunLimits, stats: &mut RunStats) {
-        if self.job_of.len() != self.processes.len() {
-            self.job_of = vec![usize::MAX; self.processes.len()];
-        }
-        let mut merged: Vec<Option<scheduler::StepJob<M>>> = Vec::new();
-        let mut outbox: Vec<(ProcessId, M)> = Vec::new();
-        let mut floors: Vec<usize> = Vec::new();
-        while stats.events_executed < limits.max_events {
-            let Some(Reverse(head)) = self.queue.peek().copied() else {
-                stats.quiescent = true;
-                break;
-            };
-            if head.time > limits.max_time {
-                break;
-            }
-            let budget = limits.max_events - stats.events_executed;
-            let batch = {
-                let _span = abc_obs::span("sim.partition");
-                self.collect_batch(head.time, budget)
-            };
-            stats.parallel_steps += 1;
-            stats.max_step_width = stats.max_step_width.max(batch.jobs.len());
-            OBS_BATCHES.add(1);
-            abc_obs::sample("sim.step_width", batch.jobs.len() as u64);
-            if self.pool.is_none() {
-                self.pool = Some(pool::WorkerPool::new(self.sim_workers));
-            }
-            {
-                let _span = abc_obs::span("sim.step");
-                self.pool
-                    .as_ref()
-                    .expect("pool created above")
-                    .run_batch(batch.jobs, &mut merged);
-            }
-            // Suffix minima over the plan's trigger send events: before
-            // committing step i, `batch_send_floor` holds the oldest send
-            // event any *later* step of this batch will feed the monitor
-            // (those steps left the queue at partition, so the prune
-            // watermark can't find them there).
-            floors.clear();
-            floors.resize(batch.plan.len() + 1, usize::MAX);
-            for (i, &(job_idx, step_idx)) in batch.plan.iter().enumerate().rev() {
-                let job = merged[job_idx].as_ref().expect("planned job merged back");
-                let step_floor = match job.inputs[step_idx].trigger {
-                    Some((mi, _)) => self.trace.messages[mi].send_event,
-                    None => usize::MAX,
-                };
-                floors[i] = floors[i + 1].min(step_floor);
-            }
-            {
-                let _span = abc_obs::span("sim.commit");
-                for (i, &(job_idx, step_idx)) in batch.plan.iter().enumerate() {
-                    self.batch_send_floor = floors[i + 1];
-                    let job = merged[job_idx]
-                        .as_mut()
-                        .expect("every planned job was merged back");
-                    let effects = job.effects[step_idx];
-                    let input = &mut job.inputs[step_idx];
-                    // Recycle the payload slot exactly where the
-                    // sequential loop does (at this entry's pop), so the
-                    // free-list order — and hence slab growth — matches.
-                    if let Some(slot) = input.payload_slot.take() {
-                        self.free_slots.push(slot);
-                    }
-                    let trigger = input.trigger.map(|(mi, _)| mi);
-                    debug_assert!(outbox.is_empty());
-                    for _ in 0..effects.outbox_len {
-                        let send = job
-                            .arena
-                            .pop()
-                            .expect("arena holds every step's sends in reverse");
-                        outbox.push(send);
-                    }
-                    let process = ProcessId(job.process_idx);
-                    self.commit_step(stats, batch.time, process, trigger, effects, &mut outbox);
+    /// Dispatches the committed step's outbox through the delay model, in
+    /// send order: draws delays, allocates payload slots from the free
+    /// list, and enqueues deliveries with fresh ties.
+    fn dispatch_outbox(
+        &mut self,
+        stats: &mut RunStats,
+        process: ProcessId,
+        event_idx: usize,
+        time: u64,
+        outbox: &mut Vec<(ProcessId, M)>,
+    ) {
+        for (to, msg) in outbox.drain(..) {
+            let mi = self.trace.messages.len();
+            stats.messages_sent += 1;
+            OBS_DISPATCHES.add(1);
+            let delivery = self.delay_model.delivery(process, to, time, mi as u64);
+            self.trace.messages.push(TraceMessage {
+                from: process,
+                to,
+                send_event: event_idx,
+                recv_event: None,
+                send_time: time,
+                recv_time: None,
+            });
+            match delivery {
+                Delivery::Drop => {
+                    stats.messages_dropped += 1;
+                    OBS_DROPS.add(1);
+                }
+                Delivery::After(d) => {
+                    let slot = match self.free_slots.pop() {
+                        Some(s) => {
+                            self.payloads[s] = Some(msg);
+                            s
+                        }
+                        None => {
+                            self.payloads.push(Some(msg));
+                            self.payloads.len() - 1
+                        }
+                    };
+                    let tie = self.next_tie();
+                    self.queue.push(Reverse(QueueEntry {
+                        time: time.saturating_add(d),
+                        tie,
+                        kind: EntryKind::Deliver(to.0, mi, slot),
+                    }));
                 }
             }
-            self.batch_send_floor = usize::MAX;
-            for job in merged.drain(..).flatten() {
-                self.processes[job.process_idx] = Some(job.behavior);
-                self.spare
-                    .push(JobBufs::reclaim(job.inputs, job.effects, job.arena));
+        }
+    }
+
+    /// The bounded monitor's compaction tick. Runs only after the
+    /// committed event's outbox is dispatched: the event's own messages
+    /// are in flight by then, so the watermark sees them (pruning before
+    /// dispatch could compact the very event they will name as their send
+    /// event).
+    fn monitor_prune_tick(&mut self) {
+        if let Some(every) = self.monitor_prune_every {
+            if self.trace.events.len() % every == 0 {
+                let watermark = self.inflight_watermark().unwrap_or(self.trace.events.len());
+                if let Some(mon) = &mut self.monitor {
+                    mon.prune_settled(Some(EventId(watermark)));
+                }
             }
         }
+    }
+
+    /// The engine's exact pruning watermark: the oldest send event any
+    /// in-flight queue entry still references (`None` when nothing is in
+    /// flight). Future sends are issued by events that have not executed
+    /// yet, so no future `append_send` can name anything older.
+    fn inflight_watermark(&self) -> Option<usize> {
+        self.queue
+            .iter()
+            .filter_map(|Reverse(e)| match e.kind {
+                EntryKind::Init(_) => None,
+                EntryKind::Deliver(_, mi, _) => Some(self.trace.messages[mi].send_event),
+            })
+            .min()
     }
 
     /// Read access to a process behavior (e.g. to extract final state).
@@ -642,9 +585,7 @@ impl<M: Clone + Send + 'static, D: DelayModel> Simulation<M, D> {
     /// Panics if `p` is out of range.
     #[must_use]
     pub fn process(&self, p: ProcessId) -> &dyn Process<M> {
-        self.processes[p.0]
-            .as_deref()
-            .expect("process present between batches")
+        self.processes[p.0].as_ref()
     }
 
     /// Typed access to a process behavior: downcasts to the concrete type
@@ -985,35 +926,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "before its wake-up")]
-    fn monitored_early_delivery_panics_clearly_on_the_parallel_path_too() {
-        // Same configuration error as above, but committed by the parallel
-        // engine: the wake-up assert lives in the shared commit point, so
-        // the worker count must not change the diagnostic.
-        let mut sim = Simulation::new(FixedDelay::new(1));
-        sim.set_sim_workers(4);
-        sim.add_process(Echo { remaining: 1 });
-        sim.add_process_starting_at(Echo { remaining: 1 }, 500);
-        sim.attach_monitor(&Xi::from_integer(2)).unwrap();
-        sim.run(RunLimits::default());
-    }
-
-    #[test]
     #[should_panic(expected = "after the run started")]
     fn attach_monitor_after_start_panics() {
         let mut sim: Simulation<u32, _> = Simulation::new(FixedDelay::new(1));
         sim.add_process(Mute);
         sim.run(RunLimits::default());
         let _ = sim.attach_monitor(&Xi::from_integer(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "after the run started")]
-    fn set_sim_workers_after_start_panics() {
-        let mut sim: Simulation<u32, _> = Simulation::new(FixedDelay::new(1));
-        sim.add_process(Mute);
-        sim.run(RunLimits::default());
-        sim.set_sim_workers(4);
     }
 
     #[test]
@@ -1035,9 +953,6 @@ mod tests {
         let stats = sim.run(RunLimits::default());
         let line = stats.to_string();
         assert!(line.contains("delivered=7"), "{line}");
-        assert!(line.contains("sim_workers=1"), "{line}");
-        assert!(line.contains("parallel_steps=0"), "{line}");
-        assert!(line.contains("max_step_width=0"), "{line}");
         let parsed: RunStats = line.parse().unwrap();
         assert_eq!(parsed, stats);
         assert!("bogus".parse::<RunStats>().is_err());
@@ -1050,33 +965,12 @@ mod tests {
         // same value.
         assert!(format!("{line} events=1").parse::<RunStats>().is_err());
         assert!(format!("{line} slab_peak=9").parse::<RunStats>().is_err());
-        assert!(format!("{line} max_step_width=2")
-            .parse::<RunStats>()
-            .is_err());
         assert!(
             format!("{line} quiescent={}", stats.quiescent)
                 .parse::<RunStats>()
                 .is_err(),
             "same-value duplicates are still duplicates"
         );
-    }
-
-    #[test]
-    fn run_stats_parallel_fields_round_trip() {
-        // A parallel run's stats line carries the worker and batch-shape
-        // fields and survives the same text round trip.
-        let mut sim = Simulation::new(FixedDelay::new(1));
-        sim.set_sim_workers(4);
-        for _ in 0..3 {
-            sim.add_process(Gossip { remaining: 10 });
-        }
-        let stats = sim.run(RunLimits::default());
-        assert_eq!(stats.sim_workers, 4);
-        assert!(stats.parallel_steps > 0);
-        assert!(stats.max_step_width >= 2, "broadcast batches are wide");
-        let line = stats.to_string();
-        let parsed: RunStats = line.parse().unwrap();
-        assert_eq!(parsed, stats);
     }
 
     #[test]
@@ -1096,126 +990,56 @@ mod tests {
         assert_ne!(run(11), run(12));
     }
 
-    // ---- parallel-path equivalence and degenerate scenarios ------------
-
-    /// Runs the same seeded gossip scenario at the given worker count and
-    /// returns every observable artifact: trace text, stats, and (when a
-    /// monitor is attached) verdict + margin + witness rendering.
-    fn gossip_artifacts(
-        workers: usize,
-        n: usize,
-        seed: u64,
-        monitored: Option<(Xi, Option<usize>)>,
-        limits: RunLimits,
-    ) -> (String, RunStats, Option<(bool, String, String)>) {
-        let mut sim = Simulation::new(BandDelay::new(1, 6, seed));
-        sim.set_sim_workers(workers);
-        for _ in 0..n {
-            sim.add_process(Gossip { remaining: 60 });
-        }
-        if let Some((xi, prune)) = &monitored {
-            match prune {
-                Some(every) => sim.attach_monitor_bounded(xi, *every).unwrap(),
-                None => sim.attach_monitor(xi).unwrap(),
-            }
-        }
-        let stats = sim.run(limits);
-        let bounded = matches!(monitored, Some((_, Some(_))));
-        let monitor = sim.monitor().map(|mon| {
-            // A pruning monitor that stayed admissible has no margin probe
-            // (that needs opt-in tracking before the first prune).
-            let margin = if bounded && mon.is_admissible() {
-                "untracked".to_string()
-            } else {
-                mon.current_margin()
-                    .unwrap()
-                    .map(|m| m.ratio.to_string())
-                    .unwrap_or_default()
-            };
-            let witness = sim
-                .violation_summary()
-                .map(|s| s.wire().to_string())
-                .unwrap_or_default();
-            (mon.is_admissible(), margin, witness)
-        });
-        (sim.trace().to_text(), stats, monitor)
-    }
-
-    /// Strips the fields that legitimately differ between engines.
-    fn core_stats(mut s: RunStats) -> RunStats {
-        s.sim_workers = 0;
-        s.parallel_steps = 0;
-        s.max_step_width = 0;
-        s
-    }
-
-    #[test]
-    fn parallel_traces_and_monitors_match_sequential() {
-        for seed in [3, 17] {
-            let seq = gossip_artifacts(
-                1,
-                5,
-                seed,
-                Some((Xi::from_fraction(3, 2), Some(7))),
-                RunLimits::default(),
-            );
-            for workers in [2, 8] {
-                let par = gossip_artifacts(
-                    workers,
-                    5,
-                    seed,
-                    Some((Xi::from_fraction(3, 2), Some(7))),
-                    RunLimits::default(),
-                );
-                assert_eq!(seq.0, par.0, "trace bytes at {workers} workers");
-                assert_eq!(core_stats(seq.1), core_stats(par.1));
-                assert_eq!(seq.2, par.2, "monitor artifacts at {workers} workers");
-                assert_eq!(par.1.sim_workers, workers);
-                assert!(par.1.parallel_steps > 0);
-            }
-        }
-    }
+    // ---- same-timestamp ("parallel") deliveries and degenerate runs ----
 
     #[test]
     fn parallel_run_continues_across_budget_calls() {
-        // Incremental re-runs (increasing budgets) must agree with the
-        // sequential engine batch-for-batch, including a budget boundary
-        // that lands mid-timestamp (all 8 broadcasts arrive at t=2, but
-        // the first call's budget cuts that timestamp's batch short).
-        let run = |workers: usize| {
+        // All 8 broadcasts arrive at t=2 (64 deliveries), so a 40-event
+        // budget stops inside that timestamp; a second call must pick up
+        // exactly where the first stopped.
+        let sim = || {
             let mut sim = Simulation::new(FixedDelay::new(2));
-            sim.set_sim_workers(workers);
             for _ in 0..8 {
                 sim.add_process(Gossip { remaining: 12 });
             }
-            let limits = RunLimits {
-                max_events: 40,
-                max_time: u64::MAX,
-            };
-            let s1 = sim.run(limits);
-            let s2 = sim.run(limits);
-            (
-                sim.trace().to_text(),
-                s1.events_executed,
-                s2.events_executed,
-            )
+            sim
         };
-        let (seq_text, seq_a, seq_b) = run(1);
-        let (par_text, par_a, par_b) = run(8);
-        assert_eq!(seq_text, par_text);
-        assert_eq!((seq_a, seq_b), (par_a, par_b));
-        assert_eq!(par_a, 40, "budget cuts the first batch mid-timestamp");
+        let budget = |max_events| RunLimits {
+            max_events,
+            max_time: u64::MAX,
+        };
+        let mut whole = sim();
+        let total = whole.run(RunLimits::default());
+        assert!(total.quiescent);
+
+        let mut split = sim();
+        let first = split.run(budget(40));
+        assert_eq!(first.events_executed, 40);
+        assert_eq!(first.final_time, 2, "the cut lands inside t=2");
+        assert!(!first.quiescent);
+        let second = split.run(budget(usize::MAX));
+        assert_eq!(split.trace().to_text(), whole.trace().to_text());
+        let summed = RunStats {
+            events_executed: first.events_executed + second.events_executed,
+            messages_sent: first.messages_sent + second.messages_sent,
+            messages_delivered: first.messages_delivered + second.messages_delivered,
+            messages_dropped: first.messages_dropped + second.messages_dropped,
+            ..second
+        };
+        assert_eq!(summed, total);
     }
 
     #[test]
     fn parallel_zero_process_run_quiesces() {
         let mut sim: Simulation<u32, _> = Simulation::new(FixedDelay::new(1));
-        sim.set_sim_workers(8);
         let stats = sim.run(RunLimits::default());
-        assert!(stats.quiescent);
-        assert_eq!(stats.events_executed, 0);
-        assert_eq!(stats.parallel_steps, 0);
-        assert_eq!(stats.max_step_width, 0);
+        assert_eq!(
+            stats,
+            RunStats {
+                quiescent: true,
+                ..RunStats::default()
+            }
+        );
     }
 
     /// Seeds itself three zero-delay self-messages at wake-up and forwards
@@ -1244,85 +1068,82 @@ mod tests {
 
     #[test]
     fn parallel_single_process_same_timestamp_self_messages() {
-        // The degenerate width-1 case: one process, every entry at the
-        // same discrete time, each batch seeding the next sub-batch at
-        // that time. Must neither deadlock nor reorder.
-        let run = |workers: usize| {
-            let mut sim = Simulation::new(FixedDelay::new(0));
-            sim.set_sim_workers(workers);
-            sim.add_process(SelfLooper { hops: 25 });
-            let stats = sim.run(RunLimits::default());
-            (sim.trace().to_text(), core_stats(stats))
-        };
-        let (seq_text, seq_stats) = run(1);
-        let (par_text, par_stats) = run(8);
-        assert_eq!(seq_text, par_text);
-        assert_eq!(seq_stats, par_stats);
-        assert!(seq_stats.quiescent);
-        assert_eq!(seq_stats.final_time, 0, "everything happens at t=0");
+        // One process, every entry at the same discrete time, each step
+        // enqueueing the next at that time: ties alone order the run, so
+        // deliveries are FIFO in send order.
+        let mut sim = Simulation::new(FixedDelay::new(0));
+        sim.add_process(SelfLooper { hops: 25 });
+        let stats = sim.run(RunLimits::default());
+        assert!(stats.quiescent);
+        assert_eq!(stats.final_time, 0, "everything happens at t=0");
+        assert_eq!(stats.messages_sent, 3 + 25);
+        assert_eq!(stats.events_executed, 1 + 3 + 25);
+        // The k-th delivery carries value k % 3 + k / 3 (three interleaved
+        // chains); the last three find the hop budget spent.
+        let labels: Vec<Option<u64>> = sim.trace().events()[1..].iter().map(|e| e.label).collect();
+        let expected: Vec<Option<u64>> = (0..28u64)
+            .map(|k| (k < 25).then_some(k % 3 + k / 3))
+            .collect();
+        assert_eq!(labels, expected);
     }
 
     #[test]
     fn parallel_zero_delay_fanout_matches_sequential() {
         // Broadcast storm with zero network delay: the whole run is one
-        // discrete time, so intra-timestamp sub-batching (commit-created
-        // entries at the same time, higher ties) carries all the load.
-        let run = |workers: usize| {
-            let mut sim = Simulation::new(FixedDelay::new(0));
-            sim.set_sim_workers(workers);
-            for _ in 0..6 {
-                sim.add_process(Gossip { remaining: 15 });
-            }
-            let stats = sim.run(RunLimits::default());
-            (sim.trace().to_text(), core_stats(stats))
-        };
-        let (seq_text, seq_stats) = run(1);
-        for workers in [2, 8] {
-            let (par_text, par_stats) = run(workers);
-            assert_eq!(seq_text, par_text, "at {workers} workers");
-            assert_eq!(seq_stats, par_stats);
+        // discrete time, so the (time, tie) order degenerates to send
+        // order — message i is received before message j whenever i < j.
+        let mut sim = Simulation::new(FixedDelay::new(0));
+        for _ in 0..6 {
+            sim.add_process(Gossip { remaining: 15 });
         }
+        let stats = sim.run(RunLimits::default());
+        assert!(stats.quiescent);
+        assert_eq!(stats.final_time, 0);
+        assert_eq!(stats.messages_sent, 6 * 6 + 6 * 15);
+        assert_eq!(stats.messages_delivered, stats.messages_sent);
+        let recv: Vec<usize> = sim
+            .trace()
+            .messages()
+            .iter()
+            .map(|m| m.recv_event.expect("nothing is dropped"))
+            .collect();
+        assert!(recv.windows(2).all(|w| w[0] < w[1]), "{recv:?}");
     }
 
     #[test]
     fn parallel_crash_and_faulty_marks_match_sequential() {
-        let run = |workers: usize| {
-            let mut sim = Simulation::new(BandDelay::new(1, 4, 23));
-            sim.set_sim_workers(workers);
-            sim.add_process(Gossip { remaining: 30 });
-            sim.add_faulty_process(CrashAt::new(Gossip { remaining: 30 }, 2));
-            sim.add_process(Gossip { remaining: 30 });
-            sim.run(RunLimits::default());
-            sim.trace().to_text()
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    /// Panics on the third delivery — exercises worker-panic propagation.
-    struct Grenade {
-        fuse: u32,
-    }
-    impl Process<u32> for Grenade {
-        fn on_init(&mut self, ctx: &mut Context<'_, u32>) {
-            ctx.broadcast(0);
+        // p1 completes two steps (wake-up + one reception), then crashes:
+        // every later delivery to it is a receive-only event, it sends
+        // nothing further, and the trace carries its faulty mark.
+        let mut sim = Simulation::new(BandDelay::new(1, 4, 23));
+        sim.add_process(Gossip { remaining: 30 });
+        sim.add_faulty_process(CrashAt::new(Gossip { remaining: 30 }, 2));
+        sim.add_process(Gossip { remaining: 30 });
+        assert!(sim.run(RunLimits::default()).quiescent);
+        let trace = sim.trace();
+        assert_eq!(trace.faulty, vec![false, true, false]);
+        let at_p1: Vec<&TraceEvent> = trace
+            .events()
+            .iter()
+            .filter(|e| e.process == ProcessId(1))
+            .collect();
+        assert!(at_p1.len() > 2, "peers keep echoing to the crashed process");
+        for (step, ev) in at_p1.iter().enumerate() {
+            assert_eq!(ev.received_only, step >= 2, "step {step} at p1");
         }
-        fn on_message(&mut self, ctx: &mut Context<'_, u32>, from: ProcessId, m: &u32) {
-            assert!(self.fuse > 0, "grenade went off");
-            self.fuse -= 1;
-            ctx.send(from, m + 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "grenade went off")]
-    fn parallel_worker_panic_propagates_with_its_message() {
-        // A panicking step must resurface on the caller thread with the
-        // original payload (not a poisoned-lock or joined-worker error),
-        // and the pool must shut down cleanly afterwards.
-        let mut sim = Simulation::new(FixedDelay::new(1));
-        sim.set_sim_workers(4);
-        sim.add_process(Grenade { fuse: 2 });
-        sim.add_process(Grenade { fuse: 2 });
-        sim.run(RunLimits::default());
+        let sent_by_p1 = trace
+            .messages()
+            .iter()
+            .filter(|m| m.from == ProcessId(1))
+            .count();
+        assert_eq!(
+            sent_by_p1,
+            3 + 1,
+            "one broadcast and one echo, then silence"
+        );
+        assert!(trace
+            .events()
+            .iter()
+            .all(|e| e.process == ProcessId(1) || !e.received_only));
     }
 }

@@ -10,13 +10,7 @@ use abc_core::ProcessId;
 /// exactly an arbitrary implementation. Mark adversaries faulty via
 /// [`crate::Simulation::add_faulty_process`] so their messages are dropped
 /// from the ABC synchrony condition (Section 2's message dropping).
-///
-/// `Send` is a supertrait: the engine's parallel stepper
-/// ([`crate::Simulation::set_sim_workers`]) moves each process to a worker
-/// thread for the duration of a same-timestamp batch. Processes own their
-/// state and never share it (the paper's model has no shared memory), so
-/// in practice every state machine is `Send` already.
-pub trait Process<M>: std::any::Any + Send {
+pub trait Process<M>: std::any::Any {
     /// The wake-up step (triggered by the external wake-up message). Runs
     /// before any message from another process is processed.
     fn on_init(&mut self, ctx: &mut Context<'_, M>);

@@ -121,7 +121,9 @@ proptest! {
 
     /// The attached streaming monitor, the offline trace replay, and the
     /// batch checker all agree on random workloads — including tight Xi
-    /// values where band reordering does produce violations.
+    /// values where band reordering does produce violations. So does the
+    /// engine's bounded monitor, pruning at its in-flight watermark at any
+    /// cadence.
     #[test]
     fn attached_monitor_matches_batch_and_replay(
         n in 2usize..5,
@@ -130,18 +132,33 @@ proptest! {
         seed in any::<u64>(),
         num in 5i64..15,
         den in 4i64..8,
+        prune_every in 1usize..40,
     ) {
         prop_assume!(num > den);
         let xi = abc_core::Xi::from_fraction(num, den);
-        let mut sim = Simulation::new(BandDelay::new(lo, lo + spread, seed));
-        for _ in 0..n {
-            sim.add_process(Gossip { fanout: 2, state: 0 });
-        }
-        sim.attach_monitor(&xi).unwrap();
-        sim.run(RunLimits {
-            max_events: 2_000,
-            max_time: u64::MAX,
-        });
+        let run = |bounded: bool| {
+            let mut sim = Simulation::new(BandDelay::new(lo, lo + spread, seed));
+            for _ in 0..n {
+                sim.add_process(Gossip { fanout: 2, state: 0 });
+            }
+            if bounded {
+                sim.attach_monitor_bounded(&xi, prune_every).unwrap();
+            } else {
+                sim.attach_monitor(&xi).unwrap();
+            }
+            sim.run(RunLimits {
+                max_events: 2_000,
+                max_time: u64::MAX,
+            });
+            sim
+        };
+        let sim = run(false);
+        let bounded = run(true);
+        prop_assert_eq!(bounded.trace().to_text(), sim.trace().to_text());
+        prop_assert_eq!(
+            bounded.violation_summary().map(|s| s.wire().to_string()),
+            sim.violation_summary().map(|s| s.wire().to_string())
+        );
         let g = sim.trace().to_execution_graph();
         let mon = sim.monitor().expect("attached");
         prop_assert_eq!(mon.graph(), &g);

@@ -54,7 +54,6 @@ fn main() {
             xi: xi.clone(),
             runs_per_point,
             base_seed: 31,
-            sim_workers: 1,
         };
         let report = run_sweep(
             &spec,
