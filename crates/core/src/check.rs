@@ -49,10 +49,9 @@
 //! violating relevant cycle itself, over the same arc arena in the same
 //! canonical order.
 //!
-//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` is computed
-//! by rational bisection over the monotone predicate "∃ cycle with ratio
-//! `≥ x`", followed by exact recovery of the unique bounded-denominator
-//! fraction in the final interval.
+//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` comes from
+//! the cycle-ratio ascent of the crate's `maxratio` engine — the one the
+//! monitor's live margin runs — over the same [`TraversalGraph`].
 //!
 //! For *online* checking of a growing execution, use
 //! [`crate::monitor::IncrementalChecker`], which maintains this module's
@@ -62,6 +61,7 @@ use abc_rational::Ratio;
 
 use crate::cycle::{Cycle, CycleStep, ShadowEdge};
 use crate::graph::ExecutionGraph;
+use crate::maxratio::{self, NoShortcuts};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
@@ -72,11 +72,11 @@ pub enum CheckError {
     /// by the Bellman–Ford reduction (the scaled weights, accumulated along
     /// a longest relaxation path, would overflow `i128`).
     XiTooLarge,
-    /// The graph is too large for the exact bisection arithmetic of
-    /// [`max_relevant_cycle_ratio`]: the worst-case bisection fractions
-    /// (bounded by `4·m³·(m+1)` for `m` effective messages), scaled by the
-    /// graph size, would overflow `i128`. Reported up front, before any
-    /// probe runs — never a panic mid-bisection.
+    /// The graph is too large for the exact arithmetic of
+    /// [`max_relevant_cycle_ratio`] and the monitor's margin: probe weights
+    /// (parts up to the number of live messages) accumulated over the
+    /// graph's size would overflow `i128`. Reported up front, before any
+    /// probe runs — never a panic mid-computation.
     GraphTooLarge,
 }
 
@@ -90,7 +90,7 @@ impl std::fmt::Display for CheckError {
                 )
             }
             CheckError::GraphTooLarge => {
-                write!(f, "graph exceeds the exact-ratio bisection's integer range")
+                write!(f, "graph exceeds the exact-ratio probes' integer range")
             }
         }
     }
@@ -389,109 +389,25 @@ pub fn is_admissible(g: &ExecutionGraph, xi: &Xi) -> Result<bool, CheckError> {
 /// Whether the graph contains any relevant cycle at all.
 #[must_use]
 pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
+    // A relevant cycle has B >= F, i.e. ratio >= 1.
+    maxratio::has_cycle_at_least_one(&TraversalGraph::from_graph(g))
+}
+
+/// [`max_relevant_cycle_ratio`] together with a cycle attaining it. The
+/// cycle is `None` exactly when the ratio is `1`, where the certificate
+/// is a closed walk of tight arcs rather than one canonical cycle.
+pub(crate) fn max_ratio_cycle(
+    g: &ExecutionGraph,
+) -> Result<Option<(Ratio, Option<Cycle>)>, CheckError> {
     let tg = TraversalGraph::from_graph(g);
-    // A relevant cycle has B >= F, i.e. ratio >= 1: test the predicate at 1.
-    // p == q requires the line-graph variant (see below).
-    exists_nonneg_cycle_linegraph(&tg, 1, 1)
-}
-
-/// Line-graph Bellman–Ford: detects a cycle with `q·B − p·F ≥ 0` while
-/// forbidding immediate arc reversals.
-///
-/// Needed when `p == q`: the forward+backward arc pair of a single message
-/// forms a zero-weight closed walk that is *not* a shadow cycle (it repeats
-/// the edge). For `p > q` such pairs weigh `p − q ≥ 1` and the plain
-/// node-level Bellman–Ford is exact, which is why [`negative_cycle_exists`]
-/// is used there. Forbidding immediate reversals suffices: a reversal-free
-/// closed walk of non-positive scaled weight always contains a genuine
-/// violating shadow cycle (messages have unique receive events, so the
-/// only outgoing backward-message arc at a node reverses the message just
-/// received — an all-pairs walk would have to run causally forward forever
-/// and could never close).
-///
-/// Consumes the shared [`TraversalGraph`]: the in-arc buckets come from its
-/// prefix-sum [`TraversalGraph::in_csr`] (two flat arrays, no per-node
-/// `Vec`), and the reverse pairing relies on its canonical arc order
-/// (forward immediately followed by backward per message).
-fn exists_nonneg_cycle_linegraph(tg: &TraversalGraph, p: i128, q: i128) -> bool {
-    let arcs = tg.arcs();
-    if arcs.is_empty() {
-        return false;
-    }
-    debug_assert_eq!(tg.base(), 0, "the line-graph pass is batch-only");
-    let a_count = arcs.len();
-    let k = i128::try_from(a_count).expect("arc count fits i128") + 1;
-    // Reverse pairing: the canonical order pushes Forward then Backward per
-    // message.
-    let rev = |idx: usize| -> Option<usize> {
-        match arcs[idx].kind {
-            ArcKind::Forward(_) => Some(idx + 1),
-            ArcKind::Backward(_) => Some(idx - 1),
-            ArcKind::LocalBack(_) => None,
-            ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
-        }
+    let Some(found) = maxratio::max_cycle_ratio(&tg, &NoShortcuts, None)? else {
+        return Ok(None);
     };
-    let num_nodes = tg.num_live_nodes();
-    let (in_starts, in_arcs) = tg.in_csr();
-    let mut dist = vec![0i128; a_count];
-    for _ in 0..=a_count {
-        // Per node: best and second-best incoming dist (by arc).
-        let mut best: Vec<Option<(i128, usize)>> = vec![None; num_nodes];
-        let mut second: Vec<Option<i128>> = vec![None; num_nodes];
-        for v in 0..num_nodes {
-            for &ai in &in_arcs[in_starts[v]..in_starts[v + 1]] {
-                let d = dist[ai];
-                match best[v] {
-                    None => best[v] = Some((d, ai)),
-                    Some((bd, _)) => {
-                        if d < bd {
-                            second[v] = Some(bd);
-                            best[v] = Some((d, ai));
-                        } else if second[v].is_none_or(|s| d < s) {
-                            second[v] = Some(d);
-                        }
-                    }
-                }
-            }
-        }
-        let mut changed = false;
-        for (bi, b) in arcs.iter().enumerate() {
-            let tail = b.from;
-            let Some((bd, barg)) = best[tail] else {
-                continue;
-            };
-            let incoming = if rev(bi) == Some(barg) {
-                match second[tail] {
-                    Some(s) => s,
-                    None => continue,
-                }
-            } else {
-                bd
-            };
-            let cand = incoming + scaled_weight(b.kind, p, q, k);
-            if cand < dist[bi] {
-                dist[bi] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    true
-}
-
-/// The largest numerator/denominator the bisection of
-/// [`max_relevant_cycle_ratio`] can produce for `m` effective messages:
-/// interval endpoints stay in `[1, m + 1]` with power-of-two denominators
-/// capped by `2^⌈log₂(2m³)⌉ ≤ 4m³`, so every part is at most `4m³·(m+1)`.
-/// `None` if that bound itself overflows `i128`.
-pub(crate) fn max_bisection_part(m: i64) -> Option<i128> {
-    let m = i128::from(m);
-    m.checked_mul(m)
-        .and_then(|m2| m2.checked_mul(m))
-        .and_then(|m3| m3.checked_mul(4))
-        .and_then(|b| b.checked_mul(m + 1))
+    let cycle = (!found.cycle.is_empty()).then(|| {
+        let indices: Vec<usize> = found.cycle.iter().map(|&(ai, _)| ai).collect();
+        arcs_to_cycle(tg.arcs(), &indices)
+    });
+    Ok(Some((maxratio::ratio_of((found.b, found.f)), cycle)))
 }
 
 /// The exact maximum `|Z−|/|Z+|` over all relevant cycles of `g`, or
@@ -500,86 +416,18 @@ pub(crate) fn max_bisection_part(m: i64) -> Option<i128> {
 /// The value is the *infimum* of the `Ξ` values for which `g` is admissible:
 /// `is_admissible(g, xi)` holds iff `xi > max_relevant_cycle_ratio(g)`.
 ///
-/// Complexity: `O(V·E·log(E))` (rational bisection over the Bellman–Ford
-/// predicate, then exact recovery of the bounded-denominator fraction).
+/// Complexity: a handful of seeded Bellman–Ford probes (one per cycle the
+/// ascent climbs through, plus a last one that finds nothing) — `O(V + E)`
+/// each when the seed labels already fit, `O(V·E)` at worst.
 ///
 /// # Errors
 ///
-/// [`CheckError::GraphTooLarge`] when the graph is so large (hundreds of
-/// thousands of effective messages) that the worst-case bisection
-/// fractions, scaled by the graph size, would overflow the exact `i128`
-/// arithmetic. The bound is checked **up front** — oversized graphs get a
-/// clean error instead of a mid-bisection panic or a silent wrap.
+/// [`CheckError::GraphTooLarge`] when the graph is so large that probe
+/// weights accumulated over it would overflow the exact `i128`
+/// arithmetic (beyond any graph that fits in memory today). The bound is
+/// checked **up front** — a clean error, never a panic or a silent wrap.
 pub fn max_relevant_cycle_ratio(g: &ExecutionGraph) -> Result<Option<Ratio>, CheckError> {
-    let tg = TraversalGraph::from_graph(g);
-    let num_nodes = g.num_events();
-    let m = i64::try_from(g.effective_messages().count()).map_err(|_| CheckError::GraphTooLarge)?;
-    if m == 0 {
-        return Ok(None);
-    }
-    // Guard every probe's arithmetic before running any: the bisection only
-    // ever tests fractions with parts ≤ max_bisection_part(m).
-    let max_part = max_bisection_part(m).ok_or(CheckError::GraphTooLarge)?;
-    if !weights_fit_i128(max_part, max_part, tg.num_arcs(), num_nodes) {
-        return Err(CheckError::GraphTooLarge);
-    }
-    let spacing_denom = m.checked_mul(m).ok_or(CheckError::GraphTooLarge)?;
-    let exists_ge = |r: &Ratio| -> bool {
-        let p = r
-            .numer()
-            .to_i128()
-            .expect("bisection parts fit i128 (guarded up front)");
-        let q = r
-            .denom()
-            .to_i128()
-            .expect("bisection parts fit i128 (guarded up front)");
-        if p > q {
-            negative_cycle_exists(g, &tg, p, q)
-        } else {
-            // p == q == 1 (ratio-1 probe): needs the reversal-free variant.
-            exists_nonneg_cycle_linegraph(&tg, p, q)
-        }
-    };
-    if !exists_ge(&Ratio::one()) {
-        return Ok(None);
-    }
-    // Invariant: exists_ge(lo) is true, exists_ge(hi) is false.
-    let mut lo = Ratio::one();
-    let mut hi = Ratio::from_integer(m + 1);
-    // Bisect until the interval is shorter than the minimal spacing 1/m²
-    // between distinct fractions with numerator and denominator ≤ m.
-    let spacing = Ratio::new(1, spacing_denom) / Ratio::from_integer(2);
-    while &hi - &lo > spacing {
-        let mid = lo.midpoint(&hi);
-        if exists_ge(&mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    // Recover the unique B/F with F ≤ m in [lo, hi): for each denominator F,
-    // the largest B with B/F < hi, kept if B/F ≥ lo.
-    let mut best: Option<Ratio> = None;
-    for f in 1..=m {
-        let fr = Ratio::from_integer(f);
-        let prod = &hi * &fr;
-        let b = if prod.is_integer() {
-            prod.numer().clone() - abc_rational::BigInt::one()
-        } else {
-            prod.floor()
-        };
-        let b = b.to_i64().ok_or(CheckError::GraphTooLarge)?;
-        if b < 1 {
-            continue;
-        }
-        let cand = Ratio::new(b, f);
-        if cand >= lo && best.as_ref().is_none_or(|x| cand > *x) {
-            best = Some(cand);
-        }
-    }
-    let best = best.expect("the maximum ratio lies in the final interval");
-    debug_assert!(exists_ge(&best), "recovered ratio must be attained");
-    Ok(Some(best))
+    Ok(max_ratio_cycle(g)?.map(|(ratio, _)| ratio))
 }
 
 #[cfg(test)]
@@ -770,13 +618,11 @@ mod tests {
 
     #[test]
     fn oversized_graphs_get_a_clean_ratio_error_not_a_panic() {
-        // Regression for the bisection overflow: with enough effective
-        // messages, the worst-case bisection fractions (≤ 4m³(m+1)) scaled
-        // by the graph size overflow i128. The old code would have run the
-        // probes unguarded (panicking in debug, wrapping in release); now
-        // the up-front guard reports GraphTooLarge before any probe runs —
-        // this test finishes in milliseconds precisely because no O(V·E)
-        // pass ever starts.
+        // Probe parts are cycle counts (≤ the number of messages), so the
+        // overflow guard is one checked product; its boundary is pinned in
+        // `maxratio::tests`. A graph that trips it does not fit in memory:
+        // a 200 000-message chain is simply answered, in milliseconds,
+        // because a *no* probe is one changeless sweep.
         let msgs = 200_000usize;
         let mut b = ExecutionGraph::builder(1);
         let mut cur = b.init(ProcessId(0));
@@ -785,8 +631,8 @@ mod tests {
             cur = r;
         }
         let g = b.finish();
-        assert_eq!(max_relevant_cycle_ratio(&g), Err(CheckError::GraphTooLarge));
-        // Well within the guard, everything still works.
+        assert_eq!(max_relevant_cycle_ratio(&g), Ok(None));
+        assert!(!maxratio::probe_weights_fit(i128::MAX / 4, 1, msgs));
         assert!(max_relevant_cycle_ratio(&two_chain(3)).unwrap().is_some());
     }
 

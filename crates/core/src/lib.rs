@@ -76,6 +76,7 @@ pub mod cycle;
 pub mod cyclespace;
 pub mod enumerate;
 pub mod graph;
+mod maxratio;
 pub mod monitor;
 pub mod timed;
 pub mod traversal;

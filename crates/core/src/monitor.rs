@@ -92,16 +92,23 @@
 //! (the same value [`crate::check::max_relevant_cycle_ratio`] computes
 //! batch-side), and [`IncrementalChecker::margin_upper_bound`] derives a
 //! cheap `O(arcs)` upper bound from the feasible potentials — the fast
-//! path that gates the exact probe. Pruned monitors stay exact through two
-//! devices: the **margin floor** (margins only grow, so the exact margin
-//! is folded into a floor right before each prune, and later probes only
-//! range above it) and per-shortcut **signature envelopes** (each boundary
-//! shortcut keeps the lower envelope of its crossing paths' `x·F − B`
-//! cost lines over probe ratios at or above the floor, so probes below
-//! `Ξ` see the exact minimum crossing cost, not just the `Ξ`-optimal path
-//! the violation machinery stores). Margin tracking is opt-in for pruning
-//! monitors ([`IncrementalChecker::enable_margin_tracking`]) because the
-//! envelopes cost extra work at every prune.
+//! path that gates the exact probe. Both margins, batch and live, come
+//! from one engine (the crate's `maxratio` module): it asks "is there a
+//! cycle with ratio strictly above `B₀/F₀`", jumps to the ratio of the
+//! cycle a *yes* finds, and stops at the first *no* — two to four seeded
+//! Bellman–Ford probes over the live arcs, not a bisection. Pruned
+//! monitors stay exact through two devices: the **margin floor** (margins
+//! only grow, so the exact margin is folded into a floor right before each
+//! prune, and later probes only ask above it) and per-shortcut **signature
+//! envelopes** (each boundary shortcut keeps the lower envelope of its
+//! crossing paths' `x·F − B` cost lines over probe ratios at or above the
+//! floor, so probes below `Ξ` see the exact minimum crossing cost, not
+//! just the `Ξ`-optimal path the violation machinery stores). Margin
+//! tracking is opt-in for pruning monitors
+//! ([`IncrementalChecker::enable_margin_tracking`]): the fold is a few
+//! hundred microseconds on a 500-event window, but growing the envelopes
+//! makes a tracked prune several times the work of an untracked one
+//! (1.2–2.2 ms against 0.2–0.5 ms at horizon 256).
 //!
 //! # Example: streaming detection
 //!
@@ -125,13 +132,14 @@
 
 use std::collections::VecDeque;
 
-use abc_rational::{BigInt, Ratio};
+use abc_rational::Ratio;
 
 use crate::check::{self, CheckError};
 use crate::cycle::{Cycle, CycleStep, ShadowEdge, WitnessSummary};
 use crate::graph::{
     EventId, ExecutionGraph, ExecutionGraphBuilder, LocalEdge, MessageId, ProcessId, Trigger,
 };
+use crate::maxratio::{self, step_reverses, Shortcuts};
 use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
@@ -199,6 +207,130 @@ struct MarginSig {
     procs: Vec<ProcessId>,
 }
 
+/// A margin signature *while a prune condenses the boundary*: the counts
+/// and boundary steps that every envelope and junction decision reads,
+/// plus a link to how the path was put together. Copying one copies no
+/// path; only the signatures that survive onto a [`ShortcutInfo`] or
+/// [`RowOut`] are expanded into a [`MarginSig`] ([`Sig::materialize`]).
+#[derive(Clone, Copy)]
+struct Sig<'a> {
+    f: i128,
+    b: i128,
+    /// First and last step of the path (`None` for the empty path).
+    first: Option<CycleStep>,
+    last: Option<CycleStep>,
+    path: SigPath<'a>,
+}
+
+/// How a [`Sig`]'s path is spelled out.
+#[derive(Clone, Copy)]
+enum SigPath<'a> {
+    Empty,
+    Step(CycleStep),
+    /// A signature an earlier prune stored.
+    Stored(&'a MarginSig),
+    /// `left · joint · right`, at this index of the prune's [`SigArena`].
+    Concat(usize),
+}
+
+/// The concatenations one prune makes: `(left, joint process, right)`.
+type SigArena<'a> = Vec<(SigPath<'a>, Option<ProcessId>, SigPath<'a>)>;
+
+/// A frontier-row path whose signature envelope is still links.
+type LinkedRowOut<'a> = (RowOut, Vec<Sig<'a>>);
+
+impl<'a> Sig<'a> {
+    fn empty() -> Sig<'a> {
+        Sig {
+            f: 0,
+            b: 0,
+            first: None,
+            last: None,
+            path: SigPath::Empty,
+        }
+    }
+
+    fn step(f: i128, b: i128, step: CycleStep) -> Sig<'a> {
+        Sig {
+            f,
+            b,
+            first: Some(step),
+            last: Some(step),
+            path: SigPath::Step(step),
+        }
+    }
+
+    fn stored(sig: &'a MarginSig) -> Sig<'a> {
+        Sig {
+            f: sig.f,
+            b: sig.b,
+            first: sig.steps.first().copied(),
+            last: sig.steps.last().copied(),
+            path: SigPath::Stored(sig),
+        }
+    }
+
+    /// Concatenates two path signatures meeting at the vertex with process
+    /// `joint` (`None` when `self` is empty — the meeting vertex is the
+    /// composite's start and stays excluded from the interior). Returns
+    /// `None` when the junction would immediately reverse one message —
+    /// see [`step_reverses`].
+    fn concat(
+        &self,
+        joint: Option<ProcessId>,
+        d: &Sig<'a>,
+        arena: &mut SigArena<'a>,
+    ) -> Option<Sig<'a>> {
+        if let (Some(last), Some(first)) = (&self.last, &d.first) {
+            if step_reverses(last, first) {
+                return None;
+            }
+        }
+        arena.push((self.path, joint, d.path));
+        Some(Sig {
+            f: self.f + d.f,
+            b: self.b + d.b,
+            first: self.first.or(d.first),
+            last: d.last.or(self.last),
+            path: SigPath::Concat(arena.len() - 1),
+        })
+    }
+
+    /// Spells the path out: its steps and interior processes.
+    fn materialize(&self, arena: &SigArena<'a>) -> MarginSig {
+        enum Item<'a> {
+            Path(SigPath<'a>),
+            Joint(ProcessId),
+        }
+        let mut steps = Vec::new();
+        let mut procs = Vec::new();
+        let mut todo = vec![Item::Path(self.path)];
+        while let Some(item) = todo.pop() {
+            match item {
+                Item::Joint(p) => procs.push(p),
+                Item::Path(SigPath::Empty) => {}
+                Item::Path(SigPath::Step(s)) => steps.push(s),
+                Item::Path(SigPath::Stored(sig)) => {
+                    steps.extend_from_slice(&sig.steps);
+                    procs.extend_from_slice(&sig.procs);
+                }
+                Item::Path(SigPath::Concat(i)) => {
+                    let (left, joint, right) = arena[i];
+                    todo.push(Item::Path(right));
+                    todo.extend(joint.map(Item::Joint));
+                    todo.push(Item::Path(left));
+                }
+            }
+        }
+        MarginSig {
+            f: self.f,
+            b: self.b,
+            steps,
+            procs,
+        }
+    }
+}
+
 /// A condensed boundary path of a pruned prefix: the exact lexicographic
 /// weight of the shortest settled-region path it stands for, plus the
 /// expansion needed to reproduce witnesses byte-for-byte.
@@ -213,6 +345,20 @@ struct ShortcutInfo {
     /// Margin-signature envelope of *all* condensed paths behind this arc
     /// (empty when margin tracking is off).
     sigs: Vec<MarginSig>,
+}
+
+impl Shortcuts for [ShortcutInfo] {
+    fn lines(&self, id: usize) -> usize {
+        self[id].sigs.len()
+    }
+    fn line(&self, id: usize, pick: usize) -> (i128, i128) {
+        let sig = &self[id].sigs[pick];
+        (sig.f, sig.b)
+    }
+    fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>) {
+        let steps = &self[id].sigs[pick].steps;
+        (steps.first().copied(), steps.last().copied())
+    }
 }
 
 /// One condensed path out of a pruned frontier event: `prev ⇝ head`
@@ -338,8 +484,9 @@ pub struct IncrementalChecker {
     margin_tracking: bool,
     /// Monotone floor on the execution's margin: the exact live margin is
     /// folded in right before every prune, so probes after the prune only
-    /// range above it (which keeps the signature envelopes finite).
-    margin_floor: Option<Ratio>,
+    /// range above it (which keeps the signature envelopes finite). Held
+    /// as the `(B, F)` counts of the cycle that attained it.
+    margin_floor: Option<(i128, i128)>,
     /// Witness summary attaining `margin_floor`, when one was extracted.
     margin_floor_witness: Option<WitnessSummary>,
     stats: MonitorStats,
@@ -440,8 +587,11 @@ impl IncrementalChecker {
     /// equips the condensed boundary shortcuts with margin-signature
     /// envelopes, so [`IncrementalChecker::current_margin`] stays equal to
     /// the batch [`crate::check::max_relevant_cycle_ratio`] on the full
-    /// (never-pruned) execution. Costs extra work at each prune; without
-    /// it, margin queries on a pruning monitor whose mirror was dropped
+    /// (never-pruned) execution. Each prune then also runs the margin fold
+    /// (a few cycle probes over the live window) and one signature-envelope
+    /// pass per boundary landing — a millisecond or two where an untracked
+    /// prune takes a few hundred microseconds; without it, margin queries on a
+    /// pruning monitor whose mirror was dropped
     /// ([`IncrementalChecker::enable_pruning`]) are unavailable.
     ///
     /// # Panics
@@ -1052,7 +1202,10 @@ impl IncrementalChecker {
     ///
     /// Verdicts, violation latch points, and witnesses are **byte-identical**
     /// with and without pruning, at any call cadence. Returns the number of
-    /// events compacted by this call.
+    /// events compacted by this call — `0`, with the window left intact,
+    /// when a margin-tracking monitor cannot fold its margin first because
+    /// the window is beyond the exact probes' integer range
+    /// ([`CheckError::GraphTooLarge`]).
     pub fn prune_settled(&mut self, oldest_inflight_send: Option<EventId>) -> usize {
         let _span = abc_obs::span("monitor.prune");
         let total = self.tg.total_nodes();
@@ -1063,12 +1216,13 @@ impl IncrementalChecker {
             return 0;
         }
         if self.violation.is_none() {
-            if self.margin_tracking {
-                // Fold the exact live margin into the monotone floor
-                // *before* the prefix is condensed: probes after the prune
-                // only range above the floor, which is what keeps the
-                // boundary signature envelopes finite and exact.
-                self.fold_margin_floor();
+            // Fold the exact live margin into the monotone floor *before*
+            // the prefix is condensed: probes after the prune only range
+            // above the floor, which is what keeps the boundary signature
+            // envelopes finite and exact. Without the fold there is no
+            // exact condensation, so the prune is declined.
+            if self.margin_tracking && self.fold_margin_floor().is_err() {
+                return 0;
             }
             // Replace every path through the condemned prefix with an exact
             // live-to-live shortcut before the arcs disappear. Once the
@@ -1168,33 +1322,36 @@ impl IncrementalChecker {
         // `landings[li] ⇝ head(exits[bi])` (internal signature labels
         // extended by the exit arc), over probe ratios at or above the
         // just-folded margin floor.
-        let (lo_n, lo_d) = self.margin_floor_parts();
-        let exit_sigs: Vec<Vec<Vec<MarginSig>>> = if self.margin_tracking {
-            landings
-                .iter()
-                .map(|&start| {
-                    let labels = self.margin_sig_sssp(&internal, base, win, start);
-                    exits
-                        .iter()
-                        .map(|&b| {
-                            let exit_arc = self.tg.arcs()[b];
-                            let deltas = self.arc_margin_sigs(exit_arc.kind);
-                            let mut cands = Vec::new();
-                            for l in &labels[exit_arc.from - base] {
-                                let joint = (!l.steps.is_empty())
-                                    .then(|| self.proc_of[exit_arc.from - base]);
-                                for d in &deltas {
-                                    cands.extend(sig_concat(l, joint, d));
-                                }
-                            }
-                            margin_envelope(cands, lo_n, lo_d)
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        // While a tree grows its signatures are links into `links`; only
+        // the few that reach an exit are spelled out, and the links of one
+        // landing are dropped before the next landing's are made.
+        let floor = self.margin_floor.unwrap_or((1, 1));
+        let mut exit_sigs: Vec<Vec<Vec<MarginSig>>> = Vec::new();
+        if self.margin_tracking {
+            let mut links: SigArena = Vec::new();
+            for &start in &landings {
+                links.clear();
+                let labels = self.margin_sig_sssp(&internal, base, win, start, floor, &mut links);
+                let mut per_exit = Vec::with_capacity(exits.len());
+                for &b in &exits {
+                    let exit_arc = self.tg.arcs()[b];
+                    let mut cands = Vec::new();
+                    for l in &labels[exit_arc.from - base] {
+                        let joint = l.first.map(|_| self.proc_of[exit_arc.from - base]);
+                        for d in self.arc_sigs(exit_arc.kind) {
+                            cands.extend(l.concat(joint, &d, &mut links));
+                        }
+                    }
+                    let envelope = margin_envelope(cands, floor);
+                    per_exit.push(envelope.iter().map(|s| s.materialize(&links)).collect());
+                }
+                exit_sigs.push(per_exit);
+            }
+        }
+        // The compositions below (entry · exit paths, row · exit paths,
+        // merges with stored envelopes) link the same way, and again only
+        // what survives every merge is spelled out, at the end.
+        let mut arena: SigArena = Vec::new();
         // The expansion of one arc: its steps and interior processes.
         let expand = |kind: ArcKind| -> (Vec<CycleStep>, Vec<ProcessId>) {
             match kind {
@@ -1278,7 +1435,7 @@ impl IncrementalChecker {
         }
         let mut shortcut_slots: std::collections::HashMap<(usize, usize), usize> =
             std::collections::HashMap::new();
-        let mut new_arcs: Vec<(usize, usize, ShortcutInfo)> = Vec::new();
+        let mut new_arcs: Vec<(usize, usize, ShortcutInfo, Vec<Sig>)> = Vec::new();
         let mut replacements: Vec<(usize, ShortcutInfo)> = Vec::new();
         let mut updated_weights: std::collections::HashMap<usize, Weight> =
             std::collections::HashMap::new();
@@ -1287,7 +1444,7 @@ impl IncrementalChecker {
         // envelopes of every new crossing path between its endpoints even
         // when its lex weight does not improve — a probe below `Ξ` may
         // prefer the new path.
-        let mut sig_updates: std::collections::HashMap<usize, Vec<MarginSig>> =
+        let mut sig_updates: std::collections::HashMap<usize, Vec<Sig>> =
             std::collections::HashMap::new();
         for &ea in entries.iter().filter(|_| !exits.is_empty()) {
             let entry_arc = self.tg.arcs()[ea];
@@ -1314,13 +1471,14 @@ impl IncrementalChecker {
                     "unlatched monitors have no negative self-loops"
                 );
                 let sigs = if self.margin_tracking {
+                    let joint = Some(self.proc_of[entry_arc.to - base]);
                     let mut cands = Vec::new();
-                    for e in &self.arc_margin_sigs(entry_arc.kind) {
+                    for e in self.arc_sigs(entry_arc.kind) {
                         for s in &exit_sigs[li][bi] {
-                            cands.extend(sig_concat(e, Some(self.proc_of[entry_arc.to - base]), s));
+                            cands.extend(e.concat(joint, &Sig::stored(s), &mut arena));
                         }
                     }
-                    margin_envelope(cands, lo_n, lo_d)
+                    margin_envelope(cands, floor)
                 } else {
                     Vec::new()
                 };
@@ -1330,11 +1488,11 @@ impl IncrementalChecker {
                     // (`updated_weights` overlays in-flight improvements so
                     // later candidates compare against the best so far.)
                     if self.margin_tracking {
-                        let mut cands = sig_updates
-                            .remove(&id)
-                            .unwrap_or_else(|| self.shortcuts[id].sigs.clone());
+                        let mut cands = sig_updates.remove(&id).unwrap_or_else(|| {
+                            self.shortcuts[id].sigs.iter().map(Sig::stored).collect()
+                        });
                         cands.extend(sigs);
-                        sig_updates.insert(id, margin_envelope(cands, lo_n, lo_d));
+                        sig_updates.insert(id, margin_envelope(cands, floor));
                     }
                     let current = updated_weights
                         .get(&id)
@@ -1351,8 +1509,8 @@ impl IncrementalChecker {
                                 weight,
                                 steps,
                                 procs,
-                                // Placeholder: `sig_updates` lands after the
-                                // remap and carries the merged envelope.
+                                // `sig_updates` lands after the remap and
+                                // carries the merged envelope.
                                 sigs: Vec::new(),
                             },
                         ));
@@ -1368,24 +1526,22 @@ impl IncrementalChecker {
                     weight,
                     steps,
                     procs,
-                    sigs,
+                    sigs: Vec::new(), // spelled out from the slot's links below
                 };
                 match shortcut_slots.entry((from, to)) {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(new_arcs.len());
-                        new_arcs.push((from, to, info));
+                        new_arcs.push((from, to, info, sigs));
                     }
                     std::collections::hash_map::Entry::Occupied(e) => {
-                        let slot = &mut new_arcs[*e.get()].2;
+                        let (_, _, slot, slot_sigs) = &mut new_arcs[*e.get()];
                         if self.margin_tracking {
-                            let mut cands = std::mem::take(&mut slot.sigs);
-                            cands.extend(info.sigs);
-                            slot.sigs = margin_envelope(cands, lo_n, lo_d);
+                            let mut cands = std::mem::take(slot_sigs);
+                            cands.extend(sigs);
+                            *slot_sigs = margin_envelope(cands, floor);
                         }
                         if info.weight < slot.weight {
-                            slot.weight = info.weight;
-                            slot.steps = info.steps;
-                            slot.procs = info.procs;
+                            *slot = info;
                         }
                     }
                 }
@@ -1396,29 +1552,30 @@ impl IncrementalChecker {
         // envelopes of *all* candidate paths to that head are merged — the
         // same weight-vs-signature split as for shortcut arcs.
         let margin_tracking = self.margin_tracking;
-        let push_min = |outs: &mut Vec<RowOut>, mut cand: RowOut| match outs
-            .iter_mut()
-            .find(|o| o.head == cand.head)
-        {
-            Some(o) => {
-                if margin_tracking {
-                    let mut cands = std::mem::take(&mut o.sigs);
-                    cands.append(&mut cand.sigs);
-                    cand.sigs = margin_envelope(cands, lo_n, lo_d);
+        fn push_min<'a>(
+            outs: &mut Vec<LinkedRowOut<'a>>,
+            cand: RowOut,
+            sigs: Vec<Sig<'a>>,
+            floor: (i128, i128),
+        ) {
+            match outs.iter_mut().find(|(o, _)| o.head == cand.head) {
+                Some((o, merged)) => {
+                    if !sigs.is_empty() {
+                        merged.extend(sigs);
+                        *merged = margin_envelope(std::mem::take(merged), floor);
+                    }
+                    if cand.weight < o.weight {
+                        *o = cand;
+                    }
                 }
-                if cand.weight < o.weight {
-                    *o = cand;
-                } else if margin_tracking {
-                    o.sigs = cand.sigs;
-                }
+                None => outs.push((cand, sigs)),
             }
-            None => outs.push(cand),
-        };
-        let mut new_rows: Vec<(usize, FrontierRow)> = Vec::new();
+        }
+        let mut new_rows: Vec<(usize, Weight, Vec<LinkedRowOut>)> = Vec::new();
         for p in 0..self.num_processes {
             match self.last_event[p] {
                 Some(le) if le >= base && le < w => {
-                    let mut outs: Vec<RowOut> = Vec::new();
+                    let mut outs: Vec<LinkedRowOut> = Vec::new();
                     if !exits.is_empty() {
                         let li = landing_idx[le - base].expect("fresh frontiers are landings");
                         for (bi, &b) in exits.iter().enumerate() {
@@ -1426,38 +1583,38 @@ impl IncrementalChecker {
                                 continue;
                             };
                             let sigs = if margin_tracking {
-                                exit_sigs[li][bi].clone()
+                                exit_sigs[li][bi].iter().map(Sig::stored).collect()
                             } else {
                                 Vec::new()
                             };
-                            push_min(
-                                &mut outs,
-                                RowOut {
-                                    head: self.tg.arcs()[b].to,
-                                    weight,
-                                    steps,
-                                    procs,
-                                    sigs,
-                                },
-                            );
+                            let out = RowOut {
+                                head: self.tg.arcs()[b].to,
+                                weight,
+                                steps,
+                                procs,
+                                sigs: Vec::new(),
+                            };
+                            push_min(&mut outs, out, sigs, floor);
                         }
                     }
-                    new_rows.push((
-                        p,
-                        FrontierRow {
-                            label: self.pot[le - base],
-                            outs,
-                        },
-                    ));
+                    new_rows.push((p, self.pot[le - base], outs));
                 }
                 Some(le) if le < base => {
                     let Some(row) = &self.frontier_row[p] else {
                         continue;
                     };
-                    let mut outs: Vec<RowOut> = Vec::new();
+                    let mut outs: Vec<LinkedRowOut> = Vec::new();
                     for out in &row.outs {
                         if out.head >= w {
-                            push_min(&mut outs, out.clone());
+                            let kept = RowOut {
+                                head: out.head,
+                                weight: out.weight,
+                                steps: out.steps.clone(),
+                                procs: out.procs.clone(),
+                                sigs: Vec::new(),
+                            };
+                            let sigs = out.sigs.iter().map(Sig::stored).collect();
+                            push_min(&mut outs, kept, sigs, floor);
                             continue;
                         }
                         if exits.is_empty() {
@@ -1478,36 +1635,57 @@ impl IncrementalChecker {
                                 let mut cands = Vec::new();
                                 for s in &out.sigs {
                                     for c in &exit_sigs[li][bi] {
-                                        cands.extend(sig_concat(s, joint, c));
+                                        let c = Sig::stored(c);
+                                        cands.extend(Sig::stored(s).concat(joint, &c, &mut arena));
                                     }
                                 }
-                                margin_envelope(cands, lo_n, lo_d)
+                                margin_envelope(cands, floor)
                             } else {
                                 Vec::new()
                             };
-                            push_min(
-                                &mut outs,
-                                RowOut {
-                                    head: self.tg.arcs()[b].to,
-                                    weight: (out.weight.0 + cw.0, out.weight.1 + cw.1),
-                                    steps,
-                                    procs,
-                                    sigs,
-                                },
-                            );
+                            let recomposed = RowOut {
+                                head: self.tg.arcs()[b].to,
+                                weight: (out.weight.0 + cw.0, out.weight.1 + cw.1),
+                                steps,
+                                procs,
+                                sigs: Vec::new(),
+                            };
+                            push_min(&mut outs, recomposed, sigs, floor);
                         }
                     }
-                    new_rows.push((
-                        p,
-                        FrontierRow {
-                            label: row.label,
-                            outs,
-                        },
-                    ));
+                    new_rows.push((p, row.label, outs));
                 }
                 _ => {}
             }
         }
+        // Spell out the surviving signatures; the links end here.
+        let spell = |sigs: Vec<Sig>| -> Vec<MarginSig> {
+            sigs.iter().map(|s| s.materialize(&arena)).collect()
+        };
+        let new_arcs: Vec<(usize, usize, ShortcutInfo)> = new_arcs
+            .into_iter()
+            .map(|(from, to, info, sigs)| {
+                let sigs = spell(sigs);
+                (from, to, ShortcutInfo { sigs, ..info })
+            })
+            .collect();
+        let sig_updates: Vec<(usize, Vec<MarginSig>)> = sig_updates
+            .into_iter()
+            .map(|(id, sigs)| (id, spell(sigs)))
+            .collect();
+        let new_rows: Vec<(usize, FrontierRow)> = new_rows
+            .into_iter()
+            .map(|(p, label, outs)| {
+                let outs = outs
+                    .into_iter()
+                    .map(|(out, sigs)| RowOut {
+                        sigs: spell(sigs),
+                        ..out
+                    })
+                    .collect();
+                (p, FrontierRow { label, outs })
+            })
+            .collect();
         // Apply: rebuild the shortcut table (survivors keep their info under
         // new ids, consumed entries vanish with their arcs), then push the
         // fresh shortcut arcs and install the rows.
@@ -1550,39 +1728,18 @@ impl IncrementalChecker {
         }
     }
 
-    /// The margin floor as `i128` parts (`1/1` when no floor is set: the
-    /// envelope interval then starts at the smallest relevant ratio).
-    fn margin_floor_parts(&self) -> (i128, i128) {
-        match &self.margin_floor {
-            Some(r) => (
-                r.numer()
-                    .to_i128()
-                    .expect("margin floors are small rationals"),
-                r.denom()
-                    .to_i128()
-                    .expect("margin floors are small rationals"),
-            ),
-            None => (1, 1),
-        }
-    }
-
     /// The margin signatures of one live arc: plain arcs carry their single
     /// step, shortcut arcs their stored envelope.
-    fn arc_margin_sigs(&self, kind: ArcKind) -> Vec<MarginSig> {
-        let single = |f: i128, b: i128, edge: ShadowEdge, against: bool| {
-            vec![MarginSig {
-                f,
-                b,
-                steps: vec![CycleStep { edge, against }],
-                procs: Vec::new(),
-            }]
+    fn arc_sigs(&self, kind: ArcKind) -> impl Iterator<Item = Sig<'_>> {
+        let step =
+            |f, b, edge, against| (Some(Sig::step(f, b, CycleStep { edge, against })), &[][..]);
+        let (own, stored): (Option<Sig>, &[MarginSig]) = match kind {
+            ArcKind::Forward(m) => step(1, 0, ShadowEdge::Message(m), false),
+            ArcKind::Backward(m) => step(0, 1, ShadowEdge::Message(m), true),
+            ArcKind::LocalBack(l) => step(0, 0, ShadowEdge::Local(l), true),
+            ArcKind::Shortcut(id) => (None, &self.shortcuts[id].sigs),
         };
-        match kind {
-            ArcKind::Forward(m) => single(1, 0, ShadowEdge::Message(m), false),
-            ArcKind::Backward(m) => single(0, 1, ShadowEdge::Message(m), true),
-            ArcKind::LocalBack(l) => single(0, 0, ShadowEdge::Local(l), true),
-            ArcKind::Shortcut(id) => self.shortcuts[id].sigs.clone(),
-        }
+        own.into_iter().chain(stored.iter().map(Sig::stored))
     }
 
     /// Signature-envelope shortest paths from `start` over the internal
@@ -1596,40 +1753,46 @@ impl IncrementalChecker {
     /// `≥ 0` everywhere on it (their ratios were folded into the floor
     /// right before condensation), so lapped signatures never survive the
     /// envelope.
-    fn margin_sig_sssp(
-        &self,
+    fn margin_sig_sssp<'a>(
+        &'a self,
         internal: &[usize],
         base: usize,
         win: usize,
         start: usize,
-    ) -> Vec<Vec<MarginSig>> {
-        let (lo_n, lo_d) = self.margin_floor_parts();
+        floor: (i128, i128),
+        arena: &mut SigArena<'a>,
+    ) -> Vec<Vec<Sig<'a>>> {
         let arcs = self.tg.arcs();
-        let mut labels: Vec<Vec<MarginSig>> = vec![Vec::new(); win];
-        labels[start - base] = vec![MarginSig {
-            f: 0,
-            b: 0,
-            steps: Vec::new(),
-            procs: Vec::new(),
-        }];
+        let mut labels: Vec<Vec<Sig>> = vec![Vec::new(); win];
+        labels[start - base] = vec![Sig::empty()];
         let mut rounds: usize = 0;
         loop {
             let mut changed = false;
             for &ai in internal.iter().rev() {
                 let arc = arcs[ai];
-                if labels[arc.from - base].is_empty() {
+                let (from, to) = (arc.from - base, arc.to - base);
+                // A self-loop only laps a prefix cycle (see above).
+                if from == to || labels[from].is_empty() {
                     continue;
                 }
-                let from_labels = labels[arc.from - base].clone();
-                let deltas = self.arc_margin_sigs(arc.kind);
-                for l in &from_labels {
-                    let joint = (!l.steps.is_empty()).then(|| self.proc_of[arc.from - base]);
-                    for d in &deltas {
-                        let Some(cand) = sig_concat(l, joint, d) else {
+                let (sources, target) = if from < to {
+                    let (lo, hi) = labels.split_at_mut(to);
+                    (&lo[from], &mut hi[0])
+                } else {
+                    let (lo, hi) = labels.split_at_mut(from);
+                    (&hi[0], &mut lo[to])
+                };
+                for l in sources {
+                    let joint = l.first.map(|_| self.proc_of[from]);
+                    for d in self.arc_sigs(arc.kind) {
+                        // A dominated line never wins anywhere: skip it
+                        // before it costs an arena link.
+                        if dominated(target, l.f + d.f, l.b + d.b) {
                             continue;
-                        };
-                        changed |=
-                            margin_envelope_insert(&mut labels[arc.to - base], cand, lo_n, lo_d);
+                        }
+                        if let Some(cand) = l.concat(joint, &d, arena) {
+                            changed |= margin_envelope_insert(target, cand, floor);
+                        }
                     }
                 }
             }
@@ -1644,275 +1807,48 @@ impl IncrementalChecker {
         }
     }
 
+    /// The live window's best cycle strictly above the folded floor (at
+    /// or above `1` while there is none), with the witness summary of a
+    /// cycle attaining it — one run of the crate's max-cycle-ratio engine
+    /// over the live arena, shortcut arcs charged their signature
+    /// envelopes. `Ok(None)` when the window does not beat the floor.
+    #[allow(clippy::type_complexity)]
+    fn window_best(&self) -> Result<Option<((i128, i128), Option<WitnessSummary>)>, CheckError> {
+        debug_assert!(
+            self.violation.is_none(),
+            "latched margins come from the witness summary"
+        );
+        let best = maxratio::max_cycle_ratio(&self.tg, &self.shortcuts[..], self.margin_floor)?;
+        Ok(best.map(|found| {
+            // At ratio exactly 1 there is no canonical cycle to show.
+            let witness = (!found.cycle.is_empty()).then(|| self.expand_window_cycle(&found.cycle));
+            ((found.b, found.f), witness)
+        }))
+    }
+
     /// Folds the exact live margin into the monotone floor: margins never
     /// shrink as an execution grows, so the pre-prune margin bounds every
     /// later one from below. Runs right before each condensation so that
     /// probes after the prune only range above the floor.
-    fn fold_margin_floor(&mut self) {
+    fn fold_margin_floor(&mut self) -> Result<(), CheckError> {
         // Fast path: if the potentials already bound the live window at or
         // below the floor, the fold cannot raise it.
-        if let (Some(floor), Some(bound)) = (&self.margin_floor, self.margin_upper_bound()) {
-            if bound <= *floor {
-                return;
+        if let (Some(floor), Some(bound)) = (self.margin_floor, self.margin_upper_bound()) {
+            if bound <= maxratio::ratio_of(floor) {
+                return Ok(());
             }
         }
-        let folded = self
-            .window_margin()
-            .expect("margin fold overflowed the probe weights");
-        if let Some((ratio, witness)) = folded {
-            if self.margin_floor.as_ref().is_none_or(|f| ratio > *f) {
-                self.margin_floor_witness = witness;
-                self.margin_floor = Some(ratio);
-            }
+        if let Some((ratio, witness)) = self.window_best()? {
+            self.margin_floor = Some(ratio);
+            self.margin_floor_witness = witness;
         }
-    }
-
-    /// Windowed negative-cycle probe at ratio `a/b` (`a > b ≥ 1`): the
-    /// live-arena mirror of [`crate::check`]'s violating-cycle extraction,
-    /// with shortcut arcs charged the cheapest line of their signature
-    /// envelope. Returns the cycle as `(arc index, chosen signature)`
-    /// pairs in traversal order if one with ratio `≥ a/b` exists.
-    fn window_cycle_at(&self, a: i128, b: i128) -> Option<Vec<(usize, Option<usize>)>> {
-        let base = self.tg.base();
-        let n = self.tg.num_live_nodes();
-        let arcs = self.tg.arcs();
-        if n == 0 || arcs.is_empty() {
-            return None;
-        }
-        let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
-        // Scaled weight and (for shortcuts) the signature attaining it.
-        let weights: Vec<(i128, Option<usize>)> = arcs
-            .iter()
-            .map(|arc| match arc.kind {
-                ArcKind::Forward(_) => (a * k - 1, None),
-                ArcKind::Backward(_) => (-b * k - 1, None),
-                ArcKind::LocalBack(_) => (-1, None),
-                ArcKind::Shortcut(id) => {
-                    let sigs = &self.shortcuts[id].sigs;
-                    let (si, cost) = sigs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| (i, a * s.f - b * s.b))
-                        .min_by_key(|&(_, c)| c)
-                        .expect("margin probes need signature envelopes");
-                    (cost * k - 1, Some(si))
-                }
-            })
-            .collect();
-        let mut dist = vec![0i128; n];
-        let mut pred: Vec<Option<usize>> = vec![None; n];
-        let mut changed_node = None;
-        for round in 0..=n {
-            let mut changed = None;
-            for (ai, arc) in arcs.iter().enumerate() {
-                let cand = dist[arc.from - base] + weights[ai].0;
-                if cand < dist[arc.to - base] {
-                    dist[arc.to - base] = cand;
-                    pred[arc.to - base] = Some(ai);
-                    changed = Some(arc.to);
-                }
-            }
-            match changed {
-                None => return None,
-                Some(node) if round == n => changed_node = Some(node),
-                Some(_) => {}
-            }
-        }
-        // A relaxation happened in the final round: walk back to land
-        // inside the negative cycle, then collect it.
-        let mut node = changed_node.expect("loop ended via final-round relaxation");
-        for _ in 0..n {
-            node = arcs[pred[node - base].expect("relaxed nodes have predecessors")].from;
-        }
-        let start = node;
-        let mut picks = Vec::new();
-        loop {
-            let ai = pred[node - base].expect("cycle nodes have predecessors");
-            picks.push((ai, weights[ai].1));
-            node = arcs[ai].from;
-            if node == start {
-                break;
-            }
-        }
-        picks.reverse(); // predecessor walk collects arcs destination-first
-        Some(picks)
-    }
-
-    /// Windowed reversal-free ratio-1 probe: does the live arena close a
-    /// relevant cycle with `|Z−| ≥ |Z+|`? The live-arena mirror of the
-    /// batch line-graph pass (immediate forward/backward re-traversal of
-    /// one message excluded). Shortcut arcs expand into one probe arc per
-    /// stored signature so the exclusion also applies across shortcut
-    /// junctions: a walk may not leave a shortcut by reversing the last
-    /// message of its expansion (signature interiors are reversal-free by
-    /// construction — see [`sig_concat`]).
-    fn window_relevant_ratio1(&self) -> bool {
-        let arcs = self.tg.arcs();
-        if arcs.is_empty() {
-            return false;
-        }
-        let base = self.tg.base();
-        // Probe arcs: plain arcs carry their own step as both boundary
-        // steps; each shortcut signature becomes its own parallel arc
-        // bounded by its expansion's first and last steps.
-        struct ProbeArc {
-            tail: usize,
-            head: usize,
-            cost: i128, // f − b of the expansion; scaled by k below
-            first: Option<CycleStep>,
-            last: Option<CycleStep>,
-        }
-        let mut probes: Vec<ProbeArc> = Vec::new();
-        for arc in arcs {
-            let (tail, head) = (arc.from - base, arc.to - base);
-            match arc.kind {
-                ArcKind::Forward(m) => {
-                    let s = CycleStep {
-                        edge: ShadowEdge::Message(m),
-                        against: false,
-                    };
-                    probes.push(ProbeArc {
-                        tail,
-                        head,
-                        cost: 1,
-                        first: Some(s),
-                        last: Some(s),
-                    });
-                }
-                ArcKind::Backward(m) => {
-                    let s = CycleStep {
-                        edge: ShadowEdge::Message(m),
-                        against: true,
-                    };
-                    probes.push(ProbeArc {
-                        tail,
-                        head,
-                        cost: -1,
-                        first: Some(s),
-                        last: Some(s),
-                    });
-                }
-                ArcKind::LocalBack(_) => {
-                    probes.push(ProbeArc {
-                        tail,
-                        head,
-                        cost: 0,
-                        first: None,
-                        last: None,
-                    });
-                }
-                ArcKind::Shortcut(id) => {
-                    let sigs = &self.shortcuts[id].sigs;
-                    debug_assert!(!sigs.is_empty(), "margin probes need signature envelopes");
-                    for s in sigs {
-                        probes.push(ProbeArc {
-                            tail,
-                            head,
-                            cost: s.f - s.b,
-                            first: s.steps.first().copied(),
-                            last: s.steps.last().copied(),
-                        });
-                    }
-                }
-            }
-        }
-        let p_count = probes.len();
-        let k = i128::try_from(p_count).expect("arc count fits i128") + 1;
-        let num_nodes = self.tg.num_live_nodes();
-        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-        for (pi, p) in probes.iter().enumerate() {
-            incoming[p.head].push(pi);
-        }
-        // `dist[p]` = best walk cost ending with probe arc `p`. Per node we
-        // keep the best incoming dist and the best with a *different*
-        // closing step: an outgoing arc conflicts with exactly one closing
-        // step (the reverse of its first), so one of the two always
-        // applies.
-        let mut dist = vec![0i128; p_count];
-        for _round in 0..=p_count {
-            let mut best: Vec<Option<(i128, Option<CycleStep>)>> = vec![None; num_nodes];
-            let mut second: Vec<Option<(i128, Option<CycleStep>)>> = vec![None; num_nodes];
-            for v in 0..num_nodes {
-                for &pi in &incoming[v] {
-                    let d = dist[pi];
-                    let s = probes[pi].last;
-                    match best[v] {
-                        None => best[v] = Some((d, s)),
-                        Some((bd, bs)) if bs == s => {
-                            if d < bd {
-                                best[v] = Some((d, s));
-                            }
-                        }
-                        Some((bd, bs)) => {
-                            if d < bd {
-                                // The old best competes for second; a second
-                                // sharing the new best's step is superseded.
-                                match second[v] {
-                                    Some((sd, ss)) if ss != s && sd < bd => {}
-                                    _ => second[v] = Some((bd, bs)),
-                                }
-                                best[v] = Some((d, s));
-                            } else {
-                                match second[v] {
-                                    Some((sd, ss)) if ss == s => {
-                                        if d < sd {
-                                            second[v] = Some((d, s));
-                                        }
-                                    }
-                                    Some((sd, _)) => {
-                                        if d < sd {
-                                            second[v] = Some((d, s));
-                                        }
-                                    }
-                                    None => second[v] = Some((d, s)),
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            let mut changed = false;
-            for (pi, p) in probes.iter().enumerate() {
-                let Some((bd, bs)) = best[p.tail] else {
-                    continue;
-                };
-                let conflicts = |closing: Option<CycleStep>| {
-                    matches!(
-                        (closing, p.first),
-                        (Some(a), Some(b)) if step_reverses(&a, &b)
-                    )
-                };
-                let inc = if conflicts(bs) {
-                    match second[p.tail] {
-                        Some((sd, ss)) => {
-                            debug_assert!(
-                                !conflicts(ss),
-                                "second differs from the conflicting step"
-                            );
-                            sd
-                        }
-                        None => continue,
-                    }
-                } else {
-                    bd
-                };
-                let cand = inc + p.cost * k - 1;
-                if cand < dist[pi] {
-                    dist[pi] = cand;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return false;
-            }
-        }
-        true
+        Ok(())
     }
 
     /// Expands a probe cycle (arc + chosen-signature picks, traversal
     /// order) into a witness summary — the same assembly as the violation
     /// confirmation's, shortcut arcs spliced from the chosen signature.
-    fn expand_window_cycle(&self, picks: &[(usize, Option<usize>)]) -> WitnessSummary {
+    fn expand_window_cycle(&self, picks: &[(usize, usize)]) -> WitnessSummary {
         let base = self.tg.base();
         let arcs = self.tg.arcs();
         let mut steps: Vec<CycleStep> = Vec::new();
@@ -1934,8 +1870,7 @@ impl IncrementalChecker {
                     against: true,
                 }),
                 ArcKind::Shortcut(id) => {
-                    let sig =
-                        &self.shortcuts[id].sigs[si.expect("shortcut picks carry their signature")];
+                    let sig = &self.shortcuts[id].sigs[si];
                     steps.extend(sig.steps.iter().cloned());
                     procs_seq.extend(sig.procs.iter().copied());
                 }
@@ -1955,163 +1890,6 @@ impl IncrementalChecker {
             classification: cycle.classify(),
             process_path,
             steps: cycle.steps().len(),
-        }
-    }
-
-    /// Exact margin for a pruning monitor: the max of the folded floor and
-    /// the live window's best cycle ratio, found by rational bisection over
-    /// the windowed probes (the live-arena mirror of
-    /// [`crate::check::max_relevant_cycle_ratio`], with shortcut arcs
-    /// charged their signature envelopes).
-    #[allow(clippy::type_complexity)]
-    fn window_margin(&self) -> Result<Option<(Ratio, Option<WitnessSummary>)>, CheckError> {
-        debug_assert!(
-            self.violation.is_none(),
-            "latched margins come from the witness summary"
-        );
-        let floor = || {
-            self.margin_floor
-                .clone()
-                .map(|r| (r, self.margin_floor_witness.clone()))
-        };
-        // Per-cycle step bounds: how many forward/backward message steps a
-        // live cycle can take (shortcut arcs contribute their largest
-        // signature component), and the largest per-arc signature mass.
-        let mut f_bound: i128 = 0;
-        let mut b_bound: i128 = 0;
-        let mut arc_mass: i128 = 1;
-        for arc in self.tg.arcs() {
-            let (f, b) = match arc.kind {
-                ArcKind::Forward(_) => (1, 0),
-                ArcKind::Backward(_) => (0, 1),
-                ArcKind::LocalBack(_) => (0, 0),
-                ArcKind::Shortcut(id) => {
-                    let sigs = &self.shortcuts[id].sigs;
-                    (
-                        sigs.iter().map(|s| s.f).max().unwrap_or(0),
-                        sigs.iter().map(|s| s.b).max().unwrap_or(0),
-                    )
-                }
-            };
-            f_bound += f;
-            b_bound += b;
-            arc_mass = arc_mass.max(f + b);
-        }
-        let m = i64::try_from(f_bound.max(b_bound)).map_err(|_| CheckError::GraphTooLarge)?;
-        if m == 0 {
-            // No live message steps at all: the floor is the whole story.
-            return Ok(floor());
-        }
-        // Overflow guard, mirroring the batch checker's: probe parts stay
-        // ≤ max_part, each arc weight is ≤ part·mass scaled by k ≤ arcs+1,
-        // and a relaxation path accumulates ≤ nodes+1 of them.
-        let max_part = check::max_bisection_part(m).ok_or(CheckError::GraphTooLarge)?;
-        let size = i128::try_from(self.tg.num_live_nodes().max(self.tg.num_arcs()))
-            .expect("usize fits i128");
-        let _ = max_part
-            .checked_mul(arc_mass)
-            .and_then(|x| x.checked_mul(size + 2))
-            .and_then(|x| x.checked_mul(size + 2))
-            .ok_or(CheckError::GraphTooLarge)?;
-        let spacing_denom = m.checked_mul(m).ok_or(CheckError::GraphTooLarge)?;
-        let exists_ge = |r: &Ratio| -> bool {
-            let a = r
-                .numer()
-                .to_i128()
-                .expect("bisection parts fit i128 (guarded up front)");
-            let b = r
-                .denom()
-                .to_i128()
-                .expect("bisection parts fit i128 (guarded up front)");
-            if a > b {
-                self.window_cycle_at(a, b).is_some()
-            } else {
-                self.window_relevant_ratio1()
-            }
-        };
-        let mut lo = match &self.margin_floor {
-            Some(f) => f.clone(),
-            None => {
-                if !exists_ge(&Ratio::one()) {
-                    return Ok(None);
-                }
-                Ratio::one()
-            }
-        };
-        let mut hi = Ratio::from_integer(m + 1);
-        if lo >= hi {
-            // The live window is too small to beat the floor.
-            return Ok(floor());
-        }
-        // Invariant: exists_ge(hi) is false, and exists_ge(lo) is true *or*
-        // `lo` is the floor (attained by a pruned cycle, maybe not a live
-        // one) — either way the margin lies in [lo, hi), and the final
-        // verification probe keeps the result exact in both cases.
-        let spacing = Ratio::new(1, spacing_denom) / Ratio::from_integer(2);
-        while &hi - &lo > spacing {
-            let mid = lo.midpoint(&hi);
-            if exists_ge(&mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        // Recover the unique B/F with F ≤ m in [lo, hi), as in the batch.
-        let mut best: Option<Ratio> = None;
-        for f in 1..=m {
-            let fr = Ratio::from_integer(f);
-            let prod = &hi * &fr;
-            let b = if prod.is_integer() {
-                prod.numer().clone() - BigInt::one()
-            } else {
-                prod.floor()
-            };
-            let b = b.to_i64().ok_or(CheckError::GraphTooLarge)?;
-            if b < 1 {
-                continue;
-            }
-            let cand = Ratio::new(b, f);
-            if cand >= lo && best.as_ref().is_none_or(|x| cand > *x) {
-                best = Some(cand);
-            }
-        }
-        let Some(cand) = best else {
-            return Ok(floor());
-        };
-        let a = cand
-            .numer()
-            .to_i128()
-            .expect("recovered parts fit i128 (guarded up front)");
-        let b = cand
-            .denom()
-            .to_i128()
-            .expect("recovered parts fit i128 (guarded up front)");
-        if a == b {
-            // Ratio exactly 1: either the floor is already there (margins
-            // are monotone, so it must then be exactly 1 itself), or the
-            // ratio-1 gate above certified a live cycle. Either way there
-            // is no canonical witness cycle to extract at ratio 1.
-            debug_assert!(self
-                .margin_floor
-                .as_ref()
-                .is_none_or(|f| *f == Ratio::one()));
-            return Ok(Some((cand, None)));
-        }
-        match self.window_cycle_at(a, b) {
-            Some(picks) => {
-                let summary = self.expand_window_cycle(&picks);
-                debug_assert_eq!(summary.classification.ratio(), Some(cand.clone()));
-                Ok(Some((cand, Some(summary))))
-            }
-            None => {
-                // The candidate interval contains only the (pruned) floor;
-                // the live window stays below it.
-                assert!(
-                    self.margin_floor.is_some(),
-                    "internal error: unverifiable window margin candidate"
-                );
-                Ok(floor())
-            }
         }
     }
 
@@ -2148,8 +1926,8 @@ impl IncrementalChecker {
     ///
     /// # Errors
     ///
-    /// [`CheckError::GraphTooLarge`] when the (windowed) bisection
-    /// arithmetic would overflow, exactly as in the batch probe.
+    /// [`CheckError::GraphTooLarge`] when the (windowed) probe arithmetic
+    /// would overflow, exactly as in the batch computation.
     ///
     /// # Panics
     ///
@@ -2169,34 +1947,34 @@ impl IncrementalChecker {
                 witness: Some(s.clone()),
             }));
         }
-        if let Some(builder) = &self.builder {
-            let g = builder.graph();
-            let Some(ratio) = check::max_relevant_cycle_ratio(g)? else {
-                return Ok(None);
-            };
-            let witness = if ratio > Ratio::one() {
-                let tg = TraversalGraph::from_graph(g);
-                let p = ratio.numer().to_i128().expect("margin parts fit i128");
-                let q = ratio.denom().to_i128().expect("margin parts fit i128");
-                let idxs = check::violating_cycle_arcs(tg.arcs(), g.num_events(), p, q)
-                    .expect("the margin ratio is attained by a cycle");
-                let cycle = check::arcs_to_cycle(tg.arcs(), &idxs);
-                Some(cycle.summarize(g))
-            } else {
-                // At ratio exactly 1 the cheapest certificate may be a
-                // degenerate out-and-back walk: report no witness.
-                None
-            };
-            return Ok(Some(MarginReport { ratio, witness }));
+        if !self.margin_tracking {
+            let mirror = self.builder.as_ref().expect(
+                "current_margin() on a pruning monitor requires enable_margin_tracking() \
+                 before the first prune_settled()",
+            );
+            // The window is the whole execution until something is pruned
+            // from it; after an untracked prune only the mirror is exact.
+            if self.stats.pruned_events > 0 {
+                let g = mirror.graph();
+                return Ok(
+                    check::max_ratio_cycle(g)?.map(|(ratio, cycle)| MarginReport {
+                        ratio,
+                        witness: cycle.map(|c| c.summarize(g)),
+                    }),
+                );
+            }
         }
-        assert!(
-            self.margin_tracking,
-            "current_margin() on a pruning monitor requires enable_margin_tracking() \
-             before the first prune_settled()"
-        );
+        let floor = || {
+            self.margin_floor
+                .map(|f| (f, self.margin_floor_witness.clone()))
+        };
         Ok(self
-            .window_margin()?
-            .map(|(ratio, witness)| MarginReport { ratio, witness }))
+            .window_best()?
+            .or_else(floor)
+            .map(|(ratio, witness)| MarginReport {
+                ratio: maxratio::ratio_of(ratio),
+                witness,
+            }))
     }
 
     /// A cheap upper bound on [`IncrementalChecker::current_margin`]: an
@@ -2254,8 +2032,8 @@ impl IncrementalChecker {
                 ArcKind::Backward(_) | ArcKind::LocalBack(_) => {}
             }
         }
-        let scan = best.map(|(n, d)| Ratio::from_bigints(BigInt::from(n), BigInt::from(d)));
-        match (scan, self.margin_floor.clone()) {
+        let scan = best.map(maxratio::ratio_of);
+        match (scan, self.margin_floor.map(maxratio::ratio_of)) {
             (Some(s), Some(f)) => Some(if s > f { s } else { f }),
             (s, f) => s.or(f),
         }
@@ -2276,48 +2054,9 @@ impl IncrementalChecker {
     }
 }
 
-/// Do consecutive walk steps `a` then `b` immediately re-traverse one
-/// message in opposite directions? Such walks are excluded from cycles
-/// (the batch checker's line graph forbids them), and dropping them loses
-/// no optimal signature at probe ratios `≥ 1`: contracting the pair yields
-/// a valid walk whose cost is lower by `x − 1 ≥ 0`, and that walk is
-/// explored on its own.
-fn step_reverses(a: &CycleStep, b: &CycleStep) -> bool {
-    match (a.edge, b.edge) {
-        (ShadowEdge::Message(m1), ShadowEdge::Message(m2)) => m1 == m2 && a.against != b.against,
-        _ => false,
-    }
-}
-
-/// Concatenates two path signatures meeting at the vertex with process
-/// `joint` (`None` when the left path is empty — the meeting vertex is the
-/// composite's start and stays excluded from the interior). Returns `None`
-/// when the junction would immediately reverse one message — see
-/// [`step_reverses`].
-fn sig_concat(a: &MarginSig, joint: Option<ProcessId>, d: &MarginSig) -> Option<MarginSig> {
-    if let (Some(last), Some(first)) = (a.steps.last(), d.steps.first()) {
-        if step_reverses(last, first) {
-            return None;
-        }
-    }
-    let mut steps = Vec::with_capacity(a.steps.len() + d.steps.len());
-    steps.extend(a.steps.iter().cloned());
-    steps.extend(d.steps.iter().cloned());
-    let mut procs = Vec::with_capacity(a.procs.len() + d.procs.len() + 1);
-    procs.extend(a.procs.iter().copied());
-    procs.extend(joint);
-    procs.extend(d.procs.iter().copied());
-    Some(MarginSig {
-        f: a.f + d.f,
-        b: a.b + d.b,
-        steps,
-        procs,
-    })
-}
-
 /// The probe ratio where the cost lines of `hi` and `lo` intersect, as a
 /// positive-denominator fraction. Requires `hi.f > lo.f`.
-fn sig_isect(hi: &MarginSig, lo: &MarginSig) -> (i128, i128) {
+fn sig_isect(hi: &Sig, lo: &Sig) -> (i128, i128) {
     debug_assert!(hi.f > lo.f);
     (hi.b - lo.b, hi.f - lo.f)
 }
@@ -2329,12 +2068,12 @@ fn frac_le(a: (i128, i128), b: (i128, i128)) -> bool {
 }
 
 /// Rebuilds the lower envelope of the cost lines `x·f − b` over the closed
-/// probe-ratio interval `x ∈ [lo, ∞)` (`lo = lo_n/lo_d > 0`): keeps exactly
-/// the signatures attaining the pointwise minimum on a nonempty open
-/// sub-interval (weak dominance — a line tying the minimum at one point
-/// only is dropped), deterministically preferring earlier candidates on
-/// exact `(f, b)` ties.
-fn margin_envelope(mut lines: Vec<MarginSig>, lo_n: i128, lo_d: i128) -> Vec<MarginSig> {
+/// probe-ratio interval `x ∈ [lo, ∞)` (`lo > 0`, as `(numerator,
+/// denominator)`): keeps exactly the signatures attaining the pointwise
+/// minimum on a nonempty open sub-interval (weak dominance — a line tying
+/// the minimum at one point only is dropped), deterministically preferring
+/// earlier candidates on exact `(f, b)` ties.
+fn margin_envelope<'a>(mut lines: Vec<Sig<'a>>, lo: (i128, i128)) -> Vec<Sig<'a>> {
     if lines.len() <= 1 {
         return lines;
     }
@@ -2342,50 +2081,55 @@ fn margin_envelope(mut lines: Vec<MarginSig>, lo_n: i128, lo_d: i128) -> Vec<Mar
     // keeps the first-seen representative of exact ties.
     lines.sort_by(|a, b| a.f.cmp(&b.f).then(b.b.cmp(&a.b)));
     lines.dedup_by(|cur, kept| cur.f == kept.f);
-    // Steepest-first hull scan: hull[i] wins an interval left of
-    // hull[i+1]'s; a line whose takeover point is not strictly right of
-    // its predecessor's takeover never wins anywhere.
-    let mut hull: Vec<MarginSig> = Vec::new();
-    for line in lines.into_iter().rev() {
-        while hull.len() >= 2 {
-            let last = &hull[hull.len() - 1];
-            let prev = &hull[hull.len() - 2];
-            if frac_le(sig_isect(last, &line), sig_isect(prev, last)) {
-                hull.pop();
-            } else {
-                break;
-            }
+    // Steepest-first hull scan, in place: `lines[..kept]` is the hull so
+    // far, each line winning an interval left of its successor's; a line
+    // whose takeover point is not strictly right of its predecessor's
+    // takeover never wins anywhere.
+    lines.reverse();
+    let mut kept = 0;
+    for i in 0..lines.len() {
+        let line = lines[i];
+        while kept >= 2
+            && frac_le(
+                sig_isect(&lines[kept - 1], &line),
+                sig_isect(&lines[kept - 2], &lines[kept - 1]),
+            )
+        {
+            kept -= 1;
         }
-        hull.push(line);
+        lines[kept] = line;
+        kept += 1;
     }
+    lines.truncate(kept);
     // Clip at `lo`: leading (steepest) lines already overtaken there never
     // win on the closed interval.
     let mut start = 0;
-    while start + 1 < hull.len() && frac_le(sig_isect(&hull[start], &hull[start + 1]), (lo_n, lo_d))
-    {
+    while start + 1 < lines.len() && frac_le(sig_isect(&lines[start], &lines[start + 1]), lo) {
         start += 1;
     }
-    hull.drain(..start);
-    hull
+    lines.drain(..start);
+    lines
+}
+
+/// Whether some line of `sigs` costs no more than `x·f − b` at every
+/// `x > 0` — such a candidate (exact duplicates included) never improves
+/// the envelope.
+fn dominated(sigs: &[Sig], f: i128, b: i128) -> bool {
+    sigs.iter().any(|s| s.f <= f && s.b >= b)
 }
 
 /// Envelope-inserts `cand` into `sigs`; returns whether `cand` survived
 /// (improved the envelope somewhere on `[lo, ∞)`). Exact `(f, b)`
 /// duplicates keep the incumbent, so label-correcting passes cannot cycle
 /// through zero-cost loops.
-fn margin_envelope_insert(
-    sigs: &mut Vec<MarginSig>,
-    cand: MarginSig,
-    lo_n: i128,
-    lo_d: i128,
-) -> bool {
+fn margin_envelope_insert<'a>(sigs: &mut Vec<Sig<'a>>, cand: Sig<'a>, lo: (i128, i128)) -> bool {
     let key = (cand.f, cand.b);
-    if sigs.iter().any(|s| (s.f, s.b) == key) {
+    if dominated(sigs, cand.f, cand.b) {
         return false;
     }
     let mut lines = std::mem::take(sigs);
     lines.push(cand);
-    *sigs = margin_envelope(lines, lo_n, lo_d);
+    *sigs = margin_envelope(lines, lo);
     sigs.iter().any(|s| (s.f, s.b) == key)
 }
 
@@ -2983,6 +2727,37 @@ mod tests {
             pruned.live_events()
         );
         assert!(pruned.stats().pruned_events > 40);
+    }
+
+    #[test]
+    fn a_fold_beyond_the_integer_range_declines_the_prune() {
+        // No real execution gets a window past the probe-weight guard (its
+        // boundary is pinned in `maxratio::tests`), so plant a floor whose
+        // parts alone overflow it: the margin query reports the clean
+        // error and the prune leaves the window as it was.
+        let xi = Xi::from_integer(4);
+        let mut mon = IncrementalChecker::new(4, &xi).unwrap();
+        mon.enable_pruning();
+        mon.enable_margin_tracking();
+        let q = mon.append_init(ProcessId(0));
+        for i in 1..4 {
+            mon.append_init(ProcessId(i));
+        }
+        let (_, r) = mon.append_send(q, ProcessId(2));
+        let (_, r) = mon.append_send(r, ProcessId(3));
+        mon.append_send(r, ProcessId(1));
+        let (_, last) = mon.append_send(q, ProcessId(1)); // spans 3 hops
+        let three = Ratio::from_integer(3);
+        assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
+        mon.margin_floor = Some(((1 << 125) + 1, 1 << 125)); // just above 1
+        let live = mon.live_events();
+        assert_eq!(mon.current_margin(), Err(CheckError::GraphTooLarge));
+        assert_eq!(mon.prune_settled(Some(last)), 0);
+        assert_eq!((mon.live_events(), mon.stats().pruned_events), (live, 0));
+        // With a floor that fits, the same call folds and prunes.
+        mon.margin_floor = None;
+        assert!(mon.prune_settled(Some(last)) > 0);
+        assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use abc_core::check;
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
-use abc_core::graph::{EventId, ProcessId};
-use abc_core::monitor::IncrementalChecker;
+use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
+use abc_core::monitor::{IncrementalChecker, MarginReport};
 use abc_core::Xi;
 use abc_rational::Ratio;
 use proptest::prelude::*;
@@ -27,8 +27,142 @@ fn xi_strategy() -> impl Strategy<Value = Xi> {
         .prop_map(|(num, den)| Xi::new(Ratio::new(num, den)).unwrap())
 }
 
+/// The brute-force maximum `|Z−|/|Z+|` over every relevant cycle of `g`.
+fn enumerated_max_ratio(g: &ExecutionGraph) -> Option<Ratio> {
+    enumerate_relevant_cycles(g, EnumerationLimits::default())
+        .cycles
+        .iter()
+        .filter_map(|c| c.classify().ratio())
+        .max()
+}
+
+/// `q` reaches `p` over two disjoint relay chains of `first` and `second`
+/// messages, the `first`-chain arriving first: one cycle, relevant with
+/// ratio `first/second` iff the longer chain is the one that arrives
+/// first.
+fn two_chains(first: usize, second: usize) -> ExecutionGraph {
+    let mut b = ExecutionGraph::builder(first + second);
+    let q = b.init(ProcessId(0));
+    for i in 1..first + second {
+        b.init(ProcessId(i));
+    }
+    let mut relay = 2;
+    for hops in [first, second] {
+        let mut cur = q;
+        for _ in 1..hops {
+            (_, cur) = b.send(cur, ProcessId(relay));
+            relay += 1;
+        }
+        b.send(cur, ProcessId(1));
+    }
+    b.finish()
+}
+
+/// The three answers the max-ratio engine has separate code for — no
+/// relevant cycle, ratio exactly 1 (the tight-arc pass), ratio above 1
+/// (the ascent) — each against the enumeration.
+#[test]
+fn max_ratio_matches_enumeration_in_each_of_its_three_cases() {
+    let acyclic = {
+        let mut b = ExecutionGraph::builder(3);
+        let a = b.init(ProcessId(0));
+        b.init(ProcessId(1));
+        b.init(ProcessId(2));
+        b.send(a, ProcessId(1));
+        b.send(a, ProcessId(2));
+        b.finish()
+    };
+    for (g, expected) in [
+        (acyclic, None),
+        (two_chains(2, 2), Some(Ratio::one())),
+        (two_chains(3, 3), Some(Ratio::one())),
+        (two_chains(3, 2), Some(Ratio::new(3, 2))),
+        (two_chains(5, 2), Some(Ratio::new(5, 2))),
+        (two_chains(2, 5), None),
+    ] {
+        assert_eq!(enumerated_max_ratio(&g), expected);
+        assert_eq!(check::max_relevant_cycle_ratio(&g).unwrap(), expected);
+        assert_eq!(check::has_relevant_cycle(&g), expected.is_some());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The exact maximum cycle ratio equals the enumeration's at every
+    /// prefix of a random script — a growing graph passes through "no
+    /// relevant cycle", often "exactly 1", and "above 1" in turn.
+    #[test]
+    fn max_ratio_matches_enumeration_at_every_prefix((n, script) in script_strategy()) {
+        let mut b = ExecutionGraph::builder(n);
+        for p in 0..n {
+            b.init(ProcessId(p));
+        }
+        for &(from, to) in &script {
+            b.send(EventId(from % b.num_events()), ProcessId(to % n));
+            let g = b.graph();
+            prop_assert_eq!(
+                check::max_relevant_cycle_ratio(g).unwrap(),
+                enumerated_max_ratio(g),
+                "prefix of {} events",
+                g.num_events()
+            );
+        }
+    }
+
+    /// A pruning, margin-tracking monitor reports the batch margin of the
+    /// whole execution at every prefix, whatever the prune cadence and Ξ
+    /// (once latched, both monitors freeze at the witness's ratio) — and
+    /// so does an untracked one that prunes but kept its mirror.
+    #[test]
+    fn tracked_pruned_margin_matches_batch_at_every_prefix(
+        (n, script) in (2usize..5, proptest::collection::vec((any::<usize>(), any::<usize>()), 0..24)),
+        xi in xi_strategy(),
+        cadence in 1usize..5,
+        horizon in 1usize..5,
+    ) {
+        let mut plain = IncrementalChecker::new(n, &xi).unwrap();
+        let mut pruned = IncrementalChecker::new(n, &xi).unwrap();
+        pruned.enable_pruning();
+        pruned.enable_margin_tracking();
+        let mut mirrored = IncrementalChecker::new(n, &xi).unwrap();
+        for p in 0..n {
+            plain.append_init(ProcessId(p));
+            pruned.append_init(ProcessId(p));
+            mirrored.append_init(ProcessId(p));
+        }
+        let mut total = n;
+        for (step, &(back, to)) in script.iter().enumerate() {
+            // Sends only name one of the last `horizon` events, so the
+            // watermark below is an honest promise.
+            let from = EventId(total - 1 - back % horizon.min(total));
+            plain.append_send(from, ProcessId(to % n));
+            pruned.append_send(from, ProcessId(to % n));
+            mirrored.append_send(from, ProcessId(to % n));
+            total += 1;
+            let expected = if plain.is_admissible() {
+                check::max_relevant_cycle_ratio(plain.graph()).unwrap()
+            } else {
+                plain.current_margin().unwrap().map(|m| m.ratio)
+            };
+            for mon in [&pruned, &mirrored] {
+                let report = mon.current_margin().unwrap();
+                prop_assert_eq!(
+                    report.as_ref().map(|m| m.ratio.clone()),
+                    expected.clone(),
+                    "event {}", total
+                );
+                if let Some(MarginReport { ratio, witness: Some(w) }) = report {
+                    prop_assert_eq!(w.classification.ratio(), Some(ratio));
+                }
+            }
+            if step % cadence == 0 {
+                let watermark = Some(EventId(total.saturating_sub(horizon)));
+                pruned.prune_settled(watermark);
+                mirrored.prune_settled(watermark);
+            }
+        }
+    }
 
     /// Streaming the script through the monitor matches re-running the
     /// batch checker from scratch at every single prefix.

@@ -74,3 +74,27 @@ fn loadgen_verifies_verdicts_against_the_offline_monitor() {
     );
     handle.join();
 }
+
+#[test]
+fn serve_refuses_a_warn_margin_that_could_never_fire() {
+    // Pruning with margin tracking off leaves the warning gate nothing to
+    // probe; `abc serve` exits 1 (`run` returns the usage error) naming
+    // the three flags instead of starting a server whose warning is inert.
+    let err = run(&sv(&[
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--status-addr",
+        "127.0.0.1:0",
+        "--prune-horizon",
+        "64",
+        "--warn-margin",
+        "3/2",
+        "--margin-tracking",
+        "false",
+    ]))
+    .unwrap_err();
+    for flag in ["--prune-horizon", "--warn-margin", "--margin-tracking"] {
+        assert!(err.contains(flag), "{err}");
+    }
+}

@@ -184,7 +184,7 @@ fn assert_margin_equivalence(trace: &Trace, xi: &Xi, prune_every: usize, sample_
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random clocksync runs across comfortable and reordering-heavy
     /// delay bands: the margin is prune- and cadence-invariant, equals

@@ -69,9 +69,9 @@ pub struct ServerConfig {
     /// pruning ([`abc_core::monitor::IncrementalChecker::enable_margin_tracking`]).
     /// Only consulted when [`ServerConfig::prune_horizon`] is set —
     /// unpruned monitors answer margin probes exactly without it. With
-    /// pruning on and tracking off, `margin` requests and
-    /// `--warn-margin` are unavailable (requests get a protocol error).
-    /// Defaults to `true`.
+    /// pruning on and tracking off, `margin` requests get a protocol
+    /// error, and [`start`] rejects a [`ServerConfig::warn_margin`] that
+    /// could never fire. Defaults to `true`.
     pub margin_tracking: bool,
     /// Violation-forensics directory (`abc serve --forensics-dir DIR`):
     /// when set, every session records its recent wire records, margin
@@ -297,6 +297,14 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "prune_horizon must be at least 1",
+        ));
+    }
+    if config.prune_horizon.is_some() && config.warn_margin.is_some() && !config.margin_tracking {
+        // A pruned monitor without margin signatures cannot be probed, so
+        // the warning the operator asked for could never fire.
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "--warn-margin with --prune-horizon needs --margin-tracking true",
         ));
     }
     let listener = TcpListener::bind(&config.addr)?;
@@ -785,4 +793,58 @@ fn handle_status_conn(
         format!("error unknown command {command:?}\n")
     };
     let _ = stream.write_all(response.as_bytes());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn start_error(config: ServerConfig) -> std::io::Error {
+        match start(config) {
+            Ok(handle) => {
+                handle.join();
+                panic!("the configuration was accepted");
+            }
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn start_rejects_configurations_no_client_or_warning_could_use() {
+        let zero = start_error(ServerConfig {
+            prune_horizon: Some(0),
+            ..ServerConfig::default()
+        });
+        assert_eq!(zero.kind(), std::io::ErrorKind::InvalidInput);
+        // Pruning without margin signatures leaves nothing for the
+        // warning gate to probe: refused up front, not silently inert.
+        let untracked = ServerConfig {
+            prune_horizon: Some(64),
+            warn_margin: Some(Ratio::new(3, 2)),
+            margin_tracking: false,
+            ..ServerConfig::default()
+        };
+        let inert = start_error(untracked.clone());
+        assert_eq!(inert.kind(), std::io::ErrorKind::InvalidInput);
+        for flag in ["--warn-margin", "--prune-horizon", "--margin-tracking"] {
+            assert!(inert.to_string().contains(flag), "{inert}");
+        }
+        // Each of the three alone (or with tracking on) stays valid.
+        for config in [
+            ServerConfig {
+                margin_tracking: true,
+                ..untracked.clone()
+            },
+            ServerConfig {
+                warn_margin: None,
+                ..untracked.clone()
+            },
+            ServerConfig {
+                prune_horizon: None,
+                ..untracked
+            },
+        ] {
+            start(config).expect("a usable configuration").join();
+        }
+    }
 }
