@@ -4,7 +4,7 @@
 //! the paper-shaped table and returns `true` iff every checked property
 //! held. The `experiments` binary dispatches on experiment ids,
 //! `tests/experiments_gate.rs` runs them all under `cargo test`, and
-//! `cargo bench` runs the Criterion performance benches in `benches/`.
+//! `src/bin/bench_ledger/` is the repo's one benchmark.
 
 #![forbid(unsafe_code)]
 

@@ -1,9 +1,9 @@
-//! Sanity check for the claim the `monitor` criterion bench quantifies:
-//! appended-event checking via the incremental monitor is at least 10×
+//! Sanity check for the claim `bench_ledger`'s `core.monitor.*` and
+//! `core.check.*` rows quantify: appended-event checking via the incremental monitor is at least 10×
 //! faster than batch re-checking on a growing clocksync trace.
 //!
 //! The real margin is orders of magnitude; the 10× assertion here (on a
-//! debug build, with a smaller trace than the bench's 10k events) is
+//! debug build, with a smaller trace than the benchmark's 10k events) is
 //! deliberately loose so CI timing noise cannot flake it.
 
 use std::time::Instant;

@@ -1,5 +1,5 @@
-//! Sanity check for the claim the `sweep` criterion bench quantifies: the
-//! work-queue sweep runner scales across cores while producing identical
+//! Sanity check for the claim `bench_ledger`'s `harness.sweep.thread_scaling`
+//! row quantifies: the work-queue sweep runner scales across cores while producing identical
 //! results at any worker count.
 //!
 //! The speedup assertion is hardware-gated: parallel wall-clock gains

@@ -59,7 +59,7 @@
 
 use abc_rational::Ratio;
 
-use crate::cycle::{Cycle, CycleStep, ShadowEdge};
+use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
 use crate::maxratio::{self, NoShortcuts};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
@@ -305,26 +305,11 @@ pub(crate) fn violating_cycle_arcs(
     Some(cycle_arcs)
 }
 
+/// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].
 pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
-    let steps: Vec<CycleStep> = indices
-        .iter()
-        .map(|&ai| match arcs[ai].kind {
-            ArcKind::Forward(m) => CycleStep {
-                edge: ShadowEdge::Message(m),
-                against: false,
-            },
-            ArcKind::Backward(m) => CycleStep {
-                edge: ShadowEdge::Message(m),
-                against: true,
-            },
-            ArcKind::LocalBack(l) => CycleStep {
-                edge: ShadowEdge::Local(l),
-                against: true,
-            },
-            ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
-        })
-        .collect();
-    Cycle::new(steps)
+    let step = |&ai: &usize| arcs[ai].kind.step();
+    let steps = indices.iter().map(step).collect::<Result<_, _>>();
+    Cycle::new(steps.expect("batch graphs carry no shortcut arcs"))
 }
 
 /// Searches for a relevant cycle violating the ABC condition for `xi`

@@ -20,7 +20,7 @@ use std::fmt;
 
 use abc_rational::Ratio;
 
-use crate::graph::{EventId, ExecutionGraph, LocalEdge, MessageId};
+use crate::graph::{EventId, ExecutionGraph, LocalEdge, MessageId, ProcessId};
 use crate::xi::Xi;
 
 /// An edge of the shadow graph: a message or a local edge.
@@ -305,7 +305,7 @@ pub struct WitnessSummary {
     pub classification: Classification,
     /// Processes visited by the walk, in traversal order, deduplicated
     /// along consecutive repeats (a chain through one process appears once).
-    pub process_path: Vec<crate::graph::ProcessId>,
+    pub process_path: Vec<ProcessId>,
     /// Number of steps (edges) in the walk.
     pub steps: usize,
 }
@@ -314,9 +314,22 @@ impl Cycle {
     /// Summarizes the cycle against its graph: process path + ratio.
     #[must_use]
     pub fn summarize(&self, g: &ExecutionGraph) -> WitnessSummary {
-        let mut path = Vec::new();
-        for step in &self.steps {
-            let p = g.event(step.start(g)).process;
+        let procs = self.steps.iter().map(|s| g.event(s.start(g)).process);
+        WitnessSummary::from_walk(self, procs)
+    }
+}
+
+impl WitnessSummary {
+    /// Summarizes the closed walk `cycle` whose `i`-th step starts at an
+    /// event of process `procs[i]` — no graph needed, so the monitor can
+    /// summarize from its live window. Consecutive repeats collapse and
+    /// the closing repeat is dropped.
+    pub(crate) fn from_walk(
+        cycle: &Cycle,
+        procs: impl IntoIterator<Item = ProcessId>,
+    ) -> WitnessSummary {
+        let mut path: Vec<ProcessId> = Vec::new();
+        for p in procs {
             if path.last() != Some(&p) {
                 path.push(p);
             }
@@ -325,9 +338,9 @@ impl Cycle {
             path.pop();
         }
         WitnessSummary {
-            classification: self.classify(),
+            classification: cycle.classify(),
             process_path: path,
-            steps: self.steps.len(),
+            steps: cycle.steps.len(),
         }
     }
 }
@@ -420,9 +433,7 @@ impl WitnessSummary {
         let mut process_path = Vec::new();
         if !path_field.is_empty() {
             for p in path_field.split('>') {
-                process_path.push(crate::graph::ProcessId(
-                    p.parse().map_err(|e| format!("path: {e}"))?,
-                ));
+                process_path.push(ProcessId(p.parse().map_err(|e| format!("path: {e}"))?));
             }
         }
         if fields.len() != 6 {

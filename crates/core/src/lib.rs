@@ -29,7 +29,7 @@
 //! | Chains, cycles, relevant cycles (Defs. 2–3) | [`cycle`] |
 //! | ABC synchrony condition (Def. 4), polynomial checking | [`check`] |
 //! | The shared CSR traversal graph behind every Def.-4 decision | [`traversal`] |
-//! | Online (incremental) monitoring of Def. 4, bounded-memory pruning | [`monitor`] |
+//! | Online (incremental) monitoring of Def. 4: append, frontier repair, bounded-memory pruning, live margin, witness expansion (one file each under `monitor/`) | [`monitor`] |
 //! | Exhaustive cycle enumeration (ground truth) | [`enumerate`] |
 //! | Consistent cuts, causal cones, cut intervals (Defs. 5–6) | [`cut`] |
 //! | The non-standard cycle space, `⊕`, Thm. 11 / Cor. 1 | [`cyclespace`] |

@@ -191,42 +191,22 @@ pub(crate) fn has_cycle_at_least_one(tg: &TraversalGraph) -> bool {
 
 /// How many cost lines an arc carries: one, or a shortcut's envelope.
 fn line_count<S: Shortcuts + ?Sized>(shortcuts: &S, kind: ArcKind) -> usize {
-    match kind {
-        ArcKind::Shortcut(id) => shortcuts.lines(id),
-        _ => 1,
-    }
+    kind.counts().map_or_else(|id| shortcuts.lines(id), |_| 1)
 }
 
 /// Forward and backward message counts `(f, b)` of line `pick` of an arc.
 fn line<S: Shortcuts + ?Sized>(shortcuts: &S, kind: ArcKind, pick: usize) -> (i128, i128) {
-    match kind {
-        ArcKind::Forward(_) => (1, 0),
-        ArcKind::Backward(_) => (0, 1),
-        ArcKind::LocalBack(_) => (0, 0),
-        ArcKind::Shortcut(id) => shortcuts.line(id, pick),
-    }
+    kind.counts().unwrap_or_else(|id| shortcuts.line(id, pick))
 }
 
-/// The steps line `pick` of an arc begins and ends with (local steps
-/// never reverse a message: `None`).
+/// The steps line `pick` of an arc begins and ends with.
 fn ends<S: Shortcuts + ?Sized>(
     shortcuts: &S,
     kind: ArcKind,
     pick: usize,
 ) -> (Option<CycleStep>, Option<CycleStep>) {
-    let step = |m, against| {
-        let s = Some(CycleStep {
-            edge: ShadowEdge::Message(m),
-            against,
-        });
-        (s, s)
-    };
-    match kind {
-        ArcKind::Forward(m) => step(m, false),
-        ArcKind::Backward(m) => step(m, true),
-        ArcKind::LocalBack(_) => (None, None),
-        ArcKind::Shortcut(id) => shortcuts.ends(id, pick),
-    }
+    kind.step()
+        .map_or_else(|id| shortcuts.ends(id, pick), |s| (Some(s), Some(s)))
 }
 
 /// One max-ratio computation: the scratch every probe of it reuses. Cost

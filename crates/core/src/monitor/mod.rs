@@ -1,0 +1,595 @@
+//! Online (incremental) monitoring of the ABC synchrony condition.
+//!
+//! [`crate::check`] decides Definition 4 in `O(V·E)` — but from scratch,
+//! over the whole execution, every time it is asked. A long-running system
+//! that wants to *monitor* the condition as its execution unfolds cannot
+//! afford a full Bellman–Ford pass per event: re-checking an execution of
+//! `n` events after each of its events costs `O(n²·E)` overall.
+//!
+//! [`IncrementalChecker`] turns the batch reduction into a streaming one.
+//! It mirrors the [`crate::graph::ExecutionGraphBuilder`] API (`append_init`
+//! / `append_send`) and maintains Bellman–Ford *potentials* over the same
+//! arena-backed [`TraversalGraph`] the batch checker walks (grown
+//! incrementally here instead of built in one pass): a label `π(v)` per
+//! event such that every arc `u → v` of weight `w` satisfies
+//! `π(v) ≤ π(u) + w`. Such labels exist iff `T` has no negative cycle, i.e.
+//! iff the execution so far is admissible. Appending an event adds at most
+//! three arcs (forward + backward for its triggering message, one local
+//! back-arc), and the labels are repaired by re-relaxing only the affected
+//! frontier — amortized far below a full pass, and exactly zero work for
+//! events that do not disturb any label. The first violation is latched
+//! together with a witness of the same [`Cycle`] type the batch checker
+//! produces (violations never go away: appending events only adds cycles).
+//!
+//! # One type, one concern per file
+//!
+//! Everything is a method of [`IncrementalChecker`]. This file holds its
+//! state and the append path with its earliest-feasible label; the child
+//! modules carry the rest, each with its own docs:
+//!
+//! * `repair` — re-relaxing the frontier after a window conflict, and the
+//!   exact confirmation that latches a violation;
+//! * `prune` — bounded memory: [`IncrementalChecker::prune_settled`]
+//!   compacts a settled prefix after condensing its boundary, leaving
+//!   verdicts, latch points, witnesses and summaries **byte-identical**
+//!   at any call cadence ([`IncrementalChecker::enable_pruning`] also
+//!   drops the [`ExecutionGraph`] mirror; [`MonitorStats`] reports the
+//!   live high-water marks);
+//! * `margin` — [`IncrementalChecker::current_margin`] and
+//!   [`IncrementalChecker::margin_upper_bound`], and the floor and
+//!   signature envelopes that keep them exact across prunes;
+//! * `witness` — the canonical witness shape, and the one expansion that
+//!   turns live arcs and condensed paths back into steps of the execution.
+//!
+//! # Weights without a global scale factor
+//!
+//! The batch reduction encodes the predicate "some cycle has
+//! `q·B − p·F ≥ 0`" by scaling arc weights with `K = #arcs + 1`, which
+//! changes whenever an arc is added — useless incrementally. The monitor
+//! instead uses *lexicographic pairs* `(p·[fwd] − q·[bwd], −1)` compared
+//! component-wise: a cycle's pair sum is `(p·F − q·B, −len)`, which is
+//! lexicographically negative iff `q·B − p·F ≥ 0` — the same predicate,
+//! stable under insertion.
+//!
+//! # Example: streaming detection
+//!
+//! ```
+//! use abc_core::monitor::IncrementalChecker;
+//! use abc_core::graph::ProcessId;
+//! use abc_core::Xi;
+//!
+//! // Monitor the 2-chain-spanned-by-a-slow-message execution for Ξ = 2.
+//! let mut mon = IncrementalChecker::new(3, &Xi::from_integer(2)).unwrap();
+//! let q = mon.append_init(ProcessId(0));
+//! mon.append_init(ProcessId(1));
+//! mon.append_init(ProcessId(2));
+//! let (_, relay) = mon.append_send(q, ProcessId(2));
+//! mon.append_send(relay, ProcessId(1)); // fast chain arrives first at p1
+//! assert!(mon.is_admissible()); // no relevant cycle yet
+//! mon.append_send(q, ProcessId(1)); // the slow spanning message closes it
+//! let witness = mon.violation().expect("ratio 2/1 >= 2");
+//! assert!(witness.classify().violates(mon.xi()));
+//! ```
+
+mod margin;
+mod prune;
+mod repair;
+mod witness;
+
+use std::collections::VecDeque;
+
+use abc_rational::Ratio;
+
+use crate::check::CheckError;
+use crate::cycle::{Cycle, WitnessSummary};
+use crate::graph::{
+    EventId, ExecutionGraph, ExecutionGraphBuilder, LocalEdge, MessageId, ProcessId, Trigger,
+};
+use crate::traversal::{ArcKind, TraversalGraph};
+use crate::xi::Xi;
+
+use prune::{FrontierRow, ShortcutInfo};
+use repair::ConfirmCtx;
+
+// Flight-recorder hooks (no-ops unless the embedding process called
+// `abc_obs::enable`). The hot append path gets only relaxed counter
+// adds; RAII spans are reserved for the rare phases (frontier repair,
+// violation confirmation, prune condensation, margin probes), which
+// keep their counters next to their code.
+static OBS_APPENDS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.appends");
+static OBS_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.arcs");
+
+/// Lexicographic arc weight: `(p·[fwd] − q·[bwd], −1)`. Tuples compare
+/// lexicographically in Rust, which is exactly the order the reduction
+/// needs; components are added independently.
+type Weight = (i128, i128);
+
+/// Counters describing the monitor's work and footprint, for observability
+/// and benches.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MonitorStats {
+    /// Events appended so far (including pruned ones).
+    pub events: usize,
+    /// Messages appended so far (including exempt ones).
+    pub messages: usize,
+    /// Traversal-graph arcs created so far (including pruned ones).
+    pub arcs: usize,
+    /// Total label relaxations performed across all appends.
+    pub relaxations: u64,
+    /// Violation confirmations triggered (a violation latch, or — rarely —
+    /// a false alarm of the relaxation-count heuristic).
+    pub full_checks: u64,
+    /// Events compacted away by [`IncrementalChecker::prune_settled`].
+    pub pruned_events: usize,
+    /// Arcs compacted away by [`IncrementalChecker::prune_settled`].
+    pub pruned_arcs: usize,
+    /// High-water mark of simultaneously live (non-pruned) events — the
+    /// monitor's memory is proportional to this, not to `events`.
+    pub live_events_peak: usize,
+    /// High-water mark of simultaneously live arcs.
+    pub live_arcs_peak: usize,
+}
+
+/// An exact live-margin sample: the current maximum relevant-cycle ratio
+/// `|Z−|/|Z+|` over the whole monitored execution, and — when one was
+/// extracted — a summary of the tightest cycle attaining it.
+///
+/// Produced by [`IncrementalChecker::current_margin`]; equals what
+/// [`crate::check::max_relevant_cycle_ratio`] reports on the same
+/// execution. The witness is `None` exactly when the margin is attained
+/// only at ratio `1` (where the cheapest certificate may be a degenerate
+/// back-and-forth walk rather than a genuine relevant cycle).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MarginReport {
+    /// The exact maximum `|Z−|/|Z+|` over all relevant cycles so far.
+    pub ratio: Ratio,
+    /// Summary of a tightest cycle attaining `ratio`, if one was extracted.
+    pub witness: Option<WitnessSummary>,
+}
+
+/// Incremental decision of the ABC synchrony condition (Definition 4).
+///
+/// Mirrors the [`ExecutionGraphBuilder`] discipline: every process's first
+/// event is [`append_init`], every other event is the receive event of an
+/// [`append_send`]. Faulty processes must be declared with [`mark_faulty`]
+/// *before* they send (their messages are exempt from the condition, and
+/// the monitor never retracts arcs).
+///
+/// [`append_init`]: IncrementalChecker::append_init
+/// [`append_send`]: IncrementalChecker::append_send
+/// [`mark_faulty`]: IncrementalChecker::mark_faulty
+#[derive(Clone, Debug)]
+pub struct IncrementalChecker {
+    xi: Xi,
+    p: i128,
+    q: i128,
+    num_processes: usize,
+    faulty: Vec<bool>,
+    /// Whether each process has sent at least one message (the
+    /// [`mark_faulty`](IncrementalChecker::mark_faulty) guard).
+    has_sent: Vec<bool>,
+    /// Full execution-graph mirror, dropped when pruning is enabled. All
+    /// monitoring decisions run on the windowed state below; the mirror
+    /// only serves [`IncrementalChecker::graph`].
+    builder: Option<ExecutionGraphBuilder>,
+    /// The shared CSR traversal graph, grown arc by arc (and compacted
+    /// from the front by pruning).
+    tg: TraversalGraph,
+    /// Process of each live event (windowed by `tg.base()`).
+    proc_of: Vec<ProcessId>,
+    /// Bellman–Ford potential per live event; feasible (no tense arc)
+    /// whenever `violation` is `None`.
+    pot: Vec<Weight>,
+    /// Per-append relaxation counts (reset via `touched` after each append).
+    relax_count: Vec<u64>,
+    in_queue: Vec<bool>,
+    touched: Vec<usize>,
+    queue: VecDeque<usize>,
+    /// Latest event id of each process (survives pruning — it guards
+    /// double-init and locates local predecessors).
+    last_event: Vec<Option<usize>>,
+    /// What a pruned per-process frontier left behind (see [`FrontierRow`]);
+    /// recomposed by later prunes, consumed by the process's next append.
+    frontier_row: Vec<Option<FrontierRow>>,
+    /// Expansion table for the arena's [`ArcKind::Shortcut`] arcs; rebuilt
+    /// (compacted) at every prune.
+    shortcuts: Vec<ShortcutInfo>,
+    total_messages: usize,
+    violation: Option<Cycle>,
+    violation_summary: Option<WitnessSummary>,
+    /// Whether margin-signature envelopes are maintained across prunes
+    /// (see [`IncrementalChecker::enable_margin_tracking`]).
+    margin_tracking: bool,
+    /// Monotone floor on the execution's margin: the exact live margin is
+    /// folded in right before every prune, so probes after the prune only
+    /// range above it (which keeps the signature envelopes finite). Held
+    /// as the `(B, F)` counts of the cycle that attained it.
+    margin_floor: Option<(i128, i128)>,
+    /// Witness summary attaining `margin_floor`, when one was extracted.
+    margin_floor_witness: Option<WitnessSummary>,
+    stats: MonitorStats,
+}
+
+impl IncrementalChecker {
+    /// Creates a monitor over `num_processes` processes for the parameter
+    /// `Ξ`.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed `i64` — the label
+    /// arithmetic accumulates weights along relaxation paths and needs the
+    /// headroom of `i128` above machine-word parts. (The batch checker
+    /// accepts wider parts; astronomically large `Ξ` is its domain.)
+    pub fn new(num_processes: usize, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
+        let (p, q) = xi.as_i64_parts().ok_or(CheckError::XiTooLarge)?;
+        Ok(IncrementalChecker {
+            xi: xi.clone(),
+            p: i128::from(p),
+            q: i128::from(q),
+            num_processes,
+            faulty: vec![false; num_processes],
+            has_sent: vec![false; num_processes],
+            builder: Some(ExecutionGraph::builder(num_processes)),
+            tg: TraversalGraph::new(),
+            proc_of: Vec::new(),
+            pot: Vec::new(),
+            relax_count: Vec::new(),
+            in_queue: Vec::new(),
+            touched: Vec::new(),
+            queue: VecDeque::new(),
+            last_event: vec![None; num_processes],
+            frontier_row: vec![None; num_processes],
+            shortcuts: Vec::new(),
+            total_messages: 0,
+            violation: None,
+            violation_summary: None,
+            margin_tracking: false,
+            margin_floor: None,
+            margin_floor_witness: None,
+            stats: MonitorStats::default(),
+        })
+    }
+
+    /// Builds a monitor by replaying an existing execution graph event by
+    /// event (in its creation order, which is topological).
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::XiTooLarge`] as in [`IncrementalChecker::new`].
+    pub fn from_graph(g: &ExecutionGraph, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
+        let mut mon = IncrementalChecker::new(g.num_processes(), xi)?;
+        for p in 0..g.num_processes() {
+            if g.is_faulty(ProcessId(p)) {
+                mon.mark_faulty(ProcessId(p));
+            }
+        }
+        for ev in g.events() {
+            match ev.trigger {
+                Trigger::Init => {
+                    mon.append_init(ev.process);
+                }
+                Trigger::Message(m) => {
+                    let msg = g.message(m);
+                    mon.append_send_inner(msg.from, ev.process, msg.exempt);
+                }
+            }
+        }
+        Ok(mon)
+    }
+
+    /// Drops the full execution-graph mirror so memory stays bounded by the
+    /// live window: from here on only [`IncrementalChecker::prune_settled`]
+    /// bookkeeping is kept per event, and [`IncrementalChecker::graph`] /
+    /// [`IncrementalChecker::finish`] are unavailable (use
+    /// [`IncrementalChecker::violation_summary`] for witness reporting).
+    ///
+    /// Pruning itself ([`IncrementalChecker::prune_settled`]) also works
+    /// with the mirror kept — useful when verdict-identical comparison
+    /// against the full graph is wanted — but only this call makes the
+    /// memory bound `O(processes + active window + in-flight)` real.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events have already been appended.
+    pub fn enable_pruning(&mut self) {
+        assert!(
+            self.tg.total_nodes() == 0,
+            "enable_pruning() must be called before any event is appended"
+        );
+        self.builder = None;
+    }
+
+    /// Keeps margin tracking exact across [`IncrementalChecker::prune_settled`]:
+    /// every prune folds the exact live margin into a monotone floor and
+    /// equips the condensed boundary shortcuts with margin-signature
+    /// envelopes, so [`IncrementalChecker::current_margin`] stays equal to
+    /// the batch [`crate::check::max_relevant_cycle_ratio`] on the full
+    /// (never-pruned) execution. Each prune then also runs the margin fold
+    /// (a few cycle probes over the live window) and one signature-envelope
+    /// pass per boundary landing — a millisecond or two where an untracked
+    /// prune takes a few hundred microseconds; without it, margin queries on a
+    /// pruning monitor whose mirror was dropped
+    /// ([`IncrementalChecker::enable_pruning`]) are unavailable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if events were already pruned — the signatures of past
+    /// prunes cannot be reconstructed.
+    pub fn enable_margin_tracking(&mut self) {
+        assert!(
+            self.stats.pruned_events == 0,
+            "enable_margin_tracking() must be called before the first prune_settled()"
+        );
+        self.margin_tracking = true;
+    }
+
+    /// The monitored parameter `Ξ`.
+    #[must_use]
+    pub fn xi(&self) -> &Xi {
+        &self.xi
+    }
+
+    /// The execution graph accumulated so far (identical to what
+    /// [`ExecutionGraphBuilder`] would have produced from the same calls).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`IncrementalChecker::enable_pruning`] dropped the mirror.
+    #[must_use]
+    pub fn graph(&self) -> &ExecutionGraph {
+        self.builder
+            .as_ref()
+            .expect("graph() is unavailable on a pruning monitor (enable_pruning was called)")
+            .graph()
+    }
+
+    /// Whether the execution appended so far satisfies the ABC condition.
+    #[must_use]
+    pub fn is_admissible(&self) -> bool {
+        self.violation.is_none()
+    }
+
+    /// The first violating relevant cycle found, if any (latched: once a
+    /// violation exists, appending more events cannot remove it).
+    #[must_use]
+    pub fn violation(&self) -> Option<&Cycle> {
+        self.violation.as_ref()
+    }
+
+    /// The summary of the latched violation witness, if any — computed from
+    /// the live window at latch time, so it is available (and identical)
+    /// with or without pruning, with or without the graph mirror.
+    #[must_use]
+    pub fn violation_summary(&self) -> Option<&WitnessSummary> {
+        self.violation_summary.as_ref()
+    }
+
+    /// Work counters and footprint marks.
+    #[must_use]
+    pub fn stats(&self) -> MonitorStats {
+        self.stats
+    }
+
+    /// Events currently held live (not pruned).
+    #[must_use]
+    pub fn live_events(&self) -> usize {
+        self.tg.num_live_nodes()
+    }
+
+    /// Arcs currently held live (not pruned).
+    #[must_use]
+    pub fn live_arcs(&self) -> usize {
+        self.tg.num_arcs()
+    }
+
+    /// Whether process `p` has any event yet (works in every mode; the
+    /// pruning-safe replacement for `graph().events_of(p).is_empty()`).
+    #[must_use]
+    pub fn process_has_events(&self, p: ProcessId) -> bool {
+        self.last_event[p.0].is_some()
+    }
+
+    /// Marks process `p` Byzantine faulty: its future messages are exempt
+    /// from the synchrony condition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` has already sent a message — the monitor cannot
+    /// retract arcs, so faults must be declared up front (as a simulation
+    /// does when the process is registered).
+    pub fn mark_faulty(&mut self, p: ProcessId) {
+        assert!(
+            !self.has_sent[p.0],
+            "{p} must be marked faulty before it sends"
+        );
+        self.faulty[p.0] = true;
+        if let Some(b) = &mut self.builder {
+            b.mark_faulty(p);
+        }
+    }
+
+    /// Appends the wake-up (initial) event of process `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` already has events.
+    pub fn append_init(&mut self, p: ProcessId) -> EventId {
+        assert!(self.last_event[p.0].is_none(), "{p} already initialized");
+        let id = self.push_node(p);
+        self.last_event[p.0] = Some(id);
+        self.stats.events += 1;
+        if let Some(b) = &mut self.builder {
+            let mirrored = b.init(p);
+            debug_assert_eq!(mirrored.0, id);
+        }
+        EventId(id)
+    }
+
+    /// Appends a message from the computing step at `from` to process `to`
+    /// (and its receive event), then re-checks the condition incrementally.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range, already pruned, or `to` has no
+    /// init event yet.
+    pub fn append_send(&mut self, from: EventId, to: ProcessId) -> (MessageId, EventId) {
+        self.append_send_inner(from, to, false)
+    }
+
+    /// Like [`IncrementalChecker::append_send`], but the message is exempt
+    /// from the synchrony condition (the paper's restricted-graph hook).
+    pub fn append_send_exempt(&mut self, from: EventId, to: ProcessId) -> (MessageId, EventId) {
+        self.append_send_inner(from, to, true)
+    }
+
+    fn append_send_inner(
+        &mut self,
+        from: EventId,
+        to: ProcessId,
+        exempt: bool,
+    ) -> (MessageId, EventId) {
+        assert!(from.0 < self.tg.total_nodes(), "unknown send event");
+        assert!(
+            from.0 >= self.tg.base(),
+            "send event {from} was already pruned: the prune_settled watermark promised \
+             no further sends below e{}",
+            self.tg.base()
+        );
+        assert!(
+            self.last_event[to.0].is_some(),
+            "{to} must be initialized before receiving"
+        );
+        OBS_APPENDS.add(1);
+        // Arcs are counted as one batched add at the exit (forward +
+        // backward + order + any shortcut crossings land together): one
+        // recorder touch per append instead of one per arc.
+        let arcs_before = self.stats.arcs;
+        let base = self.tg.base();
+        let sender = self.proc_of[from.0 - base];
+        let effective = !exempt && !self.faulty[sender.0];
+        let mid = MessageId(self.total_messages);
+        self.total_messages += 1;
+        self.has_sent[sender.0] = true;
+        let old_arcs = self.tg.num_arcs();
+        let prev_global = self.last_event[to.0].expect("receiver is initialized");
+        let recv = self.push_node(to);
+        self.last_event[to.0] = Some(recv);
+        self.stats.events += 1;
+        self.stats.messages += 1;
+        if let Some(b) = &mut self.builder {
+            let (mirrored_mid, mirrored_recv) = b.send(from, to);
+            debug_assert_eq!((mirrored_mid, mirrored_recv.0), (mid, recv));
+            if exempt {
+                b.set_exempt(mirrored_mid);
+            }
+        }
+        if self.violation.is_some() {
+            // Latched: the verdict can never change, skip all arc work.
+            return (mid, EventId(recv));
+        }
+        // Choose the new node's label directly instead of relaxing it from
+        // scratch: the feasible window for `π(recv)` is
+        //
+        //   max(π(send) + (q,1), π(local_pred) + (0,1))  ≤  π(recv)
+        //                                                ≤  π(send) + (p,−1)
+        //
+        // (lower bounds from recv's outgoing backward/local arcs, upper
+        // bound from the incoming forward arc). Taking the *earliest*
+        // feasible label — timestamp semantics: every message charged its
+        // minimum delay `q` — keeps all existing labels untouched, so an
+        // append that opens no window conflict costs zero relaxations. Only
+        // when the window is empty (the message "spans": it arrives later
+        // than the fast paths from its send event permit) is the label
+        // capped to the upper bound and the tension propagated.
+        let mut window: Option<(Weight, Weight)> = None;
+        if effective {
+            self.push_arc(from.0, recv, ArcKind::Forward(mid));
+            self.push_arc(recv, from.0, ArcKind::Backward(mid));
+            let pu = self.pot[from.0 - base];
+            window = Some(((pu.0 + self.q, pu.1 + 1), (pu.0 + self.p, pu.1 - 1)));
+        }
+        let (pw, row) = if prev_global >= base {
+            let local = LocalEdge {
+                from: EventId(prev_global),
+                to: EventId(recv),
+            };
+            self.push_arc(recv, prev_global, ArcKind::LocalBack(local));
+            (self.pot[prev_global - base], None)
+        } else {
+            // `prev` was compacted: materialize its frontier row as
+            // shortcut arcs out of the new receive.
+            let r = self.frontier_row[to.0]
+                .take()
+                .expect("a pruned frontier always leaves its row behind");
+            self.materialize_row(&r, prev_global, recv);
+            (r.label, Some(r))
+        };
+        let mut label = (pw.0, pw.1 + 1);
+        let mut tense = false;
+        if let Some((lower, upper)) = window {
+            label = label.max(lower);
+            if label > upper {
+                label = upper;
+                tense = true;
+            }
+        }
+        self.pot[recv - base] = label;
+        if tense {
+            let ctx = ConfirmCtx {
+                u: from.0,
+                v: recv,
+                prev_global,
+                seeds: row,
+                mid,
+                old_arcs,
+            };
+            self.enqueue(recv);
+            self.restore_feasibility(&ctx);
+        }
+        OBS_ARCS.add((self.stats.arcs - arcs_before) as u64);
+        (mid, EventId(recv))
+    }
+
+    fn push_node(&mut self, p: ProcessId) -> usize {
+        let id = self.tg.push_node();
+        self.proc_of.push(p);
+        self.pot.push((0, 0));
+        self.relax_count.push(0);
+        self.in_queue.push(false);
+        self.stats.live_events_peak = self.stats.live_events_peak.max(self.tg.num_live_nodes());
+        id
+    }
+
+    fn push_arc(&mut self, from: usize, to: usize, kind: ArcKind) {
+        self.tg.push_arc(from, to, kind);
+        self.stats.arcs += 1;
+        self.stats.live_arcs_peak = self.stats.live_arcs_peak.max(self.tg.num_arcs());
+    }
+
+    fn arc_weight(&self, kind: ArcKind) -> Weight {
+        let first = match kind {
+            ArcKind::Forward(_) => self.p,
+            ArcKind::Backward(_) => -self.q,
+            ArcKind::LocalBack(_) => 0,
+            ArcKind::Shortcut(id) => return self.shortcuts[id].weight,
+        };
+        (first, -1)
+    }
+
+    /// Consumes the monitor, returning the accumulated graph and the
+    /// violation witness (if any).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`IncrementalChecker::enable_pruning`] dropped the mirror.
+    #[must_use]
+    pub fn finish(self) -> (ExecutionGraph, Option<Cycle>) {
+        let builder = self
+            .builder
+            .expect("finish() is unavailable on a pruning monitor (enable_pruning was called)");
+        (builder.finish(), self.violation)
+    }
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,653 @@
+use super::*;
+use crate::check;
+use abc_rational::Ratio;
+
+/// Replays the batch-test "two chains" shape through the monitor.
+fn stream_two_chain(hops: usize, xi: &Xi) -> IncrementalChecker {
+    let mut mon = IncrementalChecker::new(hops + 1, xi).unwrap();
+    let q = mon.append_init(ProcessId(0));
+    for i in 1..=hops {
+        mon.append_init(ProcessId(i));
+    }
+    let mut cur = q;
+    for i in 2..=hops {
+        let (_, r) = mon.append_send(cur, ProcessId(i));
+        cur = r;
+    }
+    mon.append_send(cur, ProcessId(1));
+    assert!(
+        mon.is_admissible(),
+        "no relevant cycle before the spanning message"
+    );
+    mon.append_send(q, ProcessId(1));
+    mon
+}
+
+#[test]
+fn detects_violation_exactly_at_the_closing_event() {
+    for hops in 2..=6 {
+        // Violating at Xi = hops (ratio == Xi), admissible just above.
+        let at = Xi::from_integer(hops as i64);
+        let mon = stream_two_chain(hops, &at);
+        let w = mon.violation().expect("ratio hops >= hops");
+        assert!(w.validate(mon.graph()).is_ok());
+        assert!(w.classify().violates(&at));
+        let above = Xi::new(Ratio::from_integer(hops as i64) + Ratio::new(1, 7)).unwrap();
+        let mon = stream_two_chain(hops, &above);
+        assert!(mon.is_admissible(), "hops = {hops}");
+    }
+}
+
+#[test]
+fn violation_is_latched() {
+    let xi = Xi::from_integer(2);
+    let mut mon = stream_two_chain(3, &xi);
+    assert!(!mon.is_admissible());
+    let before = mon.violation().cloned();
+    // Appending more traffic does not clear the latch.
+    let (_, r) = mon.append_send(EventId(0), ProcessId(2));
+    let _ = mon.append_send(r, ProcessId(0));
+    assert_eq!(mon.violation().cloned(), before);
+}
+
+#[test]
+fn agrees_with_batch_after_every_event() {
+    // A dense little exchange, checked step by step.
+    let xi = Xi::from_fraction(3, 2);
+    let mut mon = IncrementalChecker::new(3, &xi).unwrap();
+    let script: &[(usize, usize)] = &[(0, 1), (1, 2), (2, 0), (0, 2), (3, 1), (2, 1), (1, 0)];
+    let e0 = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    mon.append_init(ProcessId(2));
+    let _ = e0;
+    for &(from, to) in script {
+        let from = EventId(from % mon.graph().num_events());
+        mon.append_send(from, ProcessId(to % 3));
+        assert_eq!(
+            mon.is_admissible(),
+            check::is_admissible(mon.graph(), &xi).unwrap(),
+            "monitor and batch disagree after appending from {from:?}"
+        );
+    }
+}
+
+#[test]
+fn faulty_and_exempt_messages_carry_no_arcs() {
+    // two_chain(4) violates Xi = 3/2 — unless the chain's relay is
+    // faulty or the spanning message is exempt.
+    let xi = Xi::from_fraction(3, 2);
+    let mut mon = IncrementalChecker::new(5, &xi).unwrap();
+    mon.mark_faulty(ProcessId(4));
+    let q = mon.append_init(ProcessId(0));
+    for i in 1..=4 {
+        mon.append_init(ProcessId(i));
+    }
+    let (_, r2) = mon.append_send(q, ProcessId(2));
+    let (_, r3) = mon.append_send(r2, ProcessId(3));
+    let (_, r4) = mon.append_send(r3, ProcessId(4)); // faulty relay
+    mon.append_send(r4, ProcessId(1));
+    mon.append_send(q, ProcessId(1));
+    assert!(mon.is_admissible(), "faulty relay breaks the chain");
+    assert_eq!(
+        check::is_admissible(mon.graph(), &xi).unwrap(),
+        mon.is_admissible()
+    );
+
+    let mut mon = IncrementalChecker::new(5, &xi).unwrap();
+    let q = mon.append_init(ProcessId(0));
+    for i in 1..=4 {
+        mon.append_init(ProcessId(i));
+    }
+    let (_, r2) = mon.append_send(q, ProcessId(2));
+    let (_, r3) = mon.append_send(r2, ProcessId(3));
+    let (_, r4) = mon.append_send(r3, ProcessId(4));
+    mon.append_send(r4, ProcessId(1));
+    mon.append_send_exempt(q, ProcessId(1));
+    assert!(mon.is_admissible(), "exempt spanning message");
+    assert_eq!(
+        check::is_admissible(mon.graph(), &xi).unwrap(),
+        mon.is_admissible()
+    );
+}
+
+#[test]
+fn mark_faulty_after_sending_panics() {
+    let xi = Xi::from_integer(2);
+    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
+    let a = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    mon.append_send(a, ProcessId(1));
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        mon.mark_faulty(ProcessId(0));
+    }));
+    assert!(r.is_err());
+}
+
+#[test]
+fn from_graph_replays_faithfully() {
+    let xi = Xi::from_fraction(5, 2);
+    for hops in 2..=5 {
+        let mut b = ExecutionGraph::builder(hops + 1);
+        let q = b.init(ProcessId(0));
+        for i in 1..=hops {
+            b.init(ProcessId(i));
+        }
+        let mut cur = q;
+        for i in 2..=hops {
+            let (_, r) = b.send(cur, ProcessId(i));
+            cur = r;
+        }
+        b.send(cur, ProcessId(1));
+        b.send(q, ProcessId(1));
+        let g = b.finish();
+        let mon = IncrementalChecker::from_graph(&g, &xi).unwrap();
+        assert_eq!(mon.graph(), &g);
+        assert_eq!(
+            mon.is_admissible(),
+            check::is_admissible(&g, &xi).unwrap(),
+            "hops = {hops}"
+        );
+    }
+}
+
+#[test]
+fn xi_beyond_i64_is_rejected() {
+    let wide = Xi::new(Ratio::from_bigints(
+        abc_rational::BigInt::from(1i128 << 80),
+        abc_rational::BigInt::from(3),
+    ))
+    .unwrap();
+    assert_eq!(
+        IncrementalChecker::new(2, &wide).err(),
+        Some(CheckError::XiTooLarge)
+    );
+}
+
+#[test]
+fn stats_reflect_the_stream() {
+    // Comfortably admissible: every append's feasible window is open,
+    // so the earliest-label assignment does zero relaxation work.
+    let xi = Xi::from_integer(3);
+    let mon = stream_two_chain(2, &xi);
+    let s = mon.stats();
+    assert_eq!(s.events, 6); // 3 inits + 3 receive events
+    assert_eq!(s.messages, 3);
+    assert!(s.arcs >= 2 * s.messages);
+    assert_eq!(s.relaxations, 0, "no spanning message, no repair");
+    assert_eq!(s.full_checks, 0);
+    assert_eq!(s.pruned_events, 0);
+    assert_eq!(s.live_events_peak, 6);
+    // A violating stream must do real work: tension propagation and the
+    // confirming canonical pass that extracts the witness.
+    let xi = Xi::from_integer(2);
+    let mon = stream_two_chain(2, &xi);
+    assert!(!mon.is_admissible());
+    assert!(mon.stats().relaxations > 0);
+    assert!(mon.stats().full_checks >= 1);
+}
+
+#[test]
+fn violation_summary_matches_the_graph_summary() {
+    let xi = Xi::from_integer(2);
+    let mon = stream_two_chain(4, &xi);
+    let w = mon.violation().expect("ratio 4 >= 2");
+    let summary = mon.violation_summary().expect("summary latched with it");
+    assert_eq!(summary, &w.summarize(mon.graph()));
+    assert!(summary.classification.violates(&xi));
+}
+
+/// Streams a near-frontier script into two monitors, pruning one of
+/// them after every append with an honest watermark (scripts only ever
+/// send from the last `horizon` events), and asserts identical
+/// verdicts and witness bytes at every step.
+fn assert_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi) {
+    const HORIZON: usize = 3;
+    let mut plain = IncrementalChecker::new(n, xi).unwrap();
+    let mut pruned = IncrementalChecker::new(n, xi).unwrap();
+    pruned.enable_pruning();
+    for p in 0..n {
+        plain.append_init(ProcessId(p));
+        pruned.append_init(ProcessId(p));
+    }
+    let mut total = n;
+    for &(back, to) in script {
+        let from = EventId(total - 1 - (back % HORIZON.min(total)));
+        plain.append_send(from, ProcessId(to % n));
+        pruned.append_send(from, ProcessId(to % n));
+        total += 1;
+        assert_eq!(plain.is_admissible(), pruned.is_admissible());
+        assert_eq!(
+            plain.violation_summary().map(|s| s.wire().to_string()),
+            pruned.violation_summary().map(|s| s.wire().to_string())
+        );
+        // Honest promise: future sends name one of the last HORIZON
+        // events only.
+        pruned.prune_settled(Some(EventId(total.saturating_sub(HORIZON))));
+    }
+    assert_eq!(plain.stats().events, pruned.stats().events);
+}
+
+#[test]
+fn pruned_monitor_latches_identical_witnesses() {
+    // A long, prunable admissible ping-pong prefix, then a violating
+    // two-chain pattern built at the live frontier: the pruned monitor
+    // must have compacted real state *and* still latch byte-identical
+    // verdict + witness.
+    for hops in 2..=5 {
+        let xi = Xi::from_integer(2);
+        let n = hops + 1;
+        let mut plain = IncrementalChecker::new(n, &xi).unwrap();
+        let mut pruned = IncrementalChecker::new(n, &xi).unwrap();
+        pruned.enable_pruning();
+        let mut cur = plain.append_init(ProcessId(0));
+        pruned.append_init(ProcessId(0));
+        for i in 1..n {
+            plain.append_init(ProcessId(i));
+            pruned.append_init(ProcessId(i));
+        }
+        // Phase 1: 100 immediately-delivered ping-pongs between p0 and
+        // p1, pruning as the frontier advances.
+        for round in 0..100 {
+            let to = if round % 2 == 0 {
+                ProcessId(1)
+            } else {
+                ProcessId(0)
+            };
+            let (_, r) = plain.append_send(cur, to);
+            pruned.append_send(cur, to);
+            cur = r;
+            pruned.prune_settled(Some(cur));
+        }
+        // Everything but the live frontier event is compacted round by
+        // round: ~(n inits + 100 ping-pongs) events pruned in total.
+        assert!(
+            pruned.stats().pruned_events > 90,
+            "expected substantial pruning, got {}",
+            pruned.stats().pruned_events
+        );
+        assert!(
+            pruned.live_events() < 4,
+            "window stayed at {} events",
+            pruned.live_events()
+        );
+        // Phase 2: the two-chain violation rooted at the live frontier
+        // event `q = cur`. Its spanning message keeps `q` in flight, so
+        // the honest watermark is `q` from here on.
+        let q = cur;
+        pruned.prune_settled(Some(q));
+        let mut chain = q;
+        for i in 2..=hops {
+            let (_, r) = plain.append_send(chain, ProcessId(i));
+            pruned.append_send(chain, ProcessId(i));
+            chain = r;
+        }
+        plain.append_send(chain, ProcessId(1));
+        pruned.append_send(chain, ProcessId(1));
+        assert!(plain.is_admissible() && pruned.is_admissible());
+        plain.append_send(q, ProcessId(1));
+        pruned.append_send(q, ProcessId(1));
+        assert!(!plain.is_admissible(), "hops = {hops}");
+        assert_eq!(plain.is_admissible(), pruned.is_admissible());
+        assert_eq!(
+            plain
+                .violation_summary()
+                .map(|s| s.wire().to_string())
+                .unwrap(),
+            pruned
+                .violation_summary()
+                .map(|s| s.wire().to_string())
+                .unwrap(),
+            "hops = {hops}"
+        );
+        assert_eq!(
+            format!("{}", plain.violation().unwrap()),
+            format!("{}", pruned.violation().unwrap()),
+            "the full Cycle is byte-identical too"
+        );
+    }
+}
+
+#[test]
+fn pruning_compacts_settled_prefixes_and_keeps_verdicts() {
+    // A long admissible ping-pong between two processes: with no
+    // messages in flight after each delivery, nearly everything before
+    // the per-process frontiers is settled.
+    let xi = Xi::from_integer(3);
+    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
+    mon.enable_pruning();
+    let mut cur = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    let mut pruned_total = 0;
+    for round in 0..200 {
+        let to = ProcessId((round + 1) % 2);
+        let (_, r) = mon.append_send(cur, to);
+        cur = r;
+        // The only in-flight message was just delivered; next send
+        // comes from `cur`.
+        pruned_total += mon.prune_settled(Some(cur));
+    }
+    assert!(mon.is_admissible());
+    // Each of the ~202 events is compacted exactly once; only the live
+    // frontier survives.
+    assert!(pruned_total > 190, "pruned only {pruned_total}");
+    assert_eq!(mon.stats().pruned_events, pruned_total);
+    assert!(
+        mon.live_events() < 10,
+        "window stayed at {} events",
+        mon.live_events()
+    );
+    assert!(mon.stats().live_events_peak < 12);
+    // The bookkeeping still matches: totals count everything.
+    assert_eq!(mon.stats().events, 202);
+}
+
+#[test]
+fn append_below_the_watermark_panics() {
+    let xi = Xi::from_integer(2);
+    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
+    mon.enable_pruning();
+    let a = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    let (_, r) = mon.append_send(a, ProcessId(1));
+    mon.prune_settled(Some(r));
+    assert!(mon.stats().pruned_events > 0);
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        mon.append_send(a, ProcessId(1));
+    }));
+    assert!(res.is_err(), "the watermark promise must be enforced");
+}
+
+#[test]
+fn graph_access_panics_once_pruning_is_enabled() {
+    let xi = Xi::from_integer(2);
+    let mut mon = IncrementalChecker::new(1, &xi).unwrap();
+    mon.enable_pruning();
+    mon.append_init(ProcessId(0));
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = mon.graph();
+    }));
+    assert!(res.is_err());
+}
+
+#[test]
+fn prune_cuts_through_crossing_messages_exactly() {
+    // The watermark cut slices right through messages whose send event
+    // is compacted while their receive stays live: the boundary
+    // condensation must keep the settled region exactly reachable, so
+    // a violation later closed *through* it latches with the same
+    // witness bytes as an unpruned monitor.
+    let xi = Xi::from_integer(2);
+    let mut plain = IncrementalChecker::new(3, &xi).unwrap();
+    let mut pruned = IncrementalChecker::new(3, &xi).unwrap();
+    pruned.enable_pruning();
+    let step = |m: &mut IncrementalChecker| {
+        let a = m.append_init(ProcessId(0));
+        m.append_init(ProcessId(1));
+        m.append_init(ProcessId(2));
+        let (_, r1) = m.append_send(a, ProcessId(1));
+        // Delivered promptly (before the r1 -> p2 relay), so the prefix
+        // stays admissible — but the send event `a` is about to be
+        // compacted while the receive stays live: a crossing message.
+        let (_, rx) = m.append_send(a, ProcessId(2));
+        let (_, r2) = m.append_send(r1, ProcessId(2));
+        (rx, r2)
+    };
+    let (rx, q) = step(&mut plain);
+    step(&mut pruned);
+    let cut = pruned.prune_settled(Some(rx));
+    assert_eq!(cut, 4, "events 0..4 compacted at the watermark");
+    assert!(pruned.stats().pruned_events > 0);
+    // Close a two-chain violation rooted at the live frontier: its
+    // confirmation walks paths that dip through the pruned region (via
+    // the materialized frontier rows) — weights must match exactly.
+    for m in [&mut plain, &mut pruned] {
+        let (_, r4) = m.append_send(q, ProcessId(0));
+        m.append_send(r4, ProcessId(1));
+        assert!(m.is_admissible());
+        m.append_send(q, ProcessId(1)); // spans the 2-chain: ratio 2
+    }
+    assert!(!plain.is_admissible());
+    assert!(!pruned.is_admissible());
+    assert_eq!(
+        format!("{}", plain.violation().unwrap()),
+        format!("{}", pruned.violation().unwrap())
+    );
+    assert_eq!(
+        plain.violation_summary().unwrap().wire().to_string(),
+        pruned.violation_summary().unwrap().wire().to_string()
+    );
+}
+
+#[test]
+fn prune_equivalence_smoke_on_dense_scripts() {
+    // Dense random-ish exchanges with all-delivered semantics.
+    let xi = Xi::from_fraction(3, 2);
+    assert_prune_equivalent(3, &[(0, 1), (1, 2), (2, 0), (0, 2), (3, 1), (2, 1)], &xi);
+    assert_prune_equivalent(4, &[(0, 1), (4, 2), (1, 3), (2, 0), (5, 1), (3, 2)], &xi);
+}
+
+/// Drives the same script through an unpruned monitor and a pruning,
+/// margin-tracking one; at every event both margins must equal the
+/// batch `max_relevant_cycle_ratio` over the full graph, witnesses
+/// must attain the margin, and the cheap bound must dominate it.
+fn assert_margin_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi) {
+    const HORIZON: usize = 3;
+    let mut plain = IncrementalChecker::new(n, xi).unwrap();
+    let mut pruned = IncrementalChecker::new(n, xi).unwrap();
+    pruned.enable_pruning();
+    pruned.enable_margin_tracking();
+    for p in 0..n {
+        plain.append_init(ProcessId(p));
+        pruned.append_init(ProcessId(p));
+    }
+    let mut total = n;
+    for &(back, to) in script {
+        let from = EventId(total - 1 - (back % HORIZON.min(total)));
+        plain.append_send(from, ProcessId(to % n));
+        pruned.append_send(from, ProcessId(to % n));
+        total += 1;
+        let plain_margin = plain.current_margin().unwrap();
+        let pruned_margin = pruned.current_margin().unwrap();
+        if plain_margin.as_ref().map(|m| m.ratio.clone())
+            != pruned_margin.as_ref().map(|m| m.ratio.clone())
+        {
+            panic!(
+                "margins diverge at event {total}: plain {:?} pruned {:?} admissible {} xi {:?}",
+                plain_margin.as_ref().map(|m| m.ratio.clone()),
+                pruned_margin.as_ref().map(|m| m.ratio.clone()),
+                plain.is_admissible(),
+                xi.as_ratio(),
+            );
+        }
+        if plain.is_admissible() {
+            let batch = check::max_relevant_cycle_ratio(plain.graph()).unwrap();
+            assert_eq!(
+                plain_margin.as_ref().map(|m| m.ratio.clone()),
+                batch,
+                "margin disagrees with batch at event {total}"
+            );
+        } else {
+            // Latched: both froze at the (identical) witness ratio.
+            let latched = plain.violation_summary().unwrap().classification.ratio();
+            assert_eq!(plain_margin.as_ref().map(|m| m.ratio.clone()), latched);
+        }
+        for report in [&plain_margin, &pruned_margin].into_iter().flatten() {
+            if let Some(w) = &report.witness {
+                assert!(w.classification.relevant, "margin witness must be relevant");
+                assert_eq!(w.classification.ratio(), Some(report.ratio.clone()));
+            }
+        }
+        for (mon, margin) in [(&plain, &plain_margin), (&pruned, &pruned_margin)] {
+            match (mon.margin_upper_bound(), margin) {
+                (Some(bound), Some(m)) => {
+                    assert!(bound >= m.ratio, "bound {bound} below margin {}", m.ratio);
+                    if mon.is_admissible() {
+                        assert!(bound <= *xi.as_ratio(), "open-verdict bound above Ξ");
+                    }
+                }
+                (None, Some(m)) => panic!("no bound despite margin {}", m.ratio),
+                (_, None) => {}
+            }
+        }
+        pruned.prune_settled(Some(EventId(total.saturating_sub(HORIZON))));
+    }
+}
+
+#[test]
+fn margin_matches_batch_under_pruning_on_dense_scripts() {
+    let scripts: &[(usize, &[(usize, usize)])] = &[
+        (3, &[(0, 1), (1, 2), (2, 0), (0, 2), (3, 1), (2, 1), (1, 0)]),
+        (4, &[(0, 1), (4, 2), (1, 3), (2, 0), (5, 1), (3, 2), (0, 3)]),
+        (2, &[(0, 1), (0, 0), (1, 1), (2, 0), (0, 1), (1, 0)]),
+    ];
+    for xi in [Xi::from_fraction(3, 2), Xi::from_integer(4)] {
+        for &(n, script) in scripts {
+            assert_margin_prune_equivalent(n, script, &xi);
+        }
+    }
+}
+
+#[test]
+fn margin_reports_the_two_chain_ratio() {
+    for hops in 2..=5 {
+        let ratio = Ratio::from_integer(hops as i64);
+        // Admissible just above: the margin is exactly `hops`.
+        let above = Xi::new(ratio.clone() + Ratio::new(1, 7)).unwrap();
+        let mon = stream_two_chain(hops, &above);
+        assert!(mon.is_admissible());
+        let m = mon.current_margin().unwrap().expect("cycle exists");
+        assert_eq!(m.ratio, ratio);
+        let w = m.witness.expect("margins above 1 carry a witness");
+        assert!(w.classification.relevant);
+        assert_eq!(w.classification.ratio(), Some(ratio.clone()));
+        let bound = mon.margin_upper_bound().expect("candidates exist");
+        assert!(bound >= ratio && bound <= *above.as_ratio());
+        // Latched at Ξ = hops: the margin freezes at the witness.
+        let at = Xi::from_integer(hops as i64);
+        let mon = stream_two_chain(hops, &at);
+        assert!(!mon.is_admissible());
+        let m = mon.current_margin().unwrap().unwrap();
+        assert_eq!(m.ratio, ratio);
+        assert_eq!(m.witness.as_ref(), mon.violation_summary());
+        assert_eq!(mon.margin_upper_bound(), Some(ratio));
+    }
+}
+
+#[test]
+fn margin_floor_survives_pruning_the_witness_away() {
+    // A ratio-3 two-chain, then a long prunable ping-pong: the margin
+    // must stay 3 (served from the folded floor, witness intact) after
+    // every trace of the cycle has been compacted away.
+    let xi = Xi::from_integer(4);
+    let n = 4;
+    let mut plain = IncrementalChecker::new(n, &xi).unwrap();
+    let mut pruned = IncrementalChecker::new(n, &xi).unwrap();
+    pruned.enable_pruning();
+    pruned.enable_margin_tracking();
+    let q = plain.append_init(ProcessId(0));
+    pruned.append_init(ProcessId(0));
+    for i in 1..n {
+        plain.append_init(ProcessId(i));
+        pruned.append_init(ProcessId(i));
+    }
+    let mut cur = q;
+    for i in 2..=3 {
+        let (_, r) = plain.append_send(cur, ProcessId(i));
+        pruned.append_send(cur, ProcessId(i));
+        cur = r;
+    }
+    let (_, r) = plain.append_send(cur, ProcessId(1));
+    pruned.append_send(cur, ProcessId(1));
+    let _ = r;
+    let (_, span) = plain.append_send(q, ProcessId(1));
+    pruned.append_send(q, ProcessId(1));
+    let three = Ratio::from_integer(3);
+    assert_eq!(pruned.current_margin().unwrap().unwrap().ratio, three);
+    // Ping-pong p1 ⇄ p0 rooted at the spanning receive, pruning every
+    // round: the two-chain is fully compacted early on.
+    let mut cur = span;
+    for round in 0..50 {
+        let to = ProcessId(round % 2);
+        let (_, r) = plain.append_send(cur, to);
+        pruned.append_send(cur, to);
+        cur = r;
+        pruned.prune_settled(Some(cur));
+        let m = pruned.current_margin().unwrap().expect("floor persists");
+        assert_eq!(m.ratio, three, "round {round}");
+        let w = m.witness.expect("floor keeps its witness");
+        assert!(w.classification.relevant);
+        assert_eq!(w.classification.ratio(), Some(three.clone()));
+        assert_eq!(
+            plain.current_margin().unwrap().unwrap().ratio,
+            three,
+            "round {round}"
+        );
+        assert!(pruned.margin_upper_bound().unwrap() >= three);
+    }
+    assert!(
+        pruned.live_events() < 5,
+        "window stayed at {} events",
+        pruned.live_events()
+    );
+    assert!(pruned.stats().pruned_events > 40);
+}
+
+#[test]
+fn a_fold_beyond_the_integer_range_declines_the_prune() {
+    // No real execution gets a window past the probe-weight guard (its
+    // boundary is pinned in `maxratio::tests`), so plant a floor whose
+    // parts alone overflow it: the margin query reports the clean
+    // error and the prune leaves the window as it was.
+    let xi = Xi::from_integer(4);
+    let mut mon = IncrementalChecker::new(4, &xi).unwrap();
+    mon.enable_pruning();
+    mon.enable_margin_tracking();
+    let q = mon.append_init(ProcessId(0));
+    for i in 1..4 {
+        mon.append_init(ProcessId(i));
+    }
+    let (_, r) = mon.append_send(q, ProcessId(2));
+    let (_, r) = mon.append_send(r, ProcessId(3));
+    mon.append_send(r, ProcessId(1));
+    let (_, last) = mon.append_send(q, ProcessId(1)); // spans 3 hops
+    let three = Ratio::from_integer(3);
+    assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
+    mon.margin_floor = Some(((1 << 125) + 1, 1 << 125)); // just above 1
+    let live = mon.live_events();
+    assert_eq!(mon.current_margin(), Err(CheckError::GraphTooLarge));
+    assert_eq!(mon.prune_settled(Some(last)), 0);
+    assert_eq!((mon.live_events(), mon.stats().pruned_events), (live, 0));
+    // With a floor that fits, the same call folds and prunes.
+    mon.margin_floor = None;
+    assert!(mon.prune_settled(Some(last)) > 0);
+    assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
+}
+
+#[test]
+fn margin_tracking_after_a_prune_panics() {
+    let xi = Xi::from_integer(2);
+    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
+    mon.enable_pruning();
+    let a = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    mon.append_send(a, ProcessId(1));
+    mon.prune_settled(None);
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        mon.enable_margin_tracking();
+    }));
+    assert!(res.is_err(), "tracking after a prune must be rejected");
+}
+
+#[test]
+fn margin_queries_on_untracked_pruning_monitors_panic() {
+    let xi = Xi::from_integer(2);
+    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
+    mon.enable_pruning();
+    let a = mon.append_init(ProcessId(0));
+    mon.append_init(ProcessId(1));
+    mon.append_send(a, ProcessId(1));
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        mon.current_margin().unwrap();
+    }));
+    assert!(res.is_err(), "margin without tracking must be rejected");
+}

@@ -53,6 +53,7 @@
 //! [`push_node`]: TraversalGraph::push_node
 //! [`push_arc`]: TraversalGraph::push_arc
 
+use crate::cycle::{CycleStep, ShadowEdge};
 use crate::graph::{ExecutionGraph, LocalEdge, MessageId};
 
 /// Role of a traversal-graph arc.
@@ -70,6 +71,35 @@ pub enum ArcKind {
     /// table (which holds its weight and its step-by-step expansion).
     /// Batch builds ([`TraversalGraph::from_graph`]) never create these.
     Shortcut(usize),
+}
+
+impl ArcKind {
+    /// The walk step a plain arc stands for: a forward arc takes its
+    /// message along, backward and local arcs run against their edge. A
+    /// shortcut arc stands for a whole condensed path, not one step: `Err`
+    /// with its table id.
+    #[inline]
+    pub(crate) fn step(self) -> Result<CycleStep, usize> {
+        let edge = match self {
+            ArcKind::Forward(m) | ArcKind::Backward(m) => ShadowEdge::Message(m),
+            ArcKind::LocalBack(l) => ShadowEdge::Local(l),
+            ArcKind::Shortcut(id) => return Err(id),
+        };
+        let against = !matches!(self, ArcKind::Forward(_));
+        Ok(CycleStep { edge, against })
+    }
+
+    /// Forward and backward message counts `(f, b)` of a plain arc's step;
+    /// `Err` with the table id for a shortcut arc.
+    #[inline]
+    pub(crate) fn counts(self) -> Result<(i128, i128), usize> {
+        match self {
+            ArcKind::Forward(_) => Ok((1, 0)),
+            ArcKind::Backward(_) => Ok((0, 1)),
+            ArcKind::LocalBack(_) => Ok((0, 0)),
+            ArcKind::Shortcut(id) => Err(id),
+        }
+    }
 }
 
 /// One arc of the traversal graph `T`. Endpoints are **global** event ids.

@@ -325,13 +325,12 @@ pub fn monitor_trace(
     let (mon, violation_at) = trace
         .replay_into_monitor_until_violation(xi)
         .map_err(|e| e.to_string())?;
-    let violation = violation_at.map(|at_event| ViolationInfo {
-        at_event,
-        witness: mon
-            .violation()
-            .expect("a latched violation accompanies the index")
-            .summarize(mon.graph()),
-    });
+    let violation = violation_at
+        .zip(mon.violation_summary())
+        .map(|(at_event, witness)| ViolationInfo {
+            at_event,
+            witness: witness.clone(),
+        });
     let margin = mon
         .current_margin()
         .map_err(|e| e.to_string())?

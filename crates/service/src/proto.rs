@@ -271,14 +271,14 @@ pub fn offline_verdict(trace: &Trace, xi: &Xi) -> Result<Verdict, String> {
             events: trace.events().len(),
         },
         Some(at_event) => {
-            let Some(witness) = mon.violation() else {
+            let Some(witness) = mon.violation_summary() else {
                 // Defensive: a latched monitor accompanies the index by
                 // construction; surface corruption instead of aborting.
                 return Err("internal: monitor latched no violation witness".to_string());
             };
             Verdict::Violation {
                 at_event,
-                witness: witness.summarize(mon.graph()),
+                witness: witness.clone(),
             }
         }
     })

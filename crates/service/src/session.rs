@@ -1096,6 +1096,16 @@ impl Session {
             }
             ParsedLine::Event(feed) => {
                 self.doc_events_pending += 1;
+                // Honest watermark, once per event for the monitor's prune
+                // and the parser's sidecar window alike: `horizon` behind
+                // the frontier, capped by the oldest declared but
+                // undelivered message (whose receive will still name its
+                // send event).
+                let prune = self.prune_horizon.map(|h| {
+                    let watermark = parser.events_seen().saturating_sub(h);
+                    let oldest = parser.oldest_pending_send();
+                    (h, oldest.map_or(watermark, |o| watermark.min(o)))
+                });
                 let seq = match feed {
                     EventFeed::Init { seq, .. } | EventFeed::Receive { seq, .. } => seq,
                 };
@@ -1196,16 +1206,8 @@ impl Session {
                         } else {
                             self.reply_fmt(format_args!("ok {seq}\n"));
                         }
-                        if let Some(h) = self.prune_horizon {
+                        if let Some((h, watermark)) = prune {
                             if mon.live_events() > 2 * h.max(1) {
-                                // Honest watermark: `horizon` behind the
-                                // frontier, capped by the oldest declared
-                                // but undelivered message (whose receive
-                                // will still name its send event).
-                                let mut watermark = parser.events_seen().saturating_sub(h);
-                                if let Some(oldest) = parser.oldest_pending_send() {
-                                    watermark = watermark.min(oldest);
-                                }
                                 mon.prune_settled(Some(EventId(watermark)));
                                 let at = self.lines_in;
                                 if let Some(fx) = self.forensics.as_mut() {
@@ -1217,16 +1219,12 @@ impl Session {
                         // read (`refresh_gauges`), not per event.
                     }
                 }
-                if let Some(h) = self.prune_horizon {
+                if let Some((_, watermark)) = prune {
                     // Window the parser's per-event sidecar on every event —
                     // including after a latch, when the checker is dropped
                     // but events keep arriving: without this, a violating
                     // firehose would grow `event_meta` per post-latch event,
                     // breaking the advertised memory bound.
-                    let mut watermark = parser.events_seen().saturating_sub(h);
-                    if let Some(oldest) = parser.oldest_pending_send() {
-                        watermark = watermark.min(oldest);
-                    }
                     parser.forget_events_below(watermark);
                 }
             }

@@ -135,7 +135,7 @@ impl Trace {
     /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed the monitor's
     /// integer range.
     pub fn replay_into_monitor(&self, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
-        Ok(self.replay_monitor_inner(xi, false)?.0)
+        Ok(self.replay_monitor_inner(xi, false, None)?.0)
     }
 
     /// Like [`Trace::replay_into_monitor`], but stops streaming as soon as
@@ -152,7 +152,7 @@ impl Trace {
         &self,
         xi: &Xi,
     ) -> Result<(IncrementalChecker, Option<usize>), CheckError> {
-        self.replay_monitor_inner(xi, true)
+        self.replay_monitor_inner(xi, true, None)
     }
 
     /// Like [`Trace::replay_into_monitor`], but in bounded-memory mode:
@@ -179,46 +179,33 @@ impl Trace {
         prune_every: usize,
     ) -> Result<IncrementalChecker, CheckError> {
         assert!(prune_every > 0, "prune_every must be positive");
-        // suffix_min[i] = the oldest send event any event at index >= i
-        // names — after appending event i, no later append can name
-        // anything below suffix_min[i + 1].
-        let mut suffix_min: Vec<usize> = vec![usize::MAX; self.events.len() + 1];
-        for (idx, ev) in self.events.iter().enumerate().rev() {
-            let named = ev
-                .trigger
-                .map_or(usize::MAX, |mi| self.messages[mi].send_event);
-            suffix_min[idx] = named.min(suffix_min[idx + 1]);
-        }
-        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
-        mon.enable_pruning();
-        for (p, faulty) in self.faulty.iter().enumerate() {
-            if *faulty {
-                mon.mark_faulty(ProcessId(p));
-            }
-        }
-        for (idx, ev) in self.events.iter().enumerate() {
-            match ev.trigger {
-                None => {
-                    mon.append_init(ev.process);
-                }
-                Some(mi) => {
-                    mon.append_send(EventId(self.messages[mi].send_event), ev.process);
-                }
-            }
-            if (idx + 1) % prune_every == 0 {
-                let watermark = suffix_min[idx + 1].min(idx + 1);
-                mon.prune_settled(Some(EventId(watermark)));
-            }
-        }
-        Ok(mon)
+        Ok(self.replay_monitor_inner(xi, false, Some(prune_every))?.0)
     }
 
+    /// The one replay loop. With `prune_every` the monitor drops its
+    /// mirror and prunes at that cadence (see
+    /// [`Trace::replay_into_monitor_bounded`]).
     fn replay_monitor_inner(
         &self,
         xi: &Xi,
         stop_on_violation: bool,
+        prune_every: Option<usize>,
     ) -> Result<(IncrementalChecker, Option<usize>), CheckError> {
         let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
+        // suffix_min[i] = the oldest send event any event at index >= i
+        // names — after appending event i, no later append can name
+        // anything below suffix_min[i + 1].
+        let mut suffix_min: Vec<usize> = Vec::new();
+        if prune_every.is_some() {
+            mon.enable_pruning();
+            suffix_min = vec![usize::MAX; self.events.len() + 1];
+            for (idx, ev) in self.events.iter().enumerate().rev() {
+                let named = ev
+                    .trigger
+                    .map_or(usize::MAX, |mi| self.messages[mi].send_event);
+                suffix_min[idx] = named.min(suffix_min[idx + 1]);
+            }
+        }
         for (p, faulty) in self.faulty.iter().enumerate() {
             if *faulty {
                 mon.mark_faulty(ProcessId(p));
@@ -235,6 +222,10 @@ impl Trace {
                     let send_event = EventId(self.messages[mi].send_event);
                     mon.append_send(send_event, ev.process);
                 }
+            }
+            if prune_every.is_some_and(|n| (idx + 1) % n == 0) {
+                let watermark = suffix_min[idx + 1].min(idx + 1);
+                mon.prune_settled(Some(EventId(watermark)));
             }
             if violation_at.is_none() && mon.violation().is_some() {
                 violation_at = Some(idx);
