@@ -1,12 +1,11 @@
-//! Sanity check for the claim `bench_ledger`'s `core.monitor.*` and
-//! `core.check.*` rows quantify: appended-event checking via the incremental monitor is at least 10×
-//! faster than batch re-checking on a growing clocksync trace.
-//!
-//! The real margin is orders of magnitude; the 10× assertion here (on a
-//! debug build, with a smaller trace than the benchmark's 10k events) is
-//! deliberately loose so CI timing noise cannot flake it.
-
-use std::time::Instant;
+//! Correctness half of the incremental-vs-batch claim. The speed half —
+//! appending an event to the incremental monitor costs orders of
+//! magnitude less than one batch re-check — is a measurement, not a test:
+//! `bench_ledger` carries it as `core.monitor.append_ns_per_event` against
+//! `core.check.find_violation_ns_per_event` (run
+//! `cargo run --release -p abc-bench --bin bench_ledger -- run`). What is
+//! asserted here holds on any machine: the two deciders agree, and the
+//! bounded monitor compacts the stream without changing the verdict.
 
 use abc_bench::workloads;
 use abc_core::{check, Xi};
@@ -19,30 +18,11 @@ fn incremental_append_beats_batch_recheck_by_10x() {
     let g = trace.to_execution_graph();
     assert_eq!(g.num_events(), events);
 
-    // Warm-up + correctness: the two deciders agree.
+    // The two deciders agree: streaming all `events` appends reaches the
+    // verdict of one batch check at full size.
     let mon = trace.replay_into_monitor(&xi).unwrap();
     assert!(mon.is_admissible());
     assert!(check::is_admissible(&g, &xi).unwrap());
-
-    // Streaming ALL `events` appends, timed as a whole.
-    let t0 = Instant::now();
-    let mon = trace.replay_into_monitor(&xi).unwrap();
-    let stream_total = t0.elapsed();
-    assert!(mon.is_admissible());
-
-    // ONE batch re-check at full size — the cost a batch-based monitor
-    // would pay per appended event.
-    let t1 = Instant::now();
-    assert!(check::is_admissible(&g, &xi).unwrap());
-    let batch_once = t1.elapsed();
-
-    // per-event incremental = stream_total / events; require
-    // batch_once >= 10 * per-event, i.e. stream_total * 10 <= batch_once * events.
-    assert!(
-        stream_total * 10 <= batch_once * (events as u32),
-        "incremental per-event append not >=10x faster: streamed {events} events \
-         in {stream_total:?} vs one batch re-check in {batch_once:?}"
-    );
 }
 
 #[test]

@@ -65,10 +65,10 @@ pub struct ForensicsBundle {
     pub latch: Option<(u64, String)>,
     /// Monitor counters (key, value), in [`MonitorStats`] field order.
     pub monitor: Vec<(String, u64)>,
-    /// Margin history: `(request#, ratio-or-none)` per exact sample that
-    /// the *client's own requests* (and the latch freeze) produced. Gated
-    /// warn probes are excluded: their schedule depends on read chunking,
-    /// which would break byte reproducibility.
+    /// Margin history: `(request#, ratio-or-none)` per exact sample —
+    /// the client's `margin` requests, the `--warn-margin` gate's exact
+    /// probes (scheduled per request, so independent of read chunking)
+    /// and the latch freeze.
     pub margins: Vec<(u64, String)>,
     /// Total margin samples observed (≥ `margins.len()`; the log keeps
     /// the most recent entries).

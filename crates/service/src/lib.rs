@@ -15,8 +15,18 @@
 //! Std-only by design (the build environment has no crates.io access — no
 //! tokio, no mio): a listener thread accepts connections and hands each to
 //! one of a fixed pool of **shard workers** (connection id → shard over
-//! `std::sync::mpsc`); each worker drives its sessions with non-blocking
-//! reads/writes. A session starts in the `abc-trace v1` line grammar in
+//! `std::sync::mpsc`); each worker drives its connections with
+//! non-blocking reads/writes. The split is sans-IO: the connection driver
+//! in [`server`] is the only code that touches a data socket — it owns the
+//! stream, the read buffer, the per-tick read budget and the byte counters
+//! — and the session behind it is a pure state machine, request bytes in
+//! and reply bytes out, that the driver asks only *want bytes?*, *here are
+//! bytes / EOF*, *pending reply slices* and *finished?*. Every peer
+//! behaviour (split points, half-close, slow readers, mid-document
+//! disconnects) is therefore a deterministic unit test of the session,
+//! with no socket in it.
+//!
+//! A session starts in the `abc-trace v1` line grammar in
 //! streaming order ([`abc_sim::Trace::to_stream_text`]), parsed by
 //! [`abc_sim::textio::TraceLineParser`] in its O(in-flight) streaming mode,
 //! and may negotiate the **v2 binary framing** (`proto v2` handshake,
@@ -42,8 +52,8 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`server`] | [`server::start`], [`server::ServerConfig`], shard workers, status port |
-//! | `session` | (internal) per-connection state machine |
+//! | [`server`] | [`server::start`], [`server::ServerConfig`], shard workers and the connection driver (the only data-socket I/O), status port |
+//! | `session` | (internal) sans-IO per-connection state machine: one request path for both framings, document half + reply half |
 //! | [`proto`] | wire protocol: replies, [`proto::Verdict`], [`proto::offline_verdict`] |
 //! | [`client`] | [`client::feed_stream_text`] / [`client::feed_stream_binary`] (`abc feed`), [`client::run_loadgen`] (`abc loadgen`), [`client::status_command`] |
 //! | [`metrics`] | named counter/gauge/histogram registry; human status page + Prometheus text exposition; per-session margin gauges |

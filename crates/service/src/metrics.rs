@@ -298,7 +298,6 @@ impl Metrics {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let uptime = self.started.elapsed();
-        let events = self.events.load(Ordering::Relaxed);
         let secs = uptime.as_secs_f64().max(1e-9);
         let mut out = String::new();
         let mut kv = |k: &str, v: u64| {
@@ -306,31 +305,13 @@ impl Metrics {
         };
         kv("uptime_seconds", uptime.as_secs());
         kv("sessions_active", self.sessions_active());
-        kv(
-            "sessions_total",
-            self.sessions_opened.load(Ordering::Relaxed),
-        );
-        kv("documents_total", self.documents.load(Ordering::Relaxed));
-        kv("events_total", events);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        kv("events_per_second_avg", (events as f64 / secs) as u64);
-        kv("violations_total", self.violations.load(Ordering::Relaxed));
-        kv(
-            "parse_errors_total",
-            self.parse_errors.load(Ordering::Relaxed),
-        );
-        kv("bytes_in_total", self.bytes_in.load(Ordering::Relaxed));
-        kv("bytes_out_total", self.bytes_out.load(Ordering::Relaxed));
-        kv("frames_total", self.frames.load(Ordering::Relaxed));
-        kv("acks_total", self.acks.load(Ordering::Relaxed));
-        kv(
-            "margin_warnings_total",
-            self.margin_warnings.load(Ordering::Relaxed),
-        );
-        kv(
-            "forensics_dumps_total",
-            self.forensics_dumps.load(Ordering::Relaxed),
-        );
+        for (name, _, value) in self.counters() {
+            kv(name, value);
+            if name == "events_total" {
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                kv("events_per_second_avg", (value as f64 / secs) as u64);
+            }
+        }
         kv("margin_samples_total", self.margin_hist.count());
         out
     }

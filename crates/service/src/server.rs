@@ -3,13 +3,15 @@
 //!
 //! Connections are assigned round-robin by connection id (`id % shards`)
 //! and handed to their shard over a `std::sync::mpsc` channel; each shard
-//! worker owns its sessions outright and drives them with non-blocking
-//! reads/writes, so no locks sit on the ingestion hot path. The shared
-//! session table (`Arc<Mutex<…>>`) holds only status-page metadata, with
-//! per-session counters as atomics.
+//! worker owns its connections outright and drives them with non-blocking
+//! reads/writes, so no locks sit on the ingestion hot path. A connection
+//! (`Conn`) is the only code that touches a data socket: it moves bytes
+//! between the socket and its sans-IO `Session` and knows nothing of
+//! the protocol. The shared session table (`Arc<Mutex<…>>`) holds only
+//! status-page metadata, with per-session counters as atomics.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -26,6 +28,16 @@ use crate::session::{Session, SessionCounters};
 /// How long idle loops sleep between polls. Accept latency and shutdown
 /// latency are bounded by this; busy loops never sleep.
 const IDLE_POLL: Duration = Duration::from_micros(500);
+
+/// Reads per tick per connection, so one firehose client cannot starve its
+/// shard siblings within a single scheduling round.
+const MAX_READS_PER_TICK: usize = 16;
+
+/// Per-connection read buffer size.
+const READ_BUF_LEN: usize = 64 * 1024;
+
+/// Reply slices submitted per `writev`.
+const OUT_MAX_IOV: usize = 8;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -484,6 +496,94 @@ fn accept_loop(
     }
 }
 
+/// One data connection: the socket, its read buffer and the session the
+/// bytes belong to. All it asks of the session is whether it wants bytes,
+/// what reply bytes are pending and whether it is finished.
+struct Conn {
+    stream: TcpStream,
+    /// Reused for the connection's lifetime (boxed so idle connections
+    /// don't widen the shard's stack frames).
+    read_buf: Box<[u8]>,
+    session: Session,
+    /// The socket failed or the session finished: the shard drops the
+    /// connection.
+    dead: bool,
+}
+
+impl Conn {
+    /// Drives the connection once: write pending replies, read whatever
+    /// arrived into the session, write again. Returns whether any byte
+    /// moved (the shard loop sleeps only when nothing did).
+    fn tick(&mut self, metrics: &Metrics) -> bool {
+        let mut work = self.write_replies(metrics);
+        if !self.dead && self.session.wants_bytes() {
+            work |= self.read_requests(metrics);
+            work |= self.write_replies(metrics);
+        }
+        if self.session.finished() {
+            self.dead = true;
+        }
+        work
+    }
+
+    fn read_requests(&mut self, metrics: &Metrics) -> bool {
+        let mut work = false;
+        for _ in 0..MAX_READS_PER_TICK {
+            match self.stream.read(&mut self.read_buf) {
+                Ok(0) => {
+                    self.session.feed_eof(metrics);
+                    break;
+                }
+                Ok(n) => {
+                    work = true;
+                    metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                    self.session
+                        .feed(self.read_buf.get(..n).unwrap_or(&[]), metrics);
+                    if !self.session.wants_bytes() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        work
+    }
+
+    fn write_replies(&mut self, metrics: &Metrics) -> bool {
+        // Span only when there is something to write, so idle ticks don't
+        // flood the recorder ring.
+        let _span = (self.session.pending() > 0).then(|| abc_obs::span("service.ack_drain"));
+        let mut work = false;
+        while self.session.pending() > 0 {
+            let mut slices = [IoSlice::new(&[]); OUT_MAX_IOV];
+            let k = self.session.reply_slices(&mut slices);
+            match (&self.stream).write_vectored(slices.get(..k).unwrap_or(&[])) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(n) => {
+                    work = true;
+                    metrics.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+                    self.session.consume(n);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        work
+    }
+}
+
 fn shard_loop(
     rx: &Receiver<NewConn>,
     config: &ServerConfig,
@@ -493,7 +593,7 @@ fn shard_loop(
     dump_epoch: &AtomicU64,
     shards_done: &AtomicUsize,
 ) {
-    let mut sessions: Vec<Session> = Vec::new();
+    let mut conns: Vec<Conn> = Vec::new();
     let mut seen_epoch = dump_epoch.load(Ordering::Relaxed);
     // Idle backoff: yield to the scheduler for a bounded number of rounds
     // before sleeping `IDLE_POLL`. On loaded single-core hosts this keeps a
@@ -513,7 +613,12 @@ fn shard_loop(
                 metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            sessions.push(Session::new(conn.id, conn.stream, config, conn.counters));
+            conns.push(Conn {
+                stream: conn.stream,
+                read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
+                session: Session::new(conn.id, config, conn.counters),
+                dead: false,
+            });
             work = true;
         }
         // Relaxed: the epoch is a pure signal (see request_forensics_dump);
@@ -521,22 +626,22 @@ fn shard_loop(
         let epoch = dump_epoch.load(Ordering::Relaxed);
         if epoch != seen_epoch {
             seen_epoch = epoch;
-            for s in &mut sessions {
-                s.dump_forensics("request", metrics);
+            for c in &mut conns {
+                c.session.dump_forensics("request", metrics);
             }
             work = true;
         }
-        for s in &mut sessions {
-            work |= s.tick(metrics);
+        for c in &mut conns {
+            work |= c.tick(metrics);
         }
-        if work && !sessions.is_empty() {
+        if work && !conns.is_empty() {
             // One shard-queue-depth sample per round that did work — the
             // loadgen/forensics view of how loaded this shard is.
-            abc_obs::sample("service.shard_sessions", sessions.len() as u64);
+            abc_obs::sample("service.shard_sessions", conns.len() as u64);
         }
-        sessions.retain(|s| {
-            if s.dead {
-                lock_table(table).remove(&s.id);
+        conns.retain(|c| {
+            if c.dead {
+                lock_table(table).remove(&c.session.id());
                 metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 work = true;
                 false
@@ -547,8 +652,8 @@ fn shard_loop(
         if stopping {
             // Graceful: one more flush round already happened via tick();
             // drop whatever remains.
-            for s in sessions.drain(..) {
-                lock_table(table).remove(&s.id);
+            for c in conns.drain(..) {
+                lock_table(table).remove(&c.session.id());
                 metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
             }
             // ordering: Release pairs with the Acquire loads in
@@ -615,17 +720,23 @@ fn snapshot_sessions(table: &SessionTable) -> Vec<(u64, SessionMeta)> {
     table.iter().map(|(id, meta)| (*id, meta.clone())).collect()
 }
 
+/// Aggregate monitor memory over the live sessions: `(live_events,
+/// live_arcs, pruned_events)`.
+fn monitor_totals(rows: &[(u64, SessionMeta)]) -> (u64, u64, u64) {
+    let sum = |gauge: fn(&SessionMeta) -> u64| rows.iter().map(|(_, meta)| gauge(meta)).sum();
+    (
+        sum(SessionMeta::live_events),
+        sum(SessionMeta::live_arcs),
+        sum(SessionMeta::pruned_events),
+    )
+}
+
 /// Renders the human status page: the metrics registry, aggregate
 /// monitor-memory gauges, and one row per live session.
 fn render_human_status(metrics: &Metrics, rows: &[(u64, SessionMeta)]) -> String {
     use std::fmt::Write;
     let mut body = metrics.render();
-    let (mut live_events, mut live_arcs, mut pruned) = (0u64, 0u64, 0u64);
-    for (_, meta) in rows {
-        live_events += meta.live_events();
-        live_arcs += meta.live_arcs();
-        pruned += meta.pruned_events();
-    }
+    let (live_events, live_arcs, pruned) = monitor_totals(rows);
     let _ = writeln!(body, "abc_service_monitor_live_events {live_events}");
     let _ = writeln!(body, "abc_service_monitor_live_arcs {live_arcs}");
     let _ = writeln!(body, "abc_service_monitor_pruned_events_total {pruned}");
@@ -658,12 +769,7 @@ fn render_prometheus_status(metrics: &Metrics, rows: &[(u64, SessionMeta)]) -> S
     use crate::metrics::{prom_header, Kind};
     use std::fmt::Write;
     let mut body = metrics.render_prometheus();
-    let (mut live_events, mut live_arcs, mut pruned) = (0u64, 0u64, 0u64);
-    for (_, meta) in rows {
-        live_events += meta.live_events();
-        live_arcs += meta.live_arcs();
-        pruned += meta.pruned_events();
-    }
+    let (live_events, live_arcs, pruned) = monitor_totals(rows);
     prom_header(
         &mut body,
         "abc_service_monitor_live_events",

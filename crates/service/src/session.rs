@@ -1,15 +1,29 @@
-//! One client connection: non-blocking request framing (v1 text lines or
-//! negotiated v2 binary frames), streaming trace parsing, an incremental
-//! ABC checker per document, and chunked vectored reply buffering.
+//! One client session as a sans-IO state machine: request bytes in, reply
+//! bytes out. Request framing (v1 text lines or negotiated v2 binary
+//! frames), streaming trace parsing, an incremental ABC checker per
+//! document and chunked reply buffering live here; the socket does not.
+//! The connection driver in [`crate::server`] owns every read and write
+//! and asks a session only four things: *want bytes?*
+//! ([`Session::wants_bytes`]), *here are bytes / EOF* ([`Session::feed`],
+//! [`Session::feed_eof`]), *pending reply slices*
+//! ([`Session::reply_slices`], [`Session::consume`]) and *finished?*
+//! ([`Session::finished`]).
+//!
+//! Both framings share one request path: [`Session::drain`] pulls
+//! requests out of the framing in batches (every completed line, or the
+//! records of one frame), [`ReplyHalf::request`] classifies and applies
+//! each, and [`ReplyHalf::settle`] closes the batch. Session state is
+//! split into a document half ([`RunningDoc`]) and a reply half
+//! ([`ReplyHalf`]) so the document state machine can queue replies while
+//! it holds the parser and the checker.
 
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::io::{IoSlice, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use abc_core::monitor::{IncrementalChecker, MarginReport, MonitorStats};
+use abc_core::monitor::{IncrementalChecker, MonitorStats};
 use abc_core::{EventId, ProcessId, Xi};
 use abc_rational::Ratio;
 use abc_sim::binio::{FrameAssembler, RecordDecoder, WireRecord};
@@ -17,29 +31,22 @@ use abc_sim::textio::{EventFeed, LineAssembler, ParsedLine, TraceLineParser, Tra
 
 use crate::forensics::{monitor_counter_pairs, wire_record_line, ForensicsBundle};
 use crate::metrics::{ratio_to_basis_points, Metrics, MARGIN_NONE};
+use crate::proto;
 use crate::server::ServerConfig;
 
 // Flight-recorder hooks (no-ops unless the embedding process called
-// `abc_obs::enable`): RAII spans cover only per-frame / per-drain work,
-// and on the batched v2 path the record/feed counters flush as one
-// delta add per frame (alongside `flush_event_counters`) rather than
-// one recorder touch per record.
+// `abc_obs::enable`): RAII spans cover only per-frame work, and the
+// record/feed counters flush as one delta add per drained batch
+// (alongside `flush_event_counters`) rather than one recorder touch per
+// record.
 static OBS_CHECKER_FEED: abc_obs::CounterDef = abc_obs::CounterDef::new("service.checker_feed");
 static OBS_FRAMES: abc_obs::CounterDef = abc_obs::CounterDef::new("service.frame_decodes");
 static OBS_RECORDS: abc_obs::CounterDef = abc_obs::CounterDef::new("service.records");
 
 /// Soft cap on buffered reply bytes: when a client stops draining replies,
-/// the session stops reading new requests until the buffer shrinks — the
-/// slow client throttles itself, not the server.
+/// the session stops asking for new requests until the buffer shrinks —
+/// the slow client throttles itself, not the server.
 const OUT_SOFT_CAP: usize = 1 << 20;
-
-/// Reads per tick per session, so one firehose client cannot starve its
-/// shard siblings within a single scheduling round.
-const MAX_READS_PER_TICK: usize = 16;
-
-/// Per-session read buffer. Reused for the connection's lifetime (boxed so
-/// idle sessions don't widen the shard's stack frames).
-const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Reply-buffer chunk size. Chunks recycle through a small spare pool, so
 /// a steady-state session allocates no reply memory at all.
@@ -48,21 +55,54 @@ const OUT_CHUNK: usize = 16 * 1024;
 /// Recycled empty chunks kept per session.
 const OUT_SPARE_CAP: usize = 4;
 
-/// Reply chunks submitted per `writev`.
-const OUT_MAX_IOV: usize = 8;
-
 /// Microseconds since `t0`, saturating (histogram observations).
 fn micros_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
-/// The request framing the session currently decodes.
+/// The request framing the session currently decodes, with the state only
+/// that framing needs.
 enum RxMode {
     /// `abc-trace v1` text lines (the initial mode).
     Text(LineAssembler),
     /// `abc-trace v2` length-prefixed binary frames, after a completed
     /// `proto v2` handshake.
-    Binary(FrameAssembler),
+    Binary {
+        frames: FrameAssembler,
+        /// Delta-decoder state for event times (reset per document by the
+        /// `processes` record itself).
+        decoder: RecordDecoder,
+        /// Reusable scratch holding the frame being decoded.
+        frame: Vec<u8>,
+    },
+}
+
+/// One request as its framing yielded it.
+#[derive(Clone, Copy)]
+enum Request<'a> {
+    Line(&'a str),
+    Record(&'a WireRecord),
+}
+
+/// What a request asks for, once classified.
+enum Class<'a> {
+    /// On-demand margin sample, accepted mid-document and between
+    /// documents (`margin` is not a trace-grammar line, so the
+    /// interception shadows nothing).
+    Margin,
+    /// Blank or comment line between documents.
+    Blank,
+    /// A `Ξ` specification.
+    Xi(&'a str),
+    /// The `proto v2` upgrade request.
+    ProtoV2,
+    /// `proto v1`: pins the (default) text framing, a handshaked no-op.
+    ProtoV1,
+    /// `proto <anything else>`.
+    ProtoUnknown(&'a str),
+    /// A trace-document line or record; the first one opens a document
+    /// (the parser rejects a non-header start with a precise message).
+    Document,
 }
 
 /// Buffered replies as a queue of fixed-size chunks, drained with vectored
@@ -70,8 +110,14 @@ enum RxMode {
 /// of memmoving a tail, and chunk recycling keeps the hot ingest path
 /// allocation-free.
 struct OutBuf {
-    chunks: VecDeque<Vec<u8>>,
-    /// Bytes of the front chunk already written.
+    /// Sealed chunks, oldest first.
+    full: VecDeque<Vec<u8>>,
+    /// The chunk being filled, sealed into `full` once it holds
+    /// [`OUT_CHUNK`] bytes. It lives outside the queue, so appending never
+    /// has to prove the queue non-empty.
+    tail: Vec<u8>,
+    /// Bytes of the oldest chunk (`full`'s front, else `tail`) already
+    /// written.
     head_pos: usize,
     /// Total unwritten bytes across all chunks.
     pending: usize,
@@ -81,37 +127,24 @@ struct OutBuf {
 impl OutBuf {
     fn new() -> OutBuf {
         OutBuf {
-            chunks: VecDeque::new(),
+            full: VecDeque::new(),
+            tail: Vec::with_capacity(OUT_CHUNK),
             head_pos: 0,
             pending: 0,
             spare: Vec::new(),
         }
     }
 
-    fn pending(&self) -> usize {
-        self.pending
-    }
-
     fn tail(&mut self) -> &mut Vec<u8> {
-        let need_new = match self.chunks.back() {
-            Some(c) => c.len() >= OUT_CHUNK,
-            None => true,
-        };
-        if need_new {
-            let c = self
+        if self.tail.len() >= OUT_CHUNK {
+            let fresh = self
                 .spare
                 .pop()
                 .unwrap_or_else(|| Vec::with_capacity(OUT_CHUNK));
-            self.chunks.push_back(c);
+            self.full
+                .push_back(std::mem::replace(&mut self.tail, fresh));
         }
-        self.chunks
-            .back_mut()
-            .expect("a tail chunk was just ensured")
-    }
-
-    fn push_str(&mut self, s: &str) {
-        self.tail().extend_from_slice(s.as_bytes());
-        self.pending += s.len();
+        &mut self.tail
     }
 
     fn push_fmt(&mut self, args: std::fmt::Arguments<'_>) {
@@ -123,22 +156,22 @@ impl OutBuf {
         self.pending += delta;
     }
 
-    /// Fills `slices` with the unwritten chunk tails, front first.
-    fn ioslices<'a>(&'a self, slices: &mut [IoSlice<'a>; OUT_MAX_IOV]) -> usize {
+    /// Fills `slices` with the unwritten chunk tails, oldest first;
+    /// returns how many were filled.
+    fn slices<'a>(&'a self, slices: &mut [IoSlice<'a>]) -> usize {
         let mut k = 0;
-        for (i, c) in self.chunks.iter().enumerate() {
+        let mut skip = self.head_pos;
+        for c in self.full.iter().chain(std::iter::once(&self.tail)) {
+            let s = c.get(skip..).unwrap_or(&[]);
+            skip = 0;
+            if s.is_empty() {
+                continue;
+            }
             let Some(slot) = slices.get_mut(k) else {
                 break;
             };
-            let s: &[u8] = if i == 0 {
-                c.get(self.head_pos..).unwrap_or(&[])
-            } else {
-                c
-            };
-            if !s.is_empty() {
-                *slot = IoSlice::new(s);
-                k += 1;
-            }
+            *slot = IoSlice::new(s);
+            k += 1;
         }
         k
     }
@@ -146,61 +179,51 @@ impl OutBuf {
     /// Marks `n` bytes written, recycling fully drained chunks.
     fn consume(&mut self, mut n: usize) {
         self.pending -= n;
-        while n > 0
-            || self
-                .chunks
-                .front()
-                .is_some_and(|c| c.len() == self.head_pos)
-        {
-            let avail = match self.chunks.front() {
-                Some(c) => c.len() - self.head_pos,
-                None => break,
-            };
-            if n >= avail {
-                n -= avail;
-                let Some(mut c) = self.chunks.pop_front() else {
-                    break; // unreachable: `avail` came from this chunk
-                };
+        while let Some(front) = self.full.front() {
+            let avail = front.len() - self.head_pos;
+            if n < avail {
+                self.head_pos += n;
+                return;
+            }
+            n -= avail;
+            self.head_pos = 0;
+            if let Some(mut c) = self.full.pop_front() {
                 c.clear();
-                self.head_pos = 0;
                 if self.spare.len() < OUT_SPARE_CAP {
                     self.spare.push(c);
                 }
-            } else {
-                self.head_pos += n;
-                n = 0;
             }
+        }
+        self.head_pos += n;
+        if self.head_pos == self.tail.len() {
+            self.tail.clear();
+            self.head_pos = 0;
         }
     }
 }
 
-/// The per-document ingestion state.
-///
-/// The `Running` payload is boxed: `drive_document` moves the state out of
-/// the session and back **per record**, and the parser + checker are ~1.2 KB
-/// inline — boxing turns that round trip into two pointer moves.
-enum DocState {
-    /// Between documents: accepting `xi …` / `proto …` requests or the
-    /// start of a trace document.
-    Idle,
-    /// Mid-document.
-    Running(Box<RunningDoc>),
-}
-
-/// Mid-document state: the shared validation parser plus the live monitor.
+/// The document half of a session: the shared validation parser plus the
+/// live monitor of the open document.
 struct RunningDoc {
     parser: TraceLineParser,
-    /// Created at the `faulty` line; dropped at `end` (memory is per
-    /// in-flight document, not per connection lifetime).
+    /// Created at the `faulty` line; dropped at the latch or with the
+    /// document (memory is per in-flight document, not per connection
+    /// lifetime).
     checker: Option<IncrementalChecker>,
-    /// `(latch_seq, wire_witness)` once the monitor latched. After the
-    /// latch the checker is no longer fed — the verdict can never
-    /// change, so remaining events only count (and, in v1, echo).
-    latched: Option<(usize, String)>,
-    /// The latched witness's exact ratio, kept so `margin` requests
-    /// after the latch (when the checker is dropped) still answer with
-    /// the frozen margin.
-    margin_frozen: Option<Ratio>,
+    /// Set once the monitor latched. After the latch the checker is no
+    /// longer fed — the verdict can never change, so remaining events
+    /// only count (and, in v1, echo).
+    latched: Option<Latch>,
+}
+
+/// A latched violation, outliving the checker that found it.
+struct Latch {
+    seq: usize,
+    /// The witness in wire form.
+    wire: String,
+    /// The witness's exact ratio, kept so `margin` requests after the
+    /// latch still answer with the frozen margin.
+    margin: Option<Ratio>,
 }
 
 /// Live counters shared with the server's session table (status page).
@@ -253,9 +276,11 @@ struct Forensics {
     tail: VecDeque<String>,
     tail_cap: usize,
     tail_total: u64,
-    /// `(request#, ratio-or-none)` per client-driven exact margin sample
-    /// (`margin` requests and the latch freeze). Gated warn probes are
-    /// excluded — their schedule depends on read chunking.
+    /// `(request#, ratio-or-none)` per exact margin sample: `margin`
+    /// requests, the warn gate's exact probes and the latch freeze. All
+    /// three are functions of the request sequence alone (the warn gate
+    /// is evaluated once per request, never per read), so the history is
+    /// as reproducible as the rest of the bundle.
     margins: VecDeque<(u64, String)>,
     margins_total: u64,
     /// `(request#, entry)` decision timeline: document starts, topology,
@@ -313,21 +338,16 @@ impl Forensics {
     }
 }
 
-pub(crate) struct Session {
-    pub(crate) id: u64,
-    stream: TcpStream,
-    rx: RxMode,
-    /// Delta-decoder state for binary event times (reset per document by
-    /// the `processes` record itself).
-    decoder: RecordDecoder,
-    /// Reusable scratch holding the frame being decoded.
-    frame_buf: Vec<u8>,
-    /// Reusable socket read buffer.
-    read_buf: Box<[u8]>,
-    doc: DocState,
+/// The reply half of a session: everything a request may touch besides the
+/// framing and the open document — numbering, the reply queue, monitor
+/// settings, counters and forensics capture.
+struct ReplyHalf {
+    id: u64,
+    /// Whether the session speaks v2: replies coalesce into `ack`s and
+    /// errors cite records. Flips together with [`Session::rx`].
+    v2: bool,
     xi: Xi,
     max_processes: usize,
-    max_frame_len: usize,
     /// Bounded-memory monitoring: prune each document's checker so at most
     /// ~`2·horizon` events stay live (`None` = exact unbounded mode).
     prune_horizon: Option<usize>,
@@ -340,11 +360,11 @@ pub(crate) struct Session {
     /// Whether the open document's warning already fired (at most one
     /// warning per document).
     warned: bool,
-    /// Request count (`lines_in`) at which the next *drain-gated* exact
-    /// margin probe may run. Doubled after each probe, so an unresolved
+    /// Request count (`lines_in`) at which the next *gated* exact margin
+    /// probe may run. Doubled after each probe, so an unresolved
     /// `--warn-margin` threshold (cheap bound above it, exact margin
     /// below) costs `O(log n)` exact probes per document instead of one
-    /// per ingested batch. On-demand `margin` requests bypass this gate.
+    /// per request. On-demand `margin` requests bypass this gate.
     probe_gate: usize,
     /// Pruned-event count already folded into the session counter for the
     /// open document (the monitor reports a per-document running total).
@@ -357,38 +377,37 @@ pub(crate) struct Session {
     /// flushed as one coalesced `ack <through>` per fully ingested frame.
     unacked: Option<usize>,
     /// Events ingested but not yet folded into the shared atomic counters
-    /// (see [`Session::flush_event_counters`]).
+    /// (see [`ReplyHalf::flush_event_counters`]).
     doc_events_pending: u64,
     out: OutBuf,
-    /// Half-closed: no more requests will arrive; die once `out` drains.
+    /// Half-closed: no more requests will arrive; finished once `out`
+    /// drains.
     eof: bool,
-    /// Fatal protocol error queued; die once `out` drains.
+    /// Fatal protocol error queued; finished once `out` drains.
     poisoned: bool,
-    pub(crate) dead: bool,
-    pub(crate) counters: SessionCounters,
+    counters: SessionCounters,
     /// Violation-forensics capture (boxed: ~5 pointers of cold state, and
     /// `None` entirely unless the server configured a forensics dir).
     forensics: Option<Box<Forensics>>,
 }
 
+pub(crate) struct Session {
+    rx: RxMode,
+    /// Per-frame byte cap for the binary framing, should it be negotiated.
+    max_frame_len: usize,
+    /// The open document; `None` between documents, when `xi …` /
+    /// `proto …` requests or the start of a trace document are accepted.
+    doc: Option<RunningDoc>,
+    tx: ReplyHalf,
+}
+
 impl Session {
-    pub(crate) fn new(
-        id: u64,
-        stream: TcpStream,
-        config: &ServerConfig,
-        counters: SessionCounters,
-    ) -> Session {
-        let mut s = Session {
+    pub(crate) fn new(id: u64, config: &ServerConfig, counters: SessionCounters) -> Session {
+        let mut tx = ReplyHalf {
             id,
-            stream,
-            rx: RxMode::Text(LineAssembler::new(config.max_line_len)),
-            decoder: RecordDecoder::new(),
-            frame_buf: Vec::new(),
-            read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
-            doc: DocState::Idle,
+            v2: false,
             xi: config.xi.clone(),
             max_processes: config.max_processes,
-            max_frame_len: config.max_frame_len,
             prune_horizon: config.prune_horizon,
             warn_margin: config.warn_margin.clone(),
             margin_tracking: config.margin_tracking,
@@ -401,25 +420,181 @@ impl Session {
             out: OutBuf::new(),
             eof: false,
             poisoned: false,
-            dead: false,
             counters,
             forensics: config
                 .forensics_dir
                 .as_ref()
                 .map(|dir| Box::new(Forensics::new(dir.clone(), config.forensics_tail))),
         };
-        s.reply_fmt(format_args!("{}\n", crate::proto::GREETING));
-        s
+        tx.reply_fmt(format_args!("{}\n", proto::GREETING));
+        Session {
+            rx: RxMode::Text(LineAssembler::new(config.max_line_len)),
+            max_frame_len: config.max_frame_len,
+            doc: None,
+            tx,
+        }
     }
 
-    fn binary(&self) -> bool {
-        matches!(self.rx, RxMode::Binary(_))
+    pub(crate) fn id(&self) -> u64 {
+        self.tx.id
     }
 
-    fn reply(&mut self, line: &str) {
-        self.out.push_str(line);
+    /// Whether the session will take more request bytes now: not after
+    /// EOF or a fatal error, and not while the peer leaves
+    /// [`OUT_SOFT_CAP`] reply bytes undrained.
+    pub(crate) fn wants_bytes(&self) -> bool {
+        !self.tx.eof && !self.tx.poisoned && self.tx.out.pending < OUT_SOFT_CAP
     }
 
+    /// Whether the session is over: no more requests will be processed and
+    /// every reply has been handed out.
+    pub(crate) fn finished(&self) -> bool {
+        (self.tx.eof || self.tx.poisoned) && self.tx.out.pending == 0
+    }
+
+    /// Reply bytes queued and not yet [`Session::consume`]d.
+    pub(crate) fn pending(&self) -> usize {
+        self.tx.out.pending
+    }
+
+    /// Fills `slices` with the pending reply bytes, oldest first; returns
+    /// how many slices were filled.
+    pub(crate) fn reply_slices<'a>(&'a self, slices: &mut [IoSlice<'a>]) -> usize {
+        self.tx.out.slices(slices)
+    }
+
+    /// Marks the first `n` pending reply bytes as written.
+    pub(crate) fn consume(&mut self, n: usize) {
+        self.tx.out.consume(n);
+    }
+
+    /// The one bytes-in entry point: frames `bytes` and processes every
+    /// request they complete.
+    pub(crate) fn feed(&mut self, bytes: &[u8], metrics: &Metrics) {
+        let pushed = match &mut self.rx {
+            RxMode::Text(lines) => lines.push(bytes).map_err(|e| e.message),
+            RxMode::Binary { frames, .. } => frames.push(bytes),
+        };
+        // Requests completed before a failure point still process (and
+        // number) normally; only then is the offending oversized/invalid
+        // line itself counted.
+        self.drain(metrics);
+        if let Err(m) = pushed {
+            self.tx.framing_error(&m, metrics);
+        }
+    }
+
+    /// End of requests. Text: a final line without a trailing newline is
+    /// still a line (feed clients may half-close right after `end`).
+    /// Binary: a partial frame at EOF is a protocol error — and partial is
+    /// all that can be buffered here, since every [`Session::feed`] drains
+    /// the requests it completed.
+    pub(crate) fn feed_eof(&mut self, metrics: &Metrics) {
+        let finished = match &mut self.rx {
+            RxMode::Text(lines) => lines.finish().map_err(|e| e.message),
+            RxMode::Binary { frames, .. } => frames.finish(),
+        };
+        self.drain(metrics);
+        if let Err(m) = finished {
+            self.tx.framing_error(&m, metrics);
+        }
+        self.tx.eof = true;
+    }
+
+    /// The one drain loop: takes batches of requests out of the framing —
+    /// every completed line, or the records of one frame — hands each to
+    /// [`ReplyHalf::request`] and settles the batch.
+    fn drain(&mut self, metrics: &Metrics) {
+        let Session {
+            rx,
+            max_frame_len,
+            doc,
+            tx,
+        } = self;
+        while !tx.poisoned {
+            let t0 = Instant::now();
+            let lines_before = tx.lines_in;
+            let v2 = tx.v2;
+            let mut requests = 0u64;
+            let mut _span = None;
+            match &mut *rx {
+                RxMode::Text(lines) => {
+                    let mut upgrade = false;
+                    while !tx.poisoned && !upgrade {
+                        let Some(line) = lines.next_line() else {
+                            break;
+                        };
+                        requests += 1;
+                        upgrade = tx.request(doc, Request::Line(&line), metrics);
+                    }
+                    // The handshake is strict: the client must wait for
+                    // the `proto v2 ok` reply, so any bytes already
+                    // pipelined behind the request are a protocol error
+                    // (they would otherwise be misread as text).
+                    if upgrade && lines.has_buffered() {
+                        tx.protocol_error(
+                            "data pipelined behind `proto v2` (wait for `proto v2 ok`)",
+                            metrics,
+                        );
+                    } else if upgrade {
+                        tx.reply_fmt(format_args!("{}\n", proto::PROTO_V2_OK));
+                        *rx = RxMode::Binary {
+                            frames: FrameAssembler::new(*max_frame_len),
+                            decoder: RecordDecoder::new(),
+                            frame: Vec::new(),
+                        };
+                        tx.v2 = true;
+                        // Error replies now cite record numbers, counted
+                        // from the switch.
+                        tx.lines_in = 0;
+                    }
+                }
+                RxMode::Binary {
+                    frames,
+                    decoder,
+                    frame,
+                } => match frames.next_frame_into(frame) {
+                    Ok(true) => {
+                        _span = Some(abc_obs::span("service.frame_decode"));
+                        OBS_FRAMES.add(1);
+                        metrics.frames.fetch_add(1, Ordering::Relaxed);
+                        let structural = decoder.decode_frame(frame, &mut |rec| {
+                            requests += 1;
+                            tx.request(doc, Request::Record(&rec), metrics);
+                            !tx.poisoned
+                        });
+                        if let Err(m) = structural {
+                            tx.framing_error(&m, metrics);
+                        }
+                    }
+                    Ok(false) => break,
+                    Err(m) => {
+                        tx.framing_error(&m, metrics);
+                        break;
+                    }
+                },
+            }
+            OBS_RECORDS.add(requests);
+            tx.settle(doc.as_ref(), t0, lines_before, v2, metrics);
+            if !v2 {
+                // A text batch took every completed line.
+                break;
+            }
+        }
+    }
+
+    /// Writes a forensics bundle for this session (see
+    /// [`ReplyHalf::dump_forensics`]).
+    pub(crate) fn dump_forensics(&mut self, reason: &str, metrics: &Metrics) -> bool {
+        // A live checker refreshes the frozen counters; the latch already
+        // froze them right before dropping its checker.
+        let live = self.doc.as_ref().and_then(|d| d.checker.as_ref());
+        self.tx
+            .dump_forensics(live.map(IncrementalChecker::stats), reason, metrics)
+    }
+}
+
+impl ReplyHalf {
     fn reply_fmt(&mut self, args: std::fmt::Arguments<'_>) {
         self.out.push_fmt(args);
     }
@@ -434,9 +609,9 @@ impl Session {
     }
 
     /// Folds locally accumulated event counts into the shared atomics.
-    /// Called at reply boundaries (frame ack, text drain, latch, `end`,
-    /// error) so the status-port counters are exact whenever a client can
-    /// observe progress — without paying two atomic RMWs per event.
+    /// Called at reply boundaries (batch settle, latch, `end`, error) so
+    /// the status-port counters are exact whenever a client can observe
+    /// progress — without paying two atomic RMWs per event.
     fn flush_event_counters(&mut self, metrics: &Metrics) {
         if self.doc_events_pending > 0 {
             OBS_CHECKER_FEED.add(self.doc_events_pending);
@@ -450,24 +625,38 @@ impl Session {
         }
     }
 
-    /// Refreshes the monitor-memory gauges from the open document's
-    /// checker (batched alongside [`Session::flush_event_counters`]).
-    fn refresh_gauges(&mut self) {
-        let snap = if let DocState::Running(doc) = &self.doc {
-            doc.checker.as_ref().map(|mon| {
-                (
-                    mon.live_events() as u64,
-                    mon.live_arcs() as u64,
-                    mon.stats().pruned_events,
-                )
-            })
-        } else {
-            None
-        };
-        if let Some((live, arcs, pruned)) = snap {
-            self.counters.live_events.store(live, Ordering::Relaxed);
-            self.counters.live_arcs.store(arcs, Ordering::Relaxed);
-            self.note_pruned(pruned);
+    /// Settles one drained batch (`v2`: it came out of a binary frame).
+    /// Counters and gauges settle before the ack covering the frame is
+    /// queued, so a client observing the ack sees exact status counters;
+    /// violation and `end` replies were already queued in request order,
+    /// so they precede it.
+    fn settle(
+        &mut self,
+        doc: Option<&RunningDoc>,
+        t0: Instant,
+        lines_before: usize,
+        v2: bool,
+        metrics: &Metrics,
+    ) {
+        self.flush_event_counters(metrics);
+        if let Some(mon) = doc.and_then(|d| d.checker.as_ref()) {
+            // Memory gauges refresh per batch, not per event.
+            self.counters
+                .live_events
+                .store(mon.live_events() as u64, Ordering::Relaxed);
+            self.counters
+                .live_arcs
+                .store(mon.live_arcs() as u64, Ordering::Relaxed);
+            self.note_pruned(mon.stats().pruned_events);
+        }
+        // (A completed handshake restarted the numbering: that batch goes
+        // unobserved.)
+        if self.lines_in > lines_before {
+            metrics.ingest_hist.observe(micros_since(t0));
+        }
+        if v2 && !self.poisoned {
+            self.flush_ack(metrics);
+            metrics.ack_hist.observe(micros_since(t0));
         }
     }
 
@@ -483,9 +672,11 @@ impl Session {
         }
     }
 
-    /// Resets the per-document margin state (gauges, warning latch) at
-    /// the start of a fresh document.
-    fn begin_document(&mut self) {
+    /// Opens a fresh document: resets the per-document margin state
+    /// (gauges, warning latch) and builds the one streaming parser both
+    /// framings feed, so text and binary accept exactly the same documents
+    /// and produce byte-identical verdicts.
+    fn begin_document(&mut self) -> RunningDoc {
         self.doc_pruned_reported = 0;
         self.warned = false;
         self.probe_gate = 0;
@@ -493,10 +684,23 @@ impl Session {
             .margin_bp
             .store(MARGIN_NONE, Ordering::Relaxed);
         self.counters.warning.store(0, Ordering::Relaxed);
-        let framing = if self.binary() { "binary" } else { "text" };
+        let framing = if self.v2 { "binary" } else { "text" };
         let at = self.lines_in;
         if let Some(fx) = self.forensics.as_mut() {
             fx.note(at, format!("document start ({framing} framing)"));
+        }
+        let parser = TraceLineParser::new_streaming().with_max_processes(self.max_processes);
+        RunningDoc {
+            // Binary documents carry no `abc-trace` header line — the
+            // frame tag already names the format — so the parser starts
+            // past it.
+            parser: if self.v2 {
+                parser.without_header()
+            } else {
+                parser
+            },
+            checker: None,
+            latched: None,
         }
     }
 
@@ -507,13 +711,18 @@ impl Session {
         self.prune_horizon.is_none() || self.margin_tracking
     }
 
-    /// Publishes one exactly computed margin: per-session gauge plus the
-    /// workspace-wide histogram. Gauges move only on exact computations
-    /// — the cheap upper bound never reaches them.
+    /// Publishes one exactly computed margin: per-session gauge, the
+    /// workspace-wide histogram and the forensics history. Gauges move
+    /// only on exact computations — the cheap upper bound never reaches
+    /// them.
     fn publish_margin(&mut self, ratio: &Ratio, metrics: &Metrics) {
         let bp = ratio_to_basis_points(ratio);
         self.counters.margin_bp.store(bp, Ordering::Relaxed);
         metrics.margin_hist.observe(bp);
+        let at = self.lines_in;
+        if let Some(fx) = self.forensics.as_mut() {
+            fx.record_margin(at, ratio.to_string());
+        }
     }
 
     /// Flips the per-session warning state (at most once per document)
@@ -537,10 +746,10 @@ impl Session {
     /// Handles an on-demand margin request (the v1 `margin` line / the
     /// v2 margin record): replies `margin none` or
     /// `margin <P/Q> [<wire-witness>]` with the exact current margin,
-    /// updating the margin gauge and histogram. Between documents (no
-    /// cycles yet) the reply is `margin none`; after a latch the margin
-    /// is frozen at the latched witness's ratio.
-    fn margin_request(&mut self, metrics: &Metrics) {
+    /// updating the margin gauge and histogram. Between documents and
+    /// before the topology (no cycles yet) the reply is `margin none`;
+    /// after a latch the margin is frozen at the latched witness's ratio.
+    fn margin_request(&mut self, doc: Option<&RunningDoc>, metrics: &Metrics) {
         if !self.can_probe_margin() {
             self.protocol_error(
                 "margin unavailable: server prunes without margin tracking",
@@ -548,100 +757,75 @@ impl Session {
             );
             return;
         }
-        // Probe first (immutable borrow of the document state), then
-        // publish and reply (mutable borrows of the session). `live` is
-        // true when the sample came from a still-admissible checker —
-        // only those samples may arm the early warning.
-        let probed: Result<Option<(MarginReport, bool)>, String> = match &self.doc {
-            DocState::Idle => Ok(None),
-            DocState::Running(doc) => match (&doc.checker, &doc.margin_frozen, &doc.latched) {
-                (Some(mon), _, _) => mon
-                    .current_margin()
-                    .map(|m| m.map(|rep| (rep, true)))
-                    .map_err(|e| format!("margin: {e}")),
-                (None, Some(frozen), Some((_, wire))) => Ok(Some((
-                    MarginReport {
-                        ratio: frozen.clone(),
-                        witness: match abc_core::cycle::WitnessSummary::from_wire(wire) {
-                            Ok(w) => Some(w),
-                            Err(_) => None, // defensive: the latch wrote this wire form
-                        },
-                    },
-                    false,
-                ))),
-                // Before the topology there is no checker and no cycles.
-                (None, _, _) => Ok(None),
+        let live = doc.and_then(|d| d.checker.as_ref());
+        let sample = match (live, doc.and_then(|d| d.latched.as_ref())) {
+            (Some(mon), _) => match mon.current_margin() {
+                Ok(report) => report.map(|r| (r.ratio, r.witness.map(|w| w.wire().to_string()))),
+                Err(e) => {
+                    self.protocol_error(&format!("margin: {e}"), metrics);
+                    return;
+                }
             },
+            (None, Some(latch)) => latch
+                .margin
+                .clone()
+                .map(|ratio| (ratio, Some(latch.wire.clone()))),
+            (None, None) => None,
         };
-        let at = self.lines_in;
-        match probed {
-            Err(m) => self.protocol_error(&m, metrics),
-            Ok(None) => {
-                if let Some(fx) = self.forensics.as_mut() {
-                    fx.record_margin(at, "none".to_string());
-                }
-                self.reply("margin none\n");
+        let Some((ratio, witness)) = sample else {
+            let at = self.lines_in;
+            if let Some(fx) = self.forensics.as_mut() {
+                fx.record_margin(at, "none".to_string());
             }
-            Ok(Some((rep, live))) => {
-                self.publish_margin(&rep.ratio, metrics);
-                if let Some(fx) = self.forensics.as_mut() {
-                    fx.record_margin(at, rep.ratio.to_string());
-                }
-                if live {
-                    self.maybe_warn(&rep.ratio, metrics);
-                }
-                match &rep.witness {
-                    Some(w) => {
-                        self.reply_fmt(format_args!("margin {} {}\n", rep.ratio, w.wire()));
-                    }
-                    None => self.reply_fmt(format_args!("margin {}\n", rep.ratio)),
-                }
-            }
+            self.reply_fmt(format_args!("margin none\n"));
+            return;
+        };
+        self.publish_margin(&ratio, metrics);
+        // Only samples from a still-admissible checker may arm the early
+        // warning.
+        if live.is_some() {
+            self.maybe_warn(&ratio, metrics);
+        }
+        match witness {
+            Some(w) => self.reply_fmt(format_args!("margin {ratio} {w}\n")),
+            None => self.reply_fmt(format_args!("margin {ratio}\n")),
         }
     }
 
-    /// The amortized early-warning gate, evaluated after every ingested
-    /// event but gated by a doubling threshold (`probe_gate`): an
-    /// evaluation at `lines_in = g` schedules the next one at `2g`, so a
-    /// document of `n` events pays for `O(log n)` evaluations total —
-    /// each a cheap `O(live arcs)` margin upper bound, escalating to the
-    /// exact probe only when the bound reaches the `--warn-margin`
-    /// threshold. Starting the gate at zero means the first evaluations
-    /// land while the live window is still tiny, so a workload that
-    /// crosses the threshold early latches its warning before the exact
-    /// probe ever sees a large graph. The warning flips at most once per
-    /// document, strictly before any latch (the monitor stays admissible
-    /// while its margin is below `Ξ`, and a useful threshold sits below
-    /// `Ξ`). After the flip the gate is a single flag check per event.
-    fn check_warn_margin(&mut self, metrics: &Metrics) {
-        // Ordered cheapest-first: per-event calls must cost a couple of
+    /// The amortized early-warning gate, evaluated once after every
+    /// request — so its schedule is a function of the request sequence
+    /// alone, however the bytes arrived — but gated by a doubling
+    /// threshold (`probe_gate`): an evaluation at `lines_in = g` schedules
+    /// the next one at `2g`, so a document of `n` events pays for
+    /// `O(log n)` evaluations total — each a cheap `O(live arcs)` margin
+    /// upper bound, escalating to the exact probe only when the bound
+    /// reaches the `--warn-margin` threshold. Starting the gate at zero
+    /// means the first evaluations land while the live window is still
+    /// tiny, so a workload that crosses the threshold early latches its
+    /// warning before the exact probe ever sees a large graph. The warning
+    /// flips at most once per document, strictly before any latch (the
+    /// monitor stays admissible while its margin is below `Ξ`, and a
+    /// useful threshold sits below `Ξ`). After the flip the gate is a
+    /// single flag check per request.
+    fn check_warn_margin(&mut self, doc: Option<&RunningDoc>, metrics: &Metrics) {
+        // Ordered cheapest-first: per-request calls must cost a couple of
         // integer/flag compares while gated or already warned.
         if self.warned || self.lines_in < self.probe_gate || !self.can_probe_margin() {
             return;
         }
-        let Some(threshold) = self.warn_margin.clone() else {
+        let Some(threshold) = &self.warn_margin else {
             return;
         };
-        let exact: Option<Ratio> = {
-            let DocState::Running(doc) = &self.doc else {
-                return;
-            };
-            let Some(mon) = doc.checker.as_ref() else {
-                return;
-            };
-            match mon.margin_upper_bound() {
-                // The cheap bound certifies the margin is below the
-                // threshold: skip the exact probe entirely.
-                Some(bound) if bound >= threshold => {
-                    // Overflow in the exact probe (pathological sizes)
-                    // is treated as "no sample" — no warning either way.
-                    mon.current_margin()
-                        .ok()
-                        .flatten()
-                        .map(|report| report.ratio)
-                }
-                _ => None,
-            }
+        let Some(mon) = doc.and_then(|d| d.checker.as_ref()) else {
+            return;
+        };
+        let exact = match mon.margin_upper_bound() {
+            // Overflow in the exact probe (pathological sizes) is treated
+            // as "no sample" — no warning either way.
+            Some(bound) if bound >= *threshold => mon.current_margin().ok().flatten(),
+            // The cheap bound certifies the margin is below the
+            // threshold: skip the exact probe entirely.
+            _ => None,
         };
         // Every evaluation that reached the checker did real work (at
         // least the bound scan), so every one advances the gate — bound
@@ -651,14 +835,15 @@ impl Session {
             .lines_in
             .saturating_mul(2)
             .max(self.lines_in.saturating_add(1));
-        let Some(ratio) = exact else { return };
-        self.publish_margin(&ratio, metrics);
-        self.maybe_warn(&ratio, metrics);
+        if let Some(report) = exact {
+            self.publish_margin(&report.ratio, metrics);
+            self.maybe_warn(&report.ratio, metrics);
+        }
     }
 
     fn protocol_error(&mut self, message: &str, metrics: &Metrics) {
         self.flush_event_counters(metrics);
-        let unit = if self.binary() { "record" } else { "line" };
+        let unit = if self.v2 { "record" } else { "line" };
         // Events ingested before the failure stay unacknowledged: the
         // session is terminal, so the client must not treat them as safely
         // checked.
@@ -669,392 +854,120 @@ impl Session {
         self.poisoned = true;
     }
 
-    /// Drives the session once: flush pending replies, read whatever
-    /// arrived, process complete requests, flush again. Returns whether any
-    /// byte moved (the shard loop sleeps only when nothing did).
-    pub(crate) fn tick(&mut self, metrics: &Metrics) -> bool {
-        let mut work = self.try_flush(metrics);
-        if !self.dead && !self.poisoned && !self.eof && self.out.pending() < OUT_SOFT_CAP {
-            work |= self.try_read(metrics);
-            work |= self.try_flush(metrics);
-        }
-        if (self.eof || self.poisoned) && self.out.pending() == 0 {
-            self.dead = true;
-        }
-        work
-    }
-
-    fn try_read(&mut self, metrics: &Metrics) -> bool {
-        let mut work = false;
-        for _ in 0..MAX_READS_PER_TICK {
-            match self.stream.read(&mut self.read_buf) {
-                Ok(0) => {
-                    self.handle_request_eof(metrics);
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    work = true;
-                    metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                    let stop = if self.binary() {
-                        self.ingest_binary(n, metrics)
-                    } else {
-                        self.ingest_text(n, metrics)
-                    };
-                    if stop || self.poisoned || self.out.pending() >= OUT_SOFT_CAP {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
-        }
-        work
-    }
-
-    /// End of requests. Text: a final line without a trailing newline is
-    /// still a line (feed clients may half-close right after `end`).
-    /// Binary: a partial frame at EOF is a protocol error.
-    fn handle_request_eof(&mut self, metrics: &Metrics) {
-        if self.binary() {
-            self.drain_frames(metrics);
-            let leftover = {
-                let RxMode::Binary(frames) = &self.rx else {
-                    return; // defensive: mode was checked above
-                };
-                frames.finish()
-            };
-            if let Err(m) = leftover {
-                if !self.poisoned {
-                    self.lines_in += 1;
-                    self.protocol_error(&m, metrics);
-                }
-            }
-        } else {
-            let finished = {
-                let RxMode::Text(assembler) = &mut self.rx else {
-                    return; // defensive: mode was checked above
-                };
-                assembler.finish()
-            };
-            self.drain_lines(metrics);
-            if let Err(e) = finished {
-                if !self.poisoned {
-                    self.lines_in += 1;
-                    self.protocol_error(&e.message, metrics);
-                }
-            }
-        }
-    }
-
-    /// Feeds `n` fresh bytes through the text path; `true` means stop
-    /// reading this tick.
-    fn ingest_text(&mut self, n: usize, metrics: &Metrics) -> bool {
-        let pushed = {
-            let RxMode::Text(assembler) = &mut self.rx else {
-                return false; // defensive: mode was checked by the caller
-            };
-            assembler.push(self.read_buf.get(..n).unwrap_or(&[]))
-        };
-        // Lines completed before a failure point still process (and
-        // number) normally; only then is the offending oversized/invalid
-        // line itself counted.
-        self.drain_lines(metrics);
-        if let Err(e) = pushed {
-            if !self.poisoned {
-                self.lines_in += 1;
-                self.protocol_error(&e.message, metrics);
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Feeds `n` fresh bytes through the binary path; `true` means stop
-    /// reading this tick.
-    fn ingest_binary(&mut self, n: usize, metrics: &Metrics) -> bool {
-        let pushed = {
-            let RxMode::Binary(frames) = &mut self.rx else {
-                return false; // defensive: mode was checked by the caller
-            };
-            frames.push(self.read_buf.get(..n).unwrap_or(&[]))
-        };
-        if let Err(m) = pushed {
-            // An oversized length prefix is rejected from the prefix
-            // alone, before any payload buffers.
-            if !self.poisoned {
-                self.lines_in += 1;
-                self.protocol_error(&m, metrics);
-            }
-            return true;
-        }
-        self.drain_frames(metrics);
-        self.poisoned
-    }
-
-    fn drain_lines(&mut self, metrics: &Metrics) {
-        let t0 = Instant::now();
-        let lines_before = self.lines_in;
-        loop {
-            if self.poisoned || self.binary() {
-                // A completed `proto v2` handshake leaves no buffered
-                // lines (the switch refuses otherwise).
-                break;
-            }
-            let line = {
-                let RxMode::Text(assembler) = &mut self.rx else {
-                    break; // defensive: mode was checked above
-                };
-                match assembler.next_line() {
-                    Some(l) => l,
-                    None => break,
-                }
-            };
-            self.lines_in += 1;
-            self.process_line(&line, metrics);
-            // Per-line warn-gate evaluation: a flag/integer check while
-            // gated, so early threshold crossings latch on a small window.
-            self.check_warn_margin(metrics);
-        }
-        // Per-drain (not per-line) counter/gauge settlement — the v1
-        // analogue of the per-frame flush in `process_frame`.
-        self.flush_event_counters(metrics);
-        self.refresh_gauges();
-        if self.lines_in > lines_before {
-            metrics.ingest_hist.observe(micros_since(t0));
-            self.check_warn_margin(metrics);
-        }
-    }
-
-    fn drain_frames(&mut self, metrics: &Metrics) {
-        while !self.poisoned {
-            let got = {
-                let RxMode::Binary(frames) = &mut self.rx else {
-                    break; // defensive: mode was checked by the caller
-                };
-                frames.next_frame_into(&mut self.frame_buf)
-            };
-            match got {
-                Ok(true) => {
-                    // Move the scratch out so the decode loop can queue
-                    // replies through `&mut self`.
-                    let frame = std::mem::take(&mut self.frame_buf);
-                    self.process_frame(&frame, metrics);
-                    self.frame_buf = frame;
-                }
-                Ok(false) => break,
-                Err(m) => {
-                    self.lines_in += 1;
-                    self.protocol_error(&m, metrics);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Decodes and applies every record of one frame, then flushes the
-    /// frame's coalesced ack (violation and `end` replies were already
-    /// queued in record order, so they precede it).
-    fn process_frame(&mut self, payload: &[u8], metrics: &Metrics) {
-        let _span = abc_obs::span("service.frame_decode");
-        OBS_FRAMES.add(1);
-        let lines_before = self.lines_in;
-        let t0 = Instant::now();
-        metrics.frames.fetch_add(1, Ordering::Relaxed);
-        let mut decoder = std::mem::take(&mut self.decoder);
-        let structural = decoder.decode_frame(payload, &mut |rec| {
-            self.handle_record(rec, metrics);
-            // Per-record warn-gate evaluation (see `check_warn_margin`):
-            // a flag/integer check while gated, so early threshold
-            // crossings latch on a small window even when a frame batches
-            // thousands of records.
-            self.check_warn_margin(metrics);
-            !self.poisoned
-        });
-        self.decoder = decoder;
-        if let Err(m) = structural {
-            if !self.poisoned {
-                self.lines_in += 1;
-                self.protocol_error(&m, metrics);
-            }
-        }
-        OBS_RECORDS.add((self.lines_in - lines_before) as u64);
-        // Counters/gauges settle before the ack covering the frame is
-        // queued, so a client observing the ack sees exact status counters.
-        self.flush_event_counters(metrics);
-        self.refresh_gauges();
-        metrics.ingest_hist.observe(micros_since(t0));
-        self.check_warn_margin(metrics);
+    /// A request the framing could not produce (oversized or non-UTF-8
+    /// line, bad frame prefix, malformed record, partial frame at EOF): it
+    /// is counted like the request it would have been, then refused.
+    fn framing_error(&mut self, message: &str, metrics: &Metrics) {
         if !self.poisoned {
-            self.flush_ack(metrics);
-            metrics.ack_hist.observe(micros_since(t0));
+            self.lines_in += 1;
+            self.protocol_error(message, metrics);
         }
     }
 
-    /// One decoded binary record — the v2 analogue of `process_line`, fed
-    /// through the same shared validation core ([`TraceLineParser`]).
-    fn handle_record(&mut self, rec: WireRecord, metrics: &Metrics) {
+    /// The one request dispatcher: numbers the request, classifies it and
+    /// applies it. Returns whether it was the `proto v2` upgrade request,
+    /// which only the framing's owner can carry out.
+    fn request(
+        &mut self,
+        doc: &mut Option<RunningDoc>,
+        req: Request<'_>,
+        metrics: &Metrics,
+    ) -> bool {
         self.lines_in += 1;
-        if self.forensics.is_some() {
-            // Binary event records carry their seq implicitly; the parser
-            // will assign `events_seen()` to this one, so render with it.
-            let implicit_seq = match &self.doc {
-                DocState::Running(doc) => doc.parser.events_seen(),
-                DocState::Idle => 0,
-            };
-            let line = wire_record_line(&rec, implicit_seq);
-            if let Some(fx) = self.forensics.as_mut() {
-                fx.record_wire(&line);
-            }
-        }
-        if matches!(rec, WireRecord::Margin) {
-            // Session-level record, accepted mid-document and between
-            // documents; the reply precedes the frame's coalesced ack.
-            self.margin_request(metrics);
-            return;
-        }
-        if matches!(self.doc, DocState::Idle) {
-            if let WireRecord::Xi(spec) = &rec {
-                match spec.trim().parse::<Xi>() {
-                    Ok(xi) => self.xi = xi,
-                    Err(e) => self.protocol_error(&format!("xi: {e}"), metrics),
-                }
-                return;
-            }
-            // Any other record starts a fresh document. Binary documents
-            // carry no `abc-trace` header line — the frame tag already
-            // names the format — so the parser starts past it.
-            self.begin_document();
-            self.doc = DocState::Running(Box::new(RunningDoc {
-                parser: TraceLineParser::new_streaming()
-                    .without_header()
-                    .with_max_processes(self.max_processes),
-                checker: None,
-                latched: None,
-                margin_frozen: None,
-            }));
-        } else if matches!(rec, WireRecord::Xi(_)) {
-            self.protocol_error("xi record inside a trace document", metrics);
-            return;
-        }
-        self.drive_document(metrics, |parser| match rec.to_trace_record() {
-            Some(trec) => parser.feed_record(trec),
-            // Defensive: xi records were dispatched above; a stray one is
-            // a session error, not a server panic.
-            None => Err(TraceTextError {
-                line: 0,
-                message: "internal: xi record escaped idle-state dispatch".to_string(),
-            }),
-        });
-    }
-
-    fn process_line(&mut self, line: &str, metrics: &Metrics) {
-        OBS_RECORDS.add(1);
         if let Some(fx) = self.forensics.as_mut() {
-            fx.record_wire(line);
-        }
-        if line.trim() == crate::proto::MARGIN_REQUEST {
-            // On-demand margin sample, accepted mid-document and between
-            // documents (`margin` is not a trace-grammar line, so the
-            // interception shadows nothing).
-            self.margin_request(metrics);
-            return;
-        }
-        if matches!(self.doc, DocState::Idle) {
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                return;
+            match req {
+                Request::Line(line) => fx.record_wire(line),
+                // Binary event records carry their seq implicitly; the
+                // parser will assign `events_seen()` to this one.
+                Request::Record(rec) => fx.record_wire(&wire_record_line(
+                    rec,
+                    doc.as_ref().map_or(0, |d| d.parser.events_seen()),
+                )),
             }
-            if let Some(rest) = trimmed.strip_prefix("xi ") {
-                match rest.trim().parse::<Xi>() {
-                    Ok(xi) => self.xi = xi,
-                    Err(e) => self.protocol_error(&format!("xi: {e}"), metrics),
+        }
+        let class = match req {
+            Request::Line(line) => {
+                let trimmed = line.trim();
+                if trimmed == proto::MARGIN_REQUEST {
+                    Class::Margin
+                } else if doc.is_some() {
+                    Class::Document
+                } else if trimmed.is_empty() || trimmed.starts_with('#') {
+                    Class::Blank
+                } else if let Some(spec) = trimmed.strip_prefix("xi ") {
+                    Class::Xi(spec)
+                } else if trimmed == proto::PROTO_V2_REQUEST {
+                    Class::ProtoV2
+                } else if trimmed == proto::PROTO_V1_REQUEST {
+                    Class::ProtoV1
+                } else if let Some(version) = trimmed.strip_prefix("proto ") {
+                    Class::ProtoUnknown(version)
+                } else {
+                    Class::Document
                 }
-                return;
             }
-            if trimmed == crate::proto::PROTO_V2_REQUEST {
-                self.negotiate_v2(metrics);
-                return;
+            Request::Record(WireRecord::Margin) => Class::Margin,
+            Request::Record(WireRecord::Xi(spec)) => Class::Xi(spec),
+            Request::Record(_) => Class::Document,
+        };
+        let mut upgrade = false;
+        match class {
+            Class::Margin => self.margin_request(doc.as_ref(), metrics),
+            Class::Blank => {}
+            // Only a record gets here mid-document: a text `xi` line
+            // inside a document is the parser's to reject.
+            Class::Xi(_) if doc.is_some() => {
+                self.protocol_error("xi record inside a trace document", metrics);
             }
-            if trimmed == crate::proto::PROTO_V1_REQUEST {
-                self.reply_fmt(format_args!("{}\n", crate::proto::PROTO_V1_OK));
-                return;
+            Class::Xi(spec) => match spec.trim().parse::<Xi>() {
+                Ok(xi) => self.xi = xi,
+                Err(e) => self.protocol_error(&format!("xi: {e}"), metrics),
+            },
+            Class::ProtoV2 => upgrade = true,
+            Class::ProtoV1 => self.reply_fmt(format_args!("{}\n", proto::PROTO_V1_OK)),
+            Class::ProtoUnknown(version) => {
+                self.protocol_error(&format!("unsupported protocol {version:?}"), metrics);
             }
-            if let Some(rest) = trimmed.strip_prefix("proto ") {
-                self.protocol_error(&format!("unsupported protocol {rest:?}"), metrics);
-                return;
+            Class::Document => {
+                let d = doc.get_or_insert_with(|| self.begin_document());
+                let parsed = match req {
+                    Request::Line(line) => d.parser.feed_line(line),
+                    Request::Record(rec) => match rec.to_trace_record() {
+                        Some(trec) => d.parser.feed_record(trec),
+                        None => Err(TraceTextError {
+                            line: 0,
+                            message: "internal: session-level record reached the document"
+                                .to_string(),
+                        }),
+                    },
+                };
+                let open = match parsed {
+                    Ok(parsed) => self.advance(d, parsed, metrics),
+                    Err(e) => {
+                        self.protocol_error(&e.message, metrics);
+                        false
+                    }
+                };
+                if !open {
+                    // A finished or failed document is dropped whole.
+                    *doc = None;
+                }
             }
-            // Anything else starts a fresh document (the parser will
-            // reject non-header lines with a precise message).
-            self.begin_document();
-            self.doc = DocState::Running(Box::new(RunningDoc {
-                parser: TraceLineParser::new_streaming().with_max_processes(self.max_processes),
-                checker: None,
-                latched: None,
-                margin_frozen: None,
-            }));
         }
-        self.drive_document(metrics, |parser| parser.feed_line(line));
+        self.check_warn_margin(doc.as_ref(), metrics);
+        upgrade
     }
 
-    /// Switches the request framing to v2 binary frames. The handshake is
-    /// strict: the client must wait for the `proto v2 ok` reply, so any
-    /// bytes already pipelined behind the request are a protocol error
-    /// (they would otherwise be misread as text).
-    fn negotiate_v2(&mut self, metrics: &Metrics) {
-        let pipelined = match &self.rx {
-            RxMode::Text(assembler) => assembler.has_buffered(),
-            // Defensive: negotiation arrives on a text line, so a binary
-            // session can never reach here; ignore rather than abort.
-            RxMode::Binary(_) => return,
-        };
-        if pipelined {
-            self.protocol_error(
-                "data pipelined behind `proto v2` (wait for `proto v2 ok`)",
-                metrics,
-            );
-            return;
-        }
-        self.reply_fmt(format_args!("{}\n", crate::proto::PROTO_V2_OK));
-        self.rx = RxMode::Binary(FrameAssembler::new(self.max_frame_len));
-        self.decoder = RecordDecoder::new();
-        // Error replies now cite record numbers, counted from the switch.
-        self.lines_in = 0;
-    }
-
-    /// The shared document state machine: both framings feed the same
-    /// [`TraceLineParser`] validation core, so text and binary accept
-    /// exactly the same documents and produce byte-identical verdicts.
-    fn drive_document<F>(&mut self, metrics: &Metrics, feed: F)
-    where
-        F: FnOnce(&mut TraceLineParser) -> Result<ParsedLine, TraceTextError>,
-    {
-        // Take the document state out of `self` so replies can be queued
-        // while holding it (a failed/finished document simply stays out).
-        // The box makes this per-record round trip a pointer move.
-        let DocState::Running(mut doc) = std::mem::replace(&mut self.doc, DocState::Idle) else {
-            return; // defensive: both callers just initialized the state
-        };
+    /// The document state machine: applies one parsed line to the open
+    /// document, queueing its replies. Returns whether the document is
+    /// still open — `false` after its `end`, or after an error poisoned
+    /// the session.
+    fn advance(&mut self, d: &mut RunningDoc, parsed: ParsedLine, metrics: &Metrics) -> bool {
         let RunningDoc {
             parser,
             checker,
             latched,
-            margin_frozen,
-        } = &mut *doc;
-        let parsed = match feed(parser) {
-            Ok(p) => p,
-            Err(e) => {
-                self.protocol_error(&e.message, metrics);
-                return;
-            }
-        };
-        let binary = self.binary();
-        let mut done = false;
-        let mut latched_now = false;
+        } = d;
         match parsed {
             ParsedLine::Meta | ParsedLine::Message { .. } => {}
             ParsedLine::Topology => {
@@ -1062,7 +975,7 @@ impl Session {
                     // Defensive: Topology is only signalled once the
                     // faulty line has been accepted.
                     self.protocol_error("internal: topology unavailable", metrics);
-                    return;
+                    return false;
                 };
                 match IncrementalChecker::new(n, &self.xi) {
                     Ok(mut mon) => {
@@ -1090,7 +1003,7 @@ impl Session {
                     Err(e) => {
                         let msg = format!("xi {} not monitorable: {e}", self.xi);
                         self.protocol_error(&msg, metrics);
-                        return;
+                        return false;
                     }
                 }
             }
@@ -1106,24 +1019,21 @@ impl Session {
                     let oldest = parser.oldest_pending_send();
                     (h, oldest.map_or(watermark, |o| watermark.min(o)))
                 });
-                let seq = match feed {
-                    EventFeed::Init { seq, .. } | EventFeed::Receive { seq, .. } => seq,
-                };
-                if let Some((latch_seq, wire)) = &*latched {
+                let (EventFeed::Init { seq, .. } | EventFeed::Receive { seq, .. }) = feed;
+                if let Some(latch) = latched {
                     // v1 echoes the latched violation per event; v2 keeps
                     // acking silently (the violation already went out).
-                    if binary {
+                    if self.v2 {
                         self.unacked = Some(seq);
                     } else {
-                        let line = format!("violation {latch_seq} {wire}\n");
-                        self.reply(&line);
+                        self.reply_fmt(format_args!("violation {} {}\n", latch.seq, latch.wire));
                     }
                 } else {
                     let Some(mon) = checker.as_mut() else {
                         // Defensive: the parser admits events only after
                         // the faulty line created the checker.
                         self.protocol_error("internal: event before topology", metrics);
-                        return;
+                        return false;
                     };
                     match feed {
                         EventFeed::Init { process, .. } => {
@@ -1131,77 +1041,70 @@ impl Session {
                         }
                         EventFeed::Receive {
                             process,
-                            send_event,
+                            send_event: Some(send),
                             ..
                         } => {
-                            let Some(send) = send_event else {
-                                // Defensive: streaming mode resolves every
-                                // send event before yielding the receive.
-                                self.protocol_error(
-                                    "internal: unresolved send event in streaming mode",
-                                    metrics,
-                                );
-                                return;
-                            };
                             mon.append_send(EventId(send), process);
                         }
-                    }
-                    if mon.violation().is_some() {
-                        // `violation_summary` is latched alongside the
-                        // cycle and byte-identical to summarizing against
-                        // the graph — and it works in pruned mode, where
-                        // there is no graph mirror to summarize against.
-                        let Some(summary) = mon.violation_summary() else {
-                            // Defensive: a latched monitor carries its
-                            // summary by construction.
+                        EventFeed::Receive {
+                            send_event: None, ..
+                        } => {
+                            // Defensive: streaming mode resolves every
+                            // send event before yielding the receive.
                             self.protocol_error(
-                                "internal: latched monitor lost its witness",
+                                "internal: unresolved send event in streaming mode",
                                 metrics,
                             );
-                            return;
-                        };
+                            return false;
+                        }
+                    }
+                    // The summary is latched alongside the cycle and
+                    // byte-identical to summarizing against the graph —
+                    // and it works in pruned mode, where there is no graph
+                    // mirror to summarize against.
+                    if let Some(summary) = mon.violation_summary() {
                         let wire = summary.wire().to_string();
                         // The margin freezes at the latched witness's
                         // ratio (a latched witness is a relevant cycle,
                         // so its ratio always exists).
-                        *margin_frozen = summary.classification.ratio();
+                        let margin = summary.classification.ratio();
+                        let stats = mon.stats();
+                        // The verdict is latched; stop feeding the checker
+                        // so a violating firehose doesn't keep growing its
+                        // graph.
+                        *checker = None;
                         self.flush_event_counters(metrics);
                         metrics.violations.fetch_add(1, Ordering::Relaxed);
                         self.counters.violations.fetch_add(1, Ordering::Relaxed);
                         // Violation replies are immediate in both framings
                         // and precede the ack that covers `seq`.
                         self.reply_fmt(format_args!("violation {seq} {wire}\n"));
-                        if binary {
+                        if self.v2 {
                             self.unacked = Some(seq);
                         }
-                        // Forensics freezes its view *before* the checker
-                        // drops: the latch, the counters at latch time,
-                        // and a timeline entry. The bundle itself is
-                        // written after the document state is restored.
+                        self.note_pruned(stats.pruned_events);
+                        self.counters.live_events.store(0, Ordering::Relaxed);
+                        self.counters.live_arcs.store(0, Ordering::Relaxed);
+                        // Forensics freezes its view of the dropped
+                        // checker: the latch, the counters at latch time,
+                        // and a timeline entry.
                         let at = self.lines_in;
                         if let Some(fx) = self.forensics.as_mut() {
                             fx.latch = Some((seq as u64, wire.clone()));
-                            fx.stats = mon.stats();
+                            fx.stats = stats;
                             fx.note(at, format!("latch seq={seq}"));
-                            latched_now = true;
                         }
-                        *latched = Some((seq, wire));
-                        self.note_pruned(mon.stats().pruned_events);
-                        // The verdict is latched; stop feeding the checker
-                        // so a violating firehose doesn't keep growing its
-                        // graph.
-                        *checker = None;
-                        self.counters.live_events.store(0, Ordering::Relaxed);
-                        self.counters.live_arcs.store(0, Ordering::Relaxed);
-                        if let Some(r) = margin_frozen.clone() {
-                            self.publish_margin(&r, metrics);
-                            let at = self.lines_in;
-                            if let Some(fx) = self.forensics.as_mut() {
-                                fx.record_margin(at, r.to_string());
-                            }
+                        if let Some(r) = &margin {
+                            self.publish_margin(r, metrics);
                         }
+                        *latched = Some(Latch { seq, wire, margin });
+                        // Automatic violation forensics: one bundle per
+                        // latch, written the moment the verdict is known
+                        // (rare path — file I/O here never rides an
+                        // admissible stream).
+                        self.dump_forensics(None, "latch", metrics);
                     } else {
-                        if binary {
+                        if self.v2 {
                             self.unacked = Some(seq);
                         } else {
                             self.reply_fmt(format_args!("ok {seq}\n"));
@@ -1215,8 +1118,6 @@ impl Session {
                                 }
                             }
                         }
-                        // Memory gauges refresh per ingested frame / drained
-                        // read (`refresh_gauges`), not per event.
                     }
                 }
                 if let Some((_, watermark)) = prune {
@@ -1233,28 +1134,22 @@ impl Session {
                 // out, so `ack` never trails its document's `end`.
                 self.flush_event_counters(metrics);
                 self.flush_ack(metrics);
-                // Must render exactly like [`Verdict`]'s `Display`, which
-                // the offline monitor and `abc feed` also use — that is
-                // the byte-identical-verdicts contract.
-                match &*latched {
-                    Some((latch_seq, wire)) => {
-                        self.reply_fmt(format_args!("end violation at_event={latch_seq} {wire}\n"));
+                let events_seen = parser.events_seen();
+                // Must render exactly like [`proto::Verdict`]'s `Display`,
+                // which the offline monitor and `abc feed` also use — that
+                // is the byte-identical-verdicts contract.
+                let verdict = match latched {
+                    Some(Latch { seq, wire, .. }) => {
+                        self.reply_fmt(format_args!("end violation at_event={seq} {wire}\n"));
+                        "violation"
                     }
                     None => {
-                        self.reply_fmt(format_args!(
-                            "end admissible events={}\n",
-                            parser.events_seen()
-                        ));
+                        self.reply_fmt(format_args!("end admissible events={events_seen}\n"));
+                        "admissible"
                     }
-                }
+                };
                 metrics.documents.fetch_add(1, Ordering::Relaxed);
                 let at = self.lines_in;
-                let events_seen = parser.events_seen();
-                let verdict = if latched.is_some() {
-                    "violation"
-                } else {
-                    "admissible"
-                };
                 if let Some(fx) = self.forensics.as_mut() {
                     fx.note(
                         at,
@@ -1270,35 +1165,27 @@ impl Session {
                     .store(MARGIN_NONE, Ordering::Relaxed);
                 self.counters.warning.store(0, Ordering::Relaxed);
                 self.warned = false;
-                done = true;
+                return false;
             }
         }
-        if !done {
-            self.doc = DocState::Running(doc);
-        }
-        if latched_now {
-            // Automatic violation forensics: one bundle per latch, written
-            // the moment the verdict is known (rare path — file I/O here
-            // never rides an admissible stream).
-            self.dump_forensics("latch", metrics);
-        }
+        true
     }
 
     /// Writes a forensics bundle (and, when the flight recorder is
     /// enabled, a timed span-trace sidecar) to the configured directory.
-    /// No-op unless the server was started with a forensics dir. Returns
-    /// whether a bundle was written.
-    pub(crate) fn dump_forensics(&mut self, reason: &str, metrics: &Metrics) -> bool {
-        // A live checker refreshes the frozen counters; the latch path
-        // already froze them right before dropping its checker.
-        let live_stats = match &self.doc {
-            DocState::Running(doc) => doc.checker.as_ref().map(|mon| mon.stats()),
-            DocState::Idle => None,
-        };
+    /// `live` carries the open document's monitor counters, when it still
+    /// has a checker. No-op unless the server was started with a forensics
+    /// dir. Returns whether a bundle was written.
+    fn dump_forensics(
+        &mut self,
+        live: Option<MonitorStats>,
+        reason: &str,
+        metrics: &Metrics,
+    ) -> bool {
         let Some(fx) = self.forensics.as_mut() else {
             return false;
         };
-        if let Some(stats) = live_stats {
+        if let Some(stats) = live {
             fx.stats = stats;
         }
         let bundle = ForensicsBundle {
@@ -1334,37 +1221,653 @@ impl Session {
         }
         true
     }
+}
 
-    fn try_flush(&mut self, metrics: &Metrics) -> bool {
-        // Span only when there is something to drain, so idle ticks don't
-        // flood the recorder ring.
-        let _span = if self.out.pending() > 0 {
-            Some(abc_obs::span("service.ack_drain"))
-        } else {
-            None
+#[cfg(test)]
+mod tests {
+    //! Socket-free chaos suite. The session is driven with byte slices,
+    //! so split points, half-close, slow readers and truncations are
+    //! deterministic inputs instead of loopback races.
+
+    use std::path::PathBuf;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::OnceLock;
+
+    use abc_sim::binio::{xi_frame, FrameWriter};
+    use abc_sim::delay::BandDelay;
+    use abc_sim::{RunLimits, Simulation, Trace};
+    use proptest::prelude::*;
+
+    use super::*;
+
+    const GREETING_LINE: &str = "abc-service v2 protocols=v1,v2\n";
+    const HANDSHAKE: &[u8] = b"proto v2\n";
+    const PIPELINED: &str =
+        "error line 1: data pipelined behind `proto v2` (wait for `proto v2 ok`)\n";
+
+    /// Everything a peer and an operator can observe of one session.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Outcome {
+        replies: String,
+        totals: Totals,
+        /// Every forensics bundle written — latch bundles, then one final
+        /// `request` dump — in file order.
+        bundles: Vec<String>,
+    }
+
+    /// The registry counters a session moves.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    struct Totals {
+        events: u64,
+        violations: u64,
+        documents: u64,
+        parse_errors: u64,
+        acks: u64,
+        margin_warnings: u64,
+    }
+
+    /// The totals of a session that was refused with one error before any
+    /// event.
+    const REFUSED: Totals = Totals {
+        events: 0,
+        violations: 0,
+        documents: 0,
+        parse_errors: 1,
+        acks: 0,
+        margin_warnings: 0,
+    };
+
+    /// A session with the peer's side of the wire: what was read so far.
+    struct Peer {
+        session: Session,
+        metrics: Metrics,
+        dir: Option<PathBuf>,
+        replies: Vec<u8>,
+    }
+
+    /// Tight caps (so the corpus can cross them), a warn threshold below
+    /// the monitored `Ξ = 2`, and — with `forensics` — a private bundle
+    /// directory.
+    fn config(prune_horizon: Option<usize>, forensics: bool) -> ServerConfig {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "abc-session-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        ServerConfig {
+            max_line_len: 200,
+            max_frame_len: 4096,
+            prune_horizon,
+            warn_margin: Some(Ratio::new(3, 2)),
+            forensics_dir: forensics.then_some(dir),
+            forensics_tail: 32,
+            ..ServerConfig::default()
+        }
+    }
+
+    impl Peer {
+        fn new(config: &ServerConfig) -> Peer {
+            Peer {
+                session: Session::new(7, config, SessionCounters::new()),
+                metrics: Metrics::new(),
+                dir: config.forensics_dir.clone(),
+                replies: Vec::new(),
+            }
+        }
+
+        /// Offers `chunk` the way the connection driver does: only to a
+        /// session that wants bytes. Returns whether it was taken.
+        fn feed(&mut self, chunk: &[u8]) -> bool {
+            let wanted = self.session.wants_bytes();
+            if wanted {
+                self.session.feed(chunk, &self.metrics);
+            }
+            wanted
+        }
+
+        fn eof(&mut self) {
+            if self.session.wants_bytes() {
+                self.session.feed_eof(&self.metrics);
+            }
+        }
+
+        /// Reads up to `budget` pending reply bytes, a few slices at a
+        /// time and not on chunk boundaries.
+        fn take(&mut self, mut budget: usize) {
+            while budget > 0 && self.session.pending() > 0 {
+                let mut slices = [IoSlice::new(&[]); 3];
+                let k = self.session.reply_slices(&mut slices);
+                assert!(k > 0, "pending bytes but no slice");
+                let mut n = 0;
+                for s in &slices[..k] {
+                    let take = s.len().min(budget - n);
+                    self.replies.extend_from_slice(&s[..take]);
+                    n += take;
+                }
+                self.session.consume(n);
+                budget -= n;
+            }
+        }
+
+        fn take_all(&mut self) {
+            self.take(usize::MAX);
+            assert_eq!(self.session.pending(), 0);
+        }
+
+        fn total(&self, counter: &AtomicU64) -> u64 {
+            counter.load(Ordering::Relaxed)
+        }
+
+        /// Half-closes, reads the rest and collects the outcome.
+        fn finish(mut self) -> Outcome {
+            self.eof();
+            self.take_all();
+            assert!(self.session.finished(), "EOF or an error ends a session");
+            self.session.dump_forensics("request", &self.metrics);
+            let mut bundles = Vec::new();
+            if let Some(dir) = &self.dir {
+                let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+                    .expect("the request dump created the directory")
+                    .map(|entry| entry.unwrap().path())
+                    .collect();
+                paths.sort();
+                for path in paths {
+                    bundles.push(std::fs::read_to_string(path).unwrap());
+                }
+                std::fs::remove_dir_all(dir).unwrap();
+            }
+            let m = &self.metrics;
+            Outcome {
+                replies: String::from_utf8(std::mem::take(&mut self.replies))
+                    .expect("replies are text"),
+                totals: Totals {
+                    events: self.total(&m.events),
+                    violations: self.total(&m.violations),
+                    documents: self.total(&m.documents),
+                    parse_errors: self.total(&m.parse_errors),
+                    acks: self.total(&m.acks),
+                    margin_warnings: self.total(&m.margin_warnings),
+                },
+                bundles,
+            }
+        }
+    }
+
+    /// A fast reader: every chunk is fed and its replies read at once.
+    fn run(config: &ServerConfig, chunks: &[&[u8]]) -> Outcome {
+        let mut peer = Peer::new(config);
+        for chunk in chunks {
+            if !peer.feed(chunk) {
+                break;
+            }
+            peer.take_all();
+        }
+        peer.finish()
+    }
+
+    /// One session's request bytes. A v2 stream keeps the one boundary
+    /// the protocol itself demands: `body` is sent after the reply to the
+    /// `proto v2` line.
+    struct Input {
+        v2: bool,
+        body: Vec<u8>,
+    }
+
+    impl Input {
+        fn text(body: impl Into<Vec<u8>>) -> Input {
+            Input {
+                v2: false,
+                body: body.into(),
+            }
+        }
+
+        fn parts(&self) -> Vec<&[u8]> {
+            if self.v2 {
+                vec![HANDSHAKE, &self.body]
+            } else {
+                vec![&self.body]
+            }
+        }
+
+        /// Every part cut at `cuts` (each reduced modulo the part's
+        /// length), or into single bytes.
+        fn chunks(&self, cuts: &[usize], single_bytes: bool) -> Vec<&[u8]> {
+            let mut chunks = Vec::new();
+            for part in self.parts() {
+                let mut at: Vec<usize> = if single_bytes {
+                    (0..part.len()).collect()
+                } else {
+                    cuts.iter().map(|c| c % (part.len() + 1)).collect()
+                };
+                at.extend([0, part.len()]);
+                at.sort_unstable();
+                at.dedup();
+                chunks.extend(at.windows(2).map(|w| &part[w[0]..w[1]]));
+            }
+            chunks
+        }
+    }
+
+    /// The committed sample: violates `Ξ = 2` at event 21.
+    fn sample_trace() -> Trace {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../harness/tests/data/sample_clocksync.trace"
+        );
+        Trace::from_reader(std::fs::File::open(path).unwrap(), 1 << 16).unwrap()
+    }
+
+    fn clocksync_trace(lo: u64, hi: u64, seed: u64, events: usize) -> Trace {
+        let mut sim = Simulation::new(BandDelay::new(lo, hi, seed));
+        for _ in 0..4 {
+            sim.add_process(abc_clocksync::TickGen::new(4, 1));
+        }
+        sim.run(RunLimits {
+            max_events: events,
+            max_time: u64::MAX,
+        });
+        sim.trace().clone()
+    }
+
+    /// A token ring over three processes: every message is received by
+    /// the very next event, so a prune horizon of 8 never outruns a send
+    /// and pruning runs for real. With `race` the document ends in a
+    /// two-hop relay overtaking a direct message — a relevant cycle of
+    /// ratio 2/1, latching at the last event.
+    fn ring_trace(hops: usize, race: bool) -> Trace {
+        let mut lines = Vec::new();
+        let (mut holder, mut at, mut time) = (0, 0, 0);
+        let hop = |from: usize, to: usize, sent: (usize, u64), now: u64, lines: &mut Vec<_>| {
+            let (m, e) = (lines.len() / 2, lines.len() / 2 + 3);
+            lines.push(format!("m {from} {to} {} {e} {} {now}", sent.0, sent.1));
+            lines.push(format!("e {e} {to} {now} {m} 0 - 0"));
+            e
         };
-        let mut work = false;
-        while self.out.pending() > 0 {
-            let mut slices = [IoSlice::new(&[]); OUT_MAX_IOV];
-            let k = self.out.ioslices(&mut slices);
-            match (&self.stream).write_vectored(slices.get(..k).unwrap_or(&[])) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    work = true;
-                    metrics.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                    self.out.consume(n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.dead = true;
-                    break;
+        for _ in 0..hops {
+            let next = (holder + 1) % 3;
+            at = hop(holder, next, (at, time), time + 1, &mut lines);
+            (holder, time) = (next, time + 1);
+        }
+        if race {
+            let (relay, target) = ((holder + 1) % 3, (holder + 2) % 3);
+            let relayed = hop(holder, relay, (at, time), time + 1, &mut lines);
+            hop(relay, target, (relayed, time + 1), time + 2, &mut lines);
+            hop(holder, target, (at, time), time + 3, &mut lines);
+        }
+        let text = format!(
+            "abc-trace v1\nprocesses 3\nfaulty\nevents {}\nmessages {}\n\
+             e 0 0 0 - 0 - 1\ne 1 1 0 - 0 - 1\ne 2 2 0 - 0 - 1\n{}\nend\n",
+            lines.len() / 2 + 3,
+            lines.len() / 2,
+            lines.join("\n")
+        );
+        Trace::from_text(&text).expect("a well-formed ring")
+    }
+
+    /// The document's stream text with a `margin` request after every
+    /// `every`-th event line and `eol` line ends.
+    fn text_doc(trace: &Trace, every: usize, eol: &str) -> String {
+        let mut doc = String::new();
+        let mut events = 0;
+        for line in trace.to_stream_text().lines() {
+            doc.push_str(line);
+            doc.push_str(eol);
+            if line.starts_with("e ") {
+                events += 1;
+                if events % every == 0 {
+                    doc.push_str("margin");
+                    doc.push_str(eol);
                 }
             }
         }
-        work
+        doc
+    }
+
+    /// The document as frames of about `target` bytes, with a margin
+    /// record after every `every`-th event record.
+    fn binary_doc(trace: &Trace, every: usize, target: usize) -> Vec<u8> {
+        let mut w = FrameWriter::with_target(target);
+        let mut events = 0;
+        for rec in trace.to_stream_records() {
+            w.push_record(&rec);
+            if matches!(rec, WireRecord::Event(_)) {
+                events += 1;
+                if events % every == 0 {
+                    w.push_record(&WireRecord::Margin);
+                }
+            }
+        }
+        w.finish()
+    }
+
+    /// Well-formed and hostile sessions in both framings. The first four
+    /// are well-formed: three clocksync documents as text and as frames
+    /// (their messages outlive a prune horizon of 8, which then refuses
+    /// them), and two ring documents likewise, which any horizon admits.
+    fn corpus() -> &'static [Input] {
+        static CORPUS: OnceLock<Vec<Input>> = OnceLock::new();
+        CORPUS.get_or_init(|| {
+            let violating = sample_trace();
+            let admissible = clocksync_trace(4, 5, 11, 90);
+            let wide = clocksync_trace(2, 5, 5, 160);
+            let (ring, race) = (ring_trace(70, false), ring_trace(50, true));
+            let v2 = |body: Vec<u8>| Input { v2: true, body };
+            let small = text_doc(&ring_trace(9, false), 4, "\n");
+            vec![
+                Input::text(format!(
+                    "xi 2\n{}margin\n\n# between documents\n{}proto v1\n{}",
+                    text_doc(&violating, 3, "\n"),
+                    text_doc(&admissible, 7, "\n"),
+                    text_doc(&wide, 5, "\n"),
+                )),
+                v2([
+                    xi_frame("2"),
+                    binary_doc(&violating, 3, 48),
+                    binary_doc(&admissible, 7, 1 << 15),
+                    binary_doc(&wide, 5, 300),
+                ]
+                .concat()),
+                Input::text(format!(
+                    "{}xi 2\n{}",
+                    text_doc(&ring, 6, "\n"),
+                    text_doc(&race, 5, "\n")
+                )),
+                v2([
+                    binary_doc(&ring, 6, 1 << 15),
+                    xi_frame("2"),
+                    binary_doc(&race, 5, 40),
+                ]
+                .concat()),
+                // CRLF line ends and multi-byte comments, between
+                // documents and inside one.
+                Input::text(format!(
+                    "# Ξ ≥ 2 — détente\r\nxi 2\r\n{}",
+                    text_doc(&violating, 2, "\r\n").replacen(
+                        "faulty\r\n",
+                        "faulty\r\n# ✓ µs\r\n",
+                        1
+                    ),
+                )),
+                // An unterminated final line.
+                Input::text(small.trim_end()),
+                // A malformed line mid-document, with more behind it.
+                Input::text(small.replacen("e 5 ", "e five ", 1)),
+                Input::text(&b"xi 2\n\xff\xfe\nabc-trace v1\n"[..]),
+                Input::text(format!("{small}# {}\n{small}", "x".repeat(300))),
+                Input::text("proto v1\nxi 3/2\nproto v9\nxi 2\n"),
+                Input::text(format!("xi 2\n{}xi 3\n", small.replacen("end\n", "", 1))),
+                // Frames the decoder or the session must refuse.
+                v2([binary_doc(&admissible, 9, 64), vec![2, 0x7f, 0]].concat()),
+                v2({
+                    let mut w = FrameWriter::with_target(16);
+                    for rec in race.to_stream_records().iter().take(9) {
+                        w.push_record(rec);
+                    }
+                    w.push_record(&WireRecord::Xi("3".to_string()));
+                    w.finish()
+                }),
+                v2([xi_frame("2"), vec![0xa8, 0x46, 1, 2, 3]].concat()),
+                v2([xi_frame("not a ratio"), binary_doc(&ring, 9, 64)].concat()),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// (a) However a session's bytes are cut into reads, the peer sees
+        /// the same reply bytes, the operator the same totals and the same
+        /// forensics bundles as with one whole-buffer read.
+        #[test]
+        fn any_partition_of_the_input_yields_the_same_session(
+            which in 0..corpus().len(),
+            pruned in any::<bool>(),
+            single_bytes in 0u8..6,
+            cuts in proptest::collection::vec(0usize..1 << 20, 0..24),
+        ) {
+            let input = &corpus()[which];
+            let horizon = pruned.then_some(8);
+            let whole = run(&config(horizon, true), &input.parts());
+            let cut = run(&config(horizon, true), &input.chunks(&cuts, single_bytes == 0));
+            prop_assert_eq!(whole, cut);
+        }
+    }
+
+    /// (a), exhaustively for the boundaries a random partition rarely
+    /// hits: a cut at every offset of a CRLF/UTF-8 session and of a v2
+    /// session whose frames carry one- and two-byte length prefixes.
+    #[test]
+    fn a_cut_at_every_offset_yields_the_same_session() {
+        let trace = ring_trace(14, true);
+        let text = Input::text(format!(
+            "# Ξ ≥ 2 — détente\r\nxi 2\r\n{}",
+            text_doc(&trace, 4, "\r\n")
+        ));
+        let binary = Input {
+            v2: true,
+            body: [binary_doc(&trace, 4, 24), binary_doc(&trace, 4, 200)].concat(),
+        };
+        assert!(binary.body.iter().any(|b| *b >= 0x80), "a two-byte prefix");
+        for input in [&text, &binary] {
+            for horizon in [None, Some(8)] {
+                let whole = run(&config(horizon, true), &input.parts());
+                let Totals {
+                    violations,
+                    documents,
+                    ..
+                } = whole.totals;
+                assert_eq!(violations, documents, "{}", whole.replies);
+                for cut in 0..=input.body.len() {
+                    let chunks = input.chunks(&[cut], false);
+                    assert_eq!(run(&config(horizon, true), &chunks), whole, "cut at {cut}");
+                }
+            }
+        }
+    }
+
+    /// The corpus exercises what it claims to: both verdicts, every reply
+    /// kind, a fired warning, latch bundles and — on the ring documents —
+    /// real pruning that changes nothing the peer is told.
+    #[test]
+    fn the_corpus_reaches_both_verdicts_warnings_and_pruning() {
+        for (i, input) in corpus()[..4].iter().enumerate() {
+            let plain = run(&config(None, true), &input.parts());
+            assert_eq!(plain.totals.parse_errors, 0, "{}", plain.replies);
+            assert_eq!(plain.bundles.len(), 2, "a latch and a request bundle");
+            let ack = if input.v2 { "\nack " } else { "\nok " };
+            for needle in [ack, "\nviolation ", "\nend violation", "\nend admissible"] {
+                assert!(
+                    plain.replies.contains(needle),
+                    "{needle:?}: {}",
+                    plain.replies
+                );
+            }
+            let mut peer = Peer::new(&config(Some(8), false));
+            for part in input.parts() {
+                assert!(peer.feed(part));
+            }
+            let compacted = peer.total(&peer.session.tx.counters.pruned_events);
+            let pruned = peer.finish();
+            if i < 2 {
+                let Totals {
+                    violations,
+                    documents,
+                    margin_warnings,
+                    ..
+                } = plain.totals;
+                assert_eq!([violations, documents, margin_warnings], [1, 3, 2]);
+                for needle in ["\nmargin none\n", "\nmargin 3/2 zm="] {
+                    assert!(plain.replies.contains(needle), "{needle:?}");
+                }
+                let Totals {
+                    documents,
+                    parse_errors,
+                    ..
+                } = pruned.totals;
+                assert_eq!([documents, parse_errors], [0, 1], "{}", pruned.replies);
+            } else {
+                let Totals {
+                    violations,
+                    documents,
+                    ..
+                } = plain.totals;
+                assert_eq!([violations, documents], [1, 2], "{}", plain.replies);
+                assert!(compacted >= 40, "{compacted}");
+                assert_eq!(pruned.replies, plain.replies);
+                assert_eq!(pruned.totals, plain.totals);
+            }
+        }
+    }
+
+    /// (b) A violating document cut at every byte offset, then EOF: no
+    /// panic, no ack for an event that was not ingested, and exactly one
+    /// ending — a verdict, an error, or a silent close.
+    #[test]
+    fn truncation_at_every_offset_ends_in_one_verdict_error_or_silence() {
+        let trace = ring_trace(30, true);
+        let inputs = [
+            Input::text(format!("xi 2\n{}", text_doc(&trace, 10, "\n"))),
+            Input {
+                v2: true,
+                body: [xi_frame("2"), binary_doc(&trace, 10, 96)].concat(),
+            },
+        ];
+        for input in &inputs {
+            let mut endings = [0usize; 3];
+            for horizon in [None, Some(8)] {
+                for cut in 0..=input.body.len() {
+                    let mut parts = input.parts();
+                    let body = parts.pop().unwrap();
+                    parts.push(&body[..cut]);
+                    let out = run(&config(horizon, false), &parts);
+                    let Totals {
+                        events,
+                        documents,
+                        parse_errors,
+                        ..
+                    } = out.totals;
+                    let acked = out
+                        .replies
+                        .lines()
+                        .filter_map(|l| {
+                            let mut words = l.split(' ');
+                            matches!(words.next(), Some("ok" | "ack" | "violation"))
+                                .then(|| words.next().unwrap().parse::<u64>().unwrap() + 1)
+                        })
+                        .max()
+                        .unwrap_or(0);
+                    assert!(acked <= events, "cut {cut}: acked {acked} of {events}");
+                    // At most one verdict or error, counted as such, and
+                    // nothing is said after it.
+                    let ends = out.replies.matches("\nend ").count();
+                    let errors = out.replies.matches("\nerror ").count();
+                    assert!(ends + errors <= 1, "cut {cut}: {}", out.replies);
+                    assert_eq!([documents, parse_errors], [ends as u64, errors as u64]);
+                    let last = out.replies.lines().last().unwrap();
+                    assert_eq!(last.starts_with("end "), ends == 1, "cut {cut}: {last}");
+                    assert_eq!(last.starts_with("error "), errors == 1, "cut {cut}: {last}");
+                    endings[0] += ends;
+                    endings[1] += errors;
+                    endings[2] += 1 - ends - errors;
+                }
+            }
+            // Only the whole document reaches its verdict (text with or
+            // without its last newline); text cut on a line boundary ends
+            // silently, a frame stream only when cut on a frame boundary.
+            assert_eq!(endings[0], if input.v2 { 2 } else { 4 }, "{endings:?}");
+            assert!(endings[1] > 0 && endings[2] > 0, "{endings:?}");
+        }
+    }
+
+    /// (c) A peer that stops reading: the session stops asking for bytes
+    /// once `OUT_SOFT_CAP` is pending, holds at most one more read's
+    /// replies, and resumes with the identical stream when drained.
+    #[test]
+    fn a_reader_that_never_drains_throttles_itself_and_loses_nothing() {
+        const READ: usize = 8 * 1024;
+        let mut body = "margin\n".repeat(200_000);
+        body.push_str(&text_doc(&sample_trace(), 3, "\n"));
+        let config = config(None, false);
+        let reference = run(&config, &[body.as_bytes()]);
+        assert!(reference.replies.len() > 2 * OUT_SOFT_CAP);
+
+        let mut peer = Peer::new(&config);
+        let mut reads = body.as_bytes().chunks(READ);
+        let mut fed = 0;
+        while peer.feed(reads.next().expect("the cap stops the session first")) {
+            fed += 1;
+        }
+        // `fed` reads were taken, the next one refused and lost to the
+        // iterator: offer it again below.
+        assert!(!peer.session.wants_bytes() && !peer.session.finished());
+        let stalled = peer.session.pending();
+        assert!(
+            (OUT_SOFT_CAP..OUT_SOFT_CAP + 2 * READ).contains(&stalled),
+            "{stalled}"
+        );
+        // Draining below the cap — not to empty — reopens the session.
+        peer.take(stalled - OUT_SOFT_CAP + 1);
+        assert!(peer.session.wants_bytes());
+        for read in body.as_bytes().chunks(READ).skip(fed) {
+            while !peer.feed(read) {
+                peer.take(100_000);
+            }
+            assert!(peer.session.pending() < OUT_SOFT_CAP + 2 * READ);
+        }
+        assert_eq!(peer.finish(), reference);
+    }
+
+    /// (d) Half-close right after an unterminated `end` still yields the
+    /// verdict; EOF inside a frame is a protocol error.
+    #[test]
+    fn half_close_completes_a_text_line_and_refuses_a_partial_frame() {
+        let trace = sample_trace();
+        let text = text_doc(&trace, 1000, "\n");
+        let out = run(&config(None, false), &[text.trim_end().as_bytes()]);
+        let last = out.replies.lines().last().unwrap();
+        assert!(last.starts_with("end violation at_event=21 "), "{last}");
+        assert_eq!([out.totals.documents, out.totals.parse_errors], [1, 0]);
+
+        let frames = binary_doc(&trace, 1000, 1 << 15);
+        let out = run(
+            &config(None, false),
+            &[HANDSHAKE, &frames[..frames.len() - 3]],
+        );
+        assert_eq!(
+            out.replies,
+            format!(
+                "{GREETING_LINE}proto v2 ok\nerror record 1: connection ended mid-frame ({} bytes buffered)\n",
+                frames.len() - 3
+            )
+        );
+        assert_eq!(out.totals, REFUSED);
+    }
+
+    /// (e) Bytes that arrive in the same read as the end of the
+    /// `proto v2` line are refused, however the line itself was split;
+    /// the same bytes one read later are the first frame.
+    #[test]
+    fn bytes_pipelined_behind_the_handshake_are_refused_however_it_was_split() {
+        let frames = binary_doc(&clocksync_trace(4, 5, 3, 12), 4, 64);
+        for split in 0..HANDSHAKE.len() {
+            let (head, tail) = HANDSHAKE.split_at(split);
+            for extra in [&frames[..1], &frames[..], b"\n", b"xi 2"] {
+                let out = run(&config(None, false), &[head, &[tail, extra].concat()]);
+                assert_eq!(
+                    out.replies,
+                    format!("{GREETING_LINE}{PIPELINED}"),
+                    "{split}"
+                );
+                assert_eq!(out.totals, REFUSED);
+            }
+            let out = run(&config(None, false), &[head, tail, &frames]);
+            assert!(
+                out.replies.ends_with("\nend admissible events=12\n"),
+                "{}",
+                out.replies
+            );
+            assert_eq!(out.totals.parse_errors, 0);
+        }
     }
 }

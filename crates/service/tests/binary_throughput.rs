@@ -1,14 +1,8 @@
-//! The binary-framing speedup bar: single-session ingest over the v2
-//! binary framing must beat the v1 text path by the documented multiple.
-//!
-//! Correctness (identical verdicts and full ack coverage) is asserted
-//! unconditionally. The throughput ratio is hardware-gated, following the
-//! repo's loadgen precedent: debug builds assert nothing about speed,
-//! single-core hosts assert a conservative ≥2× (protocol work and client
-//! share one core, and scheduler noise is large), and CI-class hosts
-//! (release, ≥4 hardware threads) assert the full ≥3× bar.
-
-use std::time::Instant;
+//! Correctness half of the binary-framing claim: one session fed the same
+//! document over v1 text and v2 frames reaches the same verdict, every
+//! event is acknowledged, and v2 acks coalesce. The speed half — how many
+//! times faster v2 ingests — is a measurement, not a test: `bench_ledger`
+//! carries it as the `serve_v1` and `serve_v2` workloads' `events_per_s`.
 
 use abc_core::Xi;
 use abc_service::server::{start, ServerConfig};
@@ -28,16 +22,6 @@ fn clocksync_trace(events: usize) -> Trace {
     sim.trace().clone()
 }
 
-fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
 #[test]
 fn binary_framing_beats_text_by_the_documented_multiple() {
     let xi = Xi::from_integer(5);
@@ -49,7 +33,6 @@ fn binary_framing_beats_text_by_the_documented_multiple() {
     let handle = start(ServerConfig::default()).unwrap();
     let addr = handle.addr().to_string();
 
-    // Correctness first, and warm-up for both paths.
     let out_text = feed_stream_text(&addr, &xi, &text).unwrap();
     let out_bin = feed_stream_binary(&addr, &xi, &bin).unwrap();
     assert_eq!(out_text.verdict.to_string(), out_bin.verdict.to_string());
@@ -60,34 +43,6 @@ fn binary_framing_beats_text_by_the_documented_multiple() {
         "binary acks must coalesce: {} progress replies vs {} in text",
         out_bin.oks,
         out_text.oks
-    );
-
-    if cfg!(debug_assertions) {
-        // Unoptimized builds measure the compiler, not the protocol.
-        handle.join();
-        return;
-    }
-
-    let text_s = best_of(7, || {
-        feed_stream_text(&addr, &xi, &text).unwrap();
-    });
-    let bin_s = best_of(7, || {
-        feed_stream_binary(&addr, &xi, &bin).unwrap();
-    });
-    #[allow(clippy::cast_precision_loss)]
-    let (text_eps, bin_eps) = (events as f64 / text_s, events as f64 / bin_s);
-    let ratio = bin_eps / text_eps;
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    eprintln!(
-        "single-session ingest: text {text_eps:.0} events/s, binary {bin_eps:.0} events/s \
-         ({ratio:.2}x) on {cores} hardware threads"
-    );
-
-    let bar = if cores >= 4 { 3.0 } else { 2.0 };
-    assert!(
-        ratio >= bar,
-        "binary framing only {ratio:.2}x over text (bar {bar}x on {cores} hardware threads): \
-         text {text_eps:.0} events/s vs binary {bin_eps:.0} events/s"
     );
     handle.join();
 }

@@ -59,3 +59,39 @@ fn policy_file_is_well_formed_and_scoped() {
         &config.excludes
     ));
 }
+
+/// The session is a sans-IO state machine: neither `session.rs` nor any
+/// `session/` child module may name a socket or move bytes itself — the
+/// connection driver in `server.rs` is the only code that touches a data
+/// connection.
+#[test]
+fn the_session_module_stays_free_of_sockets() {
+    const FORBIDDEN: [&str; 4] = ["std::net", "TcpStream", ".read(", "write_vectored"];
+    let src = workspace_root().join("crates/service/src");
+    let mut files = vec![src.join("session.rs")];
+    let mut dirs = vec![src.join("session")];
+    while let Some(dir) = dirs.pop() {
+        // No `session/` directory (today's layout) means no child modules.
+        for entry in std::fs::read_dir(dir).into_iter().flatten() {
+            let path = entry.expect("readable directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                files.push(path);
+            }
+        }
+    }
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("session source is readable");
+        for (n, line) in text.lines().enumerate() {
+            for needle in FORBIDDEN {
+                assert!(
+                    !line.contains(needle),
+                    "{}:{}: `{needle}` in the session module",
+                    file.display(),
+                    n + 1
+                );
+            }
+        }
+    }
+}
