@@ -375,9 +375,10 @@ impl IncrementalChecker {
     ///
     /// # Panics
     ///
-    /// Panics on a pruning monitor whose mirror was dropped unless
-    /// [`IncrementalChecker::enable_margin_tracking`] was called before the
-    /// first prune.
+    /// Panics after a prune on a monitor whose mirror was dropped, unless
+    /// [`IncrementalChecker::enable_margin_tracking`] was called before that
+    /// prune. A monitor that has pruned nothing answers in every mode: its
+    /// window is the whole execution.
     pub fn current_margin(&self) -> Result<Option<MarginReport>, CheckError> {
         let _span = abc_obs::span("monitor.margin_probe");
         OBS_PROBES.add(1);
@@ -391,22 +392,20 @@ impl IncrementalChecker {
                 witness: Some(s.clone()),
             }));
         }
-        if !self.margin_tracking {
+        // The window is the whole execution until something is pruned from
+        // it; after an untracked prune only the mirror is exact.
+        if !self.margin_tracking && self.stats.pruned_events > 0 {
             let mirror = self.builder.as_ref().expect(
                 "current_margin() on a pruning monitor requires enable_margin_tracking() \
                  before the first prune_settled()",
             );
-            // The window is the whole execution until something is pruned
-            // from it; after an untracked prune only the mirror is exact.
-            if self.stats.pruned_events > 0 {
-                let g = mirror.graph();
-                return Ok(
-                    check::max_ratio_cycle(g)?.map(|(ratio, cycle)| MarginReport {
-                        ratio,
-                        witness: cycle.map(|c| c.summarize(g)),
-                    }),
-                );
-            }
+            let g = mirror.graph();
+            return Ok(
+                check::max_ratio_cycle(g)?.map(|(ratio, cycle)| MarginReport {
+                    ratio,
+                    witness: cycle.map(|c| c.summarize(g)),
+                }),
+            );
         }
         let floor = || {
             self.margin_floor
@@ -440,8 +439,9 @@ impl IncrementalChecker {
     ///
     /// # Panics
     ///
-    /// Panics on a pruning monitor whose mirror was dropped unless margin
-    /// tracking is enabled (pruned shortcut arcs need their signatures).
+    /// Panics after a prune on a monitor whose mirror was dropped, unless
+    /// margin tracking is enabled (pruned shortcut arcs need their
+    /// signatures).
     #[must_use]
     pub fn margin_upper_bound(&self) -> Option<Ratio> {
         let _span = abc_obs::span("monitor.margin_bound");

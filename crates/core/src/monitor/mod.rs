@@ -32,14 +32,19 @@
 //! * `prune` — bounded memory: [`IncrementalChecker::prune_settled`]
 //!   compacts a settled prefix after condensing its boundary, leaving
 //!   verdicts, latch points, witnesses and summaries **byte-identical**
-//!   at any call cadence ([`IncrementalChecker::enable_pruning`] also
-//!   drops the [`ExecutionGraph`] mirror; [`MonitorStats`] reports the
-//!   live high-water marks);
+//!   at any call cadence ([`IncrementalChecker::enable_pruning`] drops
+//!   the [`ExecutionGraph`] mirror and nothing else; [`MonitorStats`]
+//!   reports the live high-water marks);
 //! * `margin` — [`IncrementalChecker::current_margin`] and
 //!   [`IncrementalChecker::margin_upper_bound`], and the floor and
 //!   signature envelopes that keep them exact across prunes;
 //! * `witness` — the canonical witness shape, and the one expansion that
 //!   turns live arcs and condensed paths back into steps of the execution.
+//!
+//! A monitor that finished one execution is re-armed for the next with
+//! [`IncrementalChecker::reset`], which keeps the capacity of every
+//! per-event column: a service checking one document after another
+//! allocates for the first and reuses for the rest.
 //!
 //! # Weights without a global scale factor
 //!
@@ -250,6 +255,84 @@ impl IncrementalChecker {
         })
     }
 
+    /// Re-arms the monitor in place for a new execution over
+    /// `num_processes` processes and the parameter `Ξ`: afterwards it
+    /// behaves exactly like [`IncrementalChecker::new`] with the same
+    /// arguments — no event, no faulty mark, no latch, zeroed
+    /// [`MonitorStats`] — except that the two mode choices made on the old
+    /// one persist (a mirror dropped by
+    /// [`IncrementalChecker::enable_pruning`] stays dropped,
+    /// [`IncrementalChecker::enable_margin_tracking`] stays on) and every
+    /// per-event column keeps its capacity, so a monitor that has seen a
+    /// document of some size checks the next one of that size without
+    /// allocating. A kept mirror is rebuilt from nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::XiTooLarge`] as in [`IncrementalChecker::new`]; the
+    /// monitor is then left as it was.
+    pub fn reset(&mut self, num_processes: usize, xi: &Xi) -> Result<(), CheckError> {
+        let (new_p, new_q) = xi.as_i64_parts().ok_or(CheckError::XiTooLarge)?;
+        // Exhaustive on purpose (no `..`): a field added to the struct
+        // does not compile until it is re-armed here as `new` arms it.
+        let IncrementalChecker {
+            xi: own_xi,
+            p,
+            q,
+            num_processes: own_num_processes,
+            faulty,
+            has_sent,
+            builder,
+            tg,
+            proc_of,
+            pot,
+            relax_count,
+            in_queue,
+            touched,
+            queue,
+            last_event,
+            frontier_row,
+            shortcuts,
+            total_messages,
+            violation,
+            violation_summary,
+            margin_tracking: _,
+            margin_floor,
+            margin_floor_witness,
+            stats,
+        } = self;
+        *own_xi = xi.clone();
+        *p = i128::from(new_p);
+        *q = i128::from(new_q);
+        *own_num_processes = num_processes;
+        faulty.clear();
+        faulty.resize(num_processes, false);
+        has_sent.clear();
+        has_sent.resize(num_processes, false);
+        if let Some(mirror) = builder {
+            *mirror = ExecutionGraph::builder(num_processes);
+        }
+        tg.clear();
+        proc_of.clear();
+        pot.clear();
+        relax_count.clear();
+        in_queue.clear();
+        touched.clear();
+        queue.clear();
+        last_event.clear();
+        last_event.resize(num_processes, None);
+        frontier_row.clear();
+        frontier_row.resize(num_processes, None);
+        shortcuts.clear();
+        *total_messages = 0;
+        *violation = None;
+        *violation_summary = None;
+        *margin_floor = None;
+        *margin_floor_witness = None;
+        *stats = MonitorStats::default();
+        Ok(())
+    }
+
     /// Builds a monitor by replaying an existing execution graph event by
     /// event (in its creation order, which is topological).
     ///
@@ -277,16 +360,22 @@ impl IncrementalChecker {
         Ok(mon)
     }
 
-    /// Drops the full execution-graph mirror so memory stays bounded by the
-    /// live window: from here on only [`IncrementalChecker::prune_settled`]
-    /// bookkeeping is kept per event, and [`IncrementalChecker::graph`] /
+    /// Drops the full execution-graph mirror, and does nothing else: no
+    /// event is ever pruned unless the caller also calls
+    /// [`IncrementalChecker::prune_settled`]. From here on only the
+    /// windowed per-event columns are kept (and no mirror append is paid
+    /// per event), [`IncrementalChecker::graph`] /
     /// [`IncrementalChecker::finish`] are unavailable (use
-    /// [`IncrementalChecker::violation_summary`] for witness reporting).
+    /// [`IncrementalChecker::violation_summary`] for witness reporting),
+    /// and the choice survives [`IncrementalChecker::reset`]. Verdicts,
+    /// latch points, witnesses and — until something is pruned — margins
+    /// are unaffected: none of them reads the mirror.
     ///
-    /// Pruning itself ([`IncrementalChecker::prune_settled`]) also works
+    /// The name records why the mirror goes: pruning itself also works
     /// with the mirror kept — useful when verdict-identical comparison
-    /// against the full graph is wanted — but only this call makes the
-    /// memory bound `O(processes + active window + in-flight)` real.
+    /// against the full graph is wanted — but only a mirror-less monitor
+    /// makes the memory bound `O(processes + active window + in-flight)`
+    /// real.
     ///
     /// # Panics
     ///
@@ -308,8 +397,9 @@ impl IncrementalChecker {
     /// (a few cycle probes over the live window) and one signature-envelope
     /// pass per boundary landing — a millisecond or two where an untracked
     /// prune takes a few hundred microseconds; without it, margin queries on a
-    /// pruning monitor whose mirror was dropped
-    /// ([`IncrementalChecker::enable_pruning`]) are unavailable.
+    /// monitor whose mirror was dropped
+    /// ([`IncrementalChecker::enable_pruning`]) are unavailable from its
+    /// first prune on. The choice survives [`IncrementalChecker::reset`].
     ///
     /// # Panics
     ///

@@ -646,8 +646,168 @@ fn margin_queries_on_untracked_pruning_monitors_panic() {
     let a = mon.append_init(ProcessId(0));
     mon.append_init(ProcessId(1));
     mon.append_send(a, ProcessId(1));
+    // Until something is pruned the window is the whole execution.
+    assert_eq!(mon.current_margin().unwrap(), None);
+    assert!(mon.prune_settled(None) > 0);
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         mon.current_margin().unwrap();
     }));
     assert!(res.is_err(), "margin without tracking must be rejected");
+}
+
+/// A deterministic dense script over `n` processes: `(back, to)` pairs as
+/// in [`assert_prune_equivalent`], from a fixed multiplicative sequence.
+fn dense_script(n: usize, len: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            // SplitMix64.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = state;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^= x >> 31;
+            ((x >> 8) as usize % 5, (x >> 32) as usize % n)
+        })
+        .collect()
+}
+
+/// Inits `n` processes and appends `script`, every send naming one of the
+/// last three events; `after` sees the monitor after every append.
+fn feed_script(
+    mon: &mut IncrementalChecker,
+    n: usize,
+    script: &[(usize, usize)],
+    mut after: impl FnMut(&mut IncrementalChecker, usize),
+) {
+    for p in 0..n {
+        mon.append_init(ProcessId(p));
+    }
+    let mut total = n;
+    for &(back, to) in script {
+        let from = EventId(total - 1 - back % 3.min(total));
+        mon.append_send(from, ProcessId(to % n));
+        total += 1;
+        after(mon, total);
+    }
+}
+
+#[test]
+fn a_mirrorless_monitor_that_pruned_nothing_answers_margins_like_a_mirrored_one() {
+    // One script that latches on the way, one that stays admissible.
+    for xi in [Xi::from_fraction(3, 2), Xi::from_integer(3)] {
+        let script = dense_script(3, 60, 1);
+        let mut margins = Vec::new();
+        let mut mirrored = IncrementalChecker::new(3, &xi).unwrap();
+        feed_script(&mut mirrored, 3, &script, |mon, _| {
+            margins.push((mon.current_margin().unwrap(), mon.margin_upper_bound()));
+        });
+        assert!(margins.iter().any(|(m, _)| m.is_some()), "no cycle at all");
+        let mut at = 0;
+        let mut bare = IncrementalChecker::new(3, &xi).unwrap();
+        bare.enable_pruning();
+        feed_script(&mut bare, 3, &script, |mon, total| {
+            let got = (mon.current_margin().unwrap(), mon.margin_upper_bound());
+            assert_eq!(got, margins[at], "event {total}");
+            at += 1;
+        });
+        assert_eq!(bare.stats(), mirrored.stats());
+    }
+}
+
+#[test]
+fn a_second_identical_document_after_reset_grows_no_capacity() {
+    let xi = Xi::from_integer(3);
+    let script = dense_script(6, 400, 1);
+    let mut mon = IncrementalChecker::new(6, &xi).unwrap();
+    mon.enable_pruning();
+    mon.enable_margin_tracking();
+    // Prunes now and then, so the shortcut table and the frontier rows
+    // are exercised too.
+    let run = |mon: &mut IncrementalChecker| {
+        feed_script(mon, 6, &script, |mon, total| {
+            if total % 64 == 0 {
+                mon.prune_settled(Some(EventId(total - 3)));
+            }
+        });
+        (
+            mon.stats(),
+            mon.current_margin().unwrap(),
+            mon.violation_summary().cloned(),
+        )
+    };
+    let first = run(&mut mon);
+    assert!(first.0.pruned_events > 0 && first.0.relaxations > 0);
+    let capacities = |mon: &IncrementalChecker| {
+        [
+            mon.faulty.capacity(),
+            mon.has_sent.capacity(),
+            mon.proc_of.capacity(),
+            mon.pot.capacity(),
+            mon.relax_count.capacity(),
+            mon.in_queue.capacity(),
+            mon.touched.capacity(),
+            mon.queue.capacity(),
+            mon.last_event.capacity(),
+            mon.frontier_row.capacity(),
+        ]
+    };
+    let before = capacities(&mon);
+    assert!(!mon.shortcuts.is_empty(), "the run left condensed paths");
+    mon.reset(6, &xi).unwrap();
+    assert_eq!(mon.stats(), MonitorStats::default());
+    assert_eq!((mon.live_events(), mon.live_arcs()), (0, 0));
+    // Nothing of the first document is held on, where a test can see it
+    // (the proptests compare the rest against a new monitor).
+    assert!(mon.shortcuts.is_empty() && mon.frontier_row.iter().all(Option::is_none));
+    assert_eq!(run(&mut mon), first, "the reset monitor diverged");
+    assert_eq!(capacities(&mon), before, "the second run allocated");
+}
+
+#[test]
+fn reset_keeps_the_mode_choices_and_takes_topology_and_xi_anew() {
+    let script = dense_script(3, 40, 3);
+    let mut mon = IncrementalChecker::new(6, &Xi::from_integer(2)).unwrap();
+    mon.mark_faulty(ProcessId(5));
+    feed_script(&mut mon, 6, &dense_script(6, 40, 7), |_, _| {});
+    assert!(!mon.is_admissible(), "the first document latches");
+    // A mirrored monitor stays mirrored, with a mirror of the new shape.
+    let wide = Xi::from_integer(9);
+    mon.reset(3, &wide).unwrap();
+    assert_eq!((mon.xi(), mon.graph().num_processes()), (&wide, 3));
+    assert!(mon.is_admissible() && mon.violation_summary().is_none());
+    assert!(!mon.process_has_events(ProcessId(0)));
+    mon.mark_faulty(ProcessId(2));
+    feed_script(&mut mon, 3, &script, |_, _| {});
+    let mut fresh = IncrementalChecker::new(3, &wide).unwrap();
+    fresh.mark_faulty(ProcessId(2));
+    feed_script(&mut fresh, 3, &script, |_, _| {});
+    assert_eq!(mon.graph(), fresh.graph());
+    assert_eq!(mon.stats(), fresh.stats());
+    assert_eq!(
+        mon.current_margin().unwrap(),
+        fresh.current_margin().unwrap()
+    );
+    // A dropped mirror stays dropped, tracking stays on; a Ξ the monitor
+    // cannot hold leaves it as it was.
+    mon.reset(3, &wide).unwrap();
+    mon.enable_pruning();
+    mon.enable_margin_tracking();
+    feed_script(&mut mon, 3, &script, |_, _| {});
+    let huge = Xi::new(Ratio::from_bigints(
+        abc_rational::BigInt::from(1i128 << 80),
+        abc_rational::BigInt::from(3),
+    ))
+    .unwrap();
+    assert_eq!(mon.reset(2, &huge), Err(CheckError::XiTooLarge));
+    assert_eq!(mon.stats().events, 3 + script.len());
+    mon.reset(3, &wide).unwrap();
+    assert!(mon.builder.is_none() && mon.margin_tracking);
+    feed_script(&mut mon, 3, &script, |mon, total| {
+        mon.prune_settled(Some(EventId(total - 3)));
+    });
+    assert_eq!(
+        mon.current_margin().unwrap().map(|m| m.ratio),
+        fresh.current_margin().unwrap().map(|m| m.ratio)
+    );
 }

@@ -166,6 +166,24 @@ impl TraversalGraph {
         tg
     }
 
+    /// Empties the graph in place — no node, no arc, base `0`, as after
+    /// [`TraversalGraph::new`] — keeping every column's capacity, so a
+    /// graph of the same size grown again allocates nothing.
+    pub fn clear(&mut self) {
+        let TraversalGraph {
+            arcs,
+            out_head,
+            out_tail,
+            out_next,
+            base,
+        } = self;
+        arcs.clear();
+        out_head.clear();
+        out_tail.clear();
+        out_next.clear();
+        *base = 0;
+    }
+
     /// Event id of the first live node.
     #[must_use]
     pub fn base(&self) -> usize {
@@ -462,6 +480,50 @@ mod tests {
             }),
         );
         assert_eq!(tg.out_arcs(v).count(), 1);
+    }
+
+    /// A small ladder: `n` nodes, each with a forward/backward pair to its
+    /// successor.
+    fn grow_ladder(tg: &mut TraversalGraph, n: usize) {
+        for v in 0..n {
+            assert_eq!(tg.push_node(), v);
+            if v > 0 {
+                tg.push_arc(v - 1, v, ArcKind::Forward(MessageId(v)));
+                tg.push_arc(v, v - 1, ArcKind::Backward(MessageId(v)));
+            }
+        }
+    }
+
+    #[test]
+    fn clear_restarts_at_zero_and_keeps_every_capacity() {
+        let mut tg = TraversalGraph::new();
+        grow_ladder(&mut tg, 100);
+        tg.compact_below(40);
+        tg.clear();
+        assert_eq!((tg.base(), tg.total_nodes(), tg.num_arcs()), (0, 0, 0));
+        grow_ladder(&mut tg, 100);
+        let capacities = |tg: &TraversalGraph| {
+            [
+                tg.arcs.capacity(),
+                tg.out_head.capacity(),
+                tg.out_tail.capacity(),
+                tg.out_next.capacity(),
+            ]
+        };
+        let before = capacities(&tg);
+        tg.clear();
+        grow_ladder(&mut tg, 100);
+        assert_eq!(capacities(&tg), before, "the second run allocated");
+        // Indistinguishable from a graph grown from nothing.
+        let mut fresh = TraversalGraph::new();
+        grow_ladder(&mut fresh, 100);
+        for v in 0..100 {
+            assert_eq!(
+                tg.out_arcs(v).collect::<Vec<_>>(),
+                fresh.out_arcs(v).collect::<Vec<_>>()
+            );
+        }
+        assert_eq!(tg.in_csr(), fresh.in_csr());
     }
 
     #[test]

@@ -231,6 +231,110 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
     );
 }
 
+/// An execution to monitor: process count, the process marked faulty
+/// (if any), and a send script.
+type Execution = (usize, Option<usize>, Script);
+
+fn execution_strategy() -> impl Strategy<Value = Execution> {
+    (
+        2usize..5,
+        any::<usize>(),
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..24),
+    )
+        .prop_map(|(n, pick, script)| (n, (pick % 3 == 0).then_some(pick % n), script))
+}
+
+/// A new monitor in one of the five modes a monitor can be in: (0) as
+/// built, (1) mirror dropped, (2) mirror dropped and margin-tracked,
+/// pruning, (3) mirrored and untracked, pruning, (4) mirror dropped and
+/// untracked, pruning.
+fn armed(mode: usize, n: usize, xi: &Xi) -> IncrementalChecker {
+    let mut mon = IncrementalChecker::new(n, xi).unwrap();
+    if matches!(mode, 1 | 2 | 4) {
+        mon.enable_pruning();
+    }
+    if mode == 2 {
+        mon.enable_margin_tracking();
+    }
+    mon
+}
+
+/// Feeds `execution` to `mon` and renders everything its public face
+/// shows after every append: verdict, cycle, summary, margin with witness,
+/// margin bound, counters, live sizes, the mirror — and what each prune
+/// returned.
+fn observe(
+    mon: &mut IncrementalChecker,
+    mode: usize,
+    (n, faulty, script): &Execution,
+    cadence: usize,
+    horizon: usize,
+) -> Vec<String> {
+    let n = *n;
+    if let Some(p) = faulty {
+        mon.mark_faulty(ProcessId(*p));
+    }
+    for p in 0..n {
+        mon.append_init(ProcessId(p));
+    }
+    let mut seen = Vec::new();
+    let mut total = n;
+    for (step, &(back, to)) in script.iter().enumerate() {
+        // Sends only name one of the last `horizon` events, so the
+        // watermark below is an honest promise.
+        let from = EventId(total - 1 - back % horizon.min(total));
+        let ids = mon.append_send(from, ProcessId(to % n));
+        total += 1;
+        // Only an untracked monitor without a mirror has no margin to
+        // show, and only once it has pruned.
+        let margins = (mode != 4 || mon.stats().pruned_events == 0)
+            .then(|| (mon.current_margin(), mon.margin_upper_bound()));
+        let mirror = matches!(mode, 0 | 3).then(|| mon.graph().clone());
+        seen.push(format!(
+            "{ids:?} {:?} {:?} {margins:?} {:?} {} {} {mirror:?}",
+            mon.violation(),
+            mon.violation_summary(),
+            mon.stats(),
+            mon.live_events(),
+            mon.live_arcs(),
+        ));
+        if mode >= 2 && step % cadence == 0 {
+            let pruned = mon.prune_settled(Some(EventId(total.saturating_sub(horizon))));
+            seen.push(format!("pruned {pruned}"));
+        }
+    }
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(320))]
+
+    /// `reset` ≡ `new`: a monitor that has been through one execution —
+    /// in any mode, latched or not, with faulty marks, over another
+    /// process count and another Ξ — and is then reset shows, at every
+    /// prefix of a second execution, exactly what a new monitor of that
+    /// mode shows.
+    #[test]
+    fn a_reset_monitor_is_indistinguishable_from_a_new_one(
+        mode in 0usize..5,
+        first in (execution_strategy(), xi_strategy()),
+        second in (execution_strategy(), xi_strategy()),
+        cadence in 1usize..4,
+        horizon in 1usize..5,
+    ) {
+        let ((n, _, _), xi) = &first;
+        let mut reused = armed(mode, *n, xi);
+        observe(&mut reused, mode, &first.0, cadence, horizon);
+        let ((n, _, _), xi) = &second;
+        reused.reset(*n, xi).unwrap();
+        let mut new = armed(mode, *n, xi);
+        prop_assert_eq!(
+            observe(&mut reused, mode, &second.0, cadence, horizon),
+            observe(&mut new, mode, &second.0, cadence, horizon)
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -18,7 +18,8 @@
 //! `std::sync::mpsc`); each worker drives its connections with
 //! non-blocking reads/writes. The split is sans-IO: the connection driver
 //! in [`server`] is the only code that touches a data socket — it owns the
-//! stream, the read buffer, the per-tick read budget and the byte counters
+//! stream, the per-tick read budget and the byte counters, and reads
+//! through the one buffer its shard lends every connection in turn
 //! — and the session behind it is a pure state machine, request bytes in
 //! and reply bytes out, that the driver asks only *want bytes?*, *here are
 //! bytes / EOF*, *pending reply slices* and *finished?*. Every peer
@@ -37,7 +38,15 @@
 //! never buffered, and with [`server::ServerConfig::prune_horizon`] set the
 //! checker itself runs in bounded-memory mode (settled-prefix pruning), so
 //! server memory is O(sessions + in-flight frame + prune window), never
-//! O(connection lifetime).
+//! O(connection lifetime). Parser and checker are held only while a
+//! document is open: a finished document hands both back to its shard,
+//! which keeps a few as spares, and the next document — of any session on
+//! that shard — re-arms them in place
+//! ([`abc_sim::textio::TraceLineParser::reset`],
+//! [`abc_core::monitor::IncrementalChecker::reset`]) instead of building
+//! them from nothing, so a shard under steady load stops allocating per
+//! document and an idle connection holds no document memory. The served
+//! checker keeps no execution-graph mirror (nothing served reads one).
 //! Replies are `ok <seq>` / `violation <seq> <witness>` per event (v1) or
 //! one coalesced `ack <through>` per ingested frame with immediate
 //! violations (v2), and `end <verdict>` per document ([`proto`]); both
@@ -53,7 +62,7 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`server`] | [`server::start`], [`server::ServerConfig`], shard workers and the connection driver (the only data-socket I/O), status port |
-//! | `session` | (internal) sans-IO per-connection state machine: one request path for both framings, document half + reply half |
+//! | `session` | (internal) sans-IO per-connection state machine: one request path for both framings, document half + reply half; the shard-owned spare document state |
 //! | [`proto`] | wire protocol: replies, [`proto::Verdict`], [`proto::offline_verdict`] |
 //! | [`client`] | [`client::feed_stream_text`] / [`client::feed_stream_binary`] (`abc feed`), [`client::run_loadgen`] (`abc loadgen`), [`client::status_command`] |
 //! | [`metrics`] | named counter/gauge/histogram registry; human status page + Prometheus text exposition; per-session margin gauges |

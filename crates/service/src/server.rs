@@ -7,8 +7,14 @@
 //! reads/writes, so no locks sit on the ingestion hot path. A connection
 //! (`Conn`) is the only code that touches a data socket: it moves bytes
 //! between the socket and its sans-IO `Session` and knows nothing of
-//! the protocol. The shared session table (`Arc<Mutex<…>>`) holds only
-//! status-page metadata, with per-session counters as atomics.
+//! the protocol. What outlives a read or a document belongs to the shard,
+//! not to a connection: one read buffer serves every connection in turn
+//! (a session takes the bytes before the next read), and one `DocSpares`
+//! holds the parsers and monitors of finished documents for whichever
+//! session opens the next one — so an idle connection holds a socket and
+//! its framing state, and a busy shard stops allocating per document.
+//! The shared session table (`Arc<Mutex<…>>`) holds only status-page
+//! metadata, with per-session counters as atomics.
 
 use std::collections::BTreeMap;
 use std::io::{IoSlice, Read, Write};
@@ -23,7 +29,7 @@ use abc_core::Xi;
 use abc_rational::Ratio;
 
 use crate::metrics::{self, Metrics, MARGIN_NONE};
-use crate::session::{Session, SessionCounters};
+use crate::session::{DocSpares, Session, SessionCounters};
 
 /// How long idle loops sleep between polls. Accept latency and shutdown
 /// latency are bounded by this; busy loops never sleep.
@@ -33,7 +39,7 @@ const IDLE_POLL: Duration = Duration::from_micros(500);
 /// shard siblings within a single scheduling round.
 const MAX_READS_PER_TICK: usize = 16;
 
-/// Per-connection read buffer size.
+/// Size of a shard's read buffer (the most one `read` takes).
 const READ_BUF_LEN: usize = 64 * 1024;
 
 /// Reply slices submitted per `writev`.
@@ -496,14 +502,11 @@ fn accept_loop(
     }
 }
 
-/// One data connection: the socket, its read buffer and the session the
-/// bytes belong to. All it asks of the session is whether it wants bytes,
-/// what reply bytes are pending and whether it is finished.
+/// One data connection: the socket and the session the bytes belong to.
+/// All it asks of the session is whether it wants bytes, what reply bytes
+/// are pending and whether it is finished.
 struct Conn {
     stream: TcpStream,
-    /// Reused for the connection's lifetime (boxed so idle connections
-    /// don't widen the shard's stack frames).
-    read_buf: Box<[u8]>,
     session: Session,
     /// The socket failed or the session finished: the shard drops the
     /// connection.
@@ -513,11 +516,12 @@ struct Conn {
 impl Conn {
     /// Drives the connection once: write pending replies, read whatever
     /// arrived into the session, write again. Returns whether any byte
-    /// moved (the shard loop sleeps only when nothing did).
-    fn tick(&mut self, metrics: &Metrics) -> bool {
+    /// moved (the shard loop sleeps only when nothing did). `shard` is what
+    /// the owning shard lends every connection in turn.
+    fn tick(&mut self, metrics: &Metrics, shard: &mut ShardState) -> bool {
         let mut work = self.write_replies(metrics);
         if !self.dead && self.session.wants_bytes() {
-            work |= self.read_requests(metrics);
+            work |= self.read_requests(metrics, shard);
             work |= self.write_replies(metrics);
         }
         if self.session.finished() {
@@ -526,19 +530,22 @@ impl Conn {
         work
     }
 
-    fn read_requests(&mut self, metrics: &Metrics) -> bool {
+    fn read_requests(&mut self, metrics: &Metrics, shard: &mut ShardState) -> bool {
+        let ShardState { read_buf, spares } = shard;
         let mut work = false;
         for _ in 0..MAX_READS_PER_TICK {
-            match self.stream.read(&mut self.read_buf) {
+            match self.stream.read(read_buf) {
                 Ok(0) => {
-                    self.session.feed_eof(metrics);
+                    self.session.feed_eof(metrics, spares);
                     break;
                 }
                 Ok(n) => {
                     work = true;
                     metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                    // The session takes the bytes before the next `read`
+                    // (this connection's or a sibling's) overwrites them.
                     self.session
-                        .feed(self.read_buf.get(..n).unwrap_or(&[]), metrics);
+                        .feed(read_buf.get(..n).unwrap_or(&[]), metrics, spares);
                     if !self.session.wants_bytes() {
                         break;
                     }
@@ -584,6 +591,16 @@ impl Conn {
     }
 }
 
+/// What a shard owns on behalf of all its connections and lends each one
+/// while it ticks.
+struct ShardState {
+    /// The one read buffer: a session has taken a read's bytes before the
+    /// next read happens, so connections need none of their own.
+    read_buf: Box<[u8]>,
+    /// Parsers and monitors of finished documents, for the next ones.
+    spares: DocSpares,
+}
+
 fn shard_loop(
     rx: &Receiver<NewConn>,
     config: &ServerConfig,
@@ -594,6 +611,10 @@ fn shard_loop(
     shards_done: &AtomicUsize,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut state = ShardState {
+        read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
+        spares: DocSpares::new(),
+    };
     let mut seen_epoch = dump_epoch.load(Ordering::Relaxed);
     // Idle backoff: yield to the scheduler for a bounded number of rounds
     // before sleeping `IDLE_POLL`. On loaded single-core hosts this keeps a
@@ -615,7 +636,6 @@ fn shard_loop(
             }
             conns.push(Conn {
                 stream: conn.stream,
-                read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
                 session: Session::new(conn.id, config, conn.counters),
                 dead: false,
             });
@@ -632,15 +652,16 @@ fn shard_loop(
             work = true;
         }
         for c in &mut conns {
-            work |= c.tick(metrics);
+            work |= c.tick(metrics, &mut state);
         }
         if work && !conns.is_empty() {
             // One shard-queue-depth sample per round that did work — the
             // loadgen/forensics view of how loaded this shard is.
             abc_obs::sample("service.shard_sessions", conns.len() as u64);
         }
-        conns.retain(|c| {
+        conns.retain_mut(|c| {
             if c.dead {
+                c.session.close(&mut state.spares);
                 lock_table(table).remove(&c.session.id());
                 metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
                 work = true;

@@ -16,6 +16,15 @@
 //! split into a document half ([`RunningDoc`]) and a reply half
 //! ([`ReplyHalf`]) so the document state machine can queue replies while
 //! it holds the parser and the checker.
+//!
+//! A session owns document state only while a document is open. The
+//! parser and the monitor of a finished document go back to the
+//! [`DocSpares`] of the shard that drives the session — lent to
+//! [`Session::feed`] by `&mut`, next to the metrics — and the next
+//! document of any session on that shard re-arms them in place
+//! ([`TraceLineParser::reset`], [`IncrementalChecker::reset`]) instead of
+//! allocating: between documents a session holds neither, and an idle
+//! connection costs its framing state and nothing else.
 
 use std::collections::VecDeque;
 use std::io::{IoSlice, Write};
@@ -40,6 +49,12 @@ use crate::server::ServerConfig;
 // (alongside `flush_event_counters`) rather than one recorder touch per
 // record.
 static OBS_CHECKER_FEED: abc_obs::CounterDef = abc_obs::CounterDef::new("service.checker_feed");
+// Monitors armed per document: built from nothing, or a spare re-armed in
+// place (see `DocSpares`). A shard that reuses shows the second moving.
+static OBS_DOC_STATE_FRESH: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("service.doc_state_fresh");
+static OBS_DOC_STATE_REUSED: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("service.doc_state_reused");
 static OBS_FRAMES: abc_obs::CounterDef = abc_obs::CounterDef::new("service.frame_decodes");
 static OBS_RECORDS: abc_obs::CounterDef = abc_obs::CounterDef::new("service.records");
 
@@ -54,6 +69,17 @@ const OUT_CHUNK: usize = 16 * 1024;
 
 /// Recycled empty chunks kept per session.
 const OUT_SPARE_CAP: usize = 4;
+
+/// Spare parsers, and spare monitors, a shard keeps: enough for the
+/// documents that finish on it in one scheduling round; a horde of
+/// connections finishing together frees the rest as before.
+const DOC_SPARES: usize = 4;
+
+/// Events above which a finished document's parser or monitor is freed
+/// instead of kept: per held event a monitor keeps about 200 bytes of
+/// columns and a parser 16, so what a shard's spares pin while it idles
+/// stays within a few tens of MiB.
+const DOC_SPARE_MAX_EVENTS: usize = 1 << 15;
 
 /// Microseconds since `t0`, saturating (histogram observations).
 fn micros_since(t0: Instant) -> u64 {
@@ -202,13 +228,58 @@ impl OutBuf {
     }
 }
 
+/// The document state finished documents left behind, for the next
+/// documents to re-arm: one per shard, lent to every session the shard
+/// drives. Parsers and monitors are kept apart because they come back
+/// apart — a latch returns the monitor while the parser validates on.
+///
+/// What is kept carries the modes of the [`ServerConfig`] it was built
+/// under (the parser's process cap, the monitor's dropped mirror and
+/// margin tracking), so one `DocSpares` serves sessions of one
+/// configuration only; a shard has exactly one.
+pub(crate) struct DocSpares {
+    parsers: Vec<TraceLineParser>,
+    checkers: Vec<IncrementalChecker>,
+}
+
+impl DocSpares {
+    pub(crate) fn new() -> DocSpares {
+        DocSpares {
+            parsers: Vec::new(),
+            checkers: Vec::new(),
+        }
+    }
+
+    fn put_parser(&mut self, parser: TraceLineParser) {
+        if self.parsers.len() < DOC_SPARES && parser.events_seen() <= DOC_SPARE_MAX_EVENTS {
+            self.parsers.push(parser);
+        }
+    }
+
+    fn put_checker(&mut self, checker: IncrementalChecker) {
+        if self.checkers.len() < DOC_SPARES
+            && checker.stats().live_events_peak <= DOC_SPARE_MAX_EVENTS
+        {
+            self.checkers.push(checker);
+        }
+    }
+
+    /// Takes back everything a closed document held.
+    fn put(&mut self, doc: RunningDoc) {
+        self.put_parser(doc.parser);
+        if let Some(checker) = doc.checker {
+            self.put_checker(checker);
+        }
+    }
+}
+
 /// The document half of a session: the shared validation parser plus the
 /// live monitor of the open document.
 struct RunningDoc {
     parser: TraceLineParser,
-    /// Created at the `faulty` line; dropped at the latch or with the
-    /// document (memory is per in-flight document, not per connection
-    /// lifetime).
+    /// Armed at the `faulty` line; handed back to the [`DocSpares`] at the
+    /// latch or with the document (a session holds a monitor only while a
+    /// document is in flight, never for the connection's lifetime).
     checker: Option<IncrementalChecker>,
     /// Set once the monitor latched. After the latch the checker is no
     /// longer fed — the verdict can never change, so remaining events
@@ -287,10 +358,10 @@ struct Forensics {
     /// prunes, the latch, document ends.
     timeline: VecDeque<(u64, String)>,
     timeline_total: u64,
-    /// The latched violation, surviving the checker drop.
+    /// The latched violation, surviving the checker's return.
     latch: Option<(u64, String)>,
-    /// Monitor counters frozen at the latch (the checker is dropped right
-    /// after); refreshed from the live checker on explicit dumps.
+    /// Monitor counters frozen at the latch (the checker is handed back
+    /// right after); refreshed from the live checker on explicit dumps.
     stats: MonitorStats,
     /// Dump ordinal: bundles are named `session-<id>-<ordinal>.forensics`.
     dumps: u64,
@@ -470,7 +541,7 @@ impl Session {
 
     /// The one bytes-in entry point: frames `bytes` and processes every
     /// request they complete.
-    pub(crate) fn feed(&mut self, bytes: &[u8], metrics: &Metrics) {
+    pub(crate) fn feed(&mut self, bytes: &[u8], metrics: &Metrics, spares: &mut DocSpares) {
         let pushed = match &mut self.rx {
             RxMode::Text(lines) => lines.push(bytes).map_err(|e| e.message),
             RxMode::Binary { frames, .. } => frames.push(bytes),
@@ -478,7 +549,7 @@ impl Session {
         // Requests completed before a failure point still process (and
         // number) normally; only then is the offending oversized/invalid
         // line itself counted.
-        self.drain(metrics);
+        self.drain(metrics, spares);
         if let Err(m) = pushed {
             self.tx.framing_error(&m, metrics);
         }
@@ -489,12 +560,12 @@ impl Session {
     /// Binary: a partial frame at EOF is a protocol error — and partial is
     /// all that can be buffered here, since every [`Session::feed`] drains
     /// the requests it completed.
-    pub(crate) fn feed_eof(&mut self, metrics: &Metrics) {
+    pub(crate) fn feed_eof(&mut self, metrics: &Metrics, spares: &mut DocSpares) {
         let finished = match &mut self.rx {
             RxMode::Text(lines) => lines.finish().map_err(|e| e.message),
             RxMode::Binary { frames, .. } => frames.finish(),
         };
-        self.drain(metrics);
+        self.drain(metrics, spares);
         if let Err(m) = finished {
             self.tx.framing_error(&m, metrics);
         }
@@ -504,7 +575,7 @@ impl Session {
     /// The one drain loop: takes batches of requests out of the framing —
     /// every completed line, or the records of one frame — hands each to
     /// [`ReplyHalf::request`] and settles the batch.
-    fn drain(&mut self, metrics: &Metrics) {
+    fn drain(&mut self, metrics: &Metrics, spares: &mut DocSpares) {
         let Session {
             rx,
             max_frame_len,
@@ -525,7 +596,7 @@ impl Session {
                             break;
                         };
                         requests += 1;
-                        upgrade = tx.request(doc, Request::Line(&line), metrics);
+                        upgrade = tx.request(doc, Request::Line(&line), metrics, spares);
                     }
                     // The handshake is strict: the client must wait for
                     // the `proto v2 ok` reply, so any bytes already
@@ -560,7 +631,7 @@ impl Session {
                         metrics.frames.fetch_add(1, Ordering::Relaxed);
                         let structural = decoder.decode_frame(frame, &mut |rec| {
                             requests += 1;
-                            tx.request(doc, Request::Record(&rec), metrics);
+                            tx.request(doc, Request::Record(&rec), metrics, spares);
                             !tx.poisoned
                         });
                         if let Err(m) = structural {
@@ -583,11 +654,19 @@ impl Session {
         }
     }
 
+    /// The connection is gone: a document it left open (cut short, or
+    /// behind a fatal error) hands its state back like a finished one.
+    pub(crate) fn close(&mut self, spares: &mut DocSpares) {
+        if let Some(doc) = self.doc.take() {
+            spares.put(doc);
+        }
+    }
+
     /// Writes a forensics bundle for this session (see
     /// [`ReplyHalf::dump_forensics`]).
     pub(crate) fn dump_forensics(&mut self, reason: &str, metrics: &Metrics) -> bool {
         // A live checker refreshes the frozen counters; the latch already
-        // froze them right before dropping its checker.
+        // froze them right before handing its checker back.
         let live = self.doc.as_ref().and_then(|d| d.checker.as_ref());
         self.tx
             .dump_forensics(live.map(IncrementalChecker::stats), reason, metrics)
@@ -673,10 +752,11 @@ impl ReplyHalf {
     }
 
     /// Opens a fresh document: resets the per-document margin state
-    /// (gauges, warning latch) and builds the one streaming parser both
+    /// (gauges, warning latch) and arms the one streaming parser both
     /// framings feed, so text and binary accept exactly the same documents
-    /// and produce byte-identical verdicts.
-    fn begin_document(&mut self) -> RunningDoc {
+    /// and produce byte-identical verdicts. The parser is a spare when the
+    /// shard has one, re-armed exactly as the new one is.
+    fn begin_document(&mut self, spares: &mut DocSpares) -> RunningDoc {
         self.doc_pruned_reported = 0;
         self.warned = false;
         self.probe_gate = 0;
@@ -689,24 +769,50 @@ impl ReplyHalf {
         if let Some(fx) = self.forensics.as_mut() {
             fx.note(at, format!("document start ({framing} framing)"));
         }
-        let parser = TraceLineParser::new_streaming().with_max_processes(self.max_processes);
+        let mut parser = spares.parsers.pop().unwrap_or_else(|| {
+            TraceLineParser::new_streaming().with_max_processes(self.max_processes)
+        });
+        // Binary documents carry no `abc-trace` header line — the frame
+        // tag already names the format — so the parser starts past it.
+        parser.reset(!self.v2);
         RunningDoc {
-            // Binary documents carry no `abc-trace` header line — the
-            // frame tag already names the format — so the parser starts
-            // past it.
-            parser: if self.v2 {
-                parser.without_header()
-            } else {
-                parser
-            },
+            parser,
             checker: None,
             latched: None,
         }
     }
 
+    /// Arms the open document's monitor: a spare re-armed in place when
+    /// the shard has one, else a new one. Every served monitor drops its
+    /// graph mirror (`enable_pruning`; nothing here reads it, and nothing
+    /// is pruned unless a horizon is set) — a choice a spare already
+    /// carries, as it carries margin tracking: both are the same for every
+    /// session of one [`DocSpares`].
+    fn arm_checker(
+        &self,
+        n: usize,
+        spares: &mut DocSpares,
+    ) -> Result<IncrementalChecker, abc_core::check::CheckError> {
+        if let Some(mut mon) = spares.checkers.pop() {
+            OBS_DOC_STATE_REUSED.add(1);
+            mon.reset(n, &self.xi)?;
+            return Ok(mon);
+        }
+        OBS_DOC_STATE_FRESH.add(1);
+        let mut mon = IncrementalChecker::new(n, &self.xi)?;
+        mon.enable_pruning();
+        if self.prune_horizon.is_some() && self.margin_tracking {
+            // Must precede the first prune: boundary shortcut arcs need
+            // their margin signatures from the start.
+            mon.enable_margin_tracking();
+        }
+        Ok(mon)
+    }
+
     /// Whether this session can answer exact margin probes: always when
-    /// unpruned (the checker keeps its full graph mirror), and under
-    /// pruning only when margin tracking kept the boundary signatures.
+    /// unpruned (the monitor's window is then the whole execution), and
+    /// under pruning only when margin tracking kept the boundary
+    /// signatures.
     fn can_probe_margin(&self) -> bool {
         self.prune_horizon.is_none() || self.margin_tracking
     }
@@ -872,6 +978,7 @@ impl ReplyHalf {
         doc: &mut Option<RunningDoc>,
         req: Request<'_>,
         metrics: &Metrics,
+        spares: &mut DocSpares,
     ) -> bool {
         self.lines_in += 1;
         if let Some(fx) = self.forensics.as_mut() {
@@ -929,7 +1036,7 @@ impl ReplyHalf {
                 self.protocol_error(&format!("unsupported protocol {version:?}"), metrics);
             }
             Class::Document => {
-                let d = doc.get_or_insert_with(|| self.begin_document());
+                let d = doc.get_or_insert_with(|| self.begin_document(spares));
                 let parsed = match req {
                     Request::Line(line) => d.parser.feed_line(line),
                     Request::Record(rec) => match rec.to_trace_record() {
@@ -942,15 +1049,18 @@ impl ReplyHalf {
                     },
                 };
                 let open = match parsed {
-                    Ok(parsed) => self.advance(d, parsed, metrics),
+                    Ok(parsed) => self.advance(d, parsed, metrics, spares),
                     Err(e) => {
                         self.protocol_error(&e.message, metrics);
                         false
                     }
                 };
                 if !open {
-                    // A finished or failed document is dropped whole.
-                    *doc = None;
+                    // A finished or failed document hands its state back
+                    // whole.
+                    if let Some(closed) = doc.take() {
+                        spares.put(closed);
+                    }
                 }
             }
         }
@@ -962,7 +1072,13 @@ impl ReplyHalf {
     /// document, queueing its replies. Returns whether the document is
     /// still open — `false` after its `end`, or after an error poisoned
     /// the session.
-    fn advance(&mut self, d: &mut RunningDoc, parsed: ParsedLine, metrics: &Metrics) -> bool {
+    fn advance(
+        &mut self,
+        d: &mut RunningDoc,
+        parsed: ParsedLine,
+        metrics: &Metrics,
+        spares: &mut DocSpares,
+    ) -> bool {
         let RunningDoc {
             parser,
             checker,
@@ -977,17 +1093,8 @@ impl ReplyHalf {
                     self.protocol_error("internal: topology unavailable", metrics);
                     return false;
                 };
-                match IncrementalChecker::new(n, &self.xi) {
+                match self.arm_checker(n, spares) {
                     Ok(mut mon) => {
-                        if self.prune_horizon.is_some() {
-                            mon.enable_pruning();
-                            if self.margin_tracking {
-                                // Must precede the first prune: boundary
-                                // shortcut arcs need their margin
-                                // signatures from the start.
-                                mon.enable_margin_tracking();
-                            }
-                        }
                         for (p, f) in faulty.iter().enumerate() {
                             if *f {
                                 mon.mark_faulty(ProcessId(p));
@@ -1071,8 +1178,10 @@ impl ReplyHalf {
                         let stats = mon.stats();
                         // The verdict is latched; stop feeding the checker
                         // so a violating firehose doesn't keep growing its
-                        // graph.
-                        *checker = None;
+                        // graph, and let the next document have it.
+                        if let Some(done) = checker.take() {
+                            spares.put_checker(done);
+                        }
                         self.flush_event_counters(metrics);
                         metrics.violations.fetch_add(1, Ordering::Relaxed);
                         self.counters.violations.fetch_add(1, Ordering::Relaxed);
@@ -1085,7 +1194,7 @@ impl ReplyHalf {
                         self.note_pruned(stats.pruned_events);
                         self.counters.live_events.store(0, Ordering::Relaxed);
                         self.counters.live_arcs.store(0, Ordering::Relaxed);
-                        // Forensics freezes its view of the dropped
+                        // Forensics freezes its view of the returned
                         // checker: the latch, the counters at latch time,
                         // and a timeline entry.
                         let at = self.lines_in;
@@ -1122,7 +1231,7 @@ impl ReplyHalf {
                 }
                 if let Some((_, watermark)) = prune {
                     // Window the parser's per-event sidecar on every event —
-                    // including after a latch, when the checker is dropped
+                    // including after a latch, when the checker is gone
                     // but events keep arriving: without this, a violating
                     // firehose would grow `event_meta` per post-latch event,
                     // breaking the advertised memory bound.
@@ -1281,6 +1390,9 @@ mod tests {
     struct Peer {
         session: Session,
         metrics: Metrics,
+        /// The driving shard's spares: empty unless earlier sessions left
+        /// theirs ([`Peer::after`]).
+        spares: DocSpares,
         dir: Option<PathBuf>,
         replies: Vec<u8>,
     }
@@ -1308,9 +1420,15 @@ mod tests {
 
     impl Peer {
         fn new(config: &ServerConfig) -> Peer {
+            Peer::after(config, DocSpares::new())
+        }
+
+        /// A session on a shard whose earlier sessions left `spares`.
+        fn after(config: &ServerConfig, spares: DocSpares) -> Peer {
             Peer {
                 session: Session::new(7, config, SessionCounters::new()),
                 metrics: Metrics::new(),
+                spares,
                 dir: config.forensics_dir.clone(),
                 replies: Vec::new(),
             }
@@ -1321,14 +1439,14 @@ mod tests {
         fn feed(&mut self, chunk: &[u8]) -> bool {
             let wanted = self.session.wants_bytes();
             if wanted {
-                self.session.feed(chunk, &self.metrics);
+                self.session.feed(chunk, &self.metrics, &mut self.spares);
             }
             wanted
         }
 
         fn eof(&mut self) {
             if self.session.wants_bytes() {
-                self.session.feed_eof(&self.metrics);
+                self.session.feed_eof(&self.metrics, &mut self.spares);
             }
         }
 
@@ -1360,11 +1478,19 @@ mod tests {
         }
 
         /// Half-closes, reads the rest and collects the outcome.
-        fn finish(mut self) -> Outcome {
+        fn finish(self) -> Outcome {
+            self.retire().0
+        }
+
+        /// [`Peer::finish`], and what the retired connection leaves its
+        /// shard.
+        fn retire(mut self) -> (Outcome, DocSpares) {
             self.eof();
             self.take_all();
             assert!(self.session.finished(), "EOF or an error ends a session");
             self.session.dump_forensics("request", &self.metrics);
+            self.session.close(&mut self.spares);
+            assert!(self.session.doc.is_none());
             let mut bundles = Vec::new();
             if let Some(dir) = &self.dir {
                 let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -1378,7 +1504,7 @@ mod tests {
                 std::fs::remove_dir_all(dir).unwrap();
             }
             let m = &self.metrics;
-            Outcome {
+            let outcome = Outcome {
                 replies: String::from_utf8(std::mem::take(&mut self.replies))
                     .expect("replies are text"),
                 totals: Totals {
@@ -1390,25 +1516,37 @@ mod tests {
                     margin_warnings: self.total(&m.margin_warnings),
                 },
                 bundles,
-            }
+            };
+            (outcome, self.spares)
         }
     }
 
     /// A fast reader: every chunk is fed and its replies read at once.
     fn run(config: &ServerConfig, chunks: &[&[u8]]) -> Outcome {
-        let mut peer = Peer::new(config);
+        run_after(config, DocSpares::new(), chunks).0
+    }
+
+    /// [`run`] on a shard whose earlier sessions left `spares`; returns
+    /// what this one leaves.
+    fn run_after(
+        config: &ServerConfig,
+        spares: DocSpares,
+        chunks: &[&[u8]],
+    ) -> (Outcome, DocSpares) {
+        let mut peer = Peer::after(config, spares);
         for chunk in chunks {
             if !peer.feed(chunk) {
                 break;
             }
             peer.take_all();
         }
-        peer.finish()
+        peer.retire()
     }
 
     /// One session's request bytes. A v2 stream keeps the one boundary
     /// the protocol itself demands: `body` is sent after the reply to the
     /// `proto v2` line.
+    #[derive(Clone)]
     struct Input {
         v2: bool,
         body: Vec<u8>,
@@ -1868,6 +2006,254 @@ mod tests {
                 out.replies
             );
             assert_eq!(out.totals.parse_errors, 0);
+        }
+    }
+
+    /// The three monitor configurations a shard can run under; a
+    /// [`DocSpares`] belongs to one of them.
+    fn shard_config(mode: usize, forensics: bool) -> ServerConfig {
+        match mode {
+            0 => config(None, forensics),
+            1 => config(Some(8), forensics),
+            // Pruning without margin signatures: `margin` requests are
+            // refused, and no warning could fire.
+            _ => ServerConfig {
+                margin_tracking: false,
+                warn_margin: None,
+                ..config(Some(8), forensics)
+            },
+        }
+    }
+
+    /// The corpus plus two sessions without a `margin` request, which an
+    /// untracked pruning shard serves to their verdicts: a latching ring,
+    /// then an admissible one, as text and as frames.
+    fn reuse_pool() -> &'static [Input] {
+        static POOL: OnceLock<Vec<Input>> = OnceLock::new();
+        POOL.get_or_init(|| {
+            let (ring, race) = (ring_trace(40, false), ring_trace(60, true));
+            let mut pool = vec![
+                Input::text(format!(
+                    "{}{}",
+                    text_doc(&race, usize::MAX, "\n"),
+                    text_doc(&ring, usize::MAX, "\n")
+                )),
+                Input {
+                    v2: true,
+                    body: [
+                        binary_doc(&race, usize::MAX, 64),
+                        binary_doc(&ring, usize::MAX, 1 << 15),
+                    ]
+                    .concat(),
+                },
+            ];
+            pool.extend_from_slice(corpus());
+            pool
+        })
+    }
+
+    /// `input` with its body cut to `keep`/256 of its length (256: whole).
+    fn cut_parts(input: &Input, keep: usize) -> Vec<&[u8]> {
+        let mut parts = input.parts();
+        let body = parts.pop().expect("every input has a body");
+        parts.push(&body[..body.len() * keep / 256]);
+        parts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// (f) Whatever sessions a shard served before — whole ones, ones
+        /// cut short mid-document, poisoned ones, in either framing, with
+        /// other process counts and other `Ξ` — a session served from the
+        /// state they left behind is the session served from nothing:
+        /// same replies, same totals, same forensics bundles.
+        #[test]
+        fn sessions_served_from_shared_spares_match_sessions_served_from_nothing(
+            mode in 0usize..3,
+            sessions in proptest::collection::vec(
+                (0..reuse_pool().len(), 0usize..512),
+                2..9,
+            ),
+        ) {
+            let mut spares = DocSpares::new();
+            for (at, (which, keep)) in sessions.iter().enumerate() {
+                // Every other session arrives whole.
+                let parts = cut_parts(&reuse_pool()[*which], (*keep).min(256));
+                let alone = run(&shard_config(mode, true), &parts);
+                let (shared, left) = run_after(&shard_config(mode, true), spares, &parts);
+                prop_assert_eq!(shared, alone, "session {} of {:?}", at, sessions);
+                prop_assert!(left.parsers.len() <= DOC_SPARES);
+                prop_assert!(left.checkers.len() <= DOC_SPARES);
+                spares = left;
+            }
+        }
+    }
+
+    /// (f), for every ordered pair of the pool, under each configuration:
+    /// the second session cannot tell what the first one was.
+    #[test]
+    fn every_session_after_every_other_matches_the_session_alone() {
+        for mode in 0..3 {
+            let alone: Vec<Outcome> = reuse_pool()
+                .iter()
+                .map(|input| run(&shard_config(mode, true), &input.parts()))
+                .collect();
+            if mode == 2 {
+                // The margin-free sessions really ran pruned and untracked.
+                for outcome in &alone[..2] {
+                    let Totals {
+                        violations,
+                        documents,
+                        parse_errors,
+                        ..
+                    } = outcome.totals;
+                    assert_eq!([violations, documents, parse_errors], [1, 2, 0]);
+                    assert!(outcome.bundles[0].contains("prune watermark="));
+                }
+            }
+            for first in reuse_pool() {
+                for (second, expected) in reuse_pool().iter().zip(&alone) {
+                    let quiet = shard_config(mode, false);
+                    let (_, left) = run_after(&quiet, DocSpares::new(), &first.parts());
+                    let loud = shard_config(mode, true);
+                    let (shared, _) = run_after(&loud, left, &second.parts());
+                    assert_eq!(&shared, expected, "mode {mode}");
+                }
+            }
+        }
+    }
+
+    /// Between documents a session owns no parser and no monitor — the
+    /// shard's spares do — and the spares stay within their two bounds:
+    /// at most [`DOC_SPARES`] of each kind, none that held more than
+    /// [`DOC_SPARE_MAX_EVENTS`] events.
+    #[test]
+    fn a_session_between_documents_owns_no_state_and_the_spares_stay_bounded() {
+        let config = config(None, false);
+        let small = text_doc(&ring_trace(9, false), 1000, "\n");
+        let held = |peer: &Peer| (peer.spares.parsers.len(), peer.spares.checkers.len());
+
+        let mut peer = Peer::new(&config);
+        let open = small.find("e 4 ").expect("a mid-document offset");
+        assert!(peer.feed(&small.as_bytes()[..open]));
+        let doc = peer.session.doc.as_ref().expect("an open document");
+        assert!(doc.checker.is_some());
+        assert_eq!(held(&peer), (0, 0));
+        assert!(peer.feed(&small.as_bytes()[open..]));
+        assert!(peer.session.doc.is_none(), "state outlived its document");
+        assert_eq!(held(&peer), (1, 1));
+        // The next document takes both and hands both back; a latch hands
+        // the monitor back early, while the parser validates on.
+        let race = text_doc(&ring_trace(12, true), 1000, "\n");
+        let before_end = race.rfind("end").expect("an `end` line");
+        assert!(peer.feed(&race.as_bytes()[..before_end]));
+        let doc = peer.session.doc.as_ref().expect("an open document");
+        assert!(doc.latched.is_some() && doc.checker.is_none());
+        assert_eq!(held(&peer), (0, 1));
+        assert!(peer.feed(&race.as_bytes()[before_end..]));
+        assert_eq!(held(&peer), (1, 1));
+        let (outcome, mut spares) = peer.retire();
+        assert_eq!(
+            [outcome.totals.documents, outcome.totals.violations],
+            [2, 1]
+        );
+
+        // Count bound: more connections die mid-document than a shard
+        // keeps spares.
+        for _ in 0..DOC_SPARES + 3 {
+            let mut peer = Peer::new(&config);
+            assert!(peer.feed(&small.as_bytes()[..open]));
+            peer.spares = spares;
+            spares = peer.retire().1;
+            assert!(spares.parsers.len() <= DOC_SPARES && spares.checkers.len() <= DOC_SPARES);
+        }
+        let held = (spares.parsers.len(), spares.checkers.len());
+        assert_eq!(held, (DOC_SPARES, DOC_SPARES));
+
+        // Size bound: a document past the bound frees its state, one just
+        // within keeps it.
+        for (hops, kept) in [(DOC_SPARE_MAX_EVENTS - 3, 1), (DOC_SPARE_MAX_EVENTS - 2, 0)] {
+            let big = binary_doc(&ring_trace(hops, false), usize::MAX, 2048);
+            let (outcome, left) = run_after(&config, DocSpares::new(), &[HANDSHAKE, &big]);
+            assert_eq!(outcome.totals.events as usize, hops + 3);
+            assert_eq!(
+                [outcome.totals.documents, outcome.totals.parse_errors],
+                [1, 0]
+            );
+            assert_eq!(
+                (left.parsers.len(), left.checkers.len()),
+                (kept, kept),
+                "{hops} hops"
+            );
+        }
+    }
+
+    /// What a bare parser makes of a corpus session's requests: every
+    /// result, then its accessors. Session-level requests (`xi`, `margin`,
+    /// `proto`) are one more kind of malformed line to it.
+    fn parser_transcript(parser: &mut TraceLineParser, input: &Input) -> Vec<String> {
+        let mut seen = Vec::new();
+        if input.v2 {
+            let mut frames = FrameAssembler::new(1 << 20);
+            let mut decoder = RecordDecoder::new();
+            let mut frame = Vec::new();
+            let _ = frames.push(&input.body);
+            while let Ok(true) = frames.next_frame_into(&mut frame) {
+                let _ = decoder.decode_frame(&frame, &mut |rec| {
+                    if let Some(trec) = rec.to_trace_record() {
+                        seen.push(format!("{:?}", parser.feed_record(trec)));
+                    }
+                    true
+                });
+            }
+        } else {
+            for line in String::from_utf8_lossy(&input.body).lines() {
+                seen.push(format!("{:?}", parser.feed_line(line)));
+            }
+        }
+        seen.push(format!(
+            "{:?} {} {} {} {} {:?}",
+            parser.topology(),
+            parser.events_seen(),
+            parser.messages_seen(),
+            parser.lines_fed(),
+            parser.is_done(),
+            parser.oldest_pending_send(),
+        ));
+        seen
+    }
+
+    /// `TraceLineParser::reset` ≡ a new parser, over every ordered pair of
+    /// corpus sessions: whatever the first one left in the tables, the
+    /// second one's results are those of a parser that never saw it.
+    #[test]
+    fn a_reset_parser_reads_every_corpus_session_like_a_new_one() {
+        let new = |v2: bool| {
+            let parser = TraceLineParser::new_streaming().with_max_processes(64);
+            if v2 {
+                parser.without_header()
+            } else {
+                parser
+            }
+        };
+        let alone: Vec<Vec<String>> = corpus()
+            .iter()
+            .map(|input| parser_transcript(&mut new(input.v2), input))
+            .collect();
+        assert!(alone.iter().any(|t| t.iter().any(|r| r == "Ok(End)")));
+        assert!(alone
+            .iter()
+            .any(|t| t.iter().any(|r| r.starts_with("Err("))));
+        for first in corpus() {
+            for (second, expected) in corpus().iter().zip(&alone) {
+                // Built for the other framing, so `reset` has to choose.
+                let mut parser = new(!first.v2);
+                parser.reset(!first.v2);
+                parser_transcript(&mut parser, first);
+                parser.reset(!second.v2);
+                assert_eq!(&parser_transcript(&mut parser, second), expected);
+            }
         }
     }
 }

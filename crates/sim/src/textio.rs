@@ -577,6 +577,64 @@ impl TraceLineParser {
         self
     }
 
+    /// Re-arms the parser in place for a new document: afterwards it
+    /// behaves exactly like a newly constructed parser of the same mode
+    /// ([`TraceLineParser::new_document`] / [`TraceLineParser::new_streaming`])
+    /// with the same [`TraceLineParser::with_max_processes`] cap, whatever
+    /// state — finished, failed, cut short — the last document left it in.
+    /// `expect_header` chooses anew between a text document (`true`) and a
+    /// headerless framing ([`TraceLineParser::without_header`], `false`),
+    /// so one parser can serve documents of both framings in turn. Every
+    /// per-event and per-process table keeps its capacity: a parser that
+    /// has validated a document of some size validates the next one of
+    /// that size without allocating.
+    pub fn reset(&mut self, expect_header: bool) {
+        // Exhaustive on purpose (no `..`): a field added to the struct
+        // does not compile until it is re-armed here as `new` arms it.
+        let TraceLineParser {
+            streaming: _,
+            max_processes: _,
+            state,
+            line_no,
+            num_processes,
+            faulty,
+            declared_events,
+            declared_messages,
+            seen_body_line,
+            events_seen,
+            messages_seen,
+            last_time,
+            has_init,
+            events,
+            messages,
+            event_meta,
+            meta_base,
+            pending,
+            expected_at,
+        } = self;
+        *state = if expect_header {
+            PState::ExpectHeader
+        } else {
+            PState::ExpectProcesses
+        };
+        *line_no = 0;
+        *num_processes = 0;
+        faulty.clear();
+        *declared_events = None;
+        *declared_messages = None;
+        *seen_body_line = false;
+        *events_seen = 0;
+        *messages_seen = 0;
+        *last_time = 0;
+        has_init.clear();
+        events.clear();
+        messages.clear();
+        event_meta.clear();
+        *meta_base = 0;
+        pending.clear();
+        expected_at.clear();
+    }
+
     /// Process count and faulty flags, once the `faulty` line has been
     /// parsed ([`ParsedLine::Topology`] signalled).
     #[must_use]
@@ -788,14 +846,17 @@ impl TraceLineParser {
     }
 
     fn apply_faulty(&mut self, ln: usize, indices: &[usize]) -> Result<ParsedLine, TraceTextError> {
-        self.faulty = vec![false; self.num_processes];
+        // In place: a parser re-armed by `reset` keeps the tables' capacity.
+        self.faulty.clear();
+        self.faulty.resize(self.num_processes, false);
         for &p in indices {
             let Some(slot) = self.faulty.get_mut(p) else {
                 return err(ln, format!("faulty index {p} out of range"));
             };
             *slot = true;
         }
-        self.has_init = vec![false; self.num_processes];
+        self.has_init.clear();
+        self.has_init.resize(self.num_processes, false);
         self.state = PState::Body;
         Ok(ParsedLine::Topology)
     }
@@ -835,7 +896,9 @@ impl TraceLineParser {
                 );
             }
         }
-        if let Some((mi, p)) = self.pending.iter().next() {
+        // The lowest such message, not whichever the table yields first:
+        // the reply must not depend on what the table held before `reset`.
+        if let Some((mi, p)) = self.pending.iter().min_by_key(|(mi, _)| **mi) {
             return err(
                 ln,
                 format!(
@@ -1674,6 +1737,106 @@ mod tests {
             }
         }
         assert!(failed, "document order must not stream-parse");
+    }
+
+    /// Everything a caller can see of a parser fed `lines`: each line's
+    /// result, then the accessors.
+    fn transcript(parser: &mut TraceLineParser, lines: &[&str]) -> Vec<String> {
+        let mut seen: Vec<String> = lines
+            .iter()
+            .map(|l| format!("{:?}", parser.feed_line(l)))
+            .collect();
+        seen.push(format!(
+            "{:?} {} {} {} {} {:?}",
+            parser.topology(),
+            parser.events_seen(),
+            parser.messages_seen(),
+            parser.lines_fed(),
+            parser.is_done(),
+            parser.oldest_pending_send(),
+        ));
+        seen
+    }
+
+    #[test]
+    fn a_reset_parser_is_indistinguishable_from_a_new_one() {
+        let stream = sample_trace().to_stream_text();
+        let whole: Vec<&str> = stream.lines().collect();
+        // Two deliveries promised and never made (no counts declared, so
+        // only `end` can notice): the error names the lower message,
+        // whatever the tables held before.
+        let stood_up = "abc-trace v1\nprocesses 2\nfaulty 1\ne 0 0 0 - 0 - 1\n\
+                        e 1 1 0 - 0 - 1\nm 0 1 0 9 0 4\nm 1 0 1 8 0 5\nend";
+        let documents: Vec<Vec<&str>> = vec![
+            whole.clone(),
+            whole[..whole.len() / 2].to_vec(),
+            whole[..2].to_vec(),
+            whole
+                .iter()
+                .map(|l| if l.starts_with("e 7 ") { "e seven" } else { l })
+                .collect(),
+            stood_up.lines().collect(),
+            vec!["processes 3", "faulty 0 2", "e 0 1 0 - 0 - 1", "end"],
+            vec![],
+        ];
+        for (a, first) in documents.iter().enumerate() {
+            for (b, second) in documents.iter().enumerate() {
+                for streaming in [true, false] {
+                    for expect_header in [true, false] {
+                        let new = || {
+                            let p = TraceLineParser::new(streaming).with_max_processes(3);
+                            if expect_header {
+                                p
+                            } else {
+                                p.without_header()
+                            }
+                        };
+                        let mut reused = new();
+                        // The first document arrives in the other framing.
+                        reused.reset(!expect_header);
+                        transcript(&mut reused, first);
+                        if streaming {
+                            reused.forget_events_below(usize::MAX);
+                        }
+                        reused.reset(expect_header);
+                        assert_eq!(
+                            transcript(&mut reused, second),
+                            transcript(&mut new(), second),
+                            "{a} then {b}, streaming {streaming}, header {expect_header}"
+                        );
+                    }
+                }
+            }
+        }
+        let mut parser = TraceLineParser::new_streaming();
+        let last = transcript(&mut parser, &documents[4]).swap_remove(7);
+        assert!(
+            last.contains("message 0 declares receive event 9"),
+            "{last}"
+        );
+    }
+
+    #[test]
+    fn a_second_identical_document_after_reset_grows_no_capacity() {
+        let stream = sample_trace().to_stream_text();
+        let lines: Vec<&str> = stream.lines().collect();
+        let mut parser = TraceLineParser::new_streaming();
+        let first = transcript(&mut parser, &lines);
+        assert!(parser.is_done());
+        let capacities = |p: &TraceLineParser| {
+            [
+                p.faulty.capacity(),
+                p.has_init.capacity(),
+                p.event_meta.capacity(),
+                p.pending.capacity(),
+                p.expected_at.capacity(),
+            ]
+        };
+        let before = capacities(&parser);
+        assert!(before.iter().all(|c| *c > 0), "{before:?}");
+        parser.reset(true);
+        assert_eq!(transcript(&mut parser, &lines), first);
+        assert_eq!(capacities(&parser), before, "the second run allocated");
     }
 
     #[test]
