@@ -1,11 +1,15 @@
 //! Correctness half of the incremental-vs-batch claim. The speed half —
-//! appending an event to the incremental monitor costs orders of
-//! magnitude less than one batch re-check — is a measurement, not a test:
-//! `bench_ledger` carries it as `core.monitor.append_ns_per_event` against
+//! appending one event to the incremental monitor costs about what one
+//! batch check costs *per event of the whole trace*, so re-checking after
+//! every event is orders of magnitude dearer than monitoring — is a
+//! measurement, not a test: `bench_ledger` carries it as
+//! `core.monitor.append_ns_per_event` against
 //! `core.check.find_violation_ns_per_event` (run
-//! `cargo run --release -p abc-bench --bin bench_ledger -- run`). What is
-//! asserted here holds on any machine: the two deciders agree, and the
-//! bounded monitor compacts the stream without changing the verdict.
+//! `cargo run --release -p abc-bench --bin bench_ledger -- run`; how much
+//! of the arena one batch check touches is pinned by count in
+//! `check_work.rs`). What is asserted here holds on any machine: the two
+//! deciders agree, and the bounded monitor compacts the stream without
+//! changing the verdict.
 
 use abc_bench::workloads;
 use abc_core::{check, Xi};

@@ -3,9 +3,14 @@
 //! The max-cycle-ratio engine climbs from cycle to cycle, so folding the
 //! margin before a prune (and answering `current_margin()`) takes a few
 //! *yes* probes plus one *no* — where the bisection it replaced always
-//! ran 28 probes plus the ratio-1 line-graph pass. The counts come from
-//! the engine's own `abc_obs` counters; this file holds one test because
-//! the recorder is process-wide.
+//! ran 28 probes plus the ratio-1 line-graph pass. Each probe is one run
+//! of the worklist negative-cycle kernel (`crates/core/src/negcycle.rs`),
+//! and which cycle a *yes* hands back — hence how many steps the ascent
+//! takes — is the kernel's choice: on these eight documents a fold takes
+//! 2–3 probes and the closing pair of queries 3–4, against a bound of 8
+//! and 16. The counts come from the engine's own `abc_obs` counters; this
+//! file holds one test because the recorder is process-wide
+//! (`check_work.rs` beside it pins the kernel's own work the same way).
 
 use abc_bench::workloads;
 use abc_core::monitor::IncrementalChecker;

@@ -33,21 +33,21 @@
 //! `(p·[fwd] − q·[bwd])·K − 1` with `K = (#arcs)+1`; a negative cycle under
 //! this weighting exists iff some cycle has `q·B − p·F ≥ 0`.
 //!
-//! The *decision* seeds in-place Bellman–Ford with the
-//! **earliest-feasible potential** (each event labeled, in topological
-//! order, at the smallest value its backward and local arcs allow — the
-//! incremental monitor's trick) and repairs any remaining tension with
-//! alternating directional sweeps under an exact relaxation-chain length
-//! certificate. On admissible executions the seed labels are already
-//! feasible and one changeless verification sweep decides in `O(V + E)` —
-//! instead of the `Θ(V)` full-arc rounds the classical all-zero-source
-//! pass pays (its shortest walks zigzag through the whole execution),
-//! which is what the `core.check.*` rows of `bench_ledger` (see
-//! `BENCHMARK.json`) quantify. Only when a violation exists does
-//! [`find_violation`] fall back to the classical round-based pass with
-//! predecessor extraction (`violating_cycle_arcs`) to pull out the
-//! violating relevant cycle itself, over the same arc arena in the same
-//! canonical order.
+//! Decision and witness are **one pass** of the crate's worklist
+//! negative-cycle kernel (`negcycle.rs`: FIFO label-correcting with
+//! Tarjan's subtree disassembly), started from the **earliest-feasible
+//! potential** — each event labeled, in topological order, at the smallest
+//! value its backward and local arcs allow, the incremental monitor's
+//! trick. On admissible executions those labels are already feasible and
+//! one changeless scan of every node decides in `O(V + E)`; where forward
+//! arcs are still tense, only the nodes whose label moves are scanned
+//! again — not the whole arena once per step of a zigzag through the
+//! execution, which is what round-based sweeps pay. A violation surfaces
+//! the moment the tree of relaxing arcs would close a cycle, and that
+//! cycle *is* the witness [`find_violation`] returns: nothing is run a
+//! second time to extract it, and nothing after the latch is looked at
+//! twice. The `core.check.*` rows of `bench_ledger` (see `BENCHMARK.json`)
+//! and the counters `check.relaxations` / `check.arc_visits` quantify it.
 //!
 //! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` comes from
 //! the cycle-ratio ascent of the crate's `maxratio` engine — the one the
@@ -62,6 +62,7 @@ use abc_rational::Ratio;
 use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
 use crate::maxratio::{self, NoShortcuts};
+use crate::negcycle::NegCycle;
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
@@ -98,17 +99,16 @@ impl std::fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Whether the scaled Bellman–Ford weights for `Ξ = p/q` stay representable
-/// in `i128` throughout relaxation. The largest per-arc weight magnitude is
-/// `max(p, q)·K + 1` with `K = #arcs + 1`; a distance label is a walk
-/// weight, and because rounds relax in place (Gauss–Seidel), a single round
-/// can extend a walk by up to `#arcs` arcs — so over the `#nodes + 1`
-/// rounds a label is bounded by `(#nodes + 2)·(#arcs + 1)` arc weights
-/// (reached only while lapping a negative cycle, but it must not overflow
-/// there either: the witness extraction reads those labels). The seeded
-/// decision's labels start at most `#nodes` backward-arc weights high and
-/// only decrease along chains of at most `#nodes` arcs — comfortably
-/// inside the same budget.
+/// Whether the scaled weights for `Ξ = p/q` stay representable in `i128`
+/// throughout relaxation. The largest per-arc weight magnitude is
+/// `max(p, q)·K + 1` with `K = #arcs + 1`, and the bound allows a label
+/// `(#nodes + 2)·(#arcs + 1)` of those — what round-based in-place sweeps
+/// could reach while lapping a negative cycle. The kernel never laps one:
+/// a label is a seed label (at most `#nodes` backward-arc weights high)
+/// plus a *simple* path of at most `#nodes` arcs, so `2·#nodes` arc
+/// weights suffice and the bound is slack by a factor of about `#arcs/2`.
+/// It is kept as it is: which `Ξ` earn [`CheckError::XiTooLarge`] is
+/// observable behaviour.
 fn weights_fit_i128(p: i128, q: i128, num_arcs: usize, num_nodes: usize) -> bool {
     let Ok(k) = i128::try_from(num_arcs) else {
         return false;
@@ -144,165 +144,22 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
     w_prime * k - 1
 }
 
-/// Exact negative-cycle *decision* over the scaled weights, seeded with
-/// the **earliest-feasible potential** (the same idea that makes the
-/// incremental monitor cheap):
-///
-/// * walk the events in creation (topological) order and give each the
-///   smallest label satisfying all its *lower-bound* arcs — the backward
-///   arc of its triggering message (`π(v) ≥ π(send) + q·K + 1`) and its
-///   local back-arc (`π(v) ≥ π(prev) + 1`). Timestamp semantics: every
-///   message charged its minimum delay. On admissible executions this
-///   labeling usually already satisfies the forward upper bounds too, and
-///   one changeless verification sweep certifies feasibility — `O(V + E)`
-///   total, instead of the `Θ(V)` full-arc rounds an all-zero start needs
-///   (its shortest walks zigzag through the whole execution);
-/// * where forward arcs are still tense, in-place Bellman–Ford sweeps
-///   (alternating arena directions, so each pass propagates whole
-///   monotone chains) repair the labels. `len[v]` tracks the arc count of
-///   the relaxation chain realizing `dist[v]`: any chain reaching
-///   `#nodes` arcs certifies a negative cycle — the standard argument
-///   (the chain's second visit to some node strictly improved on its
-///   first, so the enclosed cycle is negative) is independent of the
-///   initial labeling.
-///
-/// Exact in both directions.
-pub(crate) fn negative_cycle_exists(
-    g: &ExecutionGraph,
-    tg: &TraversalGraph,
-    p: i128,
-    q: i128,
-) -> bool {
-    let n = tg.num_live_nodes();
+/// The arc indices, in traversal order, of a cycle that is negative under
+/// the scaled weights for `Ξ = p/q` — a violating relevant cycle — or
+/// `None` when the graph is admissible: one run of the crate's
+/// negative-cycle kernel from the earliest-feasible start labels. Decision
+/// and witness are the same pass; exact in both directions.
+fn negative_cycle(tg: &TraversalGraph, p: i128, q: i128) -> Option<Vec<usize>> {
+    debug_assert_eq!(tg.base(), 0, "the batch check is whole-graph only");
     let arcs = tg.arcs();
-    if n == 0 || arcs.is_empty() {
-        return false;
-    }
-    debug_assert_eq!(tg.base(), 0, "the batch decision is whole-graph only");
     let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
-    // Earliest-feasible seed labels, in topological (creation) order.
-    let mut dist = vec![0i128; n];
-    let mut last_event: Vec<Option<usize>> = vec![None; g.num_processes()];
-    for ev in g.events() {
-        let v = ev.id.0;
-        let mut label = 0i128;
-        if let Some(prev) = last_event[ev.process.0] {
-            label = dist[prev] + 1;
-        }
-        if let crate::graph::Trigger::Message(m) = ev.trigger {
-            let msg = g.message(m);
-            if g.is_effective(m) {
-                label = label.max(dist[msg.from.0] + q * k + 1);
-            }
-        }
-        dist[v] = label;
-        last_event[ev.process.0] = Some(v);
-    }
     let weights: Vec<i128> = arcs
         .iter()
         .map(|a| scaled_weight(a.kind, p, q, k))
         .collect();
-    let mut len = vec![0u32; n];
-    let limit = u32::try_from(n).unwrap_or(u32::MAX);
-    // Shortest relaxation chains from the seed are simple unless a
-    // negative cycle exists, so `n + 1` double sweeps always suffice to
-    // either converge or push some chain past the length certificate.
-    for _round in 0..=n {
-        let mut changed = false;
-        let mut relax = |ai: usize, changed: &mut bool| -> bool {
-            let arc = arcs[ai];
-            let u = arc.from;
-            let cand = dist[u] + weights[ai];
-            if cand < dist[arc.to] {
-                dist[arc.to] = cand;
-                len[arc.to] = len[u] + 1;
-                *changed = true;
-                return len[arc.to] >= limit;
-            }
-            false
-        };
-        for ai in (0..arcs.len()).rev() {
-            if relax(ai, &mut changed) {
-                return true;
-            }
-        }
-        for ai in 0..arcs.len() {
-            if relax(ai, &mut changed) {
-                return true;
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    // Unreachable in theory (see above); conservatively report a negative
-    // cycle only if a final sweep still changes labels.
-    let mut changed = false;
-    for (ai, arc) in arcs.iter().enumerate() {
-        let cand = dist[arc.from] + weights[ai];
-        if cand < dist[arc.to] {
-            dist[arc.to] = cand;
-            changed = true;
-        }
-    }
-    changed
-}
-
-/// Classical round-based Bellman–Ford negative-cycle detection over the
-/// scaled weights for `Ξ = p/q`, with predecessor extraction. Returns the
-/// arc indices of a violating cycle, in traversal order, if one exists.
-/// Kept as the *witness extractor* (its output on the canonical arc order
-/// is the byte-stable batch witness); the cheap decision path is
-/// [`negative_cycle_exists`].
-pub(crate) fn violating_cycle_arcs(
-    arcs: &[Arc],
-    num_nodes: usize,
-    p: i128,
-    q: i128,
-) -> Option<Vec<usize>> {
-    if num_nodes == 0 || arcs.is_empty() {
-        return None;
-    }
-    let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
-    let mut dist = vec![0i128; num_nodes];
-    let mut pred: Vec<Option<usize>> = vec![None; num_nodes];
-    let mut changed_node = None;
-    for round in 0..=num_nodes {
-        let mut changed = None;
-        for (ai, arc) in arcs.iter().enumerate() {
-            let cand = dist[arc.from] + scaled_weight(arc.kind, p, q, k);
-            if cand < dist[arc.to] {
-                dist[arc.to] = cand;
-                pred[arc.to] = Some(ai);
-                changed = Some(arc.to);
-            }
-        }
-        match changed {
-            None => return None,
-            Some(node) if round == num_nodes => {
-                changed_node = Some(node);
-            }
-            Some(_) => {}
-        }
-    }
-    // A relaxation happened in round `num_nodes`: a negative cycle exists in
-    // the predecessor graph. Walk back to land inside it, then collect it.
-    let mut node = changed_node.expect("loop ended via final-round relaxation");
-    for _ in 0..num_nodes {
-        node = arcs[pred[node].expect("relaxed nodes have predecessors")].from;
-    }
-    let start = node;
-    let mut cycle_arcs = Vec::new();
-    loop {
-        let ai = pred[node].expect("cycle nodes have predecessors");
-        cycle_arcs.push(ai);
-        node = arcs[ai].from;
-        if node == start {
-            break;
-        }
-    }
-    cycle_arcs.reverse(); // predecessor walk collects arcs destination-first
-    Some(cycle_arcs)
+    let mut kernel = NegCycle::new(tg.num_live_nodes());
+    kernel.seed_earliest_feasible(tg, &weights);
+    kernel.run(tg, &weights)
 }
 
 /// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].
@@ -313,7 +170,10 @@ pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
 }
 
 /// Searches for a relevant cycle violating the ABC condition for `xi`
-/// (i.e. with `|Z−|/|Z+| ≥ Ξ`). Polynomial: `O(V·E)`.
+/// (i.e. with `|Z−|/|Z+| ≥ Ξ`). Polynomial: `O(V·E)` at worst, `O(V + E)`
+/// plus the labels that have to move in practice. The witness is the cycle
+/// the decision itself closed — deterministic for a given graph, though
+/// not necessarily the one the incremental monitor latches.
 ///
 /// # Errors
 ///
@@ -343,11 +203,9 @@ pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
 pub fn find_violation(g: &ExecutionGraph, xi: &Xi) -> Result<Option<Cycle>, CheckError> {
     let tg = TraversalGraph::from_graph(g);
     let (p, q) = xi_parts(xi, tg.num_arcs(), g.num_events())?;
-    if !negative_cycle_exists(g, &tg, p, q) {
+    let Some(indices) = negative_cycle(&tg, p, q) else {
         return Ok(None);
-    }
-    let indices = violating_cycle_arcs(tg.arcs(), g.num_events(), p, q)
-        .expect("the seeded decision certified a negative cycle");
+    };
     let cycle = arcs_to_cycle(tg.arcs(), &indices);
     debug_assert!(cycle.validate(g).is_ok(), "extracted witness must validate");
     let class = cycle.classify();
@@ -366,9 +224,7 @@ pub fn find_violation(g: &ExecutionGraph, xi: &Xi) -> Result<Option<Cycle>, Chec
 /// [`CheckError::XiTooLarge`] if `Ξ`'s parts (times the graph-size scaling)
 /// do not fit `i128`.
 pub fn is_admissible(g: &ExecutionGraph, xi: &Xi) -> Result<bool, CheckError> {
-    let tg = TraversalGraph::from_graph(g);
-    let (p, q) = xi_parts(xi, tg.num_arcs(), g.num_events())?;
-    Ok(!negative_cycle_exists(g, &tg, p, q))
+    Ok(find_violation(g, xi)?.is_none())
 }
 
 /// Whether the graph contains any relevant cycle at all.
@@ -401,9 +257,9 @@ pub(crate) fn max_ratio_cycle(
 /// The value is the *infimum* of the `Ξ` values for which `g` is admissible:
 /// `is_admissible(g, xi)` holds iff `xi > max_relevant_cycle_ratio(g)`.
 ///
-/// Complexity: a handful of seeded Bellman–Ford probes (one per cycle the
-/// ascent climbs through, plus a last one that finds nothing) — `O(V + E)`
-/// each when the seed labels already fit, `O(V·E)` at worst.
+/// Complexity: a handful of seeded negative-cycle probes (one per cycle
+/// the ascent climbs through, plus a last one that finds nothing) —
+/// `O(V + E)` each when the seed labels already fit, `O(V·E)` at worst.
 ///
 /// # Errors
 ///
@@ -589,10 +445,10 @@ mod tests {
 
     #[test]
     fn near_limit_xi_on_violating_graph_is_rejected_not_overflowed() {
-        // Regression: with a violating cycle present, in-place relaxation
-        // laps the cycle once per round, so labels accumulate up to
-        // #rounds · #arcs weights — a Xi this size must be rejected by the
-        // guard, not silently overflow i128 during detection.
+        // Regression from the round-based sweeps, which lapped a violating
+        // cycle once per round (labels up to #rounds · #arcs weights): a Xi
+        // this size is rejected by the guard up front. The kernel's labels
+        // stay far below that, but the guard's verdict is pinned.
         let g = two_chain(10);
         let p = abc_rational::BigInt::from(1i128 << 117);
         let q = &p - &abc_rational::BigInt::one();
@@ -607,7 +463,7 @@ mod tests {
         // overflow guard is one checked product; its boundary is pinned in
         // `maxratio::tests`. A graph that trips it does not fit in memory:
         // a 200 000-message chain is simply answered, in milliseconds,
-        // because a *no* probe is one changeless sweep.
+        // because a *no* probe is one changeless scan of every node.
         let msgs = 200_000usize;
         let mut b = ExecutionGraph::builder(1);
         let mut cur = b.init(ProcessId(0));
@@ -619,25 +475,5 @@ mod tests {
         assert_eq!(max_relevant_cycle_ratio(&g), Ok(None));
         assert!(!maxratio::probe_weights_fit(i128::MAX / 4, 1, msgs));
         assert!(max_relevant_cycle_ratio(&two_chain(3)).unwrap().is_some());
-    }
-
-    #[test]
-    fn seeded_decision_agrees_with_round_based_extraction() {
-        // The cheap decision and the classical extractor must agree on
-        // every (graph, Xi) pair: a violation is found iff extraction
-        // succeeds.
-        for hops in 2..=6 {
-            let g = two_chain(hops);
-            for xi_num in 2..=8 {
-                let xi = Xi::from_integer(xi_num);
-                let tg = TraversalGraph::from_graph(&g);
-                let (p, q) = xi_parts(&xi, tg.num_arcs(), g.num_events()).unwrap();
-                assert_eq!(
-                    negative_cycle_exists(&g, &tg, p, q),
-                    violating_cycle_arcs(tg.arcs(), g.num_events(), p, q).is_some(),
-                    "hops = {hops}, xi = {xi}"
-                );
-            }
-        }
     }
 }

@@ -78,6 +78,7 @@ pub mod enumerate;
 pub mod graph;
 mod maxratio;
 pub mod monitor;
+mod negcycle;
 pub mod timed;
 pub mod traversal;
 pub mod xi;

@@ -13,18 +13,21 @@
 //! hands back the cycle it found, and the next question is asked strictly
 //! above **that cycle's own ratio**; a *no* ends the ascent at the last
 //! ratio found, which is therefore attained and maximal. A margin costs a
-//! handful of *yes* probes plus one *no*, each a seeded Bellman–Ford pass:
+//! handful of *yes* probes plus one *no*, each one run of the crate's
+//! worklist negative-cycle kernel (`negcycle.rs`) in scratch the engine
+//! allocates once and every probe of the computation shares:
 //!
 //! * labels start at the **earliest-feasible potential** of the arcs that
 //!   point to older events (backward, local and descending shortcut arcs
 //!   form a DAG, so one pass in event order satisfies all of them), and
-//!   alternating arena sweeps repair what the ascending arcs still pull
-//!   on — a *no* is usually one changeless sweep;
-//! * a *yes* is certified by a **cycle in the predecessor graph**, looked
-//!   for after every sweep pair: the arc that closes such a cycle was
-//!   tense against the labels the other arcs had fixed, so the cycle's
-//!   weight is negative — it is a cycle with ratio above `B₀/F₀`, and its
-//!   own counts are the next `(B₀, F₀)`.
+//!   the kernel re-scans only the nodes the ascending arcs still pull
+//!   on — a *no* is usually one changeless scan of every node;
+//! * a *yes* is the cycle the kernel's tree of relaxing arcs was about to
+//!   close: the closing arc was tense against labels the tree's tight
+//!   arcs had fixed, so the cycle's weight is negative — it is a cycle
+//!   with ratio above `B₀/F₀`, and its own counts are the next
+//!   `(B₀, F₀)`. No label ever laps a cycle, which is what
+//!   [`probe_weights_fit`] relies on.
 //!
 //! The node-level probe is exact even though every message contributes a
 //! forward/backward arc pair: with `B₀ ≥ F₀` that two-arc loop weighs
@@ -56,6 +59,7 @@ use abc_rational::{BigInt, Ratio};
 
 use crate::check::CheckError;
 use crate::cycle::{CycleStep, ShadowEdge};
+use crate::negcycle::{NegCycle, SKIP};
 use crate::traversal::{ArcKind, TraversalGraph};
 
 /// Cycle probes run by the engine (one per "is there a cycle above
@@ -63,9 +67,6 @@ use crate::traversal::{ArcKind, TraversalGraph};
 static OBS_RATIO_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.ratio_probes");
 /// Ratio-exactly-one passes (tight-arc cycle tests) the engine ran.
 static OBS_RATIO_ONE: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.ratio_one_passes");
-
-/// Sentinel for "no predecessor arc".
-const NONE: usize = usize::MAX;
 
 /// The condensed paths behind the shortcut arcs of a pruned window.
 pub(crate) trait Shortcuts {
@@ -124,8 +125,9 @@ pub(crate) fn ratio_of((b, f): (i128, i128)) -> Ratio {
 /// Whether every label a probe with parts `≤ part` can produce fits
 /// `i128`: an arc weighs at most `part·mass` (`mass` = the most message
 /// steps one arc stands for), seed labels stack at most `size` of those,
-/// and until the predecessor graph closes a cycle a sweep pair lowers a
-/// label by at most `2·size` more — `part·mass·(size + 2)²` bounds it all.
+/// and the kernel lowers a label by a simple path of at most `size` more —
+/// `2·size` arc weights in all, which `part·mass·(size + 2)²` bounds with
+/// room to spare.
 pub(crate) fn probe_weights_fit(part: i128, mass: i128, size: usize) -> bool {
     let Ok(size) = i128::try_from(size) else {
         return false;
@@ -224,12 +226,9 @@ struct Engine<'a, S: ?Sized> {
     /// Per probe: each arc's weight and the line attaining it.
     weights: Vec<i128>,
     picks: Vec<usize>,
-    /// Labels (windowed by `tg.base()`); feasible after a *no*.
-    dist: Vec<i128>,
-    pred: Vec<usize>,
-    /// Predecessor-walk marks; `mark` only grows, so no clearing.
-    stamp: Vec<u64>,
-    mark: u64,
+    /// The kernel scratch every probe runs in; its labels (windowed by
+    /// `tg.base()`) are feasible after a *no*.
+    kernel: NegCycle,
 }
 
 impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
@@ -248,7 +247,6 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
             b_sum += b;
             mass = mass.max(f + b);
         }
-        let n = tg.num_live_nodes();
         Engine {
             tg,
             shortcuts,
@@ -257,10 +255,7 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
             mass,
             weights: vec![0; arcs.len()],
             picks: vec![0; arcs.len()],
-            dist: vec![0; n],
-            pred: vec![NONE; n],
-            stamp: vec![0; n],
-            mark: 0,
+            kernel: NegCycle::new(tg.num_live_nodes()),
         }
     }
 
@@ -269,12 +264,10 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
     /// weights.
     fn cycle_above(&mut self, p: i128, q: i128) -> Option<Attained> {
         OBS_RATIO_PROBES.add(1);
-        let tg = self.tg;
-        let arcs = tg.arcs();
-        let base = tg.base();
+        let arcs = self.tg.arcs();
         for (ai, arc) in arcs.iter().enumerate() {
             // A shortcut whose envelope is empty stands for no path.
-            let (mut w, mut pick) = (i128::MAX, 0);
+            let (mut w, mut pick) = (SKIP, 0);
             for i in 0..line_count(self.shortcuts, arc.kind) {
                 let (f, b) = line(self.shortcuts, arc.kind, i);
                 let cost = p * f - q * b;
@@ -285,97 +278,22 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
             self.weights[ai] = w;
             self.picks[ai] = pick;
         }
-        // Earliest-feasible seed: in event order, the smallest label the
-        // arcs into older events allow (an event without any continues
-        // from its predecessor's label, which keeps it in step with its
-        // neighbourhood).
-        for v in 0..self.dist.len() {
-            let mut label: Option<i128> = None;
-            let mut cursor = tg.first_out(base + v);
-            while let Some(ai) = cursor {
-                cursor = tg.next_out(ai);
-                let to = arcs[ai].to - base;
-                if to < v && self.weights[ai] != i128::MAX {
-                    let bound = self.dist[to] - self.weights[ai];
-                    label = Some(label.map_or(bound, |l| l.max(bound)));
-                }
-            }
-            self.dist[v] = label.unwrap_or(if v > 0 { self.dist[v - 1] } else { 0 });
+        self.kernel.seed_earliest_feasible(self.tg, &self.weights);
+        let indices = self.kernel.run(self.tg, &self.weights)?;
+        let mut found = Attained {
+            b: 0,
+            f: 0,
+            cycle: Vec::with_capacity(indices.len()),
+        };
+        for ai in indices {
+            let pick = self.picks[ai];
+            let (f, b) = line(self.shortcuts, arcs[ai].kind, pick);
+            found.f += f;
+            found.b += b;
+            found.cycle.push((ai, pick));
         }
-        self.pred.fill(NONE);
-        // Ends within `2·#nodes` sweep pairs: while the predecessor graph
-        // is acyclic every label stays at or above its best simple path
-        // from an untouched seed, and one lap of a negative cycle on top
-        // of that path undercuts it.
-        loop {
-            let mut changed = false;
-            for ai in (0..arcs.len()).rev().chain(0..arcs.len()) {
-                let w = self.weights[ai];
-                if w == i128::MAX {
-                    continue;
-                }
-                let arc = &arcs[ai];
-                let cand = self.dist[arc.from - base] + w;
-                if cand < self.dist[arc.to - base] {
-                    self.dist[arc.to - base] = cand;
-                    self.pred[arc.to - base] = ai;
-                    changed = true;
-                }
-            }
-            if !changed {
-                return None;
-            }
-            if let Some(start) = self.predecessor_cycle() {
-                let mut found = Attained {
-                    b: 0,
-                    f: 0,
-                    cycle: Vec::new(),
-                };
-                let mut node = start;
-                loop {
-                    let ai = self.pred[node];
-                    let pick = self.picks[ai];
-                    let (f, b) = line(self.shortcuts, arcs[ai].kind, pick);
-                    found.f += f;
-                    found.b += b;
-                    found.cycle.push((ai, pick));
-                    node = arcs[ai].from - base;
-                    if node == start {
-                        break;
-                    }
-                }
-                found.cycle.reverse(); // the walk collects arcs head-first
-                debug_assert!(found.b * q - p * found.f >= 1, "closed cycles are negative");
-                return Some(found);
-            }
-        }
-    }
-
-    /// A node on a cycle of the predecessor graph, if it has one.
-    fn predecessor_cycle(&mut self) -> Option<usize> {
-        let base = self.tg.base();
-        let arcs = self.tg.arcs();
-        // Nodes marked above `seen` were walked during this call.
-        let seen = self.mark;
-        for v in 0..self.pred.len() {
-            if self.stamp[v] > seen {
-                continue;
-            }
-            self.mark += 1;
-            let mut node = v;
-            while self.stamp[node] <= seen {
-                self.stamp[node] = self.mark;
-                let ai = self.pred[node];
-                if ai == NONE {
-                    break;
-                }
-                node = arcs[ai].from - base;
-            }
-            if self.stamp[node] == self.mark && self.pred[node] != NONE {
-                return Some(node);
-            }
-        }
-        None
+        debug_assert!(found.b * q - p * found.f >= 1, "closed cycles are negative");
+        Some(found)
     }
 
     /// Whether the arcs that are tight under the current labels — a
@@ -399,7 +317,7 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
         let lines_of = |ai: usize| starts[ai]..starts[ai + 1];
         let mut tight = vec![false; total];
         for (ai, arc) in arcs.iter().enumerate() {
-            let slack = self.dist[arc.to - base] - self.dist[arc.from - base];
+            let slack = self.kernel.dist[arc.to - base] - self.kernel.dist[arc.from - base];
             for li in lines_of(ai) {
                 let (f, b) = line(self.shortcuts, arc.kind, li - starts[ai]);
                 tight[li] = f - b == slack;

@@ -34,12 +34,15 @@
 //!
 //! The batch checker ([`crate::check::find_violation`] /
 //! [`crate::check::is_admissible`]) builds a `TraversalGraph` **once** per
-//! call with [`TraversalGraph::from_graph`] and hands the same structure to
-//! the feasibility decision, the witness extraction, the line-graph pass,
-//! and the bisection probes of `max_relevant_cycle_ratio`. The online
-//! monitor grows the *same* structure incrementally ([`push_node`] /
-//! [`push_arc`]) as events are appended, so batch and streaming decisions
-//! literally walk the same arcs.
+//! call with [`TraversalGraph::from_graph`] and hands it to the crate's
+//! worklist negative-cycle kernel, which walks the out-lists and decides
+//! and extracts the witness in one pass; `max_relevant_cycle_ratio` runs
+//! the same kernel over the same structure once per probe of its ratio
+//! ascent, and the line-graph pass reads the in-CSR. The online monitor
+//! grows the *same* structure incrementally ([`push_node`] /
+//! [`push_arc`]) as events are appended — and hands its pruned window to
+//! the same ratio ascent — so batch and streaming decisions literally
+//! walk the same arcs.
 //!
 //! # Bounded-memory compaction
 //!
@@ -120,8 +123,8 @@ const NONE: usize = usize::MAX;
 ///
 /// Nodes are event ids `base..base + num_live_nodes()`; arcs live in one
 /// flat arena with intrusive per-tail linked lists. Both the batch checker
-/// and the incremental monitor drive their Bellman–Ford passes over this
-/// structure.
+/// and the incremental monitor drive their label-correcting passes over
+/// this structure.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalGraph {
     arcs: Vec<Arc>,

@@ -8,6 +8,7 @@ use abc_core::cut::{causal_past, cut_interval, Cut};
 use abc_core::cyclespace::{decompose, CycleVector};
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
 use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
+use abc_core::traversal::{ArcKind, TraversalGraph};
 use abc_core::Xi;
 use abc_rational::Ratio;
 use proptest::prelude::*;
@@ -36,8 +37,73 @@ fn graph_strategy() -> impl Strategy<Value = ExecutionGraph> {
         .prop_map(|(n, script)| build_graph(n, &script))
 }
 
+/// The oracle for the checker's negative-cycle kernel: textbook
+/// round-based Bellman–Ford from an all-zero start over the reduction's
+/// scaled weights `(p·[fwd] − q·[bwd])·K − 1`, `K = #arcs + 1`. Labels
+/// still moving in round `#nodes + 1` mean a negative cycle, i.e. a
+/// relevant cycle with ratio `≥ Ξ = p/q`.
+fn textbook_violates(g: &ExecutionGraph, xi: &Xi) -> bool {
+    let tg = TraversalGraph::from_graph(g);
+    let (p, q) = xi.as_i128_parts().unwrap();
+    let k = tg.num_arcs() as i128 + 1;
+    let mut dist = vec![0i128; g.num_events()];
+    for _round in 0..=g.num_events() {
+        let mut changed = false;
+        for arc in tg.arcs() {
+            let weight = match arc.kind {
+                ArcKind::Forward(_) => p * k - 1,
+                ArcKind::Backward(_) => -q * k - 1,
+                ArcKind::LocalBack(_) => -1,
+                ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
+            };
+            if dist[arc.from] + weight < dist[arc.to] {
+                dist[arc.to] = dist[arc.from] + weight;
+                changed = true;
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Kernel ≡ textbook ≡ enumeration, on a `Ξ` grid that holds every
+    /// relevant cycle's own ratio (a violation: Definition 4 is strict) and
+    /// a step to either side of it: the verdicts agree and every witness is
+    /// a valid violating cycle. (The ratio ascent — the same kernel, one run
+    /// per probe — is held to the enumerated maximum by
+    /// `checker_matches_enumeration` below; that a *no* leaves no tense arc
+    /// is `debug_assert`ed in the kernel on every one of these runs, and
+    /// checked label by label in its unit test.)
+    #[test]
+    fn kernel_agrees_with_textbook_bellman_ford_and_enumeration(g in graph_strategy()) {
+        let ratios: Vec<Ratio> = enumerate_relevant_cycles(&g, EnumerationLimits::default())
+            .cycles
+            .iter()
+            .filter_map(|c| c.classify().ratio())
+            .collect();
+        let max = ratios.iter().max();
+        let step = Ratio::new(1, 7);
+        let mut grid = vec![Ratio::new(11, 10), Ratio::new(3, 2), Ratio::from_integer(5)];
+        for r in &ratios {
+            grid.extend([r.clone(), r + &step, r - &step]);
+        }
+        for xi in grid.into_iter().filter_map(|r| Xi::new(r).ok()) {
+            let violates = max.is_some_and(|m| m >= xi.as_ratio());
+            prop_assert_eq!(textbook_violates(&g, &xi), violates, "textbook, Xi = {}", &xi);
+            prop_assert_eq!(check::is_admissible(&g, &xi).unwrap(), !violates, "Xi = {}", &xi);
+            let witness = check::find_violation(&g, &xi).unwrap();
+            prop_assert_eq!(witness.is_some(), violates, "Xi = {}", &xi);
+            if let Some(w) = witness {
+                prop_assert!(w.validate(&g).is_ok(), "{} at Xi = {}", w, &xi);
+                prop_assert!(w.classify().violates(&xi), "{} at Xi = {}", w, &xi);
+            }
+        }
+    }
 
     /// The polynomial max-ratio equals the brute-force maximum over all
     /// enumerated relevant cycles.

@@ -153,6 +153,22 @@ fn opt_usize(field: &str) -> Result<Option<usize>, String> {
     }
 }
 
+/// The whitespace-separated fields of `line`, if there are exactly `N`.
+/// No allocation: this runs once per `e`/`m` line.
+fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
+    let mut it = line.split_whitespace();
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = it.next()?;
+    }
+    it.next().is_none().then_some(out)
+}
+
+/// A field that may not be `-`; the error text is built only on failure.
+fn required<T>(parsed: Result<Option<T>, String>, name: &str) -> Result<T, String> {
+    parsed?.ok_or_else(|| format!("{name} required"))
+}
+
 fn flag(field: &str) -> Result<bool, String> {
     match field {
         "0" => Ok(false),
@@ -912,28 +928,15 @@ impl TraceLineParser {
     }
 
     fn parse_event_line(ln: usize, l: &str) -> Result<EventRecord, TraceTextError> {
-        let fields: Vec<&str> = l.split_whitespace().collect();
-        let &[tag, seq, process, time, trigger, received_only, label, distinguished] =
-            fields.as_slice()
+        let Some(["e", seq, process, time, trigger, received_only, label, distinguished]) =
+            fields::<8>(l)
         else {
             return err(ln, format!("expected `e` line with 7 fields, got {l:?}"));
         };
-        if tag != "e" {
-            return err(ln, format!("expected `e` line with 7 fields, got {l:?}"));
-        }
         Ok(EventRecord {
-            seq: Some(at(
-                ln,
-                opt_usize(seq).and_then(|v| v.ok_or("seq required".into())),
-            )?),
-            process: at(
-                ln,
-                opt_usize(process).and_then(|v| v.ok_or("process required".into())),
-            )?,
-            time: at(
-                ln,
-                opt_u64(time).and_then(|v| v.ok_or("time required".into())),
-            )?,
+            seq: Some(at(ln, required(opt_usize(seq), "seq"))?),
+            process: at(ln, required(opt_usize(process), "process"))?,
+            time: at(ln, required(opt_u64(time), "time"))?,
             trigger: at(ln, opt_usize(trigger))?,
             received_only: at(ln, flag(received_only))?,
             label: at(ln, opt_u64(label))?,
@@ -942,32 +945,16 @@ impl TraceLineParser {
     }
 
     fn parse_message_line(ln: usize, l: &str) -> Result<MessageRecord, TraceTextError> {
-        let fields: Vec<&str> = l.split_whitespace().collect();
-        let &[tag, from, to, send_event, recv_event, send_time, recv_time] = fields.as_slice()
+        let Some(["m", from, to, send_event, recv_event, send_time, recv_time]) = fields::<7>(l)
         else {
             return err(ln, format!("expected `m` line with 6 fields, got {l:?}"));
         };
-        if tag != "m" {
-            return err(ln, format!("expected `m` line with 6 fields, got {l:?}"));
-        }
         Ok(MessageRecord {
-            from: at(
-                ln,
-                opt_usize(from).and_then(|v| v.ok_or("from required".into())),
-            )?,
-            to: at(
-                ln,
-                opt_usize(to).and_then(|v| v.ok_or("to required".into())),
-            )?,
-            send_event: at(
-                ln,
-                opt_usize(send_event).and_then(|v| v.ok_or("send_event required".into())),
-            )?,
+            from: at(ln, required(opt_usize(from), "from"))?,
+            to: at(ln, required(opt_usize(to), "to"))?,
+            send_event: at(ln, required(opt_usize(send_event), "send_event"))?,
             recv_event: at(ln, opt_usize(recv_event))?,
-            send_time: at(
-                ln,
-                opt_u64(send_time).and_then(|v| v.ok_or("send_time required".into())),
-            )?,
+            send_time: at(ln, required(opt_u64(send_time), "send_time"))?,
             recv_time: at(ln, opt_u64(recv_time))?,
         })
     }
