@@ -62,9 +62,18 @@ use abc_rational::Ratio;
 use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
 use crate::maxratio::{self, NoShortcuts};
-use crate::negcycle::NegCycle;
+use crate::negcycle::{self, NegCycle};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 use crate::xi::Xi;
+
+/// The kernel's batch runs: one per check, one per max-ratio probe.
+static OBS_RELAXATIONS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.relaxations");
+static OBS_ARC_VISITS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.arc_visits");
+
+pub(crate) fn record_kernel_run(run: &negcycle::Run) {
+    OBS_RELAXATIONS.add(run.relaxations);
+    OBS_ARC_VISITS.add(run.arc_visits);
+}
 
 /// Errors reported by the checker.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,13 +162,12 @@ fn negative_cycle(tg: &TraversalGraph, p: i128, q: i128) -> Option<Vec<usize>> {
     debug_assert_eq!(tg.base(), 0, "the batch check is whole-graph only");
     let arcs = tg.arcs();
     let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
-    let weights: Vec<i128> = arcs
-        .iter()
-        .map(|a| scaled_weight(a.kind, p, q, k))
-        .collect();
-    let mut kernel = NegCycle::new(tg.num_live_nodes());
-    kernel.seed_earliest_feasible(tg, &weights);
-    kernel.run(tg, &weights)
+    let weight = |ai: usize| Some(scaled_weight(arcs[ai].kind, p, q, k));
+    let mut labels = vec![0; tg.num_live_nodes()];
+    negcycle::seed_earliest_feasible(tg, &mut labels, weight);
+    let run = NegCycle::default().run(tg, &mut labels, 0..tg.num_live_nodes(), weight);
+    record_kernel_run(&run);
+    run.cycle
 }
 
 /// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].

@@ -59,7 +59,7 @@ use abc_rational::{BigInt, Ratio};
 
 use crate::check::CheckError;
 use crate::cycle::{CycleStep, ShadowEdge};
-use crate::negcycle::{NegCycle, SKIP};
+use crate::negcycle::{self, NegCycle};
 use crate::traversal::{ArcKind, TraversalGraph};
 
 /// Cycle probes run by the engine (one per "is there a cycle above
@@ -67,6 +67,9 @@ use crate::traversal::{ArcKind, TraversalGraph};
 static OBS_RATIO_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.ratio_probes");
 /// Ratio-exactly-one passes (tight-arc cycle tests) the engine ran.
 static OBS_RATIO_ONE: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.ratio_one_passes");
+
+/// Weight of an arc a probe must not take.
+const SKIP: i128 = i128::MAX;
 
 /// The condensed paths behind the shortcut arcs of a pruned window.
 pub(crate) trait Shortcuts {
@@ -226,9 +229,10 @@ struct Engine<'a, S: ?Sized> {
     /// Per probe: each arc's weight and the line attaining it.
     weights: Vec<i128>,
     picks: Vec<usize>,
-    /// The kernel scratch every probe runs in; its labels (windowed by
-    /// `tg.base()`) are feasible after a *no*.
+    /// The kernel scratch every probe runs in, and its labels (windowed by
+    /// `tg.base()`): feasible after a *no*.
     kernel: NegCycle,
+    labels: Vec<i128>,
 }
 
 impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
@@ -255,7 +259,8 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
             mass,
             weights: vec![0; arcs.len()],
             picks: vec![0; arcs.len()],
-            kernel: NegCycle::new(tg.num_live_nodes()),
+            kernel: NegCycle::default(),
+            labels: vec![0; tg.num_live_nodes()],
         }
     }
 
@@ -278,8 +283,13 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
             self.weights[ai] = w;
             self.picks[ai] = pick;
         }
-        self.kernel.seed_earliest_feasible(self.tg, &self.weights);
-        let indices = self.kernel.run(self.tg, &self.weights)?;
+        let weights = &self.weights;
+        let weight = |ai: usize| Some(weights[ai]).filter(|&w| w != SKIP);
+        negcycle::seed_earliest_feasible(self.tg, &mut self.labels, weight);
+        let starts = 0..self.labels.len();
+        let run = self.kernel.run(self.tg, &mut self.labels, starts, weight);
+        crate::check::record_kernel_run(&run);
+        let indices = run.cycle?;
         let mut found = Attained {
             b: 0,
             f: 0,
@@ -317,7 +327,7 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
         let lines_of = |ai: usize| starts[ai]..starts[ai + 1];
         let mut tight = vec![false; total];
         for (ai, arc) in arcs.iter().enumerate() {
-            let slack = self.kernel.dist[arc.to - base] - self.kernel.dist[arc.from - base];
+            let slack = self.labels[arc.to - base] - self.labels[arc.from - base];
             for li in lines_of(ai) {
                 let (f, b) = line(self.shortcuts, arc.kind, li - starts[ai]);
                 tight[li] = f - b == slack;

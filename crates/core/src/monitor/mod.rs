@@ -17,7 +17,8 @@
 //! three arcs (forward + backward for its triggering message, one local
 //! back-arc), and the labels are repaired by re-relaxing only the affected
 //! frontier — amortized far below a full pass, and exactly zero work for
-//! events that do not disturb any label. The first violation is latched
+//! events that do not disturb any label (the repair runs on the batch
+//! checker's own negative-cycle kernel). The first violation is latched
 //! together with a witness of the same [`Cycle`] type the batch checker
 //! produces (violations never go away: appending events only adds cycles).
 //!
@@ -27,8 +28,8 @@
 //! state and the append path with its earliest-feasible label; the child
 //! modules carry the rest, each with its own docs:
 //!
-//! * `repair` — re-relaxing the frontier after a window conflict, and the
-//!   exact confirmation that latches a violation;
+//! * `repair` — restoring feasibility after a window conflict on the
+//!   negative-cycle kernel, and the witness latched when that closes a cycle;
 //! * `prune` — bounded memory: [`IncrementalChecker::prune_settled`]
 //!   compacts a settled prefix after condensing its boundary, leaving
 //!   verdicts, latch points, witnesses and summaries **byte-identical**
@@ -43,8 +44,8 @@
 //!
 //! A monitor that finished one execution is re-armed for the next with
 //! [`IncrementalChecker::reset`], which keeps the capacity of every
-//! per-event column: a service checking one document after another
-//! allocates for the first and reuses for the rest.
+//! per-event column and of the kernel's scratch: a service checking one
+//! document after another allocates for the first and reuses for the rest.
 //!
 //! # Weights without a global scale factor
 //!
@@ -81,8 +82,6 @@ mod prune;
 mod repair;
 mod witness;
 
-use std::collections::VecDeque;
-
 use abc_rational::Ratio;
 
 use crate::check::CheckError;
@@ -90,6 +89,7 @@ use crate::cycle::{Cycle, WitnessSummary};
 use crate::graph::{
     EventId, ExecutionGraph, ExecutionGraphBuilder, LocalEdge, MessageId, ProcessId, Trigger,
 };
+use crate::negcycle::NegCycle;
 use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
@@ -121,9 +121,6 @@ pub struct MonitorStats {
     pub arcs: usize,
     /// Total label relaxations performed across all appends.
     pub relaxations: u64,
-    /// Violation confirmations triggered (a violation latch, or — rarely —
-    /// a false alarm of the relaxation-count heuristic).
-    pub full_checks: u64,
     /// Events compacted away by [`IncrementalChecker::prune_settled`].
     pub pruned_events: usize,
     /// Arcs compacted away by [`IncrementalChecker::prune_settled`].
@@ -183,13 +180,11 @@ pub struct IncrementalChecker {
     /// Process of each live event (windowed by `tg.base()`).
     proc_of: Vec<ProcessId>,
     /// Bellman–Ford potential per live event; feasible (no tense arc)
-    /// whenever `violation` is `None`.
+    /// whenever `violation` is `None` (nothing reads them after a latch).
     pot: Vec<Weight>,
-    /// Per-append relaxation counts (reset via `touched` after each append).
-    relax_count: Vec<u64>,
-    in_queue: Vec<bool>,
-    touched: Vec<usize>,
-    queue: VecDeque<usize>,
+    /// Scratch of the kernel the frontier repairs run on: empty until the
+    /// first, clean between them, kept by [`IncrementalChecker::reset`].
+    kernel: NegCycle,
     /// Latest event id of each process (survives pruning — it guards
     /// double-init and locates local predecessors).
     last_event: Vec<Option<usize>>,
@@ -238,10 +233,7 @@ impl IncrementalChecker {
             tg: TraversalGraph::new(),
             proc_of: Vec::new(),
             pot: Vec::new(),
-            relax_count: Vec::new(),
-            in_queue: Vec::new(),
-            touched: Vec::new(),
-            queue: VecDeque::new(),
+            kernel: NegCycle::default(),
             last_event: vec![None; num_processes],
             frontier_row: vec![None; num_processes],
             shortcuts: Vec::new(),
@@ -286,10 +278,7 @@ impl IncrementalChecker {
             tg,
             proc_of,
             pot,
-            relax_count,
-            in_queue,
-            touched,
-            queue,
+            kernel: _, // clean between repairs; its capacity is the point
             last_event,
             frontier_row,
             shortcuts,
@@ -315,10 +304,6 @@ impl IncrementalChecker {
         tg.clear();
         proc_of.clear();
         pot.clear();
-        relax_count.clear();
-        in_queue.clear();
-        touched.clear();
-        queue.clear();
         last_event.clear();
         last_event.resize(num_processes, None);
         frontier_row.clear();
@@ -633,7 +618,6 @@ impl IncrementalChecker {
                 mid,
                 old_arcs,
             };
-            self.enqueue(recv);
             self.restore_feasibility(&ctx);
         }
         OBS_ARCS.add((self.stats.arcs - arcs_before) as u64);
@@ -644,8 +628,6 @@ impl IncrementalChecker {
         let id = self.tg.push_node();
         self.proc_of.push(p);
         self.pot.push((0, 0));
-        self.relax_count.push(0);
-        self.in_queue.push(false);
         self.stats.live_events_peak = self.stats.live_events_peak.max(self.tg.num_live_nodes());
         id
     }
@@ -657,13 +639,7 @@ impl IncrementalChecker {
     }
 
     fn arc_weight(&self, kind: ArcKind) -> Weight {
-        let first = match kind {
-            ArcKind::Forward(_) => self.p,
-            ArcKind::Backward(_) => -self.q,
-            ArcKind::LocalBack(_) => 0,
-            ArcKind::Shortcut(id) => return self.shortcuts[id].weight,
-        };
-        (first, -1)
+        weight_of(kind, self.p, self.q, &self.shortcuts)
     }
 
     /// Consumes the monitor, returning the accumulated graph and the
@@ -679,6 +655,17 @@ impl IncrementalChecker {
             .expect("finish() is unavailable on a pruning monitor (enable_pruning was called)");
         (builder.finish(), self.violation)
     }
+}
+
+/// The lexicographic weight of a live arc for `Ξ = p/q`.
+fn weight_of(kind: ArcKind, p: i128, q: i128, shortcuts: &[ShortcutInfo]) -> Weight {
+    let first = match kind {
+        ArcKind::Forward(_) => p,
+        ArcKind::Backward(_) => -q,
+        ArcKind::LocalBack(_) => 0,
+        ArcKind::Shortcut(id) => return shortcuts[id].weight,
+    };
+    (first, -1)
 }
 
 #[cfg(test)]

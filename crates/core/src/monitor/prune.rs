@@ -47,6 +47,7 @@
 use std::collections::hash_map::{Entry, HashMap};
 
 use crate::graph::{EventId, LocalEdge, ProcessId};
+use crate::negcycle::Label;
 use crate::traversal::ArcKind;
 
 use super::margin::{margin_envelope, MarginSig, Sig, SigArena};
@@ -55,10 +56,6 @@ use super::{IncrementalChecker, Weight};
 
 static OBS_PRUNED_EVENTS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_events");
 static OBS_PRUNED_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_arcs");
-
-fn add(a: Weight, b: Weight) -> Weight {
-    (a.0 + b.0, a.1 + b.1)
-}
 
 /// A condensed boundary path of a pruned prefix: the exact lexicographic
 /// weight of the shortest settled-region path it stands for, plus the
@@ -158,7 +155,7 @@ impl<'a> Candidate<'a> {
             }
         }
         Candidate {
-            weight: add(weight, self.weight),
+            weight: weight.plus(self.weight),
             path,
             sigs: margin_envelope(cands, floor),
         }
@@ -220,7 +217,6 @@ impl IncrementalChecker {
         let _span = abc_obs::span("monitor.prune");
         let total = self.tg.total_nodes();
         let base = self.tg.base();
-        debug_assert!(self.queue.is_empty(), "prune between appends only");
         let w = oldest_inflight_send.map_or(total, |e| e.0.min(total));
         if w <= base {
             return 0;
@@ -245,8 +241,6 @@ impl IncrementalChecker {
         debug_assert_eq!(nodes, dropped);
         self.proc_of.drain(..dropped);
         self.pot.drain(..dropped);
-        self.relax_count.drain(..dropped);
-        self.in_queue.drain(..dropped);
         self.stats.pruned_events += nodes;
         self.stats.pruned_arcs += arcs;
         OBS_PRUNED_EVENTS.add(nodes as u64);
@@ -275,7 +269,7 @@ impl IncrementalChecker {
             });
             let id = self.shortcuts.len();
             self.shortcuts.push(ShortcutInfo {
-                weight: add(out.info.weight, self.arc_weight(local)),
+                weight: out.info.weight.plus(self.arc_weight(local)),
                 path: out.info.path.prefixed(step, joint),
                 sigs: sigs.collect(),
             });
@@ -398,7 +392,7 @@ impl IncrementalChecker {
             None => Vec::new(),
         };
         Some(Candidate {
-            weight: add(d, self.arc_weight(exit_arc.kind)),
+            weight: d.plus(self.arc_weight(exit_arc.kind)),
             path,
             sigs,
         })
@@ -437,7 +431,7 @@ impl IncrementalChecker {
                     continue;
                 };
                 let (from, to) = (entry.from, arcs[b].to);
-                if from == to && add(ew, tail.weight) >= (0, 0) {
+                if from == to && ew.plus(tail.weight) >= (0, 0) {
                     // A non-negative self-loop can never improve a shortest
                     // path nor close a violating cycle: drop it. (A negative
                     // one would be a negative cycle — impossible while the

@@ -1,20 +1,24 @@
 //! Frontier repair: restoring feasible potentials after an append opened
 //! a window conflict, and deciding exactly when that cannot be done.
 //!
-//! The append leaves one tense node; `restore_feasibility` re-relaxes from
-//! it with a FIFO queue. A node improved more than `#nodes` times signals
-//! a negative cycle through the new arcs, and since queue orderings can
-//! exceed that benignly every trip is settled by the exact
-//! `confirm_violation`: one `seeded_sssp` over the pre-append arcs (which
-//! are feasible, so it converges). The same seeded pass grows the
-//! shortest-path trees a prune condenses its boundary with.
+//! No heuristic: the potentials were feasible before the append, its arcs
+//! all touch the new receive `v`, and capping `π(v)` leaves `v` the one
+//! node with tense out-arcs. `restore_feasibility` runs the crate's
+//! negative-cycle kernel (`negcycle.rs`) from the start set `[v]`. Lowered
+//! labels all derive from `π(v)` and `v`'s only in-arc is `u → v`, so the
+//! repair converges — to `min(π(x), π(v) + d(v ⇝ x))`, whatever the scan
+//! order — or lowers `u` until `u → v` is tense again, the kernel closing
+//! a cycle: a violation exists iff the repair closes one. Its canonical
+//! witness is then one `seeded_sssp` over the pre-append arcs (feasible,
+//! so it converges), the pass that also grows the shortest-path trees a
+//! prune condenses its boundary with.
 
 use crate::cycle::{Cycle, WitnessSummary};
 use crate::graph::MessageId;
-use crate::traversal::ArcKind;
+use crate::negcycle::Label;
 
 use super::prune::FrontierRow;
-use super::{IncrementalChecker, Weight};
+use super::{weight_of, IncrementalChecker, Weight};
 
 static OBS_RELAXATIONS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.relaxations");
 static OBS_REPAIRS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.frontier_repairs");
@@ -42,85 +46,33 @@ pub(super) struct ConfirmCtx {
 }
 
 impl IncrementalChecker {
-    /// Relaxes `arc`; returns the head node (global id) if its label
-    /// dropped.
-    fn try_relax(&mut self, ai: usize) -> Option<usize> {
-        let arc = self.tg.arcs()[ai];
-        let base = self.tg.base();
-        let w = self.arc_weight(arc.kind);
-        let from = arc.from - base;
-        let to = arc.to - base;
-        let cand = (self.pot[from].0 + w.0, self.pot[from].1 + w.1);
-        if cand < self.pot[to] {
-            self.pot[to] = cand;
-            if self.relax_count[to] == 0 {
-                self.touched.push(arc.to);
-            }
-            self.relax_count[to] += 1;
-            self.stats.relaxations += 1;
-            Some(arc.to)
-        } else {
-            None
-        }
-    }
-
-    /// Queue-based re-relaxation from the enqueued tense nodes until the
-    /// labels are feasible again — or, if that cannot happen (a negative
-    /// cycle through a new arc), until the relaxation-count heuristic trips
-    /// and the exact canonical confirmation latches the witness.
+    /// Runs the kernel from the tense node `ctx.v`: the potentials are
+    /// feasible again, or — iff the append closed a violating cycle — its
+    /// canonical witness is latched (the kernel's own is only the proof).
     pub(super) fn restore_feasibility(&mut self, ctx: &ConfirmCtx) {
         let _span = abc_obs::span("monitor.frontier_repair");
         OBS_REPAIRS.add(1);
-        let relaxations_before = self.stats.relaxations;
-        // Without negative cycles a label only improves via simple paths, so
-        // > #nodes improvements of one node in a single repair is a strong
-        // negative-cycle signal — but queue orderings can exceed it benignly,
-        // so every trip is confirmed by the exact canonical check (and the
-        // threshold doubles on a false alarm to keep repair near-linear).
-        let mut threshold = self.pot.len() as u64 + 2;
-        'repair: while let Some(u) = self.queue.pop_front() {
-            self.in_queue[u - self.tg.base()] = false;
-            let mut cursor = self.tg.first_out(u);
-            while let Some(ai) = cursor {
-                cursor = self.tg.next_out(ai);
-                let Some(head) = self.try_relax(ai) else {
-                    continue;
-                };
-                if self.relax_count[head - self.tg.base()] > threshold {
-                    self.stats.full_checks += 1;
-                    if let Some((cycle, summary)) = self.confirm_violation(ctx) {
-                        assert!(
-                            summary.classification.violates(&self.xi),
-                            "internal error: extracted cycle {cycle} does not violate Xi = {}",
-                            self.xi
-                        );
-                        if let Some(b) = &self.builder {
-                            debug_assert!(cycle.validate(b.graph()).is_ok());
-                            debug_assert_eq!(summary, cycle.summarize(b.graph()));
-                        }
-                        self.violation = Some(cycle);
-                        self.violation_summary = Some(summary);
-                        break 'repair;
-                    }
-                    threshold = threshold.saturating_mul(2);
-                }
-                self.enqueue(head);
-            }
+        let (arcs, shortcuts, p, q) = (self.tg.arcs(), &self.shortcuts, self.p, self.q);
+        let weight = |ai: usize| Some(weight_of(arcs[ai].kind, p, q, shortcuts));
+        let start = ctx.v - self.tg.base();
+        let run = self.kernel.run(&self.tg, &mut self.pot, [start], weight);
+        self.stats.relaxations += run.relaxations;
+        OBS_RELAXATIONS.add(run.relaxations);
+        if run.cycle.is_none() {
+            return;
         }
-        self.queue.clear();
-        let base = self.tg.base();
-        for v in self.touched.drain(..) {
-            self.relax_count[v - base] = 0;
-            self.in_queue[v - base] = false;
+        let (cycle, summary) = self.confirm_violation(ctx);
+        assert!(
+            summary.classification.violates(&self.xi),
+            "internal error: extracted cycle {cycle} does not violate Xi = {}",
+            self.xi
+        );
+        if let Some(b) = &self.builder {
+            debug_assert!(cycle.validate(b.graph()).is_ok());
+            debug_assert_eq!(summary, cycle.summarize(b.graph()));
         }
-        OBS_RELAXATIONS.add(self.stats.relaxations - relaxations_before);
-    }
-
-    pub(super) fn enqueue(&mut self, v: usize) {
-        if !self.in_queue[v - self.tg.base()] {
-            self.in_queue[v - self.tg.base()] = true;
-            self.queue.push_back(v);
-        }
+        self.violation = Some(cycle);
+        self.violation_summary = Some(summary);
     }
 
     /// Seeded shortest-path pass over the selected arena arcs (by index),
@@ -164,8 +116,7 @@ impl IncrementalChecker {
                 let Some(d) = dist[arc.from - base] else {
                     continue;
                 };
-                let w = self.arc_weight(arc.kind);
-                let cand = (d.0 + w.0, d.1 + w.1);
+                let cand = d.plus(self.arc_weight(arc.kind));
                 let slot = arc.to - base;
                 if dist[slot].is_none_or(|x| cand < x) {
                     dist[slot] = Some(cand);
@@ -186,12 +137,13 @@ impl IncrementalChecker {
         (dist, pred, seed_of)
     }
 
-    /// Exact violation confirmation via the canonical cycle shape (see
-    /// the `witness` module): the append of `v` created a violating cycle
-    /// iff `w(u→v) + w(v→prev) + shortest-path(prev ⇝ u over pre-append
-    /// arcs)` is lexicographically negative. Pre-append arcs are feasible
-    /// (no negative cycle), so the seeded shortest-path pass terminates.
-    fn confirm_violation(&self, ctx: &ConfirmCtx) -> Option<(Cycle, WitnessSummary)> {
+    /// The canonical witness of the violation the repair has just proved
+    /// (see the `witness` module): `u → v → prev` closed by the shortest
+    /// path `prev ⇝ u` over the pre-append arcs, which are feasible, so the
+    /// seeded pass terminates. Once per latch. Every cycle the append made
+    /// has that shape: a `u` the pass did not reach is an internal error,
+    /// as is a canonical cycle that does not violate (the caller's assert).
+    fn confirm_violation(&self, ctx: &ConfirmCtx) -> (Cycle, WitnessSummary) {
         let _span = abc_obs::span("monitor.confirm_sssp");
         OBS_CONFIRMS.add(1);
         let base = self.tg.base();
@@ -205,14 +157,7 @@ impl IncrementalChecker {
             Some(row) => row.outs.iter().map(|o| (o.head, o.info.weight)).collect(),
         };
         let pre_append: Vec<usize> = (0..ctx.old_arcs).collect();
-        let (dist, pred, seed_of) = self.seeded_sssp(&pre_append, base, n, &seeds);
-        let du = dist[ctx.u - base]?;
-        let w_fwd = self.arc_weight(ArcKind::Forward(ctx.mid));
-        let w_local = (0i128, -1i128);
-        let total = (du.0 + w_fwd.0 + w_local.0, du.1 + w_fwd.1 + w_local.1);
-        if total >= (0, 0) {
-            return None;
-        }
+        let (_, pred, seed_of) = self.seeded_sssp(&pre_append, base, n, &seeds);
         // Collect the path prev ⇝ u by walking predecessors back from u;
         // the walk bottoms out at a seeded node (a compacted `prev`'s seed
         // carries the condensed expansion to splice into the witness).
@@ -224,11 +169,14 @@ impl IncrementalChecker {
                     path.push(ai);
                     node = arcs[ai].from;
                 }
-                None => break seed_of[node - base].expect("unseeded dead end on the path"),
+                None => {
+                    break seed_of[node - base]
+                        .expect("internal error: the closed cycle reaches `u` from `prev`")
+                }
             }
         };
         path.reverse();
         debug_assert!(ctx.seeds.is_some() || node == ctx.prev_global);
-        Some(self.canonical_witness(ctx, seed, &path))
+        self.canonical_witness(ctx, seed, &path)
     }
 }

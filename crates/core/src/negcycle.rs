@@ -1,11 +1,17 @@
-//! The one negative-cycle kernel behind the batch checker
-//! ([`crate::check::find_violation`]) and every probe of the max-ratio
-//! engine: FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
+//! The crate's one label-correcting loop: the negative-cycle kernel behind
+//! the batch checker ([`crate::check::find_violation`]), every probe of the
+//! max-ratio engine and the monitor's frontier repair ([`crate::monitor`]).
+//! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").
 //!
-//! Labels start wherever the caller put them and every node starts queued,
-//! in event order. A scan relaxes one node's out-arcs in insertion order.
+//! Labels are the caller's — any [`Label`] — and start wherever the caller
+//! put them; the caller also names the **start set**, queued in the order
+//! given. The batch callers start every node, in event order, from the
+//! earliest-feasible potential; the monitor starts the one node its append
+//! left tense, over potentials feasible everywhere else (Ramalingam, Song,
+//! Joskowicz & Miller 1999, "Solving systems of difference constraints
+//! incrementally"). A scan relaxes one node's out-arcs in insertion order.
 //! The arcs that last lowered a label form a forest, kept as child/sibling
 //! links, and a relaxation `u → v` first **disassembles** `v`'s subtree:
 //! its nodes held labels derived from `v`'s old one, so they leave the
@@ -19,123 +25,155 @@
 //! proportional to the labels that move, not to the arena times the zigzag
 //! depth. `O(V·E)` at worst, exact both ways.
 //!
+//! The scratch holds no labels and **undoes what it touched**: a run ends
+//! by resetting the nodes it queued, and only those. So it is clean between
+//! runs, serves windows of any size and base, is left alone by a prune of
+//! the monitor's window, and moves *k* labels in *O(k)* whatever the window.
+//!
 //! Deterministic: queue order and arc order are fixed by the graph, so the
-//! cycle handed back is a pure function of graph, weights and start labels.
+//! cycle handed back is a pure function of graph, weights, start labels
+//! and start set. The batch callers report it; the monitor drops it for its
+//! canonical `u → v → prev ⇝ u` witness, which no prune cadence changes.
 
 use std::collections::VecDeque;
 
 use crate::traversal::TraversalGraph;
 
-/// Successful relaxations and arcs examined, over every run of the kernel
-/// (a batch check is one run, a max-ratio computation one per probe).
-static OBS_RELAXATIONS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.relaxations");
-static OBS_ARC_VISITS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.arc_visits");
+/// A label: totally ordered, summed with an arc weight (tuples have no `Add`).
+pub(crate) trait Label: Copy + Ord {
+    fn plus(self, w: Self) -> Self;
+}
 
-/// Weight of an arc the kernel must not take.
-pub(crate) const SKIP: i128 = i128::MAX;
+impl Label for i128 {
+    #[inline]
+    fn plus(self, w: i128) -> i128 {
+        self + w
+    }
+}
+
+/// Lexicographic pairs, summed component-wise (the monitor's weights).
+impl Label for (i128, i128) {
+    #[inline]
+    fn plus(self, w: (i128, i128)) -> (i128, i128) {
+        (self.0 + w.0, self.1 + w.1)
+    }
+}
 
 /// Sentinel for "no arc" / "no node" in the forest links.
 const NONE: usize = usize::MAX;
 
-/// Queue membership of a node.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Queued {
-    No,
-    Yes,
-    /// Still in the queue, but dormant: skipped when it surfaces unless a
-    /// relaxation re-labels it first.
+/// What one run has done to a node so far.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mark {
+    /// Not touched by this run (every node, between runs).
+    Clean,
+    /// Touched, not in the queue.
+    Idle,
+    Queued,
+    /// In the queue, skipped when it surfaces unless re-labelled first.
     Dormant,
 }
 
-/// The kernel's per-node scratch, reusable across runs over one graph.
-/// Node columns are windowed by the graph's `base`.
+/// One run's answer and its work, for the caller's own recorder counters.
+#[derive(Default)]
+pub(crate) struct Run {
+    /// Arc indices of a negative cycle, in traversal order.
+    pub(crate) cycle: Option<Vec<usize>>,
+    /// Successful relaxations, and arcs examined.
+    pub(crate) relaxations: u64,
+    pub(crate) arc_visits: u64,
+}
+
+/// The kernel's per-node scratch, windowed by the graph's `base`.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct NegCycle {
-    /// Labels: the caller's start labels going in; after a `None` a
-    /// feasible potential (`dist[to] ≤ dist[from] + w` on every arc).
-    pub(crate) dist: Vec<i128>,
     /// The arc that last lowered each node's label, while it still
     /// vouches for it (`NONE`: a root or a disassembled node).
     pred: Vec<usize>,
     first_child: Vec<usize>,
     next_sibling: Vec<usize>,
     prev_sibling: Vec<usize>,
-    queued: Vec<Queued>,
+    mark: Vec<Mark>,
     queue: VecDeque<usize>,
     /// The subtree under disassembly, parents before children.
     subtree: Vec<usize>,
+    /// Every node whose mark is not `Clean`: what the run resets.
+    touched: Vec<usize>,
+}
+
+/// Sets `labels` to the **earliest-feasible potential**: in event order,
+/// the smallest label the arcs into older events allow (backward, local
+/// and descending shortcut arcs form a DAG, so one pass satisfies all of
+/// them; an event without any continues from its predecessor's label,
+/// which keeps it in step with its neighbourhood). Timestamp semantics —
+/// every message charged its minimum delay — and the monitor's trick: on
+/// admissible executions the ascending arcs are usually satisfied too, and
+/// [`NegCycle::run`] from every node is one changeless scan, `O(V + E)`,
+/// where an all-zero start makes labels zigzag through the execution.
+pub(crate) fn seed_earliest_feasible(
+    tg: &TraversalGraph,
+    labels: &mut [i128],
+    weight: impl Fn(usize) -> Option<i128>,
+) {
+    let arcs = tg.arcs();
+    let base = tg.base();
+    for v in 0..labels.len() {
+        let mut label: Option<i128> = None;
+        let mut cursor = tg.first_out(base + v);
+        while let Some(ai) = cursor {
+            cursor = tg.next_out(ai);
+            let to = arcs[ai].to - base;
+            if let Some(w) = weight(ai).filter(|_| to < v) {
+                let bound = labels[to] - w;
+                label = Some(label.map_or(bound, |l| l.max(bound)));
+            }
+        }
+        labels[v] = label.unwrap_or(if v > 0 { labels[v - 1] } else { 0 });
+    }
 }
 
 impl NegCycle {
-    pub(crate) fn new(nodes: usize) -> NegCycle {
-        NegCycle {
-            dist: vec![0; nodes],
-            pred: vec![NONE; nodes],
-            first_child: vec![NONE; nodes],
-            next_sibling: vec![NONE; nodes],
-            prev_sibling: vec![NONE; nodes],
-            queued: vec![Queued::No; nodes],
-            queue: VecDeque::with_capacity(nodes),
-            subtree: Vec::new(),
-        }
-    }
-
-    /// Sets the start labels to the **earliest-feasible potential**: in
-    /// event order, the smallest label the arcs into older events allow
-    /// (backward, local and descending shortcut arcs form a DAG, so one
-    /// pass satisfies all of them; an event without any continues from its
-    /// predecessor's label, which keeps it in step with its
-    /// neighbourhood). Timestamp semantics — every message charged its
-    /// minimum delay — and the monitor's trick: on admissible executions
-    /// the ascending arcs are usually satisfied too, and [`NegCycle::run`]
-    /// is one changeless scan of every node, `O(V + E)`, where an all-zero
-    /// start makes labels zigzag through the whole execution.
-    pub(crate) fn seed_earliest_feasible(&mut self, tg: &TraversalGraph, weights: &[i128]) {
+    /// Runs the kernel over `tg` from `labels` (one per live node), the
+    /// nodes of `starts` (window slots, each once) queued in that order,
+    /// under the per-arc `weight` (`None` leaves an arc out). Every tense arc
+    /// must leave a start node; a *no* leaves `labels` a feasible potential.
+    pub(crate) fn run<L: Label>(
+        &mut self,
+        tg: &TraversalGraph,
+        labels: &mut [L],
+        starts: impl IntoIterator<Item = usize>,
+        weight: impl Fn(usize) -> Option<L>,
+    ) -> Run {
         let arcs = tg.arcs();
         let base = tg.base();
-        for v in 0..self.dist.len() {
-            let mut label: Option<i128> = None;
-            let mut cursor = tg.first_out(base + v);
-            while let Some(ai) = cursor {
-                cursor = tg.next_out(ai);
-                let to = arcs[ai].to - base;
-                if to < v && weights[ai] != SKIP {
-                    let bound = self.dist[to] - weights[ai];
-                    label = Some(label.map_or(bound, |l| l.max(bound)));
-                }
-            }
-            self.dist[v] = label.unwrap_or(if v > 0 { self.dist[v - 1] } else { 0 });
+        if self.mark.len() < labels.len() {
+            self.pred.resize(labels.len(), NONE);
+            self.first_child.resize(labels.len(), NONE);
+            self.next_sibling.resize(labels.len(), NONE);
+            self.prev_sibling.resize(labels.len(), NONE);
+            self.mark.resize(labels.len(), Mark::Clean);
         }
-    }
-
-    /// Runs the kernel over `tg` from the labels in `dist` under the
-    /// per-arc `weights` ([`SKIP`] leaves an arc out). Returns the arc
-    /// indices of a negative cycle in traversal order, or `None` with
-    /// `dist` a feasible potential.
-    pub(crate) fn run(&mut self, tg: &TraversalGraph, weights: &[i128]) -> Option<Vec<usize>> {
-        let arcs = tg.arcs();
-        let base = tg.base();
-        self.pred.fill(NONE);
-        self.first_child.fill(NONE);
-        self.queued.fill(Queued::Yes);
-        self.queue.clear();
-        self.queue.extend(0..self.dist.len());
-        let (mut relaxations, mut arc_visits) = (0u64, 0u64);
-        let mut cycle = None;
+        for s in starts {
+            debug_assert!(self.mark[s] == Mark::Clean, "a start node named twice");
+            self.mark[s] = Mark::Queued;
+            self.touched.push(s);
+            self.queue.push_back(s);
+        }
+        let mut run = Run::default();
         'scan: while let Some(u) = self.queue.pop_front() {
-            if std::mem::replace(&mut self.queued[u], Queued::No) == Queued::Dormant {
+            if std::mem::replace(&mut self.mark[u], Mark::Idle) == Mark::Dormant {
                 continue;
             }
-            let du = self.dist[u];
+            let du = labels[u];
             let mut cursor = tg.first_out(base + u);
             while let Some(ai) = cursor {
                 cursor = tg.next_out(ai);
-                arc_visits += 1;
-                let w = weights[ai];
+                run.arc_visits += 1;
                 let v = arcs[ai].to - base;
-                if w == SKIP || du + w >= self.dist[v] {
+                let Some(cand) = weight(ai).map(|w| du.plus(w)).filter(|&c| c < labels[v]) else {
                     continue;
-                }
-                relaxations += 1;
+                };
+                run.relaxations += 1;
                 if self.disassemble(tg, v, u) {
                     let mut found = vec![ai];
                     let mut node = u;
@@ -144,10 +182,10 @@ impl NegCycle {
                         node = arcs[self.pred[node]].from - base;
                     }
                     found.reverse(); // the walk collects arcs head-first
-                    cycle = Some(found);
+                    run.cycle = Some(found);
                     break 'scan;
                 }
-                self.dist[v] = du + w;
+                labels[v] = cand;
                 self.pred[v] = ai;
                 self.next_sibling[v] = self.first_child[u];
                 self.prev_sibling[v] = NONE;
@@ -155,23 +193,30 @@ impl NegCycle {
                     self.prev_sibling[self.first_child[u]] = v;
                 }
                 self.first_child[u] = v;
-                if std::mem::replace(&mut self.queued[v], Queued::Yes) == Queued::No {
-                    self.queue.push_back(v);
+                match std::mem::replace(&mut self.mark[v], Mark::Queued) {
+                    Mark::Clean => {
+                        self.touched.push(v);
+                        self.queue.push_back(v);
+                    }
+                    Mark::Idle => self.queue.push_back(v),
+                    Mark::Queued | Mark::Dormant => {}
                 }
             }
         }
-        OBS_RELAXATIONS.add(relaxations);
-        OBS_ARC_VISITS.add(arc_visits);
         debug_assert!(
-            cycle.is_some()
-                || arcs
-                    .iter()
-                    .zip(weights)
-                    .all(|(a, &w)| w == SKIP
-                        || self.dist[a.to - base] <= self.dist[a.from - base] + w),
+            run.cycle.is_some()
+                || arcs.iter().enumerate().all(|(ai, a)| weight(ai)
+                    .is_none_or(|w| labels[a.to - base] <= labels[a.from - base].plus(w))),
             "an empty queue leaves no tense arc"
         );
-        cycle
+        // Forest parents and members were all queued once.
+        self.queue.clear();
+        for x in self.touched.drain(..) {
+            self.pred[x] = NONE;
+            self.first_child[x] = NONE;
+            self.mark[x] = Mark::Clean;
+        }
+        run
     }
 
     /// Takes `v` out of its parent's children and its whole subtree out of
@@ -207,8 +252,8 @@ impl NegCycle {
         for &x in &self.subtree[1..] {
             self.pred[x] = NONE;
             self.first_child[x] = NONE;
-            if self.queued[x] == Queued::Yes {
-                self.queued[x] = Queued::Dormant;
+            if self.mark[x] == Mark::Queued {
+                self.mark[x] = Mark::Dormant;
             }
         }
         false
@@ -220,69 +265,228 @@ mod tests {
     use super::*;
     use crate::graph::MessageId;
     use crate::traversal::ArcKind;
+    use std::fmt::Debug;
 
-    /// Both answers certify themselves, so no oracle is needed: a *no*
-    /// must leave a feasible potential (which rules out every negative
-    /// cycle), a *yes* a closed simple walk of negative weight. Random
-    /// multigraphs with self-loops, parallel arcs and skipped arcs, from
-    /// arbitrary and from earliest-feasible start labels, whole and
-    /// windowed by a non-zero base.
-    #[test]
-    fn every_answer_carries_its_own_certificate() {
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut below = move |bound: usize| {
-            state = state
+    impl NegCycle {
+        /// Everything the scratch holds on to, summed (for the monitor's
+        /// "a second document allocates nothing" test).
+        pub(crate) fn capacity(&self) -> usize {
+            let of_usize = [
+                &self.pred,
+                &self.first_child,
+                &self.next_sibling,
+                &self.prev_sibling,
+                &self.subtree,
+                &self.touched,
+            ];
+            let of_usize = of_usize.iter().map(|c| c.capacity()).sum::<usize>();
+            of_usize + self.mark.capacity() + self.queue.capacity()
+        }
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            usize::try_from(state >> 33).unwrap() % bound
+            usize::try_from(self.0 >> 33).unwrap() % bound
+        }
+
+        /// Uniform in `[-shift, span - shift)`.
+        fn around(&mut self, span: usize, shift: i128) -> i128 {
+            i128::try_from(self.below(span)).unwrap() - shift
+        }
+    }
+
+    /// One run on the `shared` scratch and one on a new scratch, which
+    /// must agree in everything (the shared one is clean between runs,
+    /// whatever sizes and bases it served before). Then the answer's own
+    /// certificate: a *no* leaves every arc slack, a *yes* is a closed
+    /// simple walk of negative weight over arcs that were not left out —
+    /// through `through`, if one is named. Returns whether it was a *yes*.
+    fn certified_run<L: Label + Debug>(
+        shared: &mut NegCycle,
+        tg: &TraversalGraph,
+        labels: &mut [L],
+        starts: &[usize],
+        weights: &[Option<L>],
+        (zero, through): (L, Option<usize>),
+        case: &str,
+    ) -> bool {
+        let (arcs, base) = (tg.arcs(), tg.base());
+        let mut relabeled = labels.to_vec();
+        let starts = || starts.iter().copied();
+        let anew = NegCycle::default().run(tg, &mut relabeled, starts(), |ai| weights[ai]);
+        let run = shared.run(tg, labels, starts(), |ai| weights[ai]);
+        assert_eq!(
+            (&run.cycle, run.relaxations, run.arc_visits, &*labels),
+            (&anew.cycle, anew.relaxations, anew.arc_visits, &*relabeled),
+            "{case}: a used scratch answers differently"
+        );
+        let Some(cycle) = run.cycle else {
+            for (arc, w) in arcs.iter().zip(weights) {
+                let (from, to) = (labels[arc.from - base], labels[arc.to - base]);
+                assert!(w.is_none_or(|w| to <= from.plus(w)), "{case}: a tense arc");
+            }
+            return false;
         };
-        let (mut yes, mut no) = (0, 0);
-        for case in 0..4_000 {
-            let n = 1 + below(8);
-            let base = if case % 3 == 0 { below(4) } else { 0 };
+        let mut tails: Vec<usize> = cycle.iter().map(|&ai| arcs[ai].from).collect();
+        let mut sum = zero;
+        for (i, &ai) in cycle.iter().enumerate() {
+            sum = sum.plus(weights[ai].expect("took an arc that was left out"));
+            assert_eq!(arcs[ai].to, tails[(i + 1) % tails.len()], "{case}");
+        }
+        assert!(sum < zero, "{case}: {sum:?} is not negative");
+        assert!(through.is_none_or(|s| tails.contains(&s)), "{case}");
+        tails.sort_unstable();
+        tails.dedup();
+        assert_eq!(tails.len(), cycle.len(), "{case}: not simple");
+        true
+    }
+
+    /// A random multigraph over the window `base..base + n`, self-loops
+    /// and parallel arcs included; the arcs off the last node come after
+    /// the `inner` others.
+    struct Case {
+        base: usize,
+        n: usize,
+        ends: Vec<(usize, usize)>,
+        inner: usize,
+    }
+
+    impl Case {
+        /// The window with the first `arcs` arcs.
+        fn graph(&self, arcs: usize) -> TraversalGraph {
             let mut tg = TraversalGraph::new();
-            for _ in 0..base + n {
+            for _ in 0..self.base + self.n {
                 tg.push_node();
             }
-            tg.compact_below(base);
-            let mut weights = Vec::new();
-            for i in 0..below(3 * n + 1) {
-                let (from, to) = (base + below(n), base + below(n));
+            tg.compact_below(self.base);
+            for (i, &(from, to)) in self.ends[..arcs].iter().enumerate() {
                 tg.push_arc(from, to, ArcKind::Forward(MessageId(i)));
-                weights.push(if below(8) == 0 {
-                    SKIP
-                } else {
-                    i128::try_from(below(12)).unwrap() - 3
-                });
             }
-            let mut kernel = NegCycle::new(n);
-            if case % 2 == 0 {
-                kernel.seed_earliest_feasible(&tg, &weights);
-            } else {
-                for label in &mut kernel.dist {
-                    *label = i128::try_from(below(21)).unwrap() - 10;
-                }
-            }
-            let arcs = tg.arcs();
-            let Some(cycle) = kernel.run(&tg, &weights) else {
-                no += 1;
-                for (arc, &w) in arcs.iter().zip(&weights) {
-                    let (from, to) = (kernel.dist[arc.from - base], kernel.dist[arc.to - base]);
-                    assert!(w == SKIP || to <= from + w, "case {case}: a tense arc");
-                }
-                continue;
-            };
-            yes += 1;
-            let mut tails: Vec<usize> = cycle.iter().map(|&ai| arcs[ai].from).collect();
-            for (i, &ai) in cycle.iter().enumerate() {
-                assert_ne!(weights[ai], SKIP, "case {case}: took a skipped arc");
-                assert_eq!(arcs[ai].to, tails[(i + 1) % tails.len()], "case {case}");
-            }
-            assert!(cycle.iter().map(|&ai| weights[ai]).sum::<i128>() < 0);
-            tails.sort_unstable();
-            tails.dedup();
-            assert_eq!(tails.len(), cycle.len(), "case {case}: not simple");
+            tg
         }
-        assert!(yes > 400 && no > 400, "{yes} cycles, {no} potentials");
+    }
+
+    /// The two ways the crate runs the kernel, on one case:
+    ///
+    /// * **batch** — every node started from `labels`, over the graph
+    ///   without its last node's arcs;
+    /// * **repair** (the monitor's situation) — when that left a feasible
+    ///   potential, the last node's arcs are added, its label set to what
+    ///   its in-arcs allow (`spare` without any), and it alone is started:
+    ///   its out-arcs are the only tense ones, and a cycle has to pass
+    ///   through it.
+    ///
+    /// Returns whether each was a *yes*.
+    fn batch_then_repair<L: Label + Debug>(
+        shared: &mut NegCycle,
+        case: &Case,
+        weights: &[Option<L>],
+        mut labels: Vec<L>,
+        (zero, spare): (L, L),
+        what: &str,
+    ) -> (bool, Option<bool>) {
+        let Case { base, n, inner, .. } = *case;
+        let all: Vec<usize> = (0..n).collect();
+        let tg = case.graph(inner);
+        let (batch, certificate) = (&weights[..inner], (zero, None));
+        if certified_run(shared, &tg, &mut labels, &all, batch, certificate, what) {
+            return (true, None);
+        }
+        let last = base + n - 1;
+        let allowed = (inner..weights.len())
+            .filter(|&ai| case.ends[ai].0 != last)
+            .filter_map(|ai| weights[ai].map(|w| labels[case.ends[ai].0 - base].plus(w)))
+            .min();
+        labels[n - 1] = allowed.unwrap_or(spare);
+        let tg = case.graph(weights.len());
+        let certificate = (zero, Some(last));
+        let repair = certified_run(
+            shared,
+            &tg,
+            &mut labels,
+            &[n - 1],
+            weights,
+            certificate,
+            what,
+        );
+        (false, Some(repair))
+    }
+
+    /// Both answers certify themselves, so no oracle is needed: 4 000
+    /// random multigraphs with left-out arcs, whole and windowed by a
+    /// non-zero base, each through [`batch_then_repair`] under scalar
+    /// labels (arbitrary and earliest-feasible starts) and under pair
+    /// labels, the second component breaking the first one's ties as the
+    /// monitor's `−1` does. One scratch serves every run.
+    #[test]
+    fn every_answer_carries_its_own_certificate() {
+        let mut rng = Lcg(0x9e37_79b9_7f4a_7c15);
+        let mut shared = NegCycle::default();
+        // (yes, no) per leg: scalar batch and repair, pair batch and repair.
+        let mut tally = [(0, 0); 4];
+        let mut count = |leg: usize, (batch, repair): (bool, Option<bool>)| {
+            for (leg, yes) in [(leg, Some(batch)), (leg + 1, repair)] {
+                match yes {
+                    Some(true) => tally[leg].0 += 1,
+                    Some(false) => tally[leg].1 += 1,
+                    None => {}
+                }
+            }
+        };
+        for id in 0..4_000 {
+            let n = 1 + rng.below(8);
+            let base = if id % 3 == 0 { rng.below(4) } else { 0 };
+            let last = base + n - 1;
+            let mut ends: Vec<(usize, usize)> = (0..rng.below(3 * n + 1))
+                .map(|_| (base + rng.below(n), base + rng.below(n)))
+                .collect();
+            ends.sort_by_key(|&(from, to)| from == last || to == last);
+            let inner = ends.partition_point(|&(from, to)| from != last && to != last);
+            let case = Case {
+                base,
+                n,
+                ends,
+                inner,
+            };
+            let weights: Vec<Option<i128>> = (0..case.ends.len())
+                .map(|_| (rng.below(8) != 0).then(|| rng.around(12, 3)))
+                .collect();
+
+            let mut labels = vec![0i128; n];
+            if id % 2 == 0 {
+                seed_earliest_feasible(&case.graph(inner), &mut labels, |ai| weights[ai]);
+            } else {
+                labels.fill_with(|| rng.around(21, 10));
+            }
+            let spare = rng.around(21, 10);
+            let what = format!("case {id}, scalar labels");
+            let answers =
+                batch_then_repair(&mut shared, &case, &weights, labels, (0, spare), &what);
+            count(0, answers);
+
+            let weights: Vec<Option<(i128, i128)>> =
+                weights.iter().map(|w| w.map(|w| (w, -1))).collect();
+            let labels = (0..n)
+                .map(|_| (rng.around(21, 10), rng.around(5, 2)))
+                .collect();
+            let spare = (rng.around(21, 10), 0);
+            let what = format!("case {id}, pair labels");
+            let certificate = ((0, 0), spare);
+            let answers =
+                batch_then_repair(&mut shared, &case, &weights, labels, certificate, &what);
+            count(2, answers);
+        }
+        for (leg, (yes, no)) in tally.into_iter().enumerate() {
+            assert!(
+                yes > 400 && no > 400,
+                "leg {leg}: {yes} cycles, {no} potentials"
+            );
+        }
     }
 }

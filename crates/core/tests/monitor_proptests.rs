@@ -153,18 +153,10 @@ fn near_threshold_script(n: usize, xi: usize, picks: &[(usize, usize, usize)]) -
 /// quiescence) and the confirmation seeded by a frontier row (the closing
 /// receive's local predecessor already compacted) are known to be
 /// exercised rather than assumed.
-///
-/// What no generated input has reached is a *false alarm* — the
-/// relaxation-count threshold tripping without a violation behind it
-/// (`full_checks > 0` on an admissible monitor): neither these scripts
-/// nor ≈300 000 random and hill-climbed ones (plain and pruned, fan-out
-/// hubs, ladders, stale senders) pushed one node's count in a repair past
-/// 0.81 of the threshold. The count is still reported on failure.
 #[test]
 fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_confirmation() {
     use std::cell::Cell;
-    let (benign_repairs, row_seeded_latches, false_alarms) =
-        (Cell::new(0u32), Cell::new(0u32), Cell::new(0u32));
+    let (benign_repairs, row_seeded_latches) = (Cell::new(0u32), Cell::new(0u32));
     let picks = proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 1..12);
     proptest::test_runner::run_proptest(
         ProptestConfig::with_cases(96),
@@ -215,19 +207,13 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
                     pruned.prune_settled(Some(EventId(watermark)));
                 }
             }
-            let alarms = plain.stats().full_checks + pruned.stats().full_checks;
-            false_alarms.set(false_alarms.get() + u32::from(alarms > 0));
             Ok(())
         },
     );
-    let reached = (
-        benign_repairs.get(),
-        row_seeded_latches.get(),
-        false_alarms.get(),
-    );
+    let reached = (benign_repairs.get(), row_seeded_latches.get());
     assert!(
         reached.0 > 0 && reached.1 > 0,
-        "(benign repairs, row-seeded latches, false alarms) reached: {reached:?}"
+        "(benign repairs, row-seeded latches) reached: {reached:?}"
     );
 }
 

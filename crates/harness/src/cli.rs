@@ -385,8 +385,8 @@ fn cmd_monitor(args: &Args) -> Result<i32, String> {
     let trace = read_trace(file)?;
     let (stats, violation, margin) = monitor_trace(&trace, &xi)?;
     println!(
-        "{file}: streamed {} events / {} messages (relaxations={}, full_checks={})",
-        stats.events, stats.messages, stats.relaxations, stats.full_checks
+        "{file}: streamed {} events / {} messages (relaxations={})",
+        stats.events, stats.messages, stats.relaxations
     );
     match &margin {
         None => println!("final margin: none (no relevant cycle)"),

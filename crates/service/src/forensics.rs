@@ -93,7 +93,6 @@ pub fn monitor_counter_pairs(stats: &MonitorStats) -> Vec<(String, u64)> {
         ("messages".to_string(), stats.messages as u64),
         ("arcs".to_string(), stats.arcs as u64),
         ("relaxations".to_string(), stats.relaxations),
-        ("full_checks".to_string(), stats.full_checks),
         ("pruned_events".to_string(), stats.pruned_events as u64),
         ("pruned_arcs".to_string(), stats.pruned_arcs as u64),
         (
@@ -401,7 +400,6 @@ mod tests {
                 messages: 3,
                 arcs: 12,
                 relaxations: 9,
-                full_checks: 1,
                 ..MonitorStats::default()
             }),
             margins: vec![(4, "3/2".to_string()), (5, "2".to_string())],

@@ -149,6 +149,26 @@ fn committed_bundle_and_inspect_rendering_are_pinned() {
     assert_eq!(bundle.render(), committed);
 }
 
+/// `[monitor]` takes any `<key> <u64>` line, so a bundle written while
+/// the monitor still counted `full_checks` (the committed one as it was
+/// then) loads and renders with that line in place.
+#[test]
+fn a_bundle_with_a_counter_the_monitor_no_longer_has_still_loads() {
+    let committed = include_str!("data/sample_violation.forensics");
+    let old = committed.replace("relaxations 28\n", "relaxations 199\nfull_checks 1\n");
+    assert_ne!(old, committed);
+    let bundle = ForensicsBundle::parse(&old).expect("an old bundle parses");
+    assert!(bundle.monitor.contains(&("full_checks".to_string(), 1)));
+    assert_eq!(bundle.render(), old);
+    let golden = include_str!("data/sample_violation.inspect.golden");
+    let old_rendering = golden.replace(
+        "  relaxations      28\n",
+        "  relaxations      199\n  full_checks      1\n",
+    );
+    assert_ne!(old_rendering, golden);
+    assert_eq!(bundle.pretty(), old_rendering);
+}
+
 #[test]
 fn status_port_dump_command_captures_a_mid_document_snapshot() {
     use std::io::{BufRead, BufReader, Write};
