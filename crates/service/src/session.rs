@@ -596,7 +596,7 @@ impl Session {
                             break;
                         };
                         requests += 1;
-                        upgrade = tx.request(doc, Request::Line(&line), metrics, spares);
+                        upgrade = tx.request(doc, Request::Line(line), metrics, spares);
                     }
                     // The handshake is strict: the client must wait for
                     // the `proto v2 ok` reply, so any bytes already

@@ -83,11 +83,49 @@
 //! binary wire framing ([`crate::binio`]) decodes frames into the same
 //! records and feeds them through the same entry point, so the two
 //! framings accept exactly the same documents by construction.
+//!
+//! # Lexing
+//!
+//! What a line may look like, byte for byte, is decided in one place, the
+//! *general path* of [`TraceLineParser::feed_line`]:
+//!
+//! * A line is first trimmed of Unicode white space (`char::is_whitespace`:
+//!   blank, tab, VT, FF, a `\r` left by a CRLF file, U+00A0, U+2003, …) at
+//!   both ends. An empty line, or one that then starts with `#`, is
+//!   skipped wherever it stands, after `end` too.
+//! * Fields are separated by any run of such white space. A keyword
+//!   (`processes`, `faulty`, `events`, `messages`, `e`, `m`, `end`) is a
+//!   whole field: `processes2` is not `processes 2`.
+//! * A number is what `str::parse` takes for the field's integer type
+//!   (`usize` for indices and counts, `u64` for times and labels): ASCII
+//!   digits only, an optional leading `+`, any number of leading zeros, a
+//!   value that fits. `-` alone stands for "none" where the grammar allows
+//!   one.
+//! * A flag is the single byte `0` or `1`; `00`, `01` and `+1` are not
+//!   flags.
+//! * An `e` line has exactly 7 fields after its `e`, an `m` line 6.
+//!
+//! In front of it stands a *fast path* for the spelling every writer in
+//! this workspace produces: `e` or `m`, then the right number of fields,
+//! each behind exactly one ASCII blank, each `-` or 1 to 19 ASCII digits
+//! (or, for a flag, one byte), and nothing after the last. One scan over
+//! the bytes reads such a line straight into its [`EventRecord`] /
+//! [`MessageRecord`]. The fast path never rejects and never words an
+//! error: a line of any other shape — another blank, a sign, 20 digits or
+//! more, a `-` where a value is required, a wrong field count, a bad
+//! flag, a byte that is not ASCII — is handed to the general path
+//! untouched, which accepts it (with the same record) or refuses it in
+//! the general path's words, at the same line number. So there is one
+//! accepted language and one set of error texts, and the fast path can
+//! only be wrong by disagreeing with the general path about a line it
+//! takes — which `crates/harness/tests/trace_text_proptests.rs` checks
+//! against a lexer written without it.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::BuildHasherDefault;
 use std::io::Read;
+use std::str::SplitWhitespace;
 
 use abc_core::ProcessId;
 
@@ -102,6 +140,12 @@ pub const TRACE_FORMAT_VERSION: &str = "v1";
 /// well-formed trace line comes anywhere near this; a line that does is an
 /// attack or corruption and is rejected without being buffered.
 pub const DEFAULT_MAX_LINE_LEN: usize = 64 * 1024;
+
+/// What [`Trace::from_reader`], which cannot know how long its input is,
+/// vouches for when the header declares counts: tables are sized at once
+/// for at most the 65 536 `e` and 74 898 `m` lines 1 MiB could hold (64 B
+/// an entry, untouched until a line fills it) and double from there.
+const READER_INPUT_BUDGET: usize = 1 << 20;
 
 /// A parse/validation error for the trace text format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -153,15 +197,13 @@ fn opt_usize(field: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// The whitespace-separated fields of `line`, if there are exactly `N`.
-/// No allocation: this runs once per `e`/`m` line.
-fn fields<const N: usize>(line: &str) -> Option<[&str; N]> {
-    let mut it = line.split_whitespace();
+/// The next `N` of `words`, if that is exactly what is left of them.
+fn fields<const N: usize>(mut words: SplitWhitespace<'_>) -> Option<[&str; N]> {
     let mut out = [""; N];
     for slot in &mut out {
-        *slot = it.next()?;
+        *slot = words.next()?;
     }
-    it.next().is_none().then_some(out)
+    words.next().is_none().then_some(out)
 }
 
 /// A field that may not be `-`; the error text is built only on failure.
@@ -185,6 +227,105 @@ fn at<T>(ln: usize, r: Result<T, String>) -> Result<T, TraceTextError> {
     r.map_err(|message| TraceTextError { line: ln, message })
 }
 
+/// What follows the keyword `key` on the trimmed line `l`, if `l` starts
+/// with `key` as a whole word (`processes2` does not start with
+/// `processes`).
+fn after_keyword<'a>(l: &'a str, key: &str) -> Option<&'a str> {
+    let rest = l.strip_prefix(key)?;
+    (rest.is_empty() || rest.starts_with(char::is_whitespace)).then(|| rest.trim_start())
+}
+
+/// The one-scan lexer for `e`/`m` lines in their usual spelling (module
+/// docs, "Lexing"). Each reader takes one field off the front, blank
+/// included, and answers `None` for anything but the usual spelling;
+/// the caller then lexes the line again the general way, which decides
+/// whether it is accepted and words the error if not.
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    /// One blank, then `-` or 1 to 19 ASCII digits (19 digits cannot
+    /// overflow a `u64`; a longer run may still be a number, with leading
+    /// zeros, and is the general path's to judge).
+    fn opt(&mut self) -> Option<Option<u64>> {
+        let [b' ', field @ ..] = self.0 else {
+            return None;
+        };
+        if let [b'-', rest @ ..] = field {
+            self.0 = rest;
+            return Some(None);
+        }
+        let mut value = 0u64;
+        let mut rest = field;
+        while let [digit @ b'0'..=b'9', tail @ ..] = rest {
+            // Wrapping: a run of 20 or more digits is refused below, not here.
+            value = value.wrapping_mul(10).wrapping_add(u64::from(digit - b'0'));
+            rest = tail;
+        }
+        self.0 = rest;
+        (1..=19)
+            .contains(&(field.len() - rest.len()))
+            .then_some(Some(value))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.opt()?
+    }
+
+    fn opt_index(&mut self) -> Option<Option<usize>> {
+        match self.opt()? {
+            None => Some(None),
+            Some(v) => usize::try_from(v).ok().map(Some),
+        }
+    }
+
+    fn index(&mut self) -> Option<usize> {
+        self.opt_index()?
+    }
+
+    /// One blank, then the single byte `0` or `1`.
+    fn flag(&mut self) -> Option<bool> {
+        let (flag, rest) = match self.0 {
+            [b' ', b'0', rest @ ..] => (false, rest),
+            [b' ', b'1', rest @ ..] => (true, rest),
+            _ => return None,
+        };
+        self.0 = rest;
+        Some(flag)
+    }
+
+    /// `rec`, if the line ends where its last field did.
+    fn end<T>(&self, rec: T) -> Option<T> {
+        self.0.is_empty().then_some(rec)
+    }
+}
+
+fn lex_event_line(line: &[u8]) -> Option<EventRecord> {
+    let mut f = Fields(line.strip_prefix(b"e")?);
+    let rec = EventRecord {
+        seq: Some(f.index()?),
+        process: f.index()?,
+        time: f.u64()?,
+        trigger: f.opt_index()?,
+        received_only: f.flag()?,
+        label: f.opt()?,
+        distinguished: f.flag()?,
+    };
+    f.end(rec)
+}
+
+fn lex_message_line(line: &[u8]) -> Option<MessageRecord> {
+    let mut f = Fields(line.strip_prefix(b"m")?);
+    let rec = MessageRecord {
+        from: f.index()?,
+        to: f.index()?,
+        send_event: f.index()?,
+        recv_event: f.opt_index()?,
+        send_time: f.u64()?,
+        recv_time: f.opt()?,
+    };
+    f.end(rec)
+}
+
 /// Splits raw bytes into text lines with a hard per-line length cap.
 ///
 /// Push-based so it serves both pull sources (files via
@@ -198,7 +339,13 @@ fn at<T>(ln: usize, r: Result<T, String>) -> Result<T, TraceTextError> {
 pub struct LineAssembler {
     cap: usize,
     partial: Vec<u8>,
-    ready: VecDeque<String>,
+    /// The completed lines not yet handed out, back to back without
+    /// their terminators; emptied whenever the last of them has gone.
+    ready: String,
+    /// Where each of those lines ends in `ready`, oldest first.
+    ends: VecDeque<usize>,
+    /// Where the oldest of them starts.
+    next: usize,
     completed: usize,
     poisoned: bool,
 }
@@ -211,7 +358,9 @@ impl LineAssembler {
         LineAssembler {
             cap: max_line_len,
             partial: Vec::new(),
-            ready: VecDeque::new(),
+            ready: String::new(),
+            ends: VecDeque::new(),
+            next: 0,
             completed: 0,
             poisoned: false,
         }
@@ -233,7 +382,12 @@ impl LineAssembler {
         if let Some(stripped) = s.strip_suffix('\r') {
             s = stripped;
         }
-        self.ready.push_back(s.to_string());
+        if self.ends.is_empty() {
+            self.ready.clear();
+            self.next = 0;
+        }
+        self.ready.push_str(s);
+        self.ends.push_back(self.ready.len());
         self.completed += 1;
         Ok(())
     }
@@ -256,8 +410,7 @@ impl LineAssembler {
                 self.complete(head)?;
             } else {
                 self.partial.extend_from_slice(head);
-                let full = std::mem::take(&mut self.partial);
-                self.complete(&full)?;
+                self.complete_partial()?;
             }
             rest = tail.get(1..).unwrap_or(&[]);
         }
@@ -272,6 +425,15 @@ impl LineAssembler {
         Ok(())
     }
 
+    /// Completes the line held in `partial`, whose buffer stays.
+    fn complete_partial(&mut self) -> Result<(), TraceTextError> {
+        let mut full = std::mem::take(&mut self.partial);
+        let done = self.complete(&full);
+        full.clear();
+        self.partial = full;
+        done
+    }
+
     /// Completes a trailing line that was not newline-terminated (call at
     /// end of input; files may omit the final newline).
     ///
@@ -280,15 +442,18 @@ impl LineAssembler {
     /// [`TraceTextError`] if the trailing bytes are not valid UTF-8.
     pub fn finish(&mut self) -> Result<(), TraceTextError> {
         if !self.partial.is_empty() && !self.poisoned {
-            let full = std::mem::take(&mut self.partial);
-            self.complete(&full)?;
+            self.complete_partial()?;
         }
         Ok(())
     }
 
-    /// Pops the next completed line, if any.
-    pub fn next_line(&mut self) -> Option<String> {
-        self.ready.pop_front()
+    /// Takes the next completed line, if any. The line is lent out of the
+    /// assembler's own buffer: it is gone once the next one is asked for.
+    pub fn next_line(&mut self) -> Option<&str> {
+        let end = self.ends.pop_front()?;
+        let line = self.ready.get(self.next..end);
+        self.next = end;
+        line
     }
 
     /// Bytes currently buffered for the incomplete trailing line.
@@ -303,7 +468,7 @@ impl LineAssembler {
     /// framing while text is still in flight, via this check.
     #[must_use]
     pub fn has_buffered(&self) -> bool {
-        !self.ready.is_empty() || !self.partial.is_empty()
+        !self.ends.is_empty() || !self.partial.is_empty()
     }
 }
 
@@ -510,6 +675,10 @@ pub struct TraceLineParser {
     // Document mode storage (empty in streaming mode).
     events: Vec<TraceEvent>,
     messages: Vec<TraceMessage>,
+    /// Document mode: the most bytes of input the caller vouches for. A
+    /// count declaration sizes its table at once, but for no more lines
+    /// than that many bytes could hold (0: it sizes nothing).
+    input_budget: usize,
     // Streaming mode bookkeeping (empty in document mode). `event_meta`
     // keeps one compact `(process, time)` pair per event so `m` lines can
     // be cross-checked against their sending event with exactly the same
@@ -542,6 +711,7 @@ impl TraceLineParser {
             has_init: Vec::new(),
             events: Vec::new(),
             messages: Vec::new(),
+            input_budget: 0,
             event_meta: Vec::new(),
             meta_base: 0,
             pending: IndexMap::default(),
@@ -623,6 +793,7 @@ impl TraceLineParser {
             has_init,
             events,
             messages,
+            input_budget,
             event_meta,
             meta_base,
             pending,
@@ -645,6 +816,7 @@ impl TraceLineParser {
         has_init.clear();
         events.clear();
         messages.clear();
+        *input_budget = 0;
         event_meta.clear();
         *meta_base = 0;
         pending.clear();
@@ -718,7 +890,7 @@ impl TraceLineParser {
     }
 
     fn scalar(ln: usize, l: &str, key: &str) -> Result<usize, TraceTextError> {
-        match l.strip_prefix(key).map(str::trim) {
+        match after_keyword(l, key) {
             Some(v) if !v.is_empty() => match v.parse() {
                 Ok(n) => Ok(n),
                 Err(e) => err(ln, format!("{key}: {e}")),
@@ -739,6 +911,17 @@ impl TraceLineParser {
     pub fn feed_line(&mut self, raw: &str) -> Result<ParsedLine, TraceTextError> {
         self.line_no += 1;
         let ln = self.line_no;
+        if self.state == PState::Body {
+            // The usual spelling of the two lines a document is made of,
+            // in one scan; every other line, and every other spelling of
+            // these two, is lexed below.
+            if let Some(rec) = lex_event_line(raw.as_bytes()) {
+                return self.apply_event(ln, &rec);
+            }
+            if let Some(rec) = lex_message_line(raw.as_bytes()) {
+                return self.apply_message(ln, &rec);
+            }
+        }
         let l = raw.trim();
         if l.is_empty() || l.starts_with('#') {
             return Ok(ParsedLine::Meta);
@@ -758,9 +941,8 @@ impl TraceLineParser {
                 self.apply_processes(ln, n)
             }
             PState::ExpectFaulty => {
-                let rest = match l.strip_prefix("faulty") {
-                    Some(rest) => rest,
-                    None => return err(ln, format!("expected `faulty …`, got {l:?}")),
+                let Some(rest) = after_keyword(l, "faulty") else {
+                    return err(ln, format!("expected `faulty …`, got {l:?}"));
                 };
                 let mut indices = Vec::new();
                 for field in rest.split_whitespace() {
@@ -824,30 +1006,26 @@ impl TraceLineParser {
     }
 
     fn feed_body_line(&mut self, ln: usize, l: &str) -> Result<ParsedLine, TraceTextError> {
-        if let Some(first) = l.split_whitespace().next() {
-            match first {
-                "events" | "messages" => {
-                    if self.seen_body_line {
-                        return err(ln, format!("`{first}` count must precede all e/m lines"));
-                    }
-                    let n = Self::scalar(ln, l, first)?;
-                    return self.apply_declared(ln, first, n);
+        let mut words = l.split_whitespace();
+        match words.next() {
+            Some(key @ ("events" | "messages")) => {
+                if self.seen_body_line {
+                    return err(ln, format!("`{key}` count must precede all e/m lines"));
                 }
-                "e" => {
-                    let rec = Self::parse_event_line(ln, l)?;
-                    return self.apply_event(ln, &rec);
-                }
-                "m" => {
-                    let rec = Self::parse_message_line(ln, l)?;
-                    return self.apply_message(ln, &rec);
-                }
-                "end" if l == "end" => {
-                    return self.apply_end(ln);
-                }
-                _ => {}
+                let n = Self::scalar(ln, l, key)?;
+                self.apply_declared(ln, key, n)
             }
+            Some("e") => {
+                let rec = Self::parse_event_line(ln, l, words)?;
+                self.apply_event(ln, &rec)
+            }
+            Some("m") => {
+                let rec = Self::parse_message_line(ln, l, words)?;
+                self.apply_message(ln, &rec)
+            }
+            Some("end") if l == "end" => self.apply_end(ln),
+            _ => err(ln, format!("expected an `e`/`m`/`end` line, got {l:?}")),
         }
-        err(ln, format!("expected an `e`/`m`/`end` line, got {l:?}"))
     }
 
     fn apply_processes(&mut self, ln: usize, n: usize) -> Result<ParsedLine, TraceTextError> {
@@ -895,6 +1073,16 @@ impl TraceLineParser {
             return err(ln, format!("duplicate `{key}` count"));
         }
         *slot = Some(n);
+        // Document mode sizes the table once, here — for the declared
+        // lines, but no more of them than the input could hold at the
+        // shortest spelling of such a line, newline included.
+        if key == "events" {
+            let fit = self.input_budget / "e 0 0 0 - 0 - 0\n".len();
+            self.events.reserve_exact(n.min(fit));
+        } else {
+            let fit = self.input_budget / "m 0 0 0 - 0 -\n".len();
+            self.messages.reserve_exact(n.min(fit));
+        }
         Ok(ParsedLine::Meta)
     }
 
@@ -927,9 +1115,14 @@ impl TraceLineParser {
         Ok(ParsedLine::End)
     }
 
-    fn parse_event_line(ln: usize, l: &str) -> Result<EventRecord, TraceTextError> {
-        let Some(["e", seq, process, time, trigger, received_only, label, distinguished]) =
-            fields::<8>(l)
+    /// The general lexer for an `e` line `l`, given what follows its `e`.
+    fn parse_event_line(
+        ln: usize,
+        l: &str,
+        words: SplitWhitespace<'_>,
+    ) -> Result<EventRecord, TraceTextError> {
+        let Some([seq, process, time, trigger, received_only, label, distinguished]) =
+            fields::<7>(words)
         else {
             return err(ln, format!("expected `e` line with 7 fields, got {l:?}"));
         };
@@ -944,8 +1137,13 @@ impl TraceLineParser {
         })
     }
 
-    fn parse_message_line(ln: usize, l: &str) -> Result<MessageRecord, TraceTextError> {
-        let Some(["m", from, to, send_event, recv_event, send_time, recv_time]) = fields::<7>(l)
+    /// The general lexer for an `m` line `l`, given what follows its `m`.
+    fn parse_message_line(
+        ln: usize,
+        l: &str,
+        words: SplitWhitespace<'_>,
+    ) -> Result<MessageRecord, TraceTextError> {
+        let Some([from, to, send_event, recv_event, send_time, recv_time]) = fields::<6>(words)
         else {
             return err(ln, format!("expected `m` line with 6 fields, got {l:?}"));
         };
@@ -1418,7 +1616,9 @@ impl Trace {
     }
 
     /// Parses and validates a trace from the text format (either line
-    /// order; see the module docs).
+    /// order; see the module docs). The `events` / `messages` declarations
+    /// size the trace's tables in one allocation each — for no more lines
+    /// than `text.len()` bytes could hold, whatever they declare.
     ///
     /// # Errors
     ///
@@ -1427,6 +1627,7 @@ impl Trace {
     /// cross references.
     pub fn from_text(text: &str) -> Result<Trace, TraceTextError> {
         let mut parser = TraceLineParser::new_document();
+        parser.input_budget = text.len();
         for line in text.lines() {
             parser.feed_line(line)?;
         }
@@ -1436,7 +1637,10 @@ impl Trace {
     /// Parses and validates a trace from a byte stream, line by line, with
     /// a hard per-line length cap: the input text is never accumulated (a
     /// 100 MB line is rejected after at most `max_line_len` buffered
-    /// bytes). This is how the CLI reads trace files.
+    /// bytes). This is how the CLI reads trace files. With no input
+    /// length to go by, the declared counts size the tables up to what a
+    /// 1 MiB document could hold (65 536 events, 74 898 messages); a
+    /// longer document grows them by doubling from there.
     ///
     /// # Errors
     ///
@@ -1445,6 +1649,7 @@ impl Trace {
     pub fn from_reader(mut r: impl Read, max_line_len: usize) -> Result<Trace, TraceTextError> {
         let mut assembler = LineAssembler::new(max_line_len);
         let mut parser = TraceLineParser::new_document();
+        parser.input_budget = READER_INPUT_BUDGET;
         let mut buf = [0u8; 16 * 1024];
         loop {
             let n = match r.read(&mut buf) {
@@ -1455,12 +1660,12 @@ impl Trace {
             };
             assembler.push(buf.get(..n).unwrap_or(&[]))?;
             while let Some(line) = assembler.next_line() {
-                parser.feed_line(&line)?;
+                parser.feed_line(line)?;
             }
         }
         assembler.finish()?;
         while let Some(line) = assembler.next_line() {
-            parser.feed_line(&line)?;
+            parser.feed_line(line)?;
         }
         parser.finish()
     }
@@ -1556,6 +1761,13 @@ mod tests {
         // Trailing garbage after `end`.
         let broken = format!("{text}e 99 0 0 - 0 - 0\n");
         assert!(Trace::from_text(&broken).is_err());
+        // A header keyword run into its value, as the body never allowed.
+        for (key, glued) in [("processes ", "processes"), ("faulty ", "faulty")] {
+            let broken = text.replacen(key, glued, 1);
+            assert_ne!(broken, text);
+            let e = Trace::from_text(&broken).unwrap_err();
+            assert!(e.message.starts_with("expected `"), "{e}");
+        }
     }
 
     #[test]
@@ -1700,8 +1912,14 @@ mod tests {
             fields[5].parse::<u64>().unwrap() + 1_000,
             fields[6]
         );
-        for corrupted in [wrong_from, wrong_time] {
-            let text = stream.replacen(&m_line, &corrupted, 1);
+        let corruptions = [
+            (m_line.as_str(), wrong_from.as_str()),
+            (m_line.as_str(), wrong_time.as_str()),
+            ("processes 3", "processes3"),
+            ("faulty 1", "faulty1"),
+        ];
+        for (line, corrupted) in corruptions {
+            let text = stream.replacen(line, corrupted, 1);
             assert_ne!(text, stream);
             assert!(Trace::from_text(&text).is_err(), "document mode accepts");
             let mut parser = TraceLineParser::new_streaming();
@@ -1892,6 +2110,68 @@ mod tests {
         // A file missing its final newline still parses.
         let parsed = Trace::from_reader(text.trim_end().as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
         assert_eq!(parsed.events(), trace.events());
+    }
+
+    /// A wake-up per process, then `events - 2` deliveries bounced
+    /// between two processes: a canonical document of any size.
+    fn ping_pong(events: usize) -> Trace {
+        let mut text = format!(
+            "abc-trace v1\nprocesses 2\nfaulty\nevents {events}\nmessages {}\n\
+             e 0 0 0 - 0 - 0\ne 1 1 0 - 0 - 0\n",
+            events - 2
+        );
+        for seq in 2..events {
+            text.push_str(&format!("e {seq} {} {seq} {} 0 - 0\n", seq % 2, seq - 2));
+        }
+        for seq in 2..events {
+            let (to, sent) = (seq % 2, seq - 1);
+            let sent_at = if sent == 1 { 0 } else { sent };
+            text.push_str(&format!("m {} {to} {sent} {seq} {sent_at} {seq}\n", 1 - to));
+        }
+        text.push_str("end\n");
+        Trace::from_text(&text).unwrap()
+    }
+
+    #[test]
+    fn declared_counts_size_the_tables_once() {
+        let text = ping_pong(10_000).to_text();
+        let by_length = Trace::from_text(&text).unwrap();
+        let by_budget = Trace::from_reader(text.as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
+        for trace in [&by_length, &by_budget] {
+            assert_eq!(trace.events.len(), 10_000);
+            assert_eq!(trace.events.capacity(), trace.events.len());
+            assert_eq!(trace.messages.len(), 9_998);
+            assert_eq!(trace.messages.capacity(), trace.messages.len());
+        }
+        // Past what `from_reader` vouches for the tables double as they
+        // always did, from that size on.
+        let events = 2 * READER_INPUT_BUDGET / 16;
+        let text = ping_pong(events).to_text();
+        let trace = Trace::from_reader(text.as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
+        assert_eq!(trace.events.len(), events);
+        assert!(trace.events.capacity() <= 2 * events);
+    }
+
+    #[test]
+    fn a_lying_declaration_reserves_no_more_than_the_input_could_hold() {
+        let text = format!(
+            "abc-trace v1\nprocesses 2\nfaulty\nevents {0}\nmessages {0}\n\
+             e 0 0 0 - 0 - 0\nend\n",
+            u64::MAX
+        );
+        for budget in [text.len(), READER_INPUT_BUDGET] {
+            let mut parser = TraceLineParser::new_document();
+            parser.input_budget = budget;
+            let results: Vec<_> = text.lines().map(|l| parser.feed_line(l)).collect();
+            assert!(parser.events.capacity() <= budget / 16, "{budget}");
+            assert!(parser.messages.capacity() <= budget / 14, "{budget}");
+            let e = results.last().unwrap().clone().unwrap_err();
+            assert_eq!(e.message, format!("declared {} events, saw 1", u64::MAX));
+        }
+        let e = Trace::from_text(&text).unwrap_err();
+        assert_eq!((e.line, e.message.ends_with("events, saw 1")), (7, true));
+        let e = Trace::from_reader(text.as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap_err();
+        assert_eq!((e.line, e.message.ends_with("events, saw 1")), (7, true));
     }
 
     #[test]
