@@ -318,6 +318,26 @@ impl IncrementalChecker {
         Ok(())
     }
 
+    /// What [`IncrementalChecker::reset`] keeps, summed: the capacity of
+    /// every per-process and per-event column, of the arc arena, of the
+    /// shortcut table and of the kernel's scratch (not the mirror, which a
+    /// reset rebuilds). For "a re-armed monitor allocates nothing" tests,
+    /// here and in the crates that lend a monitor to one replay after
+    /// another.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        self.faulty.capacity()
+            + self.has_sent.capacity()
+            + self.tg.capacity()
+            + self.proc_of.capacity()
+            + self.pot.capacity()
+            + self.kernel.capacity()
+            + self.last_event.capacity()
+            + self.frontier_row.capacity()
+            + self.shortcuts.capacity()
+    }
+
     /// Builds a monitor by replaying an existing execution graph event by
     /// event (in its creation order, which is topological).
     ///

@@ -258,6 +258,21 @@ impl NegCycle {
         }
         false
     }
+
+    /// Everything the scratch holds on to, summed (for the monitor's
+    /// "a second document allocates nothing" tests).
+    pub(crate) fn capacity(&self) -> usize {
+        let of_usize = [
+            &self.pred,
+            &self.first_child,
+            &self.next_sibling,
+            &self.prev_sibling,
+            &self.subtree,
+            &self.touched,
+        ];
+        let of_usize = of_usize.iter().map(|c| c.capacity()).sum::<usize>();
+        of_usize + self.mark.capacity() + self.queue.capacity()
+    }
 }
 
 #[cfg(test)]
@@ -266,23 +281,6 @@ mod tests {
     use crate::graph::MessageId;
     use crate::traversal::ArcKind;
     use std::fmt::Debug;
-
-    impl NegCycle {
-        /// Everything the scratch holds on to, summed (for the monitor's
-        /// "a second document allocates nothing" test).
-        pub(crate) fn capacity(&self) -> usize {
-            let of_usize = [
-                &self.pred,
-                &self.first_child,
-                &self.next_sibling,
-                &self.prev_sibling,
-                &self.subtree,
-                &self.touched,
-            ];
-            let of_usize = of_usize.iter().map(|c| c.capacity()).sum::<usize>();
-            of_usize + self.mark.capacity() + self.queue.capacity()
-        }
-    }
 
     struct Lcg(u64);
 

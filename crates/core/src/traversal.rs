@@ -187,6 +187,15 @@ impl TraversalGraph {
         *base = 0;
     }
 
+    /// What [`TraversalGraph::clear`] keeps: the capacity of every column,
+    /// summed.
+    pub(crate) fn capacity(&self) -> usize {
+        self.arcs.capacity()
+            + self.out_head.capacity()
+            + self.out_tail.capacity()
+            + self.out_next.capacity()
+    }
+
     /// Event id of the first live node.
     #[must_use]
     pub fn base(&self) -> usize {

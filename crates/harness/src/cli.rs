@@ -286,6 +286,16 @@ fn cmd_sweep(args: &Args) -> Result<i32, String> {
     }
 
     let save_dir = args.one("save-violations")?.map(std::path::PathBuf::from);
+    // Saved files are DIR/NAME-runN.trace: a name that is a path would fail
+    // on the first write, after the whole sweep ran — or land outside DIR.
+    let is_path = spec.name.contains(['/', '\\']) || matches!(spec.name.as_str(), "." | "..");
+    if save_dir.is_some() && is_path {
+        return Err(format!(
+            "--save-violations names its files NAME-runN.trace: --name {:?} must be a plain \
+             file name, not a path",
+            spec.name
+        ));
+    }
     let report = run_sweep(
         &spec,
         SweepOptions {

@@ -14,7 +14,8 @@
 //!   runner that fans hundreds-to-thousands of independent runs across
 //!   cores and aggregates a [`sweep::SweepReport`] (violation census,
 //!   first-violation ratio distribution, message/step/slab statistics,
-//!   wall-clock);
+//!   wall-clock); each worker re-arms one engine and one monitor per run,
+//!   so a sweep allocates per worker, not per run;
 //! * the `abc` binary ([`cli`]) — `sweep`, `check`, `monitor`, and
 //!   `replay` subcommands over the line-oriented trace text format
 //!   (`abc_sim::textio`), plus the networked `serve` / `feed` / `loadgen`

@@ -7,7 +7,20 @@
 //!   base seed (`SmallRng::seed_stream`) — workers never share generator
 //!   state;
 //! * workers only *claim* run indices from an atomic counter; results are
-//!   stored by index and aggregated in index order afterwards.
+//!   stored by index and aggregated in index order afterwards;
+//! * what a worker keeps between its runs is capacity, never state. Each
+//!   worker owns one [`Simulation`] and one [`IncrementalChecker`] for the
+//!   length of one [`run_sweep`] and re-arms both per run
+//!   ([`Simulation::reset`], [`Trace::replay_until_violation_into`]): a
+//!   sweep is thousands of short runs, and building, growing and freeing
+//!   an engine, a trace and a monitor for each cost more than replaying
+//!   the trace did. The monitor runs without its execution-graph mirror
+//!   ([`IncrementalChecker::enable_pruning`], and nothing is ever pruned):
+//!   a run is reduced to a latch point, a witness summary and a margin,
+//!   none of which reads the mirror. A re-armed engine or monitor equals a
+//!   new one, so which worker ran which runs before run `i` cannot show in
+//!   run `i`'s outcome (`tests/determinism.rs` holds every outcome against
+//!   one computed on fresh state).
 //!
 //! Hence the [`SweepReport`]'s aggregate text is byte-identical at any
 //! worker-thread count (asserted by `tests/determinism.rs` at 1, 2, and 8
@@ -24,11 +37,15 @@ use abc_core::cycle::WitnessSummary;
 use abc_core::monitor::{IncrementalChecker, MonitorStats};
 use abc_core::{ProcessId, Xi};
 use abc_rational::Ratio;
+use abc_sim::delay::Lossy;
 use abc_sim::{Context, CrashAt, Mute, Process, RunStats, Simulation, Trace};
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
-use crate::spec::{DelayPoint, Protocol, ScenarioSpec};
+use crate::spec::{BuiltDelay, DelayPoint, Protocol, ScenarioSpec};
+
+/// The engine every swept run executes on.
+type SweepSim = Simulation<u64, Lossy<BuiltDelay>>;
 
 /// The first ABC violation of one run, as latched by the online monitor.
 #[derive(Clone, Debug)]
@@ -307,24 +324,32 @@ impl Process<u64> for Gossip {
     }
 }
 
-/// Streams `trace` into a fresh online monitor
-/// ([`Trace::replay_into_monitor_until_violation`]), stopping at the first
-/// violation; returns the monitor stats at stop time, the violation (if
-/// any) with the index of the closing event, and the final margin — the
-/// maximum relevant-cycle ratio when monitoring stopped (`None` when no
-/// relevant cycle formed).
-///
-/// # Errors
-///
-/// The rendered [`abc_core::check::CheckError`] if `Ξ` exceeds the
-/// monitor's integer range.
-pub fn monitor_trace(
+/// The monitor a swept run is checked on: no execution-graph mirror (no
+/// consumer of a sweep reads it), and nothing is ever pruned from it.
+fn sweep_monitor(num_processes: usize, xi: &Xi) -> Result<IncrementalChecker, String> {
+    let mut mon = IncrementalChecker::new(num_processes, xi).map_err(|e| e.to_string())?;
+    mon.enable_pruning();
+    Ok(mon)
+}
+
+/// Re-arms the lent monitor and streams `trace` into it, stopping at the
+/// first violation ([`Trace::replay_until_violation_into`]); returns the
+/// violation (if any) with the index of the closing event, and the final
+/// margin — the maximum relevant-cycle ratio when monitoring stopped
+/// (`None` when no relevant cycle formed). The one function that turns a
+/// finished run into its verdict, for the sweep's workers and for
+/// [`monitor_trace`].
+fn monitor_into(
+    mon: &mut IncrementalChecker,
     trace: &Trace,
     xi: &Xi,
-) -> Result<(MonitorStats, Option<ViolationInfo>, Option<Ratio>), String> {
-    let (mon, violation_at) = trace
-        .replay_into_monitor_until_violation(xi)
-        .map_err(|e| e.to_string())?;
+) -> Result<(Option<ViolationInfo>, Option<Ratio>), String> {
+    let violation_at = {
+        let _span = abc_obs::span("sweep.monitor");
+        trace
+            .replay_until_violation_into(mon, xi)
+            .map_err(|e| e.to_string())?
+    };
     let violation = violation_at
         .zip(mon.violation_summary())
         .map(|(at_event, witness)| ViolationInfo {
@@ -335,15 +360,29 @@ pub fn monitor_trace(
         .current_margin()
         .map_err(|e| e.to_string())?
         .map(|m| m.ratio);
+    Ok((violation, margin))
+}
+
+/// Streams `trace` into a new online monitor, stopping at the first
+/// violation; returns the monitor stats at stop time, the violation (if
+/// any) with the index of the closing event, and the final margin — the
+/// maximum relevant-cycle ratio when monitoring stopped (`None` when no
+/// relevant cycle formed). What a swept run is reduced to, for one trace.
+///
+/// # Errors
+///
+/// The rendered [`abc_core::check::CheckError`] if `Ξ` exceeds the
+/// monitor's integer range.
+pub fn monitor_trace(
+    trace: &Trace,
+    xi: &Xi,
+) -> Result<(MonitorStats, Option<ViolationInfo>, Option<Ratio>), String> {
+    let mut mon = sweep_monitor(trace.num_processes(), xi)?;
+    let (violation, margin) = monitor_into(&mut mon, trace, xi)?;
     Ok((mon.stats(), violation, margin))
 }
 
-fn spawn_clocksync(
-    sim: &mut Simulation<u64, abc_sim::delay::Lossy<crate::spec::BuiltDelay>>,
-    n: usize,
-    f: usize,
-    spec: &ScenarioSpec,
-) {
+fn spawn_clocksync(sim: &mut SweepSim, n: usize, f: usize, spec: &ScenarioSpec) {
     for slot in 0..n {
         if spec.faults.byzantine.contains(&slot) {
             sim.add_faulty_process(TickRusher::new(3));
@@ -355,12 +394,7 @@ fn spawn_clocksync(
     }
 }
 
-fn spawn_gossip(
-    sim: &mut Simulation<u64, abc_sim::delay::Lossy<crate::spec::BuiltDelay>>,
-    n: usize,
-    budget: u32,
-    spec: &ScenarioSpec,
-) {
+fn spawn_gossip(sim: &mut SweepSim, n: usize, budget: u32, spec: &ScenarioSpec) {
     for slot in 0..n {
         if spec.faults.byzantine.contains(&slot) {
             sim.add_faulty_process(Mute);
@@ -372,32 +406,30 @@ fn spawn_gossip(
     }
 }
 
-/// Builds the seeded delay model and process set for run `run_index` and
-/// simulates it, returning the simulation (trace inside), the engine
-/// stats, and the per-run seed. The deterministic substrate shared by
-/// [`run_one`] and [`generate_trace`].
-fn simulate_run(
+/// The seeded delay model of run `run_index`, and the seed it was built
+/// from. Stream-split: run i's randomness is independent of every other
+/// run's at any thread count.
+fn run_delay(
     spec: &ScenarioSpec,
     points: &[DelayPoint],
     run_index: usize,
-) -> (
-    Simulation<u64, abc_sim::delay::Lossy<crate::spec::BuiltDelay>>,
-    RunStats,
-    u64,
-) {
-    let point_index = run_index / spec.runs_per_point;
-    let point = &points[point_index];
-    // Stream-split: run i's randomness is independent of every other run's
-    // at any thread count.
+) -> (Lossy<BuiltDelay>, u64) {
+    let point = &points[run_index / spec.runs_per_point];
     let seed = SmallRng::seed_stream(spec.base_seed, run_index as u64).next_u64();
-    let delay = point.build(seed, &spec.faults.dropped_links);
-    let mut sim: Simulation<u64, _> = Simulation::new(delay);
+    (point.build(seed, &spec.faults.dropped_links), seed)
+}
+
+/// Populates an engine armed with a run's delay model (new, or
+/// [`Simulation::reset`]) with the spec's process set and simulates it.
+/// The deterministic substrate shared by the sweep's workers and
+/// [`generate_trace`].
+fn simulate_run(sim: &mut SweepSim, spec: &ScenarioSpec) -> RunStats {
+    let _span = abc_obs::span("sweep.simulate");
     match spec.protocol {
-        Protocol::ClockSync { n, f } => spawn_clocksync(&mut sim, n, f, spec),
-        Protocol::Gossip { n, budget } => spawn_gossip(&mut sim, n, budget, spec),
+        Protocol::ClockSync { n, f } => spawn_clocksync(sim, n, f, spec),
+        Protocol::Gossip { n, budget } => spawn_gossip(sim, n, budget, spec),
     }
-    let stats = sim.run(spec.limits);
-    (sim, stats, seed)
+    sim.run(spec.limits)
 }
 
 /// Simulates run `run_index` of the sweep and returns its full trace plus
@@ -410,35 +442,55 @@ pub fn generate_trace(
     points: &[DelayPoint],
     run_index: usize,
 ) -> (Trace, RunStats) {
-    let (sim, stats, _) = simulate_run(spec, points, run_index);
+    let mut sim = Simulation::new(run_delay(spec, points, run_index).0);
+    let stats = simulate_run(&mut sim, spec);
     (sim.into_trace(), stats)
 }
 
-/// Executes run `run_index` of the sweep: builds the seeded delay model and
-/// process set, simulates, and monitors the trace against the spec's `Ξ`.
-#[must_use]
-pub fn run_one(
-    spec: &ScenarioSpec,
-    points: &[DelayPoint],
-    run_index: usize,
-    keep_violating_trace: bool,
-) -> RunOutcome {
-    let point_index = run_index / spec.runs_per_point;
-    let (sim, stats, seed) = simulate_run(spec, points, run_index);
-    let trace = sim.trace();
-    let (_, violation, final_margin) = monitor_trace(trace, &spec.xi)
-        .expect("Xi monitorability is validated before the sweep starts");
-    let min_margin_over_time = final_margin.as_ref().map(|m| spec.xi.as_ratio() - m);
-    let trace = (keep_violating_trace && violation.is_some()).then(|| trace.clone());
-    RunOutcome {
-        run_index,
-        point_index,
-        seed,
-        stats,
-        violation,
-        final_margin,
-        min_margin_over_time,
-        trace,
+/// What one sweep worker owns for the length of a [`run_sweep`]: an engine
+/// and a monitor, re-armed for every run it claims.
+struct Worker {
+    /// Built on the worker's own thread (process behaviours are not
+    /// `Send`), over the delay model of the first run it claims.
+    sim: Option<SweepSim>,
+    mon: IncrementalChecker,
+}
+
+impl Worker {
+    /// Executes run `run_index` of the sweep: re-arms the engine with the
+    /// run's seeded delay model and process set, simulates, and monitors
+    /// the trace against the spec's `Ξ`.
+    fn run_one(
+        &mut self,
+        spec: &ScenarioSpec,
+        points: &[DelayPoint],
+        run_index: usize,
+        keep_violating_trace: bool,
+    ) -> RunOutcome {
+        let (delay, seed) = run_delay(spec, points, run_index);
+        let sim = match &mut self.sim {
+            Some(sim) => {
+                sim.reset(delay);
+                sim
+            }
+            empty => empty.insert(Simulation::new(delay)),
+        };
+        let stats = simulate_run(sim, spec);
+        let trace = sim.trace();
+        let (violation, final_margin) = monitor_into(&mut self.mon, trace, &spec.xi)
+            .expect("Xi monitorability is validated before the sweep starts");
+        let min_margin_over_time = final_margin.as_ref().map(|m| spec.xi.as_ratio() - m);
+        let trace = (keep_violating_trace && violation.is_some()).then(|| trace.clone());
+        RunOutcome {
+            run_index,
+            point_index: run_index / spec.runs_per_point,
+            seed,
+            stats,
+            violation,
+            final_margin,
+            min_margin_over_time,
+            trace,
+        }
     }
 }
 
@@ -451,28 +503,37 @@ pub fn run_one(
 /// monitorable.
 pub fn run_sweep(spec: &ScenarioSpec, options: SweepOptions) -> Result<SweepReport, String> {
     spec.validate()?;
-    // Fail fast (instead of inside a worker) if Xi overflows the monitor.
-    IncrementalChecker::new(spec.protocol.num_processes(), &spec.xi)
-        .map_err(|e| format!("Xi not monitorable: {e}"))?;
-
     let points = spec.delay.points();
     let total = spec.total_runs();
     let threads = options.threads.max(1).min(total.max(1));
     let started = Instant::now();
+    // The workers' monitors are built here, not in the threads: a Xi that
+    // overflows the monitor fails fast (instead of inside a worker) on the
+    // first of them.
+    let monitors = (0..threads)
+        .map(|_| sweep_monitor(spec.protocol.num_processes(), &spec.xi))
+        .collect::<Result<Vec<IncrementalChecker>, String>>()
+        .map_err(|e| format!("Xi not monitorable: {e}"))?;
 
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<RunOutcome>> = Mutex::new(Vec::with_capacity(total));
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= total {
-                        break;
+        let (next, collected, points) = (&next, &collected, &points);
+        let workers: Vec<_> = monitors
+            .into_iter()
+            .map(|mon| {
+                scope.spawn(move || {
+                    let mut worker = Worker { sim: None, mon };
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= total {
+                            break;
+                        }
+                        let _span = abc_obs::span("sweep.run");
+                        let outcome =
+                            worker.run_one(spec, points, i, options.keep_violating_traces);
+                        collected.lock().expect("collector poisoned").push(outcome);
                     }
-                    let _span = abc_obs::span("sweep.run");
-                    let outcome = run_one(spec, &points, i, options.keep_violating_traces);
-                    collected.lock().expect("collector poisoned").push(outcome);
                 })
             })
             .collect();

@@ -112,3 +112,55 @@ fn sweep_saves_violating_traces_that_recheck_identically() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn sweep_refuses_a_path_in_name_before_it_runs() {
+    // `--name a/b` used to run the whole sweep and fail on the first write
+    // (`a/b-run0.trace`: no such directory); `--name ../x` wrote outside
+    // the directory. Both are refused up front, naming the flag.
+    let dir = std::env::temp_dir().join(format!("abc-sweep-name-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let inner = dir.join("inner");
+    for name in ["a/b", "../x", "..", "."] {
+        let err = run(&sv(&[
+            "sweep",
+            "--protocol",
+            "clocksync",
+            "--delay",
+            "band:1:6",
+            "--xi",
+            "3/2",
+            "--runs",
+            "8",
+            "--max-events",
+            "150",
+            "--threads",
+            "1",
+            "--name",
+            name,
+            "--save-violations",
+            inner.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        assert!(
+            err.contains("--save-violations") && err.contains("--name"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "refused before anything ran or was created");
+    }
+    // Without --save-violations a name is only a label.
+    assert!(run(&sv(&[
+        "sweep",
+        "--preset",
+        "quartet",
+        "--runs",
+        "2",
+        "--max-events",
+        "120",
+        "--threads",
+        "1",
+        "--name",
+        "a/b",
+    ]))
+    .is_ok());
+}

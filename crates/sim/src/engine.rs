@@ -148,6 +148,8 @@ pub struct Simulation<M, D> {
     queue: BinaryHeap<Reverse<QueueEntry>>,
     payloads: Vec<Option<M>>, // payload per in-flight queue entry
     free_slots: Vec<usize>,   // recycled payload slots (memory O(in-flight))
+    /// Sends of the step being executed; empty between steps.
+    outbox: Vec<(ProcessId, M)>,
     trace: Trace,
     seq: usize,
     started: bool,
@@ -186,6 +188,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             queue: BinaryHeap::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
+            outbox: Vec::new(),
             trace: Trace::default(),
             seq: 0,
             started: false,
@@ -214,6 +217,50 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         start_time: u64,
     ) -> ProcessId {
         self.push_process(Box::new(p), false, start_time)
+    }
+
+    /// Re-arms the simulation in place for a new execution over
+    /// `delay_model`: afterwards it behaves exactly like
+    /// [`Simulation::new`] with the same argument — no process, no queued
+    /// entry, no attached monitor, an empty trace, ties counted from zero —
+    /// except that every buffer keeps its capacity, so an engine that has
+    /// run an execution of some size runs the next one of that size without
+    /// growing anything (a harness sweeping thousands of short runs
+    /// allocates for the first and reuses for the rest). Messages still in
+    /// flight when the last run stopped on a budget are dropped with it.
+    pub fn reset(&mut self, delay_model: D) {
+        // Exhaustive on purpose (no `..`): a field added to the struct
+        // does not compile until it is re-armed here as `new` arms it.
+        let Simulation {
+            processes,
+            faulty,
+            start_times,
+            delay_model: own_delay_model,
+            queue,
+            payloads,
+            free_slots,
+            outbox,
+            trace,
+            seq,
+            started,
+            monitor_xi,
+            monitor,
+            monitor_prune_every,
+        } = self;
+        processes.clear();
+        faulty.clear();
+        start_times.clear();
+        *own_delay_model = delay_model;
+        queue.clear();
+        payloads.clear();
+        free_slots.clear();
+        outbox.clear();
+        trace.clear();
+        *seq = 0;
+        *started = false;
+        *monitor_xi = None;
+        *monitor = None;
+        *monitor_prune_every = None;
     }
 
     fn push_process(&mut self, p: Box<dyn Process<M>>, faulty: bool, start: u64) -> ProcessId {
@@ -350,7 +397,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         }
         self.started = true;
         self.trace.num_processes = self.processes.len();
-        self.trace.faulty = self.faulty.clone();
+        self.trace.faulty.clone_from(&self.faulty);
         if let Some(xi) = &self.monitor_xi {
             let mut mon = IncrementalChecker::new(self.processes.len(), xi)
                 .expect("Xi validated at attach time");
@@ -374,13 +421,15 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         }
     }
 
-    /// Runs until quiescence or a budget limit; can be called repeatedly
-    /// with increasing budgets to continue the same execution.
+    /// Runs until quiescence or a budget limit. `max_events` is a budget
+    /// *per call*, not a total: calling `run` again continues the same
+    /// execution where the last call stopped, for up to that many further
+    /// steps, and the returned [`RunStats`] count that call's steps only
+    /// (`max_time`, being a point on the execution's clock, is absolute).
     pub fn run(&mut self, limits: RunLimits) -> RunStats {
         let _span = abc_obs::span("sim.run");
         self.ensure_started();
         let mut stats = RunStats::default();
-        let mut outbox: Vec<(ProcessId, M)> = Vec::new();
         while stats.events_executed < limits.max_events {
             let Some(Reverse(entry)) = self.queue.peek().copied() else {
                 break;
@@ -407,7 +456,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
                     me: process,
                     now: entry.time,
                     num_processes,
-                    outbox: &mut outbox,
+                    outbox: &mut self.outbox,
                     label: &mut label,
                     distinguished: &mut distinguished,
                 };
@@ -429,7 +478,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
                 label,
                 distinguished,
             };
-            self.commit_step(&mut stats, event, &mut outbox);
+            self.commit_step(&mut stats, event);
         }
         stats.quiescent = self.queue.is_empty();
         // With the free list, the slab length IS the lifetime peak of
@@ -441,13 +490,8 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
     /// The one ordered commit point of an executed step: records the trace
     /// event, feeds the monitor, dispatches the step's outbox through the
     /// delay model (in send order), and runs the bounded monitor's prune
-    /// tick. `outbox` is drained and left empty for reuse.
-    fn commit_step(
-        &mut self,
-        stats: &mut RunStats,
-        event: TraceEvent,
-        outbox: &mut Vec<(ProcessId, M)>,
-    ) {
+    /// tick. The outbox is drained and left empty for the next step.
+    fn commit_step(&mut self, stats: &mut RunStats, event: TraceEvent) {
         let TraceEvent {
             seq: event_idx,
             process,
@@ -465,7 +509,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         stats.events_executed += 1;
         stats.final_time = time;
         OBS_STEPS.add(1);
-        self.dispatch_outbox(stats, process, event_idx, time, outbox);
+        self.dispatch_outbox(stats, process, event_idx, time);
         self.monitor_prune_tick();
     }
 
@@ -506,8 +550,10 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         process: ProcessId,
         event_idx: usize,
         time: u64,
-        outbox: &mut Vec<(ProcessId, M)>,
     ) {
+        // Taken out for the loop (it calls `&mut self` methods) and put
+        // back drained, with its capacity.
+        let mut outbox = std::mem::take(&mut self.outbox);
         for (to, msg) in outbox.drain(..) {
             let mi = self.trace.messages.len();
             stats.messages_sent += 1;
@@ -546,6 +592,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
                 }
             }
         }
+        self.outbox = outbox;
     }
 
     /// The bounded monitor's compaction tick. Runs only after the
@@ -988,6 +1035,85 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
+    }
+
+    // ---- reuse: `reset` re-arms, and keeps what it allocated ----
+
+    impl<M, D> Simulation<M, D> {
+        /// Everything `reset` keeps, summed (for the "a second run
+        /// allocates nothing" test).
+        fn capacity(&self) -> usize {
+            self.processes.capacity()
+                + self.faulty.capacity()
+                + self.start_times.capacity()
+                + self.queue.capacity()
+                + self.payloads.capacity()
+                + self.free_slots.capacity()
+                + self.outbox.capacity()
+                + self.trace.events.capacity()
+                + self.trace.messages.capacity()
+                + self.trace.faulty.capacity()
+        }
+    }
+
+    #[test]
+    fn a_second_equal_run_after_reset_grows_no_capacity() {
+        // Admissible at Xi = 7, so the replay streams the whole trace; the
+        // 300-event budget stops the run with messages still in flight.
+        let xi = Xi::from_integer(7);
+        let mut sim = Simulation::new(BandDelay::new(1, 6, 99));
+        let mut mon = IncrementalChecker::new(0, &xi).unwrap();
+        mon.enable_pruning();
+        let run = |sim: &mut Simulation<u32, BandDelay>, mon: &mut IncrementalChecker| {
+            for _ in 0..3 {
+                sim.add_process(Gossip { remaining: 400 });
+            }
+            sim.add_faulty_process(CrashAt::new(Gossip { remaining: 400 }, 5));
+            let stats = sim.run(RunLimits {
+                max_events: 300,
+                max_time: u64::MAX,
+            });
+            let latched = sim.trace().replay_until_violation_into(mon, &xi).unwrap();
+            (stats, sim.trace().to_text(), latched, mon.stats())
+        };
+        let first = run(&mut sim, &mut mon);
+        assert!(!first.0.quiescent && first.0.events_executed == 300);
+        assert_eq!((first.2, first.3.events), (None, 300));
+        let before = (sim.capacity(), mon.capacity());
+        sim.reset(BandDelay::new(1, 6, 99));
+        assert_eq!(sim.num_processes(), 0);
+        assert!(sim.trace().events().is_empty() && sim.trace().messages().is_empty());
+        assert_eq!(run(&mut sim, &mut mon), first, "the reset engine diverged");
+        assert_eq!(
+            (sim.capacity(), mon.capacity()),
+            before,
+            "the second run allocated"
+        );
+    }
+
+    #[test]
+    fn reset_detaches_the_monitor_and_allows_new_processes() {
+        let mut sim = Simulation::new(FixedDelay::new(1));
+        sim.add_process(Echo { remaining: 5 });
+        sim.add_faulty_process(Echo { remaining: 5 });
+        sim.attach_monitor_bounded(&Xi::from_integer(2), 3).unwrap();
+        assert!(sim.run(RunLimits::default()).quiescent);
+        assert!(sim.monitor().is_some());
+        sim.reset(FixedDelay::new(10));
+        assert!(sim.monitor().is_none() && sim.monitor_stats().is_none());
+        // Started no more: processes and a monitor can be added again, the
+        // old faulty mark is gone, and ties count from zero.
+        sim.add_process(Echo { remaining: 3 });
+        sim.add_process(Echo { remaining: 3 });
+        let stats = sim.run(RunLimits::default());
+        assert_eq!(stats.messages_delivered, 7);
+        assert_eq!(sim.trace().faulty, vec![false, false]);
+        assert!(sim.monitor().is_none(), "the attachment did not survive");
+        let mut fresh = Simulation::new(FixedDelay::new(10));
+        fresh.add_process(Echo { remaining: 3 });
+        fresh.add_process(Echo { remaining: 3 });
+        assert_eq!(fresh.run(RunLimits::default()), stats);
+        assert_eq!(fresh.trace().to_text(), sim.trace().to_text());
     }
 
     // ---- same-timestamp ("parallel") deliveries and degenerate runs ----

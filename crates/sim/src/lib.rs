@@ -24,6 +24,10 @@
 //! into an [`abc_core::monitor::IncrementalChecker`] and the first
 //! violating relevant cycle is latched with a witness, with no per-step
 //! graph rebuild ([`Trace::replay_into_monitor`] is the offline analogue).
+//! A harness that runs one short execution after another keeps one engine
+//! and lends one monitor: [`Simulation::reset`] and
+//! [`Trace::replay_until_violation_into`] re-arm them in place, equal to
+//! new ones except that every buffer keeps its capacity.
 //! Traces also serialize to a compact line-oriented text format
 //! ([`textio`]: [`Trace::to_text`] / [`Trace::from_text`], no serde), so
 //! any execution — including every run of an `abc-harness` sweep — can be

@@ -58,6 +58,22 @@ pub struct Trace {
 }
 
 impl Trace {
+    /// Empties the trace, keeping the capacity of its three vectors (the
+    /// trace half of [`crate::Simulation::reset`]).
+    pub(crate) fn clear(&mut self) {
+        // Exhaustive on purpose, as in `Simulation::reset`.
+        let Trace {
+            num_processes,
+            events,
+            messages,
+            faulty,
+        } = self;
+        *num_processes = 0;
+        events.clear();
+        messages.clear();
+        faulty.clear();
+    }
+
     /// Number of processes.
     #[must_use]
     pub fn num_processes(&self) -> usize {
@@ -135,7 +151,9 @@ impl Trace {
     /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed the monitor's
     /// integer range.
     pub fn replay_into_monitor(&self, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
-        Ok(self.replay_monitor_inner(xi, false, None)?.0)
+        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
+        self.replay_monitor_inner(&mut mon, false, None);
+        Ok(mon)
     }
 
     /// Like [`Trace::replay_into_monitor`], but stops streaming as soon as
@@ -152,7 +170,32 @@ impl Trace {
         &self,
         xi: &Xi,
     ) -> Result<(IncrementalChecker, Option<usize>), CheckError> {
-        self.replay_monitor_inner(xi, true, None)
+        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
+        let violation_at = self.replay_monitor_inner(&mut mon, true, None);
+        Ok((mon, violation_at))
+    }
+
+    /// [`Trace::replay_into_monitor_until_violation`] into a monitor the
+    /// caller lends: `mon` is re-armed for this trace and `Ξ = xi`
+    /// ([`IncrementalChecker::reset`] — whatever it monitored before is
+    /// gone, its mode choices and the capacity of its columns stay) and
+    /// the trace is streamed into it up to the first violation. Returns
+    /// the index of the trace event that latched it, if any. A harness
+    /// that checks one trace after another lends the same monitor each
+    /// time and allocates for the largest trace only; verdict, latch point,
+    /// witness and margin are those of a fresh monitor.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed the monitor's
+    /// integer range; `mon` is then left as it was.
+    pub fn replay_until_violation_into(
+        &self,
+        mon: &mut IncrementalChecker,
+        xi: &Xi,
+    ) -> Result<Option<usize>, CheckError> {
+        mon.reset(self.num_processes, xi)?;
+        Ok(self.replay_monitor_inner(mon, true, None))
     }
 
     /// Like [`Trace::replay_into_monitor`], but in bounded-memory mode:
@@ -179,19 +222,23 @@ impl Trace {
         prune_every: usize,
     ) -> Result<IncrementalChecker, CheckError> {
         assert!(prune_every > 0, "prune_every must be positive");
-        Ok(self.replay_monitor_inner(xi, false, Some(prune_every))?.0)
+        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
+        self.replay_monitor_inner(&mut mon, false, Some(prune_every));
+        Ok(mon)
     }
 
-    /// The one replay loop. With `prune_every` the monitor drops its
-    /// mirror and prunes at that cadence (see
-    /// [`Trace::replay_into_monitor_bounded`]).
+    /// The one replay loop, into a lent monitor armed for this trace's
+    /// process count and holding no event yet: new, or
+    /// [`IncrementalChecker::reset`]. With `prune_every` the monitor drops
+    /// its mirror and prunes at that cadence (see
+    /// [`Trace::replay_into_monitor_bounded`]). Returns the index of the
+    /// event that latched the first violation.
     fn replay_monitor_inner(
         &self,
-        xi: &Xi,
+        mon: &mut IncrementalChecker,
         stop_on_violation: bool,
         prune_every: Option<usize>,
-    ) -> Result<(IncrementalChecker, Option<usize>), CheckError> {
-        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
+    ) -> Option<usize> {
         // suffix_min[i] = the oldest send event any event at index >= i
         // names — after appending event i, no later append can name
         // anything below suffix_min[i + 1].
@@ -234,7 +281,7 @@ impl Trace {
                 }
             }
         }
-        Ok((mon, violation_at))
+        violation_at
     }
 
     /// The real occurrence times of the graph events produced by

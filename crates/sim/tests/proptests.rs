@@ -1,9 +1,10 @@
 //! Property tests for the simulator: trace well-formedness, determinism,
 //! and graph-extraction invariants across random workloads.
 
-use abc_core::ProcessId;
-use abc_sim::delay::BandDelay;
-use abc_sim::{Context, Process, RunLimits, Simulation};
+use abc_core::monitor::IncrementalChecker;
+use abc_core::{ProcessId, Xi};
+use abc_sim::delay::{AdversarialSpan, BandDelay, FixedDelay, GrowingDelay, Lossy};
+use abc_sim::{Context, CrashAt, DelayModel, Mute, Process, RunLimits, RunStats, Simulation};
 use proptest::prelude::*;
 
 /// A randomized gossiping process: forwards a decremented token to a peer
@@ -31,6 +32,131 @@ impl Process<u64> for Gossip {
         }
         ctx.set_label(self.state);
     }
+}
+
+/// The second protocol of the reuse property: broadcast at wake-up, echo
+/// `m + 1` to each sender until a reply budget is spent.
+struct Flood {
+    budget: u32,
+}
+
+impl Process<u64> for Flood {
+    fn on_init(&mut self, ctx: &mut Context<'_, u64>) {
+        ctx.broadcast(0);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, u64>, from: ProcessId, msg: &u64) {
+        if self.budget > 0 {
+            self.budget -= 1;
+            ctx.send(from, msg + 1);
+            ctx.set_label(*msg);
+        }
+    }
+}
+
+/// One run of the reuse property: protocol, size, delay family, fault
+/// plan, event budget, and whether (and how) a monitor is attached.
+#[derive(Clone, Debug)]
+struct Shape {
+    flood: bool,
+    n: usize,
+    max_events: usize,
+    /// 0 fixed, 1 band, 2 growing, 3 adversarial span.
+    family: u8,
+    lo: u64,
+    spread: u64,
+    seed: u64,
+    /// Four bits per slot: 10–11 marked faulty, 12–13 crash-faulty after
+    /// 1–2 steps, 14 mute, anything else correct; bits 32.. pick a
+    /// dropped link in one shape of four.
+    faults: u64,
+    /// 0 none, 1 attached, 2 attached bounded.
+    monitor: u8,
+}
+
+type AnyDelay = Lossy<Box<dyn DelayModel>>;
+
+impl Shape {
+    fn delay(&self) -> AnyDelay {
+        let (lo, hi) = (self.lo, self.lo + self.spread);
+        let inner: Box<dyn DelayModel> = match self.family {
+            0 => Box::new(FixedDelay::new(lo)),
+            1 => Box::new(BandDelay::new(lo, hi, self.seed)),
+            2 => Box::new(GrowingDelay::new(lo, hi, 20 + self.seed % 50, self.seed)),
+            _ => {
+                let victim = ProcessId(self.seed as usize % self.n);
+                Box::new(AdversarialSpan::new(lo, hi, victim))
+            }
+        };
+        let mut delay = Lossy::new(inner);
+        let link = self.faults >> 32;
+        if link & 3 == 0 {
+            let (from, to) = ((link >> 2) as usize, (link >> 12) as usize);
+            delay.drop_link(ProcessId(from % self.n), ProcessId(to % self.n));
+        }
+        delay
+    }
+
+    /// Adds `behavior` at the next slot as that slot's fault plan says.
+    fn add<P: Process<u64>>(sim: &mut Simulation<u64, AnyDelay>, plan: u64, behavior: P) {
+        match plan {
+            10 | 11 => sim.add_faulty_process(behavior),
+            12 | 13 => sim.add_faulty_process(CrashAt::new(behavior, 1 + (plan & 1) as usize)),
+            14 => sim.add_faulty_process(Mute),
+            _ => sim.add_process(behavior),
+        };
+    }
+
+    /// Populates an armed engine and runs it.
+    fn run_on(&self, sim: &mut Simulation<u64, AnyDelay>) -> RunStats {
+        for slot in 0..self.n {
+            let plan = (self.faults >> (4 * slot)) & 15;
+            if self.flood {
+                Shape::add(sim, plan, Flood { budget: 12 });
+            } else {
+                Shape::add(
+                    sim,
+                    plan,
+                    Gossip {
+                        fanout: 2,
+                        state: 0,
+                    },
+                );
+            }
+        }
+        let xi = Xi::from_fraction(3, 2);
+        match self.monitor {
+            0 => {}
+            1 => sim.attach_monitor(&xi).unwrap(),
+            _ => sim.attach_monitor_bounded(&xi, 7).unwrap(),
+        }
+        sim.run(RunLimits {
+            max_events: self.max_events,
+            max_time: u64::MAX,
+        })
+    }
+}
+
+fn shape() -> impl Strategy<Value = Shape> {
+    (
+        (any::<bool>(), 2usize..7, 1usize..400),
+        (0u8..4, 1u64..8, 0u64..9, any::<u64>()),
+        any::<u64>(),
+        0u8..3,
+    )
+        .prop_map(
+            |((flood, n, max_events), (family, lo, spread, seed), faults, monitor)| Shape {
+                flood,
+                n,
+                max_events,
+                family,
+                lo,
+                spread,
+                seed,
+                faults,
+                monitor,
+            },
+        )
 }
 
 fn run(n: usize, fanout: usize, lo: u64, hi: u64, seed: u64) -> Simulation<u64, BandDelay> {
@@ -171,5 +297,57 @@ proptest! {
         let replay = sim.trace().replay_into_monitor(&xi).unwrap();
         prop_assert_eq!(replay.is_admissible(), batch);
         prop_assert_eq!(replay.graph(), &g);
+    }
+
+    /// `Simulation::reset` ≡ `Simulation::new`: one engine re-armed through
+    /// a random sequence of runs — either protocol, any size, delay family
+    /// and fault plan, budgets that stop with messages in flight, monitors
+    /// attached or not — produces for every element the trace text, the
+    /// stats and the attached monitor's verdict of a new engine. And one
+    /// mirror-less monitor lent to the replay of every trace in turn, at a
+    /// `Ξ` that changes with it, reports the latch point, witness, stats
+    /// and margin of a new mirrored one.
+    #[test]
+    fn a_reset_engine_and_a_lent_monitor_equal_new_ones(
+        shapes in proptest::collection::vec(shape(), 1..8),
+    ) {
+        let mut reused: Option<Simulation<u64, AnyDelay>> = None;
+        let mut lent = IncrementalChecker::new(0, &Xi::from_integer(2)).unwrap();
+        lent.enable_pruning();
+        for shape in &shapes {
+            let reused = match &mut reused {
+                Some(sim) => {
+                    sim.reset(shape.delay());
+                    sim
+                }
+                empty => empty.insert(Simulation::new(shape.delay())),
+            };
+            let mut fresh = Simulation::new(shape.delay());
+            prop_assert_eq!(shape.run_on(reused), shape.run_on(&mut fresh), "{:?}", shape);
+            prop_assert_eq!(reused.trace().to_text(), fresh.trace().to_text(), "{:?}", shape);
+            prop_assert_eq!(reused.monitor_stats(), fresh.monitor_stats(), "{:?}", shape);
+            prop_assert_eq!(
+                reused.violation_summary().map(|s| s.wire().to_string()),
+                fresh.violation_summary().map(|s| s.wire().to_string()),
+                "{:?}",
+                shape
+            );
+
+            let xi = [Xi::from_fraction(3, 2), Xi::from_integer(2), Xi::from_integer(5)]
+                [shape.seed as usize % 3]
+                .clone();
+            let trace = reused.trace();
+            let latched = trace.replay_until_violation_into(&mut lent, &xi).unwrap();
+            let (new, new_latched) = trace.replay_into_monitor_until_violation(&xi).unwrap();
+            prop_assert_eq!(latched, new_latched, "{:?}", shape);
+            prop_assert_eq!(lent.stats(), new.stats(), "{:?}", shape);
+            prop_assert_eq!(lent.violation_summary(), new.violation_summary(), "{:?}", shape);
+            prop_assert_eq!(
+                lent.current_margin().unwrap(),
+                new.current_margin().unwrap(),
+                "{:?}",
+                shape
+            );
+        }
     }
 }
