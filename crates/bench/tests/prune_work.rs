@@ -1,0 +1,116 @@
+//! A count, not a timing: how much one tracked prune's envelope passes do.
+//!
+//! A margin-tracking prune grows, per boundary landing, the signature
+//! envelopes of the condemned prefix (`crates/core/src/monitor/margin.rs`,
+//! `margin_sig_sssp`): warm-started from the landing's lex tree, then a
+//! FIFO worklist that re-scans only the events whose envelope changed, an
+//! exact "can this line win" test in front of every arena link. So a pass
+//! links little more than one line per slot it reaches (a prefix event, or
+//! the live head of an exit arc) and scans each internal arc about once
+//! on top of the tree's own arcs: 1.00–1.22 links per slot and 1.34–1.39
+//! scans per arc on the sixteen documents below. The cold, round-based
+//! pass this replaced made 1 089 links and ≈3 500 arc visits per landing
+//! for 257 events and 759 internal arcs. The counts come from the pass's
+//! own `abc_obs` counters (`monitor.prune_sig_*`: links and scans, beside
+//! the slots reached and the arcs run over, all summed over a prune's
+//! landings); this file holds one test because the recorder is
+//! process-wide (`repair_work.rs` and `check_work.rs` beside it pin the
+//! repair's and the batch checker's work the same way).
+
+use abc_bench::workloads;
+use abc_core::graph::EventId;
+use abc_core::monitor::IncrementalChecker;
+use abc_core::Xi;
+
+/// The horizon `serve_v2_bounded` is served with.
+const HORIZON: usize = 256;
+
+/// The recorder's total of counter `name` so far.
+fn counter(name: &str) -> u64 {
+    let totals = abc_obs::snapshot().counter_totals();
+    totals
+        .iter()
+        .find(|(counter, _)| *counter == name)
+        .map_or(0, |(_, value)| *value)
+}
+
+/// The envelope passes' counters: links, scans, slots reached, arcs.
+fn sig_counters() -> [u64; 4] {
+    ["links", "scans", "nodes", "arcs"].map(|what| counter(&format!("monitor.prune_sig_{what}")))
+}
+
+fn splitmix64(x: u64) -> u64 {
+    let mut x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+#[test]
+fn an_envelope_pass_links_about_a_line_per_slot_and_scans_each_arc_under_twice() {
+    abc_obs::reset();
+    abc_obs::enable(abc_obs::DEFAULT_RING_CAPACITY);
+    let xi = Xi::from_integer(5);
+    // The ledger's `canon` family as it draws it: `TickGen` n=4 f=1 under
+    // band [1, 4], member `i` of the seed's stream, the quiet ones.
+    let quiet = |trace: &abc_sim::Trace| {
+        let (mon, latch) = trace.replay_into_monitor_until_violation(&xi).unwrap();
+        latch.is_none() && mon.margin_upper_bound().is_none_or(|b| b < *xi.as_ratio())
+    };
+    let docs = (0u64..)
+        .map(|i| workloads::clocksync_trace(4, 1, 1, 4, splitmix64(splitmix64(1) + i), 625))
+        .filter(quiet)
+        .take(16);
+    let mut prunes = 0;
+    for (doc, trace) in docs.enumerate() {
+        let sends: Vec<Option<usize>> = trace
+            .events()
+            .iter()
+            .map(|ev| ev.trigger.map(|mi| trace.messages()[mi].send_event))
+            .collect();
+        // oldest[i]: the oldest send event a step at index `i` or later
+        // names, which a server learns from its pending deliveries.
+        let mut oldest = vec![usize::MAX; sends.len() + 1];
+        for (i, send) in sends.iter().enumerate().rev() {
+            oldest[i] = send.unwrap_or(usize::MAX).min(oldest[i + 1]);
+        }
+        let mut mon = IncrementalChecker::new(trace.num_processes(), &xi).unwrap();
+        mon.enable_pruning();
+        mon.enable_margin_tracking();
+        for (i, ev) in trace.events().iter().enumerate() {
+            match sends[i] {
+                None => {
+                    mon.append_init(ev.process);
+                }
+                Some(send) => {
+                    mon.append_send(EventId(send), ev.process);
+                }
+            }
+            if mon.live_events() <= 2 * HORIZON {
+                continue;
+            }
+            let before = sig_counters();
+            let watermark = (i + 1).saturating_sub(HORIZON).min(oldest[i + 1]);
+            let freed = mon.prune_settled(Some(EventId(watermark)));
+            let after = sig_counters();
+            let [links, scans, nodes, arcs] = [0, 1, 2, 3].map(|k| after[k] - before[k]);
+            assert!(freed > 0 && nodes > 0, "document {doc}: freed {freed}");
+            assert!(
+                4 * links <= 5 * nodes,
+                "document {doc}: {links} links for {nodes} slots reached"
+            );
+            assert!(
+                scans <= 2 * arcs,
+                "document {doc}: {scans} scans over {arcs} internal arcs"
+            );
+            prunes += 1;
+        }
+    }
+    assert_eq!(prunes, 16, "one prune per document, as served");
+    assert_eq!(
+        counter("monitor.prune_sig_refusals"),
+        0,
+        "no shortcut meets a shortcut here"
+    );
+    abc_obs::disable();
+}

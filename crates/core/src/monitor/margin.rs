@@ -11,8 +11,9 @@
 //! path that gates the exact probe. Both margins, batch and live, come
 //! from one engine (the crate's `maxratio` module): it asks "is there a
 //! cycle with ratio strictly above `B₀/F₀`", jumps to the ratio of the
-//! cycle a *yes* finds, and stops at the first *no* — two to four seeded
-//! Bellman–Ford probes over the live arcs, not a bisection.
+//! cycle a *yes* finds, and stops at the first *no* — two to four runs of
+//! the crate's worklist negative-cycle kernel over the live arcs, not a
+//! bisection.
 //!
 //! # Floor and signature envelopes
 //!
@@ -24,10 +25,30 @@
 //! ratios at or above the floor, so probes below `Ξ` see the exact
 //! minimum crossing cost, not just the `Ξ`-optimal path the violation
 //! machinery stores). Margin tracking is opt-in for pruning monitors
-//! ([`IncrementalChecker::enable_margin_tracking`]): the fold is a few
-//! hundred microseconds on a 500-event window, but growing the envelopes
-//! makes a tracked prune several times the work of an untracked one
-//! (1.2–2.2 ms against 0.2–0.5 ms at horizon 256).
+//! ([`IncrementalChecker::enable_margin_tracking`]): the fold is under a
+//! hundred microseconds on a 500-event window, and growing the envelopes
+//! makes a tracked prune two to three times the work of an untracked one
+//! (0.6 ms against 0.23 ms at horizon 256, of which the envelope passes
+//! are 0.2).
+//!
+//! # The envelope pass
+//!
+//! Per boundary landing a prune grows the envelopes of the condemned
+//! prefix with one pass, `margin_sig_sssp`: a parametric shortest-path
+//! computation started from the tree that is optimal at one parameter
+//! value (Young, Tarjan & Orlin 1991) — the landing's lex tree, built a
+//! moment earlier, is that tree at `x = Ξ` — and then run as a FIFO
+//! worklist over one per-cut CSR, re-scanning only the events whose
+//! envelope changed (Cherkassky & Goldberg 1999, the discipline of the
+//! crate's kernel). A candidate line costs an arena link and an envelope
+//! rebuild only after an exact, allocation-free test that it wins
+//! somewhere on `[floor, ∞)` (`can_win`), and the labels live in flat
+//! scratch the monitor owns (`EnvelopeScratch`), so a tree makes no
+//! per-node allocation. `crates/bench/tests/prune_work.rs` pins the
+//! pass's work by count; `monitor/tests.rs` keeps the cold, round-based
+//! pass it replaced as a differential oracle.
+
+use std::collections::VecDeque;
 
 use abc_rational::Ratio;
 
@@ -42,6 +63,19 @@ use super::witness::Expansion;
 use super::{IncrementalChecker, MarginReport};
 
 static OBS_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_probes");
+// What the envelope passes of tracked prunes did, summed over landings:
+// arena links made and out-arc scans done, beside the slots each pass
+// reached (prefix events and exit heads) and the internal arcs it ran over
+// (`crates/bench/tests/prune_work.rs` bounds the first two by the last
+// two).
+static OBS_SIG_LINKS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_links");
+static OBS_SIG_SCANS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_scans");
+static OBS_SIG_NODES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_nodes");
+static OBS_SIG_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_arcs");
+/// Junctions a pass refused for reversing a message although their line
+/// could win: the one decision that reads *which* path holds a line.
+static OBS_SIG_REFUSALS: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("monitor.prune_sig_refusals");
 
 /// One margin *signature* of a condensed settled-region path: its forward
 /// and backward message counts, plus the expansion needed to reproduce a
@@ -60,53 +94,40 @@ pub(super) struct MarginSig {
     pub(super) path: Expansion,
 }
 
-/// A margin signature *while a prune condenses the boundary*: the counts
-/// and boundary steps that every envelope and junction decision reads,
-/// plus a link to how the path was put together. Copying one copies no
+/// A margin signature *while a prune composes shortcuts and rows*: the
+/// counts and boundary steps that every envelope and junction decision
+/// reads, plus what its path is put together from. Copying one copies no
 /// path; only the signatures that survive onto a [`ShortcutInfo`] are
 /// expanded into a [`MarginSig`] ([`Sig::materialize`]).
 #[derive(Clone, Copy)]
 pub(super) struct Sig<'a> {
     f: i128,
     b: i128,
-    /// First and last step of the path (`None` for the empty path).
+    /// First and last step of the path (no path here is empty).
     first: Option<CycleStep>,
     last: Option<CycleStep>,
-    path: SigPath<'a>,
+    head: SigHead<'a>,
+    /// What follows `head`, and the process of the event they meet at.
+    tail: Option<(ProcessId, &'a MarginSig)>,
 }
 
-/// How a [`Sig`]'s path is spelled out.
+/// How a [`Sig`]'s path starts.
 #[derive(Clone, Copy)]
-pub(super) enum SigPath<'a> {
-    Empty,
+enum SigHead<'a> {
     Step(CycleStep),
-    /// A signature an earlier prune stored.
+    /// A signature an earlier prune, or this prune's tree, stored.
     Stored(&'a MarginSig),
-    /// `left · joint · right`, at this index of the prune's [`SigArena`].
-    Concat(usize),
 }
-
-/// The concatenations one prune makes: `(left, joint process, right)`.
-pub(super) type SigArena<'a> = Vec<(SigPath<'a>, Option<ProcessId>, SigPath<'a>)>;
 
 impl<'a> Sig<'a> {
-    fn empty() -> Sig<'a> {
-        Sig {
-            f: 0,
-            b: 0,
-            first: None,
-            last: None,
-            path: SigPath::Empty,
-        }
-    }
-
     fn step(f: i128, b: i128, step: CycleStep) -> Sig<'a> {
         Sig {
             f,
             b,
             first: Some(step),
             last: Some(step),
-            path: SigPath::Step(step),
+            head: SigHead::Step(step),
+            tail: None,
         }
     }
 
@@ -116,66 +137,184 @@ impl<'a> Sig<'a> {
             b: sig.b,
             first: sig.path.steps.first().copied(),
             last: sig.path.steps.last().copied(),
-            path: SigPath::Stored(sig),
+            head: SigHead::Stored(sig),
+            tail: None,
         }
     }
 
-    /// Concatenates two path signatures meeting at the vertex with process
-    /// `joint` (`None` when `self` is empty — the meeting vertex is the
-    /// composite's start and stays excluded from the interior). Returns
+    /// `self · tail`, meeting at the vertex with process `joint`. Returns
     /// `None` when the junction would immediately reverse one message —
     /// see [`step_reverses`].
-    pub(super) fn concat(
-        &self,
-        joint: Option<ProcessId>,
-        d: &Sig<'a>,
-        arena: &mut SigArena<'a>,
-    ) -> Option<Sig<'a>> {
-        if let (Some(last), Some(first)) = (&self.last, &d.first) {
+    pub(super) fn concat(&self, joint: ProcessId, tail: &'a MarginSig) -> Option<Sig<'a>> {
+        debug_assert!(self.tail.is_none(), "a prune composes two paths, not three");
+        if let (Some(last), Some(first)) = (&self.last, tail.path.steps.first()) {
             if step_reverses(last, first) {
                 return None;
             }
         }
-        arena.push((self.path, joint, d.path));
         Some(Sig {
-            f: self.f + d.f,
-            b: self.b + d.b,
-            first: self.first.or(d.first),
-            last: d.last.or(self.last),
-            path: SigPath::Concat(arena.len() - 1),
+            f: self.f + tail.f,
+            b: self.b + tail.b,
+            last: tail.path.steps.last().copied().or(self.last),
+            tail: Some((joint, tail)),
+            ..*self
         })
     }
 
     /// Spells the path out: its steps and interior processes.
-    pub(super) fn materialize(&self, arena: &SigArena<'a>) -> MarginSig {
-        enum Item<'a> {
-            Path(SigPath<'a>),
-            Joint(ProcessId),
-        }
-        let mut path = Expansion::default();
-        let mut todo = vec![Item::Path(self.path)];
-        while let Some(item) = todo.pop() {
-            match item {
-                Item::Joint(p) => path.procs.push(p),
-                Item::Path(SigPath::Empty) => {}
-                Item::Path(SigPath::Step(s)) => path.steps.push(s),
-                Item::Path(SigPath::Stored(sig)) => {
-                    path.steps.extend_from_slice(&sig.path.steps);
-                    path.procs.extend_from_slice(&sig.path.procs);
-                }
-                Item::Path(SigPath::Concat(i)) => {
-                    let (left, joint, right) = arena[i];
-                    todo.push(Item::Path(right));
-                    todo.extend(joint.map(Item::Joint));
-                    todo.push(Item::Path(left));
-                }
-            }
+    pub(super) fn materialize(&self) -> MarginSig {
+        let mut path = match self.head {
+            SigHead::Step(step) => Expansion {
+                steps: vec![step],
+                procs: Vec::new(),
+            },
+            SigHead::Stored(sig) => sig.path.clone(),
+        };
+        if let Some((joint, tail)) = self.tail {
+            path.extend(joint, &tail.path);
         }
         MarginSig {
             f: self.f,
             b: self.b,
             path,
         }
+    }
+}
+
+/// A cost line `x·f − b`, as the envelope rule reads it.
+pub(super) trait CostLine: Copy {
+    /// Forward and backward message counts `(f, b)`.
+    fn counts(&self) -> (i128, i128);
+}
+
+impl CostLine for Sig<'_> {
+    fn counts(&self) -> (i128, i128) {
+        (self.f, self.b)
+    }
+}
+
+/// One line of a prefix event's envelope while a landing's tree grows: the
+/// counts of a path `landing ⇝ event` and the link that spells it out.
+#[derive(Clone, Copy, Debug)]
+struct TreeLine {
+    f: i128,
+    b: i128,
+    /// Index into [`EnvelopeScratch::links`]; [`ROOT`] for the empty path.
+    link: usize,
+}
+
+impl CostLine for TreeLine {
+    fn counts(&self) -> (i128, i128) {
+        (self.f, self.b)
+    }
+}
+
+/// How a [`TreeLine`]'s path ends: the path of link `parent`, then line
+/// `pick` of arena arc `arc`.
+#[derive(Clone, Copy, Debug)]
+struct TreeLink {
+    parent: usize,
+    arc: usize,
+    pick: usize,
+}
+
+/// The link of the empty path, at the landing itself.
+const ROOT: usize = usize::MAX;
+
+/// Where one slot's lines sit in [`EnvelopeScratch::lines`].
+#[derive(Clone, Copy, Debug, Default)]
+struct Run {
+    start: usize,
+    len: usize,
+    cap: usize,
+}
+
+/// The envelope pass's scratch, owned by the monitor and kept across
+/// landings, prunes and [`IncrementalChecker::reset`]: a landing's tree
+/// makes no per-node allocation. Slots are the cut's prefix events
+/// (windowed by its `base`) followed by one per exit arc, the exit's live
+/// head as seen from this landing. Nothing in it outlives a prune.
+#[derive(Clone, Debug, Default)]
+pub(super) struct EnvelopeScratch {
+    /// Every slot's envelope, steepest line first, in one run per slot; a
+    /// run that outgrows its room moves to the end.
+    lines: Vec<TreeLine>,
+    runs: Vec<Run>,
+    links: Vec<TreeLink>,
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+    /// One insert's old lines and candidate, while the rule sorts them.
+    merging: Vec<TreeLine>,
+    /// A tree-order walk's pending nodes, or the links of a path being
+    /// spelled, last first.
+    chain: Vec<usize>,
+    /// Junctions the landing's pass refused although their line could win
+    /// (see [`IncrementalChecker::margin_sig_sssp`]).
+    pub(super) refused: usize,
+}
+
+impl EnvelopeScratch {
+    /// What a reset keeps (see [`IncrementalChecker::capacity`]).
+    pub(super) fn capacity(&self) -> usize {
+        // Exhaustive on purpose: a new buffer is counted or does not compile.
+        let EnvelopeScratch {
+            lines,
+            runs,
+            links,
+            queue,
+            queued,
+            merging,
+            chain,
+            refused: _,
+        } = self;
+        lines.capacity()
+            + runs.capacity()
+            + links.capacity()
+            + queue.capacity()
+            + queued.capacity()
+            + merging.capacity()
+            + chain.capacity()
+    }
+
+    /// Empties every slot for the next landing's tree over `slots` slots.
+    fn arm(&mut self, slots: usize) {
+        self.lines.clear();
+        self.links.clear();
+        self.queue.clear();
+        self.runs.clear();
+        self.runs.resize(slots, Run::default());
+        self.queued.clear();
+        self.queued.resize(slots, false);
+        self.refused = 0;
+    }
+
+    fn envelope(&self, slot: usize) -> &[TreeLine] {
+        let run = self.runs[slot];
+        &self.lines[run.start..run.start + run.len]
+    }
+
+    /// Envelope-inserts `cand`, which [`can_win`], into `slot`.
+    fn insert(&mut self, slot: usize, cand: TreeLine, lo: (i128, i128)) {
+        let mut run = self.runs[slot];
+        self.merging.clear();
+        self.merging
+            .extend_from_slice(&self.lines[run.start..run.start + run.len]);
+        self.merging.push(cand);
+        margin_envelope(&mut self.merging, lo);
+        debug_assert!(self.merging.iter().any(|l| l.link == cand.link));
+        let len = self.merging.len();
+        if len > run.cap {
+            // A run that moves gets room to double.
+            run = Run {
+                start: self.lines.len(),
+                len,
+                cap: 2 * len,
+            };
+            self.lines.resize(run.start + run.cap, cand);
+        }
+        run.len = len;
+        self.lines[run.start..run.start + len].copy_from_slice(&self.merging);
+        self.runs[slot] = run;
     }
 }
 
@@ -204,99 +343,188 @@ impl IncrementalChecker {
         own.into_iter().chain(stored.iter().map(Sig::stored))
     }
 
-    /// The parametric companion of a prune's lex shortest-path trees: per
-    /// landing and exit of `cut`, the signature envelope of *all* paths
-    /// `landing ⇝ head(exit)` (internal signature labels extended by the
-    /// exit arc), over probe ratios at or above the just-folded floor.
-    ///
-    /// While a tree grows its signatures are links; only the few that
-    /// reach an exit are spelled out, and the links of one landing are
-    /// dropped before the next landing's are made.
-    pub(super) fn exit_envelopes(&self, cut: &Cut) -> Vec<Vec<Vec<MarginSig>>> {
-        let mut links: SigArena = Vec::new();
-        let mut exit_sigs = Vec::with_capacity(cut.landings.len());
-        for &start in &cut.landings {
-            links.clear();
-            let labels = self.margin_sig_sssp(cut, start, &mut links);
-            let mut per_exit = Vec::with_capacity(cut.exits.len());
-            for &b in &cut.exits {
-                let exit_arc = self.tg.arcs()[b];
-                let mut cands = Vec::new();
-                for l in &labels[exit_arc.from - cut.base] {
-                    let joint = l.first.map(|_| self.proc_of[exit_arc.from - cut.base]);
-                    for d in self.arc_sigs(exit_arc.kind) {
-                        cands.extend(l.concat(joint, &d, &mut links));
-                    }
-                }
-                let envelope = margin_envelope(cands, cut.floor);
-                per_exit.push(envelope.iter().map(|s| s.materialize(&links)).collect());
-            }
-            exit_sigs.push(per_exit);
-        }
-        exit_sigs
-    }
-
     /// Signature-envelope shortest paths from `start` over the cut's
     /// internal arcs — the parametric companion of
     /// [`IncrementalChecker::seeded_sssp`]: instead of the one lex-optimal
-    /// path at `Ξ`, every node keeps the lower envelope of all incoming
-    /// path signatures over probe ratios at or above the margin floor.
+    /// path at `Ξ`, every prefix event keeps the lower envelope of all
+    /// incoming path signatures over probe ratios at or above the margin
+    /// floor, and so does the live head of every exit arc (the internal
+    /// envelopes extended by the exit arc), in the slot after the events.
+    ///
+    /// `pred` is the landing's lex tree, and it already *is* this
+    /// parametric tree evaluated at `x = Ξ`, a ratio at or above the floor:
+    /// the pass first relaxes the tree's own arcs, parents before children,
+    /// so every reached event starts on the line of its `Ξ`-optimal path,
+    /// and then re-scans — FIFO, a node's out-arcs in descending arena
+    /// order — only the events whose envelope changed. The start is exact
+    /// because it is made of genuine path lines, and any such start ends in
+    /// the same `(f, b)` line sets: the fixpoint is the envelope of *all*
+    /// paths, and a line is only ever kept out by lines that beat it —
+    /// with one exception, counted in [`EnvelopeScratch::refused`]: where
+    /// two shortcut arcs meet, a line that could win is refused when the
+    /// path holding the tail's line ends on the message the next shortcut
+    /// starts by taking back ([`step_reverses`]). Another path of the same
+    /// counts might not; which one holds the line is the scan order's
+    /// choice, here as in any other order. Nothing exact hangs on it (the
+    /// walk refused costs `x − 1 ≥ 0` more than its contraction, which the
+    /// live window explores on its own), and a pass that refused nothing
+    /// has the one fixpoint every order reaches.
     ///
     /// Terminates because an insert only succeeds when a node's envelope
     /// strictly improves on some open sub-interval, and prefix cycles cost
     /// `≥ 0` everywhere on it (their ratios were folded into the floor
     /// right before condensation), so lapped signatures never survive the
     /// envelope.
-    fn margin_sig_sssp<'a>(
-        &'a self,
+    pub(super) fn margin_sig_sssp(
+        &self,
         cut: &Cut,
         start: usize,
-        arena: &mut SigArena<'a>,
-    ) -> Vec<Vec<Sig<'a>>> {
-        let (base, floor) = (cut.base, cut.floor);
+        pred: &[Option<usize>],
+        sc: &mut EnvelopeScratch,
+    ) {
+        let base = cut.base;
+        let width = cut.w - base;
         let arcs = self.tg.arcs();
-        let mut labels: Vec<Vec<Sig>> = vec![Vec::new(); cut.w - base];
-        labels[start - base] = vec![Sig::empty()];
-        let mut rounds: usize = 0;
-        loop {
-            let mut changed = false;
-            for &ai in cut.internal.iter().rev() {
-                let arc = arcs[ai];
-                let (from, to) = (arc.from - base, arc.to - base);
-                // A self-loop only laps a prefix cycle (see above).
-                if from == to || labels[from].is_empty() {
-                    continue;
-                }
-                let (sources, target) = if from < to {
-                    let (lo, hi) = labels.split_at_mut(to);
-                    (&lo[from], &mut hi[0])
-                } else {
-                    let (lo, hi) = labels.split_at_mut(from);
-                    (&hi[0], &mut lo[to])
-                };
-                for l in sources {
-                    let joint = l.first.map(|_| self.proc_of[from]);
-                    for d in self.arc_sigs(arc.kind) {
-                        // A dominated line never wins anywhere: skip it
-                        // before it costs an arena link.
-                        if dominated(target, l.f + d.f, l.b + d.b) {
-                            continue;
-                        }
-                        if let Some(cand) = l.concat(joint, &d, arena) {
-                            changed |= margin_envelope_insert(target, cand, floor);
-                        }
-                    }
+        sc.arm(width + cut.exits.len());
+        sc.insert(
+            start - base,
+            TreeLine {
+                f: 0,
+                b: 0,
+                link: ROOT,
+            },
+            cut.floor,
+        );
+        sc.queued[start - base] = true;
+        sc.queue.push_back(start - base);
+        let mut scans = 0;
+        // The warm start. A tree arc that gives its head no line (its tail
+        // has none) leaves the head to the worklist.
+        for v in 0..width {
+            let mut node = v;
+            while let Some(ai) = pred[node].filter(|_| !sc.queued[node]) {
+                sc.chain.push(node);
+                node = arcs[ai].from - base;
+            }
+            while let Some(node) = sc.chain.pop() {
+                let ai = pred[node].expect("only nodes with a tree arc are pending");
+                scans += 1;
+                if self.relax_sigs(cut, sc, ai, node) {
+                    sc.queued[node] = true;
+                    sc.queue.push_back(node);
                 }
             }
-            if !changed {
-                return labels;
-            }
-            rounds += 1;
+        }
+        let mut pops = 0;
+        while let Some(from) = sc.queue.pop_front() {
+            sc.queued[from] = false;
+            pops += 1;
             assert!(
-                rounds <= 100_000,
+                pops <= 100_000 * width,
                 "internal error: margin signature envelopes failed to converge"
             );
+            for &ai in cut.out_arcs(from) {
+                let to = arcs[ai].to - base;
+                scans += 1;
+                if self.relax_sigs(cut, sc, ai, to) && !sc.queued[to] {
+                    sc.queued[to] = true;
+                    sc.queue.push_back(to);
+                }
+            }
         }
+        for (bi, &b) in cut.exits.iter().enumerate() {
+            self.relax_sigs(cut, sc, b, width + bi);
+        }
+        let reached = sc.runs.iter().filter(|r| r.len > 0).count();
+        OBS_SIG_LINKS.add(sc.links.len() as u64);
+        OBS_SIG_SCANS.add(scans);
+        OBS_SIG_NODES.add(reached as u64);
+        OBS_SIG_ARCS.add(cut.num_out_arcs() as u64);
+        OBS_SIG_REFUSALS.add(sc.refused as u64);
+    }
+
+    /// The one relax step of the envelope pass: every line at the tail of
+    /// arena arc `ai`, extended by every line of the arc, is offered to
+    /// slot `to`. Returns whether `to`'s envelope changed.
+    fn relax_sigs(&self, cut: &Cut, sc: &mut EnvelopeScratch, ai: usize, to: usize) -> bool {
+        let arc = self.tg.arcs()[ai];
+        let mut changed = false;
+        let from = sc.runs[arc.from - cut.base];
+        // `to` is another slot (the CSR leaves self-loops out: they only
+        // lap a prefix cycle), so its inserts leave the tail's run alone.
+        for at in from.start..from.start + from.len {
+            let l = sc.lines[at];
+            for (pick, d) in self.arc_sigs(arc.kind).enumerate() {
+                let (f, b) = (l.f + d.f, l.b + d.b);
+                // Nothing is linked or rebuilt for a line that cannot win.
+                if !can_win(sc.envelope(to), f, b, cut.floor) {
+                    continue;
+                }
+                let last = sc.links.get(l.link).map(|k| self.last_step(k));
+                if let (Some(last), Some(first)) = (&last, &d.first) {
+                    if step_reverses(last, first) {
+                        sc.refused += 1;
+                        continue;
+                    }
+                }
+                let link = sc.links.len();
+                sc.links.push(TreeLink {
+                    parent: l.link,
+                    arc: ai,
+                    pick,
+                });
+                sc.insert(to, TreeLine { f, b, link }, cut.floor);
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// The last step of the path `link` ends.
+    fn last_step(&self, link: &TreeLink) -> CycleStep {
+        match self.tg.arcs()[link.arc].kind.step() {
+            Ok(step) => step,
+            Err(id) => *self.shortcuts[id].sigs[link.pick]
+                .path
+                .steps
+                .last()
+                .expect("a condensed path has steps"),
+        }
+    }
+
+    /// Spells out what the landing whose tree `sc` holds sees behind exit
+    /// `bi` of `cut`: the envelope of all its paths to the exit's head.
+    pub(super) fn exit_envelope(
+        &self,
+        cut: &Cut,
+        sc: &mut EnvelopeScratch,
+        bi: usize,
+    ) -> Vec<MarginSig> {
+        let arcs = self.tg.arcs();
+        let run = sc.runs[cut.w - cut.base + bi];
+        let mut sigs = Vec::with_capacity(run.len);
+        for at in run.start..run.start + run.len {
+            let line = sc.lines[at];
+            let mut link = line.link;
+            while let Some(k) = sc.links.get(link) {
+                sc.chain.push(link);
+                link = k.parent;
+            }
+            let mut path = Expansion::default();
+            while let Some(link) = sc.chain.pop() {
+                let TreeLink { arc, pick, .. } = sc.links[link];
+                let joint = self.proc_of[arcs[arc].from - cut.base];
+                path.push_arc(joint, arcs[arc].kind, |id| {
+                    &self.shortcuts[id].sigs[pick].path
+                });
+            }
+            sigs.push(MarginSig {
+                f: line.f,
+                b: line.b,
+                path,
+            });
+        }
+        sigs
     }
 
     /// The live window's best cycle strictly above the folded floor (at
@@ -484,11 +712,11 @@ impl IncrementalChecker {
     }
 }
 
-/// The probe ratio where the cost lines of `hi` and `lo` intersect, as a
-/// positive-denominator fraction. Requires `hi.f > lo.f`.
-fn sig_isect(hi: &Sig, lo: &Sig) -> (i128, i128) {
-    debug_assert!(hi.f > lo.f);
-    (hi.b - lo.b, hi.f - lo.f)
+/// The probe ratio where the cost lines `hi` and `lo`, as `(f, b)`,
+/// intersect, as a positive-denominator fraction. Requires `hi.f > lo.f`.
+fn isect(hi: (i128, i128), lo: (i128, i128)) -> (i128, i128) {
+    debug_assert!(hi.0 > lo.0);
+    (hi.1 - lo.1, hi.0 - lo.0)
 }
 
 /// `a ≤ b` for fractions with positive denominators.
@@ -497,20 +725,24 @@ fn frac_le(a: (i128, i128), b: (i128, i128)) -> bool {
     a.0 * b.1 <= b.0 * a.1
 }
 
-/// Rebuilds the lower envelope of the cost lines `x·f − b` over the closed
-/// probe-ratio interval `x ∈ [lo, ∞)` (`lo > 0`, as `(numerator,
-/// denominator)`): keeps exactly the signatures attaining the pointwise
-/// minimum on a nonempty open sub-interval (weak dominance — a line tying
-/// the minimum at one point only is dropped), deterministically preferring
-/// earlier candidates on exact `(f, b)` ties.
-pub(super) fn margin_envelope<'a>(mut lines: Vec<Sig<'a>>, lo: (i128, i128)) -> Vec<Sig<'a>> {
+/// Rebuilds, in place, the lower envelope of the cost lines `x·f − b` over
+/// the closed probe-ratio interval `x ∈ [lo, ∞)` (`lo > 0`, as
+/// `(numerator, denominator)`): keeps exactly the lines attaining the
+/// pointwise minimum on a nonempty open sub-interval (weak dominance — a
+/// line tying the minimum at one point only is dropped), deterministically
+/// preferring earlier candidates on exact `(f, b)` ties, and leaves them
+/// steepest first, each winning left of its successor, the first at `lo`.
+pub(super) fn margin_envelope<L: CostLine>(lines: &mut Vec<L>, lo: (i128, i128)) {
     if lines.len() <= 1 {
-        return lines;
+        return;
     }
     // Per slope only the lowest line (max `b`) can win; the stable sort
     // keeps the first-seen representative of exact ties.
-    lines.sort_by(|a, b| a.f.cmp(&b.f).then(b.b.cmp(&a.b)));
-    lines.dedup_by(|cur, kept| cur.f == kept.f);
+    lines.sort_by(|a, b| {
+        let ((af, ab), (bf, bb)) = (a.counts(), b.counts());
+        af.cmp(&bf).then(bb.cmp(&ab))
+    });
+    lines.dedup_by(|cur, kept| cur.counts().0 == kept.counts().0);
     // Steepest-first hull scan, in place: `lines[..kept]` is the hull so
     // far, each line winning an interval left of its successor's; a line
     // whose takeover point is not strictly right of its predecessor's
@@ -521,8 +753,8 @@ pub(super) fn margin_envelope<'a>(mut lines: Vec<Sig<'a>>, lo: (i128, i128)) -> 
         let line = lines[i];
         while kept >= 2
             && frac_le(
-                sig_isect(&lines[kept - 1], &line),
-                sig_isect(&lines[kept - 2], &lines[kept - 1]),
+                isect(lines[kept - 1].counts(), line.counts()),
+                isect(lines[kept - 2].counts(), lines[kept - 1].counts()),
             )
         {
             kept -= 1;
@@ -534,31 +766,35 @@ pub(super) fn margin_envelope<'a>(mut lines: Vec<Sig<'a>>, lo: (i128, i128)) -> 
     // Clip at `lo`: leading (steepest) lines already overtaken there never
     // win on the closed interval.
     let mut start = 0;
-    while start + 1 < lines.len() && frac_le(sig_isect(&lines[start], &lines[start + 1]), lo) {
+    while start + 1 < lines.len()
+        && frac_le(isect(lines[start].counts(), lines[start + 1].counts()), lo)
+    {
         start += 1;
     }
     lines.drain(..start);
-    lines
 }
 
-/// Whether some line of `sigs` costs no more than `x·f − b` at every
-/// `x > 0` — such a candidate (exact duplicates included) never improves
-/// the envelope.
-fn dominated(sigs: &[Sig], f: i128, b: i128) -> bool {
-    sigs.iter().any(|s| s.f <= f && s.b >= b)
-}
-
-/// Envelope-inserts `cand` into `sigs`; returns whether `cand` survived
-/// (improved the envelope somewhere on `[lo, ∞)`). Exact `(f, b)`
-/// duplicates keep the incumbent, so label-correcting passes cannot cycle
-/// through zero-cost loops.
-fn margin_envelope_insert<'a>(sigs: &mut Vec<Sig<'a>>, cand: Sig<'a>, lo: (i128, i128)) -> bool {
-    let key = (cand.f, cand.b);
-    if dominated(sigs, cand.f, cand.b) {
-        return false;
+/// Whether the line `x·f − b` is strictly below `envelope` (as
+/// [`margin_envelope`] leaves one) somewhere on `[lo, ∞)` — exactly when
+/// inserting it would keep it. Exact `(f, b)` duplicates cannot win, so
+/// label-correcting passes cannot cycle through zero-cost loops. Reads the
+/// counts only and allocates nothing: the line minus the envelope is
+/// convex, with its minimum where the envelope's slope falls below `f`.
+fn can_win(envelope: &[TreeLine], f: i128, b: i128, lo: (i128, i128)) -> bool {
+    let Some(j) = envelope.iter().position(|l| l.f <= f) else {
+        // Flatter than every line: it wins right of the last breakpoint.
+        return true;
+    };
+    let next = envelope[j];
+    if next.f == f {
+        return b > next.b;
     }
-    let mut lines = std::mem::take(sigs);
-    lines.push(cand);
-    *sigs = margin_envelope(lines, lo);
-    sigs.iter().any(|s| (s.f, s.b) == key)
+    // Steeper than `next` and flatter than the line before it: the two
+    // meet where it is lowest against them. Steepest of all: at `lo`,
+    // where the first line is the envelope.
+    let (num, den) = match j.checked_sub(1) {
+        Some(i) => isect(envelope[i].counts(), next.counts()),
+        None => lo,
+    };
+    num * f - den * b < num * next.f - den * next.b
 }

@@ -93,6 +93,7 @@ use crate::negcycle::NegCycle;
 use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
+use margin::EnvelopeScratch;
 use prune::{FrontierRow, ShortcutInfo};
 use repair::ConfirmCtx;
 
@@ -185,6 +186,9 @@ pub struct IncrementalChecker {
     /// Scratch of the kernel the frontier repairs run on: empty until the
     /// first, clean between them, kept by [`IncrementalChecker::reset`].
     kernel: NegCycle,
+    /// Scratch of the signature-envelope passes a tracked prune runs:
+    /// empty until the first, kept by [`IncrementalChecker::reset`].
+    envelopes: EnvelopeScratch,
     /// Latest event id of each process (survives pruning — it guards
     /// double-init and locates local predecessors).
     last_event: Vec<Option<usize>>,
@@ -234,6 +238,7 @@ impl IncrementalChecker {
             proc_of: Vec::new(),
             pot: Vec::new(),
             kernel: NegCycle::default(),
+            envelopes: EnvelopeScratch::default(),
             last_event: vec![None; num_processes],
             frontier_row: vec![None; num_processes],
             shortcuts: Vec::new(),
@@ -278,7 +283,8 @@ impl IncrementalChecker {
             tg,
             proc_of,
             pot,
-            kernel: _, // clean between repairs; its capacity is the point
+            kernel: _,    // clean between repairs; its capacity is the point
+            envelopes: _, // re-armed per landing; likewise
             last_event,
             frontier_row,
             shortcuts,
@@ -320,10 +326,10 @@ impl IncrementalChecker {
 
     /// What [`IncrementalChecker::reset`] keeps, summed: the capacity of
     /// every per-process and per-event column, of the arc arena, of the
-    /// shortcut table and of the kernel's scratch (not the mirror, which a
-    /// reset rebuilds). For "a re-armed monitor allocates nothing" tests,
-    /// here and in the crates that lend a monitor to one replay after
-    /// another.
+    /// shortcut table and of the kernel's and the prunes' scratch (not the
+    /// mirror, which a reset rebuilds). For "a re-armed monitor allocates
+    /// nothing" tests, here and in the crates that lend a monitor to one
+    /// replay after another.
     #[doc(hidden)]
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -333,6 +339,7 @@ impl IncrementalChecker {
             + self.proc_of.capacity()
             + self.pot.capacity()
             + self.kernel.capacity()
+            + self.envelopes.capacity()
             + self.last_event.capacity()
             + self.frontier_row.capacity()
             + self.shortcuts.capacity()
@@ -400,8 +407,8 @@ impl IncrementalChecker {
     /// the batch [`crate::check::max_relevant_cycle_ratio`] on the full
     /// (never-pruned) execution. Each prune then also runs the margin fold
     /// (a few cycle probes over the live window) and one signature-envelope
-    /// pass per boundary landing — a millisecond or two where an untracked
-    /// prune takes a few hundred microseconds; without it, margin queries on a
+    /// pass per boundary landing — two to three times the few hundred
+    /// microseconds of an untracked prune; without it, margin queries on a
     /// monitor whose mirror was dropped
     /// ([`IncrementalChecker::enable_pruning`]) are unavailable from its
     /// first prune on. The choice survives [`IncrementalChecker::reset`].

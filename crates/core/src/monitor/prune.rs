@@ -43,6 +43,18 @@
 //! and remaps the shortcut table. Wherever several composed paths end on
 //! the same live endpoint, `Candidate::absorb` decides: the lex-min path
 //! keeps the slot, every path's margin signatures join its envelope.
+//!
+//! What a cut computes it computes once. The internal arcs are indexed
+//! into **one CSR by tail** per cut, which every landing's envelope pass
+//! reads. A landing's envelope pass is **warm-started from its lex tree**:
+//! that tree is the parametric tree at `x = Ξ`, its arcs give every
+//! reached event a genuine path line to start on, and from any start made
+//! of genuine path lines the worklist ends in the envelope of all paths
+//! (the `margin` module has the argument, and the one junction rule that
+//! reads which path holds a line). And the composite `landing ⇝ exit` —
+//! the walk up the predecessor chain, its expansion, its envelope — is
+//! spelled **once per (landing, exit)**, in `landing_trees`; every entry
+//! arc and row that lands there composes with it by reference.
 
 use std::collections::hash_map::{Entry, HashMap};
 
@@ -50,7 +62,7 @@ use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::negcycle::Label;
 use crate::traversal::ArcKind;
 
-use super::margin::{margin_envelope, MarginSig, Sig, SigArena};
+use super::margin::{margin_envelope, EnvelopeScratch, MarginSig, Sig};
 use super::witness::Expansion;
 use super::{IncrementalChecker, Weight};
 
@@ -98,6 +110,12 @@ pub(super) struct Cut {
     pub(super) internal: Vec<usize>,
     entries: Vec<usize>,
     pub(super) exits: Vec<usize>,
+    /// The internal arcs as one CSR by tail, for every landing's envelope
+    /// pass: the out-arcs of prefix event `v` (windowed by `base`) are
+    /// `out[out_start[v]..out_start[v + 1]]`, in descending arena order,
+    /// self-loops left out.
+    out_start: Vec<usize>,
+    out: Vec<usize>,
     /// Prefix events that need a shortest-path tree: entry-arc heads,
     /// freshly pruned frontiers, stale row heads (none without exits).
     pub(super) landings: Vec<usize>,
@@ -108,19 +126,28 @@ pub(super) struct Cut {
     pub(super) floor: (i128, i128),
 }
 
-/// What each landing reaches inside the prefix.
-struct Trees {
-    /// Per landing: lex distances and predecessor arcs over the internal
-    /// arcs (windowed by the cut's `base`).
-    dists: Vec<Vec<Option<Weight>>>,
-    preds: Vec<Vec<Option<usize>>>,
-    /// Per landing and exit: the signature envelope of *all* paths
-    /// `landing ⇝ head(exit)` (empty when margin tracking is off).
-    exit_sigs: Vec<Vec<Vec<MarginSig>>>,
+impl Cut {
+    /// The internal out-arcs of prefix event `v` (windowed by `base`).
+    pub(super) fn out_arcs(&self, v: usize) -> &[usize] {
+        &self.out[self.out_start[v]..self.out_start[v + 1]]
+    }
+
+    /// How many arcs the CSR holds.
+    pub(super) fn num_out_arcs(&self) -> usize {
+        self.out.len()
+    }
 }
 
+/// What each landing reaches inside the prefix: per landing and exit, the
+/// composite `landing ⇝ head(exit)` going shortest-path inside the prefix
+/// then out through the exit arc (the landing itself stays excluded from
+/// the expansion's interior), with the signature envelope of *all* such
+/// paths when margins are tracked; `None` when the exit is out of the
+/// landing's reach. Spelled once per pair, whoever composes with it.
+type Trees = Vec<Vec<Option<ShortcutInfo>>>;
+
 /// A condensed path while a prune assembles it: a [`ShortcutInfo`] whose
-/// signature envelope is still links into the prune's [`SigArena`].
+/// signature envelope still borrows the paths it is composed of.
 struct Candidate<'a> {
     weight: Weight,
     path: Expansion,
@@ -136,28 +163,28 @@ impl<'a> Candidate<'a> {
         }
     }
 
-    /// `head · self`, meeting at an event of process `joint`; `head` is
+    /// `head · tail`, meeting at an event of process `joint`; `head` is
     /// given by its lex weight, its expansion and its signatures.
-    fn after(
-        self,
+    fn joined(
         weight: Weight,
         mut path: Expansion,
         sigs: impl Iterator<Item = Sig<'a>>,
         joint: ProcessId,
+        tail: &'a ShortcutInfo,
         floor: (i128, i128),
-        arena: &mut SigArena<'a>,
     ) -> Candidate<'a> {
-        path.extend(joint, &self.path);
+        path.extend(joint, &tail.path);
         let mut cands = Vec::new();
         for h in sigs {
-            for s in &self.sigs {
-                cands.extend(h.concat(Some(joint), s, arena));
+            for s in &tail.sigs {
+                cands.extend(h.concat(joint, s));
             }
         }
+        margin_envelope(&mut cands, floor);
         Candidate {
-            weight: weight.plus(self.weight),
+            weight: weight.plus(tail.weight),
             path,
-            sigs: margin_envelope(cands, floor),
+            sigs: cands,
         }
     }
 
@@ -168,7 +195,7 @@ impl<'a> Candidate<'a> {
     fn absorb(&mut self, other: Candidate<'a>, floor: (i128, i128)) {
         if !other.sigs.is_empty() {
             self.sigs.extend(other.sigs);
-            self.sigs = margin_envelope(std::mem::take(&mut self.sigs), floor);
+            margin_envelope(&mut self.sigs, floor);
         }
         if other.weight < self.weight {
             self.weight = other.weight;
@@ -176,12 +203,12 @@ impl<'a> Candidate<'a> {
         }
     }
 
-    /// Spells the surviving signatures out; the links end here.
-    fn spell(self, arena: &SigArena<'a>) -> ShortcutInfo {
+    /// Spells the surviving signatures out; the borrows end here.
+    fn spell(self) -> ShortcutInfo {
         ShortcutInfo {
             weight: self.weight,
             path: self.path,
-            sigs: self.sigs.iter().map(|s| s.materialize(arena)).collect(),
+            sigs: self.sigs.iter().map(Sig::materialize).collect(),
         }
     }
 }
@@ -288,14 +315,17 @@ impl IncrementalChecker {
     /// attach to frontier rows), so these condensations stay exact forever.
     fn condense_boundary(&mut self, w: usize) {
         let cut = self.classify_cut(w);
-        let trees = self.landing_trees(&cut);
+        // Lent to the trees for the prune, then back for the next one.
+        let mut scratch = std::mem::take(&mut self.envelopes);
+        let trees = self.landing_trees(&cut, &mut scratch);
+        self.envelopes = scratch;
         let slots = self.entry_exit_shortcuts(&cut, &trees);
         let rows = self.frontier_rows(&cut, &trees);
         self.install(w, slots, rows);
     }
 
     /// Classifies the arena against the cut and finds the landing points.
-    fn classify_cut(&self, w: usize) -> Cut {
+    pub(super) fn classify_cut(&self, w: usize) -> Cut {
         let base = self.tg.base();
         let mut cut = Cut {
             base,
@@ -303,6 +333,8 @@ impl IncrementalChecker {
             internal: Vec::new(),
             entries: Vec::new(),
             exits: Vec::new(),
+            out_start: vec![0; w - base + 1],
+            out: Vec::new(),
             landings: Vec::new(),
             landing_idx: vec![None; w - base],
             floor: self.margin_floor.unwrap_or((1, 1)),
@@ -317,6 +349,26 @@ impl IncrementalChecker {
         }
         if cut.exits.is_empty() {
             return cut;
+        }
+        if self.margin_tracking {
+            // Counting sort by tail, filled from the back of the arena.
+            let arcs = self.tg.arcs();
+            let inner = || {
+                let arcs = cut.internal.iter().rev().map(|&ai| (ai, arcs[ai]));
+                arcs.filter(|(_, a)| a.from != a.to)
+            };
+            for (_, a) in inner() {
+                cut.out_start[a.from - base + 1] += 1;
+            }
+            for v in 0..w - base {
+                cut.out_start[v + 1] += cut.out_start[v];
+            }
+            let mut next = cut.out_start.clone();
+            cut.out = vec![0; next[w - base]];
+            for (ai, a) in inner() {
+                cut.out[next[a.from - base]] = ai;
+                next[a.from - base] += 1;
+            }
         }
         let mut heads: Vec<usize> = Vec::new();
         heads.extend(cut.entries.iter().map(|&ai| self.tg.arcs()[ai].to));
@@ -340,62 +392,50 @@ impl IncrementalChecker {
 
     /// One shortest-path tree per landing, over the internal arcs only
     /// (same seeded pass as the confirmation's — settled prefixes
-    /// typically converge in a handful of rounds), and its parametric
-    /// companion when margins are tracked.
-    fn landing_trees(&self, cut: &Cut) -> Trees {
-        let mut trees = Trees {
-            dists: Vec::with_capacity(cut.landings.len()),
-            preds: Vec::with_capacity(cut.landings.len()),
-            exit_sigs: Vec::new(),
-        };
+    /// typically converge in a handful of rounds), its parametric
+    /// companion, started from that tree, when margins are tracked, and
+    /// what the two say about every exit.
+    fn landing_trees(&self, cut: &Cut, scratch: &mut EnvelopeScratch) -> Trees {
+        let arcs = self.tg.arcs();
+        let mut trees = Trees::with_capacity(cut.landings.len());
+        let mut chain = Vec::new();
         for &start in &cut.landings {
             let seed = [(start, (0, 0))];
             let (dist, pred, _) =
                 self.seeded_sssp(&cut.internal, cut.base, cut.w - cut.base, &seed);
-            trees.dists.push(dist);
-            trees.preds.push(pred);
-        }
-        if self.margin_tracking {
-            trees.exit_sigs = self.exit_envelopes(cut);
+            if self.margin_tracking {
+                self.margin_sig_sssp(cut, start, &pred, scratch);
+            }
+            let to_exit = |(bi, &b): (usize, &usize)| {
+                let exit_arc = arcs[b];
+                let d = dist[exit_arc.from - cut.base]?;
+                // The prune's one walk up a predecessor chain.
+                chain.clear();
+                chain.push(b);
+                let mut node = exit_arc.from;
+                while node != start {
+                    let ai = pred[node - cut.base].expect("reachable nodes have predecessors");
+                    chain.push(ai);
+                    node = arcs[ai].from;
+                }
+                let mut path = Expansion::default();
+                for &ai in chain.iter().rev() {
+                    let joint = self.proc_of[arcs[ai].from - cut.base];
+                    path.push_arc(joint, arcs[ai].kind, |id| &self.shortcuts[id].path);
+                }
+                let sigs = match self.margin_tracking {
+                    true => self.exit_envelope(cut, scratch, bi),
+                    false => Vec::new(),
+                };
+                Some(ShortcutInfo {
+                    weight: d.plus(self.arc_weight(exit_arc.kind)),
+                    path,
+                    sigs,
+                })
+            };
+            trees.push(cut.exits.iter().enumerate().map(to_exit).collect());
         }
         trees
-    }
-
-    /// The composite `landings[li] ⇝ head(exits[bi])` going shortest-path
-    /// inside the prefix then out through the exit arc (the landing itself
-    /// stays excluded from the expansion's interior); `None` when the exit
-    /// is out of the landing's reach.
-    fn path_to_exit<'a>(
-        &'a self,
-        cut: &Cut,
-        trees: &'a Trees,
-        li: usize,
-        bi: usize,
-    ) -> Option<Candidate<'a>> {
-        let arcs = self.tg.arcs();
-        let exit_arc = arcs[cut.exits[bi]];
-        let d = trees.dists[li][exit_arc.from - cut.base]?;
-        let mut chain = vec![cut.exits[bi]];
-        let mut node = exit_arc.from;
-        while node != cut.landings[li] {
-            let ai = trees.preds[li][node - cut.base].expect("reachable nodes have predecessors");
-            chain.push(ai);
-            node = arcs[ai].from;
-        }
-        let mut path = Expansion::default();
-        for &ai in chain.iter().rev() {
-            let joint = self.proc_of[arcs[ai].from - cut.base];
-            path.push_arc(joint, arcs[ai].kind, |id| &self.shortcuts[id].path);
-        }
-        let sigs = match trees.exit_sigs.get(li) {
-            Some(per_exit) => per_exit[bi].iter().map(Sig::stored).collect(),
-            None => Vec::new(),
-        };
-        Some(Candidate {
-            weight: d.plus(self.arc_weight(exit_arc.kind)),
-            path,
-            sigs,
-        })
     }
 
     /// Entry → exit shortcuts, one slot per live endpoint pair — shared
@@ -416,9 +456,7 @@ impl IncrementalChecker {
                 }
             }
         }
-        // Compositions link their signatures the way the trees do, and
-        // again only what survives every merge is spelled out, at the end.
-        let mut arena: SigArena = Vec::new();
+        // Only what survives every merge is spelled out, at the end.
         let mut keys: Vec<(usize, usize, Option<usize>)> = Vec::new();
         let mut linked: Vec<Candidate> = Vec::new();
         let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new();
@@ -426,8 +464,8 @@ impl IncrementalChecker {
             let entry = arcs[ea];
             let li = cut.landing_idx[entry.to - cut.base].expect("entry heads are landings");
             let ew = self.arc_weight(entry.kind);
-            for (bi, &b) in cut.exits.iter().enumerate() {
-                let Some(tail) = self.path_to_exit(cut, trees, li, bi) else {
+            for (tail, &b) in trees[li].iter().zip(&cut.exits) {
+                let Some(tail) = tail else {
                     continue;
                 };
                 let (from, to) = (entry.from, arcs[b].to);
@@ -445,7 +483,7 @@ impl IncrementalChecker {
                 head.push_arc(tail_proc, entry.kind, |id| &self.shortcuts[id].path);
                 let joint = self.proc_of[entry.to - cut.base];
                 let sigs = self.arc_sigs(entry.kind);
-                let cand = tail.after(ew, head, sigs, joint, cut.floor, &mut arena);
+                let cand = Candidate::joined(ew, head, sigs, joint, tail, cut.floor);
                 match slot_of.entry((from, to)) {
                     Entry::Occupied(e) => linked[*e.get()].absorb(cand, cut.floor),
                     Entry::Vacant(e) => {
@@ -457,7 +495,7 @@ impl IncrementalChecker {
                             // floor: re-cut it, then merge as ever.
                             Some(id) => {
                                 let mut kept = Candidate::stored(&self.shortcuts[id]);
-                                kept.sigs = margin_envelope(kept.sigs, cut.floor);
+                                margin_envelope(&mut kept.sigs, cut.floor);
                                 kept.absorb(cand, cut.floor);
                                 kept
                             }
@@ -471,7 +509,7 @@ impl IncrementalChecker {
             from,
             to,
             survivor,
-            info: c.spell(&arena),
+            info: c.spell(),
         };
         keys.into_iter().zip(linked).map(spell).collect()
     }
@@ -482,13 +520,15 @@ impl IncrementalChecker {
     /// falls below the cut.
     fn frontier_rows(&self, cut: &Cut, trees: &Trees) -> Vec<(usize, FrontierRow)> {
         let (base, w) = (cut.base, cut.w);
-        let exit_heads = || {
+        // What the landing at `v` reaches, by live exit head (without exits
+        // there are no landings at all, and nothing to reach).
+        let reach = |v: usize| {
+            let tails = cut.landing_idx[v - base].map_or(&[][..], |li| &trees[li][..]);
             let heads = cut.exits.iter().map(|&b| self.tg.arcs()[b].to);
-            heads.enumerate()
+            heads
+                .zip(tails)
+                .filter_map(|(head, tail)| Some((head, tail.as_ref()?)))
         };
-        // Looked up per exit: without exits there are no landings at all.
-        let landing = |v: usize| cut.landing_idx[v - base].expect("row tails are landings");
-        let mut arena: SigArena = Vec::new();
         let mut rows = Vec::new();
         for p in 0..self.num_processes {
             let mut outs: Vec<(usize, Candidate)> = Vec::new();
@@ -498,10 +538,8 @@ impl IncrementalChecker {
             };
             let label = match (self.last_event[p], &self.frontier_row[p]) {
                 (Some(le), _) if le >= base && le < w => {
-                    for (bi, head) in exit_heads() {
-                        if let Some(cand) = self.path_to_exit(cut, trees, landing(le), bi) {
-                            keep(head, cand);
-                        }
+                    for (head, tail) in reach(le) {
+                        keep(head, Candidate::stored(tail));
                     }
                     self.pot[le - base]
                 }
@@ -512,14 +550,11 @@ impl IncrementalChecker {
                             continue;
                         }
                         let joint = self.proc_of[out.head - base];
-                        for (bi, head) in exit_heads() {
-                            let li = landing(out.head);
-                            let Some(tail) = self.path_to_exit(cut, trees, li, bi) else {
-                                continue;
-                            };
+                        for (head, tail) in reach(out.head) {
                             let sigs = out.info.sigs.iter().map(Sig::stored);
                             let (weight, path) = (out.info.weight, out.info.path.clone());
-                            let cand = tail.after(weight, path, sigs, joint, cut.floor, &mut arena);
+                            let cand =
+                                Candidate::joined(weight, path, sigs, joint, tail, cut.floor);
                             keep(head, cand);
                         }
                     }
@@ -529,7 +564,7 @@ impl IncrementalChecker {
             };
             let spell = |(head, c): (usize, Candidate)| RowOut {
                 head,
-                info: c.spell(&arena),
+                info: c.spell(),
             };
             let outs = outs.into_iter().map(spell).collect();
             rows.push((p, FrontierRow { label, outs }));

@@ -1,6 +1,11 @@
+use super::margin::{margin_envelope, CostLine};
+use super::prune::Cut;
 use super::*;
 use crate::check;
+use crate::cycle::{CycleStep, ShadowEdge};
+use crate::maxratio::step_reverses;
 use abc_rational::Ratio;
+use proptest::prelude::*;
 
 /// Replays the batch-test "two chains" shape through the monitor.
 fn stream_two_chain(hops: usize, xi: &Xi) -> IncrementalChecker {
@@ -487,7 +492,7 @@ fn assert_margin_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi) 
                 (_, None) => {}
             }
         }
-        pruned.prune_settled(Some(EventId(total.saturating_sub(HORIZON))));
+        prune_checked(&mut pruned, Some(EventId(total.saturating_sub(HORIZON))));
     }
 }
 
@@ -569,7 +574,7 @@ fn margin_floor_survives_pruning_the_witness_away() {
         let (_, r) = plain.append_send(cur, to);
         pruned.append_send(cur, to);
         cur = r;
-        pruned.prune_settled(Some(cur));
+        prune_checked(&mut pruned, Some(cur));
         let m = pruned.current_margin().unwrap().expect("floor persists");
         assert_eq!(m.ratio, three, "round {round}");
         let w = m.witness.expect("floor keeps its witness");
@@ -725,7 +730,7 @@ fn a_second_identical_document_after_reset_grows_no_capacity() {
     let run = |mon: &mut IncrementalChecker| {
         feed_script(mon, 6, &script, |mon, total| {
             if total % 64 == 0 {
-                mon.prune_settled(Some(EventId(total - 3)));
+                prune_checked(mon, Some(EventId(total - 3)));
             }
         });
         (
@@ -788,7 +793,7 @@ fn reset_keeps_the_mode_choices_and_takes_topology_and_xi_anew() {
     mon.reset(3, &wide).unwrap();
     assert!(mon.builder.is_none() && mon.margin_tracking);
     feed_script(&mut mon, 3, &script, |mon, total| {
-        mon.prune_settled(Some(EventId(total - 3)));
+        prune_checked(mon, Some(EventId(total - 3)));
     });
     assert_eq!(
         mon.current_margin().unwrap().map(|m| m.ratio),
@@ -878,5 +883,281 @@ fn a_repair_leaves_the_unique_fixpoint_or_latches() {
     assert!(
         converged > 200 && latched > 400,
         "{converged} converged repairs, {latched} latches"
+    );
+}
+
+/// A line of the reference pass: counts and boundary steps, no path.
+#[derive(Clone, Copy, Debug)]
+struct ColdLine {
+    f: i128,
+    b: i128,
+    first: Option<CycleStep>,
+    last: Option<CycleStep>,
+}
+
+impl CostLine for ColdLine {
+    fn counts(&self) -> (i128, i128) {
+        (self.f, self.b)
+    }
+}
+
+impl ColdLine {
+    /// The lines one live arc offers: its step, or its stored envelope.
+    fn of_arc(mon: &IncrementalChecker, kind: ArcKind) -> Vec<ColdLine> {
+        match (kind.step(), kind.counts()) {
+            (Ok(step), Ok((f, b))) => vec![ColdLine {
+                f,
+                b,
+                first: Some(step),
+                last: Some(step),
+            }],
+            _ => {
+                let ArcKind::Shortcut(id) = kind else {
+                    unreachable!("plain arcs have a step and counts")
+                };
+                let line = |s: &margin::MarginSig| ColdLine {
+                    f: s.f,
+                    b: s.b,
+                    first: s.path.steps.first().copied(),
+                    last: s.path.steps.last().copied(),
+                };
+                mon.shortcuts[id].sigs.iter().map(line).collect()
+            }
+        }
+    }
+
+    /// `self · d`, unless the junction reverses a message.
+    fn then(&self, d: &ColdLine) -> Option<ColdLine> {
+        if let (Some(last), Some(first)) = (&self.last, &d.first) {
+            if step_reverses(last, first) {
+                return None;
+            }
+        }
+        Some(ColdLine {
+            f: self.f + d.f,
+            b: self.b + d.b,
+            first: self.first.or(d.first),
+            last: d.last.or(self.last),
+        })
+    }
+}
+
+/// The envelope pass as it was before it became a warm-started worklist,
+/// kept as the oracle: cold from the landing, every internal arc in
+/// descending arena order round after round until nothing changes, the
+/// weak dominance pre-check, then a full rebuild per candidate. Returns,
+/// per exit of `cut`, the sorted `(f, b)` lines of `start ⇝ head(exit)`,
+/// and how many junctions it refused for reversing a message although
+/// their line would have been kept.
+fn cold_exit_lines(
+    mon: &IncrementalChecker,
+    cut: &Cut,
+    start: usize,
+) -> (Vec<Vec<(i128, i128)>>, usize) {
+    let (base, floor) = (cut.base, cut.floor);
+    let arcs = mon.tg.arcs();
+    let insert = |set: &mut Vec<ColdLine>, cand: ColdLine| {
+        if set.iter().any(|s| s.f <= cand.f && s.b >= cand.b) {
+            return false;
+        }
+        set.push(cand);
+        margin_envelope(set, floor);
+        set.iter().any(|s| s.counts() == cand.counts())
+    };
+    let mut refused = 0;
+    // `l · d`, or a refusal counted if the line would have been kept.
+    let mut joined = |l: &ColdLine, d: &ColdLine, target: &[ColdLine]| {
+        let cand = l.then(d);
+        if cand.is_none() {
+            let line = ColdLine {
+                f: l.f + d.f,
+                b: l.b + d.b,
+                ..*l
+            };
+            refused += usize::from(insert(&mut target.to_vec(), line));
+        }
+        cand
+    };
+    let mut labels: Vec<Vec<ColdLine>> = vec![Vec::new(); cut.w - base];
+    labels[start - base] = vec![ColdLine {
+        f: 0,
+        b: 0,
+        first: None,
+        last: None,
+    }];
+    for round in 0.. {
+        assert!(round <= 100_000, "the reference pass failed to converge");
+        let mut changed = false;
+        for &ai in cut.internal.iter().rev() {
+            let arc = arcs[ai];
+            let (from, to) = (arc.from - base, arc.to - base);
+            if from == to {
+                continue;
+            }
+            for l in labels[from].clone() {
+                for d in ColdLine::of_arc(mon, arc.kind) {
+                    if let Some(cand) = joined(&l, &d, &labels[to]) {
+                        changed |= insert(&mut labels[to], cand);
+                    }
+                }
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    let mut per_exit = |&b: &usize| {
+        let mut cands = Vec::new();
+        for l in &labels[arcs[b].from - base] {
+            for d in ColdLine::of_arc(mon, arcs[b].kind) {
+                let cand = joined(l, &d, &cands);
+                cands.extend(cand);
+            }
+        }
+        margin_envelope(&mut cands, floor);
+        let mut lines: Vec<_> = cands.iter().map(ColdLine::counts).collect();
+        lines.sort_unstable();
+        lines
+    };
+    let lines = cut.exits.iter().map(&mut per_exit).collect();
+    (lines, refused)
+}
+
+/// What the oracle compared, in (landing, start tree) passes: how many had
+/// to equal the reference line for line, and how many were let off because
+/// a pass had refused a junction whose line could win.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Compared {
+    exact: usize,
+    refused: usize,
+}
+
+/// The differential oracle of the envelope pass, run on the state a
+/// tracked `prune_settled(watermark)` would condense. Every path the pass
+/// spells has its line's counts and never reverses a message on the spot;
+/// and per landing and exit the pass ends in exactly the reference's
+/// `(f, b)` lines — from the landing's own lex tree, and from another
+/// landing's, since any genuine path lines are a valid start — unless one
+/// of the two refused a junction whose line could win: that decision
+/// reads which path holds a line, the scan order's choice, and only
+/// passes that never took it share the one fixpoint.
+fn assert_envelopes_match_the_cold_pass(
+    mon: &IncrementalChecker,
+    watermark: Option<EventId>,
+) -> Compared {
+    let mut compared = Compared::default();
+    let total = mon.tg.total_nodes();
+    let w = watermark.map_or(total, |e| e.0.min(total));
+    if w <= mon.tg.base() || mon.violation.is_some() || !mon.margin_tracking {
+        return compared;
+    }
+    let mut mon = mon.clone();
+    mon.fold_margin_floor().expect("small windows fold");
+    let cut = mon.classify_cut(w);
+    let tree = |start: usize| {
+        let seed = [(start, (0, 0))];
+        mon.seeded_sssp(&cut.internal, cut.base, w - cut.base, &seed)
+            .1
+    };
+    let mut scratch = margin::EnvelopeScratch::default();
+    let mut lines_after = |start: usize, pred: &[Option<usize>]| {
+        mon.margin_sig_sssp(&cut, start, pred, &mut scratch);
+        let refused = scratch.refused;
+        let per_exit = |bi: usize| {
+            let sigs = mon.exit_envelope(&cut, &mut scratch, bi);
+            for s in &sigs {
+                let steps = &s.path.steps;
+                let messages = |against: bool| {
+                    let counted = steps.iter().filter(|step| {
+                        matches!(step.edge, ShadowEdge::Message(_)) && step.against == against
+                    });
+                    counted.count() as i128
+                };
+                assert_eq!((messages(false), messages(true)), (s.f, s.b), "{s:?}");
+                assert!(
+                    steps
+                        .windows(2)
+                        .all(|pair| !step_reverses(&pair[0], &pair[1])),
+                    "{s:?}"
+                );
+                assert_eq!(s.path.procs.len() + 1, steps.len(), "{s:?}");
+            }
+            let mut lines: Vec<_> = sigs.iter().map(|s| (s.f, s.b)).collect();
+            lines.sort_unstable();
+            lines
+        };
+        let lines = (0..cut.exits.len()).map(per_exit).collect::<Vec<_>>();
+        (lines, refused)
+    };
+    for (li, &start) in cut.landings.iter().enumerate() {
+        let (cold, cold_refused) = cold_exit_lines(&mon, &cut, start);
+        let other = cut.landings[(li + 1) % cut.landings.len()];
+        for from in [start, other] {
+            let (warm, warm_refused) = lines_after(start, &tree(from));
+            if cold_refused + warm_refused > 0 {
+                compared.refused += 1;
+                continue;
+            }
+            assert_eq!(warm, cold, "landing e{start} from the tree of e{from}");
+            compared.exact += 1;
+        }
+    }
+    compared
+}
+
+/// `prune_settled`, after the envelope oracle has seen what it condenses;
+/// returns what the oracle compared.
+fn prune_checked(mon: &mut IncrementalChecker, watermark: Option<EventId>) -> Compared {
+    let compared = assert_envelopes_match_the_cold_pass(mon, watermark);
+    mon.prune_settled(watermark);
+    compared
+}
+
+/// The warm-started worklist pass against the cold round-based one, at
+/// every prune of random scripts: cadences 1–4 and horizons 1–4 give
+/// regions with shortcut arcs, surviving shortcuts and stale rows, and Ξ
+/// decides how far below it the floor leaves the envelopes open. Counts
+/// what it compared, so that "equal line sets" is known to have been
+/// asserted and not let off.
+#[test]
+fn envelope_lines_equal_the_cold_passes_at_every_prune() {
+    use std::cell::Cell;
+    let (exact, refused) = (Cell::new(0), Cell::new(0));
+    let script = proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40);
+    let xi = (2i64..8, 1i64..5).prop_filter("Xi > 1", |(num, den)| num > den);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(192),
+        (2usize..5, script, xi, 1usize..5, 1usize..5),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "envelope_lines_equal_the_cold_passes_at_every_prune",
+        |(n, script, (num, den), cadence, horizon)| {
+            let mut mon = IncrementalChecker::new(n, &Xi::from_fraction(num, den)).unwrap();
+            mon.enable_pruning();
+            mon.enable_margin_tracking();
+            for p in 0..n {
+                mon.append_init(ProcessId(p));
+            }
+            let mut total = n;
+            for (step, &(back, to)) in script.iter().enumerate() {
+                // Sends only name one of the last `horizon` events, so the
+                // watermark below is an honest promise.
+                let from = EventId(total - 1 - back % horizon.min(total));
+                mon.append_send(from, ProcessId(to % n));
+                total += 1;
+                if step % cadence == 0 {
+                    let watermark = Some(EventId(total.saturating_sub(horizon)));
+                    let compared = prune_checked(&mut mon, watermark);
+                    exact.set(exact.get() + compared.exact);
+                    refused.set(refused.get() + compared.refused);
+                }
+            }
+            Ok(())
+        },
+    );
+    let (exact, refused) = (exact.get(), refused.get());
+    assert!(
+        exact > 2_000 && exact > 4 * refused,
+        "{exact} passes compared line for line, {refused} let off"
     );
 }

@@ -69,10 +69,13 @@ pub struct ServerConfig {
     pub max_processes: usize,
     /// `Some(h)` with `h ≥ 1`: per-document monitors run in bounded-memory
     /// mode, pruning their settled prefix so at most ~`2·h` events stay
-    /// live. Clients must not name send events older than `h` behind the
-    /// frontier (the pruning contract — violations get a parse error, not
-    /// a dropped server). `None` (the default) keeps the exact unbounded
-    /// behavior; `Some(0)` is rejected by [`start`].
+    /// live (a third more than the oldest declared, undelivered message
+    /// is old, when that is more: a prune costs the whole window, so a
+    /// session prunes only what frees a quarter of it). Clients must not
+    /// name send events older than `h` behind the frontier (the pruning
+    /// contract — violations get a parse error, not a dropped server).
+    /// `None` (the default) keeps the exact unbounded behavior; `Some(0)`
+    /// is rejected by [`start`].
     pub prune_horizon: Option<usize>,
     /// Early-warning threshold (`abc serve --warn-margin P/Q`): when a
     /// session's exact synchrony margin reaches this ratio, its

@@ -419,8 +419,9 @@ struct ReplyHalf {
     v2: bool,
     xi: Xi,
     max_processes: usize,
-    /// Bounded-memory monitoring: prune each document's checker so at most
-    /// ~`2·horizon` events stay live (`None` = exact unbounded mode).
+    /// Bounded-memory monitoring: prune each document's checker once more
+    /// than `2·horizon` events are live and the honest watermark frees a
+    /// quarter of them (`None` = exact unbounded mode).
     prune_horizon: Option<usize>,
     /// Early-warning margin threshold (see
     /// [`ServerConfig::warn_margin`]).
@@ -1219,7 +1220,16 @@ impl ReplyHalf {
                             self.reply_fmt(format_args!("ok {seq}\n"));
                         }
                         if let Some((h, watermark)) = prune {
-                            if mon.live_events() > 2 * h.max(1) {
+                            // A prune costs `O(live)` (a margin fold and a
+                            // classification of the whole window), so it
+                            // must free `Ω(live)`: a watermark trailing the
+                            // frontier by more than `2·h` — one delivery
+                            // that late, which the ABC model permits — would
+                            // otherwise make every event a prune that frees
+                            // one event.
+                            let live = mon.live_events();
+                            let frees = || watermark.saturating_sub(mon.stats().events - live);
+                            if live > 2 * h.max(1) && frees() >= live / 4 {
                                 mon.prune_settled(Some(EventId(watermark)));
                                 let at = self.lines_in;
                                 if let Some(fx) = self.forensics.as_mut() {
@@ -1641,6 +1651,76 @@ mod tests {
             lines.join("\n")
         );
         Trace::from_text(&text).expect("a well-formed ring")
+    }
+
+    /// A conveyor over three processes as a stream document: every message
+    /// is declared when it is sent and delivered `delay` events later (the
+    /// inits send the first `delay`), so the oldest pending send — and with
+    /// it the honest watermark — trails the frontier by `delay` events from
+    /// the first event to the last.
+    fn conveyor_doc(events: usize, delay: usize) -> String {
+        assert!(delay % 3 == 1, "a message goes to the next process");
+        let mut doc = format!(
+            "abc-trace v1\nprocesses 3\nfaulty\nevents {}\nmessages {}\n",
+            events + 3,
+            events + delay
+        );
+        // Event `r` happens at time `r`, on process `r % 3`; the message
+        // it receives is number `r - 3`. The last `delay` stay in flight.
+        let send = |doc: &mut String, from: usize, r: usize| {
+            let (p, to) = (from % 3, r % 3);
+            match r < events + 3 {
+                true => doc.push_str(&format!("m {p} {to} {from} {r} {from} {r}\n")),
+                false => doc.push_str(&format!("m {p} {to} {from} - {from} -\n")),
+            }
+        };
+        for init in 0..3 {
+            doc.push_str(&format!("e {init} {init} {init} - 0 - 1\n"));
+        }
+        for r in 3..3 + delay {
+            send(&mut doc, (r + 2) % 3, r);
+        }
+        for r in 3..3 + events {
+            doc.push_str(&format!("e {r} {} {r} {} 0 - 0\n", r % 3, r - 3));
+            send(&mut doc, r, r + delay);
+        }
+        doc.push_str("end\n");
+        doc
+    }
+
+    /// A delivery more than `2·h` events late makes the watermark trail
+    /// the frontier; pruning whenever `2·h` events are live then prunes at
+    /// every event, a whole-window fold and classification to free one
+    /// event. A session prunes only what frees a quarter of the window:
+    /// same replies as the unbounded session, a bounded number of prunes.
+    #[test]
+    fn a_trailing_watermark_does_not_make_every_event_a_prune() {
+        const H: usize = 8;
+        let events = 240;
+        let body = format!("xi 100\n{}", conveyor_doc(events, 3 * H + 1));
+        let quiet = |horizon| ServerConfig {
+            warn_margin: None,
+            ..config(horizon, true)
+        };
+        let unbounded = run(&quiet(None), &[body.as_bytes()]);
+        let bounded = run(&quiet(Some(H)), &[body.as_bytes()]);
+        assert!(
+            unbounded
+                .replies
+                .ends_with(&format!("end admissible events={}\n", events + 3)),
+            "{}",
+            unbounded.replies
+        );
+        assert_eq!(bounded.replies, unbounded.replies);
+        assert_eq!(bounded.totals, unbounded.totals);
+        let [bundle] = &bounded.bundles[..] else {
+            panic!("one request dump, got {}", bounded.bundles.len());
+        };
+        let prunes = bundle.matches("prune watermark=").count();
+        assert!(
+            (10..=events / (H / 4)).contains(&prunes),
+            "{prunes} prunes over {events} events:\n{bundle}"
+        );
     }
 
     /// The document's stream text with a `margin` request after every
