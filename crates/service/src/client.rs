@@ -1,7 +1,7 @@
 //! Client helpers: stream a trace document to a server (`abc feed`) and
 //! the multi-connection load generator (`abc loadgen`).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 use abc_core::Xi;
 
 use crate::proto::{Reply, Verdict, PROTO_V2_OK, PROTO_V2_REQUEST};
+use crate::readiness::{wait, PollFd};
 
 /// One on-demand margin sample received while feeding (the reply to an
 /// interleaved `margin` request / margin record).
@@ -66,120 +67,221 @@ fn connect(addr: &str) -> Result<TcpStream, String> {
     })
 }
 
-fn read_greeting(reader: &mut impl BufRead, addr: &str) -> Result<(), String> {
-    let mut greeting = String::new();
-    reader
-        .read_line(&mut greeting)
-        .map_err(|e| format!("{addr}: reading greeting: {e}"))?;
-    // Prefix match so clients keep working across greeting evolutions
-    // (v1 said `abc-service v1`, v2 advertises its framings).
-    if !greeting.starts_with("abc-service v") {
-        return Err(format!(
-            "{addr}: unexpected greeting {:?} (not an abc-service?)",
-            greeting.trim_end()
-        ));
-    }
-    Ok(())
+/// Initial size of a connection's reply buffer (it doubles if a single
+/// reply line — a long witness — outgrows it).
+const REPLY_BUF_LEN: usize = 64 * 1024;
+
+/// One data connection as the client sees it: a non-blocking socket and
+/// the reply bytes read from it but not yet handed out as lines. Every
+/// byte moves through [`Wire::exchange`].
+struct Wire {
+    stream: TcpStream,
+    /// `buf[start..end]` holds reply bytes not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
-/// Completes the `proto v2` handshake: requests the binary framing and
-/// waits for the server's go-ahead before any frame bytes are written
-/// (bytes pipelined behind the request would be misread as text).
-fn negotiate_binary(
-    stream: &TcpStream,
-    reader: &mut impl BufRead,
-    addr: &str,
-) -> Result<(), String> {
-    {
-        let mut w = stream;
-        w.write_all(format!("{PROTO_V2_REQUEST}\n").as_bytes())
-            .map_err(|e| format!("{addr}: requesting proto v2: {e}"))?;
+impl Wire {
+    /// Connects, checks the greeting and — for `binary` — negotiates the
+    /// v2 framing, waiting for the server's go-ahead before any frame
+    /// bytes are written (bytes pipelined behind the request would be
+    /// misread as text).
+    fn open(addr: &str, binary: bool) -> Result<Wire, String> {
+        let stream = connect(addr)?;
+        stream
+            .set_nonblocking(true)
+            .map_err(|e| format!("{addr}: {e}"))?;
+        let mut wire = Wire {
+            stream,
+            buf: vec![0; REPLY_BUF_LEN],
+            start: 0,
+            end: 0,
+        };
+        // Prefix match so clients keep working across greeting evolutions
+        // (v1 said `abc-service v1`, v2 advertises its framings).
+        wire.exchange(&[], &[], |greeting| {
+            if greeting.starts_with("abc-service v") {
+                Ok(Some(()))
+            } else {
+                Err(format!(
+                    "unexpected greeting {greeting:?} (not an abc-service?)"
+                ))
+            }
+        })
+        .map_err(|e| format!("{addr}: {e}"))?;
+        if binary {
+            let request = format!("{PROTO_V2_REQUEST}\n");
+            wire.exchange(request.as_bytes(), &[], |line| {
+                if line == PROTO_V2_OK {
+                    Ok(Some(()))
+                } else {
+                    Err(format!("server refused binary framing: {line:?}"))
+                }
+            })
+            .map_err(|e| format!("{addr}: {e}"))?;
+        }
+        Ok(wire)
     }
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("{addr}: reading proto v2 reply: {e}"))?;
-    if line.trim_end() != PROTO_V2_OK {
-        return Err(format!(
-            "{addr}: server refused binary framing: {:?}",
-            line.trim_end()
-        ));
-    }
-    Ok(())
-}
 
-/// Streams one document (already in wire form — stream-ordered text from
-/// [`abc_sim::Trace::to_stream_text`] or binary frames from
-/// [`abc_sim::Trace::to_stream_binary`]) over an open connection and reads
-/// replies until the verdict. The document is written from a companion
-/// thread while replies are drained concurrently, so arbitrarily large
-/// documents cannot deadlock on filled socket buffers.
-fn feed_document(
-    stream: &TcpStream,
-    reader: &mut impl BufRead,
-    doc: &[u8],
-) -> Result<FeedOutcome, String> {
-    let started = Instant::now();
-    type Progress = (Verdict, usize, usize, Vec<Duration>, Vec<MarginSample>);
-    let (verdict, oks, acked_events, ack_latencies, margins) =
-        std::thread::scope(|scope| -> Result<Progress, String> {
-            let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-            let writer_thread = scope.spawn(move || -> Result<(), String> {
-                writer
-                    .write_all(doc)
-                    .map_err(|e| format!("writing document: {e}"))?;
-                writer.flush().map_err(|e| format!("flush: {e}"))
-            });
-            let mut line = String::new();
-            let mut oks = 0usize;
-            let mut acked = 0usize;
-            let mut gaps = Vec::new();
-            let mut margins = Vec::new();
-            let mut last = started;
-            let verdict = loop {
-                line.clear();
-                let n = reader
-                    .read_line(&mut line)
-                    .map_err(|e| format!("reading reply: {e}"))?;
-                if n == 0 {
-                    return Err("server closed the connection before a verdict".into());
+    /// The next complete reply line (without its line end), if one is
+    /// buffered.
+    fn take_line(&mut self) -> Result<Option<&str>, String> {
+        let unread = self.buf.get(self.start..self.end).unwrap_or(&[]);
+        let Some(len) = unread.iter().position(|&b| b == b'\n') else {
+            return Ok(None);
+        };
+        let line = unread.get(..len).unwrap_or(&[]);
+        self.start += len + 1;
+        std::str::from_utf8(line)
+            .map(|l| Some(l.trim_end()))
+            .map_err(|e| format!("reading reply: {e}"))
+    }
+
+    /// One `read` into the free end of the buffer (making room first:
+    /// consumed bytes go, and a line that fills the buffer doubles it).
+    fn fill(&mut self) -> std::io::Result<usize> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.end == self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.end == self.buf.len() {
+                self.buf.resize(self.end * 2, 0);
+            }
+        }
+        let n = self
+            .stream
+            .read(self.buf.get_mut(self.end..).unwrap_or(&mut []))?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The one loop every byte of a connection moves through: writes
+    /// `head` then `body` while the socket takes bytes, reads replies while
+    /// there are any, and hands each complete reply line to `on_line` until
+    /// it returns a result — single-threaded, blocking only in
+    /// [`wait`], asking for writability only while bytes remain.
+    ///
+    /// It cannot deadlock on full socket buffers, by construction: it
+    /// never waits for room to write without also waiting for replies to
+    /// read, so a server that stops reading until its replies are taken
+    /// (`OUT_SOFT_CAP`) always finds them taken. A reply that ends the
+    /// exchange early (`error …`, or a verdict) is returned at once; the
+    /// unwritten rest stays unwritten. A failed write is reported only if
+    /// no such reply explains it: what the server said before it hung up
+    /// is still read.
+    fn exchange<T>(
+        &mut self,
+        head: &[u8],
+        body: &[u8],
+        mut on_line: impl FnMut(&str) -> Result<Option<T>, String>,
+    ) -> Result<T, String> {
+        let total = head.len() + body.len();
+        let mut written = 0usize;
+        let mut write_error = None;
+        let mut entry = PollFd::new(&self.stream);
+        // An exchange starts with room to write more often than not, so
+        // the first round tries before asking; every later round acts on
+        // what the wait reported, once, and asks again.
+        let (mut readable, mut writable) = (false, true);
+        loop {
+            if writable && written < total && write_error.is_none() {
+                let h = head.get(written.min(head.len())..).unwrap_or(&[]);
+                let b = body
+                    .get(written.saturating_sub(head.len())..)
+                    .unwrap_or(&[]);
+                match (&self.stream).write_vectored(&[IoSlice::new(h), IoSlice::new(b)]) {
+                    Ok(n) => written += n,
+                    Err(e) if is_transient(&e) => {}
+                    Err(e) => write_error = Some(e),
                 }
-                match Reply::parse(&line)? {
-                    Reply::Ok { seq } => {
-                        oks += 1;
-                        acked = acked.max(seq + 1);
-                        let now = Instant::now();
-                        gaps.push(now - last);
-                        last = now;
+            }
+            if readable {
+                match self.fill() {
+                    Ok(0) => {
+                        return Err(match write_error {
+                            Some(e) => format!("writing document: {e}"),
+                            None => "server closed the connection before a verdict".into(),
+                        })
                     }
-                    Reply::Ack { through } => {
-                        oks += 1;
-                        acked = acked.max(through + 1);
-                        let now = Instant::now();
-                        gaps.push(now - last);
-                        last = now;
-                    }
-                    Reply::Violation { .. } => {}
-                    Reply::Margin { ratio, witness } => {
-                        margins.push(MarginSample { ratio, witness });
-                    }
-                    Reply::End(v) => break v,
-                    Reply::Error { message } => return Err(format!("server error: {message}")),
+                    Ok(_) => {}
+                    Err(e) if is_transient(&e) => {}
+                    Err(e) => return Err(format!("reading reply: {e}")),
                 }
-            };
-            writer_thread
-                .join()
-                .map_err(|_| "writer thread panicked".to_string())??;
-            Ok((verdict, oks, acked, gaps, margins))
+            }
+            while let Some(line) = self.take_line()? {
+                if let Some(done) = on_line(line)? {
+                    return Ok(done);
+                }
+            }
+            entry.set_interest(true, written < total && write_error.is_none());
+            wait(std::slice::from_mut(&mut entry), None);
+            (readable, writable) = (entry.readable(), entry.writable());
+        }
+    }
+
+    /// Streams one document (already in wire form — stream-ordered text
+    /// from [`abc_sim::Trace::to_stream_text`] or binary frames from
+    /// [`abc_sim::Trace::to_stream_binary`]) behind `head` (the `xi`
+    /// selection, before a connection's first document) and reads replies
+    /// until the verdict. [`FeedOutcome::latency`] runs from just before
+    /// the first write to the verdict.
+    fn feed_document(&mut self, head: &[u8], doc: &[u8]) -> Result<FeedOutcome, String> {
+        let started = Instant::now();
+        let mut last = started;
+        let (mut oks, mut acked_events) = (0usize, 0usize);
+        let mut ack_latencies = Vec::new();
+        let mut margins = Vec::new();
+        let verdict = self.exchange(head, doc, |line| {
+            match Reply::parse(line)? {
+                Reply::Ok { seq: through } | Reply::Ack { through } => {
+                    oks += 1;
+                    acked_events = acked_events.max(through + 1);
+                    let now = Instant::now();
+                    ack_latencies.push(now - last);
+                    last = now;
+                }
+                Reply::Violation { .. } => {}
+                Reply::Margin { ratio, witness } => {
+                    margins.push(MarginSample { ratio, witness });
+                }
+                Reply::End(v) => return Ok(Some(v)),
+                Reply::Error { message } => return Err(format!("server error: {message}")),
+            }
+            Ok(None)
         })?;
-    Ok(FeedOutcome {
-        verdict,
-        margins,
-        oks,
-        acked_events,
-        ack_latencies,
-        latency: started.elapsed(),
-    })
+        Ok(FeedOutcome {
+            verdict,
+            margins,
+            oks,
+            acked_events,
+            ack_latencies,
+            latency: started.elapsed(),
+        })
+    }
+}
+
+/// `WouldBlock` after a readiness report (spurious, or the first
+/// optimistic write) and `Interrupted` both mean: wait and try again.
+fn is_transient(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+    )
+}
+
+/// The bytes that select `xi` on a fresh connection: a text line, or an
+/// in-band `xi` record frame once v2 is negotiated. They draw no reply, so
+/// they travel as the head of the connection's first document.
+fn xi_selection(xi: &Xi, binary: bool) -> Vec<u8> {
+    if binary {
+        abc_sim::binio::xi_frame(&xi.to_string())
+    } else {
+        format!("xi {xi}\n").into_bytes()
+    }
 }
 
 /// Connects to `addr`, selects `xi`, streams one document, and returns
@@ -189,15 +291,7 @@ fn feed_document(
 ///
 /// Connection, protocol, or server-reported errors as readable text.
 pub fn feed_stream_text(addr: &str, xi: &Xi, doc: &str) -> Result<FeedOutcome, String> {
-    let stream = connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    read_greeting(&mut reader, addr)?;
-    {
-        let mut w = &stream;
-        w.write_all(format!("xi {xi}\n").as_bytes())
-            .map_err(|e| format!("writing xi: {e}"))?;
-    }
-    feed_document(&stream, &mut reader, doc.as_bytes())
+    Wire::open(addr, false)?.feed_document(&xi_selection(xi, false), doc.as_bytes())
 }
 
 /// Connects to `addr`, negotiates the v2 binary framing, selects `xi`
@@ -210,16 +304,7 @@ pub fn feed_stream_text(addr: &str, xi: &Xi, doc: &str) -> Result<FeedOutcome, S
 /// Connection, negotiation, protocol, or server-reported errors as
 /// readable text.
 pub fn feed_stream_binary(addr: &str, xi: &Xi, doc: &[u8]) -> Result<FeedOutcome, String> {
-    let stream = connect(addr)?;
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-    read_greeting(&mut reader, addr)?;
-    negotiate_binary(&stream, &mut reader, addr)?;
-    {
-        let mut w = &stream;
-        w.write_all(&abc_sim::binio::xi_frame(&xi.to_string()))
-            .map_err(|e| format!("writing xi: {e}"))?;
-    }
-    feed_document(&stream, &mut reader, doc)
+    Wire::open(addr, true)?.feed_document(&xi_selection(xi, true), doc)
 }
 
 /// One document of a load-generation run.
@@ -387,19 +472,8 @@ pub fn run_loadgen(
         for conn_idx in 0..connections {
             let next = &next;
             handles.push(scope.spawn(move || -> WorkerOut {
-                let stream = connect(addr)?;
-                let mut reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
-                read_greeting(&mut reader, addr)?;
-                if binary {
-                    negotiate_binary(&stream, &mut reader, addr)?;
-                    let mut w = &stream;
-                    w.write_all(&abc_sim::binio::xi_frame(&xi.to_string()))
-                        .map_err(|e| format!("writing xi: {e}"))?;
-                } else {
-                    let mut w = &stream;
-                    w.write_all(format!("xi {xi}\n").as_bytes())
-                        .map_err(|e| format!("writing xi: {e}"))?;
-                }
+                let mut wire = Wire::open(addr, binary)?;
+                let mut head = xi_selection(xi, binary);
                 let mut outcomes = Vec::new();
                 let mut gaps = Vec::new();
                 loop {
@@ -420,8 +494,10 @@ pub fn run_loadgen(
                     } else {
                         doc.text.as_bytes()
                     };
-                    let fed = feed_document(&stream, &mut reader, payload)
+                    let fed = wire
+                        .feed_document(&head, payload)
                         .map_err(|e| format!("document {}: {e}", doc.label))?;
+                    head.clear();
                     gaps.extend_from_slice(&fed.ack_latencies);
                     outcomes.push(DocOutcome {
                         doc_index: i,

@@ -16,7 +16,10 @@
 //! tokio, no mio): a listener thread accepts connections and hands each to
 //! one of a fixed pool of **shard workers** (connection id → shard over
 //! `std::sync::mpsc`); each worker drives its connections with
-//! non-blocking reads/writes. The split is sans-IO: the connection driver
+//! non-blocking reads/writes and, when none can move a byte, blocks in one
+//! hand-declared `poll(2)` (`readiness`) until one can or somebody wakes
+//! it — no thread of the server ticks, and the client's feed loop sleeps
+//! in the same call. The split is sans-IO: the connection driver
 //! in [`server`] is the only code that touches a data socket — it owns the
 //! stream, the per-tick read budget and the byte counters, and reads
 //! through the one buffer its shard lends every connection in turn
@@ -67,6 +70,7 @@
 //! | [`client`] | [`client::feed_stream_text`] / [`client::feed_stream_binary`] (`abc feed`), [`client::run_loadgen`] (`abc loadgen`), [`client::status_command`] |
 //! | [`metrics`] | named counter/gauge/histogram registry; human status page + Prometheus text exposition; per-session margin gauges |
 //! | [`forensics`] | violation-forensics bundles: byte-reproducible capture at latch / on `dump`, parser + pretty renderer (`abc inspect`) |
+//! | `readiness` | (internal) `poll(2)` by hand: the wait set, `wait(set, deadline)`, and the socket-pair `Waker` every blocked thread is reached through |
 //! | [`signals`] | SIGINT → stop-flag hook |
 //!
 //! The `abc` CLI (in `abc-harness`) exposes all of it: `abc serve`,
@@ -89,6 +93,7 @@ pub mod client;
 pub mod forensics;
 pub mod metrics;
 pub mod proto;
+mod readiness;
 pub mod server;
 mod session;
 pub mod signals;

@@ -15,6 +15,33 @@
 //! its framing state, and a busy shard stops allocating per document.
 //! The shared session table (`Arc<Mutex<…>>`) holds only status-page
 //! metadata, with per-session counters as atomics.
+//!
+//! # Who blocks on what, and who wakes whom
+//!
+//! No thread ticks: each blocks in `readiness::wait` (`poll(2)`) with no
+//! deadline until a socket of its own can move a byte or its waker fires,
+//! so an idle server — with no connection or with a thousand — runs
+//! nothing at all.
+//!
+//! | Thread | Blocks on | Woken by |
+//! |---|---|---|
+//! | `abc-shard-N` | its waker + one entry per connection it owns | the accept thread (after the hand-off `send`), [`ServerHandle::request_stop`] / [`ServerHandle::join`] / status `shutdown` (after the stop store), [`ServerHandle::request_forensics_dump`] / status `dump` (after the epoch bump) |
+//! | `abc-accept` | the data listener + its waker | the stop store |
+//! | `abc-status` | the status listener + its waker | the stop store; while a `shutdown` reply waits for the shards, each shard's exit (after its `shards_done` increment) |
+//!
+//! Every wake follows the store or send it announces, and a woken thread
+//! drains its waker before it re-reads that state (`Control`), so a
+//! change is either seen by this look or wakes the next wait.
+//!
+//! `poll(2)` is level-triggered, so a connection's interest mirrors its
+//! session exactly: readability is asked for only while
+//! `Session::wants_bytes` (not after EOF or a fatal error, not while the
+//! peer leaves the reply queue above its soft cap) and writability only
+//! while `Session::pending` is non-zero. Asking for more — readability
+//! after EOF, writability with nothing queued — is a condition that stays
+//! true while nothing consumes it, and the shard would spin on it; asking
+//! for less would strand bytes. `crates/service/tests/readiness.rs` pins
+//! both by count (`service.shard_wakeups`, `service.read_would_block`).
 
 use std::collections::BTreeMap;
 use std::io::{IoSlice, Read, Write};
@@ -29,11 +56,21 @@ use abc_core::Xi;
 use abc_rational::Ratio;
 
 use crate::metrics::{self, Metrics, MARGIN_NONE};
+use crate::readiness::{wait, PollFd, Waker};
 use crate::session::{DocSpares, Session, SessionCounters};
 
-/// How long idle loops sleep between polls. Accept latency and shutdown
-/// latency are bounded by this; busy loops never sleep.
-const IDLE_POLL: Duration = Duration::from_micros(500);
+// Flight-recorder counters (no-ops unless the embedding process called
+// `abc_obs::enable`). The first two are what an idle horde must not move.
+static OBS_SHARD_WAKEUPS: abc_obs::CounterDef = abc_obs::CounterDef::new("service.shard_wakeups");
+static OBS_READ_WOULD_BLOCK: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("service.read_would_block");
+static OBS_ACCEPT_ERRORS: abc_obs::CounterDef = abc_obs::CounterDef::new("service.accept_errors");
+
+/// How long the accept thread stands back after an `accept` that failed
+/// for a reason other than "nothing to accept" (`EMFILE` when descriptors
+/// run out): the listener stays readable, so without a pause the
+/// level-triggered wait would return at once, for ever.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Reads per tick per connection, so one firehose client cannot starve its
 /// shard siblings within a single scheduling round.
@@ -210,24 +247,87 @@ fn lock_table(
     table.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// What the server's threads share besides metrics and the session table:
+/// the state a blocked thread may be asked to look at, and the wakers that
+/// announce it. The discipline is one rule in two halves — *publish, then
+/// wake*; *drain, then look* (see [`crate::readiness`]).
+struct Control {
+    stop: AtomicBool,
+    /// Bumped once per forensics-dump request; each shard tracks the last
+    /// epoch it acted on and dumps all its sessions when it changes.
+    dump_epoch: AtomicU64,
+    /// Shards that have fully exited (final counters flushed); the status
+    /// port's `shutdown` reply waits on this before rendering its final
+    /// snapshot.
+    shards_done: AtomicUsize,
+    /// One per shard, by shard index.
+    shard_wakers: Vec<Waker>,
+    accept_waker: Waker,
+    status_waker: Waker,
+}
+
+impl Control {
+    fn new(shards: usize) -> std::io::Result<Control> {
+        Ok(Control {
+            stop: AtomicBool::new(false),
+            dump_epoch: AtomicU64::new(0),
+            shards_done: AtomicUsize::new(0),
+            shard_wakers: (0..shards)
+                .map(|_| Waker::new())
+                .collect::<Result<_, _>>()?,
+            accept_waker: Waker::new()?,
+            status_waker: Waker::new()?,
+        })
+    }
+
+    /// Whether every shard has exited and flushed its final counters.
+    fn shards_drained(&self) -> bool {
+        // ordering: Acquire pairs with each shard's Release increment
+        // after its final counter flush — `true` here means those final
+        // writes are visible to the caller.
+        self.shards_done.load(Ordering::Acquire) >= self.shard_wakers.len()
+    }
+
+    fn stopping(&self) -> bool {
+        // ordering: Acquire pairs with the Release store in request_stop,
+        // making everything the stopper did first visible here. The flag
+        // is cold (read once per wake-up), so strength costs nothing.
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Initiates graceful shutdown (idempotent) and tells every thread.
+    fn request_stop(&self) {
+        // ordering: Release publishes the shutdown decision — any thread
+        // whose Acquire load sees `true` also sees writes made before the
+        // request. The wakes follow the store: a thread that drained its
+        // waker before this store blocks again and is woken by these.
+        self.stop.store(true, Ordering::Release);
+        self.shard_wakers.iter().for_each(Waker::wake);
+        self.accept_waker.wake();
+        self.status_waker.wake();
+    }
+
+    /// Asks every shard for a forensics bundle of each live session.
+    fn request_dump(&self) {
+        // Relaxed: the epoch is a pure signal — each shard dumps from its
+        // own thread-local session state, so no cross-thread data rides
+        // on this store. The wakes follow it, as for the stop flag.
+        self.dump_epoch.fetch_add(1, Ordering::Relaxed);
+        self.shard_wakers.iter().for_each(Waker::wake);
+    }
+}
+
 /// A running server: bound addresses, shared metrics, and the join/stop
 /// handle. Dropping the handle does *not* stop the server; call
-/// [`ServerHandle::join`] (or [`ServerHandle::request_stop`] from another
-/// owner of the stop flag).
+/// [`ServerHandle::join`] or [`ServerHandle::request_stop`], or send the
+/// status port `shutdown` — the server's threads block until told, so
+/// there is no flag to set behind their back.
 pub struct ServerHandle {
     addr: SocketAddr,
     status_addr: SocketAddr,
     metrics: Arc<Metrics>,
     table: SessionTable,
-    stop: Arc<AtomicBool>,
-    /// Bumped once per forensics-dump request; each shard tracks the last
-    /// epoch it acted on and dumps all its sessions when it changes.
-    dump_epoch: Arc<AtomicU64>,
-    /// Shards that have fully exited (final counters flushed); the status
-    /// port's `shutdown` reply waits on this before rendering its final
-    /// snapshot.
-    shards_done: Arc<AtomicUsize>,
-    shards: usize,
+    control: Arc<Control>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -250,29 +350,17 @@ impl ServerHandle {
         &self.metrics
     }
 
-    /// A clone of the stop flag (setting it initiates graceful shutdown;
-    /// the status port's `shutdown` command sets the same flag).
-    #[must_use]
-    pub fn stop_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.stop)
-    }
-
-    /// Whether shutdown has been initiated.
+    /// Whether shutdown has been initiated (by [`ServerHandle::request_stop`]
+    /// or the status port's `shutdown` command).
     #[must_use]
     pub fn is_stopping(&self) -> bool {
-        // ordering: Acquire pairs with the Release store in request_stop /
-        // the status port's `shutdown`, making everything the stopper did
-        // first visible here. The flag is cold, so strength costs nothing.
-        self.stop.load(Ordering::Acquire)
+        self.control.stopping()
     }
 
     /// Requests graceful shutdown (idempotent): stop accepting, flush
     /// pending replies, close sessions, exit all threads.
     pub fn request_stop(&self) {
-        // ordering: Release publishes the shutdown decision — any thread
-        // whose Acquire load sees `true` also sees writes made before the
-        // request. One cold store; documents the teardown happens-before.
-        self.stop.store(true, Ordering::Release);
+        self.control.request_stop();
     }
 
     /// Requests shutdown and joins every server thread.
@@ -287,22 +375,16 @@ impl ServerHandle {
     /// counters (only ever true once shutdown was requested).
     #[must_use]
     pub fn shards_drained(&self) -> bool {
-        // ordering: Acquire pairs with each shard's Release increment
-        // after its final counter flush — `true` here means those final
-        // writes are visible to the caller.
-        self.shards_done.load(Ordering::Acquire) >= self.shards
+        self.control.shards_drained()
     }
 
     /// Asks every shard to write a forensics bundle for each of its live
     /// sessions (the programmatic twin of the status port's `dump`
     /// command). No-op unless the server was configured with
     /// [`ServerConfig::forensics_dir`]. Dumps happen asynchronously on
-    /// the shard threads, within one scheduling round.
+    /// the shard threads, which are woken for it.
     pub fn request_forensics_dump(&self) {
-        // Relaxed: the epoch is a pure signal — each shard dumps from its
-        // own thread-local session state, so no cross-thread data rides
-        // on this store.
-        self.dump_epoch.fetch_add(1, Ordering::Relaxed);
+        self.control.request_dump();
     }
 }
 
@@ -337,10 +419,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let metrics = Arc::new(Metrics::new());
     let table: SessionTable = Arc::new(Mutex::new(BTreeMap::new()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let dump_epoch = Arc::new(AtomicU64::new(0));
-    let shards_done = Arc::new(AtomicUsize::new(0));
     let shards = config.shards.max(1);
+    let control = Arc::new(Control::new(shards)?);
 
     let mut threads = Vec::new();
     let mut senders: Vec<Sender<NewConn>> = Vec::new();
@@ -350,57 +430,33 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let config = config.clone();
         let metrics = Arc::clone(&metrics);
         let table = Arc::clone(&table);
-        let stop = Arc::clone(&stop);
-        let dump_epoch = Arc::clone(&dump_epoch);
-        let shards_done = Arc::clone(&shards_done);
+        let control = Arc::clone(&control);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("abc-shard-{shard}"))
-                .spawn(move || {
-                    shard_loop(
-                        &rx,
-                        &config,
-                        &metrics,
-                        &table,
-                        &stop,
-                        &dump_epoch,
-                        &shards_done,
-                    );
-                })?,
+                .spawn(move || shard_loop(shard, &rx, &config, &metrics, &table, &control))?,
         );
     }
 
     {
         let metrics = Arc::clone(&metrics);
         let table = Arc::clone(&table);
-        let stop = Arc::clone(&stop);
+        let control = Arc::clone(&control);
         threads.push(
             std::thread::Builder::new()
                 .name("abc-accept".into())
-                .spawn(move || accept_loop(&listener, &senders, &metrics, &table, &stop))?,
+                .spawn(move || accept_loop(&listener, &senders, &metrics, &table, &control))?,
         );
     }
 
     {
         let metrics = Arc::clone(&metrics);
         let table = Arc::clone(&table);
-        let stop = Arc::clone(&stop);
-        let dump_epoch = Arc::clone(&dump_epoch);
-        let shards_done = Arc::clone(&shards_done);
+        let control = Arc::clone(&control);
         threads.push(
             std::thread::Builder::new()
                 .name("abc-status".into())
-                .spawn(move || {
-                    status_loop(
-                        &status_listener,
-                        &metrics,
-                        &table,
-                        &stop,
-                        &dump_epoch,
-                        &shards_done,
-                        shards,
-                    );
-                })?,
+                .spawn(move || status_loop(&status_listener, &metrics, &table, &control))?,
         );
     }
 
@@ -409,10 +465,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         status_addr,
         metrics,
         table,
-        stop,
-        dump_epoch,
-        shards_done,
-        shards,
+        control,
         threads,
     })
 }
@@ -447,62 +500,88 @@ struct NewConn {
     counters: SessionCounters,
 }
 
+/// The one listener loop, for the data port and the status port alike:
+/// blocks on `listener` and `waker`, hands every connection the backlog
+/// holds to `serve`, and returns once shutdown is requested.
+fn accept_until_stopped(
+    listener: &TcpListener,
+    waker: &Waker,
+    control: &Control,
+    mut serve: impl FnMut(TcpStream, SocketAddr),
+) {
+    let mut listening = PollFd::new(listener);
+    listening.set_interest(true, false);
+    let mut set = [waker.entry(), listening];
+    // Drain, then look: the flag is re-read only behind a drained waker.
+    while !control.stopping() {
+        wait(&mut set, None);
+        waker.drain();
+        while !control.stopping() {
+            match listener.accept() {
+                Ok((stream, peer)) => serve(stream, peer),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // Out of descriptors, most likely. The backlog keeps
+                    // the listener readable, so stand back instead of
+                    // spinning, leave a count, and keep accepting.
+                    OBS_ACCEPT_ERRORS.add(1);
+                    std::thread::sleep(ACCEPT_BACKOFF);
+                    break;
+                }
+            }
+        }
+    }
+}
+
 fn accept_loop(
     listener: &TcpListener,
     senders: &[Sender<NewConn>],
     metrics: &Arc<Metrics>,
     table: &SessionTable,
-    stop: &AtomicBool,
+    control: &Control,
 ) {
     let mut next_id = 0u64;
-    // ordering: Acquire pairs with the Release store of the stop flag so
-    // shutdown-time writes are visible once the loop observes `true`.
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let id = next_id;
-                next_id += 1;
-                let shard_count = senders.len().max(1) as u64;
-                let Ok(shard) = usize::try_from(id % shard_count) else {
-                    continue; // unreachable: the remainder fits a usize
-                };
-                let Some(sender) = senders.get(shard) else {
-                    continue; // unreachable: shard < senders.len()
-                };
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                let counters = SessionCounters::new();
-                lock_table(table).insert(
-                    id,
-                    SessionMeta {
-                        peer: peer.to_string(),
-                        shard,
-                        counters: counters.clone(),
-                    },
-                );
-                // A send can only fail if the shard already exited, which
-                // only happens during shutdown — drop the connection then.
-                if sender
-                    .send(NewConn {
-                        id,
-                        stream,
-                        counters,
-                    })
-                    .is_err()
-                {
-                    lock_table(table).remove(&id);
-                    metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IDLE_POLL);
-            }
-            Err(_) => std::thread::sleep(IDLE_POLL),
+    accept_until_stopped(listener, &control.accept_waker, control, |stream, peer| {
+        let id = next_id;
+        next_id += 1;
+        let shard_count = senders.len().max(1) as u64;
+        let Ok(shard) = usize::try_from(id % shard_count) else {
+            return; // unreachable: the remainder fits a usize
+        };
+        let (Some(sender), Some(waker)) = (senders.get(shard), control.shard_wakers.get(shard))
+        else {
+            return; // unreachable: shard < senders.len()
+        };
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
-    }
+        let _ = stream.set_nodelay(true);
+        metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        let counters = SessionCounters::new();
+        lock_table(table).insert(
+            id,
+            SessionMeta {
+                peer: peer.to_string(),
+                shard,
+                counters: counters.clone(),
+            },
+        );
+        // A send can only fail if the shard already exited, which only
+        // happens during shutdown — drop the connection then. The wake
+        // follows the send it announces.
+        let conn = NewConn {
+            id,
+            stream,
+            counters,
+        };
+        if sender.send(conn).is_ok() {
+            waker.wake();
+        } else {
+            lock_table(table).remove(&id);
+            metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
+        }
+    });
 }
 
 /// One data connection: the socket and the session the bytes belong to.
@@ -517,13 +596,13 @@ struct Conn {
 }
 
 impl Conn {
-    /// Drives the connection once: write pending replies, read whatever
-    /// arrived into the session, write again. Returns whether any byte
-    /// moved (the shard loop sleeps only when nothing did). `shard` is what
-    /// the owning shard lends every connection in turn.
-    fn tick(&mut self, metrics: &Metrics, shard: &mut ShardState) -> bool {
+    /// Drives the connection once: write pending replies, and if the
+    /// socket came back `readable`, read what arrived into the session and
+    /// write again. Returns whether any byte moved. `shard` is what the
+    /// owning shard lends every connection in turn.
+    fn tick(&mut self, readable: bool, metrics: &Metrics, shard: &mut ShardState) -> bool {
         let mut work = self.write_replies(metrics);
-        if !self.dead && self.session.wants_bytes() {
+        if readable && !self.dead && self.session.wants_bytes() {
             work |= self.read_requests(metrics, shard);
             work |= self.write_replies(metrics);
         }
@@ -531,6 +610,12 @@ impl Conn {
             self.dead = true;
         }
         work
+    }
+
+    /// Asks the shard's next wait for exactly what [`Conn::tick`] would act
+    /// on (see the module docs).
+    fn arm(&self, entry: &mut PollFd) {
+        entry.set_interest(self.session.wants_bytes(), self.session.pending() > 0);
     }
 
     fn read_requests(&mut self, metrics: &Metrics, shard: &mut ShardState) -> bool {
@@ -549,11 +634,17 @@ impl Conn {
                     // (this connection's or a sibling's) overwrites them.
                     self.session
                         .feed(read_buf.get(..n).unwrap_or(&[]), metrics, spares);
-                    if !self.session.wants_bytes() {
+                    // A short read emptied the socket: the wait, not a
+                    // `read` that comes back empty-handed, says when there
+                    // is more.
+                    if n < read_buf.len() || !self.session.wants_bytes() {
                         break;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    OBS_READ_WOULD_BLOCK.add(1);
+                    break;
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.dead = true;
@@ -605,130 +696,110 @@ struct ShardState {
 }
 
 fn shard_loop(
+    shard: usize,
     rx: &Receiver<NewConn>,
     config: &ServerConfig,
     metrics: &Arc<Metrics>,
     table: &SessionTable,
-    stop: &AtomicBool,
-    dump_epoch: &AtomicU64,
-    shards_done: &AtomicUsize,
+    control: &Control,
 ) {
+    let Some(waker) = control.shard_wakers.get(shard) else {
+        return; // unreachable: one waker per shard
+    };
     let mut conns: Vec<Conn> = Vec::new();
+    // The wait set: the waker first, then `set[i + 1]` for `conns[i]`.
+    let mut set = vec![waker.entry()];
     let mut state = ShardState {
         read_buf: vec![0u8; READ_BUF_LEN].into_boxed_slice(),
         spares: DocSpares::new(),
     };
-    let mut seen_epoch = dump_epoch.load(Ordering::Relaxed);
-    // Idle backoff: yield to the scheduler for a bounded number of rounds
-    // before sleeping `IDLE_POLL`. On loaded single-core hosts this keeps a
-    // just-fed session's wake-up latency at scheduler granularity instead
-    // of paying the full poll interval at every document start.
-    const YIELD_ROUNDS: u32 = 64;
-    let mut idle_rounds: u32 = 0;
-    loop {
-        // ordering: Acquire pairs with the Release store of the stop flag
-        // (see request_stop) — teardown writes are visible once seen.
-        let stopping = stop.load(Ordering::Acquire);
+    let mut seen_epoch = control.dump_epoch.load(Ordering::Relaxed);
+    let mut stopping = false;
+    while !stopping {
+        wait(&mut set, None);
+        OBS_SHARD_WAKEUPS.add(1);
         let mut work = false;
-        while let Ok(conn) = rx.try_recv() {
-            if stopping {
-                // Refuse late arrivals during shutdown.
-                lock_table(table).remove(&conn.id);
-                metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                continue;
+        // Whether some connection of this round is to be dropped.
+        let mut reap = false;
+        if set.first().is_some_and(PollFd::ready) {
+            // Drain, then look: whatever is published after these reads
+            // has its own wake still to come.
+            waker.drain();
+            stopping = control.stopping();
+            while let Ok(conn) = rx.try_recv() {
+                if stopping {
+                    // Refuse late arrivals during shutdown.
+                    lock_table(table).remove(&conn.id);
+                    metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                let mut conn = Conn {
+                    stream: conn.stream,
+                    session: Session::new(conn.id, config, conn.counters),
+                    dead: false,
+                };
+                // The greeting goes out now; the entry (not ready in this
+                // round) asks for whatever that left to do.
+                work |= conn.tick(false, metrics, &mut state);
+                reap |= conn.dead;
+                let mut entry = PollFd::new(&conn.stream);
+                conn.arm(&mut entry);
+                set.push(entry);
+                conns.push(conn);
             }
-            conns.push(Conn {
-                stream: conn.stream,
-                session: Session::new(conn.id, config, conn.counters),
-                dead: false,
-            });
-            work = true;
-        }
-        // Relaxed: the epoch is a pure signal (see request_forensics_dump);
-        // all dumped state is owned by this thread.
-        let epoch = dump_epoch.load(Ordering::Relaxed);
-        if epoch != seen_epoch {
-            seen_epoch = epoch;
-            for c in &mut conns {
-                c.session.dump_forensics("request", metrics);
+            // Relaxed: the epoch is a pure signal (see Control::request_dump);
+            // all dumped state is owned by this thread.
+            let epoch = control.dump_epoch.load(Ordering::Relaxed);
+            if epoch != seen_epoch {
+                seen_epoch = epoch;
+                for c in &mut conns {
+                    c.session.dump_forensics("request", metrics);
+                }
             }
-            work = true;
         }
-        for c in &mut conns {
-            work |= c.tick(metrics, &mut state);
+        // Only what came back ready — on the way out, everything once
+        // more: a last read and flush before the connections drop.
+        for (c, entry) in conns.iter_mut().zip(set.iter_mut().skip(1)) {
+            if entry.ready() || stopping {
+                work |= c.tick(entry.readable() || stopping, metrics, &mut state);
+                c.arm(entry);
+                reap |= c.dead;
+            }
         }
-        if work && !conns.is_empty() {
+        if work {
             // One shard-queue-depth sample per round that did work — the
             // loadgen/forensics view of how loaded this shard is.
             abc_obs::sample("service.shard_sessions", conns.len() as u64);
         }
-        conns.retain_mut(|c| {
-            if c.dead {
-                c.session.close(&mut state.spares);
-                lock_table(table).remove(&c.session.id());
-                metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-                work = true;
-                false
-            } else {
-                true
-            }
-        });
-        if stopping {
-            // Graceful: one more flush round already happened via tick();
-            // drop whatever remains.
-            for c in conns.drain(..) {
-                lock_table(table).remove(&c.session.id());
-                metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            }
-            // ordering: Release pairs with the Acquire loads in
-            // shards_drained / the status port's shutdown wait — whoever
-            // sees this shard counted also sees its final counter flushes
-            // and table removals above.
-            shards_done.fetch_add(1, Ordering::Release);
-            break;
-        }
-        if work {
-            idle_rounds = 0;
-        } else {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds <= YIELD_ROUNDS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_POLL);
+        if reap || stopping {
+            for i in (0..conns.len()).rev() {
+                if stopping || conns.get(i).is_some_and(|c| c.dead) {
+                    let mut c = conns.swap_remove(i);
+                    set.swap_remove(i + 1);
+                    c.session.close(&mut state.spares);
+                    lock_table(table).remove(&c.session.id());
+                    metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }
+    // ordering: Release pairs with the Acquire loads in shards_drained /
+    // the status port's shutdown wait — whoever sees this shard counted
+    // also sees its final counter flushes and table removals above. The
+    // wake follows the increment it announces.
+    control.shards_done.fetch_add(1, Ordering::Release);
+    control.status_waker.wake();
 }
 
 fn status_loop(
     listener: &TcpListener,
     metrics: &Arc<Metrics>,
     table: &SessionTable,
-    stop: &AtomicBool,
-    dump_epoch: &AtomicU64,
-    shards_done: &AtomicUsize,
-    shards: usize,
+    control: &Control,
 ) {
-    // ordering: Acquire pairs with the Release store of the stop flag.
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                handle_status_conn(
-                    stream,
-                    metrics,
-                    table,
-                    stop,
-                    dump_epoch,
-                    shards_done,
-                    shards,
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IDLE_POLL);
-            }
-            Err(_) => std::thread::sleep(IDLE_POLL),
-        }
-    }
+    accept_until_stopped(listener, &control.status_waker, control, |stream, _| {
+        handle_status_conn(stream, metrics, table, control);
+    });
 }
 
 /// Snapshot of the session table taken under [`lock_table`] and rendered
@@ -852,15 +923,11 @@ fn render_prometheus_status(metrics: &Metrics, rows: &[(u64, SessionMeta)]) -> S
 /// receives a plaintext response. `shutdown` waits (bounded) for every
 /// shard to exit and then appends a final counter/gauge snapshot to its
 /// reply, so the last scrape a client sees reflects all flushed work.
-#[allow(clippy::too_many_arguments)]
 fn handle_status_conn(
     mut stream: TcpStream,
     metrics: &Arc<Metrics>,
     table: &SessionTable,
-    stop: &AtomicBool,
-    dump_epoch: &AtomicU64,
-    shards_done: &AtomicUsize,
-    shards: usize,
+    control: &Control,
 ) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
@@ -884,22 +951,26 @@ fn handle_status_conn(
     let command = String::from_utf8_lossy(&line);
     let command = command.lines().next().unwrap_or("").trim();
     let response = if command == "shutdown" {
-        // ordering: Release — same contract as ServerHandle::request_stop.
-        stop.store(true, Ordering::Release);
+        control.request_stop();
         // Final-snapshot flush: wait (bounded — a wedged shard must not
         // wedge the reply) for every shard to exit, then append the final
-        // counter/gauge state to the acknowledgement.
+        // counter/gauge state to the acknowledgement. Each exiting shard
+        // wakes this thread after counting itself.
         let deadline = Instant::now() + Duration::from_secs(2);
-        // ordering: Acquire pairs with each shard's Release increment, so
-        // the snapshot below sees the shards' final counter flushes.
-        while shards_done.load(Ordering::Acquire) < shards && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        let mut exits = [control.status_waker.entry()];
+        loop {
+            // Drain, then look — so the snapshot below sees the shards'
+            // final counter flushes (Control::shards_drained's Acquire).
+            control.status_waker.drain();
+            if control.shards_drained() || Instant::now() >= deadline {
+                break;
+            }
+            wait(&mut exits, Some(deadline));
         }
         let rows = snapshot_sessions(table);
         format!("ok shutting down\n{}", render_human_status(metrics, &rows))
     } else if command == "dump" {
-        // Relaxed: pure signal (see ServerHandle::request_forensics_dump).
-        dump_epoch.fetch_add(1, Ordering::Relaxed);
+        control.request_dump();
         "ok forensics dump requested\n".to_string()
     } else if command.is_empty() || command == "metrics" {
         // Formatting happens strictly after the table lock is dropped

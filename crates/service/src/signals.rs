@@ -1,6 +1,7 @@
 //! Minimal SIGINT hook — no `libc` crate in the offline build, so the C
-//! `signal(2)` entry point is declared directly (the only unsafe code in
-//! the workspace, confined to this module).
+//! `signal(2)` entry point is declared directly (one of the workspace's
+//! two `unsafe` blocks, each confined to its module; the other is the
+//! `poll(2)` call in `readiness`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
