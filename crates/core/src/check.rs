@@ -61,7 +61,7 @@ use abc_rational::Ratio;
 
 use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
-use crate::maxratio::{self, NoShortcuts};
+use crate::maxratio;
 use crate::negcycle::{self, NegCycle};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 use crate::xi::Xi;
@@ -165,7 +165,7 @@ fn negative_cycle(tg: &TraversalGraph, p: i128, q: i128) -> Option<Vec<usize>> {
     let weight = |ai: usize| Some(scaled_weight(arcs[ai].kind, p, q, k));
     let mut labels = vec![0; tg.num_live_nodes()];
     negcycle::seed_earliest_feasible(tg, &mut labels, weight);
-    let run = NegCycle::default().run(tg, &mut labels, 0..tg.num_live_nodes(), weight);
+    let run = NegCycle::default().run(tg, &mut labels, 0..tg.num_live_nodes(), weight, None);
     record_kernel_run(&run);
     run.cycle
 }
@@ -249,13 +249,10 @@ pub(crate) fn max_ratio_cycle(
     g: &ExecutionGraph,
 ) -> Result<Option<(Ratio, Option<Cycle>)>, CheckError> {
     let tg = TraversalGraph::from_graph(g);
-    let Some(found) = maxratio::max_cycle_ratio(&tg, &NoShortcuts, None)? else {
+    let Some(found) = maxratio::max_cycle_ratio(&tg)? else {
         return Ok(None);
     };
-    let cycle = (!found.cycle.is_empty()).then(|| {
-        let indices: Vec<usize> = found.cycle.iter().map(|&(ai, _)| ai).collect();
-        arcs_to_cycle(tg.arcs(), &indices)
-    });
+    let cycle = (!found.cycle.is_empty()).then(|| arcs_to_cycle(tg.arcs(), &found.cycle));
     Ok(Some((maxratio::ratio_of((found.b, found.f)), cycle)))
 }
 

@@ -1,7 +1,11 @@
 //! The one exact **maximum cycle ratio** engine behind
-//! [`crate::check::max_relevant_cycle_ratio`] and the monitor's live
-//! margin ([`crate::monitor::IncrementalChecker::current_margin`], pruned
-//! or not).
+//! [`crate::check::max_relevant_cycle_ratio`] and the live margin of an
+//! untracked monitor ([`crate::monitor::IncrementalChecker::current_margin`]).
+//! A monitor that tracks its margin keeps it instead (the monitor's
+//! `margin` module): it uses the engine once, to seed its kept labels when
+//! tracking starts on a window that holds events already, and the
+//! ratio-one pass below; the proptests hold what it keeps against the
+//! engine and the batch checker at every prefix.
 //!
 //! # Ascent by cycle ratios
 //!
@@ -21,7 +25,14 @@
 //!   point to older events (backward, local and descending shortcut arcs
 //!   form a DAG, so one pass in event order satisfies all of them), and
 //!   the kernel re-scans only the nodes the ascending arcs still pull
-//!   on — a *no* is usually one changeless scan of every node;
+//!   on. A *no* is one changeless scan of every node only when those
+//!   labels happen to fit the probed ratio already: on the `sweep_band`
+//!   runs (seeds 1000–1009) that held for 0.28 of the one final *no* per
+//!   run, and the others relaxed 25 to 1 069 times (median 147) before
+//!   they settled;
+//! * a probe's weights are read off the arcs' kinds as the kernel visits
+//!   them — `+B₀` forward, `−F₀` backward, `0` local — not filled into a
+//!   per-arc table before every probe;
 //! * a *yes* is the cycle the kernel's tree of relaxing arcs was about to
 //!   close: the closing arc was tense against labels the tree's tight
 //!   arcs had fixed, so the cycle's weight is negative — it is a cycle
@@ -37,23 +48,30 @@
 //! # Ratio exactly one
 //!
 //! Only "is the margin exactly `1`, or is there no relevant cycle" needs
-//! more than that. It is asked only when the probe above `1/1` said *no*,
-//! and then that probe's final labels are a feasible potential `π` for the
-//! weights `f − b`: every closed walk costs `≥ 0`, and the walks costing
-//! exactly `0` (`B = F`) are the ones made of **tight** arcs
+//! more than that. It is asked only when the probe above `1/1` said *no*
+//! (or a tracking monitor's kept margin is `1`), and then that probe's final
+//! labels (or the kept ones) are a feasible potential `π` for the weights
+//! `f − b`: every closed walk costs `≥ 0`, and the walks costing exactly
+//! `0` (`B = F`) are the ones made of **tight** arcs
 //! (`π(head) = π(tail) + f − b`). A relevant cycle of ratio `1` exists iff
 //! the tight arcs close a walk that never re-traverses a message it just
 //! took ([`step_reverses`]) — a directed-cycle test on the reversal-free
-//! line graph of the tight arcs, done by peeling arcs without successors.
+//! line graph of the tight arcs, done by peeling arcs without successors,
+//! in scratch each thread keeps from one pass to the next.
 //!
 //! # Shortcut arcs
 //!
 //! A pruned monitor's window carries [`ArcKind::Shortcut`] arcs standing
-//! for whole families of condensed paths; [`Shortcuts`] tells the engine
-//! the cost lines `(f, b)` behind each. A probe charges such an arc the
-//! cheapest of its lines at the probed ratio and remembers which
-//! (`pick`), so a found cycle's counts and witness come from the paths
-//! actually used. Batch graphs pass [`NoShortcuts`].
+//! for whole families of condensed paths; [`Shortcuts`] tells the cost
+//! lines `(f, b)` behind each. The ascent never meets one: it searches batch
+//! graphs and windows nothing was pruned from (an untracked monitor that
+//! pruned answers from its mirror). A tracking monitor's kept labels charge
+//! a shortcut arc the cheapest of its lines at the kept margin
+//! ([`cheapest_line`]) and remember which, so a cycle's counts and witness
+//! come from the paths actually used, and the ratio-one pass takes every
+//! line of a shortcut arc as its own parallel arc.
+
+use std::cell::RefCell;
 
 use abc_rational::{BigInt, Ratio};
 
@@ -68,9 +86,6 @@ static OBS_RATIO_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor
 /// Ratio-exactly-one passes (tight-arc cycle tests) the engine ran.
 static OBS_RATIO_ONE: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.ratio_one_passes");
 
-/// Weight of an arc a probe must not take.
-const SKIP: i128 = i128::MAX;
-
 /// The condensed paths behind the shortcut arcs of a pruned window.
 pub(crate) trait Shortcuts {
     /// How many cost lines shortcut `id` carries.
@@ -81,18 +96,19 @@ pub(crate) trait Shortcuts {
     fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>);
 }
 
-/// The shortcut table of a graph that has none (batch builds).
-pub(crate) struct NoShortcuts;
+/// The shortcut table of a window that has none: the windows the ascent
+/// searches.
+struct NoShortcuts;
 
 impl Shortcuts for NoShortcuts {
     fn lines(&self, _: usize) -> usize {
-        unreachable!("batch graphs carry no shortcut arcs")
+        unreachable!("the ascent searches windows without shortcut arcs")
     }
     fn line(&self, _: usize, _: usize) -> (i128, i128) {
-        unreachable!("batch graphs carry no shortcut arcs")
+        unreachable!("the ascent searches windows without shortcut arcs")
     }
     fn ends(&self, _: usize, _: usize) -> (Option<CycleStep>, Option<CycleStep>) {
-        unreachable!("batch graphs carry no shortcut arcs")
+        unreachable!("the ascent searches windows without shortcut arcs")
     }
 }
 
@@ -102,10 +118,10 @@ pub(crate) struct Attained {
     pub b: i128,
     /// Forward message steps of the cycle.
     pub f: i128,
-    /// The cycle as `(arc index, picked line)` pairs in traversal order.
-    /// Empty when the ratio is exactly `1`: the certificate is then a
-    /// tight closed walk, not one canonical cycle.
-    pub cycle: Vec<(usize, usize)>,
+    /// The cycle's arc indices in traversal order. Empty when the ratio is
+    /// exactly `1`: the certificate is then a tight closed walk, not one
+    /// canonical cycle.
+    pub cycle: Vec<usize>,
 }
 
 /// Do consecutive walk steps `a` then `b` immediately re-traverse one
@@ -141,67 +157,110 @@ pub(crate) fn probe_weights_fit(part: i128, mass: i128, size: usize) -> bool {
         .is_some()
 }
 
-/// The exact maximum of `B/F` over the cycles of `tg` — strictly above
-/// `floor` when one is given, at least `1` otherwise — together with a
-/// cycle attaining it; `Ok(None)` when no cycle gets there.
-///
-/// `floor` is a ratio some (possibly compacted) cycle of the execution
-/// already attains, as `(B, F)` parts with `B ≥ F ≥ 1`.
+/// The weight of an arc at the probe ratio `p/q`, read off its kind:
+/// `p` forward, `−q` backward, `0` local, and for a shortcut arc
+/// `shortcut(id)`, the cheapest of its cost lines (`None`: it carries
+/// none, and stands for no path).
+#[inline]
+pub(crate) fn kind_weight(
+    kind: ArcKind,
+    p: i128,
+    q: i128,
+    shortcut: impl FnOnce(usize) -> Option<i128>,
+) -> Option<i128> {
+    match kind {
+        ArcKind::Forward(_) => Some(p),
+        ArcKind::Backward(_) => Some(-q),
+        ArcKind::LocalBack(_) => Some(0),
+        ArcKind::Shortcut(id) => shortcut(id),
+    }
+}
+
+/// The cheapest cost line `p·f − q·b` of shortcut `id`, and which line
+/// it is (the first of equals); `None` for a shortcut without lines.
+pub(crate) fn cheapest_line<S: Shortcuts + ?Sized>(
+    shortcuts: &S,
+    id: usize,
+    p: i128,
+    q: i128,
+) -> Option<(i128, usize)> {
+    let mut best: Option<(i128, usize)> = None;
+    for pick in 0..shortcuts.lines(id) {
+        let (f, b) = shortcuts.line(id, pick);
+        let cost = p * f - q * b;
+        if best.is_none_or(|(w, _)| cost < w) {
+            best = Some((cost, pick));
+        }
+    }
+    best
+}
+
+/// Forward and backward message counts `(f, b)` of line `pick` of an arc.
+pub(crate) fn line<S: Shortcuts + ?Sized>(
+    shortcuts: &S,
+    kind: ArcKind,
+    pick: usize,
+) -> (i128, i128) {
+    kind.counts().unwrap_or_else(|id| shortcuts.line(id, pick))
+}
+
+/// The exact maximum of `B/F` over the cycles of `tg`, at least `1`,
+/// together with a cycle attaining it; `Ok(None)` when no cycle gets
+/// there. `tg` is a batch graph or a monitor window that nothing was
+/// pruned from: it carries no shortcut arc.
 ///
 /// # Errors
 ///
 /// [`CheckError::GraphTooLarge`] when the probe labels could overflow
 /// `i128` ([`probe_weights_fit`]); checked before any probe runs.
-pub(crate) fn max_cycle_ratio<S: Shortcuts + ?Sized>(
-    tg: &TraversalGraph,
-    shortcuts: &S,
-    floor: Option<(i128, i128)>,
-) -> Result<Option<Attained>, CheckError> {
-    let mut engine = Engine::new(tg, shortcuts);
-    // Probe parts are the floor's or a live cycle's own counts, and a
-    // cycle takes each arc at most once.
-    let mut part = engine.f_sum.max(engine.b_sum);
-    if part == 0 {
+pub(crate) fn max_cycle_ratio(tg: &TraversalGraph) -> Result<Option<Attained>, CheckError> {
+    let Some(mut engine) = Engine::fitted(tg)? else {
         return Ok(None);
+    };
+    if let Some(best) = engine.ascend() {
+        return Ok(Some(best));
     }
-    if let Some((b, f)) = floor {
-        part = part.max(b).max(f);
-    }
-    let size = tg.num_live_nodes().max(tg.num_arcs());
-    if !probe_weights_fit(part, engine.mass, size) {
-        return Err(CheckError::GraphTooLarge);
-    }
-    let (mut b, mut f) = floor.unwrap_or((1, 1));
-    let mut best: Option<Attained> = None;
-    while let Some(found) = engine.cycle_above(b, f) {
-        (b, f) = (found.b, found.f);
-        best = Some(found);
-    }
-    if best.is_none() && floor.is_none() && engine.tight_cycle_exists() {
-        best = Some(Attained {
-            b: 1,
-            f: 1,
-            cycle: Vec::new(),
-        });
-    }
+    let one = tight_cycle_exists(tg, &NoShortcuts, &engine.labels);
+    Ok(one.then(|| Attained {
+        b: 1,
+        f: 1,
+        cycle: Vec::new(),
+    }))
+}
+
+/// [`max_cycle_ratio`] without its ratio-one pass, for a monitor that
+/// starts keeping its margin with events already in its window: the
+/// highest cycle above `1` (`None` without one), and in `labels` the
+/// final *no*'s potential, one per live node — feasible at that cycle's
+/// ratio, or at `1/1`.
+///
+/// # Errors
+///
+/// As [`max_cycle_ratio`]; `labels` then holds no potential.
+pub(crate) fn ascend_into(
+    tg: &TraversalGraph,
+    labels: &mut Vec<i128>,
+) -> Result<Option<Attained>, CheckError> {
+    labels.clear();
+    labels.resize(tg.num_live_nodes(), 0);
+    let Some(mut engine) = Engine::fitted(tg)? else {
+        return Ok(None);
+    };
+    let best = engine.ascend();
+    std::mem::swap(labels, &mut engine.labels);
     Ok(best)
 }
 
 /// Whether the batch graph `tg` closes any cycle with `B ≥ F` at all.
 pub(crate) fn has_cycle_at_least_one(tg: &TraversalGraph) -> bool {
     // Parts `1/1`: labels stay within the arc count, far inside `i128`.
-    let mut engine = Engine::new(tg, &NoShortcuts);
-    engine.cycle_above(1, 1).is_some() || engine.tight_cycle_exists()
+    let mut engine = Engine::new(tg);
+    engine.cycle_above(1, 1).is_some() || tight_cycle_exists(tg, &NoShortcuts, &engine.labels)
 }
 
 /// How many cost lines an arc carries: one, or a shortcut's envelope.
 fn line_count<S: Shortcuts + ?Sized>(shortcuts: &S, kind: ArcKind) -> usize {
     kind.counts().map_or_else(|id| shortcuts.lines(id), |_| 1)
-}
-
-/// Forward and backward message counts `(f, b)` of line `pick` of an arc.
-fn line<S: Shortcuts + ?Sized>(shortcuts: &S, kind: ArcKind, pick: usize) -> (i128, i128) {
-    kind.counts().unwrap_or_else(|id| shortcuts.line(id, pick))
 }
 
 /// The steps line `pick` of an arc begins and ends with.
@@ -214,54 +273,68 @@ fn ends<S: Shortcuts + ?Sized>(
         .map_or_else(|id| shortcuts.ends(id, pick), |s| (Some(s), Some(s)))
 }
 
-/// One max-ratio computation: the scratch every probe of it reuses. Cost
-/// lines are read off the arcs (and the shortcut table) as needed, never
-/// copied, so the scratch is a few words per arc and per node.
-struct Engine<'a, S: ?Sized> {
+/// One max-ratio computation: the scratch every probe of it reuses. A
+/// probe's weights are read off the arcs' kinds, never stored, so the
+/// scratch is a few words per node.
+struct Engine<'a> {
     tg: &'a TraversalGraph,
-    shortcuts: &'a S,
-    /// Per-arc maxima summed over the arena: no cycle takes more forward
+    /// Forward and backward arcs in the arena: no cycle takes more forward
     /// (backward) steps than this.
     f_sum: i128,
     b_sum: i128,
-    /// The most message steps a single arc stands for.
-    mass: i128,
-    /// Per probe: each arc's weight and the line attaining it.
-    weights: Vec<i128>,
-    picks: Vec<usize>,
     /// The kernel scratch every probe runs in, and its labels (windowed by
     /// `tg.base()`): feasible after a *no*.
     kernel: NegCycle,
     labels: Vec<i128>,
 }
 
-impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
-    fn new(tg: &'a TraversalGraph, shortcuts: &'a S) -> Engine<'a, S> {
-        let arcs = tg.arcs();
-        let (mut f_sum, mut b_sum, mut mass) = (0i128, 0i128, 1i128);
-        for arc in arcs {
-            let count = line_count(shortcuts, arc.kind);
-            debug_assert!(count > 0, "margin probes need signature envelopes");
-            let (mut f, mut b) = (0, 0);
-            for pick in 0..count {
-                let (lf, lb) = line(shortcuts, arc.kind, pick);
-                (f, b) = (f.max(lf), b.max(lb));
-            }
+impl<'a> Engine<'a> {
+    fn new(tg: &'a TraversalGraph) -> Engine<'a> {
+        let (mut f_sum, mut b_sum) = (0i128, 0i128);
+        for arc in tg.arcs() {
+            let (f, b) = arc
+                .kind
+                .counts()
+                .expect("the ascent searches windows without shortcut arcs");
             f_sum += f;
             b_sum += b;
-            mass = mass.max(f + b);
         }
         Engine {
             tg,
-            shortcuts,
             f_sum,
             b_sum,
-            mass,
-            weights: vec![0; arcs.len()],
-            picks: vec![0; arcs.len()],
             kernel: NegCycle::default(),
             labels: vec![0; tg.num_live_nodes()],
         }
+    }
+
+    /// An engine whose probes cannot overflow, or `None` when no arc
+    /// takes a message at all (no cycle has a ratio).
+    fn fitted(tg: &'a TraversalGraph) -> Result<Option<Self>, CheckError> {
+        let engine = Engine::new(tg);
+        // Probe parts are a live cycle's own counts, and a cycle takes
+        // each arc at most once.
+        let part = engine.f_sum.max(engine.b_sum);
+        if part == 0 {
+            return Ok(None);
+        }
+        let size = tg.num_live_nodes().max(tg.num_arcs());
+        if !probe_weights_fit(part, 1, size) {
+            return Err(CheckError::GraphTooLarge);
+        }
+        Ok(Some(engine))
+    }
+
+    /// The ascent from `1/1`: the last cycle a *yes* found, `None` when the
+    /// first probe said *no*. The labels are then the final *no*'s.
+    fn ascend(&mut self) -> Option<Attained> {
+        let (mut b, mut f) = (1, 1);
+        let mut best: Option<Attained> = None;
+        while let Some(found) = self.cycle_above(b, f) {
+            (b, f) = (found.b, found.f);
+            best = Some(found);
+        }
+        best
     }
 
     /// A cycle with `B·q − p·F ≥ 1` (ratio strictly above `p/q`), if any.
@@ -270,116 +343,133 @@ impl<'a, S: Shortcuts + ?Sized> Engine<'a, S> {
     fn cycle_above(&mut self, p: i128, q: i128) -> Option<Attained> {
         OBS_RATIO_PROBES.add(1);
         let arcs = self.tg.arcs();
-        for (ai, arc) in arcs.iter().enumerate() {
-            // A shortcut whose envelope is empty stands for no path.
-            let (mut w, mut pick) = (SKIP, 0);
-            for i in 0..line_count(self.shortcuts, arc.kind) {
-                let (f, b) = line(self.shortcuts, arc.kind, i);
-                let cost = p * f - q * b;
-                if cost < w {
-                    (w, pick) = (cost, i);
-                }
-            }
-            self.weights[ai] = w;
-            self.picks[ai] = pick;
-        }
-        let weights = &self.weights;
-        let weight = |ai: usize| Some(weights[ai]).filter(|&w| w != SKIP);
+        let weight = |ai: usize| kind_weight(arcs[ai].kind, p, q, |_| None);
         negcycle::seed_earliest_feasible(self.tg, &mut self.labels, weight);
         let starts = 0..self.labels.len();
-        let run = self.kernel.run(self.tg, &mut self.labels, starts, weight);
+        let run = self
+            .kernel
+            .run(self.tg, &mut self.labels, starts, weight, None);
         crate::check::record_kernel_run(&run);
-        let indices = run.cycle?;
-        let mut found = Attained {
-            b: 0,
-            f: 0,
-            cycle: Vec::with_capacity(indices.len()),
-        };
-        for ai in indices {
-            let pick = self.picks[ai];
-            let (f, b) = line(self.shortcuts, arcs[ai].kind, pick);
-            found.f += f;
-            found.b += b;
-            found.cycle.push((ai, pick));
+        let cycle = run.cycle?;
+        let (mut b, mut f) = (0, 0);
+        for &ai in &cycle {
+            let (lf, lb) = line(&NoShortcuts, arcs[ai].kind, 0);
+            (f, b) = (f + lf, b + lb);
         }
-        debug_assert!(found.b * q - p * found.f >= 1, "closed cycles are negative");
-        Some(found)
+        debug_assert!(b * q - p * f >= 1, "closed cycles are negative");
+        Some(Attained { b, f, cycle })
     }
+}
 
-    /// Whether the arcs that are tight under the current labels — a
-    /// feasible potential for the weights `f − b`, left by a *no* above
-    /// `1/1` — close a reversal-free walk (module docs): some relevant
-    /// cycle has `B = F`. Works line by line: every cost line of a
-    /// shortcut arc is its own parallel arc of the line graph.
-    fn tight_cycle_exists(&self) -> bool {
-        OBS_RATIO_ONE.add(1);
-        let tg = self.tg;
-        let arcs = tg.arcs();
-        let base = tg.base();
-        // Lines of arc `ai` are numbered `starts[ai]..starts[ai + 1]`.
-        let mut starts = Vec::with_capacity(arcs.len() + 1);
-        let mut total = 0;
-        for arc in arcs {
-            starts.push(total);
-            total += line_count(self.shortcuts, arc.kind);
+/// What the ratio-one pass keeps between calls, per thread: a margin of
+/// exactly `1` is asked after every swept run at the `[1, 2]` band point,
+/// and a tracking monitor asks it of its kept potential at every query
+/// and prune that finds its margin at `1`.
+#[derive(Default)]
+struct TightScratch {
+    /// Lines of arc `ai` are numbered `starts[ai]..starts[ai + 1]`.
+    starts: Vec<usize>,
+    tight: Vec<bool>,
+    successors: Vec<usize>,
+    dead: Vec<(usize, usize)>,
+    in_starts: Vec<usize>,
+    in_arcs: Vec<usize>,
+}
+
+thread_local! {
+    static TIGHT: RefCell<TightScratch> = RefCell::default();
+}
+
+/// Whether the arcs that are tight under `labels` — a feasible potential
+/// for the weights `f − b`, as a *no* above `1/1` leaves one — close a
+/// reversal-free walk (module docs): some relevant cycle has `B = F`.
+/// Works line by line: every cost line of a shortcut arc is its own
+/// parallel arc of the line graph.
+pub(crate) fn tight_cycle_exists<S: Shortcuts + ?Sized>(
+    tg: &TraversalGraph,
+    shortcuts: &S,
+    labels: &[i128],
+) -> bool {
+    OBS_RATIO_ONE.add(1);
+    TIGHT.with(|scratch| tight_cycle_in(tg, shortcuts, labels, &mut scratch.borrow_mut()))
+}
+
+fn tight_cycle_in<S: Shortcuts + ?Sized>(
+    tg: &TraversalGraph,
+    shortcuts: &S,
+    labels: &[i128],
+    sc: &mut TightScratch,
+) -> bool {
+    let arcs = tg.arcs();
+    let base = tg.base();
+    sc.starts.clear();
+    let mut total = 0;
+    for arc in arcs {
+        sc.starts.push(total);
+        total += line_count(shortcuts, arc.kind);
+    }
+    sc.starts.push(total);
+    let starts = &sc.starts;
+    let lines_of = |ai: usize| starts[ai]..starts[ai + 1];
+    sc.tight.clear();
+    for arc in arcs {
+        let slack = labels[arc.to - base] - labels[arc.from - base];
+        for pick in 0..line_count(shortcuts, arc.kind) {
+            let (f, b) = line(shortcuts, arc.kind, pick);
+            sc.tight.push(f - b == slack);
         }
-        starts.push(total);
-        let lines_of = |ai: usize| starts[ai]..starts[ai + 1];
-        let mut tight = vec![false; total];
-        for (ai, arc) in arcs.iter().enumerate() {
-            let slack = self.labels[arc.to - base] - self.labels[arc.from - base];
-            for li in lines_of(ai) {
-                let (f, b) = line(self.shortcuts, arc.kind, li - starts[ai]);
-                tight[li] = f - b == slack;
+    }
+    let tight = &sc.tight;
+    // May line `lc` of arc `ci` follow line `la` of arc `ai`?
+    let follows = |(ai, la): (usize, usize), (ci, lc): (usize, usize)| {
+        let (_, last) = ends(shortcuts, arcs[ai].kind, la - starts[ai]);
+        let (first, _) = ends(shortcuts, arcs[ci].kind, lc - starts[ci]);
+        match (last, first) {
+            (Some(last), Some(first)) => !step_reverses(&last, &first),
+            _ => true,
+        }
+    };
+    // Peel lines no walk can continue from; what survives lies on or
+    // leads into a cycle of the line graph.
+    sc.successors.clear();
+    sc.successors.resize(total, 0);
+    sc.dead.clear();
+    let mut alive = 0usize;
+    for (ai, arc) in arcs.iter().enumerate() {
+        for la in lines_of(ai).filter(|&la| tight[la]) {
+            let mut cursor = tg.first_out(arc.to);
+            while let Some(ci) = cursor {
+                cursor = tg.next_out(ci);
+                sc.successors[la] += lines_of(ci)
+                    .filter(|&lc| tight[lc] && follows((ai, la), (ci, lc)))
+                    .count();
+            }
+            if sc.successors[la] == 0 {
+                sc.dead.push((ai, la));
+            } else {
+                alive += 1;
             }
         }
-        // May line `lc` of arc `ci` follow line `la` of arc `ai`?
-        let follows = |(ai, la): (usize, usize), (ci, lc): (usize, usize)| {
-            let (_, last) = ends(self.shortcuts, arcs[ai].kind, la - starts[ai]);
-            let (first, _) = ends(self.shortcuts, arcs[ci].kind, lc - starts[ci]);
-            match (last, first) {
-                (Some(last), Some(first)) => !step_reverses(&last, &first),
-                _ => true,
-            }
-        };
-        // Peel lines no walk can continue from; what survives lies on or
-        // leads into a cycle of the line graph.
-        let mut successors = vec![0usize; total];
-        let mut dead: Vec<(usize, usize)> = Vec::new();
-        let mut alive = 0usize;
-        for (ai, arc) in arcs.iter().enumerate() {
-            for la in lines_of(ai).filter(|&la| tight[la]) {
-                let mut cursor = tg.first_out(arc.to);
-                while let Some(ci) = cursor {
-                    cursor = tg.next_out(ci);
-                    successors[la] += lines_of(ci)
-                        .filter(|&lc| tight[lc] && follows((ai, la), (ci, lc)))
-                        .count();
-                }
-                if successors[la] == 0 {
-                    dead.push((ai, la));
-                } else {
-                    alive += 1;
-                }
-            }
-        }
-        let (in_starts, in_arcs) = tg.in_csr();
-        while let Some(gone) = dead.pop() {
-            let tail = arcs[gone.0].from - base;
-            for &ai in &in_arcs[in_starts[tail]..in_starts[tail + 1]] {
-                for la in lines_of(ai) {
-                    if successors[la] > 0 && follows((ai, la), gone) {
-                        successors[la] -= 1;
-                        if successors[la] == 0 {
-                            dead.push((ai, la));
-                            alive -= 1;
-                        }
+    }
+    if alive == 0 || sc.dead.is_empty() {
+        return alive > 0;
+    }
+    tg.in_csr_into(&mut sc.in_starts, &mut sc.in_arcs);
+    while let Some(gone) = sc.dead.pop() {
+        let tail = arcs[gone.0].from - base;
+        for &ai in &sc.in_arcs[sc.in_starts[tail]..sc.in_starts[tail + 1]] {
+            for la in lines_of(ai) {
+                if sc.successors[la] > 0 && follows((ai, la), gone) {
+                    sc.successors[la] -= 1;
+                    if sc.successors[la] == 0 {
+                        sc.dead.push((ai, la));
+                        alive -= 1;
                     }
                 }
             }
         }
-        alive > 0
     }
+    alive > 0
 }
 
 #[cfg(test)]

@@ -6,30 +6,54 @@
 //! execution is to the tripwire: [`IncrementalChecker::current_margin`]
 //! returns the exact maximum `|Z−|/|Z+|` over all relevant cycles so far
 //! (the same value [`crate::check::max_relevant_cycle_ratio`] computes
-//! batch-side), and [`IncrementalChecker::margin_upper_bound`] derives a
-//! cheap `O(arcs)` upper bound from the feasible potentials — the fast
-//! path that gates the exact probe. Both margins, batch and live, come
-//! from one engine (the crate's `maxratio` module): it asks "is there a
-//! cycle with ratio strictly above `B₀/F₀`", jumps to the ratio of the
-//! cycle a *yes* finds, and stops at the first *no* — two to four runs of
-//! the crate's worklist negative-cycle kernel over the live arcs, not a
-//! bisection.
+//! batch-side), and [`IncrementalChecker::margin_upper_bound`] an upper
+//! bound that costs no probe. A monitor answers in one of two ways.
 //!
-//! # Floor and signature envelopes
+//! An **untracked** monitor searches: one run of the crate's max-ratio
+//! engine (the `maxratio` module) over the live arcs, which asks "is
+//! there a cycle with ratio strictly above `B₀/F₀`", jumps to the ratio
+//! of the cycle a *yes* finds and stops at the first *no* — a few runs of
+//! the crate's negative-cycle kernel per query. Its bound is an `O(arcs)`
+//! scan of the potentials at `Ξ`.
 //!
-//! Pruned monitors stay exact through two devices: the **margin floor**
-//! (margins only grow, so the exact margin is folded into a floor right
-//! before each prune, and later probes only ask above it) and
-//! per-shortcut **signature envelopes** (each boundary shortcut keeps the
-//! lower envelope of its crossing paths' `x·F − B` cost lines over probe
-//! ratios at or above the floor, so probes below `Ξ` see the exact
-//! minimum crossing cost, not just the `Ξ`-optimal path the violation
-//! machinery stores). Margin tracking is opt-in for pruning monitors
-//! ([`IncrementalChecker::enable_margin_tracking`]): the fold is under a
-//! hundred microseconds on a 500-event window, and growing the envelopes
-//! makes a tracked prune two to three times the work of an untracked one
-//! (0.6 ms against 0.23 ms at horizon 256, of which the envelope passes
-//! are 0.2).
+//! A **tracking** monitor ([`IncrementalChecker::enable_margin_tracking`])
+//! keeps the answer instead. Beside its potentials at `Ξ` it keeps a second
+//! column of integer labels, feasible for the probe weights at its current
+//! margin `r = B/F` (`+B` per forward message, `−F` per backward one,
+//! starting at `1/1`) — a potential that says "no cycle above `r`". As the
+//! labels at `Ξ` do, each append gives its receive the earliest label the
+//! receive's window allows, and only an empty window caps the label and
+//! repairs from the receive on the same kernel (Ramalingam et al. 1999).
+//! A repair that closes a cycle has found one above `r`: its labels are
+//! put back as they were (the kernel hands back what it moved), `r` rises to **that
+//! cycle's own ratio** and the repair is retried from the same receive.
+//! Raising `r` only loosens constraints — every arc weight grows with `r`
+//! — so the old labels, scaled by `F'/F` and floored, are feasible at the
+//! new `r` everywhere but out of the receive (the parametric argument of
+//! Young, Tarjan & Orlin 1991; flooring keeps integer weights satisfied).
+//! When the retries stop, `r` is attained (by the last cycle that raised
+//! it) and nothing lies above it: it *is* the margin, read in `O(1)` at
+//! any query. The cycle that last raised `r` is the margin's witness,
+//! expanded on demand while its arcs are live and before a prune
+//! renumbers them. At `r = 1` "is there a cycle of ratio exactly `1`, or
+//! none" is the engine's ratio-one pass over the kept labels. On the
+//! `sweep_band` workload a run of 500 events takes about nine repairs
+//! and two or three raises (`crates/bench/tests/margin_work.rs` pins the
+//! counts), and its closing query runs no probe at all.
+//!
+//! # Signature envelopes
+//!
+//! A pruned monitor stays exact through per-shortcut **signature
+//! envelopes**: each boundary shortcut keeps the lower envelope of its
+//! crossing paths' `x·F − B` cost lines over the ratios at or above the
+//! margin when it was condensed (margins only grow, and a tracking
+//! monitor's kept `r` is that margin, so nothing below it is ever asked
+//! again), and the kept labels charge a shortcut the cheapest of its lines
+//! at `r`. So the probe weights see the exact minimum crossing cost, not
+//! just the `Ξ`-optimal path the violation machinery stores. Margin
+//! tracking is opt-in for pruning monitors: growing the envelopes makes a
+//! tracked prune two to three times the work of an untracked one (0.6 ms
+//! against 0.23 ms at horizon 256, of which the envelope passes are 0.2).
 //!
 //! # The envelope pass
 //!
@@ -63,6 +87,12 @@ use super::witness::Expansion;
 use super::{IncrementalChecker, MarginReport};
 
 static OBS_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_probes");
+/// Kernel runs on a tracking monitor's kept labels (one per empty window
+/// at the kept margin: an append's first try, or its retry after a raise),
+/// and the raises among them. Their relaxations are not the verdict's and
+/// stay out of [`super::MonitorStats::relaxations`].
+static OBS_MARGIN_REPAIRS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_repairs");
+static OBS_MARGIN_RAISES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_raises");
 // What the envelope passes of tracked prunes did, summed over landings:
 // arena links made and out-arc scans done, beside the slots each pass
 // reached (prefix events and exit heads) and the internal arcs it ran over
@@ -318,6 +348,125 @@ impl EnvelopeScratch {
     }
 }
 
+/// What a tracking monitor keeps of its margin (module docs). Re-armed by
+/// [`IncrementalChecker::reset`], which keeps its capacity.
+#[derive(Clone, Debug)]
+pub(super) struct KeptMargin {
+    /// One label per live event while tracking (empty otherwise), feasible
+    /// for the probe weights at `ratio` whenever the verdict is open.
+    pub(super) pot: Vec<i128>,
+    /// `(B, F)`: the counts of the cycle that last raised the margin, or
+    /// `(1, 1)` while none has. Every later prune's signature envelopes
+    /// range over the ratios at or above it.
+    pub(super) ratio: (i128, i128),
+    /// That cycle, as `(arc, picked line)` pairs, while its arcs are live
+    /// (empty once expanded into `witness`, and at ratio `1`)...
+    cycle: Vec<(usize, usize)>,
+    /// ...and its witness summary, expanded before a prune renumbers them.
+    witness: Option<WitnessSummary>,
+    /// Whether a cycle of ratio exactly `1` was in a window a prune has
+    /// condensed since: the margin is then `1` even if none is live.
+    one: bool,
+    /// The most message steps one line of any shortcut arc the window has
+    /// held stands for (a plain arc's: `1`), for the overflow guard.
+    mass: i128,
+    /// Set when the guard failed: the labels are abandoned, the margin is
+    /// [`CheckError::GraphTooLarge`] and prunes are declined until reset.
+    overflowed: bool,
+    /// What the kernel moved in the current repair (scratch).
+    moved: Vec<(usize, i128)>,
+}
+
+impl Default for KeptMargin {
+    fn default() -> KeptMargin {
+        KeptMargin {
+            pot: Vec::new(),
+            ratio: (1, 1),
+            cycle: Vec::new(),
+            witness: None,
+            one: false,
+            mass: 1,
+            overflowed: false,
+            moved: Vec::new(),
+        }
+    }
+}
+
+impl KeptMargin {
+    /// Back to the state of a new monitor, every buffer keeping its
+    /// capacity.
+    pub(super) fn rearm(&mut self) {
+        // Exhaustive on purpose: a new field is re-armed or does not compile.
+        let KeptMargin {
+            pot,
+            ratio,
+            cycle,
+            witness,
+            one,
+            mass,
+            overflowed,
+            moved,
+        } = self;
+        pot.clear();
+        *ratio = (1, 1);
+        cycle.clear();
+        *witness = None;
+        *one = false;
+        *mass = 1;
+        *overflowed = false;
+        moved.clear();
+    }
+
+    /// What a reset keeps (see [`IncrementalChecker::capacity`]).
+    pub(super) fn capacity(&self) -> usize {
+        self.pot.capacity() + self.cycle.capacity() + self.moved.capacity()
+    }
+
+    /// Lets the guard know of a shortcut arc's lines.
+    pub(super) fn carries(&mut self, info: &ShortcutInfo) {
+        let heaviest = info.sigs.iter().map(|s| s.f + s.b).max();
+        self.mass = self.mass.max(heaviest.unwrap_or(0));
+    }
+
+    /// Whether the labels are kept and fit on a monitor that has appended
+    /// `size` events and arcs.
+    fn usable(&self, size: usize) -> bool {
+        !self.overflowed && kept_labels_fit(self.ratio, self.mass, size)
+    }
+
+    /// Whether a cycle above `1` has raised the margin.
+    fn above_one(&self) -> bool {
+        self.ratio.0 > self.ratio.1
+    }
+}
+
+/// Whether labels kept at ratio `(b, f)` stay inside `i128` on a monitor
+/// that has appended `size` events and arcs, shortcut lines standing for at
+/// most `mass` message steps. A kept label is a sum of arc weights (at most
+/// `part·mass` each, `part = max(b, f)`; a raise rescales the labels along
+/// with the weights) over a chain of the assignments that derived it: a
+/// simple path per repair, back to the label it was capped from, which an
+/// earlier append or repair set — `size` arcs per append, `size²` in all,
+/// the bound of [`maxratio::probe_weights_fit`]. A raise multiplies a label
+/// by the new `F` before it divides: hence `part²`. Asked at every append,
+/// so by bit lengths, which add under multiplication (a product of
+/// factors below `2^k₁ … 2^kₙ` is below `2^(k₁ + … + kₙ)`), not by `i128`
+/// multiplications.
+fn kept_labels_fit((b, f): (i128, i128), mass: i128, size: usize) -> bool {
+    let bits = |x: u128| 128 - x.leading_zeros();
+    let part = bits(b.max(f).unsigned_abs());
+    let size = bits(size as u128 + 2);
+    2 * part + bits(mass.unsigned_abs()) + 2 * size <= 127
+}
+
+/// The weight of an arc at the kept ratio `(b, f)`: the probe weights,
+/// `+b` forward, `−f` backward, and a shortcut's cheapest line.
+fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &[ShortcutInfo]) -> Option<i128> {
+    maxratio::kind_weight(kind, b, f, |id| {
+        maxratio::cheapest_line(shortcuts, id, b, f).map(|(w, _)| w)
+    })
+}
+
 impl Shortcuts for [ShortcutInfo] {
     fn lines(&self, id: usize) -> usize {
         self[id].sigs.len()
@@ -527,42 +676,144 @@ impl IncrementalChecker {
         sigs
     }
 
-    /// The live window's best cycle strictly above the folded floor (at
-    /// or above `1` while there is none), with the witness summary of a
-    /// cycle attaining it — one run of the crate's max-cycle-ratio engine
-    /// over the live arena, shortcut arcs charged their signature
-    /// envelopes. `Ok(None)` when the window does not beat the floor.
-    #[allow(clippy::type_complexity)]
-    fn window_best(&self) -> Result<Option<((i128, i128), Option<WitnessSummary>)>, CheckError> {
-        debug_assert!(
-            self.violation.is_none(),
-            "latched margins come from the witness summary"
-        );
-        let best = maxratio::max_cycle_ratio(&self.tg, &self.shortcuts[..], self.margin_floor)?;
-        Ok(best.map(|found| {
-            // At ratio exactly 1 there is no canonical cycle to show.
-            let witness = (!found.cycle.is_empty()).then(|| self.expand_window_cycle(&found.cycle));
-            ((found.b, found.f), witness)
-        }))
+    /// Keeps the margin of a tracking monitor after the append of `recv`,
+    /// the receive of a message sent at `from` (`effective`: one that
+    /// carries arcs), once its repair at `Ξ` left the verdict open (module
+    /// docs): the earliest label the receive's window allows at the kept
+    /// ratio, or a repair from it — raising the ratio to the cycle the
+    /// repair closes, and retrying at the new ratio, until one converges.
+    pub(super) fn keep_margin(&mut self, from: usize, recv: usize, effective: bool) {
+        if self.violation.is_some() {
+            return;
+        }
+        let base = self.tg.base();
+        let (u, v) = (from - base, recv - base);
+        let size = self.stats.events + self.stats.arcs;
+        let (tg, shortcuts, kept) = (&self.tg, &self.shortcuts[..], &mut self.kept);
+        let arcs = tg.arcs();
+        loop {
+            if !kept.usable(size) {
+                kept.overflowed = true;
+                return;
+            }
+            let ratio = kept.ratio;
+            let weight = |ai: usize| kept_weight(arcs[ai].kind, ratio, shortcuts);
+            // The window: every out-arc bounds the label from below, the
+            // forward arc in from above.
+            let mut lower: Option<i128> = None;
+            for ai in tg.out_arcs(recv) {
+                if let Some(w) = weight(ai) {
+                    let bound = kept.pot[arcs[ai].to - base] - w;
+                    lower = Some(lower.map_or(bound, |l| l.max(bound)));
+                }
+            }
+            let upper = effective.then(|| kept.pot[u] + ratio.0);
+            match (lower, upper) {
+                (Some(lo), Some(up)) if lo > up => kept.pot[v] = up,
+                // No arc at all leaves any label feasible.
+                (lo, up) => {
+                    kept.pot[v] = lo.or(up).unwrap_or(0);
+                    return;
+                }
+            }
+            OBS_MARGIN_REPAIRS.add(1);
+            let run = self
+                .kernel
+                .run(tg, &mut kept.pot, [v], weight, Some(&mut kept.moved));
+            let Some(cycle) = run.cycle else {
+                return;
+            };
+            for &(x, label) in &kept.moved {
+                kept.pot[x] = label;
+            }
+            // The cycle's own counts, along the lines that made it negative.
+            let (mut b, mut f) = (0, 0);
+            kept.cycle.clear();
+            for ai in cycle {
+                let kind = arcs[ai].kind;
+                let pick = match kind {
+                    ArcKind::Shortcut(id) => {
+                        maxratio::cheapest_line(shortcuts, id, ratio.0, ratio.1)
+                            .expect("a closed cycle takes no shortcut without lines")
+                            .1
+                    }
+                    _ => 0,
+                };
+                let (lf, lb) = maxratio::line(shortcuts, kind, pick);
+                (f, b) = (f + lf, b + lb);
+                kept.cycle.push((ai, pick));
+            }
+            debug_assert!(b * ratio.1 - ratio.0 * f >= 1, "closed cycles lie above");
+            OBS_MARGIN_RAISES.add(1);
+            if !kept_labels_fit((b, f), kept.mass, size) {
+                kept.overflowed = true;
+                return;
+            }
+            for label in &mut kept.pot {
+                *label = (*label * f).div_euclid(ratio.1);
+            }
+            kept.ratio = (b, f);
+            kept.witness = None;
+        }
     }
 
-    /// Folds the exact live margin into the monotone floor: margins never
-    /// shrink as an execution grows, so the pre-prune margin bounds every
-    /// later one from below. Runs right before each condensation so that
-    /// probes after the prune only range above the floor.
-    pub(super) fn fold_margin_floor(&mut self) -> Result<(), CheckError> {
-        // Fast path: if the potentials already bound the live window at or
-        // below the floor, the fold cannot raise it.
-        if let (Some(floor), Some(bound)) = (self.margin_floor, self.margin_upper_bound()) {
-            if bound <= maxratio::ratio_of(floor) {
-                return Ok(());
+    /// Starts keeping the margin of a monitor that may hold events already:
+    /// one ascent of the max-ratio engine, whose final *no* leaves labels
+    /// feasible at the margin it found (at `1/1` without a cycle above it).
+    pub(super) fn seed_kept_margin(&mut self) {
+        self.kept.rearm();
+        if self.violation.is_some() {
+            // Latched: nothing reads the labels again.
+            self.kept.pot.resize(self.tg.num_live_nodes(), 0);
+            return;
+        }
+        match maxratio::ascend_into(&self.tg, &mut self.kept.pot) {
+            Ok(Some(found)) => {
+                self.kept.ratio = (found.b, found.f);
+                // Nothing was pruned yet: every arc is plain, its pick 0.
+                self.kept
+                    .cycle
+                    .extend(found.cycle.iter().map(|&ai| (ai, 0)));
+            }
+            Ok(None) => {}
+            Err(_) => {
+                self.kept.pot.resize(self.tg.num_live_nodes(), 0);
+                self.kept.overflowed = true;
             }
         }
-        if let Some((ratio, witness)) = self.window_best()? {
-            self.margin_floor = Some(ratio);
-            self.margin_floor_witness = witness;
+    }
+
+    /// The fold before a tracked prune, now that the margin is kept: the
+    /// kept ratio *is* the floor the condensation needs, so what is left is
+    /// to spell out the witness while its arcs are live, and to remember a
+    /// live cycle of ratio exactly `1` before it may be condensed away.
+    /// `false` when the kept labels overflowed: there is no exact floor,
+    /// and the prune is declined.
+    pub(super) fn fold_margin(&mut self) -> bool {
+        if !self.kept.usable(self.stats.events + self.stats.arcs) {
+            return false;
         }
-        Ok(())
+        if !self.kept.cycle.is_empty() {
+            self.kept.witness = Some(self.expand_window_cycle(&self.kept.cycle));
+            self.kept.cycle.clear();
+        }
+        if !self.kept.above_one() && !self.kept.one {
+            self.kept.one =
+                maxratio::tight_cycle_exists(&self.tg, &self.shortcuts[..], &self.kept.pot);
+        }
+        true
+    }
+
+    /// A tracking monitor's margin as it keeps it, without the witness;
+    /// the guard's failure as [`CheckError::GraphTooLarge`].
+    fn kept_ratio(&self) -> Result<Option<Ratio>, CheckError> {
+        if !self.kept.usable(self.stats.events + self.stats.arcs) {
+            return Err(CheckError::GraphTooLarge);
+        }
+        let exists = self.kept.above_one()
+            || self.kept.one
+            || maxratio::tight_cycle_exists(&self.tg, &self.shortcuts[..], &self.kept.pot);
+        Ok(exists.then(|| maxratio::ratio_of(self.kept.ratio)))
     }
 
     /// The execution's current **synchrony margin**: the exact maximum
@@ -573,6 +824,14 @@ impl IncrementalChecker {
     /// monotone "distance to violation" gauge: the monitor stays admissible
     /// exactly while the margin is below `Ξ`, and once the verdict latches
     /// the margin freezes at the witness's ratio.
+    ///
+    /// A tracking monitor ([`IncrementalChecker::enable_margin_tracking`])
+    /// reads the margin it keeps: no cycle probe, and at a margin of exactly
+    /// `1` one `O(arcs)` pass over its kept labels. Its witness is the cycle
+    /// that last raised the margin, which may be another cycle of the same
+    /// ratio than the one an untracked monitor's search names. An untracked
+    /// one searches its window with the max-ratio engine, a few runs of the
+    /// negative-cycle kernel per call.
     ///
     /// ```
     /// use abc_core::monitor::IncrementalChecker;
@@ -599,7 +858,8 @@ impl IncrementalChecker {
     /// # Errors
     ///
     /// [`CheckError::GraphTooLarge`] when the (windowed) probe arithmetic
-    /// would overflow, exactly as in the batch computation.
+    /// would overflow, exactly as in the batch computation; on a tracking
+    /// monitor, when its kept labels would.
     ///
     /// # Panics
     ///
@@ -620,9 +880,21 @@ impl IncrementalChecker {
                 witness: Some(s.clone()),
             }));
         }
+        if self.margin_tracking {
+            let Some(ratio) = self.kept_ratio()? else {
+                return Ok(None);
+            };
+            // At ratio exactly 1 there is no canonical cycle to show.
+            let witness = if self.kept.cycle.is_empty() {
+                self.kept.witness.clone()
+            } else {
+                Some(self.expand_window_cycle(&self.kept.cycle))
+            };
+            return Ok(Some(MarginReport { ratio, witness }));
+        }
         // The window is the whole execution until something is pruned from
         // it; after an untracked prune only the mirror is exact.
-        if !self.margin_tracking && self.stats.pruned_events > 0 {
+        if self.stats.pruned_events > 0 {
             let mirror = self.builder.as_ref().expect(
                 "current_margin() on a pruning monitor requires enable_margin_tracking() \
                  before the first prune_settled()",
@@ -635,35 +907,38 @@ impl IncrementalChecker {
                 }),
             );
         }
-        let floor = || {
-            self.margin_floor
-                .map(|f| (f, self.margin_floor_witness.clone()))
-        };
-        Ok(self
-            .window_best()?
-            .or_else(floor)
-            .map(|(ratio, witness)| MarginReport {
-                ratio: maxratio::ratio_of(ratio),
-                witness,
-            }))
+        // Nothing was pruned: the window is the whole execution, every arc
+        // in it plain.
+        let best = maxratio::max_cycle_ratio(&self.tg)?;
+        Ok(best.map(|found| {
+            let plain: Vec<(usize, usize)> = found.cycle.iter().map(|&ai| (ai, 0)).collect();
+            MarginReport {
+                ratio: maxratio::ratio_of((found.b, found.f)),
+                witness: (!plain.is_empty()).then(|| self.expand_window_cycle(&plain)),
+            }
+        }))
     }
 
-    /// A cheap upper bound on [`IncrementalChecker::current_margin`]: an
-    /// `O(live arcs)` scan of the feasible Bellman–Ford potentials, no
-    /// shortest-path probe. For every live forward arc the potential
-    /// stretch `Δ = π(recv).0 − π(send).0` certifies that no relevant
-    /// cycle through that message has ratio above `Δ/q` (scaling the
-    /// potentials by `1/q` yields a feasible potential for the probe at
+    /// An upper bound on [`IncrementalChecker::current_margin`] that runs
+    /// no cycle probe. The bound is never above `Ξ` while the verdict is
+    /// open, equals the latched ratio after, and is `None` only when no
+    /// relevant cycle can exist at all.
+    ///
+    /// A tracking monitor's bound is its kept margin itself, exact. An
+    /// untracked one's is an `O(live arcs)` scan of the feasible
+    /// Bellman–Ford potentials at `Ξ`: for every live forward arc the
+    /// potential stretch `Δ = π(recv).0 − π(send).0` certifies that no
+    /// relevant cycle through that message has ratio above `Δ/q` (scaling
+    /// the potentials by `1/q` yields a feasible potential for the probe at
     /// that ratio; boundary-shortcut signatures with `f > 0` contribute
-    /// `(Δ + q·b)/(q·f)` the same way), so the maximum stretch, combined
-    /// with the folded floor, bounds the margin from above. The bound is
-    /// never above `Ξ` while the verdict is open, equals the latched ratio
-    /// after, and is `None` only when no relevant cycle can exist at all.
+    /// `(Δ + q·b)/(q·f)` the same way), so the maximum stretch bounds the
+    /// margin from above — as it does, combined with the kept margin at the
+    /// last prune, for a tracking monitor whose kept labels overflowed.
     ///
     /// This is the fast path for threshold alerting: only when the bound
-    /// crosses a warning threshold does an exact (and much costlier)
-    /// [`current_margin`](IncrementalChecker::current_margin) probe need
-    /// to run.
+    /// crosses a warning threshold does an exact (and, untracked, much
+    /// costlier) [`current_margin`](IncrementalChecker::current_margin)
+    /// need to run.
     ///
     /// # Panics
     ///
@@ -675,6 +950,11 @@ impl IncrementalChecker {
         let _span = abc_obs::span("monitor.margin_bound");
         if let Some(s) = &self.violation_summary {
             return s.classification.ratio();
+        }
+        if self.margin_tracking {
+            if let Ok(kept) = self.kept_ratio() {
+                return kept;
+            }
         }
         assert!(
             self.builder.is_some() || self.stats.pruned_events == 0 || self.margin_tracking,
@@ -705,7 +985,10 @@ impl IncrementalChecker {
             }
         }
         let scan = best.map(maxratio::ratio_of);
-        match (scan, self.margin_floor.map(maxratio::ratio_of)) {
+        // What the prunes condensed away is bounded by the kept margin.
+        let kept = self.kept.above_one() || self.kept.one;
+        let floor = kept.then(|| maxratio::ratio_of(self.kept.ratio));
+        match (scan, floor) {
             (Some(s), Some(f)) => Some(if s > f { s } else { f }),
             (s, f) => s.or(f),
         }

@@ -37,8 +37,9 @@
 //!   the [`ExecutionGraph`] mirror and nothing else; [`MonitorStats`]
 //!   reports the live high-water marks);
 //! * `margin` — [`IncrementalChecker::current_margin`] and
-//!   [`IncrementalChecker::margin_upper_bound`], and the floor and
-//!   signature envelopes that keep them exact across prunes;
+//!   [`IncrementalChecker::margin_upper_bound`], the margin a tracking
+//!   monitor keeps as appends come in, and the signature envelopes that
+//!   keep it exact across prunes;
 //! * `witness` — the canonical witness shape, and the one expansion that
 //!   turns live arcs and condensed paths back into steps of the execution.
 //!
@@ -93,7 +94,7 @@ use crate::negcycle::NegCycle;
 use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
-use margin::EnvelopeScratch;
+use margin::{EnvelopeScratch, KeptMargin};
 use prune::{FrontierRow, ShortcutInfo};
 use repair::ConfirmCtx;
 
@@ -201,16 +202,13 @@ pub struct IncrementalChecker {
     total_messages: usize,
     violation: Option<Cycle>,
     violation_summary: Option<WitnessSummary>,
-    /// Whether margin-signature envelopes are maintained across prunes
-    /// (see [`IncrementalChecker::enable_margin_tracking`]).
+    /// Whether the margin is kept, and margin-signature envelopes are
+    /// maintained across prunes (see
+    /// [`IncrementalChecker::enable_margin_tracking`]).
     margin_tracking: bool,
-    /// Monotone floor on the execution's margin: the exact live margin is
-    /// folded in right before every prune, so probes after the prune only
-    /// range above it (which keeps the signature envelopes finite). Held
-    /// as the `(B, F)` counts of the cycle that attained it.
-    margin_floor: Option<(i128, i128)>,
-    /// Witness summary attaining `margin_floor`, when one was extracted.
-    margin_floor_witness: Option<WitnessSummary>,
+    /// The kept margin of a tracking monitor: a second potential column,
+    /// feasible at the current margin, and that margin's witness.
+    kept: KeptMargin,
     stats: MonitorStats,
 }
 
@@ -246,8 +244,7 @@ impl IncrementalChecker {
             violation: None,
             violation_summary: None,
             margin_tracking: false,
-            margin_floor: None,
-            margin_floor_witness: None,
+            kept: KeptMargin::default(),
             stats: MonitorStats::default(),
         })
     }
@@ -292,8 +289,7 @@ impl IncrementalChecker {
             violation,
             violation_summary,
             margin_tracking: _,
-            margin_floor,
-            margin_floor_witness,
+            kept,
             stats,
         } = self;
         *own_xi = xi.clone();
@@ -318,18 +314,17 @@ impl IncrementalChecker {
         *total_messages = 0;
         *violation = None;
         *violation_summary = None;
-        *margin_floor = None;
-        *margin_floor_witness = None;
+        kept.rearm();
         *stats = MonitorStats::default();
         Ok(())
     }
 
     /// What [`IncrementalChecker::reset`] keeps, summed: the capacity of
-    /// every per-process and per-event column, of the arc arena, of the
-    /// shortcut table and of the kernel's and the prunes' scratch (not the
-    /// mirror, which a reset rebuilds). For "a re-armed monitor allocates
-    /// nothing" tests, here and in the crates that lend a monitor to one
-    /// replay after another.
+    /// every per-process and per-event column (the kept margin's
+    /// included), of the arc arena, of the shortcut table and of the
+    /// kernel's and the prunes' scratch (not the mirror, which a reset
+    /// rebuilds). For "a re-armed monitor allocates nothing" tests, here
+    /// and in the crates that lend a monitor to one replay after another.
     #[doc(hidden)]
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -343,6 +338,7 @@ impl IncrementalChecker {
             + self.last_event.capacity()
             + self.frontier_row.capacity()
             + self.shortcuts.capacity()
+            + self.kept.capacity()
     }
 
     /// Builds a monitor by replaying an existing execution graph event by
@@ -400,18 +396,34 @@ impl IncrementalChecker {
         self.builder = None;
     }
 
-    /// Keeps margin tracking exact across [`IncrementalChecker::prune_settled`]:
-    /// every prune folds the exact live margin into a monotone floor and
-    /// equips the condensed boundary shortcuts with margin-signature
-    /// envelopes, so [`IncrementalChecker::current_margin`] stays equal to
-    /// the batch [`crate::check::max_relevant_cycle_ratio`] on the full
-    /// (never-pruned) execution. Each prune then also runs the margin fold
-    /// (a few cycle probes over the live window) and one signature-envelope
-    /// pass per boundary landing — two to three times the few hundred
-    /// microseconds of an untracked prune; without it, margin queries on a
-    /// monitor whose mirror was dropped
+    /// Makes the monitor **keep** its margin instead of searching for it,
+    /// and keeps it exact across [`IncrementalChecker::prune_settled`].
+    ///
+    /// Beside its potentials at `Ξ` the monitor then keeps a second column,
+    /// feasible at the current margin, and raises that margin as appends
+    /// close cycles above it (the `margin` module's docs have the
+    /// argument). On the sweep's 500-event clock synchronisation runs that
+    /// adds about 55 ns to an append, where the search an untracked
+    /// [`IncrementalChecker::current_margin`] runs instead costs about
+    /// 160 ns per event of the run (two hardware threads). Both
+    /// `current_margin` and [`IncrementalChecker::margin_upper_bound`] read
+    /// the kept margin, exactly, and its witness is the cycle that last
+    /// raised it. Every prune condenses its boundary shortcuts with
+    /// margin-signature envelopes over the ratios at or above the kept
+    /// margin — one envelope pass per boundary landing, two to three times
+    /// the few hundred microseconds of an untracked prune — so the margin
+    /// stays equal to the batch [`crate::check::max_relevant_cycle_ratio`]
+    /// on the full (never-pruned) execution; without tracking, margin
+    /// queries on a monitor whose mirror was dropped
     /// ([`IncrementalChecker::enable_pruning`]) are unavailable from its
-    /// first prune on. The choice survives [`IncrementalChecker::reset`].
+    /// first prune on.
+    ///
+    /// Callable until the first prune; a monitor that holds events already
+    /// seeds the kept column with one search of its window. A window whose
+    /// kept labels could leave `i128` is reported by `current_margin` as
+    /// [`CheckError::GraphTooLarge`] (and a prune is then declined), never
+    /// by a panic while appending. The choice survives
+    /// [`IncrementalChecker::reset`].
     ///
     /// # Panics
     ///
@@ -422,7 +434,10 @@ impl IncrementalChecker {
             self.stats.pruned_events == 0,
             "enable_margin_tracking() must be called before the first prune_settled()"
         );
-        self.margin_tracking = true;
+        if !self.margin_tracking {
+            self.margin_tracking = true;
+            self.seed_kept_margin();
+        }
     }
 
     /// The monitored parameter `Ξ`.
@@ -647,6 +662,9 @@ impl IncrementalChecker {
             };
             self.restore_feasibility(&ctx);
         }
+        if self.margin_tracking {
+            self.keep_margin(from.0, recv, effective);
+        }
         OBS_ARCS.add((self.stats.arcs - arcs_before) as u64);
         (mid, EventId(recv))
     }
@@ -655,11 +673,18 @@ impl IncrementalChecker {
         let id = self.tg.push_node();
         self.proc_of.push(p);
         self.pot.push((0, 0));
+        if self.margin_tracking {
+            // An append gives the receive its kept label after its arcs.
+            self.kept.pot.push(0);
+        }
         self.stats.live_events_peak = self.stats.live_events_peak.max(self.tg.num_live_nodes());
         id
     }
 
     fn push_arc(&mut self, from: usize, to: usize, kind: ArcKind) {
+        if let ArcKind::Shortcut(id) = kind {
+            self.kept.carries(&self.shortcuts[id]);
+        }
         self.tg.push_arc(from, to, kind);
         self.stats.arcs += 1;
         self.stats.live_arcs_peak = self.stats.live_arcs_peak.max(self.tg.num_arcs());

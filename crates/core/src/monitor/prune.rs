@@ -121,8 +121,8 @@ pub(super) struct Cut {
     pub(super) landings: Vec<usize>,
     /// Each prefix event's index into `landings` (windowed by `base`).
     landing_idx: Vec<Option<usize>>,
-    /// The just-folded margin floor: signature envelopes range over the
-    /// probe ratios at or above it.
+    /// The kept margin (`1/1` while there is none above it): signature
+    /// envelopes range over the probe ratios at or above it.
     pub(super) floor: (i128, i128),
 }
 
@@ -237,9 +237,10 @@ impl IncrementalChecker {
     /// Verdicts, violation latch points, and witnesses are **byte-identical**
     /// with and without pruning, at any call cadence. Returns the number of
     /// events compacted by this call — `0`, with the window left intact,
-    /// when a margin-tracking monitor cannot fold its margin first because
-    /// the window is beyond the exact probes' integer range
-    /// ([`crate::check::CheckError::GraphTooLarge`]).
+    /// when a margin-tracking monitor has no exact margin to condense with
+    /// because its kept labels are beyond their integer range (its
+    /// [`IncrementalChecker::current_margin`] is then
+    /// [`crate::check::CheckError::GraphTooLarge`]).
     pub fn prune_settled(&mut self, oldest_inflight_send: Option<EventId>) -> usize {
         let _span = abc_obs::span("monitor.prune");
         let total = self.tg.total_nodes();
@@ -249,12 +250,13 @@ impl IncrementalChecker {
             return 0;
         }
         if self.violation.is_none() {
-            // Fold the exact live margin into the monotone floor *before*
-            // the prefix is condensed: probes after the prune only range
-            // above the floor, which is what keeps the boundary signature
-            // envelopes finite and exact. Without the fold there is no
-            // exact condensation, so the prune is declined.
-            if self.margin_tracking && self.fold_margin_floor().is_err() {
+            // The kept margin is the floor the boundary signature
+            // envelopes range above, which keeps them finite and exact;
+            // what the prefix holds of it (the witness's arcs, a cycle of
+            // ratio exactly 1) is folded *before* the prefix is condensed.
+            // Without an exact margin there is no exact condensation, so
+            // the prune is declined.
+            if self.margin_tracking && !self.fold_margin() {
                 return 0;
             }
             // Replace every path through the condemned prefix with an exact
@@ -268,6 +270,9 @@ impl IncrementalChecker {
         debug_assert_eq!(nodes, dropped);
         self.proc_of.drain(..dropped);
         self.pot.drain(..dropped);
+        if self.margin_tracking {
+            self.kept.pot.drain(..dropped);
+        }
         self.stats.pruned_events += nodes;
         self.stats.pruned_arcs += arcs;
         OBS_PRUNED_EVENTS.add(nodes as u64);
@@ -337,7 +342,7 @@ impl IncrementalChecker {
             out: Vec::new(),
             landings: Vec::new(),
             landing_idx: vec![None; w - base],
-            floor: self.margin_floor.unwrap_or((1, 1)),
+            floor: self.kept.ratio,
         };
         for (ai, a) in self.tg.arcs().iter().enumerate() {
             match (a.from < w, a.to < w) {
@@ -596,6 +601,7 @@ impl IncrementalChecker {
             match slot.survivor {
                 Some(old_id) => {
                     let id = remap[old_id].expect("surviving shortcuts were remapped");
+                    self.kept.carries(&slot.info);
                     self.shortcuts[id] = slot.info;
                 }
                 None => {

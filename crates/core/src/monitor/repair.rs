@@ -55,7 +55,9 @@ impl IncrementalChecker {
         let (arcs, shortcuts, p, q) = (self.tg.arcs(), &self.shortcuts, self.p, self.q);
         let weight = |ai: usize| Some(weight_of(arcs[ai].kind, p, q, shortcuts));
         let start = ctx.v - self.tg.base();
-        let run = self.kernel.run(&self.tg, &mut self.pot, [start], weight);
+        let run = self
+            .kernel
+            .run(&self.tg, &mut self.pot, [start], weight, None);
         self.stats.relaxations += run.relaxations;
         OBS_RELAXATIONS.add(run.relaxations);
         if run.cycle.is_none() {

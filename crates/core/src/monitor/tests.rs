@@ -597,10 +597,10 @@ fn margin_floor_survives_pruning_the_witness_away() {
 
 #[test]
 fn a_fold_beyond_the_integer_range_declines_the_prune() {
-    // No real execution gets a window past the probe-weight guard (its
-    // boundary is pinned in `maxratio::tests`), so plant a floor whose
-    // parts alone overflow it: the margin query reports the clean
-    // error and the prune leaves the window as it was.
+    // No real execution gets kept labels past their guard (the boundary of
+    // the guard it is built on is pinned in `maxratio::tests`), so plant a
+    // kept margin whose parts alone overflow it: the margin query reports
+    // the clean error and the prune leaves the window as it was.
     let xi = Xi::from_integer(4);
     let mut mon = IncrementalChecker::new(4, &xi).unwrap();
     mon.enable_pruning();
@@ -615,15 +615,28 @@ fn a_fold_beyond_the_integer_range_declines_the_prune() {
     let (_, last) = mon.append_send(q, ProcessId(1)); // spans 3 hops
     let three = Ratio::from_integer(3);
     assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
-    mon.margin_floor = Some(((1 << 125) + 1, 1 << 125)); // just above 1
+    let kept = mon.kept.ratio;
+    let huge = ((1 << 125) + 1, 1 << 125); // just above 1
+    mon.kept.ratio = huge;
     let live = mon.live_events();
     assert_eq!(mon.current_margin(), Err(CheckError::GraphTooLarge));
     assert_eq!(mon.prune_settled(Some(last)), 0);
     assert_eq!((mon.live_events(), mon.stats().pruned_events), (live, 0));
-    // With a floor that fits, the same call folds and prunes.
-    mon.margin_floor = None;
+    // With a margin that fits, the same call folds and prunes.
+    mon.kept.ratio = kept;
     assert!(mon.prune_settled(Some(last)) > 0);
     assert_eq!(mon.current_margin().unwrap().unwrap().ratio, three);
+    // An append past the guard does not panic, not even with overflow
+    // checks on: the labels are abandoned, and the margin says so. (The
+    // margin planted is 3 in parts that do not fit: the bound, which falls
+    // back on the scan, still holds.)
+    mon.kept.ratio = (3 << 100, 1 << 100);
+    let (_, next) = mon.append_send(last, ProcessId(0));
+    mon.append_send(next, ProcessId(2));
+    assert!(mon.is_admissible());
+    assert_eq!(mon.current_margin(), Err(CheckError::GraphTooLarge));
+    assert_eq!(mon.prune_settled(Some(next)), 0);
+    assert!(mon.margin_upper_bound().unwrap() >= three);
 }
 
 #[test]
@@ -1052,7 +1065,7 @@ fn assert_envelopes_match_the_cold_pass(
         return compared;
     }
     let mut mon = mon.clone();
-    mon.fold_margin_floor().expect("small windows fold");
+    assert!(mon.fold_margin(), "small windows fold");
     let cut = mon.classify_cut(w);
     let tree = |start: usize| {
         let seed = [(start, (0, 0))];

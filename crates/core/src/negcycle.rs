@@ -1,6 +1,7 @@
 //! The crate's one label-correcting loop: the negative-cycle kernel behind
 //! the batch checker ([`crate::check::find_violation`]), every probe of the
-//! max-ratio engine and the monitor's frontier repair ([`crate::monitor`]).
+//! max-ratio engine and both repairs of the monitor ([`crate::monitor`]):
+//! its potentials at `Ξ`, and a tracking monitor's at its kept margin.
 //! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").
@@ -29,6 +30,10 @@
 //! by resetting the nodes it queued, and only those. So it is clean between
 //! runs, serves windows of any size and base, is left alone by a prune of
 //! the monitor's window, and moves *k* labels in *O(k)* whatever the window.
+//! The same list can hand the caller its labels back
+//! ([`NegCycle::run`] with `moved`): a *yes* leaves labels that are feasible
+//! nowhere in particular, and the kept-margin repair, which retries at a
+//! higher ratio, starts again from the ones it had.
 //!
 //! Deterministic: queue order and arc order are fixed by the graph, so the
 //! cycle handed back is a pure function of graph, weights, start labels
@@ -137,13 +142,23 @@ impl NegCycle {
     /// nodes of `starts` (window slots, each once) queued in that order,
     /// under the per-arc `weight` (`None` leaves an arc out). Every tense arc
     /// must leave a start node; a *no* leaves `labels` a feasible potential.
+    ///
+    /// Given `moved`, the run also hands back what it moved: `moved` is
+    /// cleared, then receives every node the run touched (the starts, and
+    /// each node it relaxed), once, with its label from before the run.
+    /// Writing those back undoes the run, which is how a caller that wants
+    /// the labels of a *yes* undone gets them without copying every label.
     pub(crate) fn run<L: Label>(
         &mut self,
         tg: &TraversalGraph,
         labels: &mut [L],
         starts: impl IntoIterator<Item = usize>,
         weight: impl Fn(usize) -> Option<L>,
+        mut moved: Option<&mut Vec<(usize, L)>>,
     ) -> Run {
+        if let Some(moved) = moved.as_deref_mut() {
+            moved.clear();
+        }
         let arcs = tg.arcs();
         let base = tg.base();
         if self.mark.len() < labels.len() {
@@ -158,6 +173,9 @@ impl NegCycle {
             self.mark[s] = Mark::Queued;
             self.touched.push(s);
             self.queue.push_back(s);
+            if let Some(moved) = moved.as_deref_mut() {
+                moved.push((s, labels[s]));
+            }
         }
         let mut run = Run::default();
         'scan: while let Some(u) = self.queue.pop_front() {
@@ -185,7 +203,7 @@ impl NegCycle {
                     run.cycle = Some(found);
                     break 'scan;
                 }
-                labels[v] = cand;
+                let before = std::mem::replace(&mut labels[v], cand);
                 self.pred[v] = ai;
                 self.next_sibling[v] = self.first_child[u];
                 self.prev_sibling[v] = NONE;
@@ -197,6 +215,9 @@ impl NegCycle {
                     Mark::Clean => {
                         self.touched.push(v);
                         self.queue.push_back(v);
+                        if let Some(moved) = moved.as_deref_mut() {
+                            moved.push((v, before));
+                        }
                     }
                     Mark::Idle => self.queue.push_back(v),
                     Mark::Queued | Mark::Dormant => {}
@@ -315,15 +336,27 @@ mod tests {
         case: &str,
     ) -> bool {
         let (arcs, base) = (tg.arcs(), tg.base());
+        let before = labels.to_vec();
         let mut relabeled = labels.to_vec();
         let starts = || starts.iter().copied();
-        let anew = NegCycle::default().run(tg, &mut relabeled, starts(), |ai| weights[ai]);
-        let run = shared.run(tg, labels, starts(), |ai| weights[ai]);
+        let anew = NegCycle::default().run(tg, &mut relabeled, starts(), |ai| weights[ai], None);
+        let mut moved = vec![(usize::MAX, zero)]; // a stale entry: the run clears it
+        let run = shared.run(tg, labels, starts(), |ai| weights[ai], Some(&mut moved));
         assert_eq!(
             (&run.cycle, run.relaxations, run.arc_visits, &*labels),
             (&anew.cycle, anew.relaxations, anew.arc_visits, &*relabeled),
             "{case}: a used scratch answers differently"
         );
+        // What the run hands back undoes it, naming each node once.
+        let mut undone = labels.to_vec();
+        for &(x, label) in &moved {
+            undone[x] = label;
+        }
+        assert_eq!(undone, before, "{case}: a moved label was not handed back");
+        let mut named: Vec<usize> = moved.iter().map(|&(x, _)| x).collect();
+        named.sort_unstable();
+        named.dedup();
+        assert_eq!(named.len(), moved.len(), "{case}: a node handed back twice");
         let Some(cycle) = run.cycle else {
             for (arc, w) in arcs.iter().zip(weights) {
                 let (from, to) = (labels[arc.from - base], labels[arc.to - base]);

@@ -356,22 +356,35 @@ impl TraversalGraph {
     /// line-graph pass of [`crate::check`].
     #[must_use]
     pub fn in_csr(&self) -> (Vec<usize>, Vec<usize>) {
+        let (mut starts, mut arc_indices) = (Vec::new(), Vec::new());
+        self.in_csr_into(&mut starts, &mut arc_indices);
+        (starts, arc_indices)
+    }
+
+    /// [`TraversalGraph::in_csr`] into buffers the caller keeps, which are
+    /// overwritten whole.
+    pub(crate) fn in_csr_into(&self, starts: &mut Vec<usize>, arc_indices: &mut Vec<usize>) {
         let n = self.num_live_nodes();
-        let mut starts = vec![0usize; n + 1];
+        starts.clear();
+        starts.resize(n + 1, 0);
         for a in &self.arcs {
             starts[a.to - self.base + 1] += 1;
         }
         for v in 0..n {
             starts[v + 1] += starts[v];
         }
-        let mut cursor = starts.clone();
-        let mut arc_indices = vec![0usize; self.arcs.len()];
-        for (idx, a) in self.arcs.iter().enumerate() {
-            let slot = a.to - self.base;
-            arc_indices[cursor[slot]] = idx;
-            cursor[slot] += 1;
+        // Filled bucket by bucket from the back: `starts[v + 1]` counts
+        // down to `starts[v]`, which it ends on.
+        arc_indices.clear();
+        arc_indices.resize(self.arcs.len(), 0);
+        for (idx, a) in self.arcs.iter().enumerate().rev() {
+            let slot = a.to - self.base + 1;
+            starts[slot] -= 1;
+            arc_indices[starts[slot]] = idx;
         }
-        (starts, arc_indices)
+        // Each bucket's end moved onto its start: shift them back.
+        starts.rotate_left(1);
+        starts[n] = self.arcs.len();
     }
 }
 
@@ -446,10 +459,18 @@ mod tests {
         assert_eq!(starts.len(), tg.num_live_nodes() + 1);
         assert_eq!(*starts.last().unwrap(), tg.num_arcs());
         for v in 0..tg.num_live_nodes() {
-            for &ai in &idx[starts[v]..starts[v + 1]] {
-                assert_eq!(tg.arcs()[ai].to, v);
-            }
+            let bucket = &idx[starts[v]..starts[v + 1]];
+            let heading_to_v = (0..tg.num_arcs()).filter(|&ai| tg.arcs()[ai].to == v);
+            assert_eq!(
+                bucket,
+                heading_to_v.collect::<Vec<_>>(),
+                "in insertion order"
+            );
         }
+        // Buffers that held a larger graph's CSR are overwritten whole.
+        let (mut reused_starts, mut reused_idx) = (vec![7; 40], vec![9; 40]);
+        tg.in_csr_into(&mut reused_starts, &mut reused_idx);
+        assert_eq!((reused_starts, reused_idx), (starts, idx));
     }
 
     #[test]

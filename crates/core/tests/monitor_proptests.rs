@@ -217,6 +217,147 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
     );
 }
 
+/// What the kept-margin leg reached, by the margin at each compared
+/// prefix: none, exactly `1`, above `1`; and the latches.
+#[derive(Clone, Copy, Debug, Default)]
+struct Reached {
+    none: u32,
+    one: u32,
+    above: u32,
+    latched: u32,
+}
+
+/// `kept ≡ ascent ≡ batch`: at every prefix of an execution — random
+/// sends, or the near-threshold gadgets above, whose cycles raise a margin
+/// several times within one append — with a faulty process and exempt
+/// sends among them, a monitor that keeps its margin reports what an
+/// untracked monitor's search and the batch `max_relevant_cycle_ratio`
+/// report: kept mirror-less and never pruned (a sweep worker's), pruned
+/// with the exact lookahead watermark at several cadences, and switched on
+/// half-way through a mirrored run (seeded from one search). Each
+/// execution runs at `Ξ` just above its own final margin, where every cycle
+/// that raises the margin is a near miss, and, when that margin is a `Ξ`,
+/// at the margin itself, where it latches mid-stream. A kept witness
+/// attains the margin it is shown with, and a tracking monitor's bound is
+/// its margin.
+#[test]
+fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
+    use std::cell::Cell;
+    let reached = Cell::new(Reached::default());
+    let picks = proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 1..20);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(160),
+        (3usize..6, any::<usize>(), any::<bool>(), picks, 2usize..5),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix",
+        |(n, pick, gadgets, picks, shape)| {
+            let script = match gadgets {
+                true => near_threshold_script(n, shape, &picks),
+                // Sends name one of the last `shape` events.
+                false => (n..)
+                    .zip(&picks)
+                    .map(|(total, &(back, to, _))| (total - 1 - back % shape.min(total), to % n))
+                    .collect(),
+            };
+            let exempt = |step: usize| picks[step % picks.len()].2 % 8 == 0;
+            let faulty = (pick % 3 == 0).then_some(pick % n);
+            // suffix_min[i]: the oldest event any send at index >= i names.
+            let mut suffix_min = vec![usize::MAX; script.len() + 1];
+            for (i, &(from, _)) in script.iter().enumerate().rev() {
+                suffix_min[i] = from.min(suffix_min[i + 1]);
+            }
+            let start = |mon: &mut IncrementalChecker| {
+                if let Some(p) = faulty {
+                    mon.mark_faulty(ProcessId(p));
+                }
+                for p in 0..n {
+                    mon.append_init(ProcessId(p));
+                }
+            };
+            let feed = |mon: &mut IncrementalChecker, step: usize| {
+                let (from, to) = (EventId(script[step].0), ProcessId(script[step].1));
+                match exempt(step) {
+                    true => mon.append_send_exempt(from, to),
+                    false => mon.append_send(from, to),
+                };
+            };
+            let mut probe = IncrementalChecker::new(n, &Xi::from_integer(1_000)).unwrap();
+            start(&mut probe);
+            (0..script.len()).for_each(|step| feed(&mut probe, step));
+            let last = probe.current_margin().unwrap().map(|m| m.ratio);
+            let above = last.clone().unwrap_or_else(Ratio::one) + Ratio::new(1, 64);
+            let mut xis = vec![Xi::new(above).unwrap()];
+            xis.extend(last.and_then(|m| Xi::new(m).ok()));
+            let half = script.len() / 2;
+            for xi in &xis {
+                for cadence in [None, Some(1), Some(3)] {
+                    let mut search = IncrementalChecker::new(n, xi).unwrap();
+                    let mut kept = IncrementalChecker::new(n, xi).unwrap();
+                    kept.enable_pruning();
+                    kept.enable_margin_tracking();
+                    let mut late = IncrementalChecker::new(n, xi).unwrap();
+                    for mon in [&mut search, &mut kept, &mut late] {
+                        start(mon);
+                    }
+                    for step in 0..script.len() {
+                        if step == half {
+                            late.enable_margin_tracking();
+                        }
+                        for mon in [&mut search, &mut kept, &mut late] {
+                            feed(mon, step);
+                        }
+                        let ascent = search.current_margin().unwrap();
+                        let expected = ascent.as_ref().map(|m| m.ratio.clone());
+                        let mut seen = reached.get();
+                        match &expected {
+                            _ if !search.is_admissible() => seen.latched += 1,
+                            None => seen.none += 1,
+                            Some(m) if *m == Ratio::one() => seen.one += 1,
+                            Some(_) => seen.above += 1,
+                        }
+                        reached.set(seen);
+                        if search.is_admissible() {
+                            let batch = check::max_relevant_cycle_ratio(search.graph()).unwrap();
+                            prop_assert_eq!(&expected, &batch, "ascent ≠ batch at step {}", step);
+                        }
+                        let tracking = [(&kept, "kept")]
+                            .into_iter()
+                            .chain((step >= half).then_some((&late, "late")));
+                        for (mon, what) in tracking {
+                            prop_assert_eq!(mon.violation_summary(), search.violation_summary());
+                            let report = mon.current_margin().unwrap();
+                            let ratio = report.as_ref().map(|m| m.ratio.clone());
+                            prop_assert_eq!(&ratio, &expected, "{} at step {}", what, step);
+                            prop_assert_eq!(mon.margin_upper_bound(), ratio.clone());
+                            if let Some(MarginReport {
+                                ratio,
+                                witness: Some(w),
+                            }) = report
+                            {
+                                prop_assert!(w.classification.relevant, "{}: {}", what, w);
+                                prop_assert_eq!(w.classification.ratio(), Some(ratio));
+                            }
+                        }
+                        if cadence.is_some_and(|c| step % c == 0) {
+                            let watermark = suffix_min[step + 1].min(n + step + 1);
+                            kept.prune_settled(Some(EventId(watermark)));
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+    let reached = reached.get();
+    assert!(
+        [reached.none, reached.one, reached.above, reached.latched]
+            .iter()
+            .all(|&count| count > 100),
+        "{reached:?}"
+    );
+}
+
 /// An execution to monitor: process count, the process marked faulty
 /// (if any), and a send script.
 type Execution = (usize, Option<usize>, Script);
@@ -230,16 +371,30 @@ fn execution_strategy() -> impl Strategy<Value = Execution> {
         .prop_map(|(n, pick, script)| (n, (pick % 3 == 0).then_some(pick % n), script))
 }
 
-/// A new monitor in one of the five modes a monitor can be in: (0) as
-/// built, (1) mirror dropped, (2) mirror dropped and margin-tracked,
-/// pruning, (3) mirrored and untracked, pruning, (4) mirror dropped and
-/// untracked, pruning.
+/// The modes a monitor can be in, as `(mirror kept, margin kept, pruned)`:
+/// (0) as built, (1) mirror dropped, (2) mirror dropped and tracking,
+/// pruning — a bounded session's — (3) mirrored and untracked, pruning,
+/// (4) mirror dropped and untracked, pruning, (5) mirror dropped and
+/// tracking, never pruned — a sweep worker's — (6) mirrored and tracking,
+/// pruning.
+const MODES: [(bool, bool, bool); 7] = [
+    (true, false, false),
+    (false, false, false),
+    (false, true, true),
+    (true, false, true),
+    (false, false, true),
+    (false, true, false),
+    (true, true, true),
+];
+
+/// A new monitor in mode `mode` of [`MODES`].
 fn armed(mode: usize, n: usize, xi: &Xi) -> IncrementalChecker {
+    let (mirrored, tracking, _) = MODES[mode];
     let mut mon = IncrementalChecker::new(n, xi).unwrap();
-    if matches!(mode, 1 | 2 | 4) {
+    if !mirrored {
         mon.enable_pruning();
     }
-    if mode == 2 {
+    if tracking {
         mon.enable_margin_tracking();
     }
     mon
@@ -257,6 +412,7 @@ fn observe(
     horizon: usize,
 ) -> Vec<String> {
     let n = *n;
+    let (mirrored, tracking, pruning) = MODES[mode];
     if let Some(p) = faulty {
         mon.mark_faulty(ProcessId(*p));
     }
@@ -273,9 +429,9 @@ fn observe(
         total += 1;
         // Only an untracked monitor without a mirror has no margin to
         // show, and only once it has pruned.
-        let margins = (mode != 4 || mon.stats().pruned_events == 0)
+        let margins = (mirrored || tracking || mon.stats().pruned_events == 0)
             .then(|| (mon.current_margin(), mon.margin_upper_bound()));
-        let mirror = matches!(mode, 0 | 3).then(|| mon.graph().clone());
+        let mirror = mirrored.then(|| mon.graph().clone());
         seen.push(format!(
             "{ids:?} {:?} {:?} {margins:?} {:?} {} {} {mirror:?}",
             mon.violation(),
@@ -284,7 +440,7 @@ fn observe(
             mon.live_events(),
             mon.live_arcs(),
         ));
-        if mode >= 2 && step % cadence == 0 {
+        if pruning && step % cadence == 0 {
             let pruned = mon.prune_settled(Some(EventId(total.saturating_sub(horizon))));
             seen.push(format!("pruned {pruned}"));
         }
@@ -302,7 +458,7 @@ proptest! {
     /// mode shows.
     #[test]
     fn a_reset_monitor_is_indistinguishable_from_a_new_one(
-        mode in 0usize..5,
+        mode in 0..MODES.len(),
         first in (execution_strategy(), xi_strategy()),
         second in (execution_strategy(), xi_strategy()),
         cadence in 1usize..4,

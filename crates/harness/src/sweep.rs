@@ -25,6 +25,15 @@
 //! Hence the [`SweepReport`]'s aggregate text is byte-identical at any
 //! worker-thread count (asserted by `tests/determinism.rs` at 1, 2, and 8
 //! workers over 512 runs).
+//!
+//! A run's final margin is **read, not searched for**: the monitor keeps
+//! it ([`IncrementalChecker::enable_margin_tracking`]) — a second potential
+//! column, feasible at the margin so far, is raised as the replay's appends
+//! close cycles above it. Searching afterwards, a few runs of the
+//! negative-cycle kernel over the whole trace, was half of a swept event.
+//! Both are exact, so no outcome depends on which one ran:
+//! `tests/determinism.rs` computes its outcomes with searching monitors, and
+//! CI diffs the `quartet` preset's aggregate text against a committed golden.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -325,10 +334,13 @@ impl Process<u64> for Gossip {
 }
 
 /// The monitor a swept run is checked on: no execution-graph mirror (no
-/// consumer of a sweep reads it), and nothing is ever pruned from it.
+/// consumer of a sweep reads it), nothing is ever pruned from it, and it
+/// keeps its margin as the replay appends, so the final margin is read,
+/// not searched for.
 fn sweep_monitor(num_processes: usize, xi: &Xi) -> Result<IncrementalChecker, String> {
     let mut mon = IncrementalChecker::new(num_processes, xi).map_err(|e| e.to_string())?;
     mon.enable_pruning();
+    mon.enable_margin_tracking();
     Ok(mon)
 }
 
