@@ -816,6 +816,23 @@ impl IncrementalChecker {
         Ok(exists.then(|| maxratio::ratio_of(self.kept.ratio)))
     }
 
+    /// Whether the margin a tracking monitor keeps has reached `p/q`
+    /// (`p > q > 0`): one cross-multiplication, no probe, so a caller can
+    /// ask after every append and learn of the crossing at the append that
+    /// made it. `false` on an untracked monitor (its kept margin stays at
+    /// `1`), and once the kept labels have overflowed (where
+    /// [`IncrementalChecker::current_margin`] reports
+    /// [`CheckError::GraphTooLarge`]). A threshold of `1` or less is not
+    /// answered here: a cycle of ratio exactly `1` takes an `O(arcs)` pass.
+    #[must_use]
+    pub fn kept_margin_reaches(&self, (p, q): (i64, i64)) -> bool {
+        debug_assert!(p > q && q > 0, "thresholds lie above 1");
+        // The guard keeps both parts of the kept ratio below 2^61.
+        let (b, f) = self.kept.ratio;
+        self.kept.usable(self.stats.events + self.stats.arcs)
+            && b * i128::from(q) >= i128::from(p) * f
+    }
+
     /// The execution's current **synchrony margin**: the exact maximum
     /// relevant-cycle ratio `|Z−|/|Z+|` over everything appended so far, or
     /// `Ok(None)` while no relevant cycle exists. Matches the batch
@@ -935,10 +952,10 @@ impl IncrementalChecker {
     /// margin from above — as it does, combined with the kept margin at the
     /// last prune, for a tracking monitor whose kept labels overflowed.
     ///
-    /// This is the fast path for threshold alerting: only when the bound
-    /// crosses a warning threshold does an exact (and, untracked, much
-    /// costlier) [`current_margin`](IncrementalChecker::current_margin)
-    /// need to run.
+    /// A cheap bound, not an alert (`bench_ledger`'s
+    /// `core.monitor.margin_bound_us` row times it): a threshold on a
+    /// tracking monitor is [`IncrementalChecker::kept_margin_reaches`],
+    /// which is exact and O(1).
     ///
     /// # Panics
     ///

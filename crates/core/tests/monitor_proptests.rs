@@ -238,8 +238,9 @@ struct Reached {
 /// execution runs at `Ξ` just above its own final margin, where every cycle
 /// that raises the margin is a near miss, and, when that margin is a `Ξ`,
 /// at the margin itself, where it latches mid-stream. A kept witness
-/// attains the margin it is shown with, and a tracking monitor's bound is
-/// its margin.
+/// attains the margin it is shown with, a tracking monitor's bound is its
+/// margin, and its threshold test (`kept_margin_reaches`) is reached at the
+/// margin and not just above it.
 #[test]
 fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
     use std::cell::Cell;
@@ -330,6 +331,17 @@ fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
                             let ratio = report.as_ref().map(|m| m.ratio.clone());
                             prop_assert_eq!(&ratio, &expected, "{} at step {}", what, step);
                             prop_assert_eq!(mon.margin_upper_bound(), ratio.clone());
+                            // The O(1) threshold test agrees with the margin
+                            // on both sides of it while the verdict is open.
+                            let parts = ratio.clone().and_then(|m| Xi::new(m).ok()?.as_i64_parts());
+                            if mon.is_admissible() {
+                                if let Some(at) = parts {
+                                    prop_assert!(mon.kept_margin_reaches(at), "{} {}", what, step);
+                                }
+                                let (p, q) = parts.unwrap_or((1, 1));
+                                let above = (64 * p + 1, 64 * q);
+                                prop_assert!(!mon.kept_margin_reaches(above), "{} {}", what, step);
+                            }
                             if let Some(MarginReport {
                                 ratio,
                                 witness: Some(w),

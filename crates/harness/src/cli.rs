@@ -39,7 +39,7 @@ USAGE:
   abc list
   abc serve   [--addr A] [--status-addr A] [--shards N] [--xi XI]
               [--max-line BYTES] [--max-frame BYTES] [--max-processes N]
-              [--prune-horizon H] [--warn-margin P/Q] [--margin-tracking BOOL]
+              [--prune-horizon H] [--warn-margin P/Q (above 1)]
               [--forensics-dir DIR] [--forensics-tail N] [--trace-out FILE]
   abc feed    FILE --addr A --xi XI [--binary] [--margin-every N]
   abc loadgen --addr A [--connections C] [--traces N] [--preset NAME]

@@ -31,7 +31,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<i32, String> {
         "max-processes",
         "prune-horizon",
         "warn-margin",
-        "margin-tracking",
         "forensics-dir",
         "forensics-tail",
         "trace-out",
@@ -78,7 +77,6 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<i32, String> {
             .map(str::parse::<Ratio>)
             .transpose()
             .map_err(|e| format!("--warn-margin: {e}"))?,
-        margin_tracking: args.parsed("margin-tracking", true)?,
         forensics_dir: args.one("forensics-dir")?.map(std::path::PathBuf::from),
         forensics_tail: args.parsed("forensics-tail", DEFAULT_FORENSICS_TAIL)?,
     };

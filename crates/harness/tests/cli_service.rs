@@ -75,26 +75,32 @@ fn loadgen_verifies_verdicts_against_the_offline_monitor() {
     handle.join();
 }
 
+/// `abc serve` with `extra` flags on ephemeral ports; every case here is
+/// refused before a port is bound, so it returns instead of serving.
+fn serve_error(extra: &[&str]) -> String {
+    let ports = ["--addr", "127.0.0.1:0", "--status-addr", "127.0.0.1:0"];
+    run(&sv(&[&["serve"][..], &ports, extra].concat())).unwrap_err()
+}
+
 #[test]
-fn serve_refuses_a_warn_margin_that_could_never_fire() {
-    // Pruning with margin tracking off leaves the warning gate nothing to
-    // probe; `abc serve` exits 1 (`run` returns the usage error) naming
-    // the three flags instead of starting a server whose warning is inert.
-    let err = run(&sv(&[
-        "serve",
-        "--addr",
-        "127.0.0.1:0",
-        "--status-addr",
-        "127.0.0.1:0",
-        "--prune-horizon",
-        "64",
-        "--warn-margin",
-        "3/2",
-        "--margin-tracking",
-        "false",
-    ]))
-    .unwrap_err();
-    for flag in ["--prune-horizon", "--warn-margin", "--margin-tracking"] {
-        assert!(err.contains(flag), "{err}");
+fn serve_refuses_a_warn_margin_of_one_or_less() {
+    // Every relevant cycle has ratio at least 1, so such a threshold would
+    // warn at the first cycle; `abc serve` exits 1 (`run` returns the
+    // usage error) naming the flag, pruned or not.
+    for w in ["1", "0", "2/3"] {
+        for horizon in [&[][..], &["--prune-horizon", "64"][..]] {
+            let err = serve_error(&[&["--warn-margin", w][..], horizon].concat());
+            assert!(err.contains("--warn-margin"), "{w}: {err}");
+        }
     }
+}
+
+#[test]
+fn serve_rejects_the_removed_tracking_flag() {
+    // A monitor that prunes or warns keeps its margin: there is no switch.
+    assert_eq!(
+        serve_error(&["--prune-horizon", "64", "--margin-tracking", "false"]),
+        "unknown flag --margin-tracking",
+        "the removed flag is rejected, not ignored"
+    );
 }

@@ -66,15 +66,16 @@ pub struct ForensicsBundle {
     /// Monitor counters (key, value), in [`MonitorStats`] field order.
     pub monitor: Vec<(String, u64)>,
     /// Margin history: `(request#, ratio-or-none)` per exact sample —
-    /// the client's `margin` requests, the `--warn-margin` gate's exact
-    /// probes (scheduled per request, so independent of read chunking)
-    /// and the latch freeze.
+    /// the client's `margin` requests, the `--warn-margin` crossing (at
+    /// the request of the event whose append reached the threshold) and
+    /// the latch freeze.
     pub margins: Vec<(u64, String)>,
     /// Total margin samples observed (≥ `margins.len()`; the log keeps
     /// the most recent entries).
     pub margins_total: u64,
     /// Decision timeline: `(request#, entry)` for document starts,
-    /// topology, prunes, the latch, and document ends.
+    /// topology, prunes, the warning (with the wire witness of the cycle
+    /// that raised the margin), the latch, and document ends.
     pub timeline: Vec<(u64, String)>,
     /// Total timeline entries observed.
     pub timeline_total: u64,

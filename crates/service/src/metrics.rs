@@ -184,8 +184,8 @@ pub struct Metrics {
     pub frames: AtomicU64,
     /// Coalesced `ack` replies sent (v2 sessions).
     pub acks: AtomicU64,
-    /// Sessions whose exact margin crossed the `--warn-margin` threshold
-    /// (flipped at most once per document, before any latch).
+    /// Documents whose exact margin crossed the `--warn-margin` threshold
+    /// (once per document, at the crossing event, before any latch).
     pub margin_warnings: AtomicU64,
     /// Forensics bundles written (latch-triggered or `dump`-requested).
     pub forensics_dumps: AtomicU64,
@@ -281,7 +281,7 @@ impl Metrics {
             ),
             (
                 "margin_warnings_total",
-                "Sessions whose exact margin crossed the warn-margin threshold.",
+                "Documents whose exact margin crossed the warn-margin threshold.",
                 c(&self.margin_warnings),
             ),
             (

@@ -48,9 +48,11 @@
 //! [`abc_sim::binio::WireRecord::Margin`]) inside any frame (v2). Both
 //! are accepted mid-document and between documents; the reply is
 //! immediate and — in v2 — precedes the ack of the frame that carried
-//! the request. On a server running bounded-memory pruning with margin
-//! tracking disabled (`margin_tracking = false` in the config) a margin
-//! request is a protocol error.
+//! the request. A server with a prune horizon or a warning threshold keeps
+//! each document's margin as events arrive, and its witness is the cycle
+//! that last raised the margin; any other server searches for the margin
+//! at the request, and its witness is the cycle that search finds. Both
+//! report the same ratio.
 //!
 //! The greeting ([`GREETING`]) is sent once per connection and
 //! advertises both framings.

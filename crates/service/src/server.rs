@@ -57,7 +57,7 @@ use abc_rational::Ratio;
 
 use crate::metrics::{self, Metrics, MARGIN_NONE};
 use crate::readiness::{wait, PollFd, Waker};
-use crate::session::{DocSpares, Session, SessionCounters};
+use crate::session::{warn_parts, DocSpares, Session, SessionCounters};
 
 // Flight-recorder counters (no-ops unless the embedding process called
 // `abc_obs::enable`). The first two are what an idle horde must not move.
@@ -115,22 +115,18 @@ pub struct ServerConfig {
     /// is rejected by [`start`].
     pub prune_horizon: Option<usize>,
     /// Early-warning threshold (`abc serve --warn-margin P/Q`): when a
-    /// session's exact synchrony margin reaches this ratio, its
+    /// document's synchrony margin reaches this ratio, its session's
     /// `warning` state flips (once per document, before any latch) and
-    /// `abc_service_margin_warnings_total` increments. Sessions gate the
-    /// exact probe behind the cheap
-    /// [`abc_core::monitor::IncrementalChecker::margin_upper_bound`]
-    /// scan, so an untroubled stream never pays for an exact probe.
-    /// `None` (the default) disables warning checks.
+    /// `abc_service_margin_warnings_total` increments — at the event whose
+    /// append raised the margin, because a monitor with a threshold keeps
+    /// its margin
+    /// ([`abc_core::monitor::IncrementalChecker::enable_margin_tracking`])
+    /// and compares it after every append, in O(1). The ratio must lie
+    /// above 1 with parts within `i64`, the range of a monitored `Ξ`
+    /// ([`start`] refuses any other); a threshold at or above a
+    /// document's `Ξ` never fires, as the latch comes first. `None` (the
+    /// default) disables warnings.
     pub warn_margin: Option<Ratio>,
-    /// Whether per-document monitors keep margin signatures across
-    /// pruning ([`abc_core::monitor::IncrementalChecker::enable_margin_tracking`]).
-    /// Only consulted when [`ServerConfig::prune_horizon`] is set —
-    /// unpruned monitors answer margin probes exactly without it. With
-    /// pruning on and tracking off, `margin` requests get a protocol
-    /// error, and [`start`] rejects a [`ServerConfig::warn_margin`] that
-    /// could never fire. Defaults to `true`.
-    pub margin_tracking: bool,
     /// Violation-forensics directory (`abc serve --forensics-dir DIR`):
     /// when set, every session records its recent wire records, margin
     /// history, and decision timeline, and writes a byte-reproducible
@@ -161,7 +157,6 @@ impl Default for ServerConfig {
             max_processes: 10_000,
             prune_horizon: None,
             warn_margin: None,
-            margin_tracking: true,
             forensics_dir: None,
             forensics_tail: DEFAULT_FORENSICS_TAIL,
         }
@@ -402,12 +397,11 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
             "prune_horizon must be at least 1",
         ));
     }
-    if config.prune_horizon.is_some() && config.warn_margin.is_some() && !config.margin_tracking {
-        // A pruned monitor without margin signatures cannot be probed, so
-        // the warning the operator asked for could never fire.
+    if config.warn_margin.as_ref().map(warn_parts) == Some(None) {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            "--warn-margin with --prune-horizon needs --margin-tracking true",
+            // Every relevant cycle has ratio at least 1.
+            "--warn-margin must lie above 1, with parts within i64",
         ));
     }
     let listener = TcpListener::bind(&config.addr)?;
@@ -1017,35 +1011,31 @@ mod tests {
             ..ServerConfig::default()
         });
         assert_eq!(zero.kind(), std::io::ErrorKind::InvalidInput);
-        // Pruning without margin signatures leaves nothing for the
-        // warning gate to probe: refused up front, not silently inert.
-        let untracked = ServerConfig {
-            prune_horizon: Some(64),
-            warn_margin: Some(Ratio::new(3, 2)),
-            margin_tracking: false,
+        // Every relevant cycle has ratio at least 1: a threshold there or
+        // below would warn at the first cycle, which no kept margin says in
+        // O(1). Refused up front, naming the flag, as are parts a monitored
+        // `Ξ` could not have.
+        let warned = |w: &str, horizon| ServerConfig {
+            warn_margin: Some(w.parse().unwrap()),
+            prune_horizon: horizon,
             ..ServerConfig::default()
         };
-        let inert = start_error(untracked.clone());
-        assert_eq!(inert.kind(), std::io::ErrorKind::InvalidInput);
-        for flag in ["--warn-margin", "--prune-horizon", "--margin-tracking"] {
-            assert!(inert.to_string().contains(flag), "{inert}");
+        let wide = "18446744073709551617/18446744073709551616";
+        for w in ["1", "0", "-3/2", "9/10", wide] {
+            let refused = start_error(warned(w, Some(64)));
+            assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(refused.to_string().contains("--warn-margin"), "{refused}");
         }
-        // Each of the three alone (or with tracking on) stays valid.
-        for config in [
-            ServerConfig {
-                margin_tracking: true,
-                ..untracked.clone()
-            },
-            ServerConfig {
-                warn_margin: None,
-                ..untracked.clone()
-            },
-            ServerConfig {
-                prune_horizon: None,
-                ..untracked
-            },
+        // A threshold above 1 stays valid, bounded or not, even one above
+        // every `Ξ` (it never fires).
+        for (w, horizon) in [
+            ("65/64", None),
+            ("65/64", Some(64)),
+            ("1099511627776", None),
         ] {
-            start(config).expect("a usable configuration").join();
+            start(warned(w, horizon))
+                .expect("a usable configuration")
+                .join();
         }
     }
 }

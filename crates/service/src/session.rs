@@ -86,6 +86,16 @@ fn micros_since(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
+/// A `--warn-margin` threshold as the `(p, q)` parts a monitor's kept
+/// margin is compared with ([`IncrementalChecker::kept_margin_reaches`]):
+/// `None` unless it lies above 1 with parts within `i64`, the range of a
+/// monitored `Ξ`. Every relevant cycle has ratio at least 1, so a lower
+/// threshold would only ask whether a cycle exists, which the kept margin
+/// does not answer in O(1).
+pub(crate) fn warn_parts(threshold: &Ratio) -> Option<(i64, i64)> {
+    Xi::new(threshold.clone()).ok()?.as_i64_parts()
+}
+
 /// The request framing the session currently decodes, with the state only
 /// that framing needs.
 enum RxMode {
@@ -348,14 +358,14 @@ struct Forensics {
     tail_cap: usize,
     tail_total: u64,
     /// `(request#, ratio-or-none)` per exact margin sample: `margin`
-    /// requests, the warn gate's exact probes and the latch freeze. All
-    /// three are functions of the request sequence alone (the warn gate
-    /// is evaluated once per request, never per read), so the history is
+    /// requests, the warning's crossing (at the event that reached the
+    /// threshold) and the latch freeze. All three are functions of the
+    /// request sequence alone, never of how it was read, so the history is
     /// as reproducible as the rest of the bundle.
     margins: VecDeque<(u64, String)>,
     margins_total: u64,
     /// `(request#, entry)` decision timeline: document starts, topology,
-    /// prunes, the latch, document ends.
+    /// prunes, the warning with its witness, the latch, document ends.
     timeline: VecDeque<(u64, String)>,
     timeline_total: u64,
     /// The latched violation, surviving the checker's return.
@@ -423,21 +433,12 @@ struct ReplyHalf {
     /// than `2·horizon` events are live and the honest watermark frees a
     /// quarter of them (`None` = exact unbounded mode).
     prune_horizon: Option<usize>,
-    /// Early-warning margin threshold (see
-    /// [`ServerConfig::warn_margin`]).
-    warn_margin: Option<Ratio>,
-    /// Whether pruning monitors keep margin signatures (see
-    /// [`ServerConfig::margin_tracking`]).
-    margin_tracking: bool,
+    /// Early-warning margin threshold as `(p, q)` parts (see
+    /// [`ServerConfig::warn_margin`] and [`warn_parts`]).
+    warn_margin: Option<(i64, i64)>,
     /// Whether the open document's warning already fired (at most one
     /// warning per document).
     warned: bool,
-    /// Request count (`lines_in`) at which the next *gated* exact margin
-    /// probe may run. Doubled after each probe, so an unresolved
-    /// `--warn-margin` threshold (cheap bound above it, exact margin
-    /// below) costs `O(log n)` exact probes per document instead of one
-    /// per request. On-demand `margin` requests bypass this gate.
-    probe_gate: usize,
     /// Pruned-event count already folded into the session counter for the
     /// open document (the monitor reports a per-document running total).
     doc_pruned_reported: usize,
@@ -481,10 +482,8 @@ impl Session {
             xi: config.xi.clone(),
             max_processes: config.max_processes,
             prune_horizon: config.prune_horizon,
-            warn_margin: config.warn_margin.clone(),
-            margin_tracking: config.margin_tracking,
+            warn_margin: config.warn_margin.as_ref().and_then(warn_parts),
             warned: false,
-            probe_gate: 0,
             doc_pruned_reported: 0,
             lines_in: 0,
             unacked: None,
@@ -760,7 +759,6 @@ impl ReplyHalf {
     fn begin_document(&mut self, spares: &mut DocSpares) -> RunningDoc {
         self.doc_pruned_reported = 0;
         self.warned = false;
-        self.probe_gate = 0;
         self.counters
             .margin_bp
             .store(MARGIN_NONE, Ordering::Relaxed);
@@ -786,9 +784,9 @@ impl ReplyHalf {
     /// Arms the open document's monitor: a spare re-armed in place when
     /// the shard has one, else a new one. Every served monitor drops its
     /// graph mirror (`enable_pruning`; nothing here reads it, and nothing
-    /// is pruned unless a horizon is set) — a choice a spare already
-    /// carries, as it carries margin tracking: both are the same for every
-    /// session of one [`DocSpares`].
+    /// is pruned unless a horizon is set), and one that prunes or warns
+    /// keeps its margin — choices a spare already carries, the same for
+    /// every session of one [`DocSpares`].
     fn arm_checker(
         &self,
         n: usize,
@@ -802,20 +800,13 @@ impl ReplyHalf {
         OBS_DOC_STATE_FRESH.add(1);
         let mut mon = IncrementalChecker::new(n, &self.xi)?;
         mon.enable_pruning();
-        if self.prune_horizon.is_some() && self.margin_tracking {
-            // Must precede the first prune: boundary shortcut arcs need
-            // their margin signatures from the start.
+        if self.prune_horizon.is_some() || self.warn_margin.is_some() {
+            // A pruned window answers margins only through the signatures
+            // kept from its first prune on, and a warning reads the kept
+            // margin after every append.
             mon.enable_margin_tracking();
         }
         Ok(mon)
-    }
-
-    /// Whether this session can answer exact margin probes: always when
-    /// unpruned (the monitor's window is then the whole execution), and
-    /// under pruning only when margin tracking kept the boundary
-    /// signatures.
-    fn can_probe_margin(&self) -> bool {
-        self.prune_horizon.is_none() || self.margin_tracking
     }
 
     /// Publishes one exactly computed margin: per-session gauge, the
@@ -832,21 +823,26 @@ impl ReplyHalf {
         }
     }
 
-    /// Flips the per-session warning state (at most once per document)
-    /// when an exactly computed margin from a still-admissible monitor
-    /// reaches the `--warn-margin` threshold. Post-latch samples never
-    /// reach this: warnings fire strictly before any latch.
-    fn maybe_warn(&mut self, ratio: &Ratio, metrics: &Metrics) {
-        if self.warned {
-            return;
-        }
-        let Some(threshold) = &self.warn_margin else {
+    /// Fires the open document's warning at the append whose kept margin
+    /// reached the `--warn-margin` threshold, which is strictly before
+    /// any latch: the state flips, the counter moves, and the crossing
+    /// margin is published with the cycle that raised it noted in the
+    /// forensics timeline as its witness.
+    fn warn(&mut self, mon: &IncrementalChecker, metrics: &Metrics) {
+        self.warned = true;
+        self.counters.warning.store(1, Ordering::Relaxed);
+        metrics.margin_warnings.fetch_add(1, Ordering::Relaxed);
+        // A kept margin above 1 is read without a probe.
+        let Ok(Some(report)) = mon.current_margin() else {
             return;
         };
-        if ratio >= threshold {
-            self.warned = true;
-            self.counters.warning.store(1, Ordering::Relaxed);
-            metrics.margin_warnings.fetch_add(1, Ordering::Relaxed);
+        self.publish_margin(&report.ratio, metrics);
+        let at = self.lines_in;
+        if let Some(fx) = self.forensics.as_mut() {
+            let witness = report
+                .witness
+                .map_or(String::new(), |w| format!(" {}", w.wire()));
+            fx.note(at, format!("warning margin={}{witness}", report.ratio));
         }
     }
 
@@ -857,13 +853,6 @@ impl ReplyHalf {
     /// before the topology (no cycles yet) the reply is `margin none`;
     /// after a latch the margin is frozen at the latched witness's ratio.
     fn margin_request(&mut self, doc: Option<&RunningDoc>, metrics: &Metrics) {
-        if !self.can_probe_margin() {
-            self.protocol_error(
-                "margin unavailable: server prunes without margin tracking",
-                metrics,
-            );
-            return;
-        }
         let live = doc.and_then(|d| d.checker.as_ref());
         let sample = match (live, doc.and_then(|d| d.latched.as_ref())) {
             (Some(mon), _) => match mon.current_margin() {
@@ -888,63 +877,9 @@ impl ReplyHalf {
             return;
         };
         self.publish_margin(&ratio, metrics);
-        // Only samples from a still-admissible checker may arm the early
-        // warning.
-        if live.is_some() {
-            self.maybe_warn(&ratio, metrics);
-        }
         match witness {
             Some(w) => self.reply_fmt(format_args!("margin {ratio} {w}\n")),
             None => self.reply_fmt(format_args!("margin {ratio}\n")),
-        }
-    }
-
-    /// The amortized early-warning gate, evaluated once after every
-    /// request — so its schedule is a function of the request sequence
-    /// alone, however the bytes arrived — but gated by a doubling
-    /// threshold (`probe_gate`): an evaluation at `lines_in = g` schedules
-    /// the next one at `2g`, so a document of `n` events pays for
-    /// `O(log n)` evaluations total — each a cheap `O(live arcs)` margin
-    /// upper bound, escalating to the exact probe only when the bound
-    /// reaches the `--warn-margin` threshold. Starting the gate at zero
-    /// means the first evaluations land while the live window is still
-    /// tiny, so a workload that crosses the threshold early latches its
-    /// warning before the exact probe ever sees a large graph. The warning
-    /// flips at most once per document, strictly before any latch (the
-    /// monitor stays admissible while its margin is below `Ξ`, and a
-    /// useful threshold sits below `Ξ`). After the flip the gate is a
-    /// single flag check per request.
-    fn check_warn_margin(&mut self, doc: Option<&RunningDoc>, metrics: &Metrics) {
-        // Ordered cheapest-first: per-request calls must cost a couple of
-        // integer/flag compares while gated or already warned.
-        if self.warned || self.lines_in < self.probe_gate || !self.can_probe_margin() {
-            return;
-        }
-        let Some(threshold) = &self.warn_margin else {
-            return;
-        };
-        let Some(mon) = doc.and_then(|d| d.checker.as_ref()) else {
-            return;
-        };
-        let exact = match mon.margin_upper_bound() {
-            // Overflow in the exact probe (pathological sizes) is treated
-            // as "no sample" — no warning either way.
-            Some(bound) if bound >= *threshold => mon.current_margin().ok().flatten(),
-            // The cheap bound certifies the margin is below the
-            // threshold: skip the exact probe entirely.
-            _ => None,
-        };
-        // Every evaluation that reached the checker did real work (at
-        // least the bound scan), so every one advances the gate — bound
-        // scans and exact probes are both amortized to `O(log n)` per
-        // document.
-        self.probe_gate = self
-            .lines_in
-            .saturating_mul(2)
-            .max(self.lines_in.saturating_add(1));
-        if let Some(report) = exact {
-            self.publish_margin(&report.ratio, metrics);
-            self.maybe_warn(&report.ratio, metrics);
         }
     }
 
@@ -1065,7 +1000,6 @@ impl ReplyHalf {
                 }
             }
         }
-        self.check_warn_margin(doc.as_ref(), metrics);
         upgrade
     }
 
@@ -1218,6 +1152,11 @@ impl ReplyHalf {
                             self.unacked = Some(seq);
                         } else {
                             self.reply_fmt(format_args!("ok {seq}\n"));
+                        }
+                        if !self.warned
+                            && self.warn_margin.is_some_and(|w| mon.kept_margin_reaches(w))
+                        {
+                            self.warn(mon, metrics);
                         }
                         if let Some((h, watermark)) = prune {
                             // A prune costs `O(live)` (a margin fold and a
@@ -1938,6 +1877,112 @@ mod tests {
         }
     }
 
+    /// A warning belongs to its document: three copies of the committed
+    /// sample on one connection, monitored at `Ξ = 4`, cross `W = 2` three
+    /// times and warn three times, bounded or not.
+    #[test]
+    fn every_document_of_a_connection_warns_for_itself() {
+        let body = format!(
+            "xi 4\n{}",
+            text_doc(&sample_trace(), usize::MAX, "\n").repeat(3)
+        );
+        for horizon in [None, Some(32)] {
+            let config = ServerConfig {
+                warn_margin: Some(Ratio::from_integer(2)),
+                ..config(horizon, false)
+            };
+            let Totals {
+                documents,
+                violations,
+                margin_warnings,
+                ..
+            } = run(&config, &[body.as_bytes()]).totals;
+            assert_eq!([documents, violations, margin_warnings], [3, 0, 3]);
+        }
+    }
+
+    /// A warning fires at the event whose append reaches the threshold,
+    /// whatever the request count: here the committed sample, monitored at
+    /// `Ξ = 3`, crosses `W = 2` one request after a look on the doubling
+    /// schedule `T, 2T, 4T, …` (`T` the topology line's request) and
+    /// latches before the next look — comment lines pad it so. Exactly one
+    /// warning, and its margin sample carries the crossing event's request.
+    #[test]
+    fn a_margin_that_crosses_between_two_doubling_looks_warns_at_its_event() {
+        let sample = sample_trace();
+        // Where the margin first reaches 2, and where the document
+        // latches, from a session that asks after every event.
+        let quiet = ServerConfig {
+            warn_margin: None,
+            ..config(None, false)
+        };
+        let asked = format!("xi 3\n{}", text_doc(&sample, 1, "\n"));
+        let (mut seq, mut crossing, mut latch) = (0, None, None);
+        let reaches = |r: &str| {
+            r.parse::<Ratio>()
+                .is_ok_and(|r| r >= Ratio::from_integer(2))
+        };
+        for line in run(&quiet, &[asked.as_bytes()]).replies.lines() {
+            match line.split(' ').take(2).collect::<Vec<_>>()[..] {
+                ["ok", k] => seq = k.parse().unwrap(),
+                ["violation", k] => latch = latch.or(Some(k.parse::<usize>().unwrap())),
+                ["margin", r] if latch.is_none() && crossing.is_none() && reaches(r) => {
+                    crossing = Some((seq, r.to_string()));
+                }
+                _ => {}
+            }
+        }
+        let ((crossed, ratio), latched) = (crossing.expect("a crossing"), latch.expect("a latch"));
+
+        // Request numbers: `xi 3` is request 1, document line `i` is `i + 2`.
+        let text = text_doc(&sample, usize::MAX, "\n");
+        let lines: Vec<&str> = text.lines().collect();
+        let at = |prefix: &str| 2 + lines.iter().position(|l| l.starts_with(prefix)).unwrap();
+        let topology = at("faulty");
+        let (c, l) = (at(&format!("e {crossed} ")), at(&format!("e {latched} ")));
+        let look = (0..)
+            .map(|k| topology << k)
+            .find(|&look| look + 1 >= c && l - c + 1 < look)
+            .unwrap();
+        let pad = look + 1 - c;
+        let mut body = String::from("xi 3\n");
+        for (i, line) in lines.iter().enumerate() {
+            body.push_str(line);
+            body.push('\n');
+            if i + 2 == topology {
+                body.push_str(&"# padding\n".repeat(pad));
+            }
+        }
+        for horizon in [None, Some(32)] {
+            let config = ServerConfig {
+                warn_margin: Some(Ratio::from_integer(2)),
+                ..config(horizon, true)
+            };
+            let out = run(&config, &[body.as_bytes()]);
+            let Totals {
+                violations,
+                margin_warnings,
+                ..
+            } = out.totals;
+            assert_eq!([violations, margin_warnings], [1, 1], "{horizon:?}");
+            let bundle = ForensicsBundle::parse(&out.bundles[0]).unwrap();
+            assert_eq!(bundle.latch.map(|(seq, _)| seq), Some(latched as u64));
+            // The crossing, then the latch's freeze.
+            let crossing = (look as u64 + 1, ratio.clone());
+            assert_eq!(bundle.margins.len(), 2, "{:?}", bundle.margins);
+            assert_eq!(bundle.margins[0], crossing);
+            let warning = format!("warning margin={ratio} zm=");
+            assert!(
+                bundle
+                    .timeline
+                    .iter()
+                    .any(|(at, e)| *at == crossing.0 && e.starts_with(&warning)),
+                "{:?}",
+                bundle.timeline
+            );
+        }
+    }
+
     /// (b) A violating document cut at every byte offset, then EOF: no
     /// panic, no ack for an event that was not ingested, and exactly one
     /// ending — a verdict, an error, or a silent close.
@@ -2095,19 +2140,18 @@ mod tests {
         match mode {
             0 => config(None, forensics),
             1 => config(Some(8), forensics),
-            // Pruning without margin signatures: `margin` requests are
-            // refused, and no warning could fire.
+            // `serve_v2`'s: no horizon and no warning, the one served
+            // monitor that does not keep its margin — `margin` requests
+            // search for it.
             _ => ServerConfig {
-                margin_tracking: false,
                 warn_margin: None,
-                ..config(Some(8), forensics)
+                ..config(None, forensics)
             },
         }
     }
 
-    /// The corpus plus two sessions without a `margin` request, which an
-    /// untracked pruning shard serves to their verdicts: a latching ring,
-    /// then an admissible one, as text and as frames.
+    /// The corpus plus two sessions without a `margin` request: a latching
+    /// ring, then an admissible one, as text and as frames.
     fn reuse_pool() -> &'static [Input] {
         static POOL: OnceLock<Vec<Input>> = OnceLock::new();
         POOL.get_or_init(|| {
@@ -2179,18 +2223,17 @@ mod tests {
                 .iter()
                 .map(|input| run(&shard_config(mode, true), &input.parts()))
                 .collect();
-            if mode == 2 {
-                // The margin-free sessions really ran pruned and untracked.
-                for outcome in &alone[..2] {
-                    let Totals {
-                        violations,
-                        documents,
-                        parse_errors,
-                        ..
-                    } = outcome.totals;
-                    assert_eq!([violations, documents, parse_errors], [1, 2, 0]);
-                    assert!(outcome.bundles[0].contains("prune watermark="));
-                }
+            for outcome in &alone[..2] {
+                let Totals {
+                    violations,
+                    documents,
+                    parse_errors,
+                    ..
+                } = outcome.totals;
+                assert_eq!([violations, documents, parse_errors], [1, 2, 0]);
+                // Only the bounded shard prunes.
+                let pruned = outcome.bundles[0].contains("prune watermark=");
+                assert_eq!(pruned, mode == 1, "mode {mode}");
             }
             for first in reuse_pool() {
                 for (second, expected) in reuse_pool().iter().zip(&alone) {

@@ -400,14 +400,16 @@ fn a_document_larger_than_every_buffer_both_ways_is_fed_from_one_thread() {
     // session's reply queue (1 MiB soft cap) hold between them, and its
     // request text (≈46 MB) what the other direction takes once the
     // server therefore stops reading. The server prunes, so the memory
-    // here is the document's text.
+    // here is the document's text. A pruning session keeps its margin,
+    // and a tracked prune costs milliseconds in a debug build whatever its
+    // window, so the horizon keeps prunes rare: ≈700 over the document,
+    // where horizon 64 made ≈11 000 and took longer than the limit below.
     const EVENTS: usize = 700_000;
     let doc = conveyor_doc(EVENTS);
     assert!(doc.len() >= 8 << 20, "{} bytes of text", doc.len());
     let handle = start(ServerConfig {
         shards: 1,
-        prune_horizon: Some(64),
-        margin_tracking: false,
+        prune_horizon: Some(1024),
         ..ServerConfig::default()
     })
     .expect("bind loopback server");
