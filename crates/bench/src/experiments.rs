@@ -4,9 +4,7 @@
 //! `true` iff all checked properties held.
 
 use abc_clocksync::{byzantine::TickRusher, instrument, LockStep, RoundApp, TickGen};
-use abc_core::assign::{
-    assign_delays, assign_delays_via_cycle_lp, cycle_lp_system, CycleLpOutcome,
-};
+use abc_core::assign::assign_delays;
 use abc_core::cyclespace::CycleVector;
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
 use abc_core::graph::{ExecutionGraph, ProcessId};
@@ -20,6 +18,7 @@ use abc_variants::{AdResponder, DoublingLockStep, EventuallyBanded, XiEstimator}
 use abc_vlsi::{SoC, ASIC, FPGA};
 use std::collections::BTreeMap;
 
+use crate::fig6::{assign_delays_via_cycle_lp, cycle_lp_system, CycleLpOutcome};
 use crate::workloads;
 
 fn banner(title: &str) {

@@ -9,6 +9,7 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod fig6;
 pub mod workloads;
 
 /// The experiment registry: `(id, description, runner)`.

@@ -5,11 +5,14 @@
 //! whose label moved. On the three `wide` structures `offline_check`
 //! reads — near-threshold documents, where the full-arena sweeps it
 //! replaced went over every arc 974, ≈14 400 and 1 406 times — a check
-//! must examine each arc a handful of times. The counts come from the
-//! kernel's own `abc_obs` counters; this file holds one test because the
-//! recorder is process-wide.
+//! must examine each arc a handful of times. `assign_delays` is the same
+//! run with its potential kept, so it must add exactly that work again and
+//! refuse with the same witness. The counts come from the kernel's own
+//! `abc_obs` counters; this file holds one test because the recorder is
+//! process-wide.
 
 use abc_bench::workloads;
+use abc_core::assign::{assign_delays, AssignError};
 use abc_core::traversal::TraversalGraph;
 use abc_core::{check, Xi};
 
@@ -46,6 +49,21 @@ fn a_batch_check_examines_each_arc_a_handful_of_times() {
             "seed {seed}: {visits} arc visits over {arcs} arcs ({relaxations} relaxations)"
         );
         assert!(relaxations <= visits, "seed {seed}");
+        // Theorem 7's assignment repeats that one run: the same work, the
+        // same answer, no second relaxation loop.
+        let assigned = assign_delays(&g, &xi);
+        let work = (
+            counter("check.arc_visits") - before.0 - visits,
+            counter("check.relaxations") - before.1 - relaxations,
+        );
+        assert_eq!(work, (visits, relaxations), "seed {seed}");
+        match (assigned, witness) {
+            (Ok(timed), None) => assert!(timed.is_normalized(&g, &xi), "seed {seed}"),
+            (Err(AssignError::NotAdmissible(cycle)), Some(witness)) => {
+                assert_eq!(cycle, witness, "seed {seed}");
+            }
+            (assigned, witness) => panic!("seed {seed}: {assigned:?} against {witness:?}"),
+        }
     }
     abc_obs::disable();
 }

@@ -4,50 +4,51 @@
 //! is an end-to-end delay assignment `τ` such that the timed graph `G^τ` is
 //! causally equivalent to `G` and all messages satisfy the Θ-Model's
 //! synchrony condition* (delays in `(1, Ξ)` with `Ξ < Θ`). The paper proves
-//! existence with a Farkas-lemma variant over the cycle space; this module
-//! *constructs* the assignment, two ways:
+//! existence with a Farkas-lemma variant over the cycle space, its Fig. 6
+//! system (`abc-bench` builds that system literally and solves it with the
+//! exact simplex of `abc-lp`: exponential, for small graphs). This module
+//! *constructs* the assignment in polynomial time, and the construction is
+//! the batch checker's own run.
 //!
-//! 1. [`assign_delays`] — **polynomial**. Take one variable per event (its
-//!    occurrence time). Every constraint of a normalized assignment is a
-//!    difference constraint:
-//!    `1 < t(recv) − t(send) < Ξ` for effective messages,
-//!    `0 < t(recv) − t(send)` for exempt ones, and
-//!    `0 < t(next) − t(prev)` along process lines.
-//!    Bellman–Ford (via [`abc_lp::diffcon`]) solves it in `O(V·E)`; its
-//!    negative-cycle witness maps *exactly* onto a relevant cycle violating
-//!    the ABC condition, re-proving the theorem constructively: the system
-//!    is solvable **iff** `G` is ABC-admissible for `Ξ`.
+//! [`crate::check::find_violation`] runs the crate's negative-cycle kernel
+//! over the traversal graph with the integer weights, for `Ξ = p/q` and
+//! `K = #arcs + 1`, `p·K − 1` on the forward arc `send → recv` of every
+//! effective message, `−q·K − 1` on its backward arc `recv → send`, and
+//! `−1` on the back-arc `next → prev` of every local edge. A *no* leaves
+//! labels `d` under which no arc is tense (`d(head) ≤ d(tail) + w`), and
+//! that reads:
 //!
-//! 2. [`cycle_lp_system`] / [`assign_delays_via_cycle_lp`] — the
-//!    **paper-literal** Fig. 6 route: enumerate the simple cycles of the
-//!    shadow graph, emit the `2k + l + m` rows of `Ax < b` over the message
-//!    delays (bounds rows, relevant-cycle rows with condition (6),
-//!    sign-flipped non-relevant rows), and decide with the exact simplex of
-//!    `abc-lp`. Exponential — used on small graphs to exhibit the exact
-//!    objects of the proof (Farkas certificates included) and to
-//!    cross-check route 1.
+//! * `d(recv) − d(send) ≤ p·K − 1` for every effective message (forward);
+//! * `d(recv) − d(send) ≥ q·K + 1` for every effective message (backward);
+//! * `d(next) − d(prev) ≥ 1` along every process line (local).
+//!
+//! So the times `t = d / (q·K)` give every effective message a delay in
+//! `[1 + 1/(q·K), Ξ − 1/(q·K)]`, strictly inside `(1, Ξ)`, and every
+//! process line strictly increasing times: a normalized assignment.
+//! Exempt messages have no arcs and are owed nothing. A *yes* is the
+//! kernel's violating cycle, the very witness `find_violation` returns, so
+//! an assignment exists **iff** `G` is ABC-admissible for `Ξ`: the theorem,
+//! re-proved constructively.
 
-use abc_lp::diffcon::{self, DiffConstraint};
-use abc_lp::{simplex, Feasibility, LinearSystem};
-use abc_rational::Ratio;
+use abc_rational::{BigInt, Ratio};
 
+use crate::check::{self, CheckError};
 use crate::cycle::Cycle;
-use crate::enumerate::{enumerate_cycles, EnumerationLimits};
-use crate::graph::{ExecutionGraph, MessageId};
+use crate::graph::ExecutionGraph;
 use crate::timed::TimedGraph;
+use crate::traversal::TraversalGraph;
 use crate::xi::Xi;
 
 /// Why a delay assignment does not exist.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AssignError {
     /// The graph violates the ABC condition for the given `Ξ`; the witness
-    /// is a relevant cycle with `|Z−|/|Z+| ≥ Ξ` recovered from the
-    /// negative-cycle certificate.
+    /// is a relevant cycle with `|Z−|/|Z+| ≥ Ξ`, the one
+    /// [`crate::check::find_violation`] returns.
     NotAdmissible(Cycle),
-    /// The cycle enumeration exceeded its budget (cycle-LP route only).
-    EnumerationBudget,
-    /// Internal LP failure (indicates a bug).
-    Lp(String),
+    /// `Ξ`'s parts, scaled by the graph's size, leave the checker's integer
+    /// range ([`CheckError::XiTooLarge`]).
+    XiTooLarge,
 }
 
 impl std::fmt::Display for AssignError {
@@ -56,8 +57,7 @@ impl std::fmt::Display for AssignError {
             AssignError::NotAdmissible(c) => {
                 write!(f, "graph is not ABC-admissible; violating cycle {c}")
             }
-            AssignError::EnumerationBudget => write!(f, "cycle enumeration budget exhausted"),
-            AssignError::Lp(e) => write!(f, "internal LP failure: {e}"),
+            AssignError::XiTooLarge => write!(f, "{}", CheckError::XiTooLarge),
         }
     }
 }
@@ -65,17 +65,20 @@ impl std::fmt::Display for AssignError {
 impl std::error::Error for AssignError {}
 
 /// Constructs a normalized assignment for `g` and `xi` in polynomial time,
-/// or returns the violating relevant cycle.
+/// or returns the violating relevant cycle: one run of the checker's
+/// negative-cycle kernel, `O(V·E)` at worst.
 ///
 /// On success the returned [`TimedGraph`] satisfies
 /// [`TimedGraph::is_normalized`]: effective message delays strictly inside
-/// `(1, Ξ)`, exempt message delays positive, process lines strictly
-/// increasing — i.e. `G^τ` is causally equivalent to `G` (Theorem 7).
+/// `(1, Ξ)`, process lines strictly increasing — i.e. `G^τ` is causally
+/// equivalent to `G` (Theorem 7).
 ///
 /// # Errors
 ///
-/// [`AssignError::NotAdmissible`] with a verified witness cycle when the
-/// ABC condition fails for `xi`.
+/// [`AssignError::NotAdmissible`] with [`crate::check::find_violation`]'s
+/// witness when the ABC condition fails for `xi`;
+/// [`AssignError::XiTooLarge`] where `find_violation` reports
+/// [`CheckError::XiTooLarge`].
 ///
 /// # Example
 ///
@@ -94,226 +97,33 @@ impl std::error::Error for AssignError {}
 /// assert!(timed.is_normalized(&g, &Xi::from_fraction(3, 2)));
 /// ```
 pub fn assign_delays(g: &ExecutionGraph, xi: &Xi) -> Result<TimedGraph, AssignError> {
-    #[derive(Clone, Copy)]
-    enum Origin {
-        MsgUpper(MessageId),
-        MsgLower(MessageId),
-        Local(usize, usize), // event ids (from, to)
-    }
-    let mut constraints = Vec::new();
-    let mut origins = Vec::new();
-    for m in g.messages() {
-        if g.is_effective(m.id) {
-            // t(to) - t(from) < Xi
-            constraints.push(DiffConstraint::lt(m.to.0, m.from.0, xi.as_ratio().clone()));
-            origins.push(Origin::MsgUpper(m.id));
-            // t(from) - t(to) < -1  (delay > 1)
-            constraints.push(DiffConstraint::lt(m.from.0, m.to.0, -Ratio::one()));
-            origins.push(Origin::MsgLower(m.id));
-        }
-        // Exempt messages carry no constraint at all: the paper drops them
-        // (and their receive steps) from the space-time diagram, so a
-        // Theorem 7 assignment owes them nothing. Their receive events stay
-        // on the process line, ordered by the local-edge constraints below.
-    }
-    for l in g.local_edges() {
-        // t(from) - t(to) < 0  (strictly increasing process line)
-        constraints.push(DiffConstraint::lt(l.from.0, l.to.0, Ratio::zero()));
-        origins.push(Origin::Local(l.from.0, l.to.0));
-    }
-    match diffcon::solve(g.num_events(), &constraints) {
-        Ok(times) => {
-            let timed = TimedGraph::new(times);
+    let tg = TraversalGraph::from_graph(g);
+    let (p, q) = check::xi_parts(xi, &tg).map_err(|_| AssignError::XiTooLarge)?;
+    match check::potential_or_cycle(&tg, p, q) {
+        Ok((labels, k)) => {
+            let timed = scaled_back(labels, q * k);
             debug_assert!(timed.is_normalized(g, xi));
             Ok(timed)
         }
-        Err(neg_cycle) => {
-            // Map the telescoping constraint cycle back onto a shadow-graph
-            // cycle: MsgUpper ≙ forward traversal, MsgLower ≙ backward,
-            // Local ≙ backward local step. The cycle's bound sum is
-            // Ξ·F − B ≤ 0 (with strictness), i.e. a relevant cycle with
-            // |Z−|/|Z+| ≥ Ξ.
-            use crate::cycle::{CycleStep, ShadowEdge};
-            use crate::graph::{EventId, LocalEdge};
-            // Each constraint (u, v) maps to a step walking v -> u, so the
-            // constraint chain (c_i.v == c_{i+1}.u) corresponds to steps in
-            // reverse order.
-            let steps: Vec<CycleStep> = neg_cycle
-                .constraint_indices
-                .iter()
-                .rev()
-                .map(|&ci| match origins[ci] {
-                    Origin::MsgUpper(m) => CycleStep {
-                        edge: ShadowEdge::Message(m),
-                        against: false,
-                    },
-                    Origin::MsgLower(m) => CycleStep {
-                        edge: ShadowEdge::Message(m),
-                        against: true,
-                    },
-                    Origin::Local(from, to) => CycleStep {
-                        edge: ShadowEdge::Local(LocalEdge {
-                            from: EventId(from),
-                            to: EventId(to),
-                        }),
-                        against: true,
-                    },
-                })
-                .collect();
-            let cycle = Cycle::new(steps);
-            debug_assert!(cycle.validate(g).is_ok(), "witness must validate: {cycle}");
+        Err(indices) => {
+            let cycle = check::arcs_to_cycle(tg.arcs(), &indices);
             debug_assert!(cycle.classify().violates(xi), "witness must violate Xi");
             Err(AssignError::NotAdmissible(cycle))
         }
     }
 }
 
-/// The paper's Fig. 6 system `Ax < b` over the message-delay variables.
-///
-/// Variables are indexed by [`MessageId`] over the *effective* messages;
-/// [`CycleLpSystem::variables`] gives the mapping. Rows, in Fig. 6 order:
-/// lower bounds `−τ(e) < −1`, upper bounds `τ(e) < Ξ`, one row per relevant
-/// cycle (condition (6)), and one sign-flipped row per non-relevant cycle.
-#[derive(Clone, Debug)]
-pub struct CycleLpSystem {
-    /// The linear system (strict rows only, as in the paper).
-    pub system: LinearSystem,
-    /// Column order: `variables[j]` is the message whose delay is `x_j`.
-    pub variables: Vec<MessageId>,
-    /// The enumerated cycles, aligned with the cycle rows of `system`
-    /// (starting at row `2·variables.len()`), each with its relevance flag.
-    pub cycles: Vec<(Cycle, bool)>,
-}
-
-/// Builds the Fig. 6 system by exhaustive cycle enumeration.
-///
-/// # Errors
-///
-/// [`AssignError::EnumerationBudget`] if the enumeration is incomplete
-/// under `limits` (the system would be unsound).
-pub fn cycle_lp_system(
-    g: &ExecutionGraph,
-    xi: &Xi,
-    limits: EnumerationLimits,
-) -> Result<CycleLpSystem, AssignError> {
-    let e = enumerate_cycles(g, limits);
-    if !e.complete {
-        return Err(AssignError::EnumerationBudget);
-    }
-    let variables: Vec<MessageId> = g.effective_messages().map(|m| m.id).collect();
-    let col_of = |m: MessageId| -> usize {
-        variables
-            .binary_search(&m)
-            .expect("cycles use only effective messages")
-    };
-    let k = variables.len();
-    let mut sys = LinearSystem::new(k);
-    // Lower bounds: -tau(e) < -1.
-    for j in 0..k {
-        let mut row = vec![Ratio::zero(); k];
-        row[j] = -Ratio::one();
-        sys.push_lt(row, -Ratio::one());
-    }
-    // Upper bounds: tau(e) < Xi.
-    for j in 0..k {
-        let mut row = vec![Ratio::zero(); k];
-        row[j] = Ratio::one();
-        sys.push_lt(row, xi.as_ratio().clone());
-    }
-    // Cycle rows: sum_{Z-} tau - sum_{Z+} tau < 0 for relevant cycles,
-    // sign-flipped for non-relevant ones.
-    let mut cycles = Vec::with_capacity(e.cycles.len());
-    for cycle in e.cycles {
-        let class = cycle.classify();
-        let mut row = vec![Ratio::zero(); k];
-        for (m, against_walk) in cycle.messages() {
-            let backward = against_walk != class.orientation_reversed;
-            let sign = if backward {
-                Ratio::one()
-            } else {
-                -Ratio::one()
-            };
-            let flipped = if class.relevant { sign } else { -sign };
-            row[col_of(m)] += flipped;
-        }
-        sys.push_lt(row, Ratio::zero());
-        cycles.push((cycle, class.relevant));
-    }
-    Ok(CycleLpSystem {
-        system: sys,
-        variables,
-        cycles,
-    })
-}
-
-/// Outcome of the paper-literal route.
-#[derive(Clone, Debug)]
-pub enum CycleLpOutcome {
-    /// A normalized delay vector `τ` (aligned with
-    /// [`CycleLpSystem::variables`]) plus the realized [`TimedGraph`].
-    Assignment {
-        /// Per-message delays.
-        delays: Vec<Ratio>,
-        /// Event times realizing those delays.
-        timed: TimedGraph,
-    },
-    /// The Farkas/Carver certificate showing the Fig. 6 system infeasible
-    /// (the graph is not ABC-admissible for `Ξ`).
-    Infeasible(abc_lp::FarkasCertificate),
-}
-
-/// Solves the Fig. 6 system with the exact simplex and realizes event times
-/// from the message delays (Theorem 12 made constructive).
-///
-/// # Errors
-///
-/// [`AssignError::EnumerationBudget`] when cycle enumeration is incomplete,
-/// [`AssignError::Lp`] on internal solver failures.
-pub fn assign_delays_via_cycle_lp(
-    g: &ExecutionGraph,
-    xi: &Xi,
-    limits: EnumerationLimits,
-) -> Result<CycleLpOutcome, AssignError> {
-    let lp = cycle_lp_system(g, xi, limits)?;
-    match simplex::solve(&lp.system).map_err(|e| AssignError::Lp(e.to_string()))? {
-        Feasibility::Infeasible(cert) => {
-            debug_assert!(cert.verify(&lp.system));
-            Ok(CycleLpOutcome::Infeasible(cert))
-        }
-        Feasibility::Feasible(sol) => {
-            // Realize event times from the message delays: fix each
-            // message's delay exactly and let local edges breathe. This is
-            // again a difference-constraint system, feasible because the
-            // delays satisfy every cycle inequality.
-            let mut constraints = Vec::new();
-            for (j, m) in lp.variables.iter().enumerate() {
-                let msg = g.message(*m);
-                let d = sol.values[j].clone();
-                constraints.push(DiffConstraint::le(msg.to.0, msg.from.0, d.clone()));
-                constraints.push(DiffConstraint::le(msg.from.0, msg.to.0, -d));
-            }
-            for l in g.local_edges() {
-                constraints.push(DiffConstraint::lt(l.from.0, l.to.0, Ratio::zero()));
-            }
-            let times = diffcon::solve(g.num_events(), &constraints).map_err(|_| {
-                AssignError::Lp(
-                    "cycle-LP delays admit no event times; Fig. 6 system was incomplete".into(),
-                )
-            })?;
-            let timed = TimedGraph::new(times);
-            debug_assert!(timed.is_normalized(g, xi));
-            Ok(CycleLpOutcome::Assignment {
-                delays: sol.values,
-                timed,
-            })
-        }
-    }
+/// The times `label / scale` of integer labels indexed by event: a feasible
+/// potential of weights scaled by `scale`, read back as a [`TimedGraph`].
+pub(crate) fn scaled_back(labels: impl IntoIterator<Item = i128>, scale: i128) -> TimedGraph {
+    let scale = BigInt::from(scale);
+    let time = |d: i128| Ratio::from_bigints(BigInt::from(d), scale.clone());
+    TimedGraph::new(labels.into_iter().map(time).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check;
     use crate::graph::ProcessId;
 
     /// Fast chain of `hops` messages spanned by one slow direct message:
@@ -368,46 +178,18 @@ mod tests {
     }
 
     #[test]
-    fn cycle_lp_route_matches_polynomial_route() {
-        for hops in 2..=4 {
-            let g = two_chain(hops);
-            for xi in [
-                Xi::from_fraction(3, 2),
-                Xi::from_integer(3),
-                Xi::from_integer(5),
-            ] {
-                let poly = assign_delays(&g, &xi).is_ok();
-                let lp = assign_delays_via_cycle_lp(&g, &xi, EnumerationLimits::default()).unwrap();
-                match lp {
-                    CycleLpOutcome::Assignment { delays, timed } => {
-                        assert!(poly, "routes disagree: hops={hops} xi={xi}");
-                        assert!(timed.is_normalized(&g, &xi));
-                        for d in &delays {
-                            assert!(d > &Ratio::one() && d < xi.as_ratio());
-                        }
-                    }
-                    CycleLpOutcome::Infeasible(cert) => {
-                        assert!(!poly, "routes disagree: hops={hops} xi={xi}");
-                        let sys = cycle_lp_system(&g, &xi, EnumerationLimits::default())
-                            .unwrap()
-                            .system;
-                        assert!(cert.verify(&sys));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fig6_system_shape() {
+    fn a_xi_beyond_the_checkers_guard_is_refused() {
         let g = two_chain(2);
-        let xi = Xi::from_integer(3);
-        let lp = cycle_lp_system(&g, &xi, EnumerationLimits::default()).unwrap();
-        let k = lp.variables.len();
-        assert_eq!(k, 3); // 2-hop chain + direct message
-                          // 2k bound rows + one row per enumerated cycle.
-        assert_eq!(lp.system.num_rows(), 2 * k + lp.cycles.len());
-        assert!(lp.cycles.iter().any(|(_, relevant)| *relevant));
+        let huge = Xi::new(Ratio::from_bigints(
+            "170141183460469231731687303715884105727".parse().unwrap(),
+            BigInt::from(1),
+        ))
+        .unwrap();
+        assert_eq!(
+            check::find_violation(&g, &huge),
+            Err(CheckError::XiTooLarge)
+        );
+        assert_eq!(assign_delays(&g, &huge), Err(AssignError::XiTooLarge));
     }
 
     #[test]

@@ -46,8 +46,11 @@
 //! the moment the tree of relaxing arcs would close a cycle, and that
 //! cycle *is* the witness [`find_violation`] returns: nothing is run a
 //! second time to extract it, and nothing after the latch is looked at
-//! twice. The `core.check.*` rows of `bench_ledger` (see `BENCHMARK.json`)
-//! and the counters `check.relaxations` / `check.arc_visits` quantify it.
+//! twice. A *no* leaves a feasible potential, which the same run in
+//! [`crate::assign::assign_delays`] scales back into a Theorem 7
+//! assignment. The `core.check.*` rows of `bench_ledger` (see
+//! `BENCHMARK.json`) and the counters `check.relaxations` /
+//! `check.arc_visits` quantify it.
 //!
 //! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` comes from
 //! the cycle-ratio ascent of the crate's `maxratio` engine — the one the
@@ -133,10 +136,10 @@ fn weights_fit_i128(p: i128, q: i128, num_arcs: usize, num_nodes: usize) -> bool
         .is_some()
 }
 
-/// `Ξ` as `(p, q)` machine parts usable on a graph of the given size.
-fn xi_parts(xi: &Xi, num_arcs: usize, num_nodes: usize) -> Result<(i128, i128), CheckError> {
+/// `Ξ` as `(p, q)` machine parts usable on the batch graph `tg`.
+pub(crate) fn xi_parts(xi: &Xi, tg: &TraversalGraph) -> Result<(i128, i128), CheckError> {
     let (p, q) = xi.as_i128_parts().ok_or(CheckError::XiTooLarge)?;
-    if !weights_fit_i128(p, q, num_arcs, num_nodes) {
+    if !weights_fit_i128(p, q, tg.num_arcs(), tg.num_live_nodes()) {
         return Err(CheckError::XiTooLarge);
     }
     Ok((p, q))
@@ -153,12 +156,16 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
     w_prime * k - 1
 }
 
-/// The arc indices, in traversal order, of a cycle that is negative under
-/// the scaled weights for `Ξ = p/q` — a violating relevant cycle — or
-/// `None` when the graph is admissible: one run of the crate's
-/// negative-cycle kernel from the earliest-feasible start labels. Decision
-/// and witness are the same pass; exact in both directions.
-fn negative_cycle(tg: &TraversalGraph, p: i128, q: i128) -> Option<Vec<usize>> {
+/// One run of the crate's negative-cycle kernel under the scaled weights
+/// for `Ξ = p/q`, from the earliest-feasible start labels: a feasible
+/// potential (one label per event) with its scale `K` when the graph is
+/// admissible, else the arc indices, in traversal order, of a negative
+/// cycle — a violating relevant cycle. Exact in both directions.
+pub(crate) fn potential_or_cycle(
+    tg: &TraversalGraph,
+    p: i128,
+    q: i128,
+) -> Result<(Vec<i128>, i128), Vec<usize>> {
     debug_assert_eq!(tg.base(), 0, "the batch check is whole-graph only");
     let arcs = tg.arcs();
     let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
@@ -167,7 +174,7 @@ fn negative_cycle(tg: &TraversalGraph, p: i128, q: i128) -> Option<Vec<usize>> {
     negcycle::seed_earliest_feasible(tg, &mut labels, weight);
     let run = NegCycle::default().run(tg, &mut labels, 0..tg.num_live_nodes(), weight, None);
     record_kernel_run(&run);
-    run.cycle
+    run.cycle.map_or(Ok((labels, k)), Err)
 }
 
 /// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].
@@ -210,8 +217,8 @@ pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
 /// ```
 pub fn find_violation(g: &ExecutionGraph, xi: &Xi) -> Result<Option<Cycle>, CheckError> {
     let tg = TraversalGraph::from_graph(g);
-    let (p, q) = xi_parts(xi, tg.num_arcs(), g.num_events())?;
-    let Some(indices) = negative_cycle(&tg, p, q) else {
+    let (p, q) = xi_parts(xi, &tg)?;
+    let Err(indices) = potential_or_cycle(&tg, p, q) else {
         return Ok(None);
     };
     let cycle = arcs_to_cycle(tg.arcs(), &indices);

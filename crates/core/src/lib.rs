@@ -33,7 +33,7 @@
 //! | Exhaustive cycle enumeration (ground truth) | [`enumerate`] |
 //! | Consistent cuts, causal cones, cut intervals (Defs. 5–6) | [`cut`] |
 //! | The non-standard cycle space, `⊕`, Thm. 11 / Cor. 1 | [`cyclespace`] |
-//! | Normalized assignments, Fig. 6 system, Thm. 7/12 | [`assign`] |
+//! | Normalized assignments, Thm. 7, from the checker's own potential (the Fig. 6 system is `abc-bench`'s) | [`assign`] |
 //! | Timed graphs `G^τ`, Θ-Model condition (3) | [`timed`] |
 //! | The parameter `Ξ` | [`xi`] |
 //!

@@ -708,6 +708,43 @@ fn feed_script(
     }
 }
 
+/// Theorem 7 from the monitor's own potential. Read as `a·M + b`, with `M`
+/// wider than the spread of the second components, a pair label `(a, b)`
+/// turns every pair arc weight `(w, −1)` into the batch checker's `w·M − 1`
+/// and keeps every arc slack: so at every admissible prefix the times
+/// `(a·M + b) / (q·M)` are a normalized assignment, as the batch
+/// potential's are.
+#[test]
+fn the_live_potential_is_a_normalized_assignment_at_every_admissible_prefix() {
+    let mut prefixes = 0;
+    for seed in 0..200 {
+        let n = 3 + usize::try_from(seed).unwrap() % 4;
+        let script = dense_script(n, 60, seed);
+        for xi in [
+            Xi::from_fraction(3, 2),
+            Xi::from_integer(2),
+            Xi::from_integer(3),
+        ] {
+            let mut mon = IncrementalChecker::new(n, &xi).unwrap();
+            feed_script(&mut mon, n, &script, |mon, total| {
+                if !mon.is_admissible() {
+                    return;
+                }
+                let seconds = mon.pot.iter().map(|&(_, b)| b);
+                let m = seconds.clone().max().unwrap() - seconds.min().unwrap() + 2;
+                let labels = mon.pot.iter().map(|&(a, b)| a * m + b);
+                let timed = crate::assign::scaled_back(labels, mon.q * m);
+                assert!(
+                    timed.is_normalized(mon.graph(), &xi),
+                    "seed {seed}, Xi = {xi}, event {total}"
+                );
+                prefixes += 1;
+            });
+        }
+    }
+    assert!(prefixes > 20_000, "{prefixes} admissible prefixes");
+}
+
 #[test]
 fn a_mirrorless_monitor_that_pruned_nothing_answers_margins_like_a_mirrored_one() {
     // One script that latches on the way, one that stays admissible.

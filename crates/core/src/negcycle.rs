@@ -1,7 +1,9 @@
 //! The crate's one label-correcting loop: the negative-cycle kernel behind
-//! the batch checker ([`crate::check::find_violation`]), every probe of the
-//! max-ratio engine and both repairs of the monitor ([`crate::monitor`]):
-//! its potentials at `Ξ`, and a tracking monitor's at its kept margin.
+//! the batch checker ([`crate::check::find_violation`]) and Theorem 7's
+//! delay assignment ([`crate::assign::assign_delays`], the same run with
+//! its potential kept), every probe of the max-ratio engine and both
+//! repairs of the monitor ([`crate::monitor`]): its potentials at `Ξ`, and
+//! a tracking monitor's at its kept margin.
 //! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").

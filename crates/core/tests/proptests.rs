@@ -151,22 +151,22 @@ proptest! {
 
     /// Theorem 7 end to end: an assignment exists iff the graph is
     /// admissible; when it exists it is normalized and Θ-admissible for
-    /// Θ = Ξ; when it does not, the witness violates.
+    /// Θ = Ξ; when it does not, the witness violates and is the checker's.
     #[test]
     fn theorem7_assignment(g in graph_strategy(), num in 3i64..9, den in 1i64..4) {
         prop_assume!(num > den);
         let xi = Xi::new(Ratio::new(num, den)).unwrap();
-        let admissible = check::is_admissible(&g, &xi).unwrap();
+        let witness = check::find_violation(&g, &xi).unwrap();
         match assign_delays(&g, &xi) {
             Ok(timed) => {
-                prop_assert!(admissible);
+                prop_assert!(witness.is_none());
                 prop_assert!(timed.is_normalized(&g, &xi));
                 prop_assert!(timed.is_theta_admissible(&g, xi.as_ratio()));
             }
             Err(AssignError::NotAdmissible(cycle)) => {
-                prop_assert!(!admissible);
                 prop_assert!(cycle.validate(&g).is_ok());
                 prop_assert!(cycle.classify().violates(&xi));
+                prop_assert_eq!(Some(cycle), witness);
             }
             Err(other) => prop_assert!(false, "unexpected error {other}"),
         }

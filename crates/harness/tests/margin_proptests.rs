@@ -5,9 +5,12 @@
 //! `max_relevant_cycle_ratio` over the same prefix, and the exact values
 //! must be consistent with `abc-lp`: the difference-constraint relaxation
 //! of Definition 4 is infeasible at the margin (with a verified negative
-//! cycle / Farkas certificate) and feasible just above it.
+//! cycle / Farkas certificate) and feasible just above it — and, with
+//! `diffcon` as the oracle, `assign_delays` (the checker's kernel on that
+//! system) flips at the same point.
 
 use abc_clocksync::TickGen;
+use abc_core::assign::{assign_delays, AssignError};
 use abc_core::graph::ExecutionGraph;
 use abc_core::monitor::IncrementalChecker;
 use abc_core::{check, EventId, ProcessId, Xi};
@@ -86,7 +89,9 @@ fn margin_constraints(g: &ExecutionGraph, x: &Ratio) -> Vec<DiffConstraint> {
 
 /// Cross-checks an exact margin against the LP layer: infeasible (with a
 /// verified negative-cycle certificate) at `x = margin`, feasible (with a
-/// verified rational solution) just above it.
+/// verified rational solution) just above it. `assign_delays` — the
+/// checker's kernel on the same system — must agree: it refuses at the
+/// margin and assigns normalized delays just above it.
 fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
     let nudge = Ratio::new(1, 7);
     let one = Ratio::one();
@@ -98,6 +103,11 @@ fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
                 Ok(_) => panic!("feasible at the margin {r}: some cycle attains it"),
                 Err(cycle) => assert!(cycle.verify(&cs), "negative-cycle certificate invalid"),
             }
+            let at = Xi::new(r.clone()).unwrap();
+            assert!(
+                matches!(assign_delays(g, &at), Err(AssignError::NotAdmissible(_))),
+                "the kernel assigns delays at the margin {r}"
+            );
         }
     }
     let above = margin.map_or_else(|| &one + &nudge, |r| r + &nudge);
@@ -108,6 +118,11 @@ fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
             "solution above the margin violates a constraint"
         ),
         Err(_) => panic!("infeasible above the margin {margin:?}"),
+    }
+    let above = Xi::new(above).unwrap();
+    match assign_delays(g, &above) {
+        Ok(timed) => assert!(timed.is_normalized(g, &above), "not normalized at {above}"),
+        Err(e) => panic!("the kernel refuses above the margin {margin:?}: {e}"),
     }
 }
 

@@ -108,38 +108,37 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-#[allow(clippy::too_many_lines)]
 fn raw_lex(src: &str) -> Lexed {
     let b = src.as_bytes();
     let mut out = Lexed::default();
     let mut i = 0usize;
+    // Every token and comment takes the line of its first byte: the
+    // newlines crossed since the last one, whatever scanned over them.
     let mut line: u32 = 1;
+    let mut counted = 0usize;
     while i < b.len() {
-        let c = b[i];
-        match c {
-            b'\n' => {
-                line = line.saturating_add(1);
+        let crossed = b[counted..i].iter().filter(|&&c| c == b'\n').count();
+        line = line.saturating_add(u32::try_from(crossed).unwrap_or(u32::MAX));
+        counted = i;
+        let start = i;
+        let kind = match b[i] {
+            b' ' | b'\t' | b'\n' | b'\r' | 0x0b | 0x0c => {
                 i += 1;
+                None
             }
-            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => i += 1,
             b'/' if b.get(i + 1) == Some(&b'/') => {
-                let start = i + 2;
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
                 out.comments
-                    .push((line, lossy_slice(src, start, i).to_string()));
+                    .push((line, lossy_slice(src, start + 2, i).to_string()));
+                None
             }
             b'/' if b.get(i + 1) == Some(&b'*') => {
-                let start_line = line;
-                let text_start = i + 2;
                 let mut depth = 1u32;
                 i += 2;
                 while i < b.len() && depth > 0 {
-                    if b[i] == b'\n' {
-                        line = line.saturating_add(1);
-                        i += 1;
-                    } else if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
+                    if b[i] == b'/' && b.get(i + 1) == Some(&b'*') {
                         depth += 1;
                         i += 2;
                     } else if b[i] == b'*' && b.get(i + 1) == Some(&b'/') {
@@ -149,150 +148,83 @@ fn raw_lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                let text_end = i.saturating_sub(2).max(text_start);
-                out.comments.push((
-                    start_line,
-                    lossy_slice(src, text_start, text_end).to_string(),
-                ));
+                let text_end = i.saturating_sub(2).max(start + 2);
+                out.comments
+                    .push((line, lossy_slice(src, start + 2, text_end).to_string()));
+                None
             }
             b'"' => {
-                let (end, nl) = scan_string(b, i);
-                out.tokens.push(Tok {
-                    kind: TokKind::Str,
-                    start: i,
-                    end,
-                    line,
-                    in_test: false,
-                });
-                line = line.saturating_add(nl);
-                i = end;
+                i = scan_string(b, i);
+                Some(TokKind::Str)
             }
             b'\'' => {
                 let (kind, end) = scan_quote(b, i);
-                out.tokens.push(Tok {
-                    kind,
-                    start: i,
-                    end,
-                    line,
-                    in_test: false,
-                });
                 i = end;
+                Some(kind)
             }
             b'0'..=b'9' => {
-                let start = i;
-                i += 1;
-                while i < b.len() && (is_ident_continue(b[i])) {
-                    i += 1;
-                }
-                out.tokens.push(Tok {
-                    kind: TokKind::Num,
-                    start,
-                    end: i,
-                    line,
-                    in_test: false,
-                });
+                i = ident_end(b, i + 1);
+                Some(TokKind::Num)
             }
             c if is_ident_start(c) => {
-                let start = i;
-                i += 1;
-                while i < b.len() && is_ident_continue(b[i]) {
-                    i += 1;
-                }
+                i = ident_end(b, i + 1);
                 let word = lossy_slice(src, start, i);
                 // String-literal prefixes and raw identifiers: an ident
                 // immediately followed by `"`, `#`, or `'` may actually
                 // introduce a literal (`r"…"`, `br#"…"#`, `b'x'`, `r#fn`).
                 match (word, b.get(i)) {
                     ("r" | "br" | "cr", Some(&b'#' | &b'"')) => {
-                        if let Some((end, nl)) = scan_raw_string(b, i) {
-                            out.tokens.push(Tok {
-                                kind: TokKind::Str,
-                                start,
-                                end,
-                                line,
-                                in_test: false,
-                            });
-                            line = line.saturating_add(nl);
+                        if let Some(end) = scan_raw_string(b, i) {
                             i = end;
-                        } else if word == "r" && b.get(i) == Some(&b'#') {
-                            // Raw identifier `r#ident`.
-                            i += 1;
-                            while i < b.len() && is_ident_continue(b[i]) {
-                                i += 1;
-                            }
-                            out.tokens.push(Tok {
-                                kind: TokKind::Ident,
-                                start,
-                                end: i,
-                                line,
-                                in_test: false,
-                            });
+                            Some(TokKind::Str)
                         } else {
-                            out.tokens.push(Tok {
-                                kind: TokKind::Ident,
-                                start,
-                                end: i,
-                                line,
-                                in_test: false,
-                            });
+                            if word == "r" && b.get(i) == Some(&b'#') {
+                                // Raw identifier `r#ident`.
+                                i = ident_end(b, i + 1);
+                            }
+                            Some(TokKind::Ident)
                         }
                     }
                     ("b" | "c", Some(&b'"')) => {
-                        let (end, nl) = scan_string(b, i);
-                        out.tokens.push(Tok {
-                            kind: TokKind::Str,
-                            start,
-                            end,
-                            line,
-                            in_test: false,
-                        });
-                        line = line.saturating_add(nl);
-                        i = end;
+                        i = scan_string(b, i);
+                        Some(TokKind::Str)
                     }
                     ("b", Some(&b'\'')) => {
                         // A byte-char literal is never a lifetime.
-                        let (_, end) = scan_char_body(b, i);
-                        out.tokens.push(Tok {
-                            kind: TokKind::Char,
-                            start,
-                            end,
-                            line,
-                            in_test: false,
-                        });
-                        i = end;
+                        i = scan_char_body(b, i).1;
+                        Some(TokKind::Char)
                     }
-                    _ => out.tokens.push(Tok {
-                        kind: TokKind::Ident,
-                        start,
-                        end: i,
-                        line,
-                        in_test: false,
-                    }),
+                    _ => Some(TokKind::Ident),
                 }
             }
-            c if c.is_ascii_punctuation() => {
-                out.tokens.push(Tok {
-                    kind: TokKind::Punct(c),
-                    start: i,
-                    end: i + 1,
-                    line,
-                    in_test: false,
-                });
+            c => {
                 i += 1;
+                Some(if c.is_ascii_punctuation() {
+                    TokKind::Punct(c)
+                } else {
+                    TokKind::Other
+                })
             }
-            _ => {
-                out.tokens.push(Tok {
-                    kind: TokKind::Other,
-                    start: i,
-                    end: i + 1,
-                    line,
-                    in_test: false,
-                });
-                i += 1;
-            }
+        };
+        if let Some(kind) = kind {
+            out.tokens.push(Tok {
+                kind,
+                start,
+                end: i,
+                line,
+                in_test: false,
+            });
         }
     }
     out
+}
+
+/// One past the identifier characters from `i` on.
+fn ident_end(b: &[u8], mut i: usize) -> usize {
+    while i < b.len() && is_ident_continue(b[i]) {
+        i += 1;
+    }
+    i
 }
 
 fn lossy_slice(src: &str, start: usize, end: usize) -> &str {
@@ -310,28 +242,23 @@ fn lossy_slice(src: &str, start: usize, end: usize) -> &str {
 }
 
 /// Scans a `"…"` string starting at the opening quote; returns
-/// (one-past-closing-quote, newlines crossed). Unterminated → EOF.
-fn scan_string(b: &[u8], open: usize) -> (usize, u32) {
+/// one past the closing quote. Unterminated → EOF.
+fn scan_string(b: &[u8], open: usize) -> usize {
     let mut i = open + 1;
-    let mut nl = 0u32;
     while i < b.len() {
         match b[i] {
             b'\\' => i += 2,
-            b'"' => return (i + 1, nl),
-            b'\n' => {
-                nl += 1;
-                i += 1;
-            }
+            b'"' => return i + 1,
             _ => i += 1,
         }
     }
-    (b.len(), nl)
+    b.len()
 }
 
 /// Scans a raw string whose hashes/quote begin at `i` (prefix ident
 /// already consumed). Returns `None` if this is not actually a raw string
 /// (e.g. `r#ident`).
-fn scan_raw_string(b: &[u8], mut i: usize) -> Option<(usize, u32)> {
+fn scan_raw_string(b: &[u8], mut i: usize) -> Option<usize> {
     let mut hashes = 0usize;
     while b.get(i) == Some(&b'#') {
         hashes += 1;
@@ -341,22 +268,16 @@ fn scan_raw_string(b: &[u8], mut i: usize) -> Option<(usize, u32)> {
         return None;
     }
     i += 1;
-    let mut nl = 0u32;
     while i < b.len() {
-        if b[i] == b'\n' {
-            nl += 1;
-            i += 1;
-        } else if b[i] == b'"' {
+        if b[i] == b'"' {
             let tail = &b[i + 1..];
             if tail.len() >= hashes && tail.iter().take(hashes).all(|&h| h == b'#') {
-                return Some((i + 1 + hashes, nl));
+                return Some(i + 1 + hashes);
             }
-            i += 1;
-        } else {
-            i += 1;
         }
+        i += 1;
     }
-    Some((b.len(), nl))
+    Some(b.len())
 }
 
 /// Scans a char-literal body starting at the opening `'` (byte offset of

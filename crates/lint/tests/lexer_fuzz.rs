@@ -33,6 +33,8 @@ proptest! {
 
     /// Arbitrary (valid UTF-8) strings, biased toward Rust-ish delimiters
     /// the lexer special-cases: quotes, hashes, braces, `r`/`b` prefixes.
+    /// Every token's line is its first byte's: one more than the newlines
+    /// before it, whatever literal or comment swallowed them.
     #[test]
     fn lexer_never_panics_on_delimiter_soup(
         picks in proptest::collection::vec(any::<u8>(), 0..64)
@@ -48,6 +50,10 @@ proptest! {
             .collect();
         let lexed = lex(&src);
         prop_assert!(lexed.tokens.len() <= src.len().max(1));
+        for t in &lexed.tokens {
+            let newlines = src.as_bytes()[..t.start].iter().filter(|&&c| c == b'\n').count();
+            prop_assert_eq!(t.line as usize, 1 + newlines, "{:?} in {:?}", t, &src);
+        }
     }
 
     /// The full rule engine survives the same soup (all rules enabled,

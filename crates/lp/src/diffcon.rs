@@ -1,12 +1,11 @@
 //! Difference-constraint systems over rationals with strict inequalities.
 //!
 //! A difference constraint has the form `x_u − x_v ≤ c` or `x_u − x_v < c`.
-//! Such systems are solvable in `O(V·E)` by Bellman–Ford; they are how the
-//! polynomial "trigger-path" formulation of the paper's Theorem 7 delay
-//! assignment is decided (every non-initial event of a message-driven
-//! execution is triggered by exactly one message, so event times are affine
-//! in the initial-event offsets, and local-edge monotonicity becomes a
-//! difference constraint on those offsets).
+//! Such systems are solvable in `O(V·E)` by Bellman–Ford. This solver no
+//! longer decides Theorem 7 (`abc_core::assign::assign_delays` reads the
+//! assignment off the batch checker's kernel): it is the **oracle** the
+//! margin property tests hold that kernel to, and the **time realizer** of
+//! the paper-literal Fig. 6 route in `abc-bench` (simplex delays → times).
 //!
 //! Strictness is handled symbolically: each weight is a pair `(c, k)` read
 //! as `c + k·ε` for an infinitesimal `ε > 0`, compared lexicographically.

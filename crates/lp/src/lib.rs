@@ -19,8 +19,8 @@
 //! * [`fourier_motzkin::solve`] — independent doubly-exponential decision
 //!   procedure used to cross-check the simplex on small systems.
 //! * [`diffcon`] — Bellman–Ford over lexicographic `(Ratio, ε)` weights for
-//!   difference-constraint systems (`x_u − x_v < c`), the polynomial
-//!   "trigger-path" route to the paper's delay assignment.
+//!   difference-constraint systems (`x_u − x_v < c`): an oracle, and the
+//!   Fig. 6 route's time realizer.
 //!
 //! # Example: a strictly feasible and a Carver-infeasible system
 //!
