@@ -18,6 +18,7 @@
 //! firing.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use abc_core::ProcessId;
 
@@ -76,28 +77,29 @@ impl TickCore {
     }
 
     /// The initialization step: returns the ticks to broadcast (always
-    /// `[0]`).
+    /// `0..=0`).
     ///
     /// # Panics
     ///
     /// Panics if called twice.
-    pub fn on_init(&mut self) -> Vec<u64> {
+    pub fn on_init(&mut self) -> RangeInclusive<u64> {
         assert!(!self.initialized, "init step happens once");
         self.initialized = true;
-        vec![0]
+        0..=0
     }
 
     /// Records `(tick l)` from `from` and applies the rules to fixpoint.
     ///
-    /// Returns the ticks to broadcast now, in increasing order.
-    pub fn on_tick(&mut self, from: ProcessId, l: u64) -> Vec<u64> {
+    /// Returns the ticks to broadcast now, in increasing order: always the
+    /// contiguous `(k_old, k_new]`, empty when no rule fired.
+    pub fn on_tick(&mut self, from: ProcessId, l: u64) -> RangeInclusive<u64> {
         debug_assert!(from.0 < self.n, "sender out of range");
         // Ticks at or below our clock can never fire a rule again — except
         // ticks exactly at k, which feed the advance rule.
         if l >= self.k {
             *self.received.entry(l).or_insert(0) |= 1u128 << from.0;
         }
-        let mut to_send = Vec::new();
+        let k_old = self.k;
         loop {
             // Catch-up rule: largest l > k with f+1 distinct senders.
             let catch_up = self
@@ -107,9 +109,6 @@ impl TickCore {
                 .find(|(_, mask)| mask.count_ones() as usize >= self.f + 1)
                 .map(|(l, _)| *l);
             if let Some(l) = catch_up {
-                for t in (self.k + 1)..=l {
-                    to_send.push(t);
-                }
                 self.k = l;
                 self.prune();
                 continue;
@@ -118,13 +117,12 @@ impl TickCore {
             let at_k = self.received.get(&self.k).copied().unwrap_or(0);
             if at_k.count_ones() as usize >= self.n - self.f {
                 self.k += 1;
-                to_send.push(self.k);
                 self.prune();
                 continue;
             }
             break;
         }
-        to_send
+        (k_old + 1)..=self.k
     }
 
     /// Drops bookkeeping for tick values below the current clock (they can
@@ -157,7 +155,7 @@ mod tests {
     #[test]
     fn init_broadcasts_tick_zero_once() {
         let mut c = TickCore::new(4, 1);
-        assert_eq!(c.on_init(), vec![0]);
+        assert_eq!(c.on_init(), 0..=0);
         assert_eq!(c.clock(), 0);
     }
 
@@ -180,15 +178,15 @@ mod tests {
         // n = 4, f = 1: advance needs 3 distinct (tick 0).
         let mut c = TickCore::new(4, 1);
         c.on_init();
-        assert_eq!(c.on_tick(p(0), 0), Vec::<u64>::new());
-        assert_eq!(c.on_tick(p(1), 0), Vec::<u64>::new());
-        assert_eq!(c.on_tick(p(2), 0), vec![1]); // third distinct sender
+        assert_eq!(c.on_tick(p(0), 0).collect::<Vec<_>>(), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(1), 0).collect::<Vec<_>>(), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(2), 0).collect::<Vec<_>>(), vec![1]); // third distinct sender
         assert_eq!(c.clock(), 1);
         // Duplicate senders do not count twice.
         let mut c2 = TickCore::new(4, 1);
         c2.on_init();
         c2.on_tick(p(0), 0);
-        assert_eq!(c2.on_tick(p(0), 0), Vec::<u64>::new());
+        assert_eq!(c2.on_tick(p(0), 0).collect::<Vec<_>>(), Vec::<u64>::new());
         assert_eq!(c2.clock(), 0);
     }
 
@@ -197,8 +195,8 @@ mod tests {
         // n = 4, f = 1: catch-up needs 2 distinct (tick l), l > k.
         let mut c = TickCore::new(4, 1);
         c.on_init();
-        assert_eq!(c.on_tick(p(0), 5), Vec::<u64>::new()); // one Byzantine alone: no
-        assert_eq!(c.on_tick(p(1), 5), vec![1, 2, 3, 4, 5]); // second sender
+        assert_eq!(c.on_tick(p(0), 5).collect::<Vec<_>>(), Vec::<u64>::new()); // one Byzantine alone: no
+        assert_eq!(c.on_tick(p(1), 5).collect::<Vec<_>>(), vec![1, 2, 3, 4, 5]); // second sender
         assert_eq!(c.clock(), 5);
     }
 
@@ -206,15 +204,15 @@ mod tests {
     fn catch_up_takes_largest_eligible() {
         let mut c = TickCore::new(4, 1);
         c.on_init();
-        assert_eq!(c.on_tick(p(0), 3), Vec::<u64>::new());
-        assert_eq!(c.on_tick(p(1), 7), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(0), 3).collect::<Vec<_>>(), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(1), 7).collect::<Vec<_>>(), Vec::<u64>::new());
         // Second distinct sender for tick 7 fires the catch-up; tick 3
         // still has only one sender and is skipped over entirely.
-        let sent = c.on_tick(p(0), 7);
+        let sent: Vec<u64> = c.on_tick(p(0), 7).collect();
         assert_eq!(c.clock(), 7);
         assert_eq!(sent, vec![1, 2, 3, 4, 5, 6, 7]);
         // Late tick 3 is stale now.
-        assert_eq!(c.on_tick(p(1), 3), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(1), 3).collect::<Vec<_>>(), Vec::<u64>::new());
     }
 
     #[test]
@@ -226,7 +224,7 @@ mod tests {
         c.on_tick(p(1), 2);
         // k jumped to 2 (catch-up, senders {0,1} at tick 2).
         assert_eq!(c.clock(), 2);
-        let sent = c.on_tick(p(2), 2);
+        let sent: Vec<u64> = c.on_tick(p(2), 2).collect();
         // Third distinct sender at 2: advance fires.
         assert_eq!(sent, vec![3]);
         assert_eq!(c.clock(), 3);
@@ -240,8 +238,8 @@ mod tests {
         c.on_tick(p(1), 4); // catch up to 4
         assert_eq!(c.clock(), 4);
         // Old ticks (below k) can never matter.
-        assert_eq!(c.on_tick(p(2), 1), Vec::<u64>::new());
-        assert_eq!(c.on_tick(p(3), 1), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(2), 1).collect::<Vec<_>>(), Vec::<u64>::new());
+        assert_eq!(c.on_tick(p(3), 1).collect::<Vec<_>>(), Vec::<u64>::new());
         assert_eq!(c.clock(), 4);
         assert_eq!(c.senders_of(1), 0, "pruned");
     }

@@ -8,6 +8,8 @@
 //! does not strengthen the adversary against EIG, whose resilience is
 //! defined relative to delivered round messages.
 
+use std::ops::RangeInclusive;
+
 use abc_clocksync::{TickCore, TickMsg};
 use abc_core::ProcessId;
 use abc_sim::{Context, Process};
@@ -39,7 +41,7 @@ impl EquivocatingLockStep {
 
     fn send_ticks<P: Clone + std::fmt::Debug + LieValue + 'static>(
         &mut self,
-        ticks: Vec<u64>,
+        ticks: RangeInclusive<u64>,
         ctx: &mut Context<'_, TickMsg<P>>,
     ) {
         let n = ctx.num_processes();

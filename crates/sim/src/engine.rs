@@ -5,15 +5,23 @@
 //! append, monitor feed, outbox dispatch (delay draws, payload-slab
 //! allocation), then the bounded monitor's prune tick, strictly in that
 //! order. Everything order-sensitive lives in that one commit point.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//!
+//! The queue is a calendar (`calendar.rs`, Brown 1988): one FIFO bucket
+//! per discrete time over a window that starts at the current time and
+//! doubles when a delivery lands beyond it, up to a fixed cap, with a
+//! spill heap for what lies further ahead. A tie is the entry's push
+//! number, and ties only grow, so FIFO order within one time is tie order;
+//! spilled entries enter the window in `(time, tie)` order as soon as it
+//! covers them, before any delivery can be pushed at their time. The pop
+//! order is therefore exactly the `(time, tie)` order of the binary heap
+//! the calendar replaced, and traces are the same byte for byte.
 
 use abc_core::check::CheckError;
 use abc_core::cycle::Cycle;
 use abc_core::monitor::IncrementalChecker;
 use abc_core::{EventId, ProcessId, Xi};
 
+use crate::calendar::Calendar;
 use crate::delay::{DelayModel, Delivery};
 use crate::process::{Context, Process};
 use crate::trace::{Trace, TraceEvent, TraceMessage};
@@ -145,13 +153,14 @@ pub struct Simulation<M, D> {
     faulty: Vec<bool>,
     start_times: Vec<u64>,
     delay_model: D,
-    queue: BinaryHeap<Reverse<QueueEntry>>,
+    /// Pending steps in `(time, push order)` order; the push order is the
+    /// tie between equal times.
+    queue: Calendar<EntryKind>,
     payloads: Vec<Option<M>>, // payload per in-flight queue entry
     free_slots: Vec<usize>,   // recycled payload slots (memory O(in-flight))
     /// Sends of the step being executed; empty between steps.
     outbox: Vec<(ProcessId, M)>,
     trace: Trace,
-    seq: usize,
     started: bool,
     monitor_xi: Option<Xi>,
     monitor: Option<IncrementalChecker>,
@@ -160,15 +169,8 @@ pub struct Simulation<M, D> {
     monitor_prune_every: Option<usize>,
 }
 
-/// Queue entries order by (time, tie_seq).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct QueueEntry {
-    time: u64,
-    tie: usize,
-    kind: EntryKind,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// A queued step; the queue pops in `(time, push order)` order.
+#[derive(Clone, Copy, Debug)]
 enum EntryKind {
     /// Wake-up of a process.
     Init(usize),
@@ -185,12 +187,11 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             faulty: Vec::new(),
             start_times: Vec::new(),
             delay_model,
-            queue: BinaryHeap::new(),
+            queue: Calendar::new(),
             payloads: Vec::new(),
             free_slots: Vec::new(),
             outbox: Vec::new(),
             trace: Trace::default(),
-            seq: 0,
             started: false,
             monitor_xi: None,
             monitor: None,
@@ -223,11 +224,12 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
     /// `delay_model`: afterwards it behaves exactly like
     /// [`Simulation::new`] with the same argument — no process, no queued
     /// entry, no attached monitor, an empty trace, ties counted from zero —
-    /// except that every buffer keeps its capacity, so an engine that has
-    /// run an execution of some size runs the next one of that size without
-    /// growing anything (a harness sweeping thousands of short runs
-    /// allocates for the first and reuses for the rest). Messages still in
-    /// flight when the last run stopped on a budget are dropped with it.
+    /// except that every buffer keeps its capacity, and the queue's ring
+    /// its width, so an engine that has run an execution of some size runs
+    /// the next one of that size without growing anything (a harness
+    /// sweeping thousands of short runs allocates for the first and reuses
+    /// for the rest). Messages still in flight when the last run stopped on
+    /// a budget are dropped with it.
     pub fn reset(&mut self, delay_model: D) {
         // Exhaustive on purpose (no `..`): a field added to the struct
         // does not compile until it is re-armed here as `new` arms it.
@@ -241,7 +243,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             free_slots,
             outbox,
             trace,
-            seq,
             started,
             monitor_xi,
             monitor,
@@ -256,7 +257,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         free_slots.clear();
         outbox.clear();
         trace.clear();
-        *seq = 0;
         *started = false;
         *monitor_xi = None;
         *monitor = None;
@@ -411,13 +411,8 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             }
             self.monitor = Some(mon);
         }
-        for p in 0..self.processes.len() {
-            let entry = QueueEntry {
-                time: self.start_times[p],
-                tie: self.next_tie(),
-                kind: EntryKind::Init(p),
-            };
-            self.queue.push(Reverse(entry));
+        for (p, &start) in self.start_times.iter().enumerate() {
+            self.queue.push(start, EntryKind::Init(p));
         }
     }
 
@@ -431,14 +426,10 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         self.ensure_started();
         let mut stats = RunStats::default();
         while stats.events_executed < limits.max_events {
-            let Some(Reverse(entry)) = self.queue.peek().copied() else {
+            let Some((time, kind)) = self.queue.pop_until(limits.max_time) else {
                 break;
             };
-            if entry.time > limits.max_time {
-                break;
-            }
-            self.queue.pop();
-            let (process, trigger, payload) = match entry.kind {
+            let (process, trigger, payload) = match kind {
                 EntryKind::Init(p) => (ProcessId(p), None, None),
                 EntryKind::Deliver(p, mi, slot) => {
                     let payload = self.payloads[slot].take();
@@ -454,7 +445,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             {
                 let mut ctx = Context {
                     me: process,
-                    now: entry.time,
+                    now: time,
                     num_processes,
                     outbox: &mut self.outbox,
                     label: &mut label,
@@ -472,7 +463,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             let event = TraceEvent {
                 seq: self.trace.events.len(),
                 process,
-                time: entry.time,
+                time,
                 trigger,
                 received_only: was_crashed && trigger.is_some(),
                 label,
@@ -543,7 +534,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
 
     /// Dispatches the committed step's outbox through the delay model, in
     /// send order: draws delays, allocates payload slots from the free
-    /// list, and enqueues deliveries with fresh ties.
+    /// list, and enqueues the deliveries.
     fn dispatch_outbox(
         &mut self,
         stats: &mut RunStats,
@@ -583,12 +574,8 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
                             self.payloads.len() - 1
                         }
                     };
-                    let tie = self.next_tie();
-                    self.queue.push(Reverse(QueueEntry {
-                        time: time.saturating_add(d),
-                        tie,
-                        kind: EntryKind::Deliver(to.0, mi, slot),
-                    }));
+                    self.queue
+                        .push(time.saturating_add(d), EntryKind::Deliver(to.0, mi, slot));
                 }
             }
         }
@@ -617,8 +604,8 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
     /// yet, so no future `append_send` can name anything older.
     fn inflight_watermark(&self) -> Option<usize> {
         self.queue
-            .iter()
-            .filter_map(|Reverse(e)| match e.kind {
+            .items()
+            .filter_map(|kind| match *kind {
                 EntryKind::Init(_) => None,
                 EntryKind::Deliver(_, mi, _) => Some(self.trace.messages[mi].send_event),
             })
@@ -646,18 +633,12 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         let obj: &dyn std::any::Any = self.process(p);
         obj.downcast_ref::<P>()
     }
-
-    fn next_tie(&mut self) -> usize {
-        let t = self.seq;
-        self.seq += 1;
-        t
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::{BandDelay, FixedDelay};
+    use crate::delay::{BandDelay, FixedDelay, GrowingDelay};
     use crate::process::{CrashAt, Mute};
     use abc_rational::Ratio;
 
@@ -1056,6 +1037,31 @@ mod tests {
         }
     }
 
+    /// One 300-event execution of three gossips and a crashing one over
+    /// `sim`'s delays, replayed into `mon` at `Xi = xi`: what a re-armed
+    /// engine and monitor must reproduce.
+    fn gossip_run<D: DelayModel>(
+        sim: &mut Simulation<u32, D>,
+        mon: &mut IncrementalChecker,
+        xi: &Xi,
+    ) -> (
+        RunStats,
+        String,
+        Option<usize>,
+        abc_core::monitor::MonitorStats,
+    ) {
+        for _ in 0..3 {
+            sim.add_process(Gossip { remaining: 400 });
+        }
+        sim.add_faulty_process(CrashAt::new(Gossip { remaining: 400 }, 5));
+        let stats = sim.run(RunLimits {
+            max_events: 300,
+            max_time: u64::MAX,
+        });
+        let latched = sim.trace().replay_until_violation_into(mon, xi).unwrap();
+        (stats, sim.trace().to_text(), latched, mon.stats())
+    }
+
     #[test]
     fn a_second_equal_run_after_reset_grows_no_capacity() {
         // Admissible at Xi = 7, so the replay streams the whole trace; the
@@ -1064,26 +1070,40 @@ mod tests {
         let mut sim = Simulation::new(BandDelay::new(1, 6, 99));
         let mut mon = IncrementalChecker::new(0, &xi).unwrap();
         mon.enable_pruning();
-        let run = |sim: &mut Simulation<u32, BandDelay>, mon: &mut IncrementalChecker| {
-            for _ in 0..3 {
-                sim.add_process(Gossip { remaining: 400 });
-            }
-            sim.add_faulty_process(CrashAt::new(Gossip { remaining: 400 }, 5));
-            let stats = sim.run(RunLimits {
-                max_events: 300,
-                max_time: u64::MAX,
-            });
-            let latched = sim.trace().replay_until_violation_into(mon, &xi).unwrap();
-            (stats, sim.trace().to_text(), latched, mon.stats())
-        };
-        let first = run(&mut sim, &mut mon);
+        let first = gossip_run(&mut sim, &mut mon, &xi);
         assert!(!first.0.quiescent && first.0.events_executed == 300);
         assert_eq!((first.2, first.3.events), (None, 300));
         let before = (sim.capacity(), mon.capacity());
         sim.reset(BandDelay::new(1, 6, 99));
         assert_eq!(sim.num_processes(), 0);
         assert!(sim.trace().events().is_empty() && sim.trace().messages().is_empty());
-        assert_eq!(run(&mut sim, &mut mon), first, "the reset engine diverged");
+        assert_eq!(
+            gossip_run(&mut sim, &mut mon, &xi),
+            first,
+            "the reset engine diverged"
+        );
+        assert_eq!(
+            (sim.capacity(), mon.capacity()),
+            before,
+            "the second run allocated"
+        );
+
+        // Growing delays widen the queue's ring past its first width and
+        // spill what lies beyond its cap: the width grown in the first run
+        // is kept by `reset`, so the second run grows nothing.
+        let growing = || GrowingDelay::new(1, 8, 2, 99);
+        let mut sim = Simulation::new(growing());
+        let first = gossip_run(&mut sim, &mut mon, &xi);
+        let width = sim.queue.width();
+        assert!(width > 64, "the ring never widened");
+        let before = (sim.capacity(), mon.capacity());
+        sim.reset(growing());
+        assert_eq!(sim.queue.width(), width, "reset narrowed the ring");
+        assert_eq!(
+            gossip_run(&mut sim, &mut mon, &xi),
+            first,
+            "the reset engine diverged"
+        );
         assert_eq!(
             (sim.capacity(), mon.capacity()),
             before,

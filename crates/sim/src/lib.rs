@@ -74,6 +74,7 @@
 #![warn(missing_docs)]
 
 pub mod binio;
+mod calendar;
 pub mod delay;
 mod engine;
 mod process;

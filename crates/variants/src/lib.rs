@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use abc_core::graph::ExecutionGraph;
 use abc_core::{ProcessId, Xi};
@@ -286,7 +287,7 @@ impl DoublingLockStep {
             .all(|(_, m)| m & correct_mask == correct_mask)
     }
 
-    fn emit(&mut self, ticks: Vec<u64>, ctx: &mut Context<'_, DlsMsg>) {
+    fn emit(&mut self, ticks: RangeInclusive<u64>, ctx: &mut Context<'_, DlsMsg>) {
         for t in ticks {
             // Is t a round boundary?
             let mut r = 0;
