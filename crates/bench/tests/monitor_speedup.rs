@@ -1,12 +1,14 @@
-//! Correctness half of the incremental-vs-batch claim. The speed half —
-//! appending one event to the incremental monitor costs about what one
-//! batch check costs *per event of the whole trace*, so re-checking after
-//! every event is orders of magnitude dearer than monitoring — is a
-//! measurement, not a test: `bench_ledger` carries it as
-//! `core.monitor.append_ns_per_event` against
+//! Correctness half of the incremental-vs-batch claim. The speed half is a
+//! measurement, not a test: one batch check of a quiet trace costs *less*
+//! per event it holds than appending one event to the incremental monitor
+//! (it certifies the timestamp potential in one pass, with no arena), but
+//! a re-check after every event is O(n) per event, so checking a growing
+//! trace that way is still orders of magnitude dearer than monitoring it.
+//! `bench_ledger` carries both figures as
+//! `core.monitor.append_ns_per_event` and
 //! `core.check.find_violation_ns_per_event` (run
 //! `cargo run --release -p abc-bench --bin bench_ledger -- run`; how much
-//! of the arena one batch check touches is pinned by count in
+//! kernel work one batch check does is pinned by count in
 //! `check_work.rs`). What is asserted here holds on any machine: the two
 //! deciders agree, and the bounded monitor compacts the stream without
 //! changing the verdict.

@@ -10,13 +10,14 @@
 //! *constructs* the assignment in polynomial time, and the construction is
 //! the batch checker's own run.
 //!
-//! [`crate::check::find_violation`] runs the crate's negative-cycle kernel
-//! over the traversal graph with the integer weights, for `Ξ = p/q` and
-//! `K = #arcs + 1`, `p·K − 1` on the forward arc `send → recv` of every
-//! effective message, `−q·K − 1` on its backward arc `recv → send`, and
-//! `−1` on the back-arc `next → prev` of every local edge. A *no* leaves
-//! labels `d` under which no arc is tense (`d(head) ≤ d(tail) + w`), and
-//! that reads:
+//! [`crate::check::find_violation`] looks for a potential of the traversal
+//! graph under the integer weights, for `Ξ = p/q` and `K = #arcs + 1`,
+//! `p·K − 1` on the forward arc `send → recv` of every effective message,
+//! `−q·K − 1` on its backward arc `recv → send`, and `−1` on the back-arc
+//! `next → prev` of every local edge. It tries the timestamp potential
+//! first and runs the crate's negative-cycle kernel from it only when a
+//! forward arc is tense. A *no* leaves labels `d` under which no arc is
+//! tense (`d(head) ≤ d(tail) + w`), and that reads:
 //!
 //! * `d(recv) − d(send) ≤ p·K − 1` for every effective message (forward);
 //! * `d(recv) − d(send) ≥ q·K + 1` for every effective message (backward);
@@ -36,7 +37,6 @@ use crate::check::{self, CheckError};
 use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
 use crate::timed::TimedGraph;
-use crate::traversal::TraversalGraph;
 use crate::xi::Xi;
 
 /// Why a delay assignment does not exist.
@@ -65,8 +65,10 @@ impl std::fmt::Display for AssignError {
 impl std::error::Error for AssignError {}
 
 /// Constructs a normalized assignment for `g` and `xi` in polynomial time,
-/// or returns the violating relevant cycle: one run of the checker's
-/// negative-cycle kernel, `O(V·E)` at worst.
+/// or returns the violating relevant cycle. The timestamp potential comes
+/// first: when it is feasible it *is* the assignment, after one pass over
+/// the events, with no arena and no kernel run. Otherwise one run of the
+/// checker's negative-cycle kernel decides, `O(V·E)` at worst.
 ///
 /// On success the returned [`TimedGraph`] satisfies
 /// [`TimedGraph::is_normalized`]: effective message delays strictly inside
@@ -97,16 +99,13 @@ impl std::error::Error for AssignError {}
 /// assert!(timed.is_normalized(&g, &Xi::from_fraction(3, 2)));
 /// ```
 pub fn assign_delays(g: &ExecutionGraph, xi: &Xi) -> Result<TimedGraph, AssignError> {
-    let tg = TraversalGraph::from_graph(g);
-    let (p, q) = check::xi_parts(xi, &tg).map_err(|_| AssignError::XiTooLarge)?;
-    match check::potential_or_cycle(&tg, p, q) {
-        Ok((labels, k)) => {
-            let timed = scaled_back(labels, q * k);
+    match check::potential_or_cycle(g, xi).map_err(|_| AssignError::XiTooLarge)? {
+        Ok((labels, scale)) => {
+            let timed = scaled_back(labels, scale);
             debug_assert!(timed.is_normalized(g, xi));
             Ok(timed)
         }
-        Err(indices) => {
-            let cycle = check::arcs_to_cycle(tg.arcs(), &indices);
+        Err(cycle) => {
             debug_assert!(cycle.classify().violates(xi), "witness must violate Xi");
             Err(AssignError::NotAdmissible(cycle))
         }

@@ -8,9 +8,8 @@
 //!
 //! # The reduction
 //!
-//! Build the *traversal graph* `T` over the events of `G` (one shared
-//! [`crate::traversal::TraversalGraph`], built once per call and consumed
-//! by every pass below):
+//! Take the *traversal graph* `T` over the events of `G` (one shared
+//! [`crate::traversal::TraversalGraph`] when it is built at all, see below):
 //!
 //! * for every effective message `m = (u → v)`: a **forward** arc `u → v`
 //!   and a **backward** arc `v → u`;
@@ -33,20 +32,26 @@
 //! `(p·[fwd] − q·[bwd])·K − 1` with `K = (#arcs)+1`; a negative cycle under
 //! this weighting exists iff some cycle has `q·B − p·F ≥ 0`.
 //!
-//! Decision and witness are **one pass** of the crate's worklist
+//! Decision and witness **certify before they search**. The candidate
+//! potential is the **earliest-feasible** one — each event labeled, in
+//! topological order, at the smallest value its backward and local arcs
+//! allow: a Lamport timestamp that charges every message its minimum delay,
+//! the incremental monitor's trick. It is read straight off the events,
+//! and it satisfies every backward and local arc by construction, so `G` is
+//! admissible as soon as it satisfies every forward arc too — one pass over
+//! the events, with no arena built and no kernel run. That is the common
+//! case on admissible executions, and the counters below stay at zero.
+//!
+//! Only a tense forward arc builds `T` and runs the crate's worklist
 //! negative-cycle kernel (`negcycle.rs`: FIFO label-correcting with
-//! Tarjan's subtree disassembly), started from the **earliest-feasible
-//! potential** — each event labeled, in topological order, at the smallest
-//! value its backward and local arcs allow, the incremental monitor's
-//! trick. On admissible executions those labels are already feasible and
-//! one changeless scan of every node decides in `O(V + E)`; where forward
-//! arcs are still tense, only the nodes whose label moves are scanned
-//! again — not the whole arena once per step of a zigzag through the
-//! execution, which is what round-based sweeps pay. A violation surfaces
-//! the moment the tree of relaxing arcs would close a cycle, and that
-//! cycle *is* the witness [`find_violation`] returns: nothing is run a
-//! second time to extract it, and nothing after the latch is looked at
-//! twice. A *no* leaves a feasible potential, which the same run in
+//! Tarjan's subtree disassembly) from those labels, every event queued in
+//! order. Only the nodes whose label moves are scanned again — not the
+//! whole arena once per step of a zigzag through the execution, which is
+//! what round-based sweeps pay. A violation surfaces the moment the tree
+//! of relaxing arcs would close a cycle, and that cycle *is* the witness
+//! [`find_violation`] returns: nothing is run a second time to extract it,
+//! and nothing after the latch is looked at twice. A *no* leaves a
+//! feasible potential — the certificate's or the run's — which
 //! [`crate::assign::assign_delays`] scales back into a Theorem 7
 //! assignment. The `core.check.*` rows of `bench_ledger` (see
 //! `BENCHMARK.json`) and the counters `check.relaxations` /
@@ -63,7 +68,7 @@
 use abc_rational::Ratio;
 
 use crate::cycle::Cycle;
-use crate::graph::ExecutionGraph;
+use crate::graph::{ExecutionGraph, Trigger};
 use crate::maxratio;
 use crate::negcycle::{self, NegCycle};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
@@ -136,13 +141,20 @@ fn weights_fit_i128(p: i128, q: i128, num_arcs: usize, num_nodes: usize) -> bool
         .is_some()
 }
 
-/// `Ξ` as `(p, q)` machine parts usable on the batch graph `tg`.
-pub(crate) fn xi_parts(xi: &Xi, tg: &TraversalGraph) -> Result<(i128, i128), CheckError> {
+/// `Ξ` as `(p, q)` machine parts usable on a batch graph of `num_arcs`
+/// arcs over `num_events` events.
+fn xi_parts(xi: &Xi, num_arcs: usize, num_events: usize) -> Result<(i128, i128), CheckError> {
     let (p, q) = xi.as_i128_parts().ok_or(CheckError::XiTooLarge)?;
-    if !weights_fit_i128(p, q, tg.num_arcs(), tg.num_live_nodes()) {
+    if !weights_fit_i128(p, q, num_arcs, num_events) {
         return Err(CheckError::XiTooLarge);
     }
     Ok((p, q))
+}
+
+/// The arc count of [`TraversalGraph::from_graph`]`(g)`, without building
+/// it: two per effective message, one per local edge.
+fn batch_arcs(g: &ExecutionGraph) -> usize {
+    2 * g.effective_messages().count() + g.num_shadow_edges() - g.num_messages()
 }
 
 /// The scaled integer weight of an arc for `Ξ = p/q` and `K = #arcs + 1`.
@@ -156,39 +168,87 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
     w_prime * k - 1
 }
 
-/// One run of the crate's negative-cycle kernel under the scaled weights
-/// for `Ξ = p/q`, from the earliest-feasible start labels: a feasible
-/// potential (one label per event) with its scale `K` when the graph is
-/// admissible, else the arc indices, in traversal order, of a negative
-/// cycle — a violating relevant cycle. Exact in both directions.
+/// The timestamp potential of `g`: the earliest-feasible labels of its
+/// traversal graph ([`negcycle::seed_earliest_feasible`] over
+/// [`TraversalGraph::from_graph`]), read off the events in one pass. An
+/// event is labeled `delay` after the send of the effective message it
+/// receives and `1` after its local predecessor, whichever is later; an
+/// init continues from the event before it. Backward and local arcs hold
+/// by construction, so the second answer — whether the forward arc of an
+/// effective message is tense, `label(recv) > label(send) + slack` — is
+/// the whole feasibility test.
+fn timestamp_potential(g: &ExecutionGraph, slack: i128, delay: i128) -> (Vec<i128>, bool) {
+    let mut last: Vec<Option<usize>> = vec![None; g.num_processes()];
+    let mut labels: Vec<i128> = Vec::with_capacity(g.num_events());
+    let mut tense = false;
+    for e in g.events() {
+        let after_pred = last[e.process.0]
+            .replace(labels.len())
+            .map(|pred| labels[pred] + 1);
+        let send = match e.trigger {
+            Trigger::Message(m) if g.is_effective(m) => Some(labels[g.message(m).from.0]),
+            _ => None,
+        };
+        let label = send.map(|s| s + delay).max(after_pred);
+        let label = label.unwrap_or_else(|| labels.last().copied().unwrap_or(0));
+        tense |= send.is_some_and(|s| label > s + slack);
+        labels.push(label);
+    }
+    (labels, tense)
+}
+
+/// A feasible potential of `g`'s traversal graph under the scaled weights
+/// for `Ξ`, with the scale `q·K` that reads its labels back as times, or a
+/// relevant cycle violating `Ξ`. Certifies before it searches: the
+/// timestamp potential decides alone when no forward arc is tense under
+/// it — no arena is built and no kernel runs. Otherwise one run of the
+/// crate's negative-cycle kernel over [`TraversalGraph::from_graph`]
+/// starts from those labels, every event queued in order, and its cycle
+/// is the witness. Exact in both directions.
 pub(crate) fn potential_or_cycle(
-    tg: &TraversalGraph,
-    p: i128,
-    q: i128,
-) -> Result<(Vec<i128>, i128), Vec<usize>> {
-    debug_assert_eq!(tg.base(), 0, "the batch check is whole-graph only");
+    g: &ExecutionGraph,
+    xi: &Xi,
+) -> Result<Result<(Vec<i128>, i128), Cycle>, CheckError> {
+    let num_arcs = batch_arcs(g);
+    let (p, q) = xi_parts(xi, num_arcs, g.num_events())?;
+    let k = i128::try_from(num_arcs).expect("arc count fits i128") + 1;
+    let (mut labels, tense) = timestamp_potential(g, p * k - 1, q * k + 1);
+    if !tense {
+        return Ok(Ok((labels, q * k)));
+    }
+    let tg = TraversalGraph::from_graph(g);
     let arcs = tg.arcs();
-    let k = i128::try_from(arcs.len()).expect("arc count fits i128") + 1;
     let weight = |ai: usize| Some(scaled_weight(arcs[ai].kind, p, q, k));
-    let mut labels = vec![0; tg.num_live_nodes()];
-    negcycle::seed_earliest_feasible(tg, &mut labels, weight);
-    let run = NegCycle::default().run(tg, &mut labels, 0..tg.num_live_nodes(), weight, None);
+    debug_assert!(
+        {
+            let mut seeded = vec![0; labels.len()];
+            negcycle::seed_earliest_feasible(&tg, &mut seeded, weight);
+            seeded == labels
+        },
+        "the timestamp potential is the arena's earliest-feasible seed"
+    );
+    let run = NegCycle::default().run(&tg, &mut labels, 0..tg.num_live_nodes(), weight, None);
     record_kernel_run(&run);
-    run.cycle.map_or(Ok((labels, k)), Err)
+    Ok(run.cycle.map_or(Ok((labels, q * k)), |indices| {
+        Err(arcs_to_cycle(arcs, &indices))
+    }))
 }
 
 /// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].
-pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
+fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
     let step = |&ai: &usize| arcs[ai].kind.step();
     let steps = indices.iter().map(step).collect::<Result<_, _>>();
     Cycle::new(steps.expect("batch graphs carry no shortcut arcs"))
 }
 
 /// Searches for a relevant cycle violating the ABC condition for `xi`
-/// (i.e. with `|Z−|/|Z+| ≥ Ξ`). Polynomial: `O(V·E)` at worst, `O(V + E)`
-/// plus the labels that have to move in practice. The witness is the cycle
-/// the decision itself closed — deterministic for a given graph, though
-/// not necessarily the one the incremental monitor latches.
+/// (i.e. with `|Z−|/|Z+| ≥ Ξ`). The timestamp potential comes first: when
+/// it is feasible the answer is `None` after one pass over the events,
+/// with no arena and no kernel run. Otherwise the negative-cycle kernel
+/// runs from it: `O(V·E)` at worst, `O(V + E)` plus the labels that have
+/// to move in practice. The witness is the cycle the decision itself
+/// closed — deterministic for a given graph, though not necessarily the
+/// one the incremental monitor latches.
 ///
 /// # Errors
 ///
@@ -216,12 +276,9 @@ pub(crate) fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
 /// assert!(find_violation(&g, &Xi::from_integer(3)).unwrap().is_none());
 /// ```
 pub fn find_violation(g: &ExecutionGraph, xi: &Xi) -> Result<Option<Cycle>, CheckError> {
-    let tg = TraversalGraph::from_graph(g);
-    let (p, q) = xi_parts(xi, &tg)?;
-    let Err(indices) = potential_or_cycle(&tg, p, q) else {
+    let Err(cycle) = potential_or_cycle(g, xi)? else {
         return Ok(None);
     };
-    let cycle = arcs_to_cycle(tg.arcs(), &indices);
     debug_assert!(cycle.validate(g).is_ok(), "extracted witness must validate");
     let class = cycle.classify();
     assert!(
@@ -467,6 +524,121 @@ mod tests {
         let xi = Xi::new(Ratio::from_bigints(p, q)).unwrap();
         assert_eq!(find_violation(&g, &xi), Err(CheckError::XiTooLarge));
         assert_eq!(is_admissible(&g, &xi), Err(CheckError::XiTooLarge));
+    }
+
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            usize::try_from(self.0 >> 33).unwrap() % bound
+        }
+    }
+
+    /// A random execution over up to 5 processes: inits interleaved with
+    /// sends, some processes never woken, self-messages, exempt messages
+    /// and faulty processes.
+    fn random_graph(rng: &mut Lcg) -> ExecutionGraph {
+        let n = 1 + rng.below(5);
+        let mut b = ExecutionGraph::builder(n);
+        let mut asleep: Vec<usize> = (0..n).filter(|_| rng.below(4) != 0).collect();
+        let mut awake = Vec::new();
+        for _ in 0..rng.below(20) {
+            if awake.is_empty() || (!asleep.is_empty() && rng.below(4) == 0) {
+                let Some(p) = asleep.pop() else { break };
+                b.init(ProcessId(p));
+                awake.push(p);
+                continue;
+            }
+            let from = crate::graph::EventId(rng.below(b.num_events()));
+            let to = if rng.below(4) == 0 {
+                b.graph().event(from).process
+            } else {
+                ProcessId(awake[rng.below(awake.len())])
+            };
+            let (m, _) = b.send(from, to);
+            if rng.below(5) == 0 {
+                b.set_exempt(m);
+            }
+        }
+        for p in 0..n {
+            if rng.below(5) == 0 {
+                b.mark_faulty(ProcessId(p));
+            }
+        }
+        b.finish()
+    }
+
+    /// The certificate is the arena's seed, read off the graph: on 3 000
+    /// random executions and four `Ξ`, its labels are
+    /// `seed_earliest_feasible`'s over `from_graph`, its arc count is the
+    /// arena's, and it calls a forward arc tense exactly when a kernel run
+    /// from its labels relaxes anything.
+    #[test]
+    fn the_timestamp_potential_is_the_arena_seed() {
+        let mut rng = Lcg(0x2545_f491_4f6c_dd1d);
+        let mut tally = [0; 2]; // feasible, tense
+        for id in 0..3_000 {
+            let g = random_graph(&mut rng);
+            let tg = TraversalGraph::from_graph(&g);
+            assert_eq!(batch_arcs(&g), tg.num_arcs(), "case {id}");
+            let k = i128::try_from(tg.num_arcs()).unwrap() + 1;
+            for (p, q) in [(11, 10), (3, 2), (2, 1), (5, 1)] {
+                let what = format!("case {id}, Xi = {p}/{q}");
+                let (labels, tense) = timestamp_potential(&g, p * k - 1, q * k + 1);
+                let weight = |ai: usize| Some(scaled_weight(tg.arcs()[ai].kind, p, q, k));
+                let mut seeded = vec![0; g.num_events()];
+                negcycle::seed_earliest_feasible(&tg, &mut seeded, weight);
+                assert_eq!(labels, seeded, "{what}");
+                let starts = 0..g.num_events();
+                let run = NegCycle::default().run(&tg, &mut seeded, starts, weight, None);
+                assert_eq!(tense, run.relaxations > 0, "{what}");
+                tally[usize::from(tense)] += 1;
+            }
+        }
+        assert!(tally.iter().all(|&n| n > 1_000), "{tally:?}");
+    }
+
+    /// The guard counts the arena's arcs and nodes without building it, so
+    /// it answers as it did over the arena — at the largest integer `Ξ` it
+    /// takes on a graph, one above it, and at the near-limit `Ξ` below.
+    #[test]
+    fn the_counted_guard_is_the_arenas_at_its_boundary() {
+        let g = two_chain(10);
+        let tg = TraversalGraph::from_graph(&g);
+        let (arcs, nodes) = (tg.num_arcs(), tg.num_live_nodes());
+        let (mut fits, mut too_big) = (1i128, i128::MAX);
+        while too_big - fits > 1 {
+            let mid = fits + (too_big - fits) / 2;
+            if weights_fit_i128(mid, 1, arcs, nodes) {
+                fits = mid;
+            } else {
+                too_big = mid;
+            }
+        }
+        let ratio = |p: i128, q: i128| {
+            let parts = (abc_rational::BigInt::from(p), abc_rational::BigInt::from(q));
+            Xi::new(Ratio::from_bigints(parts.0, parts.1)).unwrap()
+        };
+        let near_limit = ratio(1 << 117, (1 << 117) - 1);
+        for (xi, fit) in [
+            (ratio(fits, 1), true),
+            (ratio(fits, fits - 1), true),
+            (ratio(too_big, 1), false),
+            (near_limit, false),
+        ] {
+            let counted = xi_parts(&xi, batch_arcs(&g), g.num_events());
+            assert_eq!(counted, xi_parts(&xi, arcs, nodes), "Xi = {xi}");
+            assert_eq!(counted.is_ok(), fit, "Xi = {xi}");
+            // Either path answers without overflow where the guard lets
+            // it run: the certificate above the ratio, the kernel below.
+            let violates = xi.as_ratio() <= &Ratio::from_integer(10);
+            let answer = find_violation(&g, &xi).map(|w| w.is_some());
+            assert_eq!(answer, counted.map(|_| violates), "Xi = {xi}");
+        }
     }
 
     #[test]

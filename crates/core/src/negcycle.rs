@@ -116,7 +116,10 @@ pub(crate) struct NegCycle {
 /// every message charged its minimum delay — and the monitor's trick: on
 /// admissible executions the ascending arcs are usually satisfied too, and
 /// [`NegCycle::run`] from every node is one changeless scan, `O(V + E)`,
-/// where an all-zero start makes labels zigzag through the execution.
+/// where an all-zero start makes labels zigzag through the execution. The
+/// max-ratio probes seed their windows with it; the batch check reads the
+/// same labels straight off the execution graph (`check.rs`) and skips
+/// that scan when no ascending arc is tense.
 pub(crate) fn seed_earliest_feasible(
     tg: &TraversalGraph,
     labels: &mut [i128],

@@ -33,10 +33,12 @@
 //! # How check and monitor share it
 //!
 //! The batch checker ([`crate::check::find_violation`] /
-//! [`crate::check::is_admissible`]) builds a `TraversalGraph` **once** per
-//! call with [`TraversalGraph::from_graph`] and hands it to the crate's
-//! worklist negative-cycle kernel, which walks the out-lists and decides
-//! and extracts the witness in one pass; `max_relevant_cycle_ratio` runs
+//! [`crate::check::is_admissible`]) first tries the timestamp potential
+//! straight off the execution graph; only when a forward arc is tense
+//! under it does it build a `TraversalGraph` with
+//! [`TraversalGraph::from_graph`] and hand it to the crate's worklist
+//! negative-cycle kernel, which walks the out-lists and decides and
+//! extracts the witness in one pass; `max_relevant_cycle_ratio` runs
 //! the same kernel over the same structure once per probe of its ratio
 //! ascent, and the line-graph pass reads the in-CSR. The online monitor
 //! grows the *same* structure incrementally ([`push_node`] /

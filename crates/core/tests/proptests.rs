@@ -14,27 +14,38 @@ use abc_rational::Ratio;
 use proptest::prelude::*;
 
 /// Builds a random message-driven execution graph from a script of
-/// `(sender_event, receiver_process)` pairs (reduced modulo the current
-/// state), over `n` processes.
-fn build_graph(n: usize, script: &[(usize, usize)]) -> ExecutionGraph {
+/// `(sender_event, receiver_process, exempt)` triples (reduced modulo the
+/// current state), over `n` processes, the processes `faulty` names
+/// (modulo `n`) marked faulty.
+fn build_graph(n: usize, script: &[(usize, usize, bool)], faulty: &[usize]) -> ExecutionGraph {
     let mut b = ExecutionGraph::builder(n);
     for p in 0..n {
         b.init(ProcessId(p));
     }
-    for &(from, to) in script {
+    for &(from, to, exempt) in script {
         let from_event = EventId(from % b.num_events());
         let to_process = ProcessId(to % n);
-        b.send(from_event, to_process);
+        let (m, _) = b.send(from_event, to_process);
+        if exempt {
+            b.set_exempt(m);
+        }
+    }
+    for &p in faulty {
+        b.mark_faulty(ProcessId(p % n));
     }
     b.finish()
 }
 
+/// Random graphs on which the effective-message filter matters: about one
+/// message in six is exempt, and up to one process is faulty.
 fn graph_strategy() -> impl Strategy<Value = ExecutionGraph> {
+    let exempt = (0u8..6).prop_map(|draw| draw == 0);
     (
         2usize..5,
-        proptest::collection::vec((any::<usize>(), any::<usize>()), 0..12),
+        proptest::collection::vec((any::<usize>(), any::<usize>(), exempt), 0..12),
+        proptest::collection::vec(any::<usize>(), 0..2),
     )
-        .prop_map(|(n, script)| build_graph(n, &script))
+        .prop_map(|(n, script, faulty)| build_graph(n, &script, &faulty))
 }
 
 /// The oracle for the checker's negative-cycle kernel: textbook
