@@ -306,20 +306,6 @@ pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
     maxratio::has_cycle_at_least_one(&TraversalGraph::from_graph(g))
 }
 
-/// [`max_relevant_cycle_ratio`] together with a cycle attaining it. The
-/// cycle is `None` exactly when the ratio is `1`, where the certificate
-/// is a closed walk of tight arcs rather than one canonical cycle.
-pub(crate) fn max_ratio_cycle(
-    g: &ExecutionGraph,
-) -> Result<Option<(Ratio, Option<Cycle>)>, CheckError> {
-    let tg = TraversalGraph::from_graph(g);
-    let Some(found) = maxratio::max_cycle_ratio(&tg)? else {
-        return Ok(None);
-    };
-    let cycle = (!found.cycle.is_empty()).then(|| arcs_to_cycle(tg.arcs(), &found.cycle));
-    Ok(Some((maxratio::ratio_of((found.b, found.f)), cycle)))
-}
-
 /// The exact maximum `|Z−|/|Z+|` over all relevant cycles of `g`, or
 /// `Ok(None)` if `g` has no relevant cycle.
 ///
@@ -337,7 +323,8 @@ pub(crate) fn max_ratio_cycle(
 /// arithmetic (beyond any graph that fits in memory today). The bound is
 /// checked **up front** — a clean error, never a panic or a silent wrap.
 pub fn max_relevant_cycle_ratio(g: &ExecutionGraph) -> Result<Option<Ratio>, CheckError> {
-    Ok(max_ratio_cycle(g)?.map(|(ratio, _)| ratio))
+    let found = maxratio::max_cycle_ratio(&TraversalGraph::from_graph(g))?;
+    Ok(found.map(|found| maxratio::ratio_of((found.b, found.f))))
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! The one exact **maximum cycle ratio** engine behind
-//! [`crate::check::max_relevant_cycle_ratio`] and the live margin of an
-//! untracked monitor ([`crate::monitor::IncrementalChecker::current_margin`]).
-//! A monitor that tracks its margin keeps it instead (the monitor's
-//! `margin` module): it uses the engine once, to seed its kept labels when
-//! tracking starts on a window that holds events already, and the
+//! [`crate::check::max_relevant_cycle_ratio`] and the live margin of a
+//! monitor that has pruned nothing and keeps no margin
+//! ([`crate::monitor::IncrementalChecker::current_margin`]). A monitor that
+//! keeps its margin (the monitor's `margin` module) uses the engine once,
+//! to seed its kept labels when keeping starts on a window that holds
+//! events already — at its first prune, or when asked to — and the
 //! ratio-one pass below; the proptests hold what it keeps against the
 //! engine and the batch checker at every prefix.
 //!
@@ -64,8 +65,8 @@
 //! A pruned monitor's window carries [`ArcKind::Shortcut`] arcs standing
 //! for whole families of condensed paths; [`Shortcuts`] tells the cost
 //! lines `(f, b)` behind each. The ascent never meets one: it searches batch
-//! graphs and windows nothing was pruned from (an untracked monitor that
-//! pruned answers from its mirror). A tracking monitor's kept labels charge
+//! graphs and windows nothing was pruned from (a monitor that pruned keeps
+//! its margin). A tracking monitor's kept labels charge
 //! a shortcut arc the cheapest of its lines at the kept margin
 //! ([`cheapest_line`]) and remember which, so a cycle's counts and witness
 //! come from the paths actually used, and the ratio-one pass takes every

@@ -9,15 +9,18 @@
 //! batch-side), and [`IncrementalChecker::margin_upper_bound`] an upper
 //! bound that costs no probe. A monitor answers in one of two ways.
 //!
-//! An **untracked** monitor searches: one run of the crate's max-ratio
-//! engine (the `maxratio` module) over the live arcs, which asks "is
-//! there a cycle with ratio strictly above `B₀/F₀`", jumps to the ratio
-//! of the cycle a *yes* finds and stops at the first *no* — a few runs of
-//! the crate's negative-cycle kernel per query. Its bound is an `O(arcs)`
-//! scan of the potentials at `Ξ`.
+//! An **untracked** monitor — one that has pruned nothing and was not
+//! asked to keep its margin — searches: one run of the crate's max-ratio
+//! engine (the `maxratio` module) over the live arcs, which are then the
+//! whole execution, asks "is there a cycle with ratio strictly above
+//! `B₀/F₀`", jumps to the ratio of the cycle a *yes* finds and stops at
+//! the first *no* — a few runs of the crate's negative-cycle kernel per
+//! query. Its bound is an `O(arcs)` scan of the potentials at `Ξ`.
 //!
-//! A **tracking** monitor ([`IncrementalChecker::enable_margin_tracking`])
-//! keeps the answer instead. Beside its potentials at `Ξ` it keeps a second
+//! A **tracking** monitor keeps the answer instead: from its first append
+//! ([`IncrementalChecker::enable_margin_tracking`]), or from its first
+//! prune, which seeds the kept column with one search of the window it is
+//! about to condense. Beside its potentials at `Ξ` it keeps a second
 //! column of integer labels, feasible for the probe weights at its current
 //! margin `r = B/F` (`+B` per forward message, `−F` per backward one,
 //! starting at `1/1`) — a potential that says "no cycle above `r`". As the
@@ -50,10 +53,9 @@
 //! monitor's kept `r` is that margin, so nothing below it is ever asked
 //! again), and the kept labels charge a shortcut the cheapest of its lines
 //! at `r`. So the probe weights see the exact minimum crossing cost, not
-//! just the `Ξ`-optimal path the violation machinery stores. Margin
-//! tracking is opt-in for pruning monitors: growing the envelopes makes a
-//! tracked prune two to three times the work of an untracked one (0.6 ms
-//! against 0.23 ms at horizon 256, of which the envelope passes are 0.2).
+//! just the `Ξ`-optimal path the violation machinery stores. Every prune
+//! grows the envelopes (about 0.6 ms per prune at horizon 256, of which
+//! the envelope passes are 0.2), so every pruned window answers its margin.
 //!
 //! # The envelope pass
 //!
@@ -76,7 +78,7 @@ use std::collections::VecDeque;
 
 use abc_rational::Ratio;
 
-use crate::check::{self, CheckError};
+use crate::check::CheckError;
 use crate::cycle::{CycleStep, WitnessSummary};
 use crate::graph::ProcessId;
 use crate::maxratio::{self, step_reverses, Shortcuts};
@@ -783,7 +785,7 @@ impl IncrementalChecker {
         }
     }
 
-    /// The fold before a tracked prune, now that the margin is kept: the
+    /// The fold before a prune, now that the margin is kept: the
     /// kept ratio *is* the floor the condensation needs, so what is left is
     /// to spell out the witness while its arcs are live, and to remember a
     /// live cycle of ratio exactly `1` before it may be condensed away.
@@ -819,8 +821,8 @@ impl IncrementalChecker {
     /// Whether the margin a tracking monitor keeps has reached `p/q`
     /// (`p > q > 0`): one cross-multiplication, no probe, so a caller can
     /// ask after every append and learn of the crossing at the append that
-    /// made it. `false` on an untracked monitor (its kept margin stays at
-    /// `1`), and once the kept labels have overflowed (where
+    /// made it. `false` on a monitor that keeps no margin yet (its kept
+    /// margin stays at `1`), and once the kept labels have overflowed (where
     /// [`IncrementalChecker::current_margin`] reports
     /// [`CheckError::GraphTooLarge`]). A threshold of `1` or less is not
     /// answered here: a cycle of ratio exactly `1` takes an `O(arcs)` pass.
@@ -842,12 +844,13 @@ impl IncrementalChecker {
     /// exactly while the margin is below `Ξ`, and once the verdict latches
     /// the margin freezes at the witness's ratio.
     ///
-    /// A tracking monitor ([`IncrementalChecker::enable_margin_tracking`])
-    /// reads the margin it keeps: no cycle probe, and at a margin of exactly
-    /// `1` one `O(arcs)` pass over its kept labels. Its witness is the cycle
-    /// that last raised the margin, which may be another cycle of the same
-    /// ratio than the one an untracked monitor's search names. An untracked
-    /// one searches its window with the max-ratio engine, a few runs of the
+    /// A tracking monitor ([`IncrementalChecker::enable_margin_tracking`]),
+    /// and every monitor that has pruned, reads the margin it keeps: no
+    /// cycle probe, and at a margin of exactly `1` one `O(arcs)` pass over
+    /// its kept labels. Its witness is the cycle that last raised the
+    /// margin, which may be another cycle of the same ratio than the one a
+    /// search names. An untracked one searches its window, the whole
+    /// execution, with the max-ratio engine, a few runs of the
     /// negative-cycle kernel per call.
     ///
     /// ```
@@ -874,16 +877,9 @@ impl IncrementalChecker {
     ///
     /// # Errors
     ///
-    /// [`CheckError::GraphTooLarge`] when the (windowed) probe arithmetic
-    /// would overflow, exactly as in the batch computation; on a tracking
-    /// monitor, when its kept labels would.
-    ///
-    /// # Panics
-    ///
-    /// Panics after a prune on a monitor whose mirror was dropped, unless
-    /// [`IncrementalChecker::enable_margin_tracking`] was called before that
-    /// prune. A monitor that has pruned nothing answers in every mode: its
-    /// window is the whole execution.
+    /// [`CheckError::GraphTooLarge`] when the probe arithmetic would
+    /// overflow, exactly as in the batch computation; on a tracking monitor,
+    /// when its kept labels would.
     pub fn current_margin(&self) -> Result<Option<MarginReport>, CheckError> {
         let _span = abc_obs::span("monitor.margin_probe");
         OBS_PROBES.add(1);
@@ -897,7 +893,7 @@ impl IncrementalChecker {
                 witness: Some(s.clone()),
             }));
         }
-        if self.margin_tracking {
+        if self.keeps_margin() {
             let Some(ratio) = self.kept_ratio()? else {
                 return Ok(None);
             };
@@ -908,21 +904,6 @@ impl IncrementalChecker {
                 Some(self.expand_window_cycle(&self.kept.cycle))
             };
             return Ok(Some(MarginReport { ratio, witness }));
-        }
-        // The window is the whole execution until something is pruned from
-        // it; after an untracked prune only the mirror is exact.
-        if self.stats.pruned_events > 0 {
-            let mirror = self.builder.as_ref().expect(
-                "current_margin() on a pruning monitor requires enable_margin_tracking() \
-                 before the first prune_settled()",
-            );
-            let g = mirror.graph();
-            return Ok(
-                check::max_ratio_cycle(g)?.map(|(ratio, cycle)| MarginReport {
-                    ratio,
-                    witness: cycle.map(|c| c.summarize(g)),
-                }),
-            );
         }
         // Nothing was pruned: the window is the whole execution, every arc
         // in it plain.
@@ -941,8 +922,9 @@ impl IncrementalChecker {
     /// open, equals the latched ratio after, and is `None` only when no
     /// relevant cycle can exist at all.
     ///
-    /// A tracking monitor's bound is its kept margin itself, exact. An
-    /// untracked one's is an `O(live arcs)` scan of the feasible
+    /// A tracking monitor's bound, like that of every monitor that has
+    /// pruned, is its kept margin itself, exact. An untracked one's is an
+    /// `O(live arcs)` scan of the feasible
     /// Bellman–Ford potentials at `Ξ`: for every live forward arc the
     /// potential stretch `Δ = π(recv).0 − π(send).0` certifies that no
     /// relevant cycle through that message has ratio above `Δ/q` (scaling
@@ -956,28 +938,17 @@ impl IncrementalChecker {
     /// `core.monitor.margin_bound_us` row times it): a threshold on a
     /// tracking monitor is [`IncrementalChecker::kept_margin_reaches`],
     /// which is exact and O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics after a prune on a monitor whose mirror was dropped, unless
-    /// margin tracking is enabled (pruned shortcut arcs need their
-    /// signatures).
     #[must_use]
     pub fn margin_upper_bound(&self) -> Option<Ratio> {
         let _span = abc_obs::span("monitor.margin_bound");
         if let Some(s) = &self.violation_summary {
             return s.classification.ratio();
         }
-        if self.margin_tracking {
+        if self.keeps_margin() {
             if let Ok(kept) = self.kept_ratio() {
                 return kept;
             }
         }
-        assert!(
-            self.builder.is_some() || self.stats.pruned_events == 0 || self.margin_tracking,
-            "margin_upper_bound() on a pruning monitor requires enable_margin_tracking() \
-             before the first prune_settled()"
-        );
         let base = self.tg.base();
         // Max candidate as an i128 fraction (numerator, positive denominator).
         let mut best: Option<(i128, i128)> = None;

@@ -37,9 +37,9 @@
 //!   the [`ExecutionGraph`] mirror and nothing else; [`MonitorStats`]
 //!   reports the live high-water marks);
 //! * `margin` — [`IncrementalChecker::current_margin`] and
-//!   [`IncrementalChecker::margin_upper_bound`], the margin a tracking
-//!   monitor keeps as appends come in, and the signature envelopes that
-//!   keep it exact across prunes;
+//!   [`IncrementalChecker::margin_upper_bound`], the margin a monitor keeps
+//!   as appends come in (from its first append, or from its first prune),
+//!   and the signature envelopes that keep it exact across prunes;
 //! * `witness` — the canonical witness shape, and the one expansion that
 //!   turns live arcs and condensed paths back into steps of the execution.
 //!
@@ -187,7 +187,7 @@ pub struct IncrementalChecker {
     /// Scratch of the kernel the frontier repairs run on: empty until the
     /// first, clean between them, kept by [`IncrementalChecker::reset`].
     kernel: NegCycle,
-    /// Scratch of the signature-envelope passes a tracked prune runs:
+    /// Scratch of the signature-envelope passes a prune runs:
     /// empty until the first, kept by [`IncrementalChecker::reset`].
     envelopes: EnvelopeScratch,
     /// Latest event id of each process (survives pruning — it guards
@@ -202,9 +202,9 @@ pub struct IncrementalChecker {
     total_messages: usize,
     violation: Option<Cycle>,
     violation_summary: Option<WitnessSummary>,
-    /// Whether the margin is kept, and margin-signature envelopes are
-    /// maintained across prunes (see
-    /// [`IncrementalChecker::enable_margin_tracking`]).
+    /// Whether the margin is kept from the first append on (see
+    /// [`IncrementalChecker::enable_margin_tracking`]); a monitor that has
+    /// pruned keeps it either way ([`IncrementalChecker::keeps_margin`]).
     margin_tracking: bool,
     /// The kept margin of a tracking monitor: a second potential column,
     /// feasible at the current margin, and that margin's witness.
@@ -256,7 +256,8 @@ impl IncrementalChecker {
     /// [`MonitorStats`] — except that the two mode choices made on the old
     /// one persist (a mirror dropped by
     /// [`IncrementalChecker::enable_pruning`] stays dropped,
-    /// [`IncrementalChecker::enable_margin_tracking`] stays on) and every
+    /// [`IncrementalChecker::enable_margin_tracking`] stays on; a margin
+    /// kept only since a prune is not, as on a new monitor) and every
     /// per-event column keeps its capacity, so a monitor that has seen a
     /// document of some size checks the next one of that size without
     /// allocating. A kept mirror is rebuilt from nothing.
@@ -376,8 +377,8 @@ impl IncrementalChecker {
     /// [`IncrementalChecker::finish`] are unavailable (use
     /// [`IncrementalChecker::violation_summary`] for witness reporting),
     /// and the choice survives [`IncrementalChecker::reset`]. Verdicts,
-    /// latch points, witnesses and — until something is pruned — margins
-    /// are unaffected: none of them reads the mirror.
+    /// latch points, witnesses and margins are unaffected: none of them
+    /// reads the mirror.
     ///
     /// The name records why the mirror goes: pruning itself also works
     /// with the mirror kept — useful when verdict-identical comparison
@@ -396,48 +397,47 @@ impl IncrementalChecker {
         self.builder = None;
     }
 
-    /// Makes the monitor **keep** its margin instead of searching for it,
-    /// and keeps it exact across [`IncrementalChecker::prune_settled`].
+    /// Makes the monitor **keep** its margin from here on instead of
+    /// searching for it until its first prune.
     ///
     /// Beside its potentials at `Ξ` the monitor then keeps a second column,
     /// feasible at the current margin, and raises that margin as appends
     /// close cycles above it (the `margin` module's docs have the
     /// argument). On the sweep's 500-event clock synchronisation runs that
-    /// adds about 55 ns to an append, where the search an untracked
-    /// [`IncrementalChecker::current_margin`] runs instead costs about
+    /// adds about 55 ns to an append, where the search a monitor that keeps
+    /// nothing runs in [`IncrementalChecker::current_margin`] costs about
     /// 160 ns per event of the run (two hardware threads). Both
     /// `current_margin` and [`IncrementalChecker::margin_upper_bound`] read
     /// the kept margin, exactly, and its witness is the cycle that last
-    /// raised it. Every prune condenses its boundary shortcuts with
+    /// raised it, and [`IncrementalChecker::kept_margin_reaches`] answers
+    /// from the first append on.
+    ///
+    /// Every monitor keeps its margin from its first
+    /// [`IncrementalChecker::prune_settled`] on, whether or not this was
+    /// called: a prune condenses its boundary shortcuts with
     /// margin-signature envelopes over the ratios at or above the kept
-    /// margin — one envelope pass per boundary landing, two to three times
-    /// the few hundred microseconds of an untracked prune — so the margin
-    /// stays equal to the batch [`crate::check::max_relevant_cycle_ratio`]
-    /// on the full (never-pruned) execution; without tracking, margin
-    /// queries on a monitor whose mirror was dropped
-    /// ([`IncrementalChecker::enable_pruning`]) are unavailable from its
-    /// first prune on.
+    /// margin, so the margin stays equal to the batch
+    /// [`crate::check::max_relevant_cycle_ratio`] on the full (never-pruned)
+    /// execution, mirror or no mirror.
     ///
-    /// Callable until the first prune; a monitor that holds events already
-    /// seeds the kept column with one search of its window. A window whose
-    /// kept labels could leave `i128` is reported by `current_margin` as
-    /// [`CheckError::GraphTooLarge`] (and a prune is then declined), never
-    /// by a panic while appending. The choice survives
+    /// Callable at any time; a monitor that holds events and keeps nothing
+    /// yet seeds the kept column with one search of its window. A window
+    /// whose kept labels could leave `i128` is reported by `current_margin`
+    /// as [`CheckError::GraphTooLarge`] (and a prune is then declined),
+    /// never by a panic while appending. The choice survives
     /// [`IncrementalChecker::reset`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if events were already pruned — the signatures of past
-    /// prunes cannot be reconstructed.
     pub fn enable_margin_tracking(&mut self) {
-        assert!(
-            self.stats.pruned_events == 0,
-            "enable_margin_tracking() must be called before the first prune_settled()"
-        );
-        if !self.margin_tracking {
-            self.margin_tracking = true;
+        if !self.keeps_margin() {
             self.seed_kept_margin();
         }
+        self.margin_tracking = true;
+    }
+
+    /// Whether the monitor keeps its margin: since its first append
+    /// ([`IncrementalChecker::enable_margin_tracking`]), or since its first
+    /// prune. Only a monitor that has pruned nothing searches for it.
+    fn keeps_margin(&self) -> bool {
+        self.margin_tracking || self.stats.pruned_events > 0
     }
 
     /// The monitored parameter `Ξ`.
@@ -662,7 +662,7 @@ impl IncrementalChecker {
             };
             self.restore_feasibility(&ctx);
         }
-        if self.margin_tracking {
+        if self.keeps_margin() {
             self.keep_margin(from.0, recv, effective);
         }
         OBS_ARCS.add((self.stats.arcs - arcs_before) as u64);
@@ -673,7 +673,7 @@ impl IncrementalChecker {
         let id = self.tg.push_node();
         self.proc_of.push(p);
         self.pot.push((0, 0));
-        if self.margin_tracking {
+        if self.keeps_margin() {
             // An append gives the receive its kept label after its arcs.
             self.kept.pot.push(0);
         }

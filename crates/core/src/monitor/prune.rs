@@ -78,8 +78,7 @@ pub(super) struct ShortcutInfo {
     pub(super) weight: Weight,
     /// The condensed path, between (and excluding) its live endpoints.
     pub(super) path: Expansion,
-    /// Margin-signature envelope of *all* condensed paths behind this arc
-    /// (empty when margin tracking is off).
+    /// Margin-signature envelope of *all* condensed paths behind this arc.
     pub(super) sigs: Vec<MarginSig>,
 }
 
@@ -142,8 +141,8 @@ impl Cut {
 /// composite `landing ⇝ head(exit)` going shortest-path inside the prefix
 /// then out through the exit arc (the landing itself stays excluded from
 /// the expansion's interior), with the signature envelope of *all* such
-/// paths when margins are tracked; `None` when the exit is out of the
-/// landing's reach. Spelled once per pair, whoever composes with it.
+/// paths; `None` when the exit is out of the landing's reach. Spelled
+/// once per pair, whoever composes with it.
 type Trees = Vec<Vec<Option<ShortcutInfo>>>;
 
 /// A condensed path while a prune assembles it: a [`ShortcutInfo`] whose
@@ -235,11 +234,14 @@ impl IncrementalChecker {
     /// condensation (see the module docs), not forbidden.
     ///
     /// Verdicts, violation latch points, and witnesses are **byte-identical**
-    /// with and without pruning, at any call cadence. Returns the number of
-    /// events compacted by this call — `0`, with the window left intact,
-    /// when a margin-tracking monitor has no exact margin to condense with
-    /// because its kept labels are beyond their integer range (its
-    /// [`IncrementalChecker::current_margin`] is then
+    /// with and without pruning, at any call cadence, and so is the margin:
+    /// every prune keeps it. A monitor that was not keeping its margin
+    /// ([`IncrementalChecker::enable_margin_tracking`]) starts at its first
+    /// prune, seeded by one search of its window, which is then still the
+    /// whole execution. Returns the number of events compacted by this call
+    /// — `0`, with the window left intact, when there is no exact margin to
+    /// condense with because the kept labels are beyond their integer range
+    /// ([`IncrementalChecker::current_margin`] is then
     /// [`crate::check::CheckError::GraphTooLarge`]).
     pub fn prune_settled(&mut self, oldest_inflight_send: Option<EventId>) -> usize {
         let _span = abc_obs::span("monitor.prune");
@@ -249,6 +251,12 @@ impl IncrementalChecker {
         if w <= base {
             return 0;
         }
+        if !self.keeps_margin() {
+            // The first prune of a monitor that did not keep its margin from
+            // its first append: the window is still the whole execution, so
+            // one search seeds the kept column, which is kept from here on.
+            self.seed_kept_margin();
+        }
         if self.violation.is_none() {
             // The kept margin is the floor the boundary signature
             // envelopes range above, which keeps them finite and exact;
@@ -256,7 +264,7 @@ impl IncrementalChecker {
             // ratio exactly 1) is folded *before* the prefix is condensed.
             // Without an exact margin there is no exact condensation, so
             // the prune is declined.
-            if self.margin_tracking && !self.fold_margin() {
+            if !self.fold_margin() {
                 return 0;
             }
             // Replace every path through the condemned prefix with an exact
@@ -270,9 +278,7 @@ impl IncrementalChecker {
         debug_assert_eq!(nodes, dropped);
         self.proc_of.drain(..dropped);
         self.pot.drain(..dropped);
-        if self.margin_tracking {
-            self.kept.pot.drain(..dropped);
-        }
+        self.kept.pot.drain(..dropped);
         self.stats.pruned_events += nodes;
         self.stats.pruned_arcs += arcs;
         OBS_PRUNED_EVENTS.add(nodes as u64);
@@ -355,25 +361,23 @@ impl IncrementalChecker {
         if cut.exits.is_empty() {
             return cut;
         }
-        if self.margin_tracking {
-            // Counting sort by tail, filled from the back of the arena.
-            let arcs = self.tg.arcs();
-            let inner = || {
-                let arcs = cut.internal.iter().rev().map(|&ai| (ai, arcs[ai]));
-                arcs.filter(|(_, a)| a.from != a.to)
-            };
-            for (_, a) in inner() {
-                cut.out_start[a.from - base + 1] += 1;
-            }
-            for v in 0..w - base {
-                cut.out_start[v + 1] += cut.out_start[v];
-            }
-            let mut next = cut.out_start.clone();
-            cut.out = vec![0; next[w - base]];
-            for (ai, a) in inner() {
-                cut.out[next[a.from - base]] = ai;
-                next[a.from - base] += 1;
-            }
+        // Counting sort by tail, filled from the back of the arena.
+        let arcs = self.tg.arcs();
+        let inner = || {
+            let arcs = cut.internal.iter().rev().map(|&ai| (ai, arcs[ai]));
+            arcs.filter(|(_, a)| a.from != a.to)
+        };
+        for (_, a) in inner() {
+            cut.out_start[a.from - base + 1] += 1;
+        }
+        for v in 0..w - base {
+            cut.out_start[v + 1] += cut.out_start[v];
+        }
+        let mut next = cut.out_start.clone();
+        cut.out = vec![0; next[w - base]];
+        for (ai, a) in inner() {
+            cut.out[next[a.from - base]] = ai;
+            next[a.from - base] += 1;
         }
         let mut heads: Vec<usize> = Vec::new();
         heads.extend(cut.entries.iter().map(|&ai| self.tg.arcs()[ai].to));
@@ -398,8 +402,8 @@ impl IncrementalChecker {
     /// One shortest-path tree per landing, over the internal arcs only
     /// (same seeded pass as the confirmation's — settled prefixes
     /// typically converge in a handful of rounds), its parametric
-    /// companion, started from that tree, when margins are tracked, and
-    /// what the two say about every exit.
+    /// companion, started from that tree, and what the two say about
+    /// every exit.
     fn landing_trees(&self, cut: &Cut, scratch: &mut EnvelopeScratch) -> Trees {
         let arcs = self.tg.arcs();
         let mut trees = Trees::with_capacity(cut.landings.len());
@@ -408,9 +412,7 @@ impl IncrementalChecker {
             let seed = [(start, (0, 0))];
             let (dist, pred, _) =
                 self.seeded_sssp(&cut.internal, cut.base, cut.w - cut.base, &seed);
-            if self.margin_tracking {
-                self.margin_sig_sssp(cut, start, &pred, scratch);
-            }
+            self.margin_sig_sssp(cut, start, &pred, scratch);
             let to_exit = |(bi, &b): (usize, &usize)| {
                 let exit_arc = arcs[b];
                 let d = dist[exit_arc.from - cut.base]?;
@@ -428,14 +430,10 @@ impl IncrementalChecker {
                     let joint = self.proc_of[arcs[ai].from - cut.base];
                     path.push_arc(joint, arcs[ai].kind, |id| &self.shortcuts[id].path);
                 }
-                let sigs = match self.margin_tracking {
-                    true => self.exit_envelope(cut, scratch, bi),
-                    false => Vec::new(),
-                };
                 Some(ShortcutInfo {
                     weight: d.plus(self.arc_weight(exit_arc.kind)),
                     path,
-                    sigs,
+                    sigs: self.exit_envelope(cut, scratch, bi),
                 })
             };
             trees.push(cut.exits.iter().enumerate().map(to_exit).collect());

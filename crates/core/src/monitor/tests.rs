@@ -429,22 +429,31 @@ fn prune_equivalence_smoke_on_dense_scripts() {
     assert_prune_equivalent(4, &[(0, 1), (4, 2), (1, 3), (2, 0), (5, 1), (3, 2)], &xi);
 }
 
-/// Drives the same script through an unpruned monitor and a pruning,
-/// margin-tracking one; at every event both margins must equal the
-/// batch `max_relevant_cycle_ratio` over the full graph, witnesses
-/// must attain the margin, and the cheap bound must dominate it.
-fn assert_margin_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi) {
+/// Drives the same script through an unpruned monitor and a pruning one
+/// that keeps its margin from its first append (`tracking`) or from its
+/// first prune on — and is asked to keep it half-way through, after it
+/// has pruned, which changes nothing; at every event both margins must
+/// equal the batch `max_relevant_cycle_ratio` over the full graph,
+/// witnesses must attain the margin, and the cheap bound must dominate it.
+fn assert_margin_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi, tracking: bool) {
     const HORIZON: usize = 3;
     let mut plain = IncrementalChecker::new(n, xi).unwrap();
     let mut pruned = IncrementalChecker::new(n, xi).unwrap();
     pruned.enable_pruning();
-    pruned.enable_margin_tracking();
+    if tracking {
+        pruned.enable_margin_tracking();
+    }
     for p in 0..n {
         plain.append_init(ProcessId(p));
         pruned.append_init(ProcessId(p));
     }
     let mut total = n;
-    for &(back, to) in script {
+    for (step, &(back, to)) in script.iter().enumerate() {
+        if step == script.len() / 2 {
+            let before = pruned.current_margin();
+            pruned.enable_margin_tracking();
+            assert_eq!(pruned.current_margin(), before, "step {step}");
+        }
         let from = EventId(total - 1 - (back % HORIZON.min(total)));
         plain.append_send(from, ProcessId(to % n));
         pruned.append_send(from, ProcessId(to % n));
@@ -505,7 +514,9 @@ fn margin_matches_batch_under_pruning_on_dense_scripts() {
     ];
     for xi in [Xi::from_fraction(3, 2), Xi::from_integer(4)] {
         for &(n, script) in scripts {
-            assert_margin_prune_equivalent(n, script, &xi);
+            for tracking in [true, false] {
+                assert_margin_prune_equivalent(n, script, &xi, tracking);
+            }
         }
     }
 }
@@ -637,38 +648,6 @@ fn a_fold_beyond_the_integer_range_declines_the_prune() {
     assert_eq!(mon.current_margin(), Err(CheckError::GraphTooLarge));
     assert_eq!(mon.prune_settled(Some(next)), 0);
     assert!(mon.margin_upper_bound().unwrap() >= three);
-}
-
-#[test]
-fn margin_tracking_after_a_prune_panics() {
-    let xi = Xi::from_integer(2);
-    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
-    mon.enable_pruning();
-    let a = mon.append_init(ProcessId(0));
-    mon.append_init(ProcessId(1));
-    mon.append_send(a, ProcessId(1));
-    mon.prune_settled(None);
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        mon.enable_margin_tracking();
-    }));
-    assert!(res.is_err(), "tracking after a prune must be rejected");
-}
-
-#[test]
-fn margin_queries_on_untracked_pruning_monitors_panic() {
-    let xi = Xi::from_integer(2);
-    let mut mon = IncrementalChecker::new(2, &xi).unwrap();
-    mon.enable_pruning();
-    let a = mon.append_init(ProcessId(0));
-    mon.append_init(ProcessId(1));
-    mon.append_send(a, ProcessId(1));
-    // Until something is pruned the window is the whole execution.
-    assert_eq!(mon.current_margin().unwrap(), None);
-    assert!(mon.prune_settled(None) > 0);
-    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        mon.current_margin().unwrap();
-    }));
-    assert!(res.is_err(), "margin without tracking must be rejected");
 }
 
 /// A deterministic dense script over `n` processes: `(back, to)` pairs as
@@ -1098,10 +1077,13 @@ fn assert_envelopes_match_the_cold_pass(
     let mut compared = Compared::default();
     let total = mon.tg.total_nodes();
     let w = watermark.map_or(total, |e| e.0.min(total));
-    if w <= mon.tg.base() || mon.violation.is_some() || !mon.margin_tracking {
+    if w <= mon.tg.base() || mon.violation.is_some() {
         return compared;
     }
     let mut mon = mon.clone();
+    if !mon.keeps_margin() {
+        mon.seed_kept_margin();
+    }
     assert!(mon.fold_margin(), "small windows fold");
     let cut = mon.classify_cut(w);
     let tree = |start: usize| {

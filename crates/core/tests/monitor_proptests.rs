@@ -383,12 +383,12 @@ fn execution_strategy() -> impl Strategy<Value = Execution> {
         .prop_map(|(n, pick, script)| (n, (pick % 3 == 0).then_some(pick % n), script))
 }
 
-/// The modes a monitor can be in, as `(mirror kept, margin kept, pruned)`:
-/// (0) as built, (1) mirror dropped, (2) mirror dropped and tracking,
-/// pruning — a bounded session's — (3) mirrored and untracked, pruning,
-/// (4) mirror dropped and untracked, pruning, (5) mirror dropped and
-/// tracking, never pruned — a sweep worker's — (6) mirrored and tracking,
-/// pruning.
+/// The modes a monitor can be in, as `(mirror kept, margin kept from the
+/// first append, pruned)`: (0) as built, (1) mirror dropped, (2) mirror
+/// dropped and tracking, pruning — a bounded session's — (3) mirrored and
+/// pruning, keeping its margin from its first prune, (4) the same without
+/// the mirror, (5) mirror dropped and tracking, never pruned — a sweep
+/// worker's — (6) mirrored and tracking, pruning.
 const MODES: [(bool, bool, bool); 7] = [
     (true, false, false),
     (false, false, false),
@@ -424,7 +424,7 @@ fn observe(
     horizon: usize,
 ) -> Vec<String> {
     let n = *n;
-    let (mirrored, tracking, pruning) = MODES[mode];
+    let (mirrored, _, pruning) = MODES[mode];
     if let Some(p) = faulty {
         mon.mark_faulty(ProcessId(*p));
     }
@@ -439,10 +439,7 @@ fn observe(
         let from = EventId(total - 1 - back % horizon.min(total));
         let ids = mon.append_send(from, ProcessId(to % n));
         total += 1;
-        // Only an untracked monitor without a mirror has no margin to
-        // show, and only once it has pruned.
-        let margins = (mirrored || tracking || mon.stats().pruned_events == 0)
-            .then(|| (mon.current_margin(), mon.margin_upper_bound()));
+        let margins = (mon.current_margin(), mon.margin_upper_bound());
         let mirror = mirrored.then(|| mon.graph().clone());
         seen.push(format!(
             "{ids:?} {:?} {:?} {margins:?} {:?} {} {} {mirror:?}",
@@ -516,7 +513,8 @@ proptest! {
     /// A pruning, margin-tracking monitor reports the batch margin of the
     /// whole execution at every prefix, whatever the prune cadence and Ξ
     /// (once latched, both monitors freeze at the witness's ratio) — and
-    /// so does an untracked one that prunes but kept its mirror.
+    /// so does one that prunes but keeps its margin only from its first
+    /// prune on, with its mirror or without.
     #[test]
     fn tracked_pruned_margin_matches_batch_at_every_prefix(
         (n, script) in (2usize..5, proptest::collection::vec((any::<usize>(), any::<usize>()), 0..24)),
@@ -529,26 +527,28 @@ proptest! {
         pruned.enable_pruning();
         pruned.enable_margin_tracking();
         let mut mirrored = IncrementalChecker::new(n, &xi).unwrap();
+        let mut bare = IncrementalChecker::new(n, &xi).unwrap();
+        bare.enable_pruning();
         for p in 0..n {
-            plain.append_init(ProcessId(p));
-            pruned.append_init(ProcessId(p));
-            mirrored.append_init(ProcessId(p));
+            for mon in [&mut plain, &mut pruned, &mut mirrored, &mut bare] {
+                mon.append_init(ProcessId(p));
+            }
         }
         let mut total = n;
         for (step, &(back, to)) in script.iter().enumerate() {
             // Sends only name one of the last `horizon` events, so the
             // watermark below is an honest promise.
             let from = EventId(total - 1 - back % horizon.min(total));
-            plain.append_send(from, ProcessId(to % n));
-            pruned.append_send(from, ProcessId(to % n));
-            mirrored.append_send(from, ProcessId(to % n));
+            for mon in [&mut plain, &mut pruned, &mut mirrored, &mut bare] {
+                mon.append_send(from, ProcessId(to % n));
+            }
             total += 1;
             let expected = if plain.is_admissible() {
                 check::max_relevant_cycle_ratio(plain.graph()).unwrap()
             } else {
                 plain.current_margin().unwrap().map(|m| m.ratio)
             };
-            for mon in [&pruned, &mirrored] {
+            for mon in [&pruned, &mirrored, &bare] {
                 let report = mon.current_margin().unwrap();
                 prop_assert_eq!(
                     report.as_ref().map(|m| m.ratio.clone()),
@@ -559,10 +559,14 @@ proptest! {
                     prop_assert_eq!(w.classification.ratio(), Some(ratio));
                 }
             }
+            // With its mirror or without, a monitor that keeps its margin
+            // from its first prune reports the same witness.
+            prop_assert_eq!(mirrored.current_margin(), bare.current_margin());
             if step % cadence == 0 {
                 let watermark = Some(EventId(total.saturating_sub(horizon)));
-                pruned.prune_settled(watermark);
-                mirrored.prune_settled(watermark);
+                for mon in [&mut pruned, &mut mirrored, &mut bare] {
+                    mon.prune_settled(watermark);
+                }
             }
         }
     }

@@ -1,8 +1,9 @@
 //! Property tests for bounded-memory monitoring over *random clocksync and
 //! gossip runs*: a pruning monitor (settled-prefix compaction at an honest
 //! watermark, any cadence) must report the same verdict, latch at the same
-//! event, and produce byte-identical `Cycle` witnesses and wire summaries
-//! as an unpruned monitor — and both must agree with the batch checker.
+//! event, produce byte-identical `Cycle` witnesses and wire summaries, and
+//! end at the same margin as an unpruned monitor — and both must agree
+//! with the batch checker.
 
 use abc_clocksync::TickGen;
 use abc_core::monitor::IncrementalChecker;
@@ -129,6 +130,11 @@ fn assert_three_way_equivalence(trace: &Trace, xi: &Xi, prune_every: usize) -> O
         lib.violation_summary().map(|s| s.wire().to_string()),
         plain.violation_summary().map(|s| s.wire().to_string())
     );
+    // Every prune keeps the margin: the mirror-less monitors report the
+    // unpruned one's.
+    let margin = |mon: &IncrementalChecker| mon.current_margin().unwrap().map(|m| m.ratio);
+    assert_eq!(margin(&pruned), margin(&plain), "margins must agree");
+    assert_eq!(margin(&lib), margin(&plain), "margins must agree");
     latch_at
 }
 

@@ -785,7 +785,8 @@ impl ReplyHalf {
     /// the shard has one, else a new one. Every served monitor drops its
     /// graph mirror (`enable_pruning`; nothing here reads it, and nothing
     /// is pruned unless a horizon is set), and one that prunes or warns
-    /// keeps its margin — choices a spare already carries, the same for
+    /// keeps its margin from its first append — choices a spare already
+    /// carries, the same for
     /// every session of one [`DocSpares`].
     fn arm_checker(
         &self,
@@ -801,9 +802,9 @@ impl ReplyHalf {
         let mut mon = IncrementalChecker::new(n, &self.xi)?;
         mon.enable_pruning();
         if self.prune_horizon.is_some() || self.warn_margin.is_some() {
-            // A pruned window answers margins only through the signatures
-            // kept from its first prune on, and a warning reads the kept
-            // margin after every append.
+            // A warning reads the kept margin after every append. A pruning
+            // monitor would keep it from its first prune anyway; keeping it
+            // from the first append spares that prune a search.
             mon.enable_margin_tracking();
         }
         Ok(mon)
