@@ -12,9 +12,8 @@ use abc_service::forensics::ForensicsBundle;
 use abc_service::proto::offline_verdict;
 use abc_service::server::{start, ServerConfig, DEFAULT_FORENSICS_TAIL};
 use abc_service::signals;
-use abc_sim::binio::{FrameWriter, WireRecord, DEFAULT_MAX_FRAME_LEN};
-use abc_sim::textio::DEFAULT_MAX_LINE_LEN;
-use abc_sim::Trace;
+use abc_sim::binio::{records_to_binary, WireRecord, DEFAULT_MAX_FRAME_LEN};
+use abc_sim::textio::{write_text_document, DEFAULT_MAX_LINE_LEN};
 
 use crate::cli::{Args, EXIT_OK, EXIT_VIOLATION};
 use crate::spec::ScenarioSpec;
@@ -165,17 +164,15 @@ pub(crate) fn cmd_feed(args: &Args) -> Result<i32, String> {
     };
     let trace = crate::cli::read_trace(file)?;
     let events = trace.events().len();
+    let mut records = trace.to_stream_records();
+    if let Some(every) = margin_every {
+        records = with_margin_requests(records, every);
+    }
     let outcome = if binary {
-        let bytes = match margin_every {
-            Some(n) => stream_binary_with_margin(&trace, n),
-            None => trace.to_stream_binary(),
-        };
-        feed_stream_binary(addr, &xi, &bytes)?
+        feed_stream_binary(addr, &xi, &records_to_binary(records))?
     } else {
-        let doc = match margin_every {
-            Some(n) => stream_text_with_margin(&trace, n),
-            None => trace.to_stream_text(),
-        };
+        let mut doc = String::new();
+        write_text_document(&mut doc, records);
         feed_stream_text(addr, &xi, &doc)?
     };
     println!(
@@ -202,53 +199,28 @@ pub(crate) fn cmd_feed(args: &Args) -> Result<i32, String> {
     })
 }
 
-/// The trace's v1 streaming text with a `margin` request line after every
-/// `every`-th event line, plus one final request before `end` when events
-/// arrived since the last sample.
-fn stream_text_with_margin(trace: &Trace, every: usize) -> String {
-    let plain = trace.to_stream_text();
-    let mut out = String::with_capacity(plain.len() + 8 * (trace.events().len() / every + 2));
+/// `records` with a margin request after every `every`-th event record,
+/// plus one final request before `end` when events arrived since the last
+/// one. Either framing writes the result.
+fn with_margin_requests(records: Vec<WireRecord>, every: usize) -> Vec<WireRecord> {
+    let mut out = Vec::with_capacity(records.len() + records.len() / every + 1);
     let mut since_last = 0usize;
-    for line in plain.lines() {
-        if line == "end" && since_last > 0 {
-            out.push_str("margin\n");
+    for rec in records {
+        if matches!(rec, WireRecord::End) && since_last > 0 {
+            out.push(WireRecord::Margin);
             since_last = 0;
         }
-        out.push_str(line);
-        out.push('\n');
-        if line.starts_with("e ") {
+        let is_event = matches!(rec, WireRecord::Event(_));
+        out.push(rec);
+        if is_event {
             since_last += 1;
             if since_last == every {
-                out.push_str("margin\n");
+                out.push(WireRecord::Margin);
                 since_last = 0;
             }
         }
     }
     out
-}
-
-/// The trace's v2 binary frames with a margin record after every
-/// `every`-th event record, plus one final request before the end record
-/// when events arrived since the last sample.
-fn stream_binary_with_margin(trace: &Trace, every: usize) -> Vec<u8> {
-    let mut w = FrameWriter::new();
-    let mut since_last = 0usize;
-    for rec in trace.to_stream_records() {
-        if matches!(rec, WireRecord::End) && since_last > 0 {
-            w.push_record(&WireRecord::Margin);
-            since_last = 0;
-        }
-        let is_event = matches!(rec, WireRecord::Event(_));
-        w.push_record(&rec);
-        if is_event {
-            since_last += 1;
-            if since_last == every {
-                w.push_record(&WireRecord::Margin);
-                since_last = 0;
-            }
-        }
-    }
-    w.finish()
 }
 
 pub(crate) fn cmd_loadgen(args: &Args) -> Result<i32, String> {

@@ -98,12 +98,6 @@ pub struct RunOutcome {
     /// monitoring stopped (at the latch for violating runs, at the end of
     /// the trace otherwise). `None` when no relevant cycle ever formed.
     pub final_margin: Option<Ratio>,
-    /// The minimum over the run of the headroom `Ξ − ratio(t)`. The
-    /// relevant-cycle ratio is monotone nondecreasing over a growing
-    /// trace (arcs are only added), so the minimum is attained when
-    /// monitoring stops and equals `Ξ −` [`RunOutcome::final_margin`];
-    /// `<= 0` exactly on violating runs, `None` with no relevant cycle.
-    pub min_margin_over_time: Option<Ratio>,
     /// The full trace — kept only when the sweep was asked to retain
     /// violating traces (for offline replay / persistence).
     pub trace: Option<Trace>,
@@ -491,7 +485,6 @@ impl Worker {
         let trace = sim.trace();
         let (violation, final_margin) = monitor_into(&mut self.mon, trace, &spec.xi)
             .expect("Xi monitorability is validated before the sweep starts");
-        let min_margin_over_time = final_margin.as_ref().map(|m| spec.xi.as_ratio() - m);
         let trace = (keep_violating_trace && violation.is_some()).then(|| trace.clone());
         RunOutcome {
             run_index,
@@ -500,7 +493,6 @@ impl Worker {
             stats,
             violation,
             final_margin,
-            min_margin_over_time,
             trace,
         }
     }
@@ -674,18 +666,15 @@ mod tests {
         assert!(report.messages_delivered > 0);
         let text = report.aggregate_text();
         assert!(text.contains("violations: 0/6"), "{text}");
-        // No violation ⇒ every formed margin stays below Ξ, the headroom
-        // is positive, and no heatmap cell saturates.
+        // No violation ⇒ every formed margin stays below Ξ and no heatmap
+        // cell saturates.
         let xi = report.xi.as_ratio().clone();
-        for o in &report.outcomes {
-            if let Some(m) = &o.final_margin {
-                assert!(*m < xi, "admissible run with margin {m} >= {xi}");
-                let head = o.min_margin_over_time.as_ref().unwrap();
-                assert_eq!(*head, &xi - m);
-                assert!(head.is_positive());
-            } else {
-                assert!(o.min_margin_over_time.is_none());
-            }
+        for m in report
+            .outcomes
+            .iter()
+            .filter_map(|o| o.final_margin.as_ref())
+        {
+            assert!(*m < xi, "admissible run with margin {m} >= {xi}");
         }
         assert!(
             !report.margin_heatmap().contains('#'),
@@ -718,7 +707,7 @@ mod tests {
         assert!(v.ratio() >= *spec.xi.as_ratio());
         assert!(!report.ratio_histogram.is_empty());
         // A violating run's final margin is the latched witness ratio, so
-        // its point's heatmap cell saturates and its headroom is <= 0.
+        // its point's heatmap cell saturates and the margin reaches Ξ.
         assert!(report.margin_heatmap().contains('#'));
         let violating_run = report
             .outcomes
@@ -729,11 +718,7 @@ mod tests {
             violating_run.final_margin.as_ref().unwrap(),
             &violating_run.violation.as_ref().unwrap().ratio()
         );
-        assert!(!violating_run
-            .min_margin_over_time
-            .as_ref()
-            .unwrap()
-            .is_positive());
+        assert!(violating_run.final_margin.as_ref().unwrap() >= spec.xi.as_ratio());
         // Violating traces were retained and re-check offline to the same
         // verdict.
         let violating = report

@@ -1,6 +1,6 @@
-//! End-to-end CLI coverage over real files: `check`, `monitor`, and
-//! `replay` against the committed sample trace, plus a `sweep
-//! --save-violations` round trip through a temp directory.
+//! End-to-end CLI coverage over real files: the trace writers' bytes,
+//! `check`, `monitor`, and `replay` against the committed sample trace,
+//! plus a `sweep --save-violations` round trip through a temp directory.
 
 use abc_harness::cli::{run, EXIT_OK, EXIT_VIOLATION};
 
@@ -13,6 +13,29 @@ fn sample_path() -> String {
 
 fn sv(args: &[&str]) -> Vec<String> {
     args.iter().map(ToString::to_string).collect()
+}
+
+/// The writers' bytes, pinned on the sample (4 processes, 128 messages, 8
+/// of them undelivered): the file is what `to_text` writes, the stream
+/// golden is what `to_stream_text` wrote before the writers shared one
+/// record renderer, and the binary stream reads back to the trace the
+/// golden reads back to (messages renumbered to delivery order), which
+/// streams to the golden again.
+#[test]
+fn sample_trace_writers_reproduce_their_bytes() {
+    let file = std::fs::read_to_string(sample_path()).unwrap();
+    let trace = abc_sim::Trace::from_text(&file).unwrap();
+    assert_eq!(trace.to_text(), file);
+    let golden = std::fs::read_to_string(format!(
+        "{}/tests/data/sample_clocksync.stream.golden",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .unwrap();
+    assert_eq!(trace.to_stream_text(), golden);
+    let back = abc_sim::Trace::from_binary(&trace.to_stream_binary()).unwrap();
+    let streamed = abc_sim::Trace::from_text(&golden).unwrap();
+    assert_eq!(back.to_text(), streamed.to_text());
+    assert_eq!(back.to_stream_text(), golden);
 }
 
 #[test]

@@ -146,9 +146,8 @@ fn every_outcome_equals_one_computed_on_fresh_state() {
                 let (mon, at_event) = trace.replay_into_monitor_until_violation(&spec.xi).unwrap();
                 let witness = mon.violation_summary().map(ToString::to_string);
                 let margin = mon.current_margin().unwrap().map(|m| m.ratio);
-                let headroom = margin.as_ref().map(|m| spec.xi.as_ratio() - m);
                 let kept = at_event.map(|_| trace.to_text());
-                (stats, at_event, witness, margin, headroom, kept)
+                (stats, at_event, witness, margin, kept)
             })
             .collect();
         violating += oracle.iter().filter(|o| o.1.is_some()).count();
@@ -169,7 +168,6 @@ fn every_outcome_equals_one_computed_on_fresh_state() {
                     o.violation.as_ref().map(|v| v.at_event),
                     o.violation.as_ref().map(|v| v.witness.to_string()),
                     o.final_margin.clone(),
-                    o.min_margin_over_time.clone(),
                     o.trace.as_ref().map(abc_sim::Trace::to_text),
                 );
                 assert_eq!(

@@ -41,7 +41,6 @@
 use std::fmt::Write as _;
 
 use abc_core::monitor::MonitorStats;
-use abc_sim::binio::WireRecord;
 
 /// First line of every bundle; doubles as the sniff `abc inspect` uses to
 /// tell bundles from Chrome trace JSON.
@@ -80,7 +79,8 @@ pub struct ForensicsBundle {
     /// Total timeline entries observed.
     pub timeline_total: u64,
     /// The most recent wire records, rendered as v1 text lines (binary
-    /// sessions render canonically; text sessions keep lines verbatim).
+    /// sessions render through [`abc_sim::textio::write_record_line`];
+    /// text sessions keep lines verbatim).
     pub tail: Vec<String>,
     /// Total wire records observed (≥ `tail.len()`).
     pub tail_total: u64,
@@ -102,53 +102,6 @@ pub fn monitor_counter_pairs(stats: &MonitorStats) -> Vec<(String, u64)> {
         ),
         ("live_arcs_peak".to_string(), stats.live_arcs_peak as u64),
     ]
-}
-
-/// Renders one wire record as its canonical v1 text line (no trailing
-/// newline). `implicit_seq` supplies the event sequence number for binary
-/// event records, which carry it implicitly.
-#[must_use]
-pub fn wire_record_line(rec: &WireRecord, implicit_seq: usize) -> String {
-    fn opt<T: std::fmt::Display>(v: Option<T>) -> String {
-        match v {
-            Some(x) => x.to_string(),
-            None => "-".to_string(),
-        }
-    }
-    match rec {
-        WireRecord::Processes(n) => format!("processes {n}"),
-        WireRecord::Faulty(v) => {
-            let mut line = String::from("faulty");
-            for p in v {
-                let _ = write!(line, " {p}");
-            }
-            line
-        }
-        WireRecord::DeclaredEvents(n) => format!("events {n}"),
-        WireRecord::DeclaredMessages(n) => format!("messages {n}"),
-        WireRecord::Event(e) => format!(
-            "e {} {} {} {} {} {} {}",
-            e.seq.unwrap_or(implicit_seq),
-            e.process,
-            e.time,
-            opt(e.trigger),
-            u8::from(e.received_only),
-            opt(e.label),
-            u8::from(e.distinguished),
-        ),
-        WireRecord::Message(m) => format!(
-            "m {} {} {} {} {} {}",
-            m.from,
-            m.to,
-            m.send_event,
-            opt(m.recv_event),
-            m.send_time,
-            opt(m.recv_time),
-        ),
-        WireRecord::End => "end".to_string(),
-        WireRecord::Xi(spec) => format!("xi {spec}"),
-        WireRecord::Margin => "margin".to_string(),
-    }
 }
 
 impl ForensicsBundle {
@@ -450,49 +403,5 @@ mod tests {
         assert!(ForensicsBundle::parse(&truncated).is_err());
         let hostile = format!("{BUNDLE_HEADER}\nsession 1\nreason x\nxi 2\nlatch none\n[monitor]\n[margins] 99999999999 0\n");
         assert!(ForensicsBundle::parse(&hostile).is_err());
-    }
-
-    #[test]
-    fn wire_record_lines_match_v1_grammar() {
-        use abc_sim::textio::{EventRecord, MessageRecord};
-        assert_eq!(
-            wire_record_line(&WireRecord::Processes(3), 0),
-            "processes 3"
-        );
-        assert_eq!(
-            wire_record_line(&WireRecord::Faulty(vec![1, 2]), 0),
-            "faulty 1 2"
-        );
-        assert_eq!(
-            wire_record_line(
-                &WireRecord::Event(EventRecord {
-                    seq: None,
-                    process: 1,
-                    time: 7,
-                    trigger: Some(0),
-                    received_only: false,
-                    label: None,
-                    distinguished: true,
-                }),
-                4
-            ),
-            "e 4 1 7 0 0 - 1"
-        );
-        assert_eq!(
-            wire_record_line(
-                &WireRecord::Message(MessageRecord {
-                    from: 0,
-                    to: 1,
-                    send_event: 2,
-                    recv_event: None,
-                    send_time: 5,
-                    recv_time: None,
-                }),
-                0
-            ),
-            "m 0 1 2 - 5 -"
-        );
-        assert_eq!(wire_record_line(&WireRecord::End, 0), "end");
-        assert_eq!(wire_record_line(&WireRecord::Margin, 0), "margin");
     }
 }

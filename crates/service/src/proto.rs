@@ -126,12 +126,26 @@ impl Verdict {
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Verdict::Admissible { events } => write!(f, "admissible events={events}"),
+            Verdict::Admissible { events } => verdict_text(None, *events).fmt(f),
             Verdict::Violation { at_event, witness } => {
-                write!(f, "violation at_event={at_event} {}", witness.wire())
+                verdict_text(Some((*at_event, &witness.wire())), 0).fmt(f)
             }
         }
     }
+}
+
+/// The one spelling of a verdict, behind both [`Verdict`]'s `Display` and
+/// the session's `end` reply (which holds its latch's witness as wire
+/// text, not as a [`Verdict`]): a violation at `(at_event, wire witness)`,
+/// or else an admissible document of `events` events.
+pub(crate) fn verdict_text(
+    violation: Option<(usize, &dyn fmt::Display)>,
+    events: usize,
+) -> impl fmt::Display + '_ {
+    fmt::from_fn(move |f| match violation {
+        Some((at_event, wire)) => write!(f, "violation at_event={at_event} {wire}"),
+        None => write!(f, "admissible events={events}"),
+    })
 }
 
 impl FromStr for Verdict {

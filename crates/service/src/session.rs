@@ -36,9 +36,11 @@ use abc_core::monitor::{IncrementalChecker, MonitorStats};
 use abc_core::{EventId, ProcessId, Xi};
 use abc_rational::Ratio;
 use abc_sim::binio::{FrameAssembler, RecordDecoder, WireRecord};
-use abc_sim::textio::{EventFeed, LineAssembler, ParsedLine, TraceLineParser, TraceTextError};
+use abc_sim::textio::{
+    write_record_line, EventFeed, LineAssembler, ParsedLine, TraceLineParser, TraceTextError,
+};
 
-use crate::forensics::{monitor_counter_pairs, wire_record_line, ForensicsBundle};
+use crate::forensics::{monitor_counter_pairs, ForensicsBundle};
 use crate::metrics::{ratio_to_basis_points, Metrics, MARGIN_NONE};
 use crate::proto;
 use crate::server::ServerConfig;
@@ -352,8 +354,8 @@ const FORENSICS_LOG_CAP: usize = 256;
 /// document bytes and server flags (see [`crate::forensics`]).
 struct Forensics {
     dir: std::path::PathBuf,
-    /// Most recent wire records, as canonical v1 text lines (binary
-    /// records render through [`wire_record_line`]).
+    /// Most recent wire records, as v1 text lines (binary records render
+    /// through [`write_record_line`]).
     tail: VecDeque<String>,
     tail_cap: usize,
     tail_total: u64,
@@ -394,11 +396,11 @@ impl Forensics {
         }
     }
 
-    fn record_wire(&mut self, line: &str) {
+    fn record_wire(&mut self, line: String) {
         if self.tail.len() >= self.tail_cap {
             self.tail.pop_front();
         }
-        self.tail.push_back(line.to_string());
+        self.tail.push_back(line);
         self.tail_total += 1;
     }
 
@@ -920,13 +922,15 @@ impl ReplyHalf {
         self.lines_in += 1;
         if let Some(fx) = self.forensics.as_mut() {
             match req {
-                Request::Line(line) => fx.record_wire(line),
-                // Binary event records carry their seq implicitly; the
-                // parser will assign `events_seen()` to this one.
-                Request::Record(rec) => fx.record_wire(&wire_record_line(
-                    rec,
-                    doc.as_ref().map_or(0, |d| d.parser.events_seen()),
-                )),
+                Request::Line(line) => fx.record_wire(line.to_string()),
+                Request::Record(rec) => {
+                    // Binary event records carry their seq implicitly; the
+                    // parser will assign `events_seen()` to this one.
+                    let mut line = String::new();
+                    let seq = doc.as_ref().map_or(0, |d| d.parser.events_seen());
+                    write_record_line(&mut line, rec, seq);
+                    fx.record_wire(line);
+                }
             }
         }
         let class = match req {
@@ -1194,18 +1198,15 @@ impl ReplyHalf {
                 self.flush_event_counters(metrics);
                 self.flush_ack(metrics);
                 let events_seen = parser.events_seen();
-                // Must render exactly like [`proto::Verdict`]'s `Display`,
-                // which the offline monitor and `abc feed` also use — that
-                // is the byte-identical-verdicts contract.
-                let verdict = match latched {
-                    Some(Latch { seq, wire, .. }) => {
-                        self.reply_fmt(format_args!("end violation at_event={seq} {wire}\n"));
-                        "violation"
-                    }
-                    None => {
-                        self.reply_fmt(format_args!("end admissible events={events_seen}\n"));
-                        "admissible"
-                    }
+                let violation = latched
+                    .as_ref()
+                    .map(|l| (l.seq, &l.wire as &dyn std::fmt::Display));
+                let text = proto::verdict_text(violation, events_seen);
+                self.reply_fmt(format_args!("end {text}\n"));
+                let verdict = if violation.is_some() {
+                    "violation"
+                } else {
+                    "admissible"
                 };
                 metrics.documents.fetch_add(1, Ordering::Relaxed);
                 let at = self.lines_in;
@@ -1982,6 +1983,44 @@ mod tests {
                 bundle.timeline
             );
         }
+    }
+
+    /// The sample over v1 and over v2, forensics on: past what only one
+    /// framing has, the latch's bundle and the closing dump are the same.
+    /// Every binary record in the tail renders as the line the text
+    /// session kept verbatim, and the timeline and margins name the same
+    /// requests once the text header, a request of v1 alone, is counted
+    /// out.
+    #[test]
+    fn both_framings_leave_the_same_forensics() {
+        let sample = sample_trace();
+        let config = ServerConfig {
+            forensics_tail: 1024,
+            ..config(None, true)
+        };
+        let text = format!("xi 2\n{}", text_doc(&sample, 5, "\n"));
+        let frames = [xi_frame("2"), binary_doc(&sample, 5, 48)].concat();
+        let bundles = |chunks: &[&[u8]], framing: [&str; 2], header: u64| {
+            let out = run(&config, chunks);
+            let parse = |b: &String| {
+                let mut bundle = ForensicsBundle::parse(b).unwrap();
+                assert_eq!(bundle.tail.drain(..2).collect::<Vec<_>>(), framing);
+                let (at, start) = bundle.timeline.remove(0);
+                assert_eq!(at, 2);
+                assert!(start.starts_with("document start"), "{start}");
+                for (at, _) in bundle.timeline.iter_mut().chain(&mut bundle.margins) {
+                    *at -= header;
+                }
+                bundle
+            };
+            out.bundles.iter().map(parse).collect::<Vec<_>>()
+        };
+        let v1 = bundles(&[text.as_bytes()], ["xi 2", "abc-trace v1"], 1);
+        let v2 = bundles(&[HANDSHAKE, &frames], ["proto v2", "xi 2"], 0);
+        assert_eq!(v1.len(), 2, "the latch's bundle and the closing dump");
+        assert!(v1[1].tail.iter().any(|l| l.starts_with("m ")));
+        assert!(v1[1].tail.iter().any(|l| l == "margin"));
+        assert_eq!(v1, v2);
     }
 
     /// (b) A violating document cut at every byte offset, then EOF: no

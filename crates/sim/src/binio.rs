@@ -648,117 +648,97 @@ impl FrameWriter {
     }
 }
 
+/// Encodes `records` into frames of [`DEFAULT_FRAME_TARGET`] bytes — the
+/// binary twin of [`crate::textio::write_text_document`].
+#[must_use]
+pub fn records_to_binary(records: impl IntoIterator<Item = WireRecord>) -> Vec<u8> {
+    let mut w = FrameWriter::new();
+    for rec in records {
+        w.push_record(&rec);
+    }
+    w.finish()
+}
+
 /// Encodes a `Ξ` spec (the value of the text protocol's `xi <P/Q>` line)
 /// as a single standalone frame, for sending between documents on a
 /// binary `abc-service` session.
 #[must_use]
 pub fn xi_frame(spec: &str) -> Vec<u8> {
-    let mut w = FrameWriter::new();
-    w.push_record(&WireRecord::Xi(spec.to_string()));
-    w.finish()
+    records_to_binary([WireRecord::Xi(spec.to_string())])
 }
 
 impl Trace {
-    /// Serializes the trace into binary frames in *streaming* order — the
-    /// frame-for-line twin of [`Trace::to_stream_text`]: each delivered
-    /// message record immediately precedes its receive event record
-    /// (message indices renumbered to delivery order, undelivered
-    /// messages trailing before `end`), with declared counts up front.
-    /// Feeding the result to the binary decoder yields record-for-line
-    /// the documents [`Trace::to_stream_text`] yields line-for-record.
+    /// Serializes the trace into binary frames in *streaming* order: the
+    /// records of [`Trace::to_stream_records`], framed. The frame-for-line
+    /// twin of [`Trace::to_stream_text`], which writes the same records as
+    /// text lines: feeding either to its parser yields the same document.
     #[must_use]
     pub fn to_stream_binary(&self) -> Vec<u8> {
-        let mut w = FrameWriter::new();
-        for rec in self.to_stream_records() {
-            w.push_record(&rec);
-        }
-        w.finish()
+        records_to_binary(self.stream_records())
     }
 
-    /// The trace's records in *streaming* order — exactly the sequence
-    /// [`Trace::to_stream_binary`] encodes. Exposed so callers composing
-    /// their own frames can interleave session-level records (such as
-    /// [`WireRecord::Margin`]) while reusing the canonical ordering.
+    /// The trace's records in *streaming* order: the process count, the
+    /// faulty set and the declared counts, then each delivered message's
+    /// record immediately before its receive event's record (message
+    /// indices renumbered to delivery order), the undelivered messages in
+    /// send order, and `end`. Event records carry their `seq` implicitly.
+    /// [`Trace::to_stream_binary`] and [`Trace::to_stream_text`] write
+    /// exactly this sequence; it is exposed so callers composing their own
+    /// documents can interleave session-level records (such as
+    /// [`WireRecord::Margin`]) and write the result in either framing
+    /// ([`records_to_binary`], [`crate::textio::write_text_document`]).
     #[must_use]
     pub fn to_stream_records(&self) -> Vec<WireRecord> {
-        let mut w = Vec::with_capacity(self.events.len() + self.messages.len() + 5);
-        w.push(WireRecord::Processes(self.num_processes));
-        let faulty: Vec<usize> = self
+        self.stream_records().collect()
+    }
+
+    /// The four records that open every document: process count, faulty
+    /// set, declared event and message counts.
+    pub(crate) fn header_records(&self) -> [WireRecord; 4] {
+        let faulty = self
             .faulty
             .iter()
             .enumerate()
-            .filter_map(|(p, f)| f.then_some(p))
-            .collect();
-        w.push(WireRecord::Faulty(faulty));
-        w.push(WireRecord::DeclaredEvents(self.events.len()));
-        w.push(WireRecord::DeclaredMessages(self.messages.len()));
-        // Same renumbering as to_stream_text: delivered messages take
-        // indices in delivery order, undelivered ones follow in send
-        // order.
-        let mut new_index = vec![usize::MAX; self.messages.len()];
-        let mut next = 0usize;
-        for ev in &self.events {
-            if let Some(slot) = ev.trigger.and_then(|mi| new_index.get_mut(mi)) {
-                *slot = next;
-                next += 1;
-            }
-        }
-        for (mi, m) in self.messages.iter().enumerate() {
-            if m.recv_event.is_none() {
-                if let Some(slot) = new_index.get_mut(mi) {
-                    *slot = next;
-                    next += 1;
+            .filter_map(|(p, f)| f.then_some(p));
+        [
+            WireRecord::Processes(self.num_processes),
+            WireRecord::Faulty(faulty.collect()),
+            WireRecord::DeclaredEvents(self.events.len()),
+            WireRecord::DeclaredMessages(self.messages.len()),
+        ]
+    }
+
+    /// The one place streaming order is decided (see
+    /// [`Trace::to_stream_records`]).
+    pub(crate) fn stream_records(&self) -> impl Iterator<Item = WireRecord> + '_ {
+        // Delivered messages take indices in delivery order, so the k-th
+        // receive names message k; undelivered ones follow, in send order.
+        let mut delivered = 0;
+        let body = self.events.iter().flat_map(move |ev| {
+            let event = |trigger| Some(WireRecord::Event(EventRecord::of(ev, trigger)));
+            match ev.trigger.map(|mi| self.messages.get(mi)) {
+                None => [None, event(None)],
+                Some(Some(m)) => {
+                    delivered += 1;
+                    [
+                        Some(WireRecord::Message(MessageRecord::of(m))),
+                        event(Some(delivered - 1)),
+                    ]
                 }
+                // The `Trace` invariants keep triggers in range.
+                Some(None) => [None, None],
             }
-        }
-        for ev in &self.events {
-            if let Some(mi) = ev.trigger {
-                let Some(m) = self.messages.get(mi) else {
-                    continue; // defensive: trace invariants keep triggers in range
-                };
-                w.push(WireRecord::Message(MessageRecord {
-                    from: m.from.0,
-                    to: m.to.0,
-                    send_event: m.send_event,
-                    recv_event: m.recv_event,
-                    send_time: m.send_time,
-                    recv_time: m.recv_time,
-                }));
-                w.push(WireRecord::Event(EventRecord {
-                    seq: None,
-                    process: ev.process.0,
-                    time: ev.time,
-                    trigger: new_index.get(mi).copied(),
-                    received_only: ev.received_only,
-                    label: ev.label,
-                    distinguished: ev.distinguished,
-                }));
-            } else {
-                w.push(WireRecord::Event(EventRecord {
-                    seq: None,
-                    process: ev.process.0,
-                    time: ev.time,
-                    trigger: None,
-                    received_only: ev.received_only,
-                    label: ev.label,
-                    distinguished: ev.distinguished,
-                }));
-            }
-        }
-        for m in &self.messages {
-            if m.recv_event.is_none() {
-                w.push(WireRecord::Message(MessageRecord {
-                    from: m.from.0,
-                    to: m.to.0,
-                    send_event: m.send_event,
-                    recv_event: None,
-                    send_time: m.send_time,
-                    recv_time: None,
-                }));
-            }
-        }
-        w.push(WireRecord::End);
-        w
+        });
+        let undelivered = self
+            .messages
+            .iter()
+            .filter(|m| m.recv_event.is_none())
+            .map(|m| WireRecord::Message(MessageRecord::of(m)));
+        self.header_records()
+            .into_iter()
+            .chain(body.flatten())
+            .chain(undelivered)
+            .chain([WireRecord::End])
     }
 
     /// Parses and validates a trace from the binary framing — the binary

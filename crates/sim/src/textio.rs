@@ -84,6 +84,18 @@
 //! records and feeds them through the same entry point, so the two
 //! framings accept exactly the same documents by construction.
 //!
+//! The write side mirrors it. [`Trace::to_stream_records`] decides
+//! streaming order once: the delivery renumbering, with undelivered
+//! messages trailing before `end`. [`Trace::to_stream_binary`] frames
+//! those records and [`Trace::to_stream_text`] writes them as lines;
+//! [`Trace::to_text`] writes the document-order records the same way.
+//! Every text line is spelled by one function, [`write_record_line`],
+//! behind [`write_text_document`]; the `abc-service` forensics tail
+//! renders a binary session's records through it too. A caller that
+//! composes its own record sequence (`abc feed --margin-every`
+//! interleaves margin requests) writes it in either framing with
+//! [`write_text_document`] or [`crate::binio::records_to_binary`].
+//!
 //! # Lexing
 //!
 //! What a line may look like, byte for byte, is decided in one place, the
@@ -129,6 +141,7 @@ use std::str::SplitWhitespace;
 
 use abc_core::ProcessId;
 
+use crate::binio::WireRecord;
 use crate::trace::{Trace, TraceEvent, TraceMessage};
 
 /// Format version written by [`Trace::to_text`] and accepted by
@@ -219,8 +232,16 @@ fn flag(field: &str) -> Result<bool, String> {
     }
 }
 
-fn fmt_opt<T: fmt::Display>(v: Option<T>) -> String {
-    v.map_or_else(|| "-".to_string(), |x| x.to_string())
+/// An optional field as the grammar spells it: the value, or `-`.
+struct Dash<T>(Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Dash<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(v) => v.fmt(f),
+            None => f.write_str("-"),
+        }
+    }
 }
 
 fn at<T>(ln: usize, r: Result<T, String>) -> Result<T, TraceTextError> {
@@ -592,6 +613,22 @@ pub struct EventRecord {
     pub distinguished: bool,
 }
 
+impl EventRecord {
+    /// The record of `ev` with `trigger` as its message index and an
+    /// implicit `seq`.
+    pub(crate) fn of(ev: &TraceEvent, trigger: Option<usize>) -> EventRecord {
+        EventRecord {
+            seq: None,
+            process: ev.process.0,
+            time: ev.time,
+            trigger,
+            received_only: ev.received_only,
+            label: ev.label,
+            distinguished: ev.distinguished,
+        }
+    }
+}
+
 /// The fields of one `m` record (see the module grammar).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MessageRecord {
@@ -607,6 +644,20 @@ pub struct MessageRecord {
     pub send_time: u64,
     /// Receive time (`None` while in flight/dropped).
     pub recv_time: Option<u64>,
+}
+
+impl MessageRecord {
+    /// The record of `m`.
+    pub(crate) fn of(m: &TraceMessage) -> MessageRecord {
+        MessageRecord {
+            from: m.from.0,
+            to: m.to.0,
+            send_event: m.send_event,
+            recv_event: m.recv_event,
+            send_time: m.send_time,
+            recv_time: m.recv_time,
+        }
+    }
 }
 
 /// Hasher for the streaming-mode bookkeeping maps, whose keys are small
@@ -1189,7 +1240,7 @@ impl TraceLineParser {
                         format!(
                             "event {seq} was declared the receive of message {want}, \
                              but its trigger is {}",
-                            fmt_opt(trigger)
+                            Dash(trigger)
                         ),
                     );
                 }
@@ -1501,26 +1552,86 @@ impl TraceLineParser {
     }
 }
 
+/// Appends `rec` to `out` as its text line, without the line end: the one
+/// place the grammar's records are spelled in text. An event record
+/// without a `seq` (the binary framing carries it implicitly) is written
+/// with `implicit_seq`.
+pub fn write_record_line(out: &mut String, rec: &WireRecord, implicit_seq: usize) {
+    use fmt::Write;
+    let _ = match rec {
+        WireRecord::Processes(n) => write!(out, "processes {n}"),
+        WireRecord::Faulty(v) => {
+            out.push_str("faulty");
+            v.iter().try_for_each(|p| write!(out, " {p}"))
+        }
+        WireRecord::DeclaredEvents(n) => write!(out, "events {n}"),
+        WireRecord::DeclaredMessages(n) => write!(out, "messages {n}"),
+        WireRecord::Event(e) => write!(
+            out,
+            "e {} {} {} {} {} {} {}",
+            e.seq.unwrap_or(implicit_seq),
+            e.process,
+            e.time,
+            Dash(e.trigger),
+            u8::from(e.received_only),
+            Dash(e.label),
+            u8::from(e.distinguished),
+        ),
+        WireRecord::Message(m) => write!(
+            out,
+            "m {} {} {} {} {} {}",
+            m.from,
+            m.to,
+            m.send_event,
+            Dash(m.recv_event),
+            m.send_time,
+            Dash(m.recv_time),
+        ),
+        WireRecord::End => write!(out, "end"),
+        WireRecord::Xi(spec) => write!(out, "xi {spec}"),
+        WireRecord::Margin => write!(out, "margin"),
+    };
+}
+
+/// Appends `records` to `out` as a text document: the `abc-trace v1`
+/// header line, then one [`write_record_line`] line per record, implicit
+/// event `seq`s numbered from 0. [`Trace::to_text`],
+/// [`Trace::to_stream_text`] and any caller that composes its own record
+/// sequence write text through here.
+pub fn write_text_document(out: &mut String, records: impl IntoIterator<Item = WireRecord>) {
+    out.push_str("abc-trace ");
+    out.push_str(TRACE_FORMAT_VERSION);
+    out.push('\n');
+    let mut seq = 0;
+    for rec in records {
+        write_record_line(out, &rec, seq);
+        out.push('\n');
+        seq += usize::from(matches!(rec, WireRecord::Event(_)));
+    }
+}
+
 impl Trace {
     /// Serializes the trace into the canonical document order (see the
     /// [`crate::textio`] module docs for the grammar): all `e` lines in
     /// chronological order, then all `m` lines in send order.
     #[must_use]
     pub fn to_text(&self) -> String {
-        use fmt::Write;
         let mut out = String::with_capacity(32 * (self.events.len() + self.messages.len()) + 64);
-        self.write_header(&mut out);
-        for ev in &self.events {
-            Self::write_event_line(&mut out, ev, ev.trigger);
-        }
-        for m in &self.messages {
-            Self::write_message_line(&mut out, m);
-        }
-        let _ = writeln!(out, "end");
+        let events = self
+            .events
+            .iter()
+            .map(|ev| WireRecord::Event(EventRecord::of(ev, ev.trigger)));
+        let messages = self
+            .messages
+            .iter()
+            .map(|m| WireRecord::Message(MessageRecord::of(m)));
+        let body = events.chain(messages).chain([WireRecord::End]);
+        write_text_document(&mut out, self.header_records().into_iter().chain(body));
         out
     }
 
-    /// Serializes the trace in *streaming* order: each delivered message's
+    /// Serializes the trace in *streaming* order, the records of
+    /// [`Trace::to_stream_records`] as text lines: each delivered message's
     /// `m` line immediately precedes its receive `e` line (message indices
     /// renumbered to delivery order; undelivered messages trail before
     /// `end`). Every line is resolvable the moment it arrives, so the
@@ -1529,90 +1640,9 @@ impl Trace {
     /// line with O(in-flight) memory.
     #[must_use]
     pub fn to_stream_text(&self) -> String {
-        use fmt::Write;
         let mut out = String::with_capacity(40 * (self.events.len() + self.messages.len()) + 64);
-        self.write_header(&mut out);
-        // Delivered messages take indices in delivery order; undelivered
-        // ones follow, in send order.
-        let mut new_index = vec![usize::MAX; self.messages.len()];
-        let mut next = 0usize;
-        for ev in &self.events {
-            if let Some(slot) = ev.trigger.and_then(|mi| new_index.get_mut(mi)) {
-                *slot = next;
-                next += 1;
-            }
-        }
-        for (mi, m) in self.messages.iter().enumerate() {
-            if m.recv_event.is_none() {
-                if let Some(slot) = new_index.get_mut(mi) {
-                    *slot = next;
-                    next += 1;
-                }
-            }
-        }
-        for ev in &self.events {
-            if let Some((m, renumbered)) = ev
-                .trigger
-                .and_then(|mi| Some((self.messages.get(mi)?, new_index.get(mi).copied()?)))
-            {
-                Self::write_message_line(&mut out, m);
-                Self::write_event_line(&mut out, ev, Some(renumbered));
-            } else {
-                Self::write_event_line(&mut out, ev, None);
-            }
-        }
-        for m in &self.messages {
-            if m.recv_event.is_none() {
-                Self::write_message_line(&mut out, m);
-            }
-        }
-        let _ = writeln!(out, "end");
+        write_text_document(&mut out, self.stream_records());
         out
-    }
-
-    fn write_header(&self, out: &mut String) {
-        use fmt::Write;
-        let _ = writeln!(out, "abc-trace {TRACE_FORMAT_VERSION}");
-        let _ = writeln!(out, "processes {}", self.num_processes);
-        let mut faulty_line = String::from("faulty");
-        for (p, f) in self.faulty.iter().enumerate() {
-            if *f {
-                faulty_line.push(' ');
-                faulty_line.push_str(&p.to_string());
-            }
-        }
-        let _ = writeln!(out, "{faulty_line}");
-        let _ = writeln!(out, "events {}", self.events.len());
-        let _ = writeln!(out, "messages {}", self.messages.len());
-    }
-
-    fn write_event_line(out: &mut String, ev: &TraceEvent, trigger: Option<usize>) {
-        use fmt::Write;
-        let _ = writeln!(
-            out,
-            "e {} {} {} {} {} {} {}",
-            ev.seq,
-            ev.process.0,
-            ev.time,
-            fmt_opt(trigger),
-            u8::from(ev.received_only),
-            fmt_opt(ev.label),
-            u8::from(ev.distinguished),
-        );
-    }
-
-    fn write_message_line(out: &mut String, m: &TraceMessage) {
-        use fmt::Write;
-        let _ = writeln!(
-            out,
-            "m {} {} {} {} {} {}",
-            m.from.0,
-            m.to.0,
-            m.send_event,
-            fmt_opt(m.recv_event),
-            m.send_time,
-            fmt_opt(m.recv_time),
-        );
     }
 
     /// Parses and validates a trace from the text format (either line
@@ -1724,6 +1754,56 @@ mod tests {
         }
         // Second serialization is byte-identical (canonical form).
         assert_eq!(parsed.to_text(), text);
+    }
+
+    #[test]
+    fn record_lines_match_the_v1_grammar() {
+        let line = |rec: WireRecord, implicit_seq| {
+            let mut out = String::new();
+            write_record_line(&mut out, &rec, implicit_seq);
+            out
+        };
+        assert_eq!(line(WireRecord::Processes(3), 0), "processes 3");
+        assert_eq!(line(WireRecord::Faulty(vec![]), 0), "faulty");
+        assert_eq!(line(WireRecord::Faulty(vec![1, 2]), 0), "faulty 1 2");
+        assert_eq!(line(WireRecord::DeclaredEvents(4), 0), "events 4");
+        assert_eq!(line(WireRecord::DeclaredMessages(2), 0), "messages 2");
+        let event = EventRecord {
+            seq: None,
+            process: 1,
+            time: 7,
+            trigger: Some(0),
+            received_only: false,
+            label: None,
+            distinguished: true,
+        };
+        assert_eq!(line(WireRecord::Event(event), 4), "e 4 1 7 0 0 - 1");
+        let explicit = EventRecord {
+            seq: Some(9),
+            trigger: None,
+            received_only: true,
+            label: Some(12),
+            ..event
+        };
+        assert_eq!(line(WireRecord::Event(explicit), 4), "e 9 1 7 - 1 12 1");
+        let message = MessageRecord {
+            from: 0,
+            to: 1,
+            send_event: 2,
+            recv_event: None,
+            send_time: 5,
+            recv_time: None,
+        };
+        assert_eq!(line(WireRecord::Message(message), 0), "m 0 1 2 - 5 -");
+        let delivered = MessageRecord {
+            recv_event: Some(3),
+            recv_time: Some(8),
+            ..message
+        };
+        assert_eq!(line(WireRecord::Message(delivered), 0), "m 0 1 2 3 5 8");
+        assert_eq!(line(WireRecord::End, 0), "end");
+        assert_eq!(line(WireRecord::Xi("3/2".to_string()), 0), "xi 3/2");
+        assert_eq!(line(WireRecord::Margin, 0), "margin");
     }
 
     #[test]
