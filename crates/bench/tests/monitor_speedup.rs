@@ -10,11 +10,12 @@
 //! `cargo run --release -p abc-bench --bin bench_ledger -- run`; how much
 //! kernel work one batch check does is pinned by count in
 //! `check_work.rs`). What is asserted here holds on any machine: the two
-//! deciders agree, and the bounded monitor compacts the stream without
+//! deciders agree, and a pruned monitor compacts the stream without
 //! changing the verdict.
 
 use abc_bench::workloads;
-use abc_core::{check, Xi};
+use abc_core::monitor::IncrementalChecker;
+use abc_core::{check, EventId, Xi};
 
 #[test]
 fn incremental_append_beats_batch_recheck_by_10x() {
@@ -43,13 +44,39 @@ fn bounded_monitor_compacts_the_10k_stream_with_the_same_verdict() {
     assert!(check::is_admissible(&g, &xi).unwrap());
 
     let plain = trace.replay_into_monitor(&xi).unwrap();
-    let pruned = trace.replay_into_monitor_bounded(&xi, 256).unwrap();
+    // The pruned monitor: no mirror, and every 256 appends a prune at the
+    // exact lookahead watermark, the oldest send event any remaining step
+    // names (oldest[i] for the steps at index `i` or later).
+    let sends: Vec<Option<usize>> = trace
+        .events()
+        .iter()
+        .map(|ev| ev.trigger.map(|mi| trace.messages()[mi].send_event))
+        .collect();
+    let mut oldest = vec![usize::MAX; events + 1];
+    for (i, send) in sends.iter().enumerate().rev() {
+        oldest[i] = send.unwrap_or(usize::MAX).min(oldest[i + 1]);
+    }
+    let mut pruned = IncrementalChecker::new(trace.num_processes(), &xi).unwrap();
+    pruned.enable_pruning();
+    for (i, ev) in trace.events().iter().enumerate() {
+        match sends[i] {
+            None => {
+                pruned.append_init(ev.process);
+            }
+            Some(send) => {
+                pruned.append_send(EventId(send), ev.process);
+            }
+        }
+        if (i + 1) % 256 == 0 {
+            pruned.prune_settled(Some(EventId(oldest[i + 1].min(i + 1))));
+        }
+    }
     assert!(plain.is_admissible());
     assert!(pruned.is_admissible(), "pruned verdict must match");
     let (plain, pruned) = (plain.stats(), pruned.stats());
     assert!(
         pruned.pruned_events > events / 2,
-        "the bounded monitor must compact most of the stream, got {}",
+        "the pruned monitor must compact most of the stream, got {}",
         pruned.pruned_events
     );
     assert!(

@@ -61,6 +61,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use abc_core::cycle::WitnessSummary;
+use abc_core::monitor::IncrementalChecker;
 use abc_core::Xi;
 use abc_sim::Trace;
 
@@ -279,8 +280,12 @@ impl Reply {
 /// The rendered [`abc_core::check::CheckError`] if `Ξ` exceeds the
 /// monitor's integer range.
 pub fn offline_verdict(trace: &Trace, xi: &Xi) -> Result<Verdict, String> {
-    let (mon, at) = trace
-        .replay_into_monitor_until_violation(xi)
+    let mut mon = IncrementalChecker::new(0, xi).map_err(|e| e.to_string())?;
+    // Without a graph mirror: the verdict and its witness summary come
+    // from the monitor's own columns, as a session's do.
+    mon.enable_pruning();
+    let at = trace
+        .replay_until_violation_into(&mut mon, xi)
         .map_err(|e| e.to_string())?;
     Ok(match at {
         None => Verdict::Admissible {

@@ -160,12 +160,6 @@ impl<T: Copy> Calendar<T> {
         Some((time, item))
     }
 
-    /// Every queued item, in no particular order (the slab's live nodes:
-    /// O(peak in-flight), never the ring's buckets).
-    pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
-        self.slab.iter().filter(|n| n.next != FREE).map(|n| &n.item)
-    }
-
     /// Moves `base` to the first entry's time and returns its bucket.
     fn settle(&mut self) -> Option<usize> {
         if self.ring_len == 0 {
@@ -261,6 +255,12 @@ impl<T> Calendar<T> {
             + self.tails.capacity()
             + self.occupied.capacity()
             + self.spill.capacity()
+    }
+
+    /// Every queued item, in no particular order (the slab's live nodes:
+    /// O(peak in-flight), never the ring's buckets).
+    pub(crate) fn items(&self) -> impl Iterator<Item = &T> {
+        self.slab.iter().filter(|n| n.next != FREE).map(|n| &n.item)
     }
 }
 

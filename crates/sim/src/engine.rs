@@ -3,8 +3,8 @@
 //! One single-threaded loop: [`Simulation::run`] pops queue entries in
 //! `(time, tie)` order, executes the step inline, and commits it — trace
 //! append, monitor feed, outbox dispatch (delay draws, payload-slab
-//! allocation), then the bounded monitor's prune tick, strictly in that
-//! order. Everything order-sensitive lives in that one commit point.
+//! allocation), strictly in that order. Everything order-sensitive lives
+//! in that one commit point.
 //!
 //! The queue is a calendar (`calendar.rs`, Brown 1988): one FIFO bucket
 //! per discrete time over a window that starts at the current time and
@@ -164,9 +164,6 @@ pub struct Simulation<M, D> {
     started: bool,
     monitor_xi: Option<Xi>,
     monitor: Option<IncrementalChecker>,
-    /// `Some(interval)`: the attached monitor prunes its settled prefix
-    /// every `interval` executed events (bounded-memory monitoring).
-    monitor_prune_every: Option<usize>,
 }
 
 /// A queued step; the queue pops in `(time, push order)` order.
@@ -195,7 +192,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             started: false,
             monitor_xi: None,
             monitor: None,
-            monitor_prune_every: None,
         }
     }
 
@@ -246,7 +242,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             started,
             monitor_xi,
             monitor,
-            monitor_prune_every,
         } = self;
         processes.clear();
         faulty.clear();
@@ -260,7 +255,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         *started = false;
         *monitor_xi = None;
         *monitor = None;
-        *monitor_prune_every = None;
     }
 
     fn push_process(&mut self, p: Box<dyn Process<M>>, faulty: bool, start: u64) -> ProcessId {
@@ -328,40 +322,8 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         Ok(())
     }
 
-    /// Like [`Simulation::attach_monitor`], but the monitor runs in
-    /// bounded-memory mode: its full execution-graph mirror is dropped
-    /// ([`IncrementalChecker::enable_pruning`]) and every `prune_every`
-    /// executed events the settled prefix is compacted with the engine's
-    /// own exact watermark (the oldest send event still referenced by an
-    /// in-flight queue entry — future sends always come from events not
-    /// yet executed). Memory stays `O(processes + window + in-flight)` no
-    /// matter how long the run; verdicts and witness summaries are
-    /// byte-identical to an unbounded monitor
-    /// ([`Simulation::violation_summary`] replaces the graph-based witness
-    /// accessors in this mode).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::XiTooLarge`] as in [`Simulation::attach_monitor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has already started or `prune_every` is zero.
-    pub fn attach_monitor_bounded(
-        &mut self,
-        xi: &Xi,
-        prune_every: usize,
-    ) -> Result<(), CheckError> {
-        assert!(prune_every > 0, "prune_every must be positive");
-        self.attach_monitor(xi)?;
-        self.monitor_prune_every = Some(prune_every);
-        Ok(())
-    }
-
     /// The summary of the first ABC violation witnessed by the attached
-    /// monitor, if any — available in both monitor modes (the `Cycle`
-    /// accessor [`Simulation::violation`] works in both modes too, but
-    /// summarizing it needs the graph mirror that bounded mode drops).
+    /// monitor, if any (the wire form of [`Simulation::violation`]).
     #[must_use]
     pub fn violation_summary(&self) -> Option<&abc_core::cycle::WitnessSummary> {
         self.monitor
@@ -401,9 +363,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         if let Some(xi) = &self.monitor_xi {
             let mut mon = IncrementalChecker::new(self.processes.len(), xi)
                 .expect("Xi validated at attach time");
-            if self.monitor_prune_every.is_some() {
-                mon.enable_pruning();
-            }
             for (p, faulty) in self.faulty.iter().enumerate() {
                 if *faulty {
                     mon.mark_faulty(ProcessId(p));
@@ -479,9 +438,9 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
     }
 
     /// The one ordered commit point of an executed step: records the trace
-    /// event, feeds the monitor, dispatches the step's outbox through the
-    /// delay model (in send order), and runs the bounded monitor's prune
-    /// tick. The outbox is drained and left empty for the next step.
+    /// event, feeds the monitor, and dispatches the step's outbox through
+    /// the delay model (in send order). The outbox is drained and left
+    /// empty for the next step.
     fn commit_step(&mut self, stats: &mut RunStats, event: TraceEvent) {
         let TraceEvent {
             seq: event_idx,
@@ -501,7 +460,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         stats.final_time = time;
         OBS_STEPS.add(1);
         self.dispatch_outbox(stats, process, event_idx, time);
-        self.monitor_prune_tick();
     }
 
     /// Streams the committed event into the attached monitor. Trace events
@@ -580,36 +538,6 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             }
         }
         self.outbox = outbox;
-    }
-
-    /// The bounded monitor's compaction tick. Runs only after the
-    /// committed event's outbox is dispatched: the event's own messages
-    /// are in flight by then, so the watermark sees them (pruning before
-    /// dispatch could compact the very event they will name as their send
-    /// event).
-    fn monitor_prune_tick(&mut self) {
-        if let Some(every) = self.monitor_prune_every {
-            if self.trace.events.len() % every == 0 {
-                let watermark = self.inflight_watermark().unwrap_or(self.trace.events.len());
-                if let Some(mon) = &mut self.monitor {
-                    mon.prune_settled(Some(EventId(watermark)));
-                }
-            }
-        }
-    }
-
-    /// The engine's exact pruning watermark: the oldest send event any
-    /// in-flight queue entry still references (`None` when nothing is in
-    /// flight). Future sends are issued by events that have not executed
-    /// yet, so no future `append_send` can name anything older.
-    fn inflight_watermark(&self) -> Option<usize> {
-        self.queue
-            .items()
-            .filter_map(|kind| match *kind {
-                EntryKind::Init(_) => None,
-                EntryKind::Deliver(_, mi, _) => Some(self.trace.messages[mi].send_event),
-            })
-            .min()
     }
 
     /// Read access to a process behavior (e.g. to extract final state).
@@ -812,76 +740,6 @@ mod tests {
                 assert!(w.classify().violates(&xi));
             }
         }
-    }
-
-    #[test]
-    fn bounded_monitor_matches_unbounded_and_compacts() {
-        // The same seeded run with a plain monitor and a bounded (pruning)
-        // monitor: verdicts and witness summaries must be byte-identical,
-        // and the bounded run must hold far fewer events live than it
-        // executed.
-        let run = |xi: &Xi, bounded: bool| {
-            let mut sim = Simulation::new(BandDelay::new(1, 6, 99));
-            for _ in 0..3 {
-                sim.add_process(Gossip { remaining: 400 });
-            }
-            if bounded {
-                sim.attach_monitor_bounded(xi, 8).unwrap();
-            } else {
-                sim.attach_monitor(xi).unwrap();
-            }
-            sim.run(RunLimits::default());
-            sim
-        };
-        for xi in [Xi::from_fraction(7, 6), Xi::from_integer(7)] {
-            let plain = run(&xi, false);
-            let bounded = run(&xi, true);
-            assert_eq!(
-                plain.trace().events().len(),
-                bounded.trace().events().len(),
-                "seeded runs are identical"
-            );
-            let pm = plain.monitor().unwrap();
-            let bm = bounded.monitor().unwrap();
-            assert_eq!(pm.is_admissible(), bm.is_admissible(), "xi = {xi}");
-            assert_eq!(
-                plain.violation_summary().map(|s| s.wire().to_string()),
-                bounded.violation_summary().map(|s| s.wire().to_string())
-            );
-            assert_eq!(
-                plain.violation().map(|c| format!("{c}")),
-                bounded.violation().map(|c| format!("{c}"))
-            );
-            if bm.is_admissible() {
-                let stats = bounded.monitor_stats().unwrap();
-                assert!(stats.pruned_events > 0, "long admissible runs compact");
-                assert!(
-                    bm.live_events() < stats.events / 2,
-                    "live window {} vs {} executed",
-                    bm.live_events(),
-                    stats.events
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_monitor_survives_sparse_traffic() {
-        // Regression: the prune tick must run only after the executed
-        // event's outbox is dispatched — with nothing else in flight, an
-        // earlier tick computed a watermark that compacted the very event
-        // whose message was about to be sent, and its delivery panicked on
-        // the watermark assert.
-        let xi = Xi::from_integer(2);
-        let mut sim = Simulation::new(FixedDelay::new(1));
-        sim.add_process(Echo { remaining: 40 });
-        sim.add_process(Echo { remaining: 40 });
-        sim.attach_monitor_bounded(&xi, 3).unwrap();
-        let stats = sim.run(RunLimits::default());
-        assert!(stats.quiescent);
-        let mon = sim.monitor().expect("monitor attached");
-        assert!(mon.is_admissible(), "a fixed-delay ping-pong is admissible");
-        assert!(mon.stats().pruned_events > 0, "sparse traffic still prunes");
     }
 
     #[test]
@@ -1116,7 +974,7 @@ mod tests {
         let mut sim = Simulation::new(FixedDelay::new(1));
         sim.add_process(Echo { remaining: 5 });
         sim.add_faulty_process(Echo { remaining: 5 });
-        sim.attach_monitor_bounded(&Xi::from_integer(2), 3).unwrap();
+        sim.attach_monitor(&Xi::from_integer(2)).unwrap();
         assert!(sim.run(RunLimits::default()).quiescent);
         assert!(sim.monitor().is_some());
         sim.reset(FixedDelay::new(10));

@@ -24,6 +24,10 @@
 //! into an [`abc_core::monitor::IncrementalChecker`] and the first
 //! violating relevant cycle is latched with a witness, with no per-step
 //! graph rebuild ([`Trace::replay_into_monitor`] is the offline analogue).
+//! Neither prunes: bounded-memory monitoring
+//! ([`abc_core::monitor::IncrementalChecker::prune_settled`]) is driven by
+//! whoever streams the events and can vouch for a watermark, as
+//! `abc-service`'s sessions do.
 //! A harness that runs one short execution after another keeps one engine
 //! and lends one monitor: [`Simulation::reset`] and
 //! [`Trace::replay_until_violation_into`] re-arm them in place, equal to

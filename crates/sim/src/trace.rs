@@ -152,15 +152,16 @@ impl Trace {
     /// integer range.
     pub fn replay_into_monitor(&self, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
         let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
-        self.replay_monitor_inner(&mut mon, false, None);
+        self.replay_monitor_inner(&mut mon, false);
         Ok(mon)
     }
 
     /// Like [`Trace::replay_into_monitor`], but stops streaming as soon as
     /// the monitor latches a violation. Returns the monitor plus the index
     /// of the trace event whose append closed the first violating cycle
-    /// (`None` if the whole trace is admissible) — the building block of
-    /// sweep harnesses that only need the first verdict per run.
+    /// (`None` if the whole trace is admissible). A harness that checks
+    /// one trace after another lends one monitor to
+    /// [`Trace::replay_until_violation_into`] instead.
     ///
     /// # Errors
     ///
@@ -171,7 +172,7 @@ impl Trace {
         xi: &Xi,
     ) -> Result<(IncrementalChecker, Option<usize>), CheckError> {
         let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
-        let violation_at = self.replay_monitor_inner(&mut mon, true, None);
+        let violation_at = self.replay_monitor_inner(&mut mon, true);
         Ok((mon, violation_at))
     }
 
@@ -195,64 +196,18 @@ impl Trace {
         xi: &Xi,
     ) -> Result<Option<usize>, CheckError> {
         mon.reset(self.num_processes, xi)?;
-        Ok(self.replay_monitor_inner(mon, true, None))
-    }
-
-    /// Like [`Trace::replay_into_monitor`], but in bounded-memory mode:
-    /// the monitor's graph mirror is dropped
-    /// ([`IncrementalChecker::enable_pruning`]) and, every `prune_every`
-    /// appended events, its settled prefix is compacted with the exact
-    /// lookahead watermark (the oldest send event any *remaining* trace
-    /// event names — computable offline because the whole trace is known).
-    /// Verdicts, latch points, and witness summaries are byte-identical to
-    /// [`Trace::replay_into_monitor`]; memory is bounded by the live
-    /// window instead of the trace length.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed the monitor's
-    /// integer range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prune_every` is zero.
-    pub fn replay_into_monitor_bounded(
-        &self,
-        xi: &Xi,
-        prune_every: usize,
-    ) -> Result<IncrementalChecker, CheckError> {
-        assert!(prune_every > 0, "prune_every must be positive");
-        let mut mon = IncrementalChecker::new(self.num_processes, xi)?;
-        self.replay_monitor_inner(&mut mon, false, Some(prune_every));
-        Ok(mon)
+        Ok(self.replay_monitor_inner(mon, true))
     }
 
     /// The one replay loop, into a lent monitor armed for this trace's
     /// process count and holding no event yet: new, or
-    /// [`IncrementalChecker::reset`]. With `prune_every` the monitor drops
-    /// its mirror and prunes at that cadence (see
-    /// [`Trace::replay_into_monitor_bounded`]). Returns the index of the
-    /// event that latched the first violation.
+    /// [`IncrementalChecker::reset`]. Returns the index of the event that
+    /// latched the first violation.
     fn replay_monitor_inner(
         &self,
         mon: &mut IncrementalChecker,
         stop_on_violation: bool,
-        prune_every: Option<usize>,
     ) -> Option<usize> {
-        // suffix_min[i] = the oldest send event any event at index >= i
-        // names — after appending event i, no later append can name
-        // anything below suffix_min[i + 1].
-        let mut suffix_min: Vec<usize> = Vec::new();
-        if prune_every.is_some() {
-            mon.enable_pruning();
-            suffix_min = vec![usize::MAX; self.events.len() + 1];
-            for (idx, ev) in self.events.iter().enumerate().rev() {
-                let named = ev
-                    .trigger
-                    .map_or(usize::MAX, |mi| self.messages[mi].send_event);
-                suffix_min[idx] = named.min(suffix_min[idx + 1]);
-            }
-        }
         for (p, faulty) in self.faulty.iter().enumerate() {
             if *faulty {
                 mon.mark_faulty(ProcessId(p));
@@ -269,10 +224,6 @@ impl Trace {
                     let send_event = EventId(self.messages[mi].send_event);
                     mon.append_send(send_event, ev.process);
                 }
-            }
-            if prune_every.is_some_and(|n| (idx + 1) % n == 0) {
-                let watermark = suffix_min[idx + 1].min(idx + 1);
-                mon.prune_settled(Some(EventId(watermark)));
             }
             if violation_at.is_none() && mon.violation().is_some() {
                 violation_at = Some(idx);

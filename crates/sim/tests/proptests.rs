@@ -70,8 +70,8 @@ struct Shape {
     /// 1–2 steps, 14 mute, anything else correct; bits 32.. pick a
     /// dropped link in one shape of four.
     faults: u64,
-    /// 0 none, 1 attached, 2 attached bounded.
-    monitor: u8,
+    /// Whether a monitor is attached.
+    monitor: bool,
 }
 
 type AnyDelay = Lossy<Box<dyn DelayModel>>;
@@ -124,11 +124,8 @@ impl Shape {
                 );
             }
         }
-        let xi = Xi::from_fraction(3, 2);
-        match self.monitor {
-            0 => {}
-            1 => sim.attach_monitor(&xi).unwrap(),
-            _ => sim.attach_monitor_bounded(&xi, 7).unwrap(),
+        if self.monitor {
+            sim.attach_monitor(&Xi::from_fraction(3, 2)).unwrap();
         }
         sim.run(RunLimits {
             max_events: self.max_events,
@@ -142,7 +139,7 @@ fn shape() -> impl Strategy<Value = Shape> {
         (any::<bool>(), 2usize..7, 1usize..400),
         (0u8..4, 1u64..8, 0u64..9, any::<u64>()),
         any::<u64>(),
-        0u8..3,
+        any::<bool>(),
     )
         .prop_map(
             |((flood, n, max_events), (family, lo, spread, seed), faults, monitor)| Shape {
@@ -247,9 +244,7 @@ proptest! {
 
     /// The attached streaming monitor, the offline trace replay, and the
     /// batch checker all agree on random workloads — including tight Xi
-    /// values where band reordering does produce violations. So does the
-    /// engine's bounded monitor, pruning at its in-flight watermark at any
-    /// cadence.
+    /// values where band reordering does produce violations.
     #[test]
     fn attached_monitor_matches_batch_and_replay(
         n in 2usize..5,
@@ -258,33 +253,18 @@ proptest! {
         seed in any::<u64>(),
         num in 5i64..15,
         den in 4i64..8,
-        prune_every in 1usize..40,
     ) {
         prop_assume!(num > den);
         let xi = abc_core::Xi::from_fraction(num, den);
-        let run = |bounded: bool| {
-            let mut sim = Simulation::new(BandDelay::new(lo, lo + spread, seed));
-            for _ in 0..n {
-                sim.add_process(Gossip { fanout: 2, state: 0 });
-            }
-            if bounded {
-                sim.attach_monitor_bounded(&xi, prune_every).unwrap();
-            } else {
-                sim.attach_monitor(&xi).unwrap();
-            }
-            sim.run(RunLimits {
-                max_events: 2_000,
-                max_time: u64::MAX,
-            });
-            sim
-        };
-        let sim = run(false);
-        let bounded = run(true);
-        prop_assert_eq!(bounded.trace().to_text(), sim.trace().to_text());
-        prop_assert_eq!(
-            bounded.violation_summary().map(|s| s.wire().to_string()),
-            sim.violation_summary().map(|s| s.wire().to_string())
-        );
+        let mut sim = Simulation::new(BandDelay::new(lo, lo + spread, seed));
+        for _ in 0..n {
+            sim.add_process(Gossip { fanout: 2, state: 0 });
+        }
+        sim.attach_monitor(&xi).unwrap();
+        sim.run(RunLimits {
+            max_events: 2_000,
+            max_time: u64::MAX,
+        });
         let g = sim.trace().to_execution_graph();
         let mon = sim.monitor().expect("attached");
         prop_assert_eq!(mon.graph(), &g);
