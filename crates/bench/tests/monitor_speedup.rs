@@ -10,8 +10,8 @@
 //! `cargo run --release -p abc-bench --bin bench_ledger -- run`; how much
 //! kernel work one batch check does is pinned by count in
 //! `check_work.rs`). What is asserted here holds on any machine: the two
-//! deciders agree, and a pruned monitor compacts the stream without
-//! changing the verdict.
+//! deciders agree, a pruned monitor compacts the stream without changing
+//! the verdict, and an untracked monitor holds no arena on a quiet stream.
 
 use abc_bench::workloads;
 use abc_core::monitor::IncrementalChecker;
@@ -84,5 +84,38 @@ fn bounded_monitor_compacts_the_10k_stream_with_the_same_verdict() {
         "pruning must cut the live window: {} vs {}",
         pruned.live_events_peak,
         plain.live_events_peak
+    );
+}
+
+#[test]
+fn an_untracked_monitor_builds_no_arena_on_the_quiet_10k_stream() {
+    // The same quiet stream: no append goes tense at Ξ = 5, so a monitor
+    // that neither prunes nor keeps its margin never builds its arena, and
+    // still counts every arc it would hold.
+    let events = 10_000usize;
+    let xi = Xi::from_integer(5);
+    let trace = workloads::clocksync_trace(4, 1, 1, 4, 42, events);
+    let replayed = |tracking: bool| {
+        let mut mon = IncrementalChecker::new(trace.num_processes(), &xi).unwrap();
+        mon.enable_pruning(); // mirror-less, as a served session's
+        if tracking {
+            mon.enable_margin_tracking();
+        }
+        assert_eq!(trace.replay_until_violation_into(&mut mon, &xi), Ok(None));
+        mon
+    };
+    let (untracked, tracked) = (replayed(false), replayed(true));
+    let stats = untracked.stats();
+    assert_eq!(stats.events, events);
+    assert_eq!(stats.relaxations, 0, "a quiet stream relaxes nothing");
+    assert_eq!(untracked.live_arcs(), stats.arcs);
+    assert_eq!(stats.arcs, tracked.stats().arcs);
+    // The tracking monitor holds the arena: arcs, out-lists and a second
+    // label column beside the per-event columns both keep.
+    assert!(
+        2 * untracked.capacity() <= tracked.capacity(),
+        "capacity {} untracked against {} tracked",
+        untracked.capacity(),
+        tracked.capacity()
     );
 }

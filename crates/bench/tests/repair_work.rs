@@ -68,6 +68,9 @@ fn a_repair_moves_a_fraction_of_the_window_and_a_latch_less() {
     }
     assert_eq!(latches, [(18, 2_179), (6, 3_725), (16, 2_722)]);
     assert_eq!(counter("monitor.confirm_sssp"), 3, "one pass per latch");
+    // Every arc the appends before each latch added, held or deferred (an
+    // untracked monitor builds its arena at its first tense append).
+    assert_eq!(counter("monitor.arcs"), 175_791);
     let relaxations = counter("monitor.relaxations");
     assert!(
         (1..=MOST_RELAXATIONS).contains(&relaxations),

@@ -45,10 +45,11 @@ impl TickCore {
     #[must_use]
     pub fn new(n: usize, f: usize) -> TickCore {
         assert!(
-            n >= 1 && n <= 128,
+            (1..=128).contains(&n),
             "sender bitmasks support up to 128 processes"
         );
-        assert!(n >= 3 * f + 1, "Algorithm 1 requires n >= 3f + 1");
+        // The paper's n ≥ 3f + 1, over integers.
+        assert!(n > 3 * f, "Algorithm 1 requires n >= 3f + 1");
         TickCore {
             n,
             f,
@@ -106,7 +107,7 @@ impl TickCore {
                 .received
                 .range((self.k + 1)..)
                 .rev()
-                .find(|(_, mask)| mask.count_ones() as usize >= self.f + 1)
+                .find(|(_, mask)| mask.count_ones() as usize > self.f)
                 .map(|(l, _)| *l);
             if let Some(l) = catch_up {
                 self.k = l;

@@ -148,7 +148,7 @@ impl<A: RoundApp> LockStep<A> {
     /// Builds the outgoing tick message for tick `t`, computing and
     /// attaching the round payload at round boundaries.
     fn make_msg(&mut self, t: u64, n: usize) -> TickMsg<A::Payload> {
-        let payload = if t % self.phases_per_round == 0 {
+        let payload = if t.is_multiple_of(self.phases_per_round) {
             let r = t / self.phases_per_round;
             let me = self.me.expect("initialized");
             if r == 0 {

@@ -82,11 +82,11 @@ use crate::check::CheckError;
 use crate::cycle::{CycleStep, WitnessSummary};
 use crate::graph::ProcessId;
 use crate::maxratio::{self, step_reverses, Shortcuts};
-use crate::traversal::ArcKind;
+use crate::traversal::{ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutInfo};
 use super::witness::Expansion;
-use super::{IncrementalChecker, MarginReport};
+use super::{effective_send, IncrementalChecker, MarginReport};
 
 static OBS_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_probes");
 /// Kernel runs on a tracking monitor's kept labels (one per empty window
@@ -763,6 +763,7 @@ impl IncrementalChecker {
     /// one ascent of the max-ratio engine, whose final *no* leaves labels
     /// feasible at the margin it found (at `1/1` without a cycle above it).
     pub(super) fn seed_kept_margin(&mut self) {
+        self.build_arena();
         self.kept.rearm();
         if self.violation.is_some() {
             // Latched: nothing reads the labels again.
@@ -796,7 +797,8 @@ impl IncrementalChecker {
             return false;
         }
         if !self.kept.cycle.is_empty() {
-            self.kept.witness = Some(self.expand_window_cycle(&self.kept.cycle));
+            let cycle = self.expand_window_cycle(self.tg.arcs(), &self.kept.cycle);
+            self.kept.witness = Some(cycle);
             self.kept.cycle.clear();
         }
         if !self.kept.above_one() && !self.kept.one {
@@ -881,6 +883,22 @@ impl IncrementalChecker {
     /// overflow, exactly as in the batch computation; on a tracking monitor,
     /// when its kept labels would.
     pub fn current_margin(&self) -> Result<Option<MarginReport>, CheckError> {
+        self.margin(true)
+    }
+
+    /// [`IncrementalChecker::current_margin`]'s ratio alone: the same
+    /// answer from the same work, except that no witness is spelled out.
+    ///
+    /// # Errors
+    ///
+    /// As [`IncrementalChecker::current_margin`].
+    pub fn margin_ratio(&self) -> Result<Option<Ratio>, CheckError> {
+        Ok(self.margin(false)?.map(|m| m.ratio))
+    }
+
+    /// The one margin path: [`IncrementalChecker::current_margin`], its
+    /// witness spelled out only if `witness` asks for it.
+    fn margin(&self, witness: bool) -> Result<Option<MarginReport>, CheckError> {
         let _span = abc_obs::span("monitor.margin_probe");
         OBS_PROBES.add(1);
         if let Some(s) = &self.violation_summary {
@@ -890,7 +908,7 @@ impl IncrementalChecker {
                 .expect("latched witnesses are relevant cycles");
             return Ok(Some(MarginReport {
                 ratio,
-                witness: Some(s.clone()),
+                witness: witness.then(|| s.clone()),
             }));
         }
         if self.keeps_margin() {
@@ -898,21 +916,32 @@ impl IncrementalChecker {
                 return Ok(None);
             };
             // At ratio exactly 1 there is no canonical cycle to show.
-            let witness = if self.kept.cycle.is_empty() {
+            let witness = if !witness {
+                None
+            } else if self.kept.cycle.is_empty() {
                 self.kept.witness.clone()
             } else {
-                Some(self.expand_window_cycle(&self.kept.cycle))
+                Some(self.expand_window_cycle(self.tg.arcs(), &self.kept.cycle))
             };
             return Ok(Some(MarginReport { ratio, witness }));
         }
         // Nothing was pruned: the window is the whole execution, every arc
-        // in it plain.
-        let best = maxratio::max_cycle_ratio(&self.tg)?;
+        // in it plain. A deferring monitor searches an arena built for the
+        // query, and keeps deferring.
+        let mut built = TraversalGraph::new();
+        let tg = if self.deferred {
+            self.arena_into(&mut built);
+            &built
+        } else {
+            &self.tg
+        };
+        let best = maxratio::max_cycle_ratio(tg)?;
         Ok(best.map(|found| {
             let plain: Vec<(usize, usize)> = found.cycle.iter().map(|&ai| (ai, 0)).collect();
             MarginReport {
                 ratio: maxratio::ratio_of((found.b, found.f)),
-                witness: (!plain.is_empty()).then(|| self.expand_window_cycle(&plain)),
+                witness: (witness && !plain.is_empty())
+                    .then(|| self.expand_window_cycle(tg.arcs(), &plain)),
             }
         }))
     }
@@ -958,6 +987,15 @@ impl IncrementalChecker {
                 best = Some((num, den));
             }
         };
+        if self.deferred {
+            // The forward arcs a deferring monitor would hold, in arena
+            // order (nothing was pruned: `base` is 0).
+            for (recv, &entry) in self.sends.iter().enumerate() {
+                if let Some(send) = effective_send(entry) {
+                    push(self.pot[recv].0 - self.pot[send].0, self.q);
+                }
+            }
+        }
         for arc in self.tg.arcs() {
             let d = self.pot[arc.to - base].0 - self.pot[arc.from - base].0;
             match arc.kind {

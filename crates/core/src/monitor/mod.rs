@@ -8,19 +8,35 @@
 //!
 //! [`IncrementalChecker`] turns the batch reduction into a streaming one.
 //! It mirrors the [`crate::graph::ExecutionGraphBuilder`] API (`append_init`
-//! / `append_send`) and maintains Bellman–Ford *potentials* over the same
-//! arena-backed [`TraversalGraph`] the batch checker walks (grown
-//! incrementally here instead of built in one pass): a label `π(v)` per
-//! event such that every arc `u → v` of weight `w` satisfies
-//! `π(v) ≤ π(u) + w`. Such labels exist iff `T` has no negative cycle, i.e.
-//! iff the execution so far is admissible. Appending an event adds at most
-//! three arcs (forward + backward for its triggering message, one local
-//! back-arc), and the labels are repaired by re-relaxing only the affected
-//! frontier — amortized far below a full pass, and exactly zero work for
-//! events that do not disturb any label (the repair runs on the batch
-//! checker's own negative-cycle kernel). The first violation is latched
-//! together with a witness of the same [`Cycle`] type the batch checker
-//! produces (violations never go away: appending events only adds cycles).
+//! / `append_send`) and maintains Bellman–Ford *potentials* over the graph
+//! `T` the batch checker walks: a label `π(v)` per event such that every
+//! arc `u → v` of weight `w` satisfies `π(v) ≤ π(u) + w`. Such labels exist
+//! iff `T` has no negative cycle, i.e. iff the execution so far is
+//! admissible. Appending an event adds at most three arcs (forward +
+//! backward for its triggering message, one local back-arc) and gives the
+//! receive the earliest label its window allows — its Lamport timestamp,
+//! every message charged its minimum delay. Only a window that is empty
+//! (a *tense* append) needs the arcs: the labels are then repaired by
+//! re-relaxing only the affected frontier, on the batch checker's own
+//! negative-cycle kernel. The first violation is latched together with a
+//! witness of the same [`Cycle`] type the batch checker produces
+//! (violations never go away: appending events only adds cycles).
+//!
+//! # The arena on demand
+//!
+//! The arcs live in the same arena-backed [`TraversalGraph`] the batch
+//! checker walks, but a monitor builds it only once something reads arcs.
+//! From [`IncrementalChecker::new`] / [`IncrementalChecker::reset`] until
+//! its first tense append, or until it starts keeping its margin, a monitor
+//! *defers* it: a quiet append touches labels only, and besides them the
+//! monitor keeps one column, each receive's send event and whether its
+//! message carries arcs. The first tense append builds the arena from that
+//! column in one pass, through the one function that spells a receive's
+//! arcs for the eager append as well, so the arena holds the same arcs in
+//! the same order either way, and the repair, its witness and everything
+//! after run as if it had been grown arc by arc. The `&self` margin
+//! readers of a deferring monitor build nothing into it: the bound scans
+//! the column, the margin searches an arena built for the query.
 //!
 //! # One type, one concern per file
 //!
@@ -119,7 +135,8 @@ pub struct MonitorStats {
     pub events: usize,
     /// Messages appended so far (including exempt ones).
     pub messages: usize,
-    /// Traversal-graph arcs created so far (including pruned ones).
+    /// Traversal-graph arcs created so far (including pruned ones), held
+    /// or deferred (see the module docs).
     pub arcs: usize,
     /// Total label relaxations performed across all appends.
     pub relaxations: u64,
@@ -130,7 +147,7 @@ pub struct MonitorStats {
     /// High-water mark of simultaneously live (non-pruned) events — the
     /// monitor's memory is proportional to this, not to `events`.
     pub live_events_peak: usize,
-    /// High-water mark of simultaneously live arcs.
+    /// High-water mark of simultaneously live arcs, held or deferred.
     pub live_arcs_peak: usize,
 }
 
@@ -177,8 +194,18 @@ pub struct IncrementalChecker {
     /// only serves [`IncrementalChecker::graph`].
     builder: Option<ExecutionGraphBuilder>,
     /// The shared CSR traversal graph, grown arc by arc (and compacted
-    /// from the front by pruning).
+    /// from the front by pruning) once the monitor stopped deferring it;
+    /// empty while it defers.
     tg: TraversalGraph,
+    /// Whether the arena is deferred: from [`IncrementalChecker::new`] /
+    /// [`IncrementalChecker::reset`] until the first tense append or the
+    /// first kept margin (never, with `margin_tracking`).
+    deferred: bool,
+    /// While deferred, one entry per event: [`INIT`], or the receive's
+    /// send event with [`EFFECTIVE`] set when its message carries arcs —
+    /// all [`IncrementalChecker::build_arena`] needs besides `proc_of`.
+    /// Empty once the arena is built.
+    sends: Vec<usize>,
     /// Process of each live event (windowed by `tg.base()`).
     proc_of: Vec<ProcessId>,
     /// Bellman–Ford potential per live event; feasible (no tense arc)
@@ -233,6 +260,8 @@ impl IncrementalChecker {
             has_sent: vec![false; num_processes],
             builder: Some(ExecutionGraph::builder(num_processes)),
             tg: TraversalGraph::new(),
+            deferred: true,
+            sends: Vec::new(),
             proc_of: Vec::new(),
             pot: Vec::new(),
             kernel: NegCycle::default(),
@@ -279,6 +308,8 @@ impl IncrementalChecker {
             has_sent,
             builder,
             tg,
+            deferred,
+            sends,
             proc_of,
             pot,
             kernel: _,    // clean between repairs; its capacity is the point
@@ -289,7 +320,7 @@ impl IncrementalChecker {
             total_messages,
             violation,
             violation_summary,
-            margin_tracking: _,
+            margin_tracking,
             kept,
             stats,
         } = self;
@@ -305,6 +336,8 @@ impl IncrementalChecker {
             *mirror = ExecutionGraph::builder(num_processes);
         }
         tg.clear();
+        *deferred = !*margin_tracking;
+        sends.clear();
         proc_of.clear();
         pot.clear();
         last_event.clear();
@@ -332,6 +365,7 @@ impl IncrementalChecker {
         self.faulty.capacity()
             + self.has_sent.capacity()
             + self.tg.capacity()
+            + self.sends.capacity()
             + self.proc_of.capacity()
             + self.pot.capacity()
             + self.kernel.capacity()
@@ -391,7 +425,7 @@ impl IncrementalChecker {
     /// Panics if events have already been appended.
     pub fn enable_pruning(&mut self) {
         assert!(
-            self.tg.total_nodes() == 0,
+            self.total_events() == 0,
             "enable_pruning() must be called before any event is appended"
         );
         self.builder = None;
@@ -403,10 +437,13 @@ impl IncrementalChecker {
     /// Beside its potentials at `Ξ` the monitor then keeps a second column,
     /// feasible at the current margin, and raises that margin as appends
     /// close cycles above it (the `margin` module's docs have the
-    /// argument). On the sweep's 500-event clock synchronisation runs that
-    /// adds about 55 ns to an append, where the search a monitor that keeps
-    /// nothing runs in [`IncrementalChecker::current_margin`] costs about
-    /// 160 ns per event of the run (two hardware threads). Both
+    /// argument), over the arcs: a tracking monitor builds its arena now,
+    /// if it was deferring it, and never defers it again. On the sweep's
+    /// 500-event clock synchronisation runs that adds about 55 ns to an
+    /// append, where the search a monitor that keeps nothing runs in
+    /// [`IncrementalChecker::current_margin`] costs about 160 ns per event
+    /// of the run (two hardware threads); on a quiet stream it also costs
+    /// the arena a monitor that keeps nothing would not have built. Both
     /// `current_margin` and [`IncrementalChecker::margin_upper_bound`] read
     /// the kept margin, exactly, and its witness is the cycle that last
     /// raised it, and [`IncrementalChecker::kept_margin_reaches`] answers
@@ -490,13 +527,23 @@ impl IncrementalChecker {
     /// Events currently held live (not pruned).
     #[must_use]
     pub fn live_events(&self) -> usize {
-        self.tg.num_live_nodes()
+        self.proc_of.len()
     }
 
-    /// Arcs currently held live (not pruned).
+    /// Arcs currently held live (not pruned), or deferred.
     #[must_use]
     pub fn live_arcs(&self) -> usize {
-        self.tg.num_arcs()
+        if self.deferred {
+            self.stats.arcs
+        } else {
+            self.tg.num_arcs()
+        }
+    }
+
+    /// Events appended so far, pruned ones included: the exclusive upper
+    /// bound of valid event ids.
+    fn total_events(&self) -> usize {
+        self.tg.base() + self.proc_of.len()
     }
 
     /// Whether process `p` has any event yet (works in every mode; the
@@ -532,7 +579,7 @@ impl IncrementalChecker {
     /// Panics if `p` already has events.
     pub fn append_init(&mut self, p: ProcessId) -> EventId {
         assert!(self.last_event[p.0].is_none(), "{p} already initialized");
-        let id = self.push_node(p);
+        let id = self.push_node(p, INIT);
         self.last_event[p.0] = Some(id);
         self.stats.events += 1;
         if let Some(b) = &mut self.builder {
@@ -565,7 +612,7 @@ impl IncrementalChecker {
         to: ProcessId,
         exempt: bool,
     ) -> (MessageId, EventId) {
-        assert!(from.0 < self.tg.total_nodes(), "unknown send event");
+        assert!(from.0 < self.total_events(), "unknown send event");
         assert!(
             from.0 >= self.tg.base(),
             "send event {from} was already pruned: the prune_settled watermark promised \
@@ -587,9 +634,9 @@ impl IncrementalChecker {
         let mid = MessageId(self.total_messages);
         self.total_messages += 1;
         self.has_sent[sender.0] = true;
-        let old_arcs = self.tg.num_arcs();
+        let old_arcs = self.live_arcs();
         let prev_global = self.last_event[to.0].expect("receiver is initialized");
-        let recv = self.push_node(to);
+        let recv = self.push_node(to, from.0 | if effective { EFFECTIVE } else { 0 });
         self.last_event[to.0] = Some(recv);
         self.stats.events += 1;
         self.stats.messages += 1;
@@ -604,6 +651,25 @@ impl IncrementalChecker {
             // Latched: the verdict can never change, skip all arc work.
             return (mid, EventId(recv));
         }
+        let live_prev = (prev_global >= base).then_some(prev_global);
+        // A deferring monitor's column entry, pushed above, stands for the
+        // arcs until it builds the arena.
+        if !self.deferred {
+            let message = effective.then_some((from.0, mid));
+            push_receive_arcs(&mut self.tg, recv, message, live_prev);
+        }
+        self.count_arcs(2 * usize::from(effective) + usize::from(live_prev.is_some()));
+        let row = if live_prev.is_some() {
+            None
+        } else {
+            // `prev` was compacted: materialize its frontier row as
+            // shortcut arcs out of the new receive.
+            let r = self.frontier_row[to.0]
+                .take()
+                .expect("a pruned frontier always leaves its row behind");
+            self.materialize_row(&r, prev_global, recv);
+            Some(r)
+        };
         // Choose the new node's label directly instead of relaxing it from
         // scratch: the feasible window for `π(recv)` is
         //
@@ -614,36 +680,20 @@ impl IncrementalChecker {
         // bound from the incoming forward arc). Taking the *earliest*
         // feasible label — timestamp semantics: every message charged its
         // minimum delay `q` — keeps all existing labels untouched, so an
-        // append that opens no window conflict costs zero relaxations. Only
-        // when the window is empty (the message "spans": it arrives later
-        // than the fast paths from its send event permit) is the label
-        // capped to the upper bound and the tension propagated.
-        let mut window: Option<(Weight, Weight)> = None;
-        if effective {
-            self.push_arc(from.0, recv, ArcKind::Forward(mid));
-            self.push_arc(recv, from.0, ArcKind::Backward(mid));
-            let pu = self.pot[from.0 - base];
-            window = Some(((pu.0 + self.q, pu.1 + 1), (pu.0 + self.p, pu.1 - 1)));
-        }
-        let (pw, row) = if prev_global >= base {
-            let local = LocalEdge {
-                from: EventId(prev_global),
-                to: EventId(recv),
-            };
-            self.push_arc(recv, prev_global, ArcKind::LocalBack(local));
-            (self.pot[prev_global - base], None)
-        } else {
-            // `prev` was compacted: materialize its frontier row as
-            // shortcut arcs out of the new receive.
-            let r = self.frontier_row[to.0]
-                .take()
-                .expect("a pruned frontier always leaves its row behind");
-            self.materialize_row(&r, prev_global, recv);
-            (r.label, Some(r))
-        };
+        // append that opens no window conflict costs zero relaxations and
+        // reads no arc. Only when the window is empty (the message "spans":
+        // it arrives later than the fast paths from its send event permit)
+        // is the label capped to the upper bound and the tension
+        // propagated, over the arena, which a deferring monitor builds
+        // first.
+        let pw = row
+            .as_ref()
+            .map_or_else(|| self.pot[prev_global - base], |r| r.label);
         let mut label = (pw.0, pw.1 + 1);
         let mut tense = false;
-        if let Some((lower, upper)) = window {
+        if effective {
+            let pu = self.pot[from.0 - base];
+            let (lower, upper) = ((pu.0 + self.q, pu.1 + 1), (pu.0 + self.p, pu.1 - 1));
             label = label.max(lower);
             if label > upper {
                 label = upper;
@@ -652,6 +702,7 @@ impl IncrementalChecker {
         }
         self.pot[recv - base] = label;
         if tense {
+            self.build_arena();
             let ctx = ConfirmCtx {
                 u: from.0,
                 v: recv,
@@ -669,15 +720,23 @@ impl IncrementalChecker {
         (mid, EventId(recv))
     }
 
-    fn push_node(&mut self, p: ProcessId) -> usize {
-        let id = self.tg.push_node();
+    /// Appends event `id = total_events()` of process `p`, whose column
+    /// entry is `send` ([`INIT`] for a wake-up).
+    fn push_node(&mut self, p: ProcessId, send: usize) -> usize {
+        let id = self.total_events();
+        if self.deferred {
+            self.sends.push(send);
+        } else {
+            let pushed = self.tg.push_node();
+            debug_assert_eq!(pushed, id);
+        }
         self.proc_of.push(p);
         self.pot.push((0, 0));
         if self.keeps_margin() {
             // An append gives the receive its kept label after its arcs.
             self.kept.pot.push(0);
         }
-        self.stats.live_events_peak = self.stats.live_events_peak.max(self.tg.num_live_nodes());
+        self.stats.live_events_peak = self.stats.live_events_peak.max(self.proc_of.len());
         id
     }
 
@@ -686,8 +745,48 @@ impl IncrementalChecker {
             self.kept.carries(&self.shortcuts[id]);
         }
         self.tg.push_arc(from, to, kind);
-        self.stats.arcs += 1;
-        self.stats.live_arcs_peak = self.stats.live_arcs_peak.max(self.tg.num_arcs());
+        self.count_arcs(1);
+    }
+
+    /// Counts `added` arcs, held or deferred, in [`MonitorStats`].
+    fn count_arcs(&mut self, added: usize) {
+        self.stats.arcs += added;
+        self.stats.live_arcs_peak = self.stats.live_arcs_peak.max(self.live_arcs());
+    }
+
+    /// Ends deferral: builds the arena the appends so far would have grown,
+    /// arc for arc, in one pass over the send column. A no-op on a monitor
+    /// that is not deferring.
+    fn build_arena(&mut self) {
+        if !self.deferred {
+            return;
+        }
+        let mut tg = std::mem::take(&mut self.tg);
+        self.arena_into(&mut tg);
+        self.tg = tg;
+        self.sends.clear();
+        self.deferred = false;
+    }
+
+    /// The arena of a deferring monitor, pushed into the empty `tg`: every
+    /// event's node, then each receive's arcs in append order, through the
+    /// function the eager append calls.
+    fn arena_into(&self, tg: &mut TraversalGraph) {
+        debug_assert!(self.deferred && tg.total_nodes() == 0);
+        tg.grow(self.sends.len(), self.stats.arcs);
+        // The latest event of each process so far: a receive's local
+        // predecessor.
+        let mut last = vec![INIT; self.num_processes];
+        let mut messages = 0;
+        for (v, (&p, &entry)) in self.proc_of.iter().zip(&self.sends).enumerate() {
+            if entry != INIT {
+                let message = effective_send(entry).map(|send| (send, MessageId(messages)));
+                push_receive_arcs(tg, v, message, Some(last[p.0]));
+                messages += 1;
+            }
+            last[p.0] = v;
+        }
+        debug_assert_eq!(tg.num_arcs(), self.stats.arcs);
     }
 
     fn arc_weight(&self, kind: ArcKind) -> Weight {
@@ -706,6 +805,43 @@ impl IncrementalChecker {
             .builder
             .expect("finish() is unavailable on a pruning monitor (enable_pruning was called)");
         (builder.finish(), self.violation)
+    }
+}
+
+/// The [`IncrementalChecker::sends`] entry of an init event.
+const INIT: usize = usize::MAX;
+
+/// The bit of a [`IncrementalChecker::sends`] entry that marks a message
+/// that carries arcs (neither exempt nor sent by a faulty process).
+const EFFECTIVE: usize = 1 << (usize::BITS - 1);
+
+/// The send event of a column entry whose message carries arcs.
+fn effective_send(entry: usize) -> Option<usize> {
+    (entry != INIT && entry & EFFECTIVE != 0).then_some(entry & !EFFECTIVE)
+}
+
+/// The one spelling of a receive's arcs, in the order every arena holds
+/// them: the forward and backward arc of its message when that carries
+/// arcs (`message`: its send event and id), then the local back-arc to
+/// `prev` (`None`: compacted, its frontier row stands in). The eager
+/// append and [`IncrementalChecker::arena_into`] both push through it; the
+/// caller knows every endpoint is live.
+fn push_receive_arcs(
+    tg: &mut TraversalGraph,
+    recv: usize,
+    message: Option<(usize, MessageId)>,
+    prev: Option<usize>,
+) {
+    if let Some((send, mid)) = message {
+        tg.push_live_arc(send, recv, ArcKind::Forward(mid));
+        tg.push_live_arc(recv, send, ArcKind::Backward(mid));
+    }
+    if let Some(prev) = prev {
+        let local = LocalEdge {
+            from: EventId(prev),
+            to: EventId(recv),
+        };
+        tg.push_live_arc(recv, prev, ArcKind::LocalBack(local));
     }
 }
 

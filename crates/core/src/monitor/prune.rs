@@ -245,7 +245,7 @@ impl IncrementalChecker {
     /// [`crate::check::CheckError::GraphTooLarge`]).
     pub fn prune_settled(&mut self, oldest_inflight_send: Option<EventId>) -> usize {
         let _span = abc_obs::span("monitor.prune");
-        let total = self.tg.total_nodes();
+        let total = self.total_events();
         let base = self.tg.base();
         let w = oldest_inflight_send.map_or(total, |e| e.0.min(total));
         if w <= base {

@@ -1075,7 +1075,7 @@ fn assert_envelopes_match_the_cold_pass(
     watermark: Option<EventId>,
 ) -> Compared {
     let mut compared = Compared::default();
-    let total = mon.tg.total_nodes();
+    let total = mon.total_events();
     let w = watermark.map_or(total, |e| e.0.min(total));
     if w <= mon.tg.base() || mon.violation.is_some() {
         return compared;
@@ -1192,4 +1192,189 @@ fn envelope_lines_equal_the_cold_passes_at_every_prune() {
         exact > 2_000 && exact > 4 * refused,
         "{exact} passes compared line for line, {refused} let off"
     );
+}
+
+/// A random execution for the deferral tests: process count, an optional
+/// faulty process, and `(sender back, receiver, exempt)` steps (a send
+/// names any earlier event; one message in four is exempt).
+type Deferrable = (usize, Option<usize>, Vec<(usize, usize, bool)>);
+
+fn deferrable_strategy() -> impl Strategy<Value = Deferrable> {
+    let step = (any::<usize>(), any::<usize>(), 0u8..4).prop_map(|(b, t, e)| (b, t, e == 0));
+    (
+        2usize..6,
+        any::<usize>(),
+        proptest::collection::vec(step, 0..40),
+    )
+        .prop_map(|(n, pick, script)| (n, (pick % 3 == 0).then_some(pick % n), script))
+}
+
+/// Marks the faulty process and wakes every process up.
+fn start(mon: &mut IncrementalChecker, (n, faulty, _): &Deferrable) {
+    if let Some(p) = faulty {
+        mon.mark_faulty(ProcessId(*p));
+    }
+    for p in 0..*n {
+        mon.append_init(ProcessId(p));
+    }
+}
+
+/// Appends one step of an execution over `n` processes to a monitor
+/// holding `total` events.
+fn append_step(mon: &mut IncrementalChecker, n: usize, total: usize, step: (usize, usize, bool)) {
+    let (back, to, exempt) = step;
+    let (from, to) = (EventId(total - 1 - back % total), ProcessId(to % n));
+    if exempt {
+        mon.append_send_exempt(from, to);
+    } else {
+        mon.append_send(from, to);
+    }
+}
+
+/// The arena, arc for arc, and every live node's out-list.
+fn arena(mon: &IncrementalChecker) -> (Vec<(usize, usize, ArcKind)>, Vec<Vec<usize>>) {
+    let tg = &mon.tg;
+    let arcs = tg.arcs().iter().map(|a| (a.from, a.to, a.kind)).collect();
+    let lists = (tg.base()..tg.total_nodes()).map(|v| tg.out_arcs(v).collect());
+    (arcs, lists.collect())
+}
+
+/// Deferral ≡ eager. A monitor that defers its arena ends deferral at a
+/// random prefix — at its first tense append, or when asked to keep its
+/// margin — and from then on holds exactly the arena, out-lists and
+/// potentials of a monitor that kept its margin from before its first
+/// append (which never defers; a kept column touches neither arcs nor
+/// `pot`); before, it holds no arena at all. Counters, latch point and
+/// witness agree throughout.
+#[test]
+fn a_deferred_arena_is_the_one_the_appends_would_have_grown() {
+    use std::cell::Cell;
+    let (by_tension, by_tracking) = (Cell::new(0), Cell::new(0));
+    let xi = (2i64..8, 1i64..5).prop_filter("Xi > 1", |(num, den)| num > den);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(384),
+        (deferrable_strategy(), xi, 0usize..48),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "a_deferred_arena_is_the_one_the_appends_would_have_grown",
+        |(execution, (num, den), end_at)| {
+            let (n, _, script) = &execution;
+            let xi = Xi::from_fraction(num, den);
+            let mut lazy = IncrementalChecker::new(*n, &xi).unwrap();
+            let mut eager = IncrementalChecker::new(*n, &xi).unwrap();
+            eager.enable_margin_tracking();
+            start(&mut lazy, &execution);
+            start(&mut eager, &execution);
+            let mut total = *n;
+            for (i, &step) in script.iter().enumerate() {
+                if i == end_at && lazy.deferred {
+                    lazy.enable_margin_tracking();
+                    by_tracking.set(by_tracking.get() + 1);
+                }
+                let was_deferred = lazy.deferred;
+                append_step(&mut lazy, *n, total, step);
+                append_step(&mut eager, *n, total, step);
+                total += 1;
+                if was_deferred && !lazy.deferred {
+                    by_tension.set(by_tension.get() + 1);
+                }
+                if lazy.deferred {
+                    prop_assert_eq!((lazy.tg.total_nodes(), lazy.tg.num_arcs()), (0, 0));
+                    prop_assert_eq!(lazy.sends.len(), total);
+                } else {
+                    prop_assert_eq!(arena(&lazy), arena(&eager), "event {}", total);
+                }
+                prop_assert_eq!(&lazy.pot, &eager.pot, "event {}", total);
+                let (l, e) = (lazy.stats(), eager.stats());
+                prop_assert_eq!((l.arcs, l.live_arcs_peak), (e.arcs, e.live_arcs_peak));
+                prop_assert_eq!(
+                    (lazy.live_arcs(), l.relaxations),
+                    (eager.live_arcs(), e.relaxations)
+                );
+                prop_assert_eq!(lazy.violation(), eager.violation(), "event {}", total);
+                prop_assert_eq!(lazy.violation_summary(), eager.violation_summary());
+            }
+            Ok(())
+        },
+    );
+    let (by_tension, by_tracking) = (by_tension.get(), by_tracking.get());
+    assert!(
+        by_tension > 50 && by_tracking > 50,
+        "deferral ended {by_tension} times at a tense append, {by_tracking} when asked"
+    );
+}
+
+/// A quiet execution — no append went tense, so none relaxed a label (a
+/// tense one relaxes at least one of its receive's out-arcs) — leaves a
+/// new monitor with no arena at all, while it counts every arc it would
+/// hold; its margin and bound are those of a monitor that built its arena
+/// from the start. An execution that went tense built it.
+#[test]
+fn a_quiet_execution_builds_no_arena() {
+    use std::cell::Cell;
+    let quiet = Cell::new(0);
+    let xi = (2i64..12, 1i64..4).prop_filter("Xi > 1", |(num, den)| num > den);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(256),
+        (deferrable_strategy(), xi),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "a_quiet_execution_builds_no_arena",
+        |(execution, (num, den))| {
+            let (n, _, script) = &execution;
+            let xi = Xi::from_fraction(num, den);
+            let mut lazy = IncrementalChecker::new(*n, &xi).unwrap();
+            let mut built = IncrementalChecker::new(*n, &xi).unwrap();
+            built.build_arena();
+            start(&mut lazy, &execution);
+            start(&mut built, &execution);
+            for (total, &step) in (*n..).zip(script) {
+                append_step(&mut lazy, *n, total, step);
+                append_step(&mut built, *n, total, step);
+            }
+            let stats = lazy.stats();
+            if stats.relaxations > 0 {
+                prop_assert!(!lazy.deferred && lazy.tg.num_arcs() > 0);
+                return Ok(());
+            }
+            quiet.set(quiet.get() + 1);
+            prop_assert_eq!((lazy.tg.num_arcs(), lazy.tg.capacity()), (0, 0));
+            prop_assert_eq!(lazy.live_arcs(), stats.arcs);
+            prop_assert!(script.is_empty() || stats.arcs > 0);
+            prop_assert_eq!(lazy.current_margin(), built.current_margin());
+            prop_assert_eq!(lazy.margin_ratio(), built.margin_ratio());
+            prop_assert_eq!(lazy.margin_upper_bound(), built.margin_upper_bound());
+            if let Some(bound) = lazy.margin_upper_bound() {
+                prop_assert!(bound <= *xi.as_ratio());
+            }
+            // The readers built nothing into the monitor.
+            prop_assert!(lazy.deferred && lazy.tg.capacity() == 0);
+            Ok(())
+        },
+    );
+    assert!(quiet.get() > 40, "{} quiet executions", quiet.get());
+}
+
+#[test]
+fn a_reset_after_a_build_defers_again_and_a_quiet_document_allocates_nothing() {
+    let (n, quiet, tense) = (4, dense_script(4, 200, 5), dense_script(4, 200, 6));
+    let (calm, tight) = (Xi::from_integer(1_000), Xi::from_fraction(3, 2));
+    let mut mon = IncrementalChecker::new(n, &calm).unwrap();
+    mon.enable_pruning();
+    feed_script(&mut mon, n, &quiet, |_, _| {});
+    let first = mon.stats();
+    assert!(mon.deferred && first.relaxations == 0 && first.arcs > 0);
+    mon.reset(n, &tight).unwrap();
+    feed_script(&mut mon, n, &tense, |_, _| {});
+    assert!(
+        !mon.deferred && mon.tg.num_arcs() > 0,
+        "the tense document built"
+    );
+    mon.reset(n, &calm).unwrap();
+    assert!(mon.deferred && mon.tg.total_nodes() == 0);
+    let before = mon.capacity();
+    feed_script(&mut mon, n, &quiet, |_, _| {});
+    assert!(mon.deferred && mon.tg.num_arcs() == 0);
+    assert_eq!(mon.stats(), first);
+    assert_eq!(mon.capacity(), before, "the quiet document allocated");
 }

@@ -20,7 +20,7 @@
 
 use crate::cycle::{Cycle, CycleStep, WitnessSummary};
 use crate::graph::{EventId, LocalEdge, ProcessId};
-use crate::traversal::ArcKind;
+use crate::traversal::{Arc, ArcKind};
 
 use super::repair::ConfirmCtx;
 use super::IncrementalChecker;
@@ -124,12 +124,16 @@ impl IncrementalChecker {
         walk.into_witness(u_proc)
     }
 
-    /// Expands a non-empty probe cycle (arc + chosen-signature picks,
-    /// traversal order) into a witness summary, shortcut arcs spliced from
-    /// the chosen signature.
-    pub(super) fn expand_window_cycle(&self, picks: &[(usize, usize)]) -> WitnessSummary {
+    /// Expands a non-empty probe cycle (picks of arena `arcs` + chosen
+    /// signature, traversal order) into a witness summary, shortcut arcs
+    /// spliced from the chosen signature. `arcs` is the window's arena, or
+    /// the one a deferring monitor built for a query.
+    pub(super) fn expand_window_cycle(
+        &self,
+        arcs: &[Arc],
+        picks: &[(usize, usize)],
+    ) -> WitnessSummary {
         let base = self.tg.base();
-        let arcs = self.tg.arcs();
         let proc_of_tail = |ai: usize| self.proc_of[arcs[ai].from - base];
         let mut walk = Expansion::default();
         for &(ai, si) in picks {

@@ -41,10 +41,12 @@
 //! extracts the witness in one pass; `max_relevant_cycle_ratio` runs
 //! the same kernel over the same structure once per probe of its ratio
 //! ascent, and the line-graph pass reads the in-CSR. The online monitor
-//! grows the *same* structure incrementally ([`push_node`] /
-//! [`push_arc`]) as events are appended — and hands its pruned window to
-//! the same ratio ascent — so batch and streaming decisions literally
-//! walk the same arcs.
+//! builds the *same* structure on demand: a quiet append touches labels
+//! only, and the first append that leaves a forward arc tense (or the
+//! first kept margin) builds the arena in one pass, after which it grows
+//! incrementally ([`push_node`] / [`push_arc`]) as events are appended —
+//! and hands its pruned window to the same ratio ascent — so batch and
+//! streaming decisions literally walk the same arcs.
 //!
 //! # Bounded-memory compaction
 //!
@@ -243,6 +245,15 @@ impl TraversalGraph {
         self.base + self.out_head.len() - 1
     }
 
+    /// Appends `nodes` nodes at once and reserves room for exactly `arcs`
+    /// more arcs, for a caller that builds a window in one pass.
+    pub(crate) fn grow(&mut self, nodes: usize, arcs: usize) {
+        self.out_head.resize(self.out_head.len() + nodes, NONE);
+        self.out_tail.resize(self.out_tail.len() + nodes, NONE);
+        self.arcs.reserve_exact(arcs);
+        self.out_next.reserve_exact(arcs);
+    }
+
     /// Appends an arc between live nodes; returns its arena index.
     ///
     /// # Panics
@@ -257,6 +268,14 @@ impl TraversalGraph {
             from < self.total_nodes() && to < self.total_nodes(),
             "arc endpoint not yet pushed"
         );
+        self.push_live_arc(from, to, kind)
+    }
+
+    /// [`TraversalGraph::push_arc`] for a caller that knows both endpoints
+    /// are live, without the checks.
+    pub(crate) fn push_live_arc(&mut self, from: usize, to: usize, kind: ArcKind) -> usize {
+        debug_assert!(from >= self.base && from < self.total_nodes());
+        debug_assert!(to >= self.base && to < self.total_nodes());
         let idx = self.arcs.len();
         self.arcs.push(Arc { from, to, kind });
         self.out_next.push(NONE);

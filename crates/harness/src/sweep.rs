@@ -281,7 +281,7 @@ impl SweepReport {
                 Some(r) => {
                     // `r < (n/d)·Ξ` as the integer comparison `d·r < n·Ξ`.
                     let below = |n: i64, d: i64| {
-                        &(r * &Ratio::from_integer(d)) < &(xi * &Ratio::from_integer(n))
+                        (r * &Ratio::from_integer(d)) < (xi * &Ratio::from_integer(n))
                     };
                     if below(1, 2) {
                         '.'
@@ -362,10 +362,7 @@ fn monitor_into(
             at_event,
             witness: witness.clone(),
         });
-    let margin = mon
-        .current_margin()
-        .map_err(|e| e.to_string())?
-        .map(|m| m.ratio);
+    let margin = mon.margin_ratio().map_err(|e| e.to_string())?;
     Ok((violation, margin))
 }
 

@@ -176,11 +176,14 @@ pub fn spacecraft_growing_delays(exchanges: usize) -> (ExecutionGraph, TimedGrap
     (g, TimedGraph::from_integer_times(&full))
 }
 
+/// One entry of [`named`]: `(name, description, builder)`, where the
+/// builder returns the scenario's execution graph.
+pub type NamedScenario = (&'static str, &'static str, fn() -> ExecutionGraph);
+
 /// The prebuilt scenarios by stable name, for harnesses and CLIs
-/// (`abc check --scenario <name>`): each entry is `(name, description,
-/// builder)` where the builder returns the scenario's execution graph.
+/// (`abc check --scenario <name>`).
 #[must_use]
-pub fn named() -> Vec<(&'static str, &'static str, fn() -> ExecutionGraph)> {
+pub fn named() -> Vec<NamedScenario> {
     vec![
         (
             "fig9",
