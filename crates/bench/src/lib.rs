@@ -12,9 +12,12 @@ pub mod experiments;
 pub mod fig6;
 pub mod workloads;
 
-/// The experiment registry: `(id, description, runner)`.
+/// One registered experiment: `(id, description, runner)`.
+pub type Experiment = (&'static str, &'static str, fn() -> bool);
+
+/// The experiment registry.
 #[must_use]
-pub fn registry() -> Vec<(&'static str, &'static str, fn() -> bool)> {
+pub fn registry() -> Vec<Experiment> {
     use experiments as e;
     vec![
         (

@@ -12,6 +12,11 @@
 //! at and past the integer limits, bad flags, wrong arity, a byte that is
 //! not UTF-8 — both must give the same records or the same error, word for
 //! word and line for line.
+//!
+//! And the streaming validator's in-flight tables are held to a model: on
+//! executions whose `m` records arrive up to thousands of events before
+//! their receives, its watermark is the oldest pending send after every
+//! record, and it accepts what document mode accepts.
 
 use abc_clocksync::TickGen;
 use abc_core::{check, ProcessId, Xi};
@@ -457,5 +462,157 @@ proptest! {
                 assert_reads_like_the_reference(&bytes, &what)?;
             }
         }
+    }
+}
+
+// ------------------------------------------ deliveries declared far ahead
+
+/// SplitMix64: the few random choices a generated document needs.
+struct Mix(u64);
+
+impl Mix {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// A message of a generated document: sent at event `send`, received at
+/// `recv` (`None`: never), its record placed just before event `at`
+/// (`events`: before `end`).
+#[derive(Clone, Copy)]
+struct Flight {
+    send: usize,
+    recv: Option<usize>,
+    at: usize,
+}
+
+/// A random valid execution of `n` processes and `events` events in
+/// streaming order, with each `m` record moved to a random point after
+/// its send: some by a few events, some by thousands. `corrupt` then
+/// points one delivered message at another's receive event, which no
+/// document may hold.
+fn far_ahead_document(
+    seed: u64,
+    n: usize,
+    events: usize,
+    corrupt: bool,
+) -> Vec<TraceRecord<'static>> {
+    let mut rng = Mix(seed);
+    // Events `0..n` are the wake-ups, at time 0.
+    let process = |seq: usize| seq % n;
+    let time = |seq: usize| if seq < n { 0 } else { seq as u64 };
+    let mut flights = Vec::new();
+    for recv in n..events {
+        let reach = [3, 40, 3_000][rng.below(3)].min(recv);
+        let send = recv - 1 - rng.below(reach);
+        flights.push(Flight {
+            send,
+            recv: Some(recv),
+            at: recv,
+        });
+    }
+    for _ in 0..rng.below(5) {
+        let send = rng.below(events);
+        flights.push(Flight {
+            send,
+            recv: None,
+            at: events,
+        });
+    }
+    for f in &mut flights {
+        if rng.below(2) == 0 {
+            f.at = f.send + 1 + rng.below(f.at - f.send);
+        }
+    }
+    let delivered = events - n;
+    if corrupt && delivered > 1 {
+        // Flights `0..delivered` are the delivered ones, in receive order.
+        let a = rng.below(delivered);
+        let b = (a + 1 + rng.below(delivered - 1)) % delivered;
+        flights[a].recv = flights[b].recv;
+        flights[a].at = flights[a].at.min(flights[b].at);
+    }
+    // Message indices are positions among the `m` records; the receive
+    // names its message by that index.
+    flights.sort_by_key(|f| (f.at, f.recv));
+    let mut trigger = vec![None; events];
+    for (i, f) in flights.iter().enumerate() {
+        if let Some(r) = f.recv {
+            trigger[r] = Some(i);
+        }
+    }
+    let mut records = vec![TraceRecord::Processes(n), TraceRecord::Faulty(&[])];
+    let mut next = flights.iter().peekable();
+    for seq in 0..=events {
+        while let Some(f) = next.next_if(|f| f.at == seq) {
+            records.push(TraceRecord::Message(MessageRecord {
+                from: process(f.send),
+                to: f.recv.map_or(0, process),
+                send_event: f.send,
+                recv_event: f.recv,
+                send_time: time(f.send),
+                recv_time: f.recv.map(time),
+            }));
+        }
+        if seq < events {
+            records.push(TraceRecord::Event(EventRecord {
+                seq: None,
+                process: process(seq),
+                time: time(seq),
+                trigger: trigger[seq],
+                received_only: false,
+                label: None,
+                distinguished: false,
+            }));
+        }
+    }
+    records.push(TraceRecord::End);
+    records
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// However far ahead a delivery is declared, the streaming parser's
+    /// watermark is the oldest send among the messages declared and not
+    /// yet received, after every record, and it accepts exactly the
+    /// documents document mode accepts.
+    #[test]
+    fn the_watermark_is_the_oldest_pending_send(
+        seed in any::<u64>(),
+        n in 2usize..5,
+        events in 1_200usize..2_600,
+        roll in 0u8..10,
+    ) {
+        let corrupt = roll < 3;
+        let records = far_ahead_document(seed, n, events, corrupt);
+        let mut parser = TraceLineParser::new_streaming().without_header();
+        let mut pending: Vec<Option<usize>> = Vec::new();
+        let mut streamed = Ok(());
+        for rec in &records {
+            if let Err(e) = parser.feed_record(*rec) {
+                streamed = Err(e);
+                break;
+            }
+            match rec {
+                TraceRecord::Message(m) if m.recv_event.is_some() => pending.push(Some(m.send_event)),
+                TraceRecord::Message(_) => pending.push(None),
+                TraceRecord::Event(EventRecord { trigger: Some(mi), .. }) => pending[*mi] = None,
+                _ => {}
+            }
+            let oldest = pending.iter().flatten().min().copied();
+            prop_assert_eq!(parser.oldest_pending_send(), oldest);
+        }
+        let mut document = TraceLineParser::new_document().without_header();
+        let documented = records
+            .iter()
+            .try_for_each(|rec| document.feed_record(*rec).map(drop))
+            .and_then(|()| document.finish().map(drop));
+        prop_assert_eq!(streamed.is_ok(), documented.is_ok(), "{:?} / {:?}", streamed, documented);
+        prop_assert_eq!(streamed.is_ok(), !corrupt);
     }
 }

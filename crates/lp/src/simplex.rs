@@ -88,9 +88,8 @@ pub fn solve(sys: &LinearSystem) -> Result<Feasibility, LpError> {
     let mut costs = vec![Ratio::zero(); tab.num_cols];
     costs[tab.t_col.unwrap()] = -Ratio::one();
     tab.set_objective(&costs);
-    match tab.optimize()? {
-        false => unreachable!("gap objective is capped by t <= 1, cannot be unbounded"),
-        true => {}
+    if !tab.optimize()? {
+        unreachable!("gap objective is capped by t <= 1, cannot be unbounded");
     }
     let t_star = -tab.objective_value(); // we minimized -t
     if t_star.is_positive() {
@@ -307,10 +306,9 @@ impl Tableau {
             if cb.is_zero() {
                 continue;
             }
-            for j in 0..self.num_cols {
-                if !row[j].is_zero() {
-                    let delta = cb * &row[j];
-                    self.obj[j] -= delta;
+            for (o, a) in self.obj.iter_mut().zip(row) {
+                if !a.is_zero() {
+                    *o -= cb * a;
                 }
             }
             self.obj_rhs -= cb * &self.rhs[i];
@@ -337,26 +335,23 @@ impl Tableau {
         // Eliminate the pivot column elsewhere.
         let prow_snapshot = self.rows[prow].clone();
         let prhs_snapshot = self.rhs[prow].clone();
-        for i in 0..self.rows.len() {
-            if i == prow || self.rows[i][pcol].is_zero() {
+        for (i, (row, rhs)) in self.rows.iter_mut().zip(&mut self.rhs).enumerate() {
+            if i == prow || row[pcol].is_zero() {
                 continue;
             }
-            let factor = self.rows[i][pcol].clone();
-            for j in 0..self.num_cols {
-                if !prow_snapshot[j].is_zero() {
-                    let delta = &factor * &prow_snapshot[j];
-                    self.rows[i][j] -= delta;
+            let factor = row[pcol].clone();
+            for (x, p) in row.iter_mut().zip(&prow_snapshot) {
+                if !p.is_zero() {
+                    *x -= &factor * p;
                 }
             }
-            let delta = &factor * &prhs_snapshot;
-            self.rhs[i] -= delta;
+            *rhs -= &factor * &prhs_snapshot;
         }
         if !self.obj[pcol].is_zero() {
             let factor = self.obj[pcol].clone();
-            for j in 0..self.num_cols {
-                if !prow_snapshot[j].is_zero() {
-                    let delta = &factor * &prow_snapshot[j];
-                    self.obj[j] -= delta;
+            for (o, p) in self.obj.iter_mut().zip(&prow_snapshot) {
+                if !p.is_zero() {
+                    *o -= &factor * p;
                 }
             }
             let delta = &factor * &prhs_snapshot;

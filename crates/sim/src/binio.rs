@@ -221,6 +221,13 @@ impl<'a> Cursor<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, String> {
+        // One byte below 0x80 is a whole varint, and always canonical.
+        if let Some(&b) = self.buf.get(self.pos) {
+            if b < 0x80 {
+                self.pos += 1;
+                return Ok(u64::from(b));
+            }
+        }
         match decode_varint(self.buf.get(self.pos..).unwrap_or(&[]))? {
             Some((v, n)) => {
                 self.pos += n;
@@ -853,6 +860,74 @@ mod tests {
         assert!(
             decode_varint(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]).is_err()
         );
+    }
+
+    /// Every record `payload` decodes to, or the decoder's error.
+    fn decoded(payload: &[u8]) -> Result<Vec<WireRecord>, String> {
+        let mut out = Vec::new();
+        RecordDecoder::new()
+            .decode_frame(payload, &mut |rec| {
+                out.push(rec);
+                true
+            })
+            .map(|()| out)
+    }
+
+    #[test]
+    fn records_read_one_byte_and_longer_varints_alike() {
+        let values = (0..=0x7f).chain([0x80, 0x3fff, 0x4000, u64::MAX]);
+        for v in values {
+            // A labelled event: its time delta and its label are varints.
+            let mut payload = vec![TAG_EVENT, EV_LABEL, 0x00];
+            push_varint(&mut payload, v);
+            push_varint(&mut payload, v);
+            let event = EventRecord {
+                seq: None,
+                process: 0,
+                time: v,
+                trigger: None,
+                received_only: false,
+                label: Some(v),
+                distinguished: false,
+            };
+            assert_eq!(
+                decoded(&payload),
+                Ok(vec![WireRecord::Event(event)]),
+                "{v:#x}"
+            );
+            let mut payload = vec![TAG_DECL_MESSAGES];
+            push_varint(&mut payload, v);
+            assert_eq!(
+                decoded(&payload),
+                Ok(vec![WireRecord::DeclaredMessages(v as usize)]),
+                "{v:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn records_refuse_non_canonical_varints_in_the_same_words() {
+        let overlong = "overlong varint encoding";
+        let overflow = "varint overflows 64 bits";
+        let mut eleven = vec![TAG_DECL_EVENTS];
+        eleven.extend([0x80; 11]);
+        let mut top = vec![TAG_DECL_EVENTS];
+        top.extend([0xff; 9]);
+        top.push(0x02);
+        let cases: [(&[u8], &str); 6] = [
+            (&[TAG_DECL_EVENTS, 0x80, 0x00], overlong),
+            (&[TAG_DECL_EVENTS, 0xff, 0x00], overlong),
+            (&[TAG_EVENT, 0x00, 0x00, 0x81, 0x00], overlong),
+            (&eleven, overflow),
+            (&top, overflow),
+            (
+                &[TAG_DECL_EVENTS, 0x80],
+                "truncated record (frame ends mid-varint)",
+            ),
+        ];
+        for (payload, want) in cases {
+            assert_eq!(decoded(payload), Err(want.to_string()), "{payload:02x?}");
+        }
     }
 
     #[test]

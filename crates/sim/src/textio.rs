@@ -56,13 +56,20 @@
 //! * **streaming mode** ([`TraceLineParser::new_streaming`]) never stores
 //!   the document — only a compact `(process, time)` pair per event for
 //!   cross-validation plus O(processes + in-flight messages) working
-//!   state: each `e` line yields an [`EventFeed`] that can be pushed
-//!   straight into an [`abc_core::monitor::IncrementalChecker`], and every
-//!   reference is validated *before* it could panic a downstream graph
-//!   builder — which is what makes it safe to expose to untrusted network
-//!   clients. Both modes accept exactly the same documents (modulo line
-//!   order), so a server verdict and a file re-check never diverge on
-//!   validity.
+//!   state. A declared delivery waits in a *due ring* indexed by its
+//!   receive event's distance from the next event, one slot write when
+//!   its `m` line arrives and one front read when its `e` line does; one
+//!   declared 1024 or more events ahead waits in an ordered spill map
+//!   instead, so the ring never outgrows 1024 slots. Under a prune
+//!   horizon ([`TraceLineParser::forget_events_below`]) the per-event
+//!   sidecar is drained only once its forgotten prefix is as long as the
+//!   rest, at amortized O(1) per event. Each `e` line yields an
+//!   [`EventFeed`] that can be pushed straight into an
+//!   [`abc_core::monitor::IncrementalChecker`], and every reference is
+//!   validated *before* it could panic a downstream graph builder — which
+//!   is what makes it safe to expose to untrusted network clients. Both
+//!   modes accept exactly the same documents (modulo line order), so a
+//!   server verdict and a file re-check never diverge on validity.
 //!
 //! Text never accumulates: [`LineAssembler`] splits raw bytes into lines
 //! with a hard per-line length cap, so a malicious or broken producer
@@ -133,9 +140,8 @@
 //! takes — which `crates/harness/tests/trace_text_proptests.rs` checks
 //! against a lexer written without it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::hash::BuildHasherDefault;
 use std::io::Read;
 use std::str::SplitWhitespace;
 
@@ -543,6 +549,7 @@ pub enum EventFeed {
 /// for its receive `e` line.
 #[derive(Clone, Copy, Debug)]
 struct PendingDelivery {
+    message: usize,
     to: ProcessId,
     send_event: usize,
     recv_event: usize,
@@ -660,33 +667,9 @@ impl MessageRecord {
     }
 }
 
-/// Hasher for the streaming-mode bookkeeping maps, whose keys are small
-/// dense event/message indices. The default SipHash costs more than an
-/// entire decoded binary event on the ingestion hot path; a multiply-mix
-/// is ample here — crafted collisions only slow the offending session's
-/// own shard, and per-tick work is bounded upstream.
-#[derive(Clone, Copy, Debug, Default)]
-struct IndexHasher(u64);
-
-impl std::hash::Hasher for IndexHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.0 = (self.0 ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        // Fold the multiply's high-bit entropy down into the low bits the
-        // table indexes with.
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type IndexMap<V> = HashMap<usize, V, BuildHasherDefault<IndexHasher>>;
+/// How many events ahead of the next one a streaming-mode delivery is
+/// held in the due ring; one declared further ahead waits in the spill.
+const DUE_SPAN: usize = 1024;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PState {
@@ -736,12 +719,18 @@ pub struct TraceLineParser {
     // strictness as document mode — the document text, labels, flags, and
     // message set are still never stored.
     event_meta: Vec<(ProcessId, u64)>,
-    /// First event index still held in `event_meta` (streaming mode can
-    /// compact the sidecar below a prune horizon via
-    /// [`TraceLineParser::forget_events_below`]).
+    /// The event index `event_meta[0]` belongs to.
     meta_base: usize,
-    pending: IndexMap<PendingDelivery>,
-    expected_at: IndexMap<usize>,
+    /// Events below this were forgotten
+    /// ([`TraceLineParser::forget_events_below`]); `event_meta` may still
+    /// hold some of them until it is drained.
+    meta_cut: usize,
+    /// The declared deliveries not yet received: slot `k` holds the one
+    /// declared for event `events_seen + k`, for `k < DUE_SPAN`.
+    due: VecDeque<Option<PendingDelivery>>,
+    /// Declared deliveries that were `DUE_SPAN` or more events ahead when
+    /// declared, by receive event; each stays here until its event.
+    due_far: BTreeMap<usize, PendingDelivery>,
 }
 
 impl TraceLineParser {
@@ -765,8 +754,9 @@ impl TraceLineParser {
             input_budget: 0,
             event_meta: Vec::new(),
             meta_base: 0,
-            pending: IndexMap::default(),
-            expected_at: IndexMap::default(),
+            meta_cut: 0,
+            due: VecDeque::new(),
+            due_far: BTreeMap::new(),
         }
     }
 
@@ -783,9 +773,11 @@ impl TraceLineParser {
     /// it), so each line is fully validated the moment it arrives — with
     /// exactly document mode's strictness, via a compact `(process, time)`
     /// pair per event — while line text, labels, and the message set are
-    /// dropped on the spot (working state beyond that sidecar is
-    /// O(processes + in-flight messages)). This is the mode network
-    /// servers expose to untrusted clients.
+    /// dropped on the spot. Working state beyond that sidecar is
+    /// O(processes + in-flight messages): a ring of the deliveries due in
+    /// the next 1024 events, by receive event, and a spill map for those
+    /// declared further ahead. This is the mode network servers expose to
+    /// untrusted clients.
     #[must_use]
     pub fn new_streaming() -> TraceLineParser {
         TraceLineParser::new(true)
@@ -847,8 +839,9 @@ impl TraceLineParser {
             input_budget,
             event_meta,
             meta_base,
-            pending,
-            expected_at,
+            meta_cut,
+            due,
+            due_far,
         } = self;
         *state = if expect_header {
             PState::ExpectHeader
@@ -870,8 +863,9 @@ impl TraceLineParser {
         *input_budget = 0;
         event_meta.clear();
         *meta_base = 0;
-        pending.clear();
-        expected_at.clear();
+        *meta_cut = 0;
+        due.clear();
+        due_far.clear();
     }
 
     /// Process count and faulty flags, once the `faulty` line has been
@@ -915,6 +909,11 @@ impl TraceLineParser {
     /// rejected with a parse error — the bounded-monitoring contract a
     /// server advertises when it enables pruning.
     ///
+    /// The sidecar is drained once the forgotten prefix it still holds is
+    /// as long as the rest, so each entry moves O(1) times and the sidecar
+    /// holds at most 2 × window + 1 entries, where the window is the
+    /// events from the last cut to the next event.
+    ///
     /// # Panics
     ///
     /// Panics on a document-mode parser (which stores the whole trace by
@@ -925,19 +924,30 @@ impl TraceLineParser {
             "forget_events_below is a streaming-mode operation"
         );
         let cut = event_idx.min(self.events_seen);
-        if cut > self.meta_base {
-            self.event_meta.drain(..cut - self.meta_base);
-            self.meta_base = cut;
+        if cut > self.meta_cut {
+            self.meta_cut = cut;
+            let dead = cut - self.meta_base;
+            if dead >= self.events_seen - cut {
+                self.event_meta.drain(..dead);
+                self.meta_base = cut;
+            }
         }
     }
 
     /// Streaming mode: the oldest send event named by a declared but not
     /// yet received message (`None` when no delivery is pending). Callers
     /// pruning a downstream monitor must keep their horizon at or below
-    /// this watermark.
+    /// this watermark. A scan of the due ring and its spill: O(1024 +
+    /// deliveries declared further ahead), O(in-flight messages) when
+    /// each message's line closely precedes its receive.
     #[must_use]
     pub fn oldest_pending_send(&self) -> Option<usize> {
-        self.pending.values().map(|p| p.send_event).min()
+        self.pending().map(|p| p.send_event).min()
+    }
+
+    /// Every declared delivery not yet received, in no particular order.
+    fn pending(&self) -> impl Iterator<Item = &PendingDelivery> {
+        self.due.iter().flatten().chain(self.due_far.values())
     }
 
     fn scalar(ln: usize, l: &str, key: &str) -> Result<usize, TraceTextError> {
@@ -1151,14 +1161,13 @@ impl TraceLineParser {
                 );
             }
         }
-        // The lowest such message, not whichever the table yields first:
-        // the reply must not depend on what the table held before `reset`.
-        if let Some((mi, p)) = self.pending.iter().min_by_key(|(mi, _)| **mi) {
+        // The lowest such message, whichever table holds it.
+        if let Some(p) = self.pending().min_by_key(|p| p.message) {
             return err(
                 ln,
                 format!(
-                    "message {mi} declares receive event {}, which never arrived",
-                    p.recv_event
+                    "message {} declares receive event {}, which never arrived",
+                    p.message, p.recv_event
                 ),
             );
         }
@@ -1232,18 +1241,23 @@ impl TraceLineParser {
         if self.events_seen > 0 && time < self.last_time {
             return err(ln, "event times must be non-decreasing");
         }
-        if self.streaming {
-            if let Some(&want) = self.expected_at.get(&seq) {
-                if trigger != Some(want) {
-                    return err(
-                        ln,
-                        format!(
-                            "event {seq} was declared the receive of message {want}, \
-                             but its trigger is {}",
-                            Dash(trigger)
-                        ),
-                    );
-                }
+        // Streaming mode: the delivery declared for this event, if any.
+        let due = match self.due.front() {
+            Some(Some(p)) => Some(*p),
+            _ if self.due_far.is_empty() => None,
+            _ => self.due_far.get(&seq).copied(),
+        };
+        if let Some(p) = due {
+            if trigger != Some(p.message) {
+                return err(
+                    ln,
+                    format!(
+                        "event {seq} was declared the receive of message {}, \
+                         but its trigger is {}",
+                        p.message,
+                        Dash(trigger)
+                    ),
+                );
             }
         }
         let feed = match trigger {
@@ -1269,28 +1283,23 @@ impl TraceLineParser {
                     }
                 }
                 let send_event = if self.streaming {
-                    let p = match self.pending.remove(&mi) {
-                        Some(p) => p,
-                        None => {
-                            return err(
-                                ln,
-                                format!(
+                    // `due` names `mi` if it is `Some`; otherwise `mi` is
+                    // pending at another event or not at all.
+                    let Some(p) = due else {
+                        return err(
+                            ln,
+                            match self.pending().find(|p| p.message == mi) {
+                                Some(p) => format!(
+                                    "message {mi} declares receive event {}, consumed at {seq}",
+                                    p.recv_event
+                                ),
+                                None => format!(
                                     "trigger {mi} does not name a prior undelivered `m` line \
                                      (streaming order requires each message before its receive)"
                                 ),
-                            )
-                        }
-                    };
-                    self.expected_at.remove(&p.recv_event);
-                    if p.recv_event != seq {
-                        return err(
-                            ln,
-                            format!(
-                                "message {mi} declares receive event {}, consumed at {seq}",
-                                p.recv_event
-                            ),
+                            },
                         );
-                    }
+                    };
                     if p.to != process {
                         return err(
                             ln,
@@ -1324,6 +1333,11 @@ impl TraceLineParser {
         self.events_seen += 1;
         if self.streaming {
             self.event_meta.push((process, time));
+            // This event's slot is spent; a delivery due now that was not
+            // in it came from the spill.
+            if self.due.pop_front().flatten().is_none() && due.is_some() {
+                self.due_far.remove(&seq);
+            }
         } else {
             self.events.push(TraceEvent {
                 seq,
@@ -1399,17 +1413,29 @@ impl TraceLineParser {
                         ),
                     );
                 }
-                self.pending.insert(
-                    index,
-                    PendingDelivery {
-                        to: ProcessId(to),
-                        send_event,
-                        recv_event: r,
-                        recv_time: rt,
-                    },
-                );
-                if self.expected_at.insert(r, index).is_some() {
+                // An entry spilled earlier may lie within the span by now.
+                let k = r - self.events_seen;
+                let taken = matches!(self.due.get(k), Some(Some(_)))
+                    || (!self.due_far.is_empty() && self.due_far.contains_key(&r));
+                if taken {
                     return err(ln, format!("two messages declare receive event {r}"));
+                }
+                let p = PendingDelivery {
+                    message: index,
+                    to: ProcessId(to),
+                    send_event,
+                    recv_event: r,
+                    recv_time: rt,
+                };
+                if k < DUE_SPAN {
+                    if self.due.len() <= k {
+                        self.due.resize(k + 1, None);
+                    }
+                    if let Some(slot) = self.due.get_mut(k) {
+                        *slot = Some(p);
+                    }
+                } else {
+                    self.due_far.insert(r, p);
                 }
             }
         }
@@ -1418,18 +1444,19 @@ impl TraceLineParser {
         // per-event metadata), so wire and file paths accept exactly the
         // same documents.
         let (sender_process, sender_time) = if self.streaming {
-            if send_event < self.meta_base {
+            if send_event < self.meta_cut {
                 return err(
                     ln,
                     format!(
                         "send_event {send_event} is older than the prune horizon (events \
                          before {} were compacted)",
-                        self.meta_base
+                        self.meta_cut
                     ),
                 );
             }
             // In range: `send_event < events_seen` was checked on entry and
-            // `>= meta_base` just above; `get` keeps the path panic-free.
+            // `>= meta_cut >= meta_base` just above; `get` keeps the path
+            // panic-free.
             let Some(&meta) = self.event_meta.get(send_event - self.meta_base) else {
                 return err(ln, format!("send_event {send_event} not yet seen"));
             };
@@ -1946,14 +1973,14 @@ mod tests {
 
     #[test]
     fn streaming_parser_has_no_document_memory() {
-        // In streaming order the pending-delivery map tracks only in-flight
-        // messages; the document itself is never stored.
+        // In streaming order the due ring tracks only in-flight messages;
+        // the document itself is never stored.
         let trace = sample_trace();
         let mut parser = TraceLineParser::new_streaming();
         let mut max_pending = 0usize;
         for line in trace.to_stream_text().lines() {
             parser.feed_line(line).unwrap();
-            max_pending = max_pending.max(parser.pending.len());
+            max_pending = max_pending.max(parser.pending().count());
         }
         assert!(parser.is_done());
         assert!(parser.events.is_empty() && parser.messages.is_empty());
@@ -2113,8 +2140,7 @@ mod tests {
                 p.faulty.capacity(),
                 p.has_init.capacity(),
                 p.event_meta.capacity(),
-                p.pending.capacity(),
-                p.expected_at.capacity(),
+                p.due.capacity(),
             ]
         };
         let before = capacities(&parser);
@@ -2122,6 +2148,188 @@ mod tests {
         parser.reset(true);
         assert_eq!(transcript(&mut parser, &lines), first);
         assert_eq!(capacities(&parser), before, "the second run allocated");
+    }
+
+    /// A two-process streaming document under construction: both
+    /// wake-ups, then whatever the caller adds. Event `seq ≥ 2` is at
+    /// process `seq % 2` and time `seq`.
+    struct Ahead {
+        lines: Vec<String>,
+        events: usize,
+        messages: usize,
+    }
+
+    impl Ahead {
+        fn new() -> Ahead {
+            let wake_ups = "abc-trace v1\nprocesses 2\nfaulty\ne 0 0 0 - 0 - 0\ne 1 1 0 - 0 - 0";
+            Ahead {
+                lines: wake_ups.lines().map(str::to_string).collect(),
+                events: 2,
+                messages: 0,
+            }
+        }
+
+        fn line(&mut self, l: &str) {
+            self.lines.push(l.to_string());
+        }
+
+        /// Declares a message for receive event `r` at `r % 2`, sent at the
+        /// other process's wake-up.
+        fn declare(&mut self, r: usize) {
+            let to = r % 2;
+            self.line(&format!("m {} {to} {} {r} 0 {r}", 1 - to, 1 - to));
+            self.messages += 1;
+        }
+
+        /// Delivers one message per event, each `m` line just before its
+        /// receive, until `upto` events have been seen.
+        fn fill_to(&mut self, upto: usize) {
+            while self.events < upto {
+                let seq = self.events;
+                let sent_at = if seq - 1 < 2 { 0 } else { seq - 1 };
+                self.line(&format!(
+                    "m {} {} {} {seq} {sent_at} {seq}",
+                    1 - seq % 2,
+                    seq % 2,
+                    seq - 1
+                ));
+                self.line(&format!(
+                    "e {seq} {} {seq} {} 0 - 0",
+                    seq % 2,
+                    self.messages
+                ));
+                self.messages += 1;
+                self.events += 1;
+            }
+        }
+
+        /// The result of the last line, with the watermark before it.
+        fn last(&self) -> String {
+            let mut parser = TraceLineParser::new_streaming();
+            let (body, tail) = self.lines.split_at(self.lines.len() - 1);
+            for l in body {
+                parser.feed_line(l).unwrap();
+            }
+            let watermark = parser.oldest_pending_send();
+            format!("{watermark:?} {:?}", parser.feed_line(&tail[0]))
+        }
+    }
+
+    #[test]
+    fn deliveries_declared_far_ahead_are_refused_in_the_same_words() {
+        // Declared at event 2: in the ring's first and last slots, then
+        // in the spill.
+        let mut seen = Vec::new();
+        for d in [1, DUE_SPAN - 1, DUE_SPAN, DUE_SPAN + 6] {
+            let r = 2 + d;
+            let (to, other) = (r % 2, 1 - r % 2);
+            let mut cases: Vec<Ahead> = Vec::new();
+            // Event r was promised to message 0 but names another message.
+            for trigger in ["-", "last"] {
+                let mut doc = Ahead::new();
+                doc.declare(r);
+                doc.fill_to(r);
+                let trigger = if trigger == "-" {
+                    "-".to_string()
+                } else {
+                    (doc.messages - 1).to_string()
+                };
+                doc.line(&format!("e {r} {to} {r} {trigger} 0 - 0"));
+                cases.push(doc);
+            }
+            // A trigger naming no pending message, and message 0 early.
+            for trigger in [77, 0] {
+                let mut doc = Ahead::new();
+                doc.declare(r);
+                doc.line(&format!("e 2 0 2 {trigger} 0 - 0"));
+                cases.push(doc);
+            }
+            // Message 0 at the wrong process, and at the wrong time.
+            for (process, time) in [(other, r), (to, r + 1)] {
+                let mut doc = Ahead::new();
+                doc.declare(r);
+                doc.fill_to(r);
+                doc.line(&format!("e {r} {process} {time} 0 0 - 0"));
+                cases.push(doc);
+            }
+            // Two messages for event r: declared together, and the second
+            // one event before r.
+            for fill in [2, r - 1] {
+                let mut doc = Ahead::new();
+                doc.declare(r);
+                doc.fill_to(fill);
+                doc.declare(r);
+                cases.push(doc);
+            }
+            // `end` before r: message 0 alone, then beside a message
+            // declared on the other side of the span.
+            for second in [None, Some(if d == 1 { 2 + DUE_SPAN + 6 } else { 3 })] {
+                let mut doc = Ahead::new();
+                doc.declare(r);
+                if let Some(s) = second {
+                    doc.declare(s);
+                }
+                doc.line("end");
+                cases.push(doc);
+            }
+            // Delivered where it was promised.
+            let mut doc = Ahead::new();
+            doc.declare(r);
+            doc.fill_to(r);
+            doc.line(&format!("e {r} {to} {r} 0 0 - 0"));
+            cases.push(doc);
+            seen.extend(cases.iter().map(|doc| format!("{d}: {}", doc.last())));
+        }
+        // Recorded from the hash-map validator this ring replaced: one
+        // row per case, the watermark before its last line and that
+        // line's result.
+        let golden = [
+            r#"1: Some(0) Err(TraceTextError { line: 9, message: "event 3 was declared the receive of message 0, but its trigger is -" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 9, message: "event 3 was declared the receive of message 0, but its trigger is 1" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 7, message: "trigger 77 does not name a prior undelivered `m` line (streaming order requires each message before its receive)" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 7, message: "message 0 declares receive event 3, consumed at 2" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 9, message: "message 0 addressed to p1, received at p0" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 9, message: "message 0 recv_time 3 != event time 4" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 7, message: "two messages declare receive event 3" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 7, message: "two messages declare receive event 3" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 7, message: "message 0 declares receive event 3, which never arrived" })"#,
+            r#"1: Some(0) Err(TraceTextError { line: 8, message: "message 0 declares receive event 3, which never arrived" })"#,
+            r#"1: Some(0) Ok(Event(Receive { seq: 3, process: ProcessId(1), send_event: Some(0) }))"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 2053, message: "event 1025 was declared the receive of message 0, but its trigger is -" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 2053, message: "event 1025 was declared the receive of message 0, but its trigger is 1023" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 7, message: "trigger 77 does not name a prior undelivered `m` line (streaming order requires each message before its receive)" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1025, consumed at 2" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 2053, message: "message 0 addressed to p1, received at p0" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 2053, message: "message 0 recv_time 1025 != event time 1026" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 7, message: "two messages declare receive event 1025" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 2051, message: "two messages declare receive event 1025" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1025, which never arrived" })"#,
+            r#"1023: Some(0) Err(TraceTextError { line: 8, message: "message 0 declares receive event 1025, which never arrived" })"#,
+            r#"1023: Some(0) Ok(Event(Receive { seq: 1025, process: ProcessId(1), send_event: Some(0) }))"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 2055, message: "event 1026 was declared the receive of message 0, but its trigger is -" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 2055, message: "event 1026 was declared the receive of message 0, but its trigger is 1024" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 7, message: "trigger 77 does not name a prior undelivered `m` line (streaming order requires each message before its receive)" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1026, consumed at 2" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 2055, message: "message 0 addressed to p0, received at p1" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 2055, message: "message 0 recv_time 1026 != event time 1027" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 7, message: "two messages declare receive event 1026" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 2053, message: "two messages declare receive event 1026" })"#,
+            r#"1024: Some(1) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1026, which never arrived" })"#,
+            r#"1024: Some(0) Err(TraceTextError { line: 8, message: "message 0 declares receive event 1026, which never arrived" })"#,
+            r#"1024: Some(1) Ok(Event(Receive { seq: 1026, process: ProcessId(0), send_event: Some(1) }))"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 2067, message: "event 1032 was declared the receive of message 0, but its trigger is -" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 2067, message: "event 1032 was declared the receive of message 0, but its trigger is 1030" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 7, message: "trigger 77 does not name a prior undelivered `m` line (streaming order requires each message before its receive)" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1032, consumed at 2" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 2067, message: "message 0 addressed to p0, received at p1" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 2067, message: "message 0 recv_time 1032 != event time 1033" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 7, message: "two messages declare receive event 1032" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 2065, message: "two messages declare receive event 1032" })"#,
+            r#"1030: Some(1) Err(TraceTextError { line: 7, message: "message 0 declares receive event 1032, which never arrived" })"#,
+            r#"1030: Some(0) Err(TraceTextError { line: 8, message: "message 0 declares receive event 1032, which never arrived" })"#,
+            r#"1030: Some(1) Ok(Event(Receive { seq: 1032, process: ProcessId(0), send_event: Some(1) }))"#,
+        ];
+        assert_eq!(seen, golden);
     }
 
     #[test]
@@ -2210,6 +2418,49 @@ mod tests {
         }
         text.push_str("end\n");
         Trace::from_text(&text).unwrap()
+    }
+
+    #[test]
+    fn a_forgetting_parser_holds_at_most_twice_its_window() {
+        let stream = ping_pong(20_000).to_stream_text();
+        // No counts, no `end`: one more message may follow.
+        let body: Vec<&str> = stream
+            .lines()
+            .filter(|l| !(l.starts_with("messages ") || *l == "end"))
+            .collect();
+        for horizon in [1, 256, 4_096] {
+            let mut parser = TraceLineParser::new_streaming();
+            for line in &body {
+                if let ParsedLine::Event(_) = parser.feed_line(line).unwrap() {
+                    // The session's watermark.
+                    let seen = parser.events_seen();
+                    let mut watermark = seen.saturating_sub(horizon);
+                    if let Some(oldest) = parser.oldest_pending_send() {
+                        watermark = watermark.min(oldest);
+                    }
+                    parser.forget_events_below(watermark);
+                    let window = seen - parser.meta_cut;
+                    assert!(
+                        parser.event_meta.len() <= 2 * window + 1,
+                        "horizon {horizon}, event {seen}: {} held",
+                        parser.event_meta.len()
+                    );
+                }
+            }
+            let cut = parser.meta_cut;
+            assert_eq!(cut, 20_000 - horizon);
+            // Event `cut - 1` is at process `(cut - 1) % 2` and time `cut - 1`.
+            let below = format!("m {} 0 {} - {} -", (cut - 1) % 2, cut - 1, cut - 1);
+            let e = parser.feed_line(&below).unwrap_err();
+            assert_eq!(
+                e.message,
+                format!(
+                    "send_event {} is older than the prune horizon (events before {cut} were \
+                     compacted)",
+                    cut - 1
+                )
+            );
+        }
     }
 
     #[test]
