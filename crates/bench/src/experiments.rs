@@ -7,7 +7,7 @@ use abc_clocksync::{byzantine::TickRusher, instrument, LockStep, RoundApp, TickG
 use abc_core::assign::assign_delays;
 use abc_core::cyclespace::CycleVector;
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
-use abc_core::graph::{ExecutionGraph, ProcessId};
+use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
 use abc_core::{check, Xi};
 use abc_fd::{FdResponder, PingPongDetector};
 use abc_models::{parsync, scenarios, theta};
@@ -659,7 +659,7 @@ pub fn indistinguishability() -> bool {
     // 1. Run clock sync under band delays; extract the graph.
     let n = 4;
     let trace = workloads::clocksync_trace(n, 1, 10, 19, 13, 600);
-    let (g, event_map) = trace.to_execution_graph_with_map();
+    let g = trace.to_execution_graph();
     let xi = Xi::from_fraction(21, 10);
     let Ok(timed) = assign_delays(&g, &xi) else {
         println!("  assignment refused — trace not admissible?");
@@ -700,8 +700,9 @@ pub fn indistinguishability() -> bool {
     for (mi, tm) in trace.messages().iter().enumerate() {
         let delay = match tm.recv_event {
             Some(recv_idx) => {
-                let recv_graph = event_map[recv_idx].expect("delivered");
-                let abc_core::graph::Trigger::Message(mid) = g.event(recv_graph).trigger else {
+                // Trace event `i` is graph event `i`.
+                let abc_core::graph::Trigger::Message(mid) = g.event(EventId(recv_idx)).trigger
+                else {
                     unreachable!("receive events are message-triggered")
                 };
                 let d = timed.message_delay(&g, mid) * &scale_r;

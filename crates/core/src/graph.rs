@@ -388,6 +388,14 @@ impl ExecutionGraphBuilder {
         self.graph.messages[m.0].exempt = true;
     }
 
+    /// Makes room for `events` more events and `messages` more messages,
+    /// so a caller that knows the graph's size builds it without
+    /// regrowing either table.
+    pub fn reserve(&mut self, events: usize, messages: usize) {
+        self.graph.events.reserve(events);
+        self.graph.messages.reserve(messages);
+    }
+
     /// Number of events added so far.
     #[must_use]
     pub fn num_events(&self) -> usize {

@@ -272,19 +272,48 @@ fn reference_document(text: &str) -> Result<String, TraceTextError> {
     reference.parser.finish().map(|t| t.to_text())
 }
 
-/// What `from_reader` makes of `bytes`: a line that is not UTF-8 is an
-/// error at that line whatever else the document holds.
+/// What `from_reader` makes of `bytes`: its lines, split as `str::lines`
+/// splits text, go to the reference in order up to the first that is not
+/// UTF-8, which is then an error at that line. The first error in line
+/// order wins, as in `from_text`.
 fn reference_reader(bytes: &[u8]) -> Result<String, TraceTextError> {
-    match std::str::from_utf8(bytes) {
-        Ok(text) => reference_document(text),
-        Err(e) => Err(TraceTextError {
-            line: bytes[..e.valid_up_to()]
-                .iter()
-                .filter(|b| **b == b'\n')
-                .count()
-                + 1,
-            message: "line is not valid UTF-8".to_string(),
-        }),
+    let mut reference = Reference::new(false);
+    for (i, piece) in bytes.split_inclusive(|b| *b == b'\n').enumerate() {
+        let line = match piece.strip_suffix(b"\n") {
+            Some(line) => line.strip_suffix(b"\r").unwrap_or(line),
+            None => piece,
+        };
+        let Ok(line) = std::str::from_utf8(line) else {
+            return Err(TraceTextError {
+                line: i + 1,
+                message: "line is not valid UTF-8".to_string(),
+            });
+        };
+        reference.feed_line(line)?;
+    }
+    reference.parser.finish().map(|t| t.to_text())
+}
+
+/// How long the next read is, given what is left to serve.
+type Cut = fn(&[u8]) -> usize;
+
+/// Serves `bytes` in reads whose lengths `cut` picks (at least one byte
+/// each).
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    cut: Cut,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = (self.cut)(self.bytes)
+            .max(1)
+            .min(buf.len())
+            .min(self.bytes.len());
+        let (head, rest) = self.bytes.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.bytes = rest;
+        Ok(n)
     }
 }
 
@@ -413,16 +442,57 @@ impl Mutation {
     }
 }
 
-/// Document mode (from a string and from a reader) and streaming mode
-/// read `bytes` exactly as the reference does.
-fn assert_reads_like_the_reference(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
+/// `from_reader` reads `bytes` as the reference does, in one read and in
+/// reads of any size: one byte, seven, each up to a `\r` (which splits
+/// every CRLF across two reads), or each through one `\n` and on to one
+/// byte short of the next (which ends a read that completes a line inside
+/// the last field of the one behind it).
+fn assert_a_reader_reads_like_the_reference(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
     let from_reader = Trace::from_reader(bytes, DEFAULT_MAX_LINE_LEN).map(|t| t.to_text());
     prop_assert_eq!(
-        from_reader,
-        reference_reader(bytes),
+        &from_reader,
+        &reference_reader(bytes),
         "from_reader, {}",
         what
     );
+    let cuts: [(&str, Cut); 4] = [
+        ("1-byte", |_| 1),
+        ("7-byte", |_| 7),
+        ("CR-split", |rest| {
+            rest.iter()
+                .position(|b| *b == b'\r')
+                .map_or(rest.len(), |i| i + 1)
+        }),
+        ("mid-field", |rest| {
+            let mut ends = rest.iter().enumerate().filter(|(_, b)| **b == b'\n');
+            match (ends.next(), ends.next()) {
+                (Some(_), Some((second, _))) => second - 1,
+                _ => rest.len(),
+            }
+        }),
+    ];
+    for (name, cut) in cuts {
+        let trickle = Trickle { bytes, cut };
+        let read = Trace::from_reader(trickle, DEFAULT_MAX_LINE_LEN).map(|t| t.to_text());
+        prop_assert_eq!(
+            &read,
+            &from_reader,
+            "from_reader in {} reads, {}",
+            name,
+            what
+        );
+    }
+    Ok(())
+}
+
+/// Document mode (from a string and from a reader) and streaming mode
+/// read `bytes` exactly as the reference does.
+fn assert_reads_like_the_reference(bytes: &[u8], what: &str) -> Result<(), TestCaseError> {
+    assert_a_reader_reads_like_the_reference(bytes, what)?;
+    // Behind the document, a comment that is not UTF-8: an error in the
+    // document still comes first, at any read size.
+    let spoiled = [bytes, b"# \xff\n"].concat();
+    assert_a_reader_reads_like_the_reference(&spoiled, &format!("{what}, then bad UTF-8"))?;
     let Ok(text) = std::str::from_utf8(bytes) else {
         return Ok(());
     };

@@ -71,9 +71,11 @@
 //!   modes accept exactly the same documents (modulo line order), so a
 //!   server verdict and a file re-check never diverge on validity.
 //!
-//! Text never accumulates: [`LineAssembler`] splits raw bytes into lines
-//! with a hard per-line length cap, so a malicious or broken producer
-//! cannot balloon memory by withholding a newline.
+//! Text never accumulates: [`Trace::from_reader`] keeps at most the one
+//! unterminated line its last read ended in, and a socket's
+//! [`LineAssembler`] splits raw bytes into lines, both under a hard
+//! per-line length cap, so a malicious or broken producer cannot balloon
+//! memory by withholding a newline.
 //!
 //! The parser validates everything the simulator guarantees: counts match,
 //! indices are in range, events appear in `seq` order, wake-ups precede
@@ -139,6 +141,16 @@
 //! only be wrong by disagreeing with the general path about a line it
 //! takes — which `crates/harness/tests/trace_text_proptests.rs` checks
 //! against a lexer written without it.
+//!
+//! A document read whole ([`Trace::from_text`], and each read of
+//! [`Trace::from_reader`]) is not split into lines first: the fast path
+//! also finds the line end, which is where its last field stops if a
+//! `\n` or the end of the input is there. Only a line it does not take is
+//! cut out at its `\n`, a CRLF line's `\r` going with it as `str::lines`
+//! drops it, and handed to [`TraceLineParser::feed_line`], so a document
+//! costs one pass over its bytes. `feed_line` is also the entry for a
+//! caller that has its lines already (a socket's [`LineAssembler`]): the
+//! same lexer over one line, then the general path.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -154,8 +166,8 @@ use crate::trace::{Trace, TraceEvent, TraceMessage};
 /// [`Trace::from_text`].
 pub const TRACE_FORMAT_VERSION: &str = "v1";
 
-/// Default per-line byte cap enforced by [`LineAssembler`] users
-/// ([`Trace::from_reader`], the `abc-service` ingestion server). No
+/// Default per-line byte cap of [`Trace::from_reader`] and of the
+/// `abc-service` ingestion server's [`LineAssembler`]s. No
 /// well-formed trace line comes anywhere near this; a line that does is an
 /// attack or corruption and is rejected without being buffered.
 pub const DEFAULT_MAX_LINE_LEN: usize = 64 * 1024;
@@ -165,6 +177,10 @@ pub const DEFAULT_MAX_LINE_LEN: usize = 64 * 1024;
 /// for at most the 65 536 `e` and 74 898 `m` lines 1 MiB could hold (64 B
 /// an entry, untouched until a line fills it) and double from there.
 const READER_INPUT_BUDGET: usize = 1 << 20;
+
+/// The bytes [`Trace::from_reader`] asks its source for at a time, and
+/// its buffer's size until a longer line needs more.
+const READ_LEN: usize = 64 * 1024;
 
 /// A parse/validation error for the trace text format.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -319,15 +335,16 @@ impl Fields<'_> {
         self.0 = rest;
         Some(flag)
     }
-
-    /// `rec`, if the line ends where its last field did.
-    fn end<T>(&self, rec: T) -> Option<T> {
-        self.0.is_empty().then_some(rec)
-    }
 }
 
-fn lex_event_line(line: &[u8]) -> Option<EventRecord> {
-    let mut f = Fields(line.strip_prefix(b"e")?);
+/// An `e` line in the usual spelling at the front of `bytes`: its record
+/// and the bytes behind its last field, which the caller must find to be
+/// a line end (an empty line's end, a `\n`, or the end of the input).
+/// Inlined into both callers, [`TraceLineParser::feed_line`] and the
+/// document scan, so that neither pays a call per line.
+#[inline(always)]
+fn lex_event(bytes: &[u8]) -> Option<(EventRecord, &[u8])> {
+    let mut f = Fields(bytes.strip_prefix(b"e")?);
     let rec = EventRecord {
         seq: Some(f.index()?),
         process: f.index()?,
@@ -337,11 +354,13 @@ fn lex_event_line(line: &[u8]) -> Option<EventRecord> {
         label: f.opt()?,
         distinguished: f.flag()?,
     };
-    f.end(rec)
+    Some((rec, f.0))
 }
 
-fn lex_message_line(line: &[u8]) -> Option<MessageRecord> {
-    let mut f = Fields(line.strip_prefix(b"m")?);
+/// [`lex_event`] for an `m` line.
+#[inline(always)]
+fn lex_message(bytes: &[u8]) -> Option<(MessageRecord, &[u8])> {
+    let mut f = Fields(bytes.strip_prefix(b"m")?);
     let rec = MessageRecord {
         from: f.index()?,
         to: f.index()?,
@@ -350,18 +369,36 @@ fn lex_message_line(line: &[u8]) -> Option<MessageRecord> {
         send_time: f.u64()?,
         recv_time: f.opt()?,
     };
-    f.end(rec)
+    Some((rec, f.0))
 }
 
-/// Splits raw bytes into text lines with a hard per-line length cap.
-///
-/// Push-based so it serves both pull sources (files via
-/// [`Trace::from_reader`]) and event sources (non-blocking sockets in
-/// `abc-service`): feed whatever bytes arrived with [`LineAssembler::push`],
-/// then drain completed lines with [`LineAssembler::next_line`]. A line
-/// longer than the cap is rejected as soon as the cap is crossed — the
-/// oversized tail is never buffered, so a 100 MB "line" costs O(cap)
-/// memory, not 100 MB.
+/// What follows a line of `len` bytes whose content ended where `tail`
+/// starts, if the line ends there and is within `cap`: behind its `\n`,
+/// or nothing at the end of the input (`eof`).
+#[inline]
+fn past_line_end(tail: &[u8], len: usize, eof: bool, cap: usize) -> Option<&[u8]> {
+    if len > cap {
+        return None;
+    }
+    match tail {
+        [b'\n', after @ ..] => Some(after),
+        [] if eof => Some(tail),
+        _ => None,
+    }
+}
+
+fn line_too_long<T>(line: usize, cap: usize) -> Result<T, TraceTextError> {
+    err(line, format!("line exceeds {cap} bytes"))
+}
+
+/// Splits raw bytes into text lines with a hard per-line length cap, for
+/// an event source that hands over bytes as they arrive (the non-blocking
+/// sockets of `abc-service`'s text sessions): feed whatever bytes arrived
+/// with [`LineAssembler::push`], then drain completed lines with
+/// [`LineAssembler::next_line`]. A line longer than the cap is rejected as
+/// soon as the cap is crossed — the oversized tail is never buffered, so a
+/// 100 MB "line" costs O(cap) memory, not 100 MB. [`Trace::from_reader`]
+/// keeps the same cap without it, in the parser's own scan.
 #[derive(Debug)]
 pub struct LineAssembler {
     cap: usize,
@@ -397,7 +434,7 @@ impl LineAssembler {
         let line = self.completed + 1;
         if bytes.len() > self.cap {
             self.poisoned = true;
-            return err(line, format!("line exceeds {} bytes", self.cap));
+            return line_too_long(line, self.cap);
         }
         let mut s = match std::str::from_utf8(bytes) {
             Ok(s) => s,
@@ -443,10 +480,7 @@ impl LineAssembler {
         }
         if self.partial.len() + rest.len() > self.cap {
             self.poisoned = true;
-            return err(
-                self.completed + 1,
-                format!("line exceeds {} bytes", self.cap),
-            );
+            return line_too_long(self.completed + 1, self.cap);
         }
         self.partial.extend_from_slice(rest);
         Ok(())
@@ -976,10 +1010,10 @@ impl TraceLineParser {
             // The usual spelling of the two lines a document is made of,
             // in one scan; every other line, and every other spelling of
             // these two, is lexed below.
-            if let Some(rec) = lex_event_line(raw.as_bytes()) {
+            if let Some((rec, [])) = lex_event(raw.as_bytes()) {
                 return self.apply_event(ln, &rec);
             }
-            if let Some(rec) = lex_message_line(raw.as_bytes()) {
+            if let Some((rec, [])) = lex_message(raw.as_bytes()) {
                 return self.apply_message(ln, &rec);
             }
         }
@@ -1017,6 +1051,60 @@ impl TraceLineParser {
             PState::Body => self.feed_body_line(ln, l),
             PState::Done => err(ln, format!("trailing content after `end`: {l:?}")),
         }
+    }
+
+    /// Feeds the lines of `bytes` in order and returns how many bytes they
+    /// held, `\n`s included. A line is fed once a `\n` ends it, the last
+    /// one also at the end of `bytes` if `eof` says no input follows; a
+    /// CRLF line loses its `\r` as `str::lines` strips it. One scan does
+    /// both jobs: in the body an `e`/`m` line in the usual spelling is
+    /// lexed straight off the bytes, its end found where its last field
+    /// stops, and only a line the fast path does not take there is cut out
+    /// and handed to [`Self::feed_line`]. A line of more than `cap` bytes
+    /// (a `\r` counts, the `\n` does not) is refused at its number, and so
+    /// is a line that is not UTF-8.
+    fn feed_bytes(&mut self, bytes: &[u8], eof: bool, cap: usize) -> Result<usize, TraceTextError> {
+        let mut rest = bytes;
+        loop {
+            if self.state == PState::Body {
+                if let Some((rec, tail)) = lex_event(rest) {
+                    if let Some(after) = past_line_end(tail, rest.len() - tail.len(), eof, cap) {
+                        self.line_no += 1;
+                        self.apply_event(self.line_no, &rec)?;
+                        rest = after;
+                        continue;
+                    }
+                } else if let Some((rec, tail)) = lex_message(rest) {
+                    if let Some(after) = past_line_end(tail, rest.len() - tail.len(), eof, cap) {
+                        self.line_no += 1;
+                        self.apply_message(self.line_no, &rec)?;
+                        rest = after;
+                        continue;
+                    }
+                }
+            }
+            let (line, after, crlf) = match rest.iter().position(|b| *b == b'\n') {
+                Some(nl) => {
+                    let (line, after) = rest.split_at(nl);
+                    (line, after.get(1..).unwrap_or_default(), true)
+                }
+                None if eof && !rest.is_empty() => (rest, <&[u8]>::default(), false),
+                None => break,
+            };
+            if line.len() > cap {
+                return line_too_long(self.line_no + 1, cap);
+            }
+            let Ok(line) = std::str::from_utf8(line) else {
+                return err(self.line_no + 1, "line is not valid UTF-8");
+            };
+            let line = match line.strip_suffix('\r') {
+                Some(stripped) if crlf => stripped,
+                _ => line,
+            };
+            self.feed_line(line)?;
+            rest = after;
+        }
+        Ok(bytes.len() - rest.len())
     }
 
     /// Feeds one framing-independent record — the single entry point every
@@ -1673,9 +1761,12 @@ impl Trace {
     }
 
     /// Parses and validates a trace from the text format (either line
-    /// order; see the module docs). The `events` / `messages` declarations
-    /// size the trace's tables in one allocation each — for no more lines
-    /// than `text.len()` bytes could hold, whatever they declare.
+    /// order; see the module docs). The text is read in one scan that
+    /// lexes each line as it finds its end (no line split precedes it),
+    /// with the lines `str::lines` would yield and their numbers. The
+    /// `events` / `messages` declarations size the trace's tables in one
+    /// allocation each — for no more lines than `text.len()` bytes could
+    /// hold, whatever they declare.
     ///
     /// # Errors
     ///
@@ -1685,46 +1776,61 @@ impl Trace {
     pub fn from_text(text: &str) -> Result<Trace, TraceTextError> {
         let mut parser = TraceLineParser::new_document();
         parser.input_budget = text.len();
-        for line in text.lines() {
-            parser.feed_line(line)?;
-        }
+        parser.feed_bytes(text.as_bytes(), true, usize::MAX)?;
         parser.finish()
     }
 
-    /// Parses and validates a trace from a byte stream, line by line, with
-    /// a hard per-line length cap: the input text is never accumulated (a
-    /// 100 MB line is rejected after at most `max_line_len` buffered
-    /// bytes). This is how the CLI reads trace files. With no input
-    /// length to go by, the declared counts size the tables up to what a
-    /// 1 MiB document could hold (65 536 events, 74 898 messages); a
-    /// longer document grows them by doubling from there.
+    /// Parses and validates a trace from a byte stream with a hard
+    /// per-line length cap: the input text is never accumulated (a 100 MB
+    /// line is rejected after O(`max_line_len`) buffered bytes). This is
+    /// how the CLI reads trace files. Each read is scanned as
+    /// [`Trace::from_text`] scans its text, and only the unterminated
+    /// line at its end is kept for the next, so the lines, their numbers
+    /// and their errors are `from_text`'s whatever the read sizes; the
+    /// first error in line order wins, a line that is not UTF-8 or longer
+    /// than the cap included. With no input length to go by, the declared
+    /// counts size the tables up to what a 1 MiB document could hold
+    /// (65 536 events, 74 898 messages); a longer document grows them by
+    /// doubling from there.
     ///
     /// # Errors
     ///
     /// [`TraceTextError`] as for [`Trace::from_text`]; I/O errors are
     /// reported with line 0.
     pub fn from_reader(mut r: impl Read, max_line_len: usize) -> Result<Trace, TraceTextError> {
-        let mut assembler = LineAssembler::new(max_line_len);
         let mut parser = TraceLineParser::new_document();
         parser.input_budget = READER_INPUT_BUDGET;
-        let mut buf = [0u8; 16 * 1024];
+        // The unterminated line the last scan left, then the next read.
+        let mut buf = vec![0u8; READ_LEN];
+        let mut held = 0;
         loop {
-            let n = match r.read(&mut buf) {
-                Ok(0) => break,
+            if held == buf.len() {
+                // One line within the cap fills the buffer.
+                buf.resize(2 * buf.len(), 0);
+            }
+            let n = match r.read(buf.get_mut(held..).unwrap_or_default()) {
                 Ok(n) => n,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => return err(0, format!("read error: {e}")),
             };
-            assembler.push(buf.get(..n).unwrap_or(&[]))?;
-            while let Some(line) = assembler.next_line() {
-                parser.feed_line(line)?;
+            let eof = n == 0;
+            let fresh = buf.get(held..held + n).unwrap_or_default();
+            held += n;
+            if !eof && !fresh.contains(&b'\n') {
+                // No line ends in this read: nothing to scan again, but the
+                // unfinished line is refused as soon as it crosses the cap.
+                if held > max_line_len {
+                    return line_too_long(parser.line_no + 1, max_line_len);
+                }
+                continue;
             }
+            let fed = parser.feed_bytes(buf.get(..held).unwrap_or_default(), eof, max_line_len)?;
+            if eof {
+                return parser.finish();
+            }
+            buf.copy_within(fed..held, 0);
+            held -= fed;
         }
-        assembler.finish()?;
-        while let Some(line) = assembler.next_line() {
-            parser.feed_line(line)?;
-        }
-        parser.finish()
     }
 }
 
@@ -2386,6 +2492,25 @@ mod tests {
             "consumed {} bytes before rejecting",
             src.served
         );
+        // A well-formed `e` line the fast path could lex is still held to
+        // the cap, at its own line, whether or not a `\n` ends it.
+        let text = sample_trace().to_text();
+        let (at, line) = text
+            .lines()
+            .enumerate()
+            .find(|(_, l)| l.starts_with("e "))
+            .unwrap();
+        let cap = line.len() - 1;
+        for text in [&text[..], &text[..text.find(line).unwrap() + line.len()]] {
+            let e = Trace::from_reader(text.as_bytes(), cap).unwrap_err();
+            assert_eq!(
+                (e.line, e.message),
+                (at + 1, format!("line exceeds {cap} bytes"))
+            );
+        }
+        // One byte more and that line passes.
+        let e = Trace::from_reader(text.as_bytes(), cap + 1).unwrap_err();
+        assert!(e.line > at + 1, "{e}");
     }
 
     #[test]
@@ -2395,9 +2520,53 @@ mod tests {
         let parsed = Trace::from_reader(text.as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
         assert_eq!(parsed.events(), trace.events());
         assert_eq!(parsed.messages(), trace.messages());
-        // A file missing its final newline still parses.
-        let parsed = Trace::from_reader(text.trim_end().as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
-        assert_eq!(parsed.events(), trace.events());
+        // A file missing its final newline, one whose last line ends in a
+        // lone `\r`, and a CRLF file read as `from_text` reads them, in one
+        // read and a byte at a time.
+        let crlf = text.replace('\n', "\r\n");
+        let variants = [
+            text.trim_end().to_string(),
+            format!("{}\r", text.trim_end()),
+            crlf.clone(),
+            crlf.trim_end().to_string(),
+        ];
+        for variant in &variants {
+            let whole = Trace::from_reader(variant.as_bytes(), DEFAULT_MAX_LINE_LEN).unwrap();
+            let by_byte = Trace::from_reader(OneByte(variant.as_bytes()), DEFAULT_MAX_LINE_LEN);
+            let by_text = Trace::from_text(variant).unwrap();
+            assert_eq!(whole.to_text(), text);
+            assert_eq!(by_byte.unwrap().to_text(), text);
+            assert_eq!(by_text.to_text(), text);
+        }
+        // The first error in line order wins at any read size: a bad `seq`
+        // at line 6 comes before a comment that is not UTF-8 at line 8.
+        let mut lines: Vec<Vec<u8>> = text.lines().map(|l| l.as_bytes().to_vec()).collect();
+        assert!(lines[5].starts_with(b"e 0 "), "{:?}", lines[5]);
+        lines[5][2] = b'5';
+        lines.insert(7, b"# \xff".to_vec());
+        let bytes = lines.join(&b'\n');
+        let whole = Trace::from_reader(&bytes[..], DEFAULT_MAX_LINE_LEN).unwrap_err();
+        let by_byte = Trace::from_reader(OneByte(&bytes), DEFAULT_MAX_LINE_LEN).unwrap_err();
+        for e in [whole, by_byte] {
+            assert_eq!(
+                (e.line, e.message),
+                (6, "event seq 5, expected 0".to_string())
+            );
+        }
+    }
+
+    /// Serves its bytes one per read.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let Some((first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            buf[0] = *first;
+            self.0 = rest;
+            Ok(1)
+        }
     }
 
     /// A wake-up per process, then `events - 2` deliveries bounced

@@ -101,33 +101,21 @@ impl Trace {
     /// Converts the trace into an execution graph (Definition 1), dropping
     /// in-flight/dropped messages (only completed receive events are
     /// nodes). Faulty processes are marked so their messages are exempt
-    /// from the ABC condition.
-    ///
-    /// Returns the graph; the mapping from trace events to graph events is
-    /// the identity on indices restricted to completed events, recoverable
-    /// via [`Trace::to_execution_graph_with_map`].
+    /// from the ABC condition. Every trace event is a completed event, so
+    /// trace event `i` is graph event `EventId(i)`.
     #[must_use]
     pub fn to_execution_graph(&self) -> ExecutionGraph {
-        self.to_execution_graph_with_map().0
-    }
-
-    /// Like [`Trace::to_execution_graph`], also returning
-    /// `map[trace_event_index] = Some(graph_event_id)`.
-    #[must_use]
-    pub fn to_execution_graph_with_map(&self) -> (ExecutionGraph, Vec<Option<EventId>>) {
         let mut b = ExecutionGraph::builder(self.num_processes);
-        let mut map: Vec<Option<EventId>> = vec![None; self.events.len()];
-        for (idx, ev) in self.events.iter().enumerate() {
+        b.reserve(self.events.len(), self.messages.len());
+        for ev in &self.events {
             match ev.trigger {
                 None => {
-                    map[idx] = Some(b.init(ev.process));
+                    b.init(ev.process);
                 }
                 Some(mi) => {
-                    let msg = &self.messages[mi];
-                    let send_graph_event = map[msg.send_event]
-                        .expect("sender event precedes receive event chronologically");
-                    let (_, recv) = b.send(send_graph_event, ev.process);
-                    map[idx] = Some(recv);
+                    // The sender precedes its receive, so it is already a
+                    // graph event, at its own index.
+                    b.send(EventId(self.messages[mi].send_event), ev.process);
                 }
             }
         }
@@ -136,7 +124,7 @@ impl Trace {
                 b.mark_faulty(ProcessId(p));
             }
         }
-        (b.finish(), map)
+        b.finish()
     }
 
     /// Streams the trace event by event into a fresh
@@ -294,10 +282,13 @@ mod tests {
         // 3 inits + 9 broadcast receptions.
         assert_eq!(trace.events().len(), 12);
         assert_eq!(trace.messages().len(), 9);
-        let (g, map) = trace.to_execution_graph_with_map();
+        let g = trace.to_execution_graph();
         assert_eq!(g.num_events(), 12);
         assert_eq!(g.num_messages(), 9);
-        assert!(map.iter().all(Option::is_some));
+        // Trace event `i` is graph event `i`.
+        for (i, ev) in trace.events().iter().enumerate() {
+            assert_eq!(g.event(EventId(i)).process, ev.process);
+        }
         let timed = trace.to_timed_graph();
         timed.validate(&g).unwrap();
         // All messages have delay ~3 (mod tie-break fractions).
