@@ -54,8 +54,11 @@
 //! again), and the kept labels charge a shortcut the cheapest of its lines
 //! at `r`. So the probe weights see the exact minimum crossing cost, not
 //! just the `Ξ`-optimal path the violation machinery stores. Every prune
-//! grows the envelopes (about 0.6 ms per prune at horizon 256, of which
-//! the envelope passes are 0.2), so every pruned window answers its margin.
+//! grows the envelopes, so every pruned window answers its margin. On the
+//! bounded served documents (horizon 256, one prune of ≈8 landings and
+//! 759 internal arcs each) a prune takes about 0.6 ms on a shared
+//! 2-hardware-thread host, of which the envelope passes are 0.32, the lex
+//! trees 0.12 and the composition of the condensed paths 0.12.
 //!
 //! # The envelope pass
 //!
@@ -66,9 +69,10 @@
 //! moment earlier, is that tree at `x = Ξ` — and then run as a FIFO
 //! worklist over one per-cut CSR, re-scanning only the events whose
 //! envelope changed (Cherkassky & Goldberg 1999, the discipline of the
-//! crate's kernel). A candidate line costs an arena link and an envelope
-//! rebuild only after an exact, allocation-free test that it wins
-//! somewhere on `[floor, ∞)` (`can_win`), and the labels live in flat
+//! crate's kernel). A candidate line costs an arena link and a merge into
+//! its slot's envelope — kept steepest first, so the merge is one hull
+//! scan and no sort — only after an exact, allocation-free test that it
+//! wins somewhere on `[floor, ∞)` (`can_win`), and the labels live in flat
 //! scratch the monitor owns (`EnvelopeScratch`), so a tree makes no
 //! per-node allocation. `crates/bench/tests/prune_work.rs` pins the
 //! pass's work by count; `monitor/tests.rs` keeps the cold, round-based
@@ -84,8 +88,8 @@ use crate::graph::ProcessId;
 use crate::maxratio::{self, step_reverses, Shortcuts};
 use crate::traversal::{ArcKind, TraversalGraph};
 
-use super::prune::{Cut, ShortcutInfo};
-use super::witness::Expansion;
+use super::prune::{Cut, ShortcutTable};
+use super::witness::{Part, PathRef, Spelling, Step};
 use super::{effective_send, IncrementalChecker, MarginReport};
 
 static OBS_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_probes");
@@ -110,106 +114,81 @@ static OBS_SIG_REFUSALS: abc_obs::CounterDef =
     abc_obs::CounterDef::new("monitor.prune_sig_refusals");
 
 /// One margin *signature* of a condensed settled-region path: its forward
-/// and backward message counts, plus the expansion needed to reproduce a
-/// witness through it. While the `weight`/`path` of a [`ShortcutInfo`]
-/// describe the one path that is lex-optimal at `Ξ`, margin probes
-/// evaluate cost lines `x·f − b` at probe ratios `x < Ξ`, where a
+/// and backward message counts, plus where the [`ShortcutTable`] keeps the
+/// path, to reproduce a witness through it. While the `weight`/`path` of a
+/// shortcut describe the one path that is lex-optimal at `Ξ`, margin
+/// probes evaluate cost lines `x·f − b` at probe ratios `x < Ξ`, where a
 /// different crossing path may be cheaper — so margin tracking keeps, per
 /// condensed arc, the *lower envelope* of all crossing paths' cost lines
 /// over the closed interval `[floor, ∞)` of still-reachable probe ratios.
-#[derive(Clone, Debug)]
+/// Often the lex path is one of them; its signature then shares it.
+#[derive(Clone, Copy, Debug)]
 pub(super) struct MarginSig {
     /// Forward message steps along the path.
     pub(super) f: i128,
     /// Backward message steps along the path.
     pub(super) b: i128,
-    pub(super) path: Expansion,
+    pub(super) path: PathRef,
 }
 
 /// A margin signature *while a prune composes shortcuts and rows*: the
 /// counts and boundary steps that every envelope and junction decision
-/// reads, plus what its path is put together from. Copying one copies no
-/// path; only the signatures that survive onto a [`ShortcutInfo`] are
-/// expanded into a [`MarginSig`] ([`Sig::materialize`]).
+/// reads, plus how its path is put together. Copying one copies no path;
+/// only the signatures that survive onto a shortcut are spelled out.
 #[derive(Clone, Copy)]
-pub(super) struct Sig<'a> {
-    f: i128,
-    b: i128,
-    /// First and last step of the path (no path here is empty).
-    first: Option<CycleStep>,
-    last: Option<CycleStep>,
-    head: SigHead<'a>,
-    /// What follows `head`, and the process of the event they meet at.
-    tail: Option<(ProcessId, &'a MarginSig)>,
+pub(super) struct Sig {
+    pub(super) f: i128,
+    pub(super) b: i128,
+    /// The last step of the path (no path here is empty).
+    last: CycleStep,
+    pub(super) path: Spelling,
 }
 
-/// How a [`Sig`]'s path starts.
-#[derive(Clone, Copy)]
-enum SigHead<'a> {
-    Step(CycleStep),
-    /// A signature an earlier prune, or this prune's tree, stored.
-    Stored(&'a MarginSig),
-}
-
-impl<'a> Sig<'a> {
-    fn step(f: i128, b: i128, step: CycleStep) -> Sig<'a> {
+impl Sig {
+    /// The signature of a plain arc's one step.
+    fn step(f: i128, b: i128, step: Step) -> Sig {
         Sig {
             f,
             b,
-            first: Some(step),
-            last: Some(step),
-            head: SigHead::Step(step),
-            tail: None,
+            last: step.step,
+            path: Spelling {
+                head: Part::Step(step),
+                tail: None,
+            },
         }
     }
 
-    pub(super) fn stored(sig: &'a MarginSig) -> Sig<'a> {
+    /// A signature an earlier prune, or this prune's tree, stored.
+    pub(super) fn stored(table: &ShortcutTable, sig: &MarginSig) -> Sig {
         Sig {
             f: sig.f,
             b: sig.b,
-            first: sig.path.steps.first().copied(),
-            last: sig.path.steps.last().copied(),
-            head: SigHead::Stored(sig),
-            tail: None,
+            last: table.path_ends(sig.path).1.step,
+            path: Spelling::stored(sig.path),
         }
     }
 
-    /// `self · tail`, meeting at the vertex with process `joint`. Returns
-    /// `None` when the junction would immediately reverse one message —
-    /// see [`step_reverses`].
-    pub(super) fn concat(&self, joint: ProcessId, tail: &'a MarginSig) -> Option<Sig<'a>> {
-        debug_assert!(self.tail.is_none(), "a prune composes two paths, not three");
-        if let (Some(last), Some(first)) = (&self.last, tail.path.steps.first()) {
-            if step_reverses(last, first) {
-                return None;
-            }
+    /// `self · tail`, meeting at the event `tail` starts at. Returns `None`
+    /// when the junction would immediately reverse one message — see
+    /// [`step_reverses`].
+    pub(super) fn concat(&self, table: &ShortcutTable, tail: &MarginSig) -> Option<Sig> {
+        debug_assert!(
+            self.path.tail.is_none(),
+            "a prune composes two paths, not three"
+        );
+        let (first, last) = table.path_ends(tail.path);
+        if step_reverses(&self.last, &first.step) {
+            return None;
         }
         Some(Sig {
             f: self.f + tail.f,
             b: self.b + tail.b,
-            last: tail.path.steps.last().copied().or(self.last),
-            tail: Some((joint, tail)),
-            ..*self
-        })
-    }
-
-    /// Spells the path out: its steps and interior processes.
-    pub(super) fn materialize(&self) -> MarginSig {
-        let mut path = match self.head {
-            SigHead::Step(step) => Expansion {
-                steps: vec![step],
-                procs: Vec::new(),
+            last: last.step,
+            path: Spelling {
+                head: self.path.head,
+                tail: Some(tail.path),
             },
-            SigHead::Stored(sig) => sig.path.clone(),
-        };
-        if let Some((joint, tail)) = self.tail {
-            path.extend(joint, &tail.path);
-        }
-        MarginSig {
-            f: self.f,
-            b: self.b,
-            path,
-        }
+        })
     }
 }
 
@@ -219,7 +198,7 @@ pub(super) trait CostLine: Copy {
     fn counts(&self) -> (i128, i128);
 }
 
-impl CostLine for Sig<'_> {
+impl CostLine for Sig {
     fn counts(&self) -> (i128, i128) {
         (self.f, self.b)
     }
@@ -248,6 +227,17 @@ struct TreeLink {
     parent: usize,
     arc: usize,
     pick: usize,
+}
+
+/// Line `pick` of arena arc `arc` (a plain arc's one line is pick `0`),
+/// as the envelope pass extends a path by it: its counts and first step.
+#[derive(Clone, Copy)]
+struct ArcLine {
+    arc: usize,
+    pick: usize,
+    f: i128,
+    b: i128,
+    first: CycleStep,
 }
 
 /// The link of the empty path, at the landing itself.
@@ -280,6 +270,8 @@ pub(super) struct EnvelopeScratch {
     /// A tree-order walk's pending nodes, or the links of a path being
     /// spelled, last first.
     chain: Vec<usize>,
+    /// An exit's envelope, spelled.
+    spelled: Vec<MarginSig>,
     /// Junctions the landing's pass refused although their line could win
     /// (see [`IncrementalChecker::margin_sig_sssp`]).
     pub(super) refused: usize,
@@ -297,6 +289,7 @@ impl EnvelopeScratch {
             queued,
             merging,
             chain,
+            spelled,
             refused: _,
         } = self;
         lines.capacity()
@@ -306,6 +299,7 @@ impl EnvelopeScratch {
             + queued.capacity()
             + merging.capacity()
             + chain.capacity()
+            + spelled.capacity()
     }
 
     /// Empties every slot for the next landing's tree over `slots` slots.
@@ -328,11 +322,30 @@ impl EnvelopeScratch {
     /// Envelope-inserts `cand`, which [`can_win`], into `slot`.
     fn insert(&mut self, slot: usize, cand: TreeLine, lo: (i128, i128)) {
         let mut run = self.runs[slot];
+        if run.len == 0 {
+            // Most inserts give a slot its first line.
+            if run.cap == 0 {
+                run.start = self.lines.len();
+                run.cap = 2;
+                self.lines.resize(run.start + run.cap, cand);
+            }
+            self.lines[run.start] = cand;
+            run.len = 1;
+            self.runs[slot] = run;
+            return;
+        }
+        // The envelope is steepest first, one line per slope: `cand` goes
+        // before the first line no steeper than it, in place of one of its
+        // own slope, which it beats (it can win). The hull scan needs no
+        // sort then.
+        let old = &self.lines[run.start..run.start + run.len];
+        let at = old.iter().position(|l| l.f <= cand.f).unwrap_or(old.len());
+        let rest = at + usize::from(old.get(at).is_some_and(|l| l.f == cand.f));
         self.merging.clear();
-        self.merging
-            .extend_from_slice(&self.lines[run.start..run.start + run.len]);
+        self.merging.extend_from_slice(&old[..at]);
         self.merging.push(cand);
-        margin_envelope(&mut self.merging, lo);
+        self.merging.extend_from_slice(&old[rest..]);
+        hull(&mut self.merging, lo);
         debug_assert!(self.merging.iter().any(|l| l.link == cand.link));
         let len = self.merging.len();
         if len > run.cap {
@@ -425,8 +438,8 @@ impl KeptMargin {
     }
 
     /// Lets the guard know of a shortcut arc's lines.
-    pub(super) fn carries(&mut self, info: &ShortcutInfo) {
-        let heaviest = info.sigs.iter().map(|s| s.f + s.b).max();
+    pub(super) fn carries(&mut self, sigs: &[MarginSig]) {
+        let heaviest = sigs.iter().map(|s| s.f + s.b).max();
         self.mass = self.mass.max(heaviest.unwrap_or(0));
     }
 
@@ -463,44 +476,51 @@ fn kept_labels_fit((b, f): (i128, i128), mass: i128, size: usize) -> bool {
 
 /// The weight of an arc at the kept ratio `(b, f)`: the probe weights,
 /// `+b` forward, `−f` backward, and a shortcut's cheapest line.
-fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &[ShortcutInfo]) -> Option<i128> {
+fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &ShortcutTable) -> Option<i128> {
     maxratio::kind_weight(kind, b, f, |id| {
         maxratio::cheapest_line(shortcuts, id, b, f).map(|(w, _)| w)
     })
 }
 
-impl Shortcuts for [ShortcutInfo] {
+impl Shortcuts for ShortcutTable {
     fn lines(&self, id: usize) -> usize {
-        self[id].sigs.len()
+        self.sigs(id).len()
     }
     fn line(&self, id: usize, pick: usize) -> (i128, i128) {
-        let sig = &self[id].sigs[pick];
+        let sig = &self.sigs(id)[pick];
         (sig.f, sig.b)
     }
     fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>) {
-        let steps = &self[id].sigs[pick].path.steps;
-        (steps.first().copied(), steps.last().copied())
+        let (first, last) = self.path_ends(self.sigs(id)[pick].path);
+        (Some(first.step), Some(last.step))
     }
 }
 
-impl IncrementalChecker {
-    /// The margin signatures of one live arc: plain arcs carry their single
-    /// step, shortcut arcs their stored envelope.
-    pub(super) fn arc_sigs(&self, kind: ArcKind) -> impl Iterator<Item = Sig<'_>> {
-        let (own, stored): (Option<Sig>, &[MarginSig]) = match kind.step() {
-            Ok(step) => (kind.counts().ok().map(|(f, b)| Sig::step(f, b, step)), &[]),
-            Err(id) => (None, &self.shortcuts[id].sigs),
-        };
-        own.into_iter().chain(stored.iter().map(Sig::stored))
-    }
+/// The margin signatures of one live arc whose tail event belongs to
+/// `proc`: plain arcs carry their single step, shortcut arcs their stored
+/// envelope.
+pub(super) fn arc_sigs(
+    table: &ShortcutTable,
+    kind: ArcKind,
+    proc: ProcessId,
+) -> impl Iterator<Item = Sig> + '_ {
+    let (own, stored): (Option<Sig>, &[MarginSig]) = match (kind.step(), kind.counts()) {
+        (Ok(step), Ok((f, b))) => (Some(Sig::step(f, b, Step { step, proc })), &[]),
+        (_, Err(id)) => (None, table.sigs(id)),
+        (Err(_), Ok(_)) => unreachable!("an arc with counts is one step"),
+    };
+    own.into_iter()
+        .chain(stored.iter().map(move |s| Sig::stored(table, s)))
+}
 
+impl IncrementalChecker {
     /// Signature-envelope shortest paths from `start` over the cut's
-    /// internal arcs — the parametric companion of
-    /// [`IncrementalChecker::seeded_sssp`]: instead of the one lex-optimal
-    /// path at `Ξ`, every prefix event keeps the lower envelope of all
-    /// incoming path signatures over probe ratios at or above the margin
-    /// floor, and so does the live head of every exit arc (the internal
-    /// envelopes extended by the exit arc), in the slot after the events.
+    /// internal arcs — the parametric companion of the lex pass
+    /// (`LexScratch::run`): instead of the one lex-optimal path at `Ξ`,
+    /// every prefix event keeps the lower envelope of all incoming path
+    /// signatures over probe ratios at or above the margin floor, and so
+    /// does the live head of every exit arc (the internal envelopes
+    /// extended by the exit arc), in the slot after the events.
     ///
     /// `pred` is the landing's lex tree, and it already *is* this
     /// parametric tree evaluated at `x = Ξ`, a ratio at or above the floor:
@@ -531,6 +551,7 @@ impl IncrementalChecker {
         cut: &Cut,
         start: usize,
         pred: &[Option<usize>],
+        table: &ShortcutTable,
         sc: &mut EnvelopeScratch,
     ) {
         let base = cut.base;
@@ -560,7 +581,7 @@ impl IncrementalChecker {
             while let Some(node) = sc.chain.pop() {
                 let ai = pred[node].expect("only nodes with a tree arc are pending");
                 scans += 1;
-                if self.relax_sigs(cut, sc, ai, node) {
+                if self.relax_sigs(cut, table, sc, ai, node) {
                     sc.queued[node] = true;
                     sc.queue.push_back(node);
                 }
@@ -574,30 +595,38 @@ impl IncrementalChecker {
                 pops <= 100_000 * width,
                 "internal error: margin signature envelopes failed to converge"
             );
-            for &ai in cut.out_arcs(from) {
-                let to = arcs[ai].to - base;
+            for &r in cut.lex.out(from) {
+                let to = cut.lex.head[r];
                 scans += 1;
-                if self.relax_sigs(cut, sc, ai, to) && !sc.queued[to] {
+                if self.relax_sigs(cut, table, sc, cut.lex.arena[r], to) && !sc.queued[to] {
                     sc.queued[to] = true;
                     sc.queue.push_back(to);
                 }
             }
         }
         for (bi, &b) in cut.exits.iter().enumerate() {
-            self.relax_sigs(cut, sc, b, width + bi);
+            self.relax_sigs(cut, table, sc, b, width + bi);
         }
         let reached = sc.runs.iter().filter(|r| r.len > 0).count();
         OBS_SIG_LINKS.add(sc.links.len() as u64);
         OBS_SIG_SCANS.add(scans);
         OBS_SIG_NODES.add(reached as u64);
-        OBS_SIG_ARCS.add(cut.num_out_arcs() as u64);
+        OBS_SIG_ARCS.add(cut.lex.num_out() as u64);
         OBS_SIG_REFUSALS.add(sc.refused as u64);
     }
 
     /// The one relax step of the envelope pass: every line at the tail of
-    /// arena arc `ai`, extended by every line of the arc, is offered to
-    /// slot `to`. Returns whether `to`'s envelope changed.
-    fn relax_sigs(&self, cut: &Cut, sc: &mut EnvelopeScratch, ai: usize, to: usize) -> bool {
+    /// arena arc `ai`, extended by every line of the arc (a plain arc's
+    /// one step, read off its kind), is offered to slot `to`. Returns
+    /// whether `to`'s envelope changed.
+    fn relax_sigs(
+        &self,
+        cut: &Cut,
+        table: &ShortcutTable,
+        sc: &mut EnvelopeScratch,
+        ai: usize,
+        to: usize,
+    ) -> bool {
         let arc = self.tg.arcs()[ai];
         let mut changed = false;
         let from = sc.runs[arc.from - cut.base];
@@ -605,55 +634,89 @@ impl IncrementalChecker {
         // lap a prefix cycle), so its inserts leave the tail's run alone.
         for at in from.start..from.start + from.len {
             let l = sc.lines[at];
-            for (pick, d) in self.arc_sigs(arc.kind).enumerate() {
-                let (f, b) = (l.f + d.f, l.b + d.b);
-                // Nothing is linked or rebuilt for a line that cannot win.
-                if !can_win(sc.envelope(to), f, b, cut.floor) {
-                    continue;
+            match (arc.kind.step(), arc.kind.counts()) {
+                (Ok(first), Ok((f, b))) => {
+                    let d = ArcLine {
+                        arc: ai,
+                        pick: 0,
+                        f,
+                        b,
+                        first,
+                    };
+                    changed |= self.offer_line(cut, table, sc, l, d, to);
                 }
-                let last = sc.links.get(l.link).map(|k| self.last_step(k));
-                if let (Some(last), Some(first)) = (&last, &d.first) {
-                    if step_reverses(last, first) {
-                        sc.refused += 1;
-                        continue;
+                (_, Err(id)) => {
+                    for (pick, sig) in table.sigs(id).iter().enumerate() {
+                        let d = ArcLine {
+                            arc: ai,
+                            pick,
+                            f: sig.f,
+                            b: sig.b,
+                            first: table.path_ends(sig.path).0.step,
+                        };
+                        changed |= self.offer_line(cut, table, sc, l, d, to);
                     }
                 }
-                let link = sc.links.len();
-                sc.links.push(TreeLink {
-                    parent: l.link,
-                    arc: ai,
-                    pick,
-                });
-                sc.insert(to, TreeLine { f, b, link }, cut.floor);
-                changed = true;
+                (Err(_), Ok(_)) => unreachable!("an arc with counts is one step"),
             }
         }
         changed
     }
 
+    /// Offers slot `to` the line `l` extended by the arc line `d`; returns
+    /// whether it was kept.
+    fn offer_line(
+        &self,
+        cut: &Cut,
+        table: &ShortcutTable,
+        sc: &mut EnvelopeScratch,
+        l: TreeLine,
+        d: ArcLine,
+        to: usize,
+    ) -> bool {
+        let (f, b) = (l.f + d.f, l.b + d.b);
+        // Nothing is linked or rebuilt for a line that cannot win.
+        if !can_win(sc.envelope(to), f, b, cut.floor) {
+            return false;
+        }
+        if let Some(k) = sc.links.get(l.link) {
+            if step_reverses(&self.last_step(table, k), &d.first) {
+                sc.refused += 1;
+                return false;
+            }
+        }
+        let link = sc.links.len();
+        sc.links.push(TreeLink {
+            parent: l.link,
+            arc: d.arc,
+            pick: d.pick,
+        });
+        sc.insert(to, TreeLine { f, b, link }, cut.floor);
+        true
+    }
+
     /// The last step of the path `link` ends.
-    fn last_step(&self, link: &TreeLink) -> CycleStep {
+    fn last_step(&self, table: &ShortcutTable, link: &TreeLink) -> CycleStep {
         match self.tg.arcs()[link.arc].kind.step() {
             Ok(step) => step,
-            Err(id) => *self.shortcuts[id].sigs[link.pick]
-                .path
-                .steps
-                .last()
-                .expect("a condensed path has steps"),
+            Err(id) => table.path_ends(table.sigs(id)[link.pick].path).1.step,
         }
     }
 
-    /// Spells out what the landing whose tree `sc` holds sees behind exit
-    /// `bi` of `cut`: the envelope of all its paths to the exit's head.
-    pub(super) fn exit_envelope(
+    /// Spells out, into `table`'s pool, what the landing whose tree `sc`
+    /// holds sees behind exit `bi` of `cut`: the envelope of all its paths
+    /// to the exit's head. A path equal to `share`'s steps is `share`.
+    pub(super) fn exit_envelope<'s>(
         &self,
         cut: &Cut,
-        sc: &mut EnvelopeScratch,
+        sc: &'s mut EnvelopeScratch,
         bi: usize,
-    ) -> Vec<MarginSig> {
+        table: &mut ShortcutTable,
+        share: Option<PathRef>,
+    ) -> &'s [MarginSig] {
         let arcs = self.tg.arcs();
         let run = sc.runs[cut.w - cut.base + bi];
-        let mut sigs = Vec::with_capacity(run.len);
+        sc.spelled.clear();
         for at in run.start..run.start + run.len {
             let line = sc.lines[at];
             let mut link = line.link;
@@ -661,21 +724,19 @@ impl IncrementalChecker {
                 sc.chain.push(link);
                 link = k.parent;
             }
-            let mut path = Expansion::default();
+            let open = table.open();
             while let Some(link) = sc.chain.pop() {
                 let TreeLink { arc, pick, .. } = sc.links[link];
-                let joint = self.proc_of[arcs[arc].from - cut.base];
-                path.push_arc(joint, arcs[arc].kind, |id| {
-                    &self.shortcuts[id].sigs[pick].path
-                });
+                let proc = self.proc_of[arcs[arc].from - cut.base];
+                table.push_part(table.arc_part(proc, arcs[arc].kind, Some(pick)));
             }
-            sigs.push(MarginSig {
+            sc.spelled.push(MarginSig {
                 f: line.f,
                 b: line.b,
-                path,
+                path: table.close(open, share),
             });
         }
-        sigs
+        &sc.spelled
     }
 
     /// Keeps the margin of a tracking monitor after the append of `recv`,
@@ -691,7 +752,7 @@ impl IncrementalChecker {
         let base = self.tg.base();
         let (u, v) = (from - base, recv - base);
         let size = self.stats.events + self.stats.arcs;
-        let (tg, shortcuts, kept) = (&self.tg, &self.shortcuts[..], &mut self.kept);
+        let (tg, shortcuts, kept) = (&self.tg, &self.shortcuts, &mut self.kept);
         let arcs = tg.arcs();
         loop {
             if !kept.usable(size) {
@@ -802,8 +863,7 @@ impl IncrementalChecker {
             self.kept.cycle.clear();
         }
         if !self.kept.above_one() && !self.kept.one {
-            self.kept.one =
-                maxratio::tight_cycle_exists(&self.tg, &self.shortcuts[..], &self.kept.pot);
+            self.kept.one = maxratio::tight_cycle_exists(&self.tg, &self.shortcuts, &self.kept.pot);
         }
         true
     }
@@ -816,7 +876,7 @@ impl IncrementalChecker {
         }
         let exists = self.kept.above_one()
             || self.kept.one
-            || maxratio::tight_cycle_exists(&self.tg, &self.shortcuts[..], &self.kept.pot);
+            || maxratio::tight_cycle_exists(&self.tg, &self.shortcuts, &self.kept.pot);
         Ok(exists.then(|| maxratio::ratio_of(self.kept.ratio)))
     }
 
@@ -1001,7 +1061,7 @@ impl IncrementalChecker {
             match arc.kind {
                 ArcKind::Forward(_) => push(d, self.q),
                 ArcKind::Shortcut(id) => {
-                    for s in &self.shortcuts[id].sigs {
+                    for s in self.shortcuts.sigs(id) {
                         if s.f > 0 {
                             push(d + self.q * s.b, self.q * s.f);
                         }
@@ -1052,11 +1112,16 @@ pub(super) fn margin_envelope<L: CostLine>(lines: &mut Vec<L>, lo: (i128, i128))
         af.cmp(&bf).then(bb.cmp(&ab))
     });
     lines.dedup_by(|cur, kept| cur.counts().0 == kept.counts().0);
+    lines.reverse();
+    hull(lines, lo);
+}
+
+/// [`margin_envelope`] of lines already steepest first, one per slope.
+fn hull<L: CostLine>(lines: &mut Vec<L>, lo: (i128, i128)) {
     // Steepest-first hull scan, in place: `lines[..kept]` is the hull so
     // far, each line winning an interval left of its successor's; a line
     // whose takeover point is not strictly right of its predecessor's
     // takeover never wins anywhere.
-    lines.reverse();
     let mut kept = 0;
     for i in 0..lines.len() {
         let line = lines[i];

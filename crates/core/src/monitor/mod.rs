@@ -111,8 +111,8 @@ use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
 use margin::{EnvelopeScratch, KeptMargin};
-use prune::{FrontierRow, ShortcutInfo};
-use repair::ConfirmCtx;
+use prune::{FrontierRow, ShortcutTable};
+use repair::{ConfirmCtx, LexScratch};
 
 // Flight-recorder hooks (no-ops unless the embedding process called
 // `abc_obs::enable`). The hot append path gets only relaxed counter
@@ -214,8 +214,10 @@ pub struct IncrementalChecker {
     /// Scratch of the kernel the frontier repairs run on: empty until the
     /// first, clean between them, kept by [`IncrementalChecker::reset`].
     kernel: NegCycle,
-    /// Scratch of the signature-envelope passes a prune runs:
-    /// empty until the first, kept by [`IncrementalChecker::reset`].
+    /// Scratch of the lex passes a prune runs: empty until the first, kept
+    /// by [`IncrementalChecker::reset`].
+    lex: LexScratch,
+    /// Likewise for the prune's signature-envelope passes.
     envelopes: EnvelopeScratch,
     /// Latest event id of each process (survives pruning — it guards
     /// double-init and locates local predecessors).
@@ -223,9 +225,9 @@ pub struct IncrementalChecker {
     /// What a pruned per-process frontier left behind (see [`FrontierRow`]);
     /// recomposed by later prunes, consumed by the process's next append.
     frontier_row: Vec<Option<FrontierRow>>,
-    /// Expansion table for the arena's [`ArcKind::Shortcut`] arcs; rebuilt
-    /// (compacted) at every prune.
-    shortcuts: Vec<ShortcutInfo>,
+    /// The condensed paths of the arena's [`ArcKind::Shortcut`] arcs and of
+    /// the frontier rows; rebuilt (compacted) at every prune.
+    shortcuts: ShortcutTable,
     total_messages: usize,
     violation: Option<Cycle>,
     violation_summary: Option<WitnessSummary>,
@@ -265,10 +267,11 @@ impl IncrementalChecker {
             proc_of: Vec::new(),
             pot: Vec::new(),
             kernel: NegCycle::default(),
+            lex: LexScratch::default(),
             envelopes: EnvelopeScratch::default(),
             last_event: vec![None; num_processes],
             frontier_row: vec![None; num_processes],
-            shortcuts: Vec::new(),
+            shortcuts: ShortcutTable::default(),
             total_messages: 0,
             violation: None,
             violation_summary: None,
@@ -313,7 +316,8 @@ impl IncrementalChecker {
             proc_of,
             pot,
             kernel: _,    // clean between repairs; its capacity is the point
-            envelopes: _, // re-armed per landing; likewise
+            lex: _,       // re-armed per landing; likewise
+            envelopes: _, // likewise
             last_event,
             frontier_row,
             shortcuts,
@@ -369,6 +373,7 @@ impl IncrementalChecker {
             + self.proc_of.capacity()
             + self.pot.capacity()
             + self.kernel.capacity()
+            + self.lex.capacity()
             + self.envelopes.capacity()
             + self.last_event.capacity()
             + self.frontier_row.capacity()
@@ -742,7 +747,7 @@ impl IncrementalChecker {
 
     fn push_arc(&mut self, from: usize, to: usize, kind: ArcKind) {
         if let ArcKind::Shortcut(id) = kind {
-            self.kept.carries(&self.shortcuts[id]);
+            self.kept.carries(self.shortcuts.sigs(id));
         }
         self.tg.push_arc(from, to, kind);
         self.count_arcs(1);
@@ -846,7 +851,7 @@ fn push_receive_arcs(
 }
 
 /// The lexicographic weight of a live arc for `Ξ = p/q`.
-fn weight_of(kind: ArcKind, p: i128, q: i128, shortcuts: &[ShortcutInfo]) -> Weight {
+fn weight_of(kind: ArcKind, p: i128, q: i128, shortcuts: &ShortcutTable) -> Weight {
     let first = match kind {
         ArcKind::Forward(_) => p,
         ArcKind::Backward(_) => -q,

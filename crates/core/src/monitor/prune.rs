@@ -45,41 +45,291 @@
 //! keeps the slot, every path's margin signatures join its envelope.
 //!
 //! What a cut computes it computes once. The internal arcs are indexed
-//! into **one CSR by tail** per cut, which every landing's envelope pass
-//! reads. A landing's envelope pass is **warm-started from its lex tree**:
-//! that tree is the parametric tree at `x = Ξ`, its arcs give every
-//! reached event a genuine path line to start on, and from any start made
-//! of genuine path lines the worklist ends in the envelope of all paths
-//! (the `margin` module has the argument, and the one junction rule that
-//! reads which path holds a line). And the composite `landing ⇝ exit` —
-//! the walk up the predecessor chain, its expansion, its envelope — is
-//! spelled **once per (landing, exit)**, in `landing_trees`; every entry
-//! arc and row that lands there composes with it by reference.
+//! into **flat columns** per cut (`LexArcs`: ends and lex weight by rank,
+//! one CSR by tail), which every landing's lex pass and envelope pass
+//! read; the lex pass visits only the arcs whose tail moved (the `repair`
+//! module has the argument). A landing's envelope pass is **warm-started
+//! from its lex tree**: that tree is the parametric tree at `x = Ξ`, its
+//! arcs give every reached event a genuine path line to start on, and from
+//! any start made of genuine path lines the worklist ends in the envelope
+//! of all paths (the `margin` module has the argument, and the one
+//! junction rule that reads which path holds a line). The composite
+//! `landing ⇝ exit` — the walk up the predecessor chain, its path, its
+//! envelope — is spelled **once per (landing, exit)**, in `landing_trees`;
+//! every entry arc and row that lands there composes with it by
+//! reference.
+//!
+//! A composed path is not spelled until it is kept. A candidate is its
+//! lex weight, a [`Spelling`] (at most two stored paths, or a step and a
+//! path) and its signatures' counts; the candidates for one slot — a live
+//! endpoint pair, or a row's head, indexed densely — are merged, and only
+//! the slot's winner and the signatures that survive its envelope are
+//! spelled, into the one step pool of the [`ShortcutTable`]. A signature
+//! spelled like its shortcut shares the shortcut's path. The pool and the
+//! table's signature column only grow during a prune; `install` copies
+//! what is still referenced into spare columns and swaps them in, so once
+//! the columns have grown, a prune allocates a few buffers per cut and
+//! nothing per path.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Index;
 
 use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::negcycle::Label;
 use crate::traversal::ArcKind;
 
-use super::margin::{margin_envelope, EnvelopeScratch, MarginSig, Sig};
-use super::witness::Expansion;
-use super::{IncrementalChecker, Weight};
+use super::margin::{arc_sigs, margin_envelope, EnvelopeScratch, MarginSig, Sig};
+use super::repair::{LexArcs, LexScratch};
+use super::witness::{Part, PathRef, Spelling, Step};
+use super::{weight_of, IncrementalChecker, Weight};
 
 static OBS_PRUNED_EVENTS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_events");
 static OBS_PRUNED_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_arcs");
+// What the lex passes of tracked prunes did, summed over landings: arc
+// visits and relaxations (`crates/bench/tests/prune_lex_work.rs` bounds
+// the first by the second).
+static OBS_LEX_SCANS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_lex_scans");
+static OBS_LEX_RELAXATIONS: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("monitor.prune_lex_relaxations");
 
 /// A condensed boundary path of a pruned prefix: the exact lexicographic
-/// weight of the shortest settled-region path it stands for, plus the
-/// expansion needed to reproduce witnesses byte-for-byte. The arena's
-/// [`ArcKind::Shortcut`] arcs index a table of these.
-#[derive(Clone, Debug, Default)]
+/// weight of the shortest settled-region path it stands for, where its
+/// steps sit in the [`ShortcutTable`]'s pool (to reproduce witnesses
+/// byte-for-byte), and its margin signatures' run in the table.
+#[derive(Clone, Copy, Debug)]
 pub(super) struct ShortcutInfo {
     pub(super) weight: Weight,
-    /// The condensed path, between (and excluding) its live endpoints.
-    pub(super) path: Expansion,
-    /// Margin-signature envelope of *all* condensed paths behind this arc.
-    pub(super) sigs: Vec<MarginSig>,
+    pub(super) path: PathRef,
+    /// Margin-signature envelope of *all* condensed paths behind it.
+    sigs: SigRun,
+}
+
+/// Where one [`ShortcutInfo`]'s signatures sit in the table.
+#[derive(Clone, Copy, Debug)]
+struct SigRun {
+    start: u32,
+    end: u32,
+}
+
+/// The condensed paths of the arena's [`ArcKind::Shortcut`] arcs (by table
+/// id) and of the frontier rows, in flat columns: every signature in one
+/// run per path, every path's steps in one run of a shared pool. A prune
+/// appends what it composes; [`ShortcutTable::compact`] keeps what is
+/// still referenced.
+#[derive(Clone, Debug, Default)]
+pub(super) struct ShortcutTable {
+    infos: Vec<ShortcutInfo>,
+    sigs: Vec<MarginSig>,
+    steps: Vec<Step>,
+    /// What `compact` copies into and swaps in, kept for its capacity.
+    spare_sigs: Vec<MarginSig>,
+    spare_steps: Vec<Step>,
+}
+
+impl Index<usize> for ShortcutTable {
+    type Output = ShortcutInfo;
+
+    fn index(&self, id: usize) -> &ShortcutInfo {
+        &self.infos[id]
+    }
+}
+
+/// A column index as a pool position.
+fn pos(i: usize) -> u32 {
+    u32::try_from(i).expect("a shortcut table holds fewer than 2^32 steps and lines")
+}
+
+impl ShortcutTable {
+    pub(super) fn len(&self) -> usize {
+        self.infos.len()
+    }
+
+    #[cfg(test)]
+    pub(super) fn is_empty(&self) -> bool {
+        self.infos.is_empty()
+    }
+
+    pub(super) fn push(&mut self, info: ShortcutInfo) -> usize {
+        self.infos.push(info);
+        self.infos.len() - 1
+    }
+
+    /// Forgets every shortcut and path, keeping every column's capacity.
+    pub(super) fn clear(&mut self) {
+        self.infos.clear();
+        self.sigs.clear();
+        self.steps.clear();
+    }
+
+    /// What a reset keeps (see [`IncrementalChecker::capacity`]).
+    pub(super) fn capacity(&self) -> usize {
+        self.infos.capacity()
+            + self.sigs.capacity()
+            + self.steps.capacity()
+            + self.spare_sigs.capacity()
+            + self.spare_steps.capacity()
+    }
+
+    /// The steps of a path.
+    pub(super) fn path(&self, path: PathRef) -> &[Step] {
+        &self.steps[path.start as usize..path.end as usize]
+    }
+
+    /// The signatures of `info`.
+    pub(super) fn sigs_of(&self, info: &ShortcutInfo) -> &[MarginSig] {
+        &self.sigs[info.sigs.start as usize..info.sigs.end as usize]
+    }
+
+    /// The signatures of shortcut `id`.
+    pub(super) fn sigs(&self, id: usize) -> &[MarginSig] {
+        self.sigs_of(&self.infos[id])
+    }
+
+    /// The path of shortcut `id`: its lex path, or that of its line `pick`.
+    pub(super) fn arc_path(&self, id: usize, pick: Option<usize>) -> PathRef {
+        pick.map_or(self.infos[id].path, |pick| self.sigs(id)[pick].path)
+    }
+
+    /// The first and the last step of a path.
+    pub(super) fn path_ends(&self, path: PathRef) -> (Step, Step) {
+        let steps = self.path(path);
+        (steps[0], steps[steps.len() - 1])
+    }
+
+    /// Appends a stored path to the path being spelled.
+    pub(super) fn push_path(&mut self, path: PathRef) {
+        self.steps
+            .extend_from_within(path.start as usize..path.end as usize);
+    }
+
+    /// What live arc `kind`, whose tail event belongs to `proc`, stands
+    /// for: its step, or the shortcut's path (see
+    /// [`ShortcutTable::arc_path`]).
+    pub(super) fn arc_part(&self, proc: ProcessId, kind: ArcKind, pick: Option<usize>) -> Part {
+        match kind.step() {
+            Ok(step) => Part::Step(Step { step, proc }),
+            Err(id) => Part::Path(self.arc_path(id, pick)),
+        }
+    }
+
+    /// Appends `part` to the path being spelled.
+    pub(super) fn push_part(&mut self, part: Part) {
+        match part {
+            Part::Step(step) => self.steps.push(step),
+            Part::Path(path) => self.push_path(path),
+        }
+    }
+
+    /// Where the next spelled path starts.
+    pub(super) fn open(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The path spelled since `start`; one equal to `share`'s steps is
+    /// dropped again, and `share` is returned for it.
+    pub(super) fn close(&mut self, start: usize, share: Option<PathRef>) -> PathRef {
+        let path = PathRef {
+            start: pos(start),
+            end: pos(self.steps.len()),
+        };
+        debug_assert!(path.start < path.end, "no condensed path is empty");
+        match share {
+            Some(other) if self.path(other) == self.path(path) => {
+                self.steps.truncate(start);
+                other
+            }
+            _ => path,
+        }
+    }
+
+    /// The path `spelling` stands for: a stored path as it is, anything
+    /// else spelled out at the end of the pool.
+    pub(super) fn spell(&mut self, spelling: Spelling) -> PathRef {
+        if let Spelling {
+            head: Part::Path(path),
+            tail: None,
+        } = spelling
+        {
+            return path;
+        }
+        let start = self.open();
+        self.push_part(spelling.head);
+        if let Some(tail) = spelling.tail {
+            self.push_path(tail);
+        }
+        self.close(start, None)
+    }
+
+    /// Appends `sigs` as the signature run of a path of lex weight
+    /// `weight` stored at `path`.
+    pub(super) fn info(
+        &mut self,
+        weight: Weight,
+        path: PathRef,
+        sigs: impl IntoIterator<Item = MarginSig>,
+    ) -> ShortcutInfo {
+        let start = pos(self.sigs.len());
+        self.sigs.extend(sigs);
+        ShortcutInfo {
+            weight,
+            path,
+            sigs: SigRun {
+                start,
+                end: pos(self.sigs.len()),
+            },
+        }
+    }
+
+    /// Keeps the paths and signatures the table's shortcuts and `rows`
+    /// reference, and nothing else: copies them into the spare columns,
+    /// a signature that shares its shortcut's path sharing it still, and
+    /// swaps the columns.
+    fn compact(&mut self, rows: &mut [Option<FrontierRow>]) {
+        let ShortcutTable {
+            infos,
+            sigs,
+            steps,
+            spare_sigs,
+            spare_steps,
+        } = self;
+        spare_sigs.clear();
+        spare_steps.clear();
+        let copy = |path: PathRef, into: &mut Vec<Step>| {
+            let start = pos(into.len());
+            into.extend_from_slice(&steps[path.start as usize..path.end as usize]);
+            PathRef {
+                start,
+                end: pos(into.len()),
+            }
+        };
+        let outs = rows.iter_mut().flatten().flat_map(|row| &mut row.outs);
+        for info in infos.iter_mut().chain(outs.map(|out| &mut out.info)) {
+            let path = copy(info.path, spare_steps);
+            let start = pos(spare_sigs.len());
+            for sig in &sigs[info.sigs.start as usize..info.sigs.end as usize] {
+                let moved = if sig.path == info.path {
+                    path
+                } else {
+                    copy(sig.path, spare_steps)
+                };
+                spare_sigs.push(MarginSig {
+                    path: moved,
+                    ..*sig
+                });
+            }
+            info.path = path;
+            info.sigs = SigRun {
+                start,
+                end: pos(spare_sigs.len()),
+            };
+        }
+        // The columns swap roles every prune: the one that comes in as
+        // the pool grows to the capacity of the one that goes out, so a
+        // second equal document finds room in either.
+        spare_sigs.reserve_exact(sigs.capacity() - spare_sigs.len());
+        spare_steps.reserve_exact(steps.capacity() - spare_steps.len());
+        std::mem::swap(sigs, spare_sigs);
+        std::mem::swap(steps, spare_steps);
+    }
 }
 
 /// One condensed path out of a pruned frontier event: `prev ⇝ head`,
@@ -105,16 +355,11 @@ pub(super) struct FrontierRow {
 pub(super) struct Cut {
     pub(super) base: usize,
     pub(super) w: usize,
-    /// Arcs with both ends, only the head, only the tail below the cut.
-    pub(super) internal: Vec<usize>,
     entries: Vec<usize>,
     pub(super) exits: Vec<usize>,
-    /// The internal arcs as one CSR by tail, for every landing's envelope
-    /// pass: the out-arcs of prefix event `v` (windowed by `base`) are
-    /// `out[out_start[v]..out_start[v + 1]]`, in descending arena order,
-    /// self-loops left out.
-    out_start: Vec<usize>,
-    out: Vec<usize>,
+    /// The internal arcs (both ends below the cut), indexed for every
+    /// landing's lex and envelope pass; empty without exits.
+    pub(super) lex: LexArcs,
     /// Prefix events that need a shortest-path tree: entry-arc heads,
     /// freshly pruned frontiers, stale row heads (none without exits).
     pub(super) landings: Vec<usize>,
@@ -125,90 +370,116 @@ pub(super) struct Cut {
     pub(super) floor: (i128, i128),
 }
 
-impl Cut {
-    /// The internal out-arcs of prefix event `v` (windowed by `base`).
-    pub(super) fn out_arcs(&self, v: usize) -> &[usize] {
-        &self.out[self.out_start[v]..self.out_start[v + 1]]
-    }
+/// What each landing reaches inside the prefix: at `landing · exits +
+/// exit`, the composite `landing ⇝ head(exit)` going shortest-path inside
+/// the prefix then out through the exit arc, with the signature envelope
+/// of *all* such paths; `None` when the exit is out of the landing's
+/// reach. Spelled once per pair, whoever composes with it.
+type Trees = Vec<Option<ShortcutInfo>>;
 
-    /// How many arcs the CSR holds.
-    pub(super) fn num_out_arcs(&self) -> usize {
-        self.out.len()
-    }
-}
-
-/// What each landing reaches inside the prefix: per landing and exit, the
-/// composite `landing ⇝ head(exit)` going shortest-path inside the prefix
-/// then out through the exit arc (the landing itself stays excluded from
-/// the expansion's interior), with the signature envelope of *all* such
-/// paths; `None` when the exit is out of the landing's reach. Spelled
-/// once per pair, whoever composes with it.
-type Trees = Vec<Vec<Option<ShortcutInfo>>>;
-
-/// A condensed path while a prune assembles it: a [`ShortcutInfo`] whose
-/// signature envelope still borrows the paths it is composed of.
-struct Candidate<'a> {
+/// A candidate for a slot: its lex weight, how its path is put together,
+/// its signatures (a run of [`Merge::sigs`]), whether merging it re-cuts
+/// the slot's envelope, and the slot's next candidate.
+struct Candidate {
     weight: Weight,
-    path: Expansion,
-    sigs: Vec<Sig<'a>>,
+    path: Spelling,
+    sigs: (usize, usize),
+    recut: bool,
+    next: Option<usize>,
 }
 
-impl<'a> Candidate<'a> {
-    fn stored(info: &'a ShortcutInfo) -> Candidate<'a> {
-        Candidate {
-            weight: info.weight,
-            path: info.path.clone(),
-            sigs: info.sigs.iter().map(Sig::stored).collect(),
-        }
-    }
+/// The one merge rule of a prune, for candidates ending on the same live
+/// endpoints (a *slot*): the lex-min path keeps the slot (the first on
+/// ties), and every candidate's signatures merge into the slot's envelope
+/// — a probe below `Ξ` may prefer a path that loses at `Ξ`. Candidates are
+/// offered in prune order and settled once all are in; only then is a
+/// path spelled.
+#[derive(Default)]
+struct Merge {
+    candidates: Vec<Candidate>,
+    sigs: Vec<Sig>,
+    /// Per slot, its first and its last candidate.
+    slots: Vec<(usize, usize)>,
+    /// The envelope being merged, and its signatures spelled, while a slot
+    /// settles.
+    merging: Vec<Sig>,
+    spelled: Vec<MarginSig>,
+}
 
-    /// `head · tail`, meeting at an event of process `joint`; `head` is
-    /// given by its lex weight, its expansion and its signatures.
-    fn joined(
+impl Merge {
+    /// Offers a candidate to slot `slot` (opened if `slot` is the next
+    /// one). `recut`: whether the candidate's signatures are recut at the
+    /// floor even if it stays alone in its slot (a stored path that a later
+    /// candidate never joins keeps its signatures as they were).
+    fn offer(
+        &mut self,
+        slot: usize,
         weight: Weight,
-        mut path: Expansion,
-        sigs: impl Iterator<Item = Sig<'a>>,
-        joint: ProcessId,
-        tail: &'a ShortcutInfo,
-        floor: (i128, i128),
-    ) -> Candidate<'a> {
-        path.extend(joint, &tail.path);
-        let mut cands = Vec::new();
-        for h in sigs {
-            for s in &tail.sigs {
-                cands.extend(h.concat(joint, s));
-            }
-        }
-        margin_envelope(&mut cands, floor);
-        Candidate {
-            weight: weight.plus(tail.weight),
+        path: Spelling,
+        sigs: impl IntoIterator<Item = Sig>,
+        recut: bool,
+    ) {
+        let start = self.sigs.len();
+        self.sigs.extend(sigs);
+        let id = self.candidates.len();
+        self.candidates.push(Candidate {
+            weight,
             path,
-            sigs: cands,
+            sigs: (start, self.sigs.len()),
+            recut,
+            next: None,
+        });
+        if slot == self.slots.len() {
+            self.slots.push((id, id));
+        } else {
+            let last = &mut self.slots[slot].1;
+            self.candidates[*last].next = Some(id);
+            *last = id;
         }
     }
 
-    /// The one merge rule of a prune, for candidates ending on the same
-    /// live endpoint: the lex-min path keeps the slot (the incumbent on
-    /// ties), and every candidate's signatures merge into the slot's
-    /// envelope — a probe below `Ξ` may prefer a path that loses at `Ξ`.
-    fn absorb(&mut self, other: Candidate<'a>, floor: (i128, i128)) {
-        if !other.sigs.is_empty() {
-            self.sigs.extend(other.sigs);
-            margin_envelope(&mut self.sigs, floor);
+    /// Settles slot `slot` into `table`: spells its winner's path and the
+    /// signatures of its envelope.
+    fn settle(
+        &mut self,
+        slot: usize,
+        table: &mut ShortcutTable,
+        floor: (i128, i128),
+    ) -> ShortcutInfo {
+        let (first, _) = self.slots[slot];
+        let mut best = first;
+        self.merging.clear();
+        let mut recut = self.candidates[first].recut;
+        let mut at = Some(first);
+        while let Some(id) = at {
+            let c = &self.candidates[id];
+            if c.weight < self.candidates[best].weight {
+                best = id;
+            }
+            let sigs = &self.sigs[c.sigs.0..c.sigs.1];
+            recut |= id != first && !sigs.is_empty();
+            self.merging.extend_from_slice(sigs);
+            at = c.next;
         }
-        if other.weight < self.weight {
-            self.weight = other.weight;
-            self.path = other.path;
+        if recut {
+            margin_envelope(&mut self.merging, floor);
         }
-    }
-
-    /// Spells the surviving signatures out; the borrows end here.
-    fn spell(self) -> ShortcutInfo {
-        ShortcutInfo {
-            weight: self.weight,
-            path: self.path,
-            sigs: self.sigs.iter().map(Sig::materialize).collect(),
+        let winner = &self.candidates[best];
+        let path = table.spell(winner.path);
+        self.spelled.clear();
+        for sig in &self.merging {
+            let sig_path = if sig.path == winner.path {
+                path
+            } else {
+                table.spell(sig.path)
+            };
+            self.spelled.push(MarginSig {
+                f: sig.f,
+                b: sig.b,
+                path: sig_path,
+            });
         }
+        table.info(winner.weight, path, self.spelled.drain(..))
     }
 }
 
@@ -221,6 +492,9 @@ struct Slot {
     survivor: Option<usize>,
     info: ShortcutInfo,
 }
+
+/// No index yet.
+const NONE: usize = usize::MAX;
 
 impl IncrementalChecker {
     /// Compacts the settled prefix `[base, W)` of the monitored execution,
@@ -292,25 +566,40 @@ impl IncrementalChecker {
     /// settled region stays exactly reachable.
     pub(super) fn materialize_row(&mut self, row: &FrontierRow, prev: usize, recv: usize) {
         // `prev` belongs to the receiving process.
-        let joint = self.proc_of[recv - self.tg.base()];
+        let proc = self.proc_of[recv - self.tg.base()];
         let local = ArcKind::LocalBack(LocalEdge {
             from: EventId(prev),
             to: EventId(recv),
         });
-        let step = local.step().expect("a local arc is one step");
+        let step = Step {
+            step: local.step().expect("a local arc is one step"),
+            proc,
+        };
+        let weight = self.arc_weight(local);
+        // Every signature path gets the same local-edge prefix; a local
+        // step carries no message, so `f`/`b` are unchanged.
+        let prefixed = |path| Spelling {
+            head: Part::Step(step),
+            tail: Some(path),
+        };
+        let mut sigs = Vec::new();
         for out in &row.outs {
-            // Every signature path gets the same local-edge prefix; a
-            // local step carries no message, so `f`/`b` are unchanged.
-            let sigs = out.info.sigs.iter().map(|s| MarginSig {
-                path: s.path.prefixed(step, joint),
-                ..*s
-            });
-            let id = self.shortcuts.len();
-            self.shortcuts.push(ShortcutInfo {
-                weight: out.info.weight.plus(self.arc_weight(local)),
-                path: out.info.path.prefixed(step, joint),
-                sigs: sigs.collect(),
-            });
+            let table = &mut self.shortcuts;
+            let path = table.spell(prefixed(out.info.path));
+            for k in 0..table.sigs_of(&out.info).len() {
+                let sig = table.sigs_of(&out.info)[k];
+                let sig_path = if sig.path == out.info.path {
+                    path
+                } else {
+                    table.spell(prefixed(sig.path))
+                };
+                sigs.push(MarginSig {
+                    path: sig_path,
+                    ..sig
+                });
+            }
+            let info = table.info(out.info.weight.plus(weight), path, sigs.drain(..));
+            let id = table.push(info);
             self.push_arc(recv, out.head, ArcKind::Shortcut(id));
         }
     }
@@ -326,61 +615,53 @@ impl IncrementalChecker {
     /// attach to frontier rows), so these condensations stay exact forever.
     fn condense_boundary(&mut self, w: usize) {
         let cut = self.classify_cut(w);
-        // Lent to the trees for the prune, then back for the next one.
-        let mut scratch = std::mem::take(&mut self.envelopes);
-        let trees = self.landing_trees(&cut, &mut scratch);
-        self.envelopes = scratch;
-        let slots = self.entry_exit_shortcuts(&cut, &trees);
-        let rows = self.frontier_rows(&cut, &trees);
+        // Lent to the prune's passes, then back for the next one.
+        let mut table = std::mem::take(&mut self.shortcuts);
+        let mut lex = std::mem::take(&mut self.lex);
+        let mut envelopes = std::mem::take(&mut self.envelopes);
+        let trees = self.landing_trees(&cut, &mut table, &mut lex, &mut envelopes);
+        self.lex = lex;
+        self.envelopes = envelopes;
+        let slots = self.entry_exit_shortcuts(&cut, &trees, &mut table);
+        let rows = self.frontier_rows(&cut, &trees, &mut table);
+        self.shortcuts = table;
         self.install(w, slots, rows);
     }
 
-    /// Classifies the arena against the cut and finds the landing points.
+    /// Classifies the arena against the cut, indexes the internal arcs and
+    /// finds the landing points.
     pub(super) fn classify_cut(&self, w: usize) -> Cut {
         let base = self.tg.base();
         let mut cut = Cut {
             base,
             w,
-            internal: Vec::new(),
             entries: Vec::new(),
             exits: Vec::new(),
-            out_start: vec![0; w - base + 1],
-            out: Vec::new(),
+            lex: LexArcs::default(),
             landings: Vec::new(),
             landing_idx: vec![None; w - base],
             floor: self.kept.ratio,
         };
-        for (ai, a) in self.tg.arcs().iter().enumerate() {
+        let arcs = self.tg.arcs();
+        for (ai, a) in arcs.iter().enumerate() {
             match (a.from < w, a.to < w) {
-                (true, true) => cut.internal.push(ai),
                 (false, true) => cut.entries.push(ai),
                 (true, false) => cut.exits.push(ai),
-                (false, false) => {}
+                _ => {}
             }
         }
         if cut.exits.is_empty() {
             return cut;
         }
-        // Counting sort by tail, filled from the back of the arena.
-        let arcs = self.tg.arcs();
-        let inner = || {
-            let arcs = cut.internal.iter().rev().map(|&ai| (ai, arcs[ai]));
-            arcs.filter(|(_, a)| a.from != a.to)
-        };
-        for (_, a) in inner() {
-            cut.out_start[a.from - base + 1] += 1;
-        }
-        for v in 0..w - base {
-            cut.out_start[v + 1] += cut.out_start[v];
-        }
-        let mut next = cut.out_start.clone();
-        cut.out = vec![0; next[w - base]];
-        for (ai, a) in inner() {
-            cut.out[next[a.from - base]] = ai;
-            next[a.from - base] += 1;
-        }
+        let internal = arcs
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.from < w && a.to < w);
+        let indexed =
+            internal.map(|(ai, a)| (ai, a.from - base, a.to - base, self.arc_weight(a.kind)));
+        cut.lex = LexArcs::index(w - base, indexed);
         let mut heads: Vec<usize> = Vec::new();
-        heads.extend(cut.entries.iter().map(|&ai| self.tg.arcs()[ai].to));
+        heads.extend(cut.entries.iter().map(|&ai| arcs[ai].to));
         for p in 0..self.num_processes {
             match (self.last_event[p], &self.frontier_row[p]) {
                 (Some(le), _) if le >= base && le < w => heads.push(le),
@@ -400,44 +681,54 @@ impl IncrementalChecker {
     }
 
     /// One shortest-path tree per landing, over the internal arcs only
-    /// (same seeded pass as the confirmation's — settled prefixes
+    /// (the lex pass the confirmation runs too — settled prefixes
     /// typically converge in a handful of rounds), its parametric
     /// companion, started from that tree, and what the two say about
-    /// every exit.
-    fn landing_trees(&self, cut: &Cut, scratch: &mut EnvelopeScratch) -> Trees {
+    /// every exit, spelled into `table`'s pool.
+    fn landing_trees(
+        &self,
+        cut: &Cut,
+        table: &mut ShortcutTable,
+        lex: &mut LexScratch,
+        envelopes: &mut EnvelopeScratch,
+    ) -> Trees {
         let arcs = self.tg.arcs();
-        let mut trees = Trees::with_capacity(cut.landings.len());
+        let mut trees = Trees::with_capacity(cut.landings.len() * cut.exits.len());
         let mut chain = Vec::new();
+        let (mut scans, mut relaxations) = (0, 0);
         for &start in &cut.landings {
-            let seed = [(start, (0, 0))];
-            let (dist, pred, _) =
-                self.seeded_sssp(&cut.internal, cut.base, cut.w - cut.base, &seed);
-            self.margin_sig_sssp(cut, start, &pred, scratch);
-            let to_exit = |(bi, &b): (usize, &usize)| {
+            let (visits, relaxed) = lex.run(&cut.lex, cut.base, &[(start, (0, 0))]);
+            scans += visits;
+            relaxations += relaxed;
+            self.margin_sig_sssp(cut, start, &lex.pred, table, envelopes);
+            for (bi, &b) in cut.exits.iter().enumerate() {
                 let exit_arc = arcs[b];
-                let d = dist[exit_arc.from - cut.base]?;
+                let Some(d) = lex.dist[exit_arc.from - cut.base] else {
+                    trees.push(None);
+                    continue;
+                };
                 // The prune's one walk up a predecessor chain.
                 chain.clear();
                 chain.push(b);
                 let mut node = exit_arc.from;
                 while node != start {
-                    let ai = pred[node - cut.base].expect("reachable nodes have predecessors");
+                    let ai = lex.pred[node - cut.base].expect("reachable nodes have predecessors");
                     chain.push(ai);
                     node = arcs[ai].from;
                 }
-                let mut path = Expansion::default();
+                let open = table.open();
                 for &ai in chain.iter().rev() {
-                    let joint = self.proc_of[arcs[ai].from - cut.base];
-                    path.push_arc(joint, arcs[ai].kind, |id| &self.shortcuts[id].path);
+                    let proc = self.proc_of[arcs[ai].from - cut.base];
+                    table.push_part(table.arc_part(proc, arcs[ai].kind, None));
                 }
-                Some(ShortcutInfo {
-                    weight: d.plus(self.arc_weight(exit_arc.kind)),
-                    path,
-                    sigs: self.exit_envelope(cut, scratch, bi),
-                })
-            };
-            trees.push(cut.exits.iter().enumerate().map(to_exit).collect());
+                let path = table.close(open, None);
+                let weight = d.plus(weight_of(exit_arc.kind, self.p, self.q, table));
+                let sigs = self.exit_envelope(cut, envelopes, bi, table, Some(path));
+                trees.push(Some(table.info(weight, path, sigs.iter().copied())));
+            }
         }
+        OBS_LEX_SCANS.add(scans);
+        OBS_LEX_RELAXATIONS.add(relaxations);
         trees
     }
 
@@ -445,29 +736,58 @@ impl IncrementalChecker {
     /// among this prune's candidates and with the lex-min shortcut arc
     /// that survives the cut between the same endpoints (long-lived
     /// boundaries would otherwise pile up parallel arcs prune after prune).
-    fn entry_exit_shortcuts(&self, cut: &Cut, trees: &Trees) -> Vec<Slot> {
+    fn entry_exit_shortcuts(
+        &self,
+        cut: &Cut,
+        trees: &Trees,
+        table: &mut ShortcutTable,
+    ) -> Vec<Slot> {
         let arcs = self.tg.arcs();
         if cut.exits.is_empty() {
             return Vec::new();
         }
-        let mut survivors: HashMap<(usize, usize), usize> = HashMap::new();
+        // Slots are indexed densely: live events above the cut get an
+        // index as entry tails and as exit heads, a pair its slot.
+        let live = self.total_events() - cut.w;
+        let (mut tail_idx, mut head_idx) = (vec![NONE; live], vec![NONE; live]);
+        let mut tails = 0;
+        for &ea in &cut.entries {
+            let t = &mut tail_idx[arcs[ea].from - cut.w];
+            if *t == NONE {
+                (*t, tails) = (tails, tails + 1);
+            }
+        }
+        let mut heads = 0;
+        for &b in &cut.exits {
+            let h = &mut head_idx[arcs[b].to - cut.w];
+            if *h == NONE {
+                (*h, heads) = (heads, heads + 1);
+            }
+        }
+        let pair = |from: usize, to: usize| {
+            let (t, h) = (tail_idx[from - cut.w], head_idx[to - cut.w]);
+            (t != NONE && h != NONE).then(|| t * heads + h)
+        };
+        let mut survivors = vec![NONE; tails * heads];
         for a in arcs.iter().filter(|a| a.from >= cut.w && a.to >= cut.w) {
-            if let ArcKind::Shortcut(id) = a.kind {
-                let best = survivors.entry((a.from, a.to)).or_insert(id);
-                if self.shortcuts[id].weight < self.shortcuts[*best].weight {
+            if let (ArcKind::Shortcut(id), Some(k)) = (a.kind, pair(a.from, a.to)) {
+                let best = &mut survivors[k];
+                if *best == NONE || table[id].weight < table[*best].weight {
                     *best = id;
                 }
             }
         }
-        // Only what survives every merge is spelled out, at the end.
+        let mut slot_of = vec![NONE; tails * heads];
         let mut keys: Vec<(usize, usize, Option<usize>)> = Vec::new();
-        let mut linked: Vec<Candidate> = Vec::new();
-        let mut slot_of: HashMap<(usize, usize), usize> = HashMap::new();
+        let mut merge = Merge::default();
         for &ea in &cut.entries {
             let entry = arcs[ea];
             let li = cut.landing_idx[entry.to - cut.base].expect("entry heads are landings");
-            let ew = self.arc_weight(entry.kind);
-            for (tail, &b) in trees[li].iter().zip(&cut.exits) {
+            let ew = weight_of(entry.kind, self.p, self.q, table);
+            let tail_proc = self.proc_of[entry.from - cut.base];
+            let head = table.arc_part(tail_proc, entry.kind, None);
+            let composites = &trees[li * cut.exits.len()..(li + 1) * cut.exits.len()];
+            for (tail, &b) in composites.iter().zip(&cut.exits) {
                 let Some(tail) = tail else {
                     continue;
                 };
@@ -481,52 +801,63 @@ impl IncrementalChecker {
                     // so its ratio is already folded into the margin floor.
                     continue;
                 }
-                let mut head = Expansion::default();
-                let tail_proc = self.proc_of[from - cut.base];
-                head.push_arc(tail_proc, entry.kind, |id| &self.shortcuts[id].path);
-                let joint = self.proc_of[entry.to - cut.base];
-                let sigs = self.arc_sigs(entry.kind);
-                let cand = Candidate::joined(ew, head, sigs, joint, tail, cut.floor);
-                match slot_of.entry((from, to)) {
-                    Entry::Occupied(e) => linked[*e.get()].absorb(cand, cut.floor),
-                    Entry::Vacant(e) => {
-                        e.insert(linked.len());
-                        let survivor = survivors.get(&(from, to)).copied();
-                        keys.push((from, to, survivor));
-                        linked.push(match survivor {
-                            // The survivor's envelope was cut for an older
-                            // floor: re-cut it, then merge as ever.
-                            Some(id) => {
-                                let mut kept = Candidate::stored(&self.shortcuts[id]);
-                                margin_envelope(&mut kept.sigs, cut.floor);
-                                kept.absorb(cand, cut.floor);
-                                kept
-                            }
-                            None => cand,
-                        });
+                let k = pair(from, to).expect("entry tails and exit heads are indexed");
+                if slot_of[k] == NONE {
+                    slot_of[k] = keys.len();
+                    let survivor = (survivors[k] != NONE).then_some(survivors[k]);
+                    keys.push((from, to, survivor));
+                    if let Some(id) = survivor {
+                        // The survivor's envelope was cut for an older
+                        // floor: it is re-cut, then merged as ever.
+                        let kept = table[id];
+                        let sigs = table.sigs_of(&kept).iter().map(|s| Sig::stored(table, s));
+                        merge.offer(
+                            slot_of[k],
+                            kept.weight,
+                            Spelling::stored(kept.path),
+                            sigs,
+                            true,
+                        );
                     }
                 }
+                let sigs = tail_sigs(table, arc_sigs(table, entry.kind, tail_proc), tail);
+                let path = Spelling {
+                    head,
+                    tail: Some(tail.path),
+                };
+                merge.offer(slot_of[k], ew.plus(tail.weight), path, sigs, true);
             }
         }
-        let spell = |((from, to, survivor), c): (_, Candidate)| Slot {
-            from,
-            to,
-            survivor,
-            info: c.spell(),
-        };
-        keys.into_iter().zip(linked).map(spell).collect()
+        let mut slots = Vec::with_capacity(keys.len());
+        for (slot, (from, to, survivor)) in keys.into_iter().enumerate() {
+            let info = merge.settle(slot, table, cut.floor);
+            slots.push(Slot {
+                from,
+                to,
+                survivor,
+                info,
+            });
+        }
+        slots
     }
 
     /// Frontier rows, per process: fresh ones are frozen, stale ones
     /// (frozen at an earlier prune) keep the paths whose heads are still
     /// live and are recomposed through the new prefix where a head now
     /// falls below the cut.
-    fn frontier_rows(&self, cut: &Cut, trees: &Trees) -> Vec<(usize, FrontierRow)> {
+    fn frontier_rows(
+        &self,
+        cut: &Cut,
+        trees: &Trees,
+        table: &mut ShortcutTable,
+    ) -> Vec<(usize, FrontierRow)> {
         let (base, w) = (cut.base, cut.w);
+        let exits = cut.exits.len();
         // What the landing at `v` reaches, by live exit head (without exits
         // there are no landings at all, and nothing to reach).
         let reach = |v: usize| {
-            let tails = cut.landing_idx[v - base].map_or(&[][..], |li| &trees[li][..]);
+            let tails = cut.landing_idx[v - base]
+                .map_or(&[][..], |li| &trees[li * exits..(li + 1) * exits]);
             let heads = cut.exits.iter().map(|&b| self.tg.arcs()[b].to);
             heads
                 .zip(tails)
@@ -534,42 +865,55 @@ impl IncrementalChecker {
         };
         let mut rows = Vec::new();
         for p in 0..self.num_processes {
-            let mut outs: Vec<(usize, Candidate)> = Vec::new();
-            let mut keep = |head: usize, cand| match outs.iter_mut().find(|(h, _)| *h == head) {
-                Some((_, slot)) => slot.absorb(cand, cut.floor),
-                None => outs.push((head, cand)),
+            let mut merge = Merge::default();
+            let mut heads: Vec<usize> = Vec::new();
+            let mut slot = |head: usize| match heads.iter().position(|&h| h == head) {
+                Some(slot) => slot,
+                None => {
+                    heads.push(head);
+                    heads.len() - 1
+                }
             };
             let label = match (self.last_event[p], &self.frontier_row[p]) {
                 (Some(le), _) if le >= base && le < w => {
                     for (head, tail) in reach(le) {
-                        keep(head, Candidate::stored(tail));
+                        let sigs = table.sigs_of(tail).iter().map(|s| Sig::stored(table, s));
+                        let path = Spelling::stored(tail.path);
+                        merge.offer(slot(head), tail.weight, path, sigs, false);
                     }
                     self.pot[le - base]
                 }
                 (Some(le), Some(row)) if le < base => {
                     for out in &row.outs {
+                        let stored = table
+                            .sigs_of(&out.info)
+                            .iter()
+                            .map(|s| Sig::stored(table, s));
                         if out.head >= w {
-                            keep(out.head, Candidate::stored(&out.info));
+                            let path = Spelling::stored(out.info.path);
+                            merge.offer(slot(out.head), out.info.weight, path, stored, false);
                             continue;
                         }
-                        let joint = self.proc_of[out.head - base];
                         for (head, tail) in reach(out.head) {
-                            let sigs = out.info.sigs.iter().map(Sig::stored);
-                            let (weight, path) = (out.info.weight, out.info.path.clone());
-                            let cand =
-                                Candidate::joined(weight, path, sigs, joint, tail, cut.floor);
-                            keep(head, cand);
+                            let sigs = tail_sigs(table, stored.clone(), tail);
+                            let path = Spelling {
+                                head: Part::Path(out.info.path),
+                                tail: Some(tail.path),
+                            };
+                            let weight = out.info.weight.plus(tail.weight);
+                            merge.offer(slot(head), weight, path, sigs, true);
                         }
                     }
                     row.label
                 }
                 _ => continue,
             };
-            let spell = |(head, c): (usize, Candidate)| RowOut {
-                head,
-                info: c.spell(),
-            };
-            let outs = outs.into_iter().map(spell).collect();
+            let outs = (0..heads.len())
+                .map(|slot| RowOut {
+                    head: heads[slot],
+                    info: merge.settle(slot, table, cut.floor),
+                })
+                .collect();
             rows.push((p, FrontierRow { label, outs }));
         }
         rows
@@ -578,33 +922,29 @@ impl IncrementalChecker {
     /// Table remap: rebuilds the shortcut table (survivors keep their info
     /// under new ids, consumed entries vanish with their arcs), then lands
     /// the slots — a survivor's in place, a new pair's as a fresh shortcut
-    /// arc — and installs the rows.
+    /// arc — installs the rows, and compacts the table's columns to what
+    /// its shortcuts and the rows reference.
     fn install(&mut self, w: usize, slots: Vec<Slot>, rows: Vec<(usize, FrontierRow)>) {
-        let mut old_table = std::mem::take(&mut self.shortcuts);
-        let mut remap: Vec<Option<usize>> = vec![None; old_table.len()];
-        let mut new_table: Vec<ShortcutInfo> = Vec::new();
+        let capacity = self.shortcuts.len() + slots.len();
+        let old = std::mem::replace(&mut self.shortcuts.infos, Vec::with_capacity(capacity));
+        let mut remap: Vec<Option<usize>> = vec![None; old.len()];
         for a in self.tg.arcs_mut() {
             if a.from >= w && a.to >= w {
                 if let ArcKind::Shortcut(id) = a.kind {
-                    let new_id = *remap[id].get_or_insert_with(|| {
-                        new_table.push(std::mem::take(&mut old_table[id]));
-                        new_table.len() - 1
-                    });
+                    let new_id = *remap[id].get_or_insert_with(|| self.shortcuts.push(old[id]));
                     a.kind = ArcKind::Shortcut(new_id);
                 }
             }
         }
-        self.shortcuts = new_table;
         for slot in slots {
             match slot.survivor {
                 Some(old_id) => {
                     let id = remap[old_id].expect("surviving shortcuts were remapped");
-                    self.kept.carries(&slot.info);
-                    self.shortcuts[id] = slot.info;
+                    self.kept.carries(self.shortcuts.sigs_of(&slot.info));
+                    self.shortcuts.infos[id] = slot.info;
                 }
                 None => {
-                    let id = self.shortcuts.len();
-                    self.shortcuts.push(slot.info);
+                    let id = self.shortcuts.push(slot.info);
                     self.push_arc(slot.from, slot.to, ArcKind::Shortcut(id));
                 }
             }
@@ -612,5 +952,20 @@ impl IncrementalChecker {
         for (p, row) in rows {
             self.frontier_row[p] = Some(row);
         }
+        self.shortcuts.compact(&mut self.frontier_row);
     }
+}
+
+/// The signatures of `head · tail` for every line `head` offers and every
+/// line of the composite `tail`, but those whose junction reverses a
+/// message.
+fn tail_sigs<'a>(
+    table: &'a ShortcutTable,
+    head: impl Iterator<Item = Sig> + 'a,
+    tail: &'a ShortcutInfo,
+) -> impl Iterator<Item = Sig> + 'a {
+    head.flat_map(move |h| {
+        let tails = table.sigs_of(tail).iter();
+        tails.filter_map(move |s| h.concat(table, s))
+    })
 }

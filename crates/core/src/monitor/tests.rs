@@ -1,9 +1,11 @@
 use super::margin::{margin_envelope, CostLine};
 use super::prune::Cut;
+use super::repair::LexScratch;
 use super::*;
 use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
 use crate::maxratio::step_reverses;
+use crate::negcycle::Label;
 use abc_rational::Ratio;
 use proptest::prelude::*;
 
@@ -944,13 +946,16 @@ impl ColdLine {
                 let ArcKind::Shortcut(id) = kind else {
                     unreachable!("plain arcs have a step and counts")
                 };
-                let line = |s: &margin::MarginSig| ColdLine {
-                    f: s.f,
-                    b: s.b,
-                    first: s.path.steps.first().copied(),
-                    last: s.path.steps.last().copied(),
+                let line = |s: &margin::MarginSig| {
+                    let (first, last) = mon.shortcuts.path_ends(s.path);
+                    ColdLine {
+                        f: s.f,
+                        b: s.b,
+                        first: Some(first.step),
+                        last: Some(last.step),
+                    }
                 };
-                mon.shortcuts[id].sigs.iter().map(line).collect()
+                mon.shortcuts.sigs(id).iter().map(line).collect()
             }
         }
     }
@@ -1017,7 +1022,7 @@ fn cold_exit_lines(
     for round in 0.. {
         assert!(round <= 100_000, "the reference pass failed to converge");
         let mut changed = false;
-        for &ai in cut.internal.iter().rev() {
+        for &ai in cut.lex.arena.iter().rev() {
             let arc = arcs[ai];
             let (from, to) = (arc.from - base, arc.to - base);
             if from == to {
@@ -1087,21 +1092,23 @@ fn assert_envelopes_match_the_cold_pass(
     assert!(mon.fold_margin(), "small windows fold");
     let cut = mon.classify_cut(w);
     let tree = |start: usize| {
-        let seed = [(start, (0, 0))];
-        mon.seeded_sssp(&cut.internal, cut.base, w - cut.base, &seed)
-            .1
+        let mut lex = LexScratch::default();
+        lex.run(&cut.lex, cut.base, &[(start, (0, 0))]);
+        lex.pred
     };
     let mut scratch = margin::EnvelopeScratch::default();
+    let mut table = mon.shortcuts.clone();
     let mut lines_after = |start: usize, pred: &[Option<usize>]| {
-        mon.margin_sig_sssp(&cut, start, pred, &mut scratch);
+        mon.margin_sig_sssp(&cut, start, pred, &table, &mut scratch);
         let refused = scratch.refused;
-        let per_exit = |bi: usize| {
-            let sigs = mon.exit_envelope(&cut, &mut scratch, bi);
-            for s in &sigs {
-                let steps = &s.path.steps;
+        let mut lines = Vec::new();
+        for bi in 0..cut.exits.len() {
+            let sigs = mon.exit_envelope(&cut, &mut scratch, bi, &mut table, None);
+            for s in sigs {
+                let steps = table.path(s.path);
                 let messages = |against: bool| {
-                    let counted = steps.iter().filter(|step| {
-                        matches!(step.edge, ShadowEdge::Message(_)) && step.against == against
+                    let counted = steps.iter().filter(|s| {
+                        matches!(s.step.edge, ShadowEdge::Message(_)) && s.step.against == against
                     });
                     counted.count() as i128
                 };
@@ -1109,16 +1116,15 @@ fn assert_envelopes_match_the_cold_pass(
                 assert!(
                     steps
                         .windows(2)
-                        .all(|pair| !step_reverses(&pair[0], &pair[1])),
+                        .all(|pair| !step_reverses(&pair[0].step, &pair[1].step)),
                     "{s:?}"
                 );
-                assert_eq!(s.path.procs.len() + 1, steps.len(), "{s:?}");
+                assert_eq!(steps[0].proc, mon.proc_of[start - cut.base], "{s:?}");
             }
-            let mut lines: Vec<_> = sigs.iter().map(|s| (s.f, s.b)).collect();
-            lines.sort_unstable();
-            lines
-        };
-        let lines = (0..cut.exits.len()).map(per_exit).collect::<Vec<_>>();
+            let mut exit: Vec<_> = sigs.iter().map(|s| (s.f, s.b)).collect();
+            exit.sort_unstable();
+            lines.push(exit);
+        }
         (lines, refused)
     };
     for (li, &start) in cut.landings.iter().enumerate() {
@@ -1192,6 +1198,131 @@ fn envelope_lines_equal_the_cold_passes_at_every_prune() {
         exact > 2_000 && exact > 4 * refused,
         "{exact} passes compared line for line, {refused} let off"
     );
+}
+
+/// The lex pass as it was before it visited only the arcs whose tail
+/// moved, kept as the oracle: every arc of `arc_indices` in descending
+/// arena order, round after round until a round relaxes nothing.
+#[allow(clippy::type_complexity)]
+fn reference_lex_pass(
+    mon: &IncrementalChecker,
+    arc_indices: &[usize],
+    base: usize,
+    width: usize,
+    seeds: &[(usize, Weight)],
+) -> (Vec<Option<Weight>>, Vec<Option<usize>>, Vec<Option<usize>>) {
+    let arcs = mon.tg.arcs();
+    let mut dist: Vec<Option<Weight>> = vec![None; width];
+    let mut pred: Vec<Option<usize>> = vec![None; width];
+    let mut seed_of: Vec<Option<usize>> = vec![None; width];
+    for (k, &(node, w)) in seeds.iter().enumerate() {
+        let slot = node - base;
+        if dist[slot].is_none_or(|x| w < x) {
+            dist[slot] = Some(w);
+            seed_of[slot] = Some(k);
+        }
+    }
+    for _round in 0..=width {
+        let mut changed = false;
+        for &ai in arc_indices.iter().rev() {
+            let arc = arcs[ai];
+            let Some(d) = dist[arc.from - base] else {
+                continue;
+            };
+            let cand = d.plus(mon.arc_weight(arc.kind));
+            let slot = arc.to - base;
+            if dist[slot].is_none_or(|x| cand < x) {
+                dist[slot] = Some(cand);
+                pred[slot] = Some(ai);
+                seed_of[slot] = None;
+                changed = true;
+            }
+        }
+        if !changed {
+            return (dist, pred, seed_of);
+        }
+    }
+    panic!("the reference pass failed to converge");
+}
+
+/// The lex pass against the round loop on the region a tracked
+/// `prune_settled(watermark)` would condense: from every landing alone,
+/// and from every landing at once with tied and repeated seeds. Returns
+/// how many passes it compared.
+fn assert_lex_trees_match_the_round_loop(
+    mon: &IncrementalChecker,
+    watermark: Option<EventId>,
+) -> usize {
+    let total = mon.total_events();
+    let w = watermark.map_or(total, |e| e.0.min(total));
+    if w <= mon.tg.base() || mon.violation.is_some() {
+        return 0;
+    }
+    let cut = mon.classify_cut(w);
+    let width = w - cut.base;
+    let mut lex = LexScratch::default();
+    let mut compare = |seeds: &[(usize, Weight)]| {
+        let want = reference_lex_pass(mon, &cut.lex.arena, cut.base, width, seeds);
+        lex.run(&cut.lex, cut.base, seeds);
+        let got = (lex.dist.clone(), lex.pred.clone(), lex.seed_of.clone());
+        assert_eq!(got, want, "seeds {seeds:?}");
+    };
+    for &start in &cut.landings {
+        compare(&[(start, (0, 0))]);
+    }
+    let mut seeds: Vec<(usize, Weight)> = cut
+        .landings
+        .iter()
+        .enumerate()
+        .map(|(k, &v)| (v, ((k % 2) as i128, 0)))
+        .collect();
+    seeds.extend(cut.landings.first().map(|&v| (v, (0, 0))));
+    if !seeds.is_empty() {
+        compare(&seeds);
+    }
+    cut.landings.len() + usize::from(!seeds.is_empty())
+}
+
+/// The exact-visit lex pass returns the round loop's labels, predecessors
+/// and seeds on every landing of every prune of random scripts: cadences
+/// and horizons 1–4 give regions with shortcut arcs (pruned ones among
+/// the internal arcs), surviving shortcuts and stale rows.
+#[test]
+fn lex_trees_equal_the_round_loop_at_every_prune() {
+    use std::cell::Cell;
+    let compared = Cell::new(0);
+    let script = proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40);
+    let xi = (2i64..8, 1i64..5).prop_filter("Xi > 1", |(num, den)| num > den);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(192),
+        (2usize..5, script, xi, 1usize..5, 1usize..5),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "lex_trees_equal_the_round_loop_at_every_prune",
+        |(n, script, (num, den), cadence, horizon)| {
+            let mut mon = IncrementalChecker::new(n, &Xi::from_fraction(num, den)).unwrap();
+            mon.enable_pruning();
+            mon.enable_margin_tracking();
+            for p in 0..n {
+                mon.append_init(ProcessId(p));
+            }
+            let mut total = n;
+            for (step, &(back, to)) in script.iter().enumerate() {
+                let from = EventId(total - 1 - back % horizon.min(total));
+                mon.append_send(from, ProcessId(to % n));
+                total += 1;
+                if step % cadence == 0 {
+                    let watermark = Some(EventId(total.saturating_sub(horizon)));
+                    let passes = assert_lex_trees_match_the_round_loop(&mon, watermark);
+                    compared.set(compared.get() + passes);
+                    mon.prune_settled(watermark);
+                }
+            }
+            Ok(())
+        },
+    );
+    let compared = compared.get();
+    assert!(compared > 2_000, "{compared} lex passes compared");
 }
 
 /// A random execution for the deferral tests: process count, an optional

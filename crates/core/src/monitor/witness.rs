@@ -14,80 +14,86 @@
 //! order, queue state, *and of how much settled prefix has been pruned*,
 //! which is what keeps pruned and unpruned monitors byte-identical.
 //!
-//! A shortcut arc stands for a whole condensed path and stores it as an
-//! [`Expansion`]; every walk the monitor reports and every condensed path
-//! a prune stores is assembled by the three operations of that type.
+//! A shortcut arc stands for a whole condensed path, which the shortcut
+//! table keeps as a run of [`Step`]s in one pool (see the `prune` module);
+//! a witness walk is assembled from the same steps. Every step carries the
+//! process of the event it starts at, so two paths that meet at an event
+//! join by concatenation, and a walk's steps alone give its summary.
 
 use crate::cycle::{Cycle, CycleStep, WitnessSummary};
 use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::traversal::{Arc, ArcKind};
 
+use super::prune::ShortcutTable;
 use super::repair::ConfirmCtx;
 use super::IncrementalChecker;
 
-/// A path spelled out in steps of the full execution: what a shortcut
-/// arc, a frontier-row path or a margin signature stands for, and what a
-/// witness walk is assembled in.
-#[derive(Clone, Debug, Default)]
-pub(super) struct Expansion {
-    /// The steps, in traversal order (tail → head).
-    pub(super) steps: Vec<CycleStep>,
-    /// Processes of the *interior* vertices — the start of every step but
-    /// the first: `procs.len() == steps.len() - 1`.
-    pub(super) procs: Vec<ProcessId>,
+/// One step of a path spelled out in steps of the full execution: what a
+/// shortcut arc, a frontier-row path or a margin signature stands for, and
+/// what a witness walk is assembled in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Step {
+    pub(super) step: CycleStep,
+    /// The process of the event the step starts at.
+    pub(super) proc: ProcessId,
 }
 
-impl Expansion {
-    fn meet(&mut self, joint: ProcessId) {
-        if !self.steps.is_empty() {
-            self.procs.push(joint);
+/// Where one non-empty path's steps sit in the shortcut table's pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct PathRef {
+    pub(super) start: u32,
+    pub(super) end: u32,
+}
+
+/// One part of a [`Spelling`]: a plain arc's one step, or a path in the
+/// pool.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Part {
+    Step(Step),
+    Path(PathRef),
+}
+
+/// A path a prune composes, not yet spelled out: `head`, then `tail` (the
+/// two meet at the event `tail` starts at). Equal spellings spell equal
+/// paths, so a signature whose spelling is its shortcut's shares its path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Spelling {
+    pub(super) head: Part,
+    pub(super) tail: Option<PathRef>,
+}
+
+impl Spelling {
+    /// A path already in the pool.
+    pub(super) fn stored(path: PathRef) -> Spelling {
+        Spelling {
+            head: Part::Path(path),
+            tail: None,
         }
     }
+}
 
-    /// `self · tail`, meeting at an event of process `joint`. An empty
-    /// `self` has no vertex to meet at: the result starts where `tail`
-    /// does, and its start stays excluded from the interior.
-    pub(super) fn extend(&mut self, joint: ProcessId, tail: &Expansion) {
-        self.meet(joint);
-        self.steps.extend_from_slice(&tail.steps);
-        self.procs.extend_from_slice(&tail.procs);
-    }
+/// Closes a walk that returns to the event it starts at into a cycle and
+/// its summary, from the live window alone (exactly what
+/// [`Cycle::summarize`] reads off the graph).
+fn into_witness(walk: &[Step]) -> (Cycle, WitnessSummary) {
+    let cycle = Cycle::new(walk.iter().map(|s| s.step).collect());
+    let summary = WitnessSummary::from_walk(&cycle, walk.iter().map(|s| s.proc));
+    (cycle, summary)
+}
 
-    /// `self · arc` for a live arc whose tail event belongs to `joint`: a
-    /// plain arc adds its one step, a shortcut arc the condensed path
-    /// `shortcut` finds behind its table id.
-    pub(super) fn push_arc<'a>(
-        &mut self,
-        joint: ProcessId,
-        kind: ArcKind,
-        shortcut: impl FnOnce(usize) -> &'a Expansion,
-    ) {
-        match kind.step() {
-            Ok(step) => {
-                self.meet(joint);
-                self.steps.push(step);
-            }
-            Err(id) => self.extend(joint, shortcut(id)),
-        }
-    }
-
-    /// `step · self`, meeting at an event of process `joint`.
-    pub(super) fn prefixed(&self, step: CycleStep, joint: ProcessId) -> Expansion {
-        let mut path = Expansion {
-            steps: vec![step],
-            procs: Vec::new(),
-        };
-        path.extend(joint, self);
-        path
-    }
-
-    /// Closes the walk — it starts, and ends, at an event of process
-    /// `start` — into a cycle and its summary, from the live window alone
-    /// (exactly what [`Cycle::summarize`] reads off the graph).
-    pub(super) fn into_witness(self, start: ProcessId) -> (Cycle, WitnessSummary) {
-        let cycle = Cycle::new(self.steps);
-        let summary = WitnessSummary::from_walk(&cycle, std::iter::once(start).chain(self.procs));
-        (cycle, summary)
+/// `walk · arc` for a live arc whose tail event belongs to `proc`: a plain
+/// arc adds its one step, a shortcut arc the path `table` keeps for it
+/// (its lex path, or the path of its line `pick`).
+fn push_arc(
+    walk: &mut Vec<Step>,
+    table: &ShortcutTable,
+    proc: ProcessId,
+    kind: ArcKind,
+    pick: Option<usize>,
+) {
+    match table.arc_part(proc, kind, pick) {
+        Part::Step(step) => walk.push(step),
+        Part::Path(path) => walk.extend_from_slice(table.path(path)),
     }
 }
 
@@ -104,24 +110,30 @@ impl IncrementalChecker {
     ) -> (Cycle, WitnessSummary) {
         let base = self.tg.base();
         let arcs = self.tg.arcs();
-        let lex_path = |id: usize| &self.shortcuts[id].path;
+        let table = &self.shortcuts;
         let (u_proc, v_proc) = (self.proc_of[ctx.u - base], self.proc_of[ctx.v - base]);
         let local = LocalEdge {
             from: EventId(ctx.prev_global),
             to: EventId(ctx.v),
         };
-        let mut walk = Expansion::default();
-        walk.push_arc(u_proc, ArcKind::Forward(ctx.mid), lex_path);
-        walk.push_arc(v_proc, ArcKind::LocalBack(local), lex_path);
+        let mut walk = Vec::new();
+        push_arc(&mut walk, table, u_proc, ArcKind::Forward(ctx.mid), None);
+        push_arc(&mut walk, table, v_proc, ArcKind::LocalBack(local), None);
         if let Some(row) = &ctx.seeds {
-            // `prev` belongs to `v`'s process; then the condensed interior.
-            walk.extend(v_proc, &row.outs[seed].info.path);
+            // The condensed interior, from `prev` on.
+            walk.extend_from_slice(table.path(row.outs[seed].info.path));
         }
         for &ai in path {
             let arc = arcs[ai];
-            walk.push_arc(self.proc_of[arc.from - base], arc.kind, lex_path);
+            push_arc(
+                &mut walk,
+                table,
+                self.proc_of[arc.from - base],
+                arc.kind,
+                None,
+            );
         }
-        walk.into_witness(u_proc)
+        into_witness(&walk)
     }
 
     /// Expands a non-empty probe cycle (picks of arena `arcs` + chosen
@@ -134,13 +146,11 @@ impl IncrementalChecker {
         picks: &[(usize, usize)],
     ) -> WitnessSummary {
         let base = self.tg.base();
-        let proc_of_tail = |ai: usize| self.proc_of[arcs[ai].from - base];
-        let mut walk = Expansion::default();
+        let mut walk = Vec::new();
         for &(ai, si) in picks {
-            walk.push_arc(proc_of_tail(ai), arcs[ai].kind, |id| {
-                &self.shortcuts[id].sigs[si].path
-            });
+            let proc = self.proc_of[arcs[ai].from - base];
+            push_arc(&mut walk, &self.shortcuts, proc, arcs[ai].kind, Some(si));
         }
-        walk.into_witness(proc_of_tail(picks[0].0)).1
+        into_witness(&walk).1
     }
 }
