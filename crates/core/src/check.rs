@@ -162,7 +162,7 @@ fn scaled_weight(kind: ArcKind, p: i128, q: i128, k: i128) -> i128 {
     let w_prime = match kind {
         ArcKind::Forward(_) => p,
         ArcKind::Backward(_) => -q,
-        ArcKind::LocalBack(_) => 0,
+        ArcKind::LocalBack => 0,
         ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
     };
     w_prime * k - 1
@@ -236,7 +236,7 @@ pub(crate) fn potential_or_cycle(
 
 /// The walk along the arcs `indices` of a batch graph, as a [`Cycle`].
 fn arcs_to_cycle(arcs: &[Arc], indices: &[usize]) -> Cycle {
-    let step = |&ai: &usize| arcs[ai].kind.step();
+    let step = |&ai: &usize| arcs[ai].step();
     let steps = indices.iter().map(step).collect::<Result<_, _>>();
     Cycle::new(steps.expect("batch graphs carry no shortcut arcs"))
 }

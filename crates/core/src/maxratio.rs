@@ -79,7 +79,7 @@ use abc_rational::{BigInt, Ratio};
 use crate::check::CheckError;
 use crate::cycle::{CycleStep, ShadowEdge};
 use crate::negcycle::{self, NegCycle};
-use crate::traversal::{ArcKind, TraversalGraph};
+use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 /// Cycle probes run by the engine (one per "is there a cycle above
 /// `B₀/F₀`" question), across batch and monitor callers.
@@ -172,7 +172,7 @@ pub(crate) fn kind_weight(
     match kind {
         ArcKind::Forward(_) => Some(p),
         ArcKind::Backward(_) => Some(-q),
-        ArcKind::LocalBack(_) => Some(0),
+        ArcKind::LocalBack => Some(0),
         ArcKind::Shortcut(id) => shortcut(id),
     }
 }
@@ -267,10 +267,10 @@ fn line_count<S: Shortcuts + ?Sized>(shortcuts: &S, kind: ArcKind) -> usize {
 /// The steps line `pick` of an arc begins and ends with.
 fn ends<S: Shortcuts + ?Sized>(
     shortcuts: &S,
-    kind: ArcKind,
+    arc: Arc,
     pick: usize,
 ) -> (Option<CycleStep>, Option<CycleStep>) {
-    kind.step()
+    arc.step()
         .map_or_else(|id| shortcuts.ends(id, pick), |s| (Some(s), Some(s)))
 }
 
@@ -423,8 +423,8 @@ fn tight_cycle_in<S: Shortcuts + ?Sized>(
     let tight = &sc.tight;
     // May line `lc` of arc `ci` follow line `la` of arc `ai`?
     let follows = |(ai, la): (usize, usize), (ci, lc): (usize, usize)| {
-        let (_, last) = ends(shortcuts, arcs[ai].kind, la - starts[ai]);
-        let (first, _) = ends(shortcuts, arcs[ci].kind, lc - starts[ci]);
+        let (_, last) = ends(shortcuts, arcs[ai], la - starts[ai]);
+        let (first, _) = ends(shortcuts, arcs[ci], lc - starts[ci]);
         match (last, first) {
             (Some(last), Some(first)) => !step_reverses(&last, &first),
             _ => true,

@@ -86,7 +86,7 @@ use crate::check::CheckError;
 use crate::cycle::{CycleStep, WitnessSummary};
 use crate::graph::ProcessId;
 use crate::maxratio::{self, step_reverses, Shortcuts};
-use crate::traversal::{ArcKind, TraversalGraph};
+use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutTable};
 use super::witness::{Part, PathRef, Spelling, Step};
@@ -501,10 +501,10 @@ impl Shortcuts for ShortcutTable {
 /// envelope.
 pub(super) fn arc_sigs(
     table: &ShortcutTable,
-    kind: ArcKind,
+    arc: Arc,
     proc: ProcessId,
 ) -> impl Iterator<Item = Sig> + '_ {
-    let (own, stored): (Option<Sig>, &[MarginSig]) = match (kind.step(), kind.counts()) {
+    let (own, stored): (Option<Sig>, &[MarginSig]) = match (arc.step(), arc.kind.counts()) {
         (Ok(step), Ok((f, b))) => (Some(Sig::step(f, b, Step { step, proc })), &[]),
         (_, Err(id)) => (None, table.sigs(id)),
         (Err(_), Ok(_)) => unreachable!("an arc with counts is one step"),
@@ -634,7 +634,7 @@ impl IncrementalChecker {
         // lap a prefix cycle), so its inserts leave the tail's run alone.
         for at in from.start..from.start + from.len {
             let l = sc.lines[at];
-            match (arc.kind.step(), arc.kind.counts()) {
+            match (arc.step(), arc.kind.counts()) {
                 (Ok(first), Ok((f, b))) => {
                     let d = ArcLine {
                         arc: ai,
@@ -697,7 +697,7 @@ impl IncrementalChecker {
 
     /// The last step of the path `link` ends.
     fn last_step(&self, table: &ShortcutTable, link: &TreeLink) -> CycleStep {
-        match self.tg.arcs()[link.arc].kind.step() {
+        match self.tg.arcs()[link.arc].step() {
             Ok(step) => step,
             Err(id) => table.path_ends(table.sigs(id)[link.pick].path).1.step,
         }
@@ -728,7 +728,7 @@ impl IncrementalChecker {
             while let Some(link) = sc.chain.pop() {
                 let TreeLink { arc, pick, .. } = sc.links[link];
                 let proc = self.proc_of[arcs[arc].from - cut.base];
-                table.push_part(table.arc_part(proc, arcs[arc].kind, Some(pick)));
+                table.push_part(table.arc_part(proc, arcs[arc], Some(pick)));
             }
             sc.spelled.push(MarginSig {
                 f: line.f,
@@ -1067,7 +1067,7 @@ impl IncrementalChecker {
                         }
                     }
                 }
-                ArcKind::Backward(_) | ArcKind::LocalBack(_) => {}
+                ArcKind::Backward(_) | ArcKind::LocalBack => {}
             }
         }
         let scan = best.map(maxratio::ratio_of);

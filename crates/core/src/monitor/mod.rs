@@ -103,9 +103,7 @@ use abc_rational::Ratio;
 
 use crate::check::CheckError;
 use crate::cycle::{Cycle, WitnessSummary};
-use crate::graph::{
-    EventId, ExecutionGraph, ExecutionGraphBuilder, LocalEdge, MessageId, ProcessId, Trigger,
-};
+use crate::graph::{EventId, ExecutionGraph, ExecutionGraphBuilder, MessageId, ProcessId, Trigger};
 use crate::negcycle::NegCycle;
 use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
@@ -444,11 +442,13 @@ impl IncrementalChecker {
     /// close cycles above it (the `margin` module's docs have the
     /// argument), over the arcs: a tracking monitor builds its arena now,
     /// if it was deferring it, and never defers it again. On the sweep's
-    /// 500-event clock synchronisation runs that adds about 55 ns to an
-    /// append, where the search a monitor that keeps nothing runs in
-    /// [`IncrementalChecker::current_margin`] costs about 160 ns per event
-    /// of the run (two hardware threads); on a quiet stream it also costs
-    /// the arena a monitor that keeps nothing would not have built. Both
+    /// 500-event clock synchronisation runs that adds about 60 ns to an
+    /// append (arena and kept column; a deferred replay is about 22 ns
+    /// per event), where the search a monitor that keeps nothing runs in
+    /// [`IncrementalChecker::current_margin`] costs about 170 ns per event
+    /// of the run (one thread, on a 2-hardware-thread host); on a quiet
+    /// stream it also costs the arena a monitor that keeps nothing would
+    /// not have built. Both
     /// `current_margin` and [`IncrementalChecker::margin_upper_bound`] read
     /// the kept margin, exactly, and its witness is the cycle that last
     /// raised it, and [`IncrementalChecker::kept_margin_reaches`] answers
@@ -661,7 +661,7 @@ impl IncrementalChecker {
         // arcs until it builds the arena.
         if !self.deferred {
             let message = effective.then_some((from.0, mid));
-            push_receive_arcs(&mut self.tg, recv, message, live_prev);
+            self.tg.push_receive(recv, message, live_prev);
         }
         self.count_arcs(2 * usize::from(effective) + usize::from(live_prev.is_some()));
         let row = if live_prev.is_some() {
@@ -775,7 +775,7 @@ impl IncrementalChecker {
 
     /// The arena of a deferring monitor, pushed into the empty `tg`: every
     /// event's node, then each receive's arcs in append order, through the
-    /// function the eager append calls.
+    /// call the eager append makes ([`TraversalGraph::push_receive`]).
     fn arena_into(&self, tg: &mut TraversalGraph) {
         debug_assert!(self.deferred && tg.total_nodes() == 0);
         tg.grow(self.sends.len(), self.stats.arcs);
@@ -786,7 +786,7 @@ impl IncrementalChecker {
         for (v, (&p, &entry)) in self.proc_of.iter().zip(&self.sends).enumerate() {
             if entry != INIT {
                 let message = effective_send(entry).map(|send| (send, MessageId(messages)));
-                push_receive_arcs(tg, v, message, Some(last[p.0]));
+                tg.push_receive(v, message, Some(last[p.0]));
                 messages += 1;
             }
             last[p.0] = v;
@@ -825,37 +825,12 @@ fn effective_send(entry: usize) -> Option<usize> {
     (entry != INIT && entry & EFFECTIVE != 0).then_some(entry & !EFFECTIVE)
 }
 
-/// The one spelling of a receive's arcs, in the order every arena holds
-/// them: the forward and backward arc of its message when that carries
-/// arcs (`message`: its send event and id), then the local back-arc to
-/// `prev` (`None`: compacted, its frontier row stands in). The eager
-/// append and [`IncrementalChecker::arena_into`] both push through it; the
-/// caller knows every endpoint is live.
-fn push_receive_arcs(
-    tg: &mut TraversalGraph,
-    recv: usize,
-    message: Option<(usize, MessageId)>,
-    prev: Option<usize>,
-) {
-    if let Some((send, mid)) = message {
-        tg.push_live_arc(send, recv, ArcKind::Forward(mid));
-        tg.push_live_arc(recv, send, ArcKind::Backward(mid));
-    }
-    if let Some(prev) = prev {
-        let local = LocalEdge {
-            from: EventId(prev),
-            to: EventId(recv),
-        };
-        tg.push_live_arc(recv, prev, ArcKind::LocalBack(local));
-    }
-}
-
 /// The lexicographic weight of a live arc for `Ξ = p/q`.
 fn weight_of(kind: ArcKind, p: i128, q: i128, shortcuts: &ShortcutTable) -> Weight {
     let first = match kind {
         ArcKind::Forward(_) => p,
         ArcKind::Backward(_) => -q,
-        ArcKind::LocalBack(_) => 0,
+        ArcKind::LocalBack => 0,
         ArcKind::Shortcut(id) => return shortcuts[id].weight,
     };
     (first, -1)

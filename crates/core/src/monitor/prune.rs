@@ -73,9 +73,10 @@
 
 use std::ops::Index;
 
+use crate::cycle::{CycleStep, ShadowEdge};
 use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::negcycle::Label;
-use crate::traversal::ArcKind;
+use crate::traversal::{Arc, ArcKind};
 
 use super::margin::{arc_sigs, margin_envelope, EnvelopeScratch, MarginSig, Sig};
 use super::repair::{LexArcs, LexScratch};
@@ -201,11 +202,11 @@ impl ShortcutTable {
             .extend_from_within(path.start as usize..path.end as usize);
     }
 
-    /// What live arc `kind`, whose tail event belongs to `proc`, stands
+    /// What live arc `arc`, whose tail event belongs to `proc`, stands
     /// for: its step, or the shortcut's path (see
     /// [`ShortcutTable::arc_path`]).
-    pub(super) fn arc_part(&self, proc: ProcessId, kind: ArcKind, pick: Option<usize>) -> Part {
-        match kind.step() {
+    pub(super) fn arc_part(&self, proc: ProcessId, arc: Arc, pick: Option<usize>) -> Part {
+        match arc.step() {
             Ok(step) => Part::Step(Step { step, proc }),
             Err(id) => Part::Path(self.arc_path(id, pick)),
         }
@@ -567,15 +568,18 @@ impl IncrementalChecker {
     pub(super) fn materialize_row(&mut self, row: &FrontierRow, prev: usize, recv: usize) {
         // `prev` belongs to the receiving process.
         let proc = self.proc_of[recv - self.tg.base()];
-        let local = ArcKind::LocalBack(LocalEdge {
+        let local = LocalEdge {
             from: EventId(prev),
             to: EventId(recv),
-        });
+        };
         let step = Step {
-            step: local.step().expect("a local arc is one step"),
+            step: CycleStep {
+                edge: ShadowEdge::Local(local),
+                against: true,
+            },
             proc,
         };
-        let weight = self.arc_weight(local);
+        let weight = self.arc_weight(ArcKind::LocalBack);
         // Every signature path gets the same local-edge prefix; a local
         // step carries no message, so `f`/`b` are unchanged.
         let prefixed = |path| Spelling {
@@ -719,7 +723,7 @@ impl IncrementalChecker {
                 let open = table.open();
                 for &ai in chain.iter().rev() {
                     let proc = self.proc_of[arcs[ai].from - cut.base];
-                    table.push_part(table.arc_part(proc, arcs[ai].kind, None));
+                    table.push_part(table.arc_part(proc, arcs[ai], None));
                 }
                 let path = table.close(open, None);
                 let weight = d.plus(weight_of(exit_arc.kind, self.p, self.q, table));
@@ -785,7 +789,7 @@ impl IncrementalChecker {
             let li = cut.landing_idx[entry.to - cut.base].expect("entry heads are landings");
             let ew = weight_of(entry.kind, self.p, self.q, table);
             let tail_proc = self.proc_of[entry.from - cut.base];
-            let head = table.arc_part(tail_proc, entry.kind, None);
+            let head = table.arc_part(tail_proc, entry, None);
             let composites = &trees[li * cut.exits.len()..(li + 1) * cut.exits.len()];
             for (tail, &b) in composites.iter().zip(&cut.exits) {
                 let Some(tail) = tail else {
@@ -820,7 +824,7 @@ impl IncrementalChecker {
                         );
                     }
                 }
-                let sigs = tail_sigs(table, arc_sigs(table, entry.kind, tail_proc), tail);
+                let sigs = tail_sigs(table, arc_sigs(table, entry, tail_proc), tail);
                 let path = Spelling {
                     head,
                     tail: Some(tail.path),

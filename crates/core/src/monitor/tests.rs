@@ -6,6 +6,7 @@ use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
 use crate::maxratio::step_reverses;
 use crate::negcycle::Label;
+use crate::traversal::Arc;
 use abc_rational::Ratio;
 use proptest::prelude::*;
 
@@ -934,8 +935,8 @@ impl CostLine for ColdLine {
 
 impl ColdLine {
     /// The lines one live arc offers: its step, or its stored envelope.
-    fn of_arc(mon: &IncrementalChecker, kind: ArcKind) -> Vec<ColdLine> {
-        match (kind.step(), kind.counts()) {
+    fn of_arc(mon: &IncrementalChecker, arc: Arc) -> Vec<ColdLine> {
+        match (arc.step(), arc.kind.counts()) {
             (Ok(step), Ok((f, b))) => vec![ColdLine {
                 f,
                 b,
@@ -943,7 +944,7 @@ impl ColdLine {
                 last: Some(step),
             }],
             _ => {
-                let ArcKind::Shortcut(id) = kind else {
+                let ArcKind::Shortcut(id) = arc.kind else {
                     unreachable!("plain arcs have a step and counts")
                 };
                 let line = |s: &margin::MarginSig| {
@@ -1029,7 +1030,7 @@ fn cold_exit_lines(
                 continue;
             }
             for l in labels[from].clone() {
-                for d in ColdLine::of_arc(mon, arc.kind) {
+                for d in ColdLine::of_arc(mon, arc) {
                     if let Some(cand) = joined(&l, &d, &labels[to]) {
                         changed |= insert(&mut labels[to], cand);
                     }
@@ -1043,7 +1044,7 @@ fn cold_exit_lines(
     let mut per_exit = |&b: &usize| {
         let mut cands = Vec::new();
         for l in &labels[arcs[b].from - base] {
-            for d in ColdLine::of_arc(mon, arcs[b].kind) {
+            for d in ColdLine::of_arc(mon, arcs[b]) {
                 let cand = joined(l, &d, &cands);
                 cands.extend(cand);
             }

@@ -20,9 +20,9 @@
 //! process of the event it starts at, so two paths that meet at an event
 //! join by concatenation, and a walk's steps alone give its summary.
 
-use crate::cycle::{Cycle, CycleStep, WitnessSummary};
+use crate::cycle::{Cycle, CycleStep, ShadowEdge, WitnessSummary};
 use crate::graph::{EventId, LocalEdge, ProcessId};
-use crate::traversal::{Arc, ArcKind};
+use crate::traversal::Arc;
 
 use super::prune::ShortcutTable;
 use super::repair::ConfirmCtx;
@@ -88,10 +88,10 @@ fn push_arc(
     walk: &mut Vec<Step>,
     table: &ShortcutTable,
     proc: ProcessId,
-    kind: ArcKind,
+    arc: Arc,
     pick: Option<usize>,
 ) {
-    match table.arc_part(proc, kind, pick) {
+    match table.arc_part(proc, arc, pick) {
         Part::Step(step) => walk.push(step),
         Part::Path(path) => walk.extend_from_slice(table.path(path)),
     }
@@ -116,22 +116,21 @@ impl IncrementalChecker {
             from: EventId(ctx.prev_global),
             to: EventId(ctx.v),
         };
-        let mut walk = Vec::new();
-        push_arc(&mut walk, table, u_proc, ArcKind::Forward(ctx.mid), None);
-        push_arc(&mut walk, table, v_proc, ArcKind::LocalBack(local), None);
+        let step = |edge, against, proc| Step {
+            step: CycleStep { edge, against },
+            proc,
+        };
+        let mut walk = vec![
+            step(ShadowEdge::Message(ctx.mid), false, u_proc),
+            step(ShadowEdge::Local(local), true, v_proc),
+        ];
         if let Some(row) = &ctx.seeds {
             // The condensed interior, from `prev` on.
             walk.extend_from_slice(table.path(row.outs[seed].info.path));
         }
         for &ai in path {
             let arc = arcs[ai];
-            push_arc(
-                &mut walk,
-                table,
-                self.proc_of[arc.from - base],
-                arc.kind,
-                None,
-            );
+            push_arc(&mut walk, table, self.proc_of[arc.from - base], arc, None);
         }
         into_witness(&walk)
     }
@@ -149,7 +148,7 @@ impl IncrementalChecker {
         let mut walk = Vec::new();
         for &(ai, si) in picks {
             let proc = self.proc_of[arcs[ai].from - base];
-            push_arc(&mut walk, &self.shortcuts, proc, arcs[ai].kind, Some(si));
+            push_arc(&mut walk, &self.shortcuts, proc, arcs[ai], Some(si));
         }
         into_witness(&walk).1
     }

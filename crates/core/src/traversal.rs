@@ -61,17 +61,27 @@
 //! [`push_arc`]: TraversalGraph::push_arc
 
 use crate::cycle::{CycleStep, ShadowEdge};
-use crate::graph::{ExecutionGraph, LocalEdge, MessageId};
+use crate::graph::{EventId, ExecutionGraph, LocalEdge, MessageId};
 
 /// Role of a traversal-graph arc.
+///
+/// Two words on purpose: every payload is one word at the same offset, so
+/// an `ArcKind` travels between functions in two registers (and an
+/// [`Arc`] is four words). A payload that breaks that — a local edge on
+/// `LocalBack` would make the kind three words — makes every caller that
+/// is not inlined spill the kind with word-sized stores that the callee
+/// reloads at once with a wider load, which the store buffer cannot
+/// forward: a stall on every arc pushed. The layout pins in this module's
+/// tests hold the size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArcKind {
     /// The forward arc of an effective message (send → receive).
     Forward(MessageId),
     /// The backward arc of an effective message (receive → send).
     Backward(MessageId),
-    /// The backward arc of a local edge (later event → earlier event).
-    LocalBack(LocalEdge),
+    /// The backward arc of a local edge (later event → earlier event). The
+    /// edge is the arc reversed: it runs from the arc's head to its tail.
+    LocalBack,
     /// A condensed boundary path of a pruned prefix (monitor-only): stands
     /// for a shortest path through compacted events, identified by an index
     /// into the owning [`crate::monitor::IncrementalChecker`]'s shortcut
@@ -81,21 +91,6 @@ pub enum ArcKind {
 }
 
 impl ArcKind {
-    /// The walk step a plain arc stands for: a forward arc takes its
-    /// message along, backward and local arcs run against their edge. A
-    /// shortcut arc stands for a whole condensed path, not one step: `Err`
-    /// with its table id.
-    #[inline]
-    pub(crate) fn step(self) -> Result<CycleStep, usize> {
-        let edge = match self {
-            ArcKind::Forward(m) | ArcKind::Backward(m) => ShadowEdge::Message(m),
-            ArcKind::LocalBack(l) => ShadowEdge::Local(l),
-            ArcKind::Shortcut(id) => return Err(id),
-        };
-        let against = !matches!(self, ArcKind::Forward(_));
-        Ok(CycleStep { edge, against })
-    }
-
     /// Forward and backward message counts `(f, b)` of a plain arc's step;
     /// `Err` with the table id for a shortcut arc.
     #[inline]
@@ -103,7 +98,7 @@ impl ArcKind {
         match self {
             ArcKind::Forward(_) => Ok((1, 0)),
             ArcKind::Backward(_) => Ok((0, 1)),
-            ArcKind::LocalBack(_) => Ok((0, 0)),
+            ArcKind::LocalBack => Ok((0, 0)),
             ArcKind::Shortcut(id) => Err(id),
         }
     }
@@ -118,6 +113,26 @@ pub struct Arc {
     pub to: usize,
     /// What the arc encodes.
     pub kind: ArcKind,
+}
+
+impl Arc {
+    /// The walk step a plain arc stands for: a forward arc takes its
+    /// message along, backward and local arcs run against their edge (a
+    /// local arc's edge is the arc reversed). A shortcut arc stands for a
+    /// whole condensed path, not one step: `Err` with its table id.
+    #[inline]
+    pub(crate) fn step(self) -> Result<CycleStep, usize> {
+        let edge = match self.kind {
+            ArcKind::Forward(m) | ArcKind::Backward(m) => ShadowEdge::Message(m),
+            ArcKind::LocalBack => ShadowEdge::Local(LocalEdge {
+                from: EventId(self.to),
+                to: EventId(self.from),
+            }),
+            ArcKind::Shortcut(id) => return Err(id),
+        };
+        let against = !matches!(self.kind, ArcKind::Forward(_));
+        Ok(CycleStep { edge, against })
+    }
 }
 
 /// Sentinel for "no next arc" in the intrusive adjacency lists.
@@ -168,7 +183,7 @@ impl TraversalGraph {
             tg.push_arc(m.to.0, m.from.0, ArcKind::Backward(m.id));
         }
         for l in g.local_edges() {
-            tg.push_arc(l.to.0, l.from.0, ArcKind::LocalBack(l));
+            tg.push_arc(l.to.0, l.from.0, ArcKind::LocalBack);
         }
         tg
     }
@@ -287,6 +302,28 @@ impl TraversalGraph {
         }
         self.out_tail[slot] = idx;
         idx
+    }
+
+    /// Pushes the arcs of receive `recv`, in the order every arena holds
+    /// them: the forward and backward arc of its message when that carries
+    /// arcs (`message`: its send event and id), then the local back-arc to
+    /// `prev` (`None`: there is none to push). One call per receive, for a
+    /// caller that knows every endpoint is live; the arcs, their order and
+    /// every out-list are those of [`TraversalGraph::push_live_arc`]
+    /// called arc by arc.
+    pub(crate) fn push_receive(
+        &mut self,
+        recv: usize,
+        message: Option<(usize, MessageId)>,
+        prev: Option<usize>,
+    ) {
+        if let Some((send, mid)) = message {
+            self.push_live_arc(send, recv, ArcKind::Forward(mid));
+            self.push_live_arc(recv, send, ArcKind::Backward(mid));
+        }
+        if let Some(prev) = prev {
+            self.push_live_arc(recv, prev, ArcKind::LocalBack);
+        }
     }
 
     /// First outgoing arc index of global node `v` (cursor form of
@@ -455,9 +492,81 @@ mod tests {
             assert!(matches!(tg.arcs()[2 * i].kind, ArcKind::Forward(id) if id == m.id));
             assert!(matches!(tg.arcs()[2 * i + 1].kind, ArcKind::Backward(id) if id == m.id));
         }
-        assert!(tg.arcs()[2 * g.num_messages()..]
-            .iter()
-            .all(|a| matches!(a.kind, ArcKind::LocalBack(_))));
+        // Each local arc's step is rebuilt from its endpoints: its edge is
+        // the graph's, the arc reversed.
+        let locals = &tg.arcs()[2 * g.num_messages()..];
+        assert!(locals.iter().all(|a| a.kind == ArcKind::LocalBack));
+        for (arc, edge) in locals.iter().zip(g.local_edges()) {
+            let step = CycleStep {
+                edge: ShadowEdge::Local(edge),
+                against: true,
+            };
+            assert_eq!(arc.step(), Ok(step));
+        }
+    }
+
+    /// Layout pins. A kind of more than two words, or an arc of more than
+    /// four, is passed through memory by every caller that is not
+    /// inlined, and the callee's wide reload of the caller's word stores
+    /// stalls on every arc pushed (the module docs of [`ArcKind`]).
+    #[test]
+    fn an_arc_kind_is_two_words_and_an_arc_four() {
+        assert_eq!(std::mem::size_of::<ArcKind>(), 16);
+        assert_eq!(std::mem::size_of::<Arc>(), 32);
+    }
+
+    /// Every arc of `tg`, each out-list of its nodes, and its arc count.
+    type Shape = (Vec<(usize, usize, ArcKind)>, Vec<Vec<usize>>, usize);
+
+    fn shape(tg: &TraversalGraph) -> Shape {
+        let arcs = tg.arcs().iter().map(|a| (a.from, a.to, a.kind));
+        let outs = (tg.base()..tg.total_nodes()).map(|v| tg.out_arcs(v).collect());
+        (arcs.collect(), outs.collect(), tg.num_arcs())
+    }
+
+    #[test]
+    fn push_receive_leaves_what_pushing_arc_by_arc_leaves() {
+        // Receives of node 3 and then node 4 onto a window with arcs in it
+        // already, with and without an effective message, with and
+        // without a live local predecessor (a send and a `prev` that are
+        // the same node included).
+        for message in [None, Some((1, MessageId(7)))] {
+            for prev in [None, Some(1), Some(2)] {
+                let (mut one_call, mut arc_by_arc) = (TraversalGraph::new(), TraversalGraph::new());
+                for tg in [&mut one_call, &mut arc_by_arc] {
+                    grow_ladder(tg, 3);
+                    tg.compact_below(1);
+                    tg.push_node();
+                    tg.push_node();
+                }
+                for recv in [3, 4] {
+                    one_call.push_receive(recv, message, prev);
+                    if let Some((send, mid)) = message {
+                        arc_by_arc.push_arc(send, recv, ArcKind::Forward(mid));
+                        arc_by_arc.push_arc(recv, send, ArcKind::Backward(mid));
+                    }
+                    if let Some(prev) = prev {
+                        arc_by_arc.push_arc(recv, prev, ArcKind::LocalBack);
+                    }
+                }
+                assert_eq!(shape(&one_call), shape(&arc_by_arc), "{message:?} {prev:?}");
+                for arc in one_call
+                    .arcs()
+                    .iter()
+                    .filter(|a| a.kind == ArcKind::LocalBack)
+                {
+                    let edge = LocalEdge {
+                        from: EventId(arc.to),
+                        to: EventId(arc.from),
+                    };
+                    let step = CycleStep {
+                        edge: ShadowEdge::Local(edge),
+                        against: true,
+                    };
+                    assert_eq!(arc.step(), Ok(step));
+                }
+            }
+        }
     }
 
     #[test]
@@ -503,14 +612,7 @@ mod tests {
         tg.push_arc(0, 1, ArcKind::Forward(MessageId(0)));
         tg.push_arc(1, 0, ArcKind::Backward(MessageId(0)));
         let keep0 = tg.push_arc(2, 3, ArcKind::Forward(MessageId(1)));
-        tg.push_arc(
-            3,
-            1,
-            ArcKind::LocalBack(LocalEdge {
-                from: crate::graph::EventId(1),
-                to: crate::graph::EventId(3),
-            }),
-        );
+        tg.push_arc(3, 1, ArcKind::LocalBack);
         let keep1 = tg.push_arc(4, 2, ArcKind::Backward(MessageId(1)));
         let _ = (keep0, keep1);
         let (nodes, arcs) = tg.compact_below(2);
@@ -525,14 +627,7 @@ mod tests {
         // Growth continues seamlessly after compaction.
         let v = tg.push_node();
         assert_eq!(v, 5);
-        tg.push_arc(
-            v,
-            3,
-            ArcKind::LocalBack(LocalEdge {
-                from: crate::graph::EventId(3),
-                to: crate::graph::EventId(5),
-            }),
-        );
+        tg.push_arc(v, 3, ArcKind::LocalBack);
         assert_eq!(tg.out_arcs(v).count(), 1);
     }
 

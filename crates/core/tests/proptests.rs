@@ -64,7 +64,7 @@ fn textbook_violates(g: &ExecutionGraph, xi: &Xi) -> bool {
             let weight = match arc.kind {
                 ArcKind::Forward(_) => p * k - 1,
                 ArcKind::Backward(_) => -q * k - 1,
-                ArcKind::LocalBack(_) => -1,
+                ArcKind::LocalBack => -1,
                 ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
             };
             if dist[arc.from] + weight < dist[arc.to] {

@@ -24,6 +24,11 @@
 //! [`MAX_WIDTH`]. It keeps its width across [`Calendar::clear`], so a
 //! re-armed engine does not grow it again. Memory is the slab (peak
 //! in-flight entries), the spill, and a `u32` plus one bit per bucket.
+//!
+//! A slab node is the time, the next link and the item: 32 bytes for the
+//! engine's entry, whose two words [`Calendar::push`] receives in
+//! registers and stores into the node as they are (`engine.rs`'s module
+//! docs give the entry's layout, and why it must stay two words).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -15,6 +15,21 @@
 //! covers them, before any delivery can be pushed at their time. The pop
 //! order is therefore exactly the `(time, tie)` order of the binary heap
 //! the calendar replaced, and traces are the same byte for byte.
+//!
+//! # Entry layout
+//!
+//! A queue entry is two words: a tag and one word, at the same offset in
+//! both variants — the process of a wake-up, or the payload slot of a
+//! delivery, where the slot holds the trace message index beside the
+//! payload and the receiver is read off the trace message. An enum of
+//! that shape is passed in two registers, so `Calendar::push` writes the
+//! entry into its node straight from them. A wider entry, or one whose
+//! variants put their word at different offsets, is passed through
+//! memory: the engine spills it with word stores and the calendar
+//! reloads it at once with 16-byte loads, which the store buffer cannot
+//! forward — a stall on every delivery scheduled. The step's label comes
+//! back from the process field by field for the same reason
+//! (`StepMarks`). A unit test pins the entry's size.
 
 use abc_core::check::CheckError;
 use abc_core::cycle::Cycle;
@@ -23,7 +38,7 @@ use abc_core::{EventId, ProcessId, Xi};
 
 use crate::calendar::Calendar;
 use crate::delay::{DelayModel, Delivery};
-use crate::process::{Context, Process};
+use crate::process::{Context, Process, StepMarks};
 use crate::trace::{Trace, TraceEvent, TraceMessage};
 
 // Flight-recorder hooks: one span per `run` call, relaxed counter adds
@@ -155,9 +170,10 @@ pub struct Simulation<M, D> {
     delay_model: D,
     /// Pending steps in `(time, push order)` order; the push order is the
     /// tie between equal times.
-    queue: Calendar<EntryKind>,
-    payloads: Vec<Option<M>>, // payload per in-flight queue entry
-    free_slots: Vec<usize>,   // recycled payload slots (memory O(in-flight))
+    queue: Calendar<Entry>,
+    /// Per in-flight delivery: its trace message index and payload.
+    payloads: Vec<Option<(usize, M)>>,
+    free_slots: Vec<usize>, // recycled payload slots (memory O(in-flight))
     /// Sends of the step being executed; empty between steps.
     outbox: Vec<(ProcessId, M)>,
     trace: Trace,
@@ -167,12 +183,17 @@ pub struct Simulation<M, D> {
 }
 
 /// A queued step; the queue pops in `(time, push order)` order.
+///
+/// Two words, each variant's one word at the same offset, so an entry
+/// travels into the queue and out of it in registers (see the module
+/// docs).
 #[derive(Clone, Copy, Debug)]
-enum EntryKind {
+enum Entry {
     /// Wake-up of a process.
     Init(usize),
-    /// Delivery: (receiver, trace message index, payload slot).
-    Deliver(usize, usize, usize),
+    /// Delivery of the message whose index and payload sit in this
+    /// payload slot; its receiver is the trace message's.
+    Deliver(usize),
 }
 
 impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
@@ -371,7 +392,7 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
             self.monitor = Some(mon);
         }
         for (p, &start) in self.start_times.iter().enumerate() {
-            self.queue.push(start, EntryKind::Init(p));
+            self.queue.push(start, Entry::Init(p));
         }
     }
 
@@ -385,48 +406,47 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
         self.ensure_started();
         let mut stats = RunStats::default();
         while stats.events_executed < limits.max_events {
-            let Some((time, kind)) = self.queue.pop_until(limits.max_time) else {
+            let Some((time, entry)) = self.queue.pop_until(limits.max_time) else {
                 break;
             };
-            let (process, trigger, payload) = match kind {
-                EntryKind::Init(p) => (ProcessId(p), None, None),
-                EntryKind::Deliver(p, mi, slot) => {
-                    let payload = self.payloads[slot].take();
+            // A delivery: its message index, sender and payload.
+            let (process, delivery) = match entry {
+                Entry::Init(p) => (ProcessId(p), None),
+                Entry::Deliver(slot) => {
+                    let (mi, payload) = self.payloads[slot]
+                        .take()
+                        .expect("payload consumed exactly once");
                     self.free_slots.push(slot);
-                    (ProcessId(p), Some(mi), payload)
+                    let message = &self.trace.messages[mi];
+                    (message.to, Some((mi, message.from, payload)))
                 }
             };
             let num_processes = self.processes.len();
             let behavior = &mut self.processes[process.0];
             let was_crashed = behavior.has_crashed();
-            let mut label = None;
-            let mut distinguished = false;
+            let mut marks = StepMarks::default();
             {
                 let mut ctx = Context {
                     me: process,
                     now: time,
                     num_processes,
                     outbox: &mut self.outbox,
-                    label: &mut label,
-                    distinguished: &mut distinguished,
+                    marks: &mut marks,
                 };
-                match (trigger, &payload) {
-                    (None, _) => behavior.on_init(&mut ctx),
-                    (Some(mi), Some(msg)) => {
-                        let from = self.trace.messages[mi].from;
-                        behavior.on_message(&mut ctx, from, msg);
-                    }
-                    (Some(_), None) => unreachable!("payload consumed exactly once"),
+                match &delivery {
+                    None => behavior.on_init(&mut ctx),
+                    Some((_, from, msg)) => behavior.on_message(&mut ctx, *from, msg),
                 }
             }
+            let trigger = delivery.map(|(mi, ..)| mi);
             let event = TraceEvent {
                 seq: self.trace.events.len(),
                 process,
                 time,
                 trigger,
                 received_only: was_crashed && trigger.is_some(),
-                label,
-                distinguished,
+                label: marks.labelled.then_some(marks.label),
+                distinguished: marks.distinguished,
             };
             self.commit_step(&mut stats, event);
         }
@@ -524,16 +544,16 @@ impl<M: Clone + 'static, D: DelayModel> Simulation<M, D> {
                 Delivery::After(d) => {
                     let slot = match self.free_slots.pop() {
                         Some(s) => {
-                            self.payloads[s] = Some(msg);
+                            self.payloads[s] = Some((mi, msg));
                             s
                         }
                         None => {
-                            self.payloads.push(Some(msg));
+                            self.payloads.push(Some((mi, msg)));
                             self.payloads.len() - 1
                         }
                     };
                     self.queue
-                        .push(time.saturating_add(d), EntryKind::Deliver(to.0, mi, slot));
+                        .push(time.saturating_add(d), Entry::Deliver(slot));
                 }
             }
         }
@@ -918,6 +938,16 @@ mod tests {
         });
         let latched = sim.trace().replay_until_violation_into(mon, xi).unwrap();
         (stats, sim.trace().to_text(), latched, mon.stats())
+    }
+
+    /// Layout pin. A queue entry of more than two words (or two whose
+    /// variants put their word at different offsets) is passed to the
+    /// calendar through memory, and the calendar's wide reload of the
+    /// engine's word stores stalls on every delivery scheduled (the module
+    /// docs).
+    #[test]
+    fn a_queue_entry_is_two_words() {
+        assert!(std::mem::size_of::<Entry>() <= 2 * std::mem::size_of::<usize>());
     }
 
     #[test]

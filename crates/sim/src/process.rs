@@ -34,8 +34,18 @@ pub struct Context<'a, M> {
     pub(crate) now: u64,
     pub(crate) num_processes: usize,
     pub(crate) outbox: &'a mut Vec<(ProcessId, M)>,
-    pub(crate) label: &'a mut Option<u64>,
-    pub(crate) distinguished: &'a mut bool,
+    pub(crate) marks: &'a mut StepMarks,
+}
+
+/// What a process marks on the trace event of its step, read back by the
+/// engine field by field. An `Option<u64>` here would come back as one
+/// 16-byte copy of the two words `set_label` has just stored: a load the
+/// store buffer cannot forward, on every step.
+#[derive(Default)]
+pub(crate) struct StepMarks {
+    pub(crate) label: u64,
+    pub(crate) labelled: bool,
+    pub(crate) distinguished: bool,
 }
 
 impl<M: Clone> Context<'_, M> {
@@ -79,13 +89,14 @@ impl<M: Clone> Context<'_, M> {
     /// Attaches a numeric label to this step's trace event (used e.g. to
     /// record clock values for precision measurements).
     pub fn set_label(&mut self, value: u64) {
-        *self.label = Some(value);
+        self.marks.label = value;
+        self.marks.labelled = true;
     }
 
     /// Marks this step as a *distinguished event* for the bounded-progress
     /// condition (Definition 7).
     pub fn mark_distinguished(&mut self) {
-        *self.distinguished = true;
+        self.marks.distinguished = true;
     }
 }
 
