@@ -56,9 +56,9 @@
 //! just the `Ξ`-optimal path the violation machinery stores. Every prune
 //! grows the envelopes, so every pruned window answers its margin. On the
 //! bounded served documents (horizon 256, one prune of ≈8 landings and
-//! 759 internal arcs each) a prune takes about 0.6 ms on a shared
-//! 2-hardware-thread host, of which the envelope passes are 0.32, the lex
-//! trees 0.12 and the composition of the condensed paths 0.12.
+//! 759 internal arcs each) a prune takes about 0.43 ms on a shared
+//! 2-hardware-thread host, of which the envelope passes are 0.17, the lex
+//! trees 0.13 and the composition of the condensed paths 0.08.
 //!
 //! # The envelope pass
 //!
@@ -69,14 +69,21 @@
 //! moment earlier, is that tree at `x = Ξ` — and then run as a FIFO
 //! worklist over one per-cut CSR, re-scanning only the events whose
 //! envelope changed (Cherkassky & Goldberg 1999, the discipline of the
-//! crate's kernel). A candidate line costs an arena link and a merge into
-//! its slot's envelope — kept steepest first, so the merge is one hull
-//! scan and no sort — only after an exact, allocation-free test that it
-//! wins somewhere on `[floor, ∞)` (`can_win`), and the labels live in flat
-//! scratch the monitor owns (`EnvelopeScratch`), so a tree makes no
-//! per-node allocation. `crates/bench/tests/prune_work.rs` pins the
-//! pass's work by count; `monitor/tests.rs` keeps the cold, round-based
-//! pass it replaced as a differential oracle.
+//! crate's kernel). The pass lives on flat columns. A CSR entry carries
+//! what a scan reads: the head and the arc's lines (a plain arc's `(f, b)`,
+//! or a shortcut's id). A slot (`SlotLines`) holds its first line in
+//! place, and only a slot of two or more lines — about one in ten —
+//! spills its envelope to a run, kept steepest first, so a merge is one
+//! hull scan and no sort. A candidate line is turned away on its counts
+//! alone, by the exact, allocation-free test of whether it wins somewhere
+//! on `[floor, ∞)` (`can_win`) — against a slot's one line, read in place,
+//! a slope test and one compare at the floor — and only a line that wins
+//! has its path's boundary steps read, a link made and its slot merged.
+//! Nine worklist scans in ten lose that way. The scratch is the monitor's
+//! (`EnvelopeScratch`), so a tree makes no per-node allocation.
+//! `crates/bench/tests/prune_work.rs` pins the pass's work by count;
+//! `monitor/tests.rs` keeps the cold, round-based pass it replaced as a
+//! differential oracle.
 
 use std::collections::VecDeque;
 
@@ -90,7 +97,7 @@ use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutTable};
 use super::witness::{Part, PathRef, Spelling, Step};
-use super::{effective_send, IncrementalChecker, MarginReport};
+use super::{effective_send, narrow, IncrementalChecker, MarginReport};
 
 static OBS_PROBES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.margin_probes");
 /// Kernel runs on a tracking monitor's kept labels (one per empty window
@@ -108,6 +115,10 @@ static OBS_SIG_LINKS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pr
 static OBS_SIG_SCANS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_scans");
 static OBS_SIG_NODES: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_nodes");
 static OBS_SIG_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_arcs");
+/// Lines a pass let past its one-compare rejection into the full offer
+/// (the reversal test, a link, an insert); `prune_work.rs` bounds them by
+/// the scans.
+static OBS_SIG_OFFERS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_sig_offers");
 /// Junctions a pass refused for reversing a message although their line
 /// could win: the one decision that reads *which* path holds a line.
 static OBS_SIG_REFUSALS: abc_obs::CounterDef =
@@ -135,7 +146,7 @@ pub(super) struct MarginSig {
 /// counts and boundary steps that every envelope and junction decision
 /// reads, plus how its path is put together. Copying one copies no path;
 /// only the signatures that survive onto a shortcut are spelled out.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 pub(super) struct Sig {
     pub(super) f: i128,
     pub(super) b: i128,
@@ -204,6 +215,35 @@ impl CostLine for Sig {
     }
 }
 
+/// The cost lines an arc extends a path by, as a scan reads them off the
+/// cut's CSR: a plain arc's one `(f, b)`, or the stored envelope of a
+/// shortcut, by table id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum ArcLines {
+    Plain { f: u8, b: u8 },
+    Shortcut(u32),
+}
+
+impl ArcLines {
+    /// What a CSR entry built for the lex pass alone carries: that pass
+    /// reads no lines (see [`super::repair::LexArcs::index`]).
+    pub(super) const UNREAD: ArcLines = ArcLines::Plain { f: 0, b: 0 };
+
+    #[inline]
+    pub(super) fn of(kind: ArcKind) -> ArcLines {
+        match kind.counts() {
+            // A plain step counts at most one message.
+            Ok((f, b)) => ArcLines::Plain {
+                f: u8::from(f == 1),
+                b: u8::from(b == 1),
+            },
+            Err(id) => ArcLines::Shortcut(
+                u32::try_from(id).expect("a shortcut table holds fewer than 2^32 paths"),
+            ),
+        }
+    }
+}
+
 /// One line of a prefix event's envelope while a landing's tree grows: the
 /// counts of a path `landing ⇝ event` and the link that spells it out.
 #[derive(Clone, Copy, Debug)]
@@ -211,7 +251,7 @@ struct TreeLine {
     f: i128,
     b: i128,
     /// Index into [`EnvelopeScratch::links`]; [`ROOT`] for the empty path.
-    link: usize,
+    link: u32,
 }
 
 impl CostLine for TreeLine {
@@ -224,31 +264,30 @@ impl CostLine for TreeLine {
 /// `pick` of arena arc `arc`.
 #[derive(Clone, Copy, Debug)]
 struct TreeLink {
-    parent: usize,
-    arc: usize,
-    pick: usize,
-}
-
-/// Line `pick` of arena arc `arc` (a plain arc's one line is pick `0`),
-/// as the envelope pass extends a path by it: its counts and first step.
-#[derive(Clone, Copy)]
-struct ArcLine {
-    arc: usize,
-    pick: usize,
-    f: i128,
-    b: i128,
-    first: CycleStep,
+    parent: u32,
+    arc: u32,
+    pick: u32,
 }
 
 /// The link of the empty path, at the landing itself.
-const ROOT: usize = usize::MAX;
+const ROOT: u32 = u32::MAX;
 
-/// Where one slot's lines sit in [`EnvelopeScratch::lines`].
+/// One slot's envelope. Its first (steepest) line sits in place: the
+/// slot's only line when `len` is 1, as it is for ≈90% of the slots a pass
+/// reaches. From two lines on, the whole envelope sits in a run of
+/// [`EnvelopeScratch::lines`] (the first line there too), with room for
+/// `cap` lines. Forty-eight bytes, no padding
+/// (`tests::an_envelope_slot_is_48_bytes_and_a_csr_entry_16` pins it): a
+/// scan that loses reads this and the CSR entry, nothing else.
 #[derive(Clone, Copy, Debug, Default)]
-struct Run {
-    start: usize,
-    len: usize,
-    cap: usize,
+pub(super) struct SlotLines {
+    f: i128,
+    b: i128,
+    link: u32,
+    /// How many lines the envelope holds; `0` for a slot not reached.
+    len: u32,
+    start: u32,
+    cap: u32,
 }
 
 /// The envelope pass's scratch, owned by the monitor and kept across
@@ -258,10 +297,10 @@ struct Run {
 /// head as seen from this landing. Nothing in it outlives a prune.
 #[derive(Clone, Debug, Default)]
 pub(super) struct EnvelopeScratch {
-    /// Every slot's envelope, steepest line first, in one run per slot; a
-    /// run that outgrows its room moves to the end.
+    slots: Vec<SlotLines>,
+    /// The envelopes of two or more lines, steepest first, one run per
+    /// slot; a run that outgrows its room moves to the end.
     lines: Vec<TreeLine>,
-    runs: Vec<Run>,
     links: Vec<TreeLink>,
     queue: VecDeque<usize>,
     queued: Vec<bool>,
@@ -275,6 +314,8 @@ pub(super) struct EnvelopeScratch {
     /// Junctions the landing's pass refused although their line could win
     /// (see [`IncrementalChecker::margin_sig_sssp`]).
     pub(super) refused: usize,
+    /// Lines the landing's pass let past the one-compare rejection.
+    offers: u64,
 }
 
 impl EnvelopeScratch {
@@ -282,8 +323,8 @@ impl EnvelopeScratch {
     pub(super) fn capacity(&self) -> usize {
         // Exhaustive on purpose: a new buffer is counted or does not compile.
         let EnvelopeScratch {
+            slots,
             lines,
-            runs,
             links,
             queue,
             queued,
@@ -291,9 +332,10 @@ impl EnvelopeScratch {
             chain,
             spelled,
             refused: _,
+            offers: _,
         } = self;
-        lines.capacity()
-            + runs.capacity()
+        slots.capacity()
+            + lines.capacity()
             + links.capacity()
             + queue.capacity()
             + queued.capacity()
@@ -307,59 +349,104 @@ impl EnvelopeScratch {
         self.lines.clear();
         self.links.clear();
         self.queue.clear();
-        self.runs.clear();
-        self.runs.resize(slots, Run::default());
+        self.slots.clear();
+        self.slots.resize(slots, SlotLines::default());
         self.queued.clear();
         self.queued.resize(slots, false);
         self.refused = 0;
+        self.offers = 0;
     }
 
-    fn envelope(&self, slot: usize) -> &[TreeLine] {
-        let run = self.runs[slot];
-        &self.lines[run.start..run.start + run.len]
-    }
-
-    /// Envelope-inserts `cand`, which [`can_win`], into `slot`.
-    fn insert(&mut self, slot: usize, cand: TreeLine, lo: (i128, i128)) {
-        let mut run = self.runs[slot];
-        if run.len == 0 {
-            // Most inserts give a slot its first line.
-            if run.cap == 0 {
-                run.start = self.lines.len();
-                run.cap = 2;
-                self.lines.resize(run.start + run.cap, cand);
+    /// Line `k` of the envelope `slot` holds.
+    #[inline]
+    fn line(&self, slot: &SlotLines, k: usize) -> TreeLine {
+        if k == 0 {
+            TreeLine {
+                f: slot.f,
+                b: slot.b,
+                link: slot.link,
             }
-            self.lines[run.start] = cand;
-            run.len = 1;
-            self.runs[slot] = run;
+        } else {
+            self.lines[slot.start as usize + k]
+        }
+    }
+
+    /// Whether slot `slot` has a line.
+    #[cfg(test)]
+    pub(super) fn reached(&self, slot: usize) -> bool {
+        self.slots[slot].len > 0
+    }
+
+    /// Whether the line `x·f − b` would be kept by slot `to` ([`can_win`]).
+    /// Against one line — most slots hold one — the rule reads the slot's
+    /// in-place line and no run: a slope test and one compare at the floor.
+    #[inline(always)]
+    fn can_win(&self, to: usize, f: i128, b: i128, lo: (i128, i128)) -> bool {
+        let s = &self.slots[to];
+        match s.len {
+            0 => true,
+            1 => can_win(std::slice::from_ref(&self.line(s, 0)), f, b, lo),
+            len => {
+                let start = s.start as usize;
+                can_win(&self.lines[start..start + len as usize], f, b, lo)
+            }
+        }
+    }
+
+    /// Envelope-inserts the line `(f, b, link)`, which [`Self::can_win`],
+    /// into `slot`.
+    #[inline]
+    fn insert(&mut self, slot: usize, f: i128, b: i128, link: u32, lo: (i128, i128)) {
+        let s = &mut self.slots[slot];
+        if s.len == 0 {
+            // Most inserts give a slot its first line, in place.
+            (s.f, s.b, s.link, s.len) = (f, b, link, 1);
             return;
         }
+        self.merge(slot, &TreeLine { f, b, link }, lo);
+    }
+
+    /// [`Self::insert`] into a slot that has lines already.
+    fn merge(&mut self, slot: usize, cand: &TreeLine, lo: (i128, i128)) {
+        let s = self.slots[slot];
+        let first = self.line(&s, 0);
+        let old = if s.len == 1 {
+            std::slice::from_ref(&first)
+        } else {
+            &self.lines[s.start as usize..(s.start + s.len) as usize]
+        };
         // The envelope is steepest first, one line per slope: `cand` goes
         // before the first line no steeper than it, in place of one of its
         // own slope, which it beats (it can win). The hull scan needs no
         // sort then.
-        let old = &self.lines[run.start..run.start + run.len];
         let at = old.iter().position(|l| l.f <= cand.f).unwrap_or(old.len());
         let rest = at + usize::from(old.get(at).is_some_and(|l| l.f == cand.f));
         self.merging.clear();
         self.merging.extend_from_slice(&old[..at]);
-        self.merging.push(cand);
+        self.merging.push(*cand);
         self.merging.extend_from_slice(&old[rest..]);
         hull(&mut self.merging, lo);
         debug_assert!(self.merging.iter().any(|l| l.link == cand.link));
         let len = self.merging.len();
-        if len > run.cap {
-            // A run that moves gets room to double.
-            run = Run {
-                start: self.lines.len(),
-                len,
-                cap: 2 * len,
-            };
-            self.lines.resize(run.start + run.cap, cand);
+        let head = self.merging[0];
+        let mut s = SlotLines {
+            f: head.f,
+            b: head.b,
+            link: head.link,
+            len: narrow(len),
+            ..s
+        };
+        if len >= 2 {
+            if len > s.cap as usize {
+                // A run that moves gets room to double.
+                s.start = narrow(self.lines.len());
+                s.cap = narrow(2 * len);
+                self.lines.resize(self.lines.len() + 2 * len, head);
+            }
+            let start = s.start as usize;
+            self.lines[start..start + len].copy_from_slice(&self.merging);
         }
-        run.len = len;
-        self.lines[run.start..run.start + len].copy_from_slice(&self.merging);
-        self.runs[slot] = run;
+        self.slots[slot] = s;
     }
 }
 
@@ -558,15 +645,7 @@ impl IncrementalChecker {
         let width = cut.w - base;
         let arcs = self.tg.arcs();
         sc.arm(width + cut.exits.len());
-        sc.insert(
-            start - base,
-            TreeLine {
-                f: 0,
-                b: 0,
-                link: ROOT,
-            },
-            cut.floor,
-        );
+        sc.insert(start - base, 0, 0, ROOT, cut.floor);
         sc.queued[start - base] = true;
         sc.queue.push_back(start - base);
         let mut scans = 0;
@@ -580,8 +659,10 @@ impl IncrementalChecker {
             }
             while let Some(node) = sc.chain.pop() {
                 let ai = pred[node].expect("only nodes with a tree arc are pending");
+                let arc = arcs[ai];
+                let tail = sc.slots[arc.from - base];
                 scans += 1;
-                if self.relax_sigs(cut, table, sc, ai, node) {
+                if self.relax_sigs(cut, table, sc, &tail, ai, ArcLines::of(arc.kind), node) {
                     sc.queued[node] = true;
                     sc.queue.push_back(node);
                 }
@@ -595,111 +676,122 @@ impl IncrementalChecker {
                 pops <= 100_000 * width,
                 "internal error: margin signature envelopes failed to converge"
             );
-            for &r in cut.lex.out(from) {
-                let to = cut.lex.head[r];
+            // `from`'s envelope stays as it is while its out-arcs are
+            // scanned: the CSR leaves self-loops out (they only lap a
+            // prefix cycle), so every insert goes to another slot.
+            let tail = sc.slots[from];
+            for o in cut.lex.out(from) {
+                let to = o.head as usize;
                 scans += 1;
-                if self.relax_sigs(cut, table, sc, cut.lex.arena[r], to) && !sc.queued[to] {
+                let ai = cut.lex.arena[o.rank as usize];
+                if self.relax_sigs(cut, table, sc, &tail, ai, o.lines, to) && !sc.queued[to] {
                     sc.queued[to] = true;
                     sc.queue.push_back(to);
                 }
             }
         }
         for (bi, &b) in cut.exits.iter().enumerate() {
-            self.relax_sigs(cut, table, sc, b, width + bi);
+            let arc = arcs[b];
+            let tail = sc.slots[arc.from - base];
+            self.relax_sigs(cut, table, sc, &tail, b, ArcLines::of(arc.kind), width + bi);
         }
-        let reached = sc.runs.iter().filter(|r| r.len > 0).count();
+        let reached = sc.slots.iter().filter(|s| s.len > 0).count();
         OBS_SIG_LINKS.add(sc.links.len() as u64);
         OBS_SIG_SCANS.add(scans);
         OBS_SIG_NODES.add(reached as u64);
         OBS_SIG_ARCS.add(cut.lex.num_out() as u64);
+        OBS_SIG_OFFERS.add(sc.offers);
         OBS_SIG_REFUSALS.add(sc.refused as u64);
     }
 
-    /// The one relax step of the envelope pass: every line at the tail of
-    /// arena arc `ai`, extended by every line of the arc (a plain arc's
-    /// one step, read off its kind), is offered to slot `to`. Returns
-    /// whether `to`'s envelope changed.
+    /// The one relax step of the envelope pass: every line of `tail`, the
+    /// envelope at the tail of arena arc `ai`, extended by every line of the
+    /// arc, `lines`, is offered to slot `to` — a line that cannot win
+    /// there is turned away on its counts alone, before anything about its
+    /// path is read. Returns whether `to`'s envelope changed.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn relax_sigs(
         &self,
         cut: &Cut,
         table: &ShortcutTable,
         sc: &mut EnvelopeScratch,
+        tail: &SlotLines,
         ai: usize,
+        lines: ArcLines,
         to: usize,
     ) -> bool {
-        let arc = self.tg.arcs()[ai];
         let mut changed = false;
-        let from = sc.runs[arc.from - cut.base];
-        // `to` is another slot (the CSR leaves self-loops out: they only
-        // lap a prefix cycle), so its inserts leave the tail's run alone.
-        for at in from.start..from.start + from.len {
-            let l = sc.lines[at];
-            match (arc.step(), arc.kind.counts()) {
-                (Ok(first), Ok((f, b))) => {
-                    let d = ArcLine {
-                        arc: ai,
-                        pick: 0,
-                        f,
-                        b,
-                        first,
-                    };
-                    changed |= self.offer_line(cut, table, sc, l, d, to);
-                }
-                (_, Err(id)) => {
-                    for (pick, sig) in table.sigs(id).iter().enumerate() {
-                        let d = ArcLine {
-                            arc: ai,
-                            pick,
-                            f: sig.f,
-                            b: sig.b,
-                            first: table.path_ends(sig.path).0.step,
-                        };
-                        changed |= self.offer_line(cut, table, sc, l, d, to);
+        for k in 0..tail.len as usize {
+            let l = sc.line(tail, k);
+            match lines {
+                ArcLines::Plain { f, b } => {
+                    let (f, b) = (l.f + i128::from(f), l.b + i128::from(b));
+                    if sc.can_win(to, f, b, cut.floor) {
+                        changed |= self.offer_line(cut, table, sc, l.link, (f, b), (ai, 0), to);
                     }
                 }
-                (Err(_), Ok(_)) => unreachable!("an arc with counts is one step"),
+                ArcLines::Shortcut(id) => {
+                    for (pick, sig) in table.sigs(id as usize).iter().enumerate() {
+                        let (f, b) = (l.f + sig.f, l.b + sig.b);
+                        if sc.can_win(to, f, b, cut.floor) {
+                            let line = (ai, pick);
+                            changed |= self.offer_line(cut, table, sc, l.link, (f, b), line, to);
+                        }
+                    }
+                }
             }
         }
         changed
     }
 
-    /// Offers slot `to` the line `l` extended by the arc line `d`; returns
-    /// whether it was kept.
+    /// Offers slot `to` the line of counts `(f, b)` that extends the path
+    /// of link `parent` by line `pick` of arena arc `arc`, a line that can
+    /// win there; returns whether it was kept. Only here are a path's
+    /// boundary steps read, to refuse a junction that reverses a message.
+    #[allow(clippy::too_many_arguments)]
     fn offer_line(
         &self,
         cut: &Cut,
         table: &ShortcutTable,
         sc: &mut EnvelopeScratch,
-        l: TreeLine,
-        d: ArcLine,
+        parent: u32,
+        (f, b): (i128, i128),
+        (arc, pick): (usize, usize),
         to: usize,
     ) -> bool {
-        let (f, b) = (l.f + d.f, l.b + d.b);
-        // Nothing is linked or rebuilt for a line that cannot win.
-        if !can_win(sc.envelope(to), f, b, cut.floor) {
-            return false;
-        }
-        if let Some(k) = sc.links.get(l.link) {
-            if step_reverses(&self.last_step(table, k), &d.first) {
+        sc.offers += 1;
+        if let Some(k) = sc.links.get(parent as usize) {
+            let first = match self.tg.arcs()[arc].step() {
+                Ok(step) => step,
+                Err(id) => table.path_ends(table.sigs(id)[pick].path).0.step,
+            };
+            if step_reverses(&self.last_step(table, k), &first) {
                 sc.refused += 1;
                 return false;
             }
         }
-        let link = sc.links.len();
+        let link = narrow(sc.links.len());
+        debug_assert_ne!(link, ROOT);
         sc.links.push(TreeLink {
-            parent: l.link,
-            arc: d.arc,
-            pick: d.pick,
+            parent,
+            arc: narrow(arc),
+            pick: narrow(pick),
         });
-        sc.insert(to, TreeLine { f, b, link }, cut.floor);
+        sc.insert(to, f, b, link, cut.floor);
         true
     }
 
     /// The last step of the path `link` ends.
     fn last_step(&self, table: &ShortcutTable, link: &TreeLink) -> CycleStep {
-        match self.tg.arcs()[link.arc].step() {
+        match self.tg.arcs()[link.arc as usize].step() {
             Ok(step) => step,
-            Err(id) => table.path_ends(table.sigs(id)[link.pick].path).1.step,
+            Err(id) => {
+                table
+                    .path_ends(table.sigs(id)[link.pick as usize].path)
+                    .1
+                    .step
+            }
         }
     }
 
@@ -715,20 +807,21 @@ impl IncrementalChecker {
         share: Option<PathRef>,
     ) -> &'s [MarginSig] {
         let arcs = self.tg.arcs();
-        let run = sc.runs[cut.w - cut.base + bi];
+        let slot = sc.slots[cut.w - cut.base + bi];
         sc.spelled.clear();
-        for at in run.start..run.start + run.len {
-            let line = sc.lines[at];
+        for k in 0..slot.len as usize {
+            let line = sc.line(&slot, k);
             let mut link = line.link;
-            while let Some(k) = sc.links.get(link) {
-                sc.chain.push(link);
+            while let Some(k) = sc.links.get(link as usize) {
+                sc.chain.push(link as usize);
                 link = k.parent;
             }
             let open = table.open();
             while let Some(link) = sc.chain.pop() {
                 let TreeLink { arc, pick, .. } = sc.links[link];
-                let proc = self.proc_of[arcs[arc].from - cut.base];
-                table.push_part(table.arc_part(proc, arcs[arc], Some(pick)));
+                let arc = arcs[arc as usize];
+                let proc = self.proc_of[arc.from - cut.base];
+                table.push_part(table.arc_part(proc, arc, Some(pick as usize)));
             }
             sc.spelled.push(MarginSig {
                 f: line.f,

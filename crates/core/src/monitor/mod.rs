@@ -825,6 +825,12 @@ fn effective_send(entry: usize) -> Option<usize> {
     (entry != INIT && entry & EFFECTIVE != 0).then_some(entry & !EFFECTIVE)
 }
 
+/// A column index as a 32-bit field of a prune's flat columns (pool
+/// positions, CSR entries, envelope slots and links).
+fn narrow(i: usize) -> u32 {
+    u32::try_from(i).expect("a prune's columns hold fewer than 2^32 entries")
+}
+
 /// The lexicographic weight of a live arc for `Ξ = p/q`.
 fn weight_of(kind: ArcKind, p: i128, q: i128, shortcuts: &ShortcutTable) -> Weight {
     let first = match kind {

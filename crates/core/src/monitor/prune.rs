@@ -46,7 +46,8 @@
 //!
 //! What a cut computes it computes once. The internal arcs are indexed
 //! into **flat columns** per cut (`LexArcs`: ends and lex weight by rank,
-//! one CSR by tail), which every landing's lex pass and envelope pass
+//! one CSR by tail whose entries carry what a scan reads — rank, head and
+//! the arc's cost lines), which every landing's lex pass and envelope pass
 //! read; the lex pass visits only the arcs whose tail moved (the `repair`
 //! module has the argument). A landing's envelope pass is **warm-started
 //! from its lex tree**: that tree is the parametric tree at `x = Ξ`, its
@@ -67,9 +68,9 @@
 //! spelled, into the one step pool of the [`ShortcutTable`]. A signature
 //! spelled like its shortcut shares the shortcut's path. The pool and the
 //! table's signature column only grow during a prune; `install` copies
-//! what is still referenced into spare columns and swaps them in, so once
-//! the columns have grown, a prune allocates a few buffers per cut and
-//! nothing per path.
+//! what is still referenced into spare columns and swaps them in, and the
+//! merge rule's columns are the table's too, so once the columns have
+//! grown, a prune allocates a few buffers per cut and nothing per path.
 
 use std::ops::Index;
 
@@ -78,10 +79,10 @@ use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::negcycle::Label;
 use crate::traversal::{Arc, ArcKind};
 
-use super::margin::{arc_sigs, margin_envelope, EnvelopeScratch, MarginSig, Sig};
+use super::margin::{arc_sigs, margin_envelope, ArcLines, EnvelopeScratch, MarginSig, Sig};
 use super::repair::{LexArcs, LexScratch};
 use super::witness::{Part, PathRef, Spelling, Step};
-use super::{weight_of, IncrementalChecker, Weight};
+use super::{narrow, weight_of, IncrementalChecker, Weight};
 
 static OBS_PRUNED_EVENTS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_events");
 static OBS_PRUNED_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.pruned_arcs");
@@ -124,6 +125,9 @@ pub(super) struct ShortcutTable {
     /// What `compact` copies into and swaps in, kept for its capacity.
     spare_sigs: Vec<MarginSig>,
     spare_steps: Vec<Step>,
+    /// The merge rule's columns while a prune composes into the table,
+    /// kept for their capacity.
+    merge: Merge,
 }
 
 impl Index<usize> for ShortcutTable {
@@ -132,11 +136,6 @@ impl Index<usize> for ShortcutTable {
     fn index(&self, id: usize) -> &ShortcutInfo {
         &self.infos[id]
     }
-}
-
-/// A column index as a pool position.
-fn pos(i: usize) -> u32 {
-    u32::try_from(i).expect("a shortcut table holds fewer than 2^32 steps and lines")
 }
 
 impl ShortcutTable {
@@ -168,6 +167,7 @@ impl ShortcutTable {
             + self.steps.capacity()
             + self.spare_sigs.capacity()
             + self.spare_steps.capacity()
+            + self.merge.capacity()
     }
 
     /// The steps of a path.
@@ -229,8 +229,8 @@ impl ShortcutTable {
     /// dropped again, and `share` is returned for it.
     pub(super) fn close(&mut self, start: usize, share: Option<PathRef>) -> PathRef {
         let path = PathRef {
-            start: pos(start),
-            end: pos(self.steps.len()),
+            start: narrow(start),
+            end: narrow(self.steps.len()),
         };
         debug_assert!(path.start < path.end, "no condensed path is empty");
         match share {
@@ -268,14 +268,14 @@ impl ShortcutTable {
         path: PathRef,
         sigs: impl IntoIterator<Item = MarginSig>,
     ) -> ShortcutInfo {
-        let start = pos(self.sigs.len());
+        let start = narrow(self.sigs.len());
         self.sigs.extend(sigs);
         ShortcutInfo {
             weight,
             path,
             sigs: SigRun {
                 start,
-                end: pos(self.sigs.len()),
+                end: narrow(self.sigs.len()),
             },
         }
     }
@@ -291,21 +291,22 @@ impl ShortcutTable {
             steps,
             spare_sigs,
             spare_steps,
+            merge: _,
         } = self;
         spare_sigs.clear();
         spare_steps.clear();
         let copy = |path: PathRef, into: &mut Vec<Step>| {
-            let start = pos(into.len());
+            let start = narrow(into.len());
             into.extend_from_slice(&steps[path.start as usize..path.end as usize]);
             PathRef {
                 start,
-                end: pos(into.len()),
+                end: narrow(into.len()),
             }
         };
         let outs = rows.iter_mut().flatten().flat_map(|row| &mut row.outs);
         for info in infos.iter_mut().chain(outs.map(|out| &mut out.info)) {
             let path = copy(info.path, spare_steps);
-            let start = pos(spare_sigs.len());
+            let start = narrow(spare_sigs.len());
             for sig in &sigs[info.sigs.start as usize..info.sigs.end as usize] {
                 let moved = if sig.path == info.path {
                     path
@@ -320,7 +321,7 @@ impl ShortcutTable {
             info.path = path;
             info.sigs = SigRun {
                 start,
-                end: pos(spare_sigs.len()),
+                end: narrow(spare_sigs.len()),
             };
         }
         // The columns swap roles every prune: the one that comes in as
@@ -381,6 +382,7 @@ type Trees = Vec<Option<ShortcutInfo>>;
 /// A candidate for a slot: its lex weight, how its path is put together,
 /// its signatures (a run of [`Merge::sigs`]), whether merging it re-cuts
 /// the slot's envelope, and the slot's next candidate.
+#[derive(Clone, Debug)]
 struct Candidate {
     weight: Weight,
     path: Spelling,
@@ -394,8 +396,10 @@ struct Candidate {
 /// ties), and every candidate's signatures merge into the slot's envelope
 /// — a probe below `Ξ` may prefer a path that loses at `Ξ`. Candidates are
 /// offered in prune order and settled once all are in; only then is a
-/// path spelled.
-#[derive(Default)]
+/// path spelled. Its columns are the table's, lent out while a prune
+/// composes (taken by [`Merge::lend`]), so a prune of a size seen before
+/// grows none of them.
+#[derive(Clone, Debug, Default)]
 struct Merge {
     candidates: Vec<Candidate>,
     sigs: Vec<Sig>,
@@ -408,6 +412,38 @@ struct Merge {
 }
 
 impl Merge {
+    /// The table's merge columns, emptied, for the caller to hand back.
+    fn lend(table: &mut ShortcutTable) -> Merge {
+        let mut merge = std::mem::take(&mut table.merge);
+        merge.clear();
+        merge
+    }
+
+    /// Forgets every candidate and slot, keeping every column's capacity.
+    fn clear(&mut self) {
+        // Exhaustive on purpose: a new column is cleared or does not compile.
+        let Merge {
+            candidates,
+            sigs,
+            slots,
+            merging,
+            spelled,
+        } = self;
+        candidates.clear();
+        sigs.clear();
+        slots.clear();
+        merging.clear();
+        spelled.clear();
+    }
+
+    fn capacity(&self) -> usize {
+        self.candidates.capacity()
+            + self.sigs.capacity()
+            + self.slots.capacity()
+            + self.merging.capacity()
+            + self.spelled.capacity()
+    }
+
     /// Offers a candidate to slot `slot` (opened if `slot` is the next
     /// one). `recut`: whether the candidate's signatures are recut at the
     /// floor even if it stays alone in its slot (a stored path that a later
@@ -661,9 +697,8 @@ impl IncrementalChecker {
             .iter()
             .enumerate()
             .filter(|(_, a)| a.from < w && a.to < w);
-        let indexed =
-            internal.map(|(ai, a)| (ai, a.from - base, a.to - base, self.arc_weight(a.kind)));
-        cut.lex = LexArcs::index(w - base, indexed);
+        let indexed = internal.map(|(ai, &a)| (ai, a, self.arc_weight(a.kind)));
+        cut.lex = LexArcs::index(w - base, base, indexed, ArcLines::of);
         let mut heads: Vec<usize> = Vec::new();
         heads.extend(cut.entries.iter().map(|&ai| arcs[ai].to));
         for p in 0..self.num_processes {
@@ -783,7 +818,7 @@ impl IncrementalChecker {
         }
         let mut slot_of = vec![NONE; tails * heads];
         let mut keys: Vec<(usize, usize, Option<usize>)> = Vec::new();
-        let mut merge = Merge::default();
+        let mut merge = Merge::lend(table);
         for &ea in &cut.entries {
             let entry = arcs[ea];
             let li = cut.landing_idx[entry.to - cut.base].expect("entry heads are landings");
@@ -842,6 +877,7 @@ impl IncrementalChecker {
                 info,
             });
         }
+        table.merge = merge;
         slots
     }
 
@@ -868,8 +904,9 @@ impl IncrementalChecker {
                 .filter_map(|(head, tail)| Some((head, tail.as_ref()?)))
         };
         let mut rows = Vec::new();
+        let mut merge = Merge::lend(table);
         for p in 0..self.num_processes {
-            let mut merge = Merge::default();
+            merge.clear();
             let mut heads: Vec<usize> = Vec::new();
             let mut slot = |head: usize| match heads.iter().position(|&h| h == head) {
                 Some(slot) => slot,
@@ -920,6 +957,7 @@ impl IncrementalChecker {
                 .collect();
             rows.push((p, FrontierRow { label, outs }));
         }
+        table.merge = merge;
         rows
     }
 

@@ -34,42 +34,69 @@
 use crate::cycle::{Cycle, WitnessSummary};
 use crate::graph::MessageId;
 use crate::negcycle::Label;
+use crate::traversal::{Arc, ArcKind};
 
+use super::margin::ArcLines;
 use super::prune::FrontierRow;
-use super::{weight_of, IncrementalChecker, Weight};
+use super::{narrow, weight_of, IncrementalChecker, Weight};
 
 /// Arcs indexed for the lex pass, and for a prune's envelope pass: by
 /// *rank* (ascending arena order) each arc's arena index, windowed ends and
-/// lex weight, and by windowed tail a CSR of ranks, highest first,
-/// self-loops left out (in a region without negative cycles they never
-/// relax, and an envelope pass only laps a prefix cycle with them).
+/// lex weight, and by windowed tail a CSR of what a scan of the arc reads,
+/// highest rank first, self-loops left out (in a region without negative
+/// cycles they never relax, and an envelope pass only laps a prefix cycle
+/// with them).
 #[derive(Debug, Default)]
 pub(super) struct LexArcs {
     /// Arena index of each rank.
     pub(super) arena: Vec<usize>,
     tail: Vec<usize>,
-    /// Windowed head of each rank.
-    pub(super) head: Vec<usize>,
+    /// Each rank's CSR entry, in rank order.
+    by_rank: Vec<OutArc>,
     weight: Vec<Weight>,
     out_start: Vec<usize>,
-    out: Vec<usize>,
+    out: Vec<OutArc>,
+}
+
+/// One CSR entry of [`LexArcs`]: everything a scan of an out-arc reads
+/// before it knows whether the arc's line can win — its rank (the lex
+/// pass's bitset index, and the way to the arena index for a winner), its
+/// windowed head and, in an index built for the envelope pass, its cost
+/// lines. Sixteen bytes, four to a cache line
+/// (`tests::an_envelope_slot_is_48_bytes_and_a_csr_entry_16` pins it): the
+/// envelope pass turns most scans away on this entry and the head's slot
+/// alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct OutArc {
+    pub(super) rank: u32,
+    pub(super) head: u32,
+    pub(super) lines: ArcLines,
 }
 
 impl LexArcs {
-    /// Indexes `arcs` — `(arena index, windowed tail, windowed head,
-    /// weight)` in ascending arena order — over a window of `width` nodes.
+    /// Indexes `arcs` — `(arena index, arc, weight)` in ascending arena
+    /// order, both ends in the window — over the `width` nodes from `base`,
+    /// each CSR entry carrying `lines` of the arc's kind: [`ArcLines::of`]
+    /// for an envelope pass, [`ArcLines::UNREAD`] for the lex pass alone.
     pub(super) fn index(
         width: usize,
-        arcs: impl Iterator<Item = (usize, usize, usize, Weight)>,
+        base: usize,
+        arcs: impl Iterator<Item = (usize, Arc, Weight)>,
+        lines: impl Fn(ArcKind) -> ArcLines,
     ) -> LexArcs {
         let mut lex = LexArcs {
             out_start: vec![0; width + 1],
             ..LexArcs::default()
         };
-        for (ai, tail, head, w) in arcs {
+        for (ai, arc, w) in arcs {
+            let (tail, head) = (arc.from - base, arc.to - base);
+            lex.by_rank.push(OutArc {
+                rank: narrow(lex.arena.len()),
+                head: narrow(head),
+                lines: lines(arc.kind),
+            });
             lex.arena.push(ai);
             lex.tail.push(tail);
-            lex.head.push(head);
             lex.weight.push(w);
             if tail != head {
                 lex.out_start[tail + 1] += 1;
@@ -80,19 +107,22 @@ impl LexArcs {
         }
         // Counting sort by tail, filled from the highest rank down.
         let mut next = lex.out_start.clone();
-        lex.out = vec![0; next[width]];
+        lex.out = match lex.by_rank.first() {
+            Some(&any) => vec![any; next[width]],
+            None => Vec::new(),
+        };
         for r in (0..lex.arena.len()).rev() {
-            let tail = lex.tail[r];
-            if tail != lex.head[r] {
-                lex.out[next[tail]] = r;
+            let (tail, entry) = (lex.tail[r], lex.by_rank[r]);
+            if tail != entry.head as usize {
+                lex.out[next[tail]] = entry;
                 next[tail] += 1;
             }
         }
         lex
     }
 
-    /// The ranks of the out-arcs of windowed node `v`, highest first.
-    pub(super) fn out(&self, v: usize) -> &[usize] {
+    /// The out-arcs of windowed node `v`, highest rank first.
+    pub(super) fn out(&self, v: usize) -> &[OutArc] {
         &self.out[self.out_start[v]..self.out_start[v + 1]]
     }
 
@@ -177,8 +207,8 @@ impl LexScratch {
         }
         for (v, d) in dist.iter().enumerate() {
             if d.is_some() {
-                for &r in arcs.out(v) {
-                    queue(this_round, r);
+                for o in arcs.out(v) {
+                    queue(this_round, o.rank as usize);
                 }
             }
         }
@@ -194,7 +224,7 @@ impl LexScratch {
                     this_round[word] &= !(1 << bit);
                     let r = word * 64 + bit;
                     visits += 1;
-                    let (tail, head) = (arcs.tail[r], arcs.head[r]);
+                    let (tail, head) = (arcs.tail[r], arcs.by_rank[r].head as usize);
                     let d = dist[tail].expect("only arcs out of labelled nodes are queued");
                     let cand = d.plus(arcs.weight[r]);
                     if dist[head].is_some_and(|x| cand >= x) {
@@ -205,7 +235,8 @@ impl LexScratch {
                     seed_of[head] = None;
                     relaxations += 1;
                     relaxed = true;
-                    for &next in arcs.out(head) {
+                    for o in arcs.out(head) {
+                        let next = o.rank as usize;
                         let bits = if next < r {
                             &mut *this_round
                         } else {
@@ -298,11 +329,11 @@ impl IncrementalChecker {
         let base = self.tg.base();
         let n = self.tg.num_live_nodes();
         let arcs = &self.tg.arcs()[..ctx.old_arcs];
-        let indexed = arcs.iter().enumerate().map(|(ai, a)| {
-            let w = weight_of(a.kind, self.p, self.q, &self.shortcuts);
-            (ai, a.from - base, a.to - base, w)
-        });
-        let pre_append = LexArcs::index(n, indexed);
+        let indexed = arcs
+            .iter()
+            .enumerate()
+            .map(|(ai, &a)| (ai, a, weight_of(a.kind, self.p, self.q, &self.shortcuts)));
+        let pre_append = LexArcs::index(n, base, indexed, |_| ArcLines::UNREAD);
         // A live `prev` seeds the pass at zero; a compacted one seeds it
         // with its condensed `prev ⇝ exit` paths, so `dist[u]` is the same
         // shortest `prev ⇝ u` distance the full graph would yield.

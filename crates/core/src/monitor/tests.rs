@@ -1,6 +1,6 @@
 use super::margin::{margin_envelope, CostLine};
 use super::prune::Cut;
-use super::repair::LexScratch;
+use super::repair::{LexScratch, OutArc};
 use super::*;
 use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
@@ -1060,11 +1060,27 @@ fn cold_exit_lines(
 
 /// What the oracle compared, in (landing, start tree) passes: how many had
 /// to equal the reference line for line, and how many were let off because
-/// a pass had refused a junction whose line could win.
+/// a pass had refused a junction whose line could win; and, over the exact
+/// ones, how many exits ended with two or more lines (their slots spilled
+/// to a run) and how many shortcut arcs of two or more lines the pass
+/// relaxed (arcs out of a slot it reached).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Compared {
     exact: usize,
     refused: usize,
+    spilled: usize,
+    multi_line_arcs: usize,
+}
+
+impl Compared {
+    fn plus(self, other: Compared) -> Compared {
+        Compared {
+            exact: self.exact + other.exact,
+            refused: self.refused + other.refused,
+            spilled: self.spilled + other.spilled,
+            multi_line_arcs: self.multi_line_arcs + other.multi_line_arcs,
+        }
+    }
 }
 
 /// The differential oracle of the envelope pass, run on the state a
@@ -1099,9 +1115,18 @@ fn assert_envelopes_match_the_cold_pass(
     };
     let mut scratch = margin::EnvelopeScratch::default();
     let mut table = mon.shortcuts.clone();
+    let arcs = mon.tg.arcs();
+    let relaxed = cut.lex.arena.iter().chain(&cut.exits).map(|&ai| arcs[ai]);
+    let multi_line: Vec<Arc> = relaxed
+        .filter(|a| matches!(a.kind, ArcKind::Shortcut(id) if mon.shortcuts.sigs(id).len() >= 2))
+        .collect();
     let mut lines_after = |start: usize, pred: &[Option<usize>]| {
         mon.margin_sig_sssp(&cut, start, pred, &table, &mut scratch);
         let refused = scratch.refused;
+        let multi = multi_line
+            .iter()
+            .filter(|a| a.from != a.to && scratch.reached(a.from - cut.base))
+            .count();
         let mut lines = Vec::new();
         for bi in 0..cut.exits.len() {
             let sigs = mon.exit_envelope(&cut, &mut scratch, bi, &mut table, None);
@@ -1126,19 +1151,21 @@ fn assert_envelopes_match_the_cold_pass(
             exit.sort_unstable();
             lines.push(exit);
         }
-        (lines, refused)
+        (lines, refused, multi)
     };
     for (li, &start) in cut.landings.iter().enumerate() {
         let (cold, cold_refused) = cold_exit_lines(&mon, &cut, start);
         let other = cut.landings[(li + 1) % cut.landings.len()];
         for from in [start, other] {
-            let (warm, warm_refused) = lines_after(start, &tree(from));
+            let (warm, warm_refused, multi) = lines_after(start, &tree(from));
             if cold_refused + warm_refused > 0 {
                 compared.refused += 1;
                 continue;
             }
             assert_eq!(warm, cold, "landing e{start} from the tree of e{from}");
             compared.exact += 1;
+            compared.spilled += warm.iter().filter(|exit| exit.len() >= 2).count();
+            compared.multi_line_arcs += multi;
         }
     }
     compared
@@ -1161,7 +1188,7 @@ fn prune_checked(mon: &mut IncrementalChecker, watermark: Option<EventId>) -> Co
 #[test]
 fn envelope_lines_equal_the_cold_passes_at_every_prune() {
     use std::cell::Cell;
-    let (exact, refused) = (Cell::new(0), Cell::new(0));
+    let seen = Cell::new(Compared::default());
     let script = proptest::collection::vec((any::<usize>(), any::<usize>()), 0..40);
     let xi = (2i64..8, 1i64..5).prop_filter("Xi > 1", |(num, den)| num > den);
     proptest::test_runner::run_proptest(
@@ -1187,18 +1214,41 @@ fn envelope_lines_equal_the_cold_passes_at_every_prune() {
                 if step % cadence == 0 {
                     let watermark = Some(EventId(total.saturating_sub(horizon)));
                     let compared = prune_checked(&mut mon, watermark);
-                    exact.set(exact.get() + compared.exact);
-                    refused.set(refused.get() + compared.refused);
+                    seen.set(seen.get().plus(compared));
                 }
             }
             Ok(())
         },
     );
-    let (exact, refused) = (exact.get(), refused.get());
+    let Compared {
+        exact,
+        refused,
+        spilled,
+        multi_line_arcs,
+    } = seen.get();
     assert!(
         exact > 2_000 && exact > 4 * refused,
         "{exact} passes compared line for line, {refused} let off"
     );
+    // A slot of two or more lines keeps them in a run, and a shortcut arc
+    // of two or more lines offers each: both paths must have been compared
+    // line for line, not only passed through (298 and 491 on these
+    // scripts).
+    assert!(
+        spilled > 100 && multi_line_arcs > 150,
+        "{spilled} exits of two or more lines, {multi_line_arcs} multi-line shortcut arcs relaxed"
+    );
+}
+
+/// The envelope pass's per-slot and per-CSR-entry layouts. Its hot loop
+/// turns most scans away on one CSR entry and the head's slot: a CSR entry
+/// that grows past two words puts fewer to a cache line, and a slot that
+/// grows past 48 bytes (two `i128` counts and four `u32` fields, no
+/// padding) straddles one more line per random read.
+#[test]
+fn an_envelope_slot_is_48_bytes_and_a_csr_entry_16() {
+    assert_eq!(std::mem::size_of::<margin::SlotLines>(), 48);
+    assert_eq!(std::mem::size_of::<OutArc>(), 16);
 }
 
 /// The lex pass as it was before it visited only the arcs whose tail

@@ -354,9 +354,9 @@ const FORENSICS_LOG_CAP: usize = 256;
 /// document bytes and server flags (see [`crate::forensics`]).
 struct Forensics {
     dir: std::path::PathBuf,
-    /// Most recent wire records, as v1 text lines (binary records render
-    /// through [`write_record_line`]).
-    tail: VecDeque<String>,
+    /// Most recent wire records, as they came: a ring that, once full,
+    /// writes each new record over the oldest (see [`TailEntry`]).
+    tail: VecDeque<TailEntry>,
     tail_cap: usize,
     tail_total: u64,
     /// `(request#, ratio-or-none)` per exact margin sample: `margin`
@@ -379,6 +379,31 @@ struct Forensics {
     dumps: u64,
 }
 
+/// One record of the forensics tail. A text line is copied into the buffer
+/// of the line it replaces; a binary record is kept decoded, with the seq
+/// the parser gives it, and spelled as its v1 line by
+/// [`write_record_line`] only when a bundle is written. Recording a request
+/// therefore formats nothing and, once the ring is full and its buffers
+/// have grown, allocates nothing.
+enum TailEntry {
+    Line(String),
+    Record(WireRecord, usize),
+}
+
+impl TailEntry {
+    /// The entry as the bundle's v1 text line.
+    fn render(&self) -> String {
+        match self {
+            TailEntry::Line(line) => line.clone(),
+            TailEntry::Record(rec, seq) => {
+                let mut line = String::new();
+                write_record_line(&mut line, rec, *seq);
+                line
+            }
+        }
+    }
+}
+
 impl Forensics {
     fn new(dir: std::path::PathBuf, tail_cap: usize) -> Forensics {
         Forensics {
@@ -396,12 +421,35 @@ impl Forensics {
         }
     }
 
-    fn record_wire(&mut self, line: String) {
-        if self.tail.len() >= self.tail_cap {
-            self.tail.pop_front();
-        }
-        self.tail.push_back(line);
+    /// Records the text request `line`.
+    fn record_line(&mut self, line: &str) {
+        let entry = match self.make_room() {
+            Some(TailEntry::Line(mut buf)) => {
+                buf.clear();
+                buf.push_str(line);
+                TailEntry::Line(buf)
+            }
+            _ => TailEntry::Line(line.to_string()),
+        };
+        self.tail.push_back(entry);
+    }
+
+    /// Records the binary request `rec`, which the parser numbers `seq`
+    /// if it is an event.
+    fn record_binary(&mut self, rec: &WireRecord, seq: usize) {
+        self.make_room();
+        self.tail.push_back(TailEntry::Record(rec.clone(), seq));
+    }
+
+    /// Counts one more wire record and, with the ring full, takes out the
+    /// oldest for the new one to reuse.
+    fn make_room(&mut self) -> Option<TailEntry> {
         self.tail_total += 1;
+        if self.tail.len() >= self.tail_cap {
+            self.tail.pop_front()
+        } else {
+            None
+        }
     }
 
     fn record_margin(&mut self, at: usize, ratio: String) {
@@ -922,14 +970,12 @@ impl ReplyHalf {
         self.lines_in += 1;
         if let Some(fx) = self.forensics.as_mut() {
             match req {
-                Request::Line(line) => fx.record_wire(line.to_string()),
+                Request::Line(line) => fx.record_line(line),
                 Request::Record(rec) => {
                     // Binary event records carry their seq implicitly; the
                     // parser will assign `events_seen()` to this one.
-                    let mut line = String::new();
                     let seq = doc.as_ref().map_or(0, |d| d.parser.events_seen());
-                    write_record_line(&mut line, rec, seq);
-                    fx.record_wire(line);
+                    fx.record_binary(rec, seq);
                 }
             }
         }
@@ -1258,7 +1304,7 @@ impl ReplyHalf {
             margins_total: fx.margins_total,
             timeline: fx.timeline.iter().cloned().collect(),
             timeline_total: fx.timeline_total,
-            tail: fx.tail.iter().cloned().collect(),
+            tail: fx.tail.iter().map(TailEntry::render).collect(),
             tail_total: fx.tail_total,
         };
         let path = fx

@@ -1670,42 +1670,84 @@ impl TraceLineParser {
 /// Appends `rec` to `out` as its text line, without the line end: the one
 /// place the grammar's records are spelled in text. An event record
 /// without a `seq` (the binary framing carries it implicitly) is written
-/// with `implicit_seq`.
+/// with `implicit_seq`. Numbers are spelled by `push_field`, not through
+/// `core::fmt`: this writes every line of [`Trace::to_text`], of a saved
+/// violation and of a forensics tail, and a formatter call per field was
+/// most of its cost.
 pub fn write_record_line(out: &mut String, rec: &WireRecord, implicit_seq: usize) {
-    use fmt::Write;
-    let _ = match rec {
-        WireRecord::Processes(n) => write!(out, "processes {n}"),
+    let word = |n: usize| Some(n as u64);
+    match rec {
+        WireRecord::Processes(n) => {
+            out.push_str("processes");
+            push_field(out, word(*n));
+        }
         WireRecord::Faulty(v) => {
             out.push_str("faulty");
-            v.iter().try_for_each(|p| write!(out, " {p}"))
+            for &p in v {
+                push_field(out, word(p));
+            }
         }
-        WireRecord::DeclaredEvents(n) => write!(out, "events {n}"),
-        WireRecord::DeclaredMessages(n) => write!(out, "messages {n}"),
-        WireRecord::Event(e) => write!(
-            out,
-            "e {} {} {} {} {} {} {}",
-            e.seq.unwrap_or(implicit_seq),
-            e.process,
-            e.time,
-            Dash(e.trigger),
-            u8::from(e.received_only),
-            Dash(e.label),
-            u8::from(e.distinguished),
-        ),
-        WireRecord::Message(m) => write!(
-            out,
-            "m {} {} {} {} {} {}",
-            m.from,
-            m.to,
-            m.send_event,
-            Dash(m.recv_event),
-            m.send_time,
-            Dash(m.recv_time),
-        ),
-        WireRecord::End => write!(out, "end"),
-        WireRecord::Xi(spec) => write!(out, "xi {spec}"),
-        WireRecord::Margin => write!(out, "margin"),
+        WireRecord::DeclaredEvents(n) => {
+            out.push_str("events");
+            push_field(out, word(*n));
+        }
+        WireRecord::DeclaredMessages(n) => {
+            out.push_str("messages");
+            push_field(out, word(*n));
+        }
+        WireRecord::Event(e) => {
+            out.push('e');
+            push_field(out, word(e.seq.unwrap_or(implicit_seq)));
+            push_field(out, word(e.process));
+            push_field(out, Some(e.time));
+            push_field(out, e.trigger.map(|t| t as u64));
+            push_field(out, Some(u64::from(e.received_only)));
+            push_field(out, e.label);
+            push_field(out, Some(u64::from(e.distinguished)));
+        }
+        WireRecord::Message(m) => {
+            out.push('m');
+            push_field(out, word(m.from));
+            push_field(out, word(m.to));
+            push_field(out, word(m.send_event));
+            push_field(out, m.recv_event.map(|r| r as u64));
+            push_field(out, Some(m.send_time));
+            push_field(out, m.recv_time);
+        }
+        WireRecord::End => out.push_str("end"),
+        WireRecord::Xi(spec) => {
+            out.push_str("xi ");
+            out.push_str(spec);
+        }
+        WireRecord::Margin => out.push_str("margin"),
+    }
+}
+
+/// Appends one field of a record line: a space, then `n` in decimal, or
+/// `-` for `None`.
+fn push_field(out: &mut String, n: Option<u64>) {
+    out.push(' ');
+    let Some(mut n) = n else {
+        out.push('-');
+        return;
     };
+    // Least significant first, from the back; `u64::MAX` has 20 digits.
+    let mut digits = [b'0'; 20];
+    let mut len = 0;
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + u8::try_from(n % 10).unwrap_or(0);
+        len += 1;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(
+        digits
+            .iter()
+            .skip(digits.len() - len)
+            .map(|&d| char::from(d)),
+    );
 }
 
 /// Appends `records` to `out` as a text document: the `abc-trace v1`
@@ -1937,6 +1979,105 @@ mod tests {
         assert_eq!(line(WireRecord::End, 0), "end");
         assert_eq!(line(WireRecord::Xi("3/2".to_string()), 0), "xi 3/2");
         assert_eq!(line(WireRecord::Margin, 0), "margin");
+    }
+
+    /// The record line as `core::fmt` spells it, the reference for the
+    /// digit writer.
+    fn formatted(rec: &WireRecord, implicit_seq: usize) -> String {
+        match rec {
+            WireRecord::Processes(n) => format!("processes {n}"),
+            WireRecord::Faulty(v) => v
+                .iter()
+                .fold("faulty".to_string(), |l, p| l + &format!(" {p}")),
+            WireRecord::DeclaredEvents(n) => format!("events {n}"),
+            WireRecord::DeclaredMessages(n) => format!("messages {n}"),
+            WireRecord::Event(e) => format!(
+                "e {} {} {} {} {} {} {}",
+                e.seq.unwrap_or(implicit_seq),
+                e.process,
+                e.time,
+                Dash(e.trigger),
+                u8::from(e.received_only),
+                Dash(e.label),
+                u8::from(e.distinguished),
+            ),
+            WireRecord::Message(m) => format!(
+                "m {} {} {} {} {} {}",
+                m.from,
+                m.to,
+                m.send_event,
+                Dash(m.recv_event),
+                m.send_time,
+                Dash(m.recv_time),
+            ),
+            WireRecord::End => "end".to_string(),
+            WireRecord::Xi(spec) => format!("xi {spec}"),
+            WireRecord::Margin => "margin".to_string(),
+        }
+    }
+
+    /// Random records, every number field drawn from every digit count up
+    /// to `u64::MAX` (and `usize::MAX`), every optional field also `-`,
+    /// spelled by `write_record_line` exactly as `core::fmt` spells them,
+    /// one after another into one buffer.
+    #[test]
+    fn record_lines_spell_numbers_as_the_formatter_does() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = state;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            x ^ (x >> 31)
+        };
+        // A number of a random digit count, often an edge.
+        let mut number = move || -> u64 {
+            let x = next();
+            match x % 8 {
+                0 => u64::MAX,
+                1 => 0,
+                2 => 10u64.pow((x >> 8) as u32 % 20) - 1,
+                3 => 10u64.pow((x >> 8) as u32 % 20),
+                _ => x >> (x % 64),
+            }
+        };
+        let mut out = String::new();
+        let mut want = String::new();
+        for i in 0..20_000usize {
+            let mut n = || number();
+            let mut opt = |n: u64| (n % 3 != 0).then_some(n);
+            let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+            let rec = match i % 6 {
+                0 => WireRecord::Event(EventRecord {
+                    seq: opt(n()).map(size),
+                    process: size(n()),
+                    time: n(),
+                    trigger: opt(n()).map(size),
+                    received_only: n() % 2 == 0,
+                    label: opt(n()),
+                    distinguished: n() % 2 == 1,
+                }),
+                1 => WireRecord::Message(MessageRecord {
+                    from: size(n()),
+                    to: size(n()),
+                    send_event: size(n()),
+                    recv_event: opt(n()).map(size),
+                    send_time: n(),
+                    recv_time: opt(n()),
+                }),
+                2 => WireRecord::Faulty((0..n() % 4).map(|_| size(n())).collect()),
+                3 => WireRecord::Processes(size(n())),
+                4 => WireRecord::DeclaredEvents(size(n())),
+                _ => WireRecord::DeclaredMessages(size(n())),
+            };
+            let implicit = size(n());
+            write_record_line(&mut out, &rec, implicit);
+            out.push('\n');
+            want.push_str(&formatted(&rec, implicit));
+            want.push('\n');
+        }
+        assert!(want.contains(&format!(" {}", u64::MAX)) && want.contains(" - "));
+        assert_eq!(out, want);
     }
 
     #[test]
