@@ -6,13 +6,13 @@
 //! of labels, feasible at the margin so far, repaired on the negative-cycle
 //! kernel whenever an append's window at that margin is empty, and raised
 //! to the ratio of each cycle such a repair closes. So the margin a run
-//! reports costs no cycle probe at all — the search it replaced took 2.8
-//! probes per run on this scenario — and what it costs instead is counted
+//! reports costs no step at query time — an untracked monitor would replay
+//! them all — and what keeping it costs is counted
 //! by the two counters of the kept column, `monitor.margin_repairs` and
 //! `monitor.margin_raises`: 8.9 and 2.6 per run on the 32 runs below (at
 //! most 23 and 6), 8.6 and 2.4 over ten such sweeps (seeds 1000–1009),
 //! against the bounds pinned here. This file holds one test because the recorder is
-//! process-wide (`ratio_probes.rs` beside it pins what a search costs).
+//! process-wide (`margin_replay.rs` beside it pins what a replay costs).
 
 use abc_core::monitor::IncrementalChecker;
 use abc_core::Xi;
@@ -29,11 +29,10 @@ const MOST_REPAIRS: u64 = 48;
 const MOST_RAISES: u64 = 10;
 
 /// The recorder's totals of the counters this test reads, in the order
-/// `[ratio probes, ratio-one passes, margin repairs, margin raises]`.
-fn counters() -> [u64; 4] {
+/// `[ratio-one passes, margin repairs, margin raises]`.
+fn counters() -> [u64; 3] {
     let totals = abc_obs::snapshot().counter_totals();
     [
-        "monitor.ratio_probes",
         "monitor.ratio_one_passes",
         "monitor.margin_repairs",
         "monitor.margin_raises",
@@ -46,9 +45,9 @@ fn counters() -> [u64; 4] {
     })
 }
 
-fn since(earlier: [u64; 4]) -> [u64; 4] {
+fn since(earlier: [u64; 3]) -> [u64; 3] {
     let now = counters();
-    [0, 1, 2, 3].map(|k| now[k] - earlier[k])
+    [0, 1, 2].map(|k| now[k] - earlier[k])
 }
 
 /// The `sweep_band` scenario of the benchmark: the `decade-wide` preset
@@ -89,16 +88,19 @@ fn a_kept_margin_costs_a_few_repairs_per_run_and_no_probe() {
         let replayed = since(before);
         let before = counters();
         let margin = kept.current_margin().unwrap().map(|m| m.ratio);
-        let [probes, one_passes, ..] = since(before);
+        let [one_passes, query_repairs, query_raises] = since(before);
         // The query reads what the replay kept.
-        assert_eq!(probes, 0, "run {run}: the margin was searched for");
+        assert_eq!(
+            (query_repairs, query_raises),
+            (0, 0),
+            "run {run}: the query replayed"
+        );
         // At a margin of 1, or none, one ratio-one pass tells them apart.
         let at_one = latch.is_none() && margin.as_ref().is_none_or(|m| *m == Ratio::one());
         assert_eq!(one_passes, u64::from(at_one), "run {run}");
         ones += usize::from(at_one);
         above += usize::from(margin.as_ref().is_some_and(|m| *m > Ratio::one()));
-        let [probes, _, run_repairs, run_raises] = replayed;
-        assert_eq!(probes, 0, "run {run}: the replay searched");
+        let [_, run_repairs, run_raises] = replayed;
         assert!(
             run_repairs <= MOST_REPAIRS,
             "run {run}: {run_repairs} repairs"
@@ -106,10 +108,10 @@ fn a_kept_margin_costs_a_few_repairs_per_run_and_no_probe() {
         assert!(run_raises <= MOST_RAISES, "run {run}: {run_raises} raises");
         repairs += run_repairs;
         raises += run_raises;
-        // And it is the margin a search finds.
-        let (search, _) = trace.replay_into_monitor_until_violation(&spec.xi).unwrap();
-        let searched = search.current_margin().unwrap().map(|m| m.ratio);
-        assert_eq!(margin, searched, "run {run}");
+        // And it is the margin an untracked monitor's replay finds.
+        let (plain, _) = trace.replay_into_monitor_until_violation(&spec.xi).unwrap();
+        let replayed = plain.current_margin().unwrap().map(|m| m.ratio);
+        assert_eq!(margin, replayed, "run {run}");
     }
     let runs = spec.total_runs() as u64;
     assert!(ones > 0 && above > 0, "{ones} runs at 1, {above} above");
@@ -121,15 +123,14 @@ fn a_kept_margin_costs_a_few_repairs_per_run_and_no_probe() {
         raises <= MEAN_RAISES * runs,
         "{raises} raises in {runs} runs"
     );
-    // The sweep itself, on two workers, runs no probe either.
+    // The sweep itself, on two workers, keeps the same margins.
     let before = counters();
     let options = SweepOptions {
         threads: 2,
         keep_violating_traces: false,
     };
     run_sweep(&spec, options).unwrap();
-    let [probes, _, sweep_repairs, sweep_raises] = since(before);
+    let [_, sweep_repairs, sweep_raises] = since(before);
     abc_obs::disable();
-    assert_eq!(probes, 0, "the sweep searched for a margin");
     assert_eq!((sweep_repairs, sweep_raises), (repairs, raises));
 }

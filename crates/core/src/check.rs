@@ -57,9 +57,10 @@
 //! `BENCHMARK.json`) and the counters `check.relaxations` /
 //! `check.arc_visits` quantify it.
 //!
-//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` comes from
-//! the cycle-ratio ascent of the crate's `maxratio` engine — the one the
-//! monitor's live margin runs — over the same [`TraversalGraph`].
+//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` is the
+//! margin the incremental monitor keeps, replayed over the same
+//! [`TraversalGraph`] event by event (the monitor's `margin` module has
+//! the argument): the one margin algorithm of the crate.
 //!
 //! For *online* checking of a growing execution, use
 //! [`crate::monitor::IncrementalChecker`], which maintains this module's
@@ -69,19 +70,14 @@ use abc_rational::Ratio;
 
 use crate::cycle::Cycle;
 use crate::graph::{ExecutionGraph, Trigger};
-use crate::maxratio;
+use crate::monitor;
 use crate::negcycle::{self, NegCycle};
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
-/// The kernel's batch runs: one per check, one per max-ratio probe.
+/// The kernel's batch runs: one per check that builds the arena.
 static OBS_RELAXATIONS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.relaxations");
 static OBS_ARC_VISITS: abc_obs::CounterDef = abc_obs::CounterDef::new("check.arc_visits");
-
-pub(crate) fn record_kernel_run(run: &negcycle::Run) {
-    OBS_RELAXATIONS.add(run.relaxations);
-    OBS_ARC_VISITS.add(run.arc_visits);
-}
 
 /// Errors reported by the checker.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,10 +87,10 @@ pub enum CheckError {
     /// a longest relaxation path, would overflow `i128`).
     XiTooLarge,
     /// The graph is too large for the exact arithmetic of
-    /// [`max_relevant_cycle_ratio`] and the monitor's margin: probe weights
-    /// (parts up to the number of live messages) accumulated over the
-    /// graph's size would overflow `i128`. Reported up front, before any
-    /// probe runs — never a panic mid-computation.
+    /// [`max_relevant_cycle_ratio`] and the monitor's margin: the kept
+    /// labels (weights with parts up to the number of messages, summed over
+    /// the graph's size) could overflow `i128`. Checked before every step
+    /// that could overflow — never a panic mid-computation.
     GraphTooLarge,
 }
 
@@ -108,7 +104,7 @@ impl std::fmt::Display for CheckError {
                 )
             }
             CheckError::GraphTooLarge => {
-                write!(f, "graph exceeds the exact-ratio probes' integer range")
+                write!(f, "graph exceeds the exact margin's integer range")
             }
         }
     }
@@ -228,7 +224,8 @@ pub(crate) fn potential_or_cycle(
         "the timestamp potential is the arena's earliest-feasible seed"
     );
     let run = NegCycle::default().run(&tg, &mut labels, 0..tg.num_live_nodes(), weight, None);
-    record_kernel_run(&run);
+    OBS_RELAXATIONS.add(run.relaxations);
+    OBS_ARC_VISITS.add(run.arc_visits);
     Ok(run.cycle.map_or(Ok((labels, q * k)), |indices| {
         Err(arcs_to_cycle(arcs, &indices))
     }))
@@ -302,8 +299,10 @@ pub fn is_admissible(g: &ExecutionGraph, xi: &Xi) -> Result<bool, CheckError> {
 /// Whether the graph contains any relevant cycle at all.
 #[must_use]
 pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
-    // A relevant cycle has B >= F, i.e. ratio >= 1.
-    maxratio::has_cycle_at_least_one(&TraversalGraph::from_graph(g))
+    // A relevant cycle has B >= F, i.e. ratio >= 1. The ratio's guard
+    // fails only at a raise, which found a cycle above 1, or at 1/1 past
+    // 2^62 events and arcs: an error, too, means a relevant cycle.
+    !matches!(max_relevant_cycle_ratio(g), Ok(None))
 }
 
 /// The exact maximum `|Z−|/|Z+|` over all relevant cycles of `g`, or
@@ -312,19 +311,21 @@ pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
 /// The value is the *infimum* of the `Ξ` values for which `g` is admissible:
 /// `is_admissible(g, xi)` holds iff `xi > max_relevant_cycle_ratio(g)`.
 ///
-/// Complexity: a handful of seeded negative-cycle probes (one per cycle
-/// the ascent climbs through, plus a last one that finds nothing) —
-/// `O(V + E)` each when the seed labels already fit, `O(V·E)` at worst.
+/// The margin an incremental monitor keeps, replayed over `g`'s traversal
+/// graph in event order: each event gives its receive the earliest label
+/// its window allows at the margin so far, and only an empty window runs
+/// the negative-cycle kernel, whose cycle, if it closes one, raises the
+/// margin to that cycle's ratio. `O(V + E)` when no window is empty,
+/// `O(V·E)` per repair at worst; at a margin of `1` one more `O(E)` pass.
 ///
 /// # Errors
 ///
-/// [`CheckError::GraphTooLarge`] when the graph is so large that probe
-/// weights accumulated over it would overflow the exact `i128`
-/// arithmetic (beyond any graph that fits in memory today). The bound is
-/// checked **up front** — a clean error, never a panic or a silent wrap.
+/// [`CheckError::GraphTooLarge`] when the graph is so large that the
+/// labels could overflow the exact `i128` arithmetic (beyond any graph
+/// that fits in memory today). Checked before every step that could
+/// overflow — a clean error, never a panic or a silent wrap.
 pub fn max_relevant_cycle_ratio(g: &ExecutionGraph) -> Result<Option<Ratio>, CheckError> {
-    let found = maxratio::max_cycle_ratio(&TraversalGraph::from_graph(g))?;
-    Ok(found.map(|found| maxratio::ratio_of((found.b, found.f))))
+    monitor::batch_margin(&TraversalGraph::from_graph(g))
 }
 
 #[cfg(test)]
@@ -630,11 +631,12 @@ mod tests {
 
     #[test]
     fn oversized_graphs_get_a_clean_ratio_error_not_a_panic() {
-        // Probe parts are cycle counts (≤ the number of messages), so the
-        // overflow guard is one checked product; its boundary is pinned in
-        // `maxratio::tests`. A graph that trips it does not fit in memory:
-        // a 200 000-message chain is simply answered, in milliseconds,
-        // because a *no* probe is one changeless scan of every node.
+        // The ratio is the monitor's kept margin, replayed: its overflow
+        // guard (`kept_labels_fit`, whose boundary `maxratio::tests` pins)
+        // adds bit lengths of the ratio's parts, the graph's size and the
+        // heaviest arc. A graph that trips it does not fit in memory: a
+        // 200 000-message chain is simply answered, in milliseconds,
+        // because no window of it is empty and no repair runs.
         let msgs = 200_000usize;
         let mut b = ExecutionGraph::builder(1);
         let mut cur = b.init(ProcessId(0));
@@ -644,7 +646,7 @@ mod tests {
         }
         let g = b.finish();
         assert_eq!(max_relevant_cycle_ratio(&g), Ok(None));
-        assert!(!maxratio::probe_weights_fit(i128::MAX / 4, 1, msgs));
+        assert!(!has_relevant_cycle(&g));
         assert!(max_relevant_cycle_ratio(&two_chain(3)).unwrap().is_some());
     }
 }

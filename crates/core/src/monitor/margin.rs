@@ -7,21 +7,13 @@
 //! returns the exact maximum `|Z−|/|Z+|` over all relevant cycles so far
 //! (the same value [`crate::check::max_relevant_cycle_ratio`] computes
 //! batch-side), and [`IncrementalChecker::margin_upper_bound`] an upper
-//! bound that costs no probe. A monitor answers in one of two ways.
+//! bound that runs no repair. There is one margin algorithm, and every
+//! margin is the kept one.
 //!
-//! An **untracked** monitor — one that has pruned nothing and was not
-//! asked to keep its margin — searches: one run of the crate's max-ratio
-//! engine (the `maxratio` module) over the live arcs, which are then the
-//! whole execution, asks "is there a cycle with ratio strictly above
-//! `B₀/F₀`", jumps to the ratio of the cycle a *yes* finds and stops at
-//! the first *no* — a few runs of the crate's negative-cycle kernel per
-//! query. Its bound is an `O(arcs)` scan of the potentials at `Ξ`.
-//!
-//! A **tracking** monitor keeps the answer instead: from its first append
-//! ([`IncrementalChecker::enable_margin_tracking`]), or from its first
-//! prune, which seeds the kept column with one search of the window it is
-//! about to condense. Beside its potentials at `Ξ` it keeps a second
-//! column of integer labels, feasible for the probe weights at its current
+//! A **tracking** monitor keeps its margin as appends come in: from its
+//! first append ([`IncrementalChecker::enable_margin_tracking`]), or from
+//! its first prune. Beside its potentials at `Ξ` it keeps a second
+//! column of integer labels, feasible for the weights at its current
 //! margin `r = B/F` (`+B` per forward message, `−F` per backward one,
 //! starting at `1/1`) — a potential that says "no cycle above `r`". As the
 //! labels at `Ξ` do, each append gives its receive the earliest label the
@@ -39,10 +31,26 @@
 //! any query. The cycle that last raised `r` is the margin's witness,
 //! expanded on demand while its arcs are live and before a prune
 //! renumbers them. At `r = 1` "is there a cycle of ratio exactly `1`, or
-//! none" is the engine's ratio-one pass over the kept labels. On the
-//! `sweep_band` workload a run of 500 events takes about nine repairs
-//! and two or three raises (`crates/bench/tests/margin_work.rs` pins the
-//! counts), and its closing query runs no probe at all.
+//! none" is the ratio-one pass over the kept labels (the `maxratio`
+//! module). On the `sweep_band` workload a run of 500 events takes about
+//! nine repairs and two or three raises (`crates/bench/tests/margin_work.rs`
+//! pins the counts), and its closing query runs none.
+//!
+//! Where the margin was not kept, it is **replayed**
+//! ([`KeptMargin::replay`]): the same step, event by event in id order,
+//! over the finished arena of a monitor that has pruned nothing, each step
+//! reading only the arcs that touch no later event. Out-lists hold arcs in
+//! insertion order, so the arcs a step leaves out trail every list it
+//! scans, and the replay repeats the appends' run exactly — the same
+//! labels, raises and witness. An **untracked** monitor answers
+//! `current_margin` with a replay into scratch (its bound is an `O(arcs)`
+//! scan of the potentials at `Ξ`); a monitor that starts keeping late — at
+//! `enable_margin_tracking`, or at its first prune — replays into its own
+//! kept column and goes on from there; and the batch
+//! [`crate::check::max_relevant_cycle_ratio`] replays the traversal graph
+//! of an execution graph, whose arcs lie in another order (message arcs
+//! first): the same margin, not necessarily raised through the same
+//! cycles, and only the ratio is reported.
 //!
 //! # Signature envelopes
 //!
@@ -92,7 +100,8 @@ use abc_rational::Ratio;
 use crate::check::CheckError;
 use crate::cycle::{CycleStep, WitnessSummary};
 use crate::graph::ProcessId;
-use crate::maxratio::{self, step_reverses, Shortcuts};
+use crate::maxratio::{self, kept_labels_fit, step_reverses};
+use crate::negcycle::NegCycle;
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutTable};
@@ -540,44 +549,198 @@ impl KeptMargin {
     fn above_one(&self) -> bool {
         self.ratio.0 > self.ratio.1
     }
+
+    /// The kept step of receive `recv`, the receive of a message sent at
+    /// `from` (`effective`: one that carries arcs), on a monitor that has
+    /// appended `size` events and arcs (module docs): the earliest label
+    /// the receive's window allows at the kept ratio, or a repair from it —
+    /// raising the ratio to the cycle the repair closes, and retrying at
+    /// the new ratio, until one converges. Reads only the arcs of `tg` that
+    /// are `live`: all of them as a monitor appends, the ones that touch no
+    /// later event as [`KeptMargin::replay`] goes.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        kernel: &mut NegCycle,
+        tg: &TraversalGraph,
+        shortcuts: &ShortcutTable,
+        (from, recv, effective): (usize, usize, bool),
+        size: usize,
+        live: impl Fn(Arc) -> bool,
+    ) {
+        let base = tg.base();
+        let (u, v) = (from - base, recv - base);
+        let arcs = tg.arcs();
+        loop {
+            if !self.usable(size) {
+                self.overflowed = true;
+                return;
+            }
+            let ratio = self.ratio;
+            let weight = |ai: usize| {
+                let arc = arcs[ai];
+                live(arc).then(|| kept_weight(arc.kind, ratio, shortcuts))?
+            };
+            // The window: every out-arc bounds the label from below, the
+            // forward arc in from above.
+            let mut lower: Option<i128> = None;
+            for ai in tg.out_arcs(recv) {
+                if let Some(w) = weight(ai) {
+                    let bound = self.pot[arcs[ai].to - base] - w;
+                    lower = Some(lower.map_or(bound, |l| l.max(bound)));
+                }
+            }
+            let upper = effective.then(|| self.pot[u] + ratio.0);
+            match (lower, upper) {
+                (Some(lo), Some(up)) if lo > up => self.pot[v] = up,
+                // No arc at all leaves any label feasible.
+                (lo, up) => {
+                    self.pot[v] = lo.or(up).unwrap_or(0);
+                    return;
+                }
+            }
+            OBS_MARGIN_REPAIRS.add(1);
+            let run = kernel.run(tg, &mut self.pot, [v], weight, Some(&mut self.moved));
+            let Some(cycle) = run.cycle else {
+                return;
+            };
+            for &(x, label) in &self.moved {
+                self.pot[x] = label;
+            }
+            // The cycle's own counts, along the lines that made it negative.
+            let (mut b, mut f) = (0, 0);
+            self.cycle.clear();
+            for ai in cycle {
+                let kind = arcs[ai].kind;
+                let pick = match kind {
+                    ArcKind::Shortcut(id) => {
+                        maxratio::cheapest_line(shortcuts, id, ratio.0, ratio.1)
+                            .expect("a closed cycle takes no shortcut without lines")
+                            .1
+                    }
+                    _ => 0,
+                };
+                let (lf, lb) = maxratio::line(shortcuts, kind, pick);
+                (f, b) = (f + lf, b + lb);
+                self.cycle.push((ai, pick));
+            }
+            debug_assert!(b * ratio.1 - ratio.0 * f >= 1, "closed cycles lie above");
+            OBS_MARGIN_RAISES.add(1);
+            if !kept_labels_fit((b, f), self.mass, size) {
+                self.overflowed = true;
+                return;
+            }
+            for label in &mut self.pot {
+                *label = (*label * f).div_euclid(ratio.1);
+            }
+            self.ratio = (b, f);
+            self.witness = None;
+        }
+    }
+
+    /// Keeps, from a rearmed state, the margin of the finished arena `tg`
+    /// that nothing was pruned from, as a monitor that appended its events
+    /// would have kept it: [`KeptMargin::step`] event by event in id order,
+    /// a receive's send event read off its one [`ArcKind::Backward`]
+    /// out-arc, every arc that touches a later event left out. Out-lists
+    /// hold arcs in insertion order, so the arcs left out trail every list
+    /// the kernel scans, and on a monitor's own arena the replay repeats
+    /// its appends' steps exactly: the same labels, raises and cycle. An
+    /// init runs no step, as its append runs none. Returns the events and
+    /// arcs of `tg`, the size the overflow guard reads.
+    pub(super) fn replay(
+        &mut self,
+        kernel: &mut NegCycle,
+        tg: &TraversalGraph,
+        shortcuts: &ShortcutTable,
+    ) -> usize {
+        debug_assert_eq!(tg.base(), 0, "a replay runs over a whole execution");
+        let arcs = tg.arcs();
+        let mut size = 0;
+        for recv in 0..tg.num_live_nodes() {
+            self.pot.push(0);
+            // The receive's own arcs: its out-arcs to older events (every
+            // receive has a local one), and the forward arc of an
+            // effective message.
+            let (mut own, mut send) = (0, None);
+            for ai in tg.out_arcs(recv) {
+                let arc = arcs[ai];
+                if arc.to < recv {
+                    own += 1;
+                    if let ArcKind::Backward(_) = arc.kind {
+                        send = Some(arc.to);
+                    }
+                }
+            }
+            size += 1 + own + usize::from(send.is_some());
+            if own == 0 {
+                continue;
+            }
+            let receive = (send.unwrap_or(recv), recv, send.is_some());
+            let live = |arc: Arc| arc.from <= recv && arc.to <= recv;
+            self.step(kernel, tg, shortcuts, receive, size, live);
+        }
+        size
+    }
+
+    /// The margin these labels keep over `tg`, on a monitor of `size`
+    /// events and arcs, without the witness; the guard's failure as
+    /// [`CheckError::GraphTooLarge`]. At `1/1` one ratio-one pass tells a
+    /// cycle of ratio exactly `1` from none.
+    fn margin(
+        &self,
+        tg: &TraversalGraph,
+        shortcuts: &ShortcutTable,
+        size: usize,
+    ) -> Result<Option<Ratio>, CheckError> {
+        if !self.usable(size) {
+            return Err(CheckError::GraphTooLarge);
+        }
+        let exists =
+            self.above_one() || self.one || maxratio::tight_cycle_exists(tg, shortcuts, &self.pot);
+        Ok(exists.then(|| maxratio::ratio_of(self.ratio)))
+    }
 }
 
-/// Whether labels kept at ratio `(b, f)` stay inside `i128` on a monitor
-/// that has appended `size` events and arcs, shortcut lines standing for at
-/// most `mass` message steps. A kept label is a sum of arc weights (at most
-/// `part·mass` each, `part = max(b, f)`; a raise rescales the labels along
-/// with the weights) over a chain of the assignments that derived it: a
-/// simple path per repair, back to the label it was capped from, which an
-/// earlier append or repair set — `size` arcs per append, `size²` in all,
-/// the bound of [`maxratio::probe_weights_fit`]. A raise multiplies a label
-/// by the new `F` before it divides: hence `part²`. Asked at every append,
-/// so by bit lengths, which add under multiplication (a product of
-/// factors below `2^k₁ … 2^kₙ` is below `2^(k₁ + … + kₙ)`), not by `i128`
-/// multiplications.
-fn kept_labels_fit((b, f): (i128, i128), mass: i128, size: usize) -> bool {
-    let bits = |x: u128| 128 - x.leading_zeros();
-    let part = bits(b.max(f).unsigned_abs());
-    let size = bits(size as u128 + 2);
-    2 * part + bits(mass.unsigned_abs()) + 2 * size <= 127
+/// The margin of the batch graph `tg`, built by
+/// [`TraversalGraph::from_graph`]: the kept margin replayed over it
+/// ([`KeptMargin::replay`]), with an empty shortcut table and no `Ξ` to
+/// latch at.
+pub(crate) fn batch_margin(tg: &TraversalGraph) -> Result<Option<Ratio>, CheckError> {
+    let (mut kept, shortcuts) = (KeptMargin::default(), ShortcutTable::default());
+    let size = kept.replay(&mut NegCycle::default(), tg, &shortcuts);
+    kept.margin(tg, &shortcuts, size)
 }
 
-/// The weight of an arc at the kept ratio `(b, f)`: the probe weights,
-/// `+b` forward, `−f` backward, and a shortcut's cheapest line.
+/// The weight of an arc at the kept ratio `(b, f)`: `+b` forward, `−f`
+/// backward, `0` local, and a shortcut's cheapest line (`None`: it carries
+/// none, and stands for no path).
+#[inline]
 fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &ShortcutTable) -> Option<i128> {
-    maxratio::kind_weight(kind, b, f, |id| {
-        maxratio::cheapest_line(shortcuts, id, b, f).map(|(w, _)| w)
-    })
+    match kind {
+        ArcKind::Forward(_) => Some(b),
+        ArcKind::Backward(_) => Some(-f),
+        ArcKind::LocalBack => Some(0),
+        ArcKind::Shortcut(id) => maxratio::cheapest_line(shortcuts, id, b, f).map(|(w, _)| w),
+    }
 }
 
-impl Shortcuts for ShortcutTable {
-    fn lines(&self, id: usize) -> usize {
+impl ShortcutTable {
+    /// How many cost lines shortcut `id` carries.
+    pub(crate) fn lines(&self, id: usize) -> usize {
         self.sigs(id).len()
     }
-    fn line(&self, id: usize, pick: usize) -> (i128, i128) {
+
+    /// Forward and backward message counts `(f, b)` of line `pick` of
+    /// shortcut `id`.
+    pub(crate) fn line(&self, id: usize, pick: usize) -> (i128, i128) {
         let sig = &self.sigs(id)[pick];
         (sig.f, sig.b)
     }
-    fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>) {
+
+    /// First and last step of the expansion of line `pick` of shortcut
+    /// `id`.
+    pub(crate) fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>) {
         let (first, last) = self.path_ends(self.sigs(id)[pick].path);
         (Some(first.step), Some(last.step))
     }
@@ -834,88 +997,23 @@ impl IncrementalChecker {
 
     /// Keeps the margin of a tracking monitor after the append of `recv`,
     /// the receive of a message sent at `from` (`effective`: one that
-    /// carries arcs), once its repair at `Ξ` left the verdict open (module
-    /// docs): the earliest label the receive's window allows at the kept
-    /// ratio, or a repair from it — raising the ratio to the cycle the
-    /// repair closes, and retrying at the new ratio, until one converges.
+    /// carries arcs), once its repair at `Ξ` left the verdict open: the
+    /// kept step ([`KeptMargin::step`]) over every live arc.
     pub(super) fn keep_margin(&mut self, from: usize, recv: usize, effective: bool) {
         if self.violation.is_some() {
             return;
         }
-        let base = self.tg.base();
-        let (u, v) = (from - base, recv - base);
         let size = self.stats.events + self.stats.arcs;
-        let (tg, shortcuts, kept) = (&self.tg, &self.shortcuts, &mut self.kept);
-        let arcs = tg.arcs();
-        loop {
-            if !kept.usable(size) {
-                kept.overflowed = true;
-                return;
-            }
-            let ratio = kept.ratio;
-            let weight = |ai: usize| kept_weight(arcs[ai].kind, ratio, shortcuts);
-            // The window: every out-arc bounds the label from below, the
-            // forward arc in from above.
-            let mut lower: Option<i128> = None;
-            for ai in tg.out_arcs(recv) {
-                if let Some(w) = weight(ai) {
-                    let bound = kept.pot[arcs[ai].to - base] - w;
-                    lower = Some(lower.map_or(bound, |l| l.max(bound)));
-                }
-            }
-            let upper = effective.then(|| kept.pot[u] + ratio.0);
-            match (lower, upper) {
-                (Some(lo), Some(up)) if lo > up => kept.pot[v] = up,
-                // No arc at all leaves any label feasible.
-                (lo, up) => {
-                    kept.pot[v] = lo.or(up).unwrap_or(0);
-                    return;
-                }
-            }
-            OBS_MARGIN_REPAIRS.add(1);
-            let run = self
-                .kernel
-                .run(tg, &mut kept.pot, [v], weight, Some(&mut kept.moved));
-            let Some(cycle) = run.cycle else {
-                return;
-            };
-            for &(x, label) in &kept.moved {
-                kept.pot[x] = label;
-            }
-            // The cycle's own counts, along the lines that made it negative.
-            let (mut b, mut f) = (0, 0);
-            kept.cycle.clear();
-            for ai in cycle {
-                let kind = arcs[ai].kind;
-                let pick = match kind {
-                    ArcKind::Shortcut(id) => {
-                        maxratio::cheapest_line(shortcuts, id, ratio.0, ratio.1)
-                            .expect("a closed cycle takes no shortcut without lines")
-                            .1
-                    }
-                    _ => 0,
-                };
-                let (lf, lb) = maxratio::line(shortcuts, kind, pick);
-                (f, b) = (f + lf, b + lb);
-                kept.cycle.push((ai, pick));
-            }
-            debug_assert!(b * ratio.1 - ratio.0 * f >= 1, "closed cycles lie above");
-            OBS_MARGIN_RAISES.add(1);
-            if !kept_labels_fit((b, f), kept.mass, size) {
-                kept.overflowed = true;
-                return;
-            }
-            for label in &mut kept.pot {
-                *label = (*label * f).div_euclid(ratio.1);
-            }
-            kept.ratio = (b, f);
-            kept.witness = None;
-        }
+        let receive = (from, recv, effective);
+        let (tg, shortcuts) = (&self.tg, &self.shortcuts);
+        self.kept
+            .step(&mut self.kernel, tg, shortcuts, receive, size, |_| true);
     }
 
-    /// Starts keeping the margin of a monitor that may hold events already:
-    /// one ascent of the max-ratio engine, whose final *no* leaves labels
-    /// feasible at the margin it found (at `1/1` without a cycle above it).
+    /// Starts keeping the margin of a monitor that may hold events already
+    /// and has pruned none: the kept column is replayed over its arena
+    /// ([`KeptMargin::replay`]), and so holds what it would hold had the
+    /// monitor kept its margin from its first append.
     pub(super) fn seed_kept_margin(&mut self) {
         self.build_arena();
         self.kept.rearm();
@@ -924,20 +1022,8 @@ impl IncrementalChecker {
             self.kept.pot.resize(self.tg.num_live_nodes(), 0);
             return;
         }
-        match maxratio::ascend_into(&self.tg, &mut self.kept.pot) {
-            Ok(Some(found)) => {
-                self.kept.ratio = (found.b, found.f);
-                // Nothing was pruned yet: every arc is plain, its pick 0.
-                self.kept
-                    .cycle
-                    .extend(found.cycle.iter().map(|&ai| (ai, 0)));
-            }
-            Ok(None) => {}
-            Err(_) => {
-                self.kept.pot.resize(self.tg.num_live_nodes(), 0);
-                self.kept.overflowed = true;
-            }
-        }
+        self.kept
+            .replay(&mut self.kernel, &self.tg, &self.shortcuts);
     }
 
     /// The fold before a prune, now that the margin is kept: the
@@ -961,20 +1047,8 @@ impl IncrementalChecker {
         true
     }
 
-    /// A tracking monitor's margin as it keeps it, without the witness;
-    /// the guard's failure as [`CheckError::GraphTooLarge`].
-    fn kept_ratio(&self) -> Result<Option<Ratio>, CheckError> {
-        if !self.kept.usable(self.stats.events + self.stats.arcs) {
-            return Err(CheckError::GraphTooLarge);
-        }
-        let exists = self.kept.above_one()
-            || self.kept.one
-            || maxratio::tight_cycle_exists(&self.tg, &self.shortcuts, &self.kept.pot);
-        Ok(exists.then(|| maxratio::ratio_of(self.kept.ratio)))
-    }
-
     /// Whether the margin a tracking monitor keeps has reached `p/q`
-    /// (`p > q > 0`): one cross-multiplication, no probe, so a caller can
+    /// (`p > q > 0`): one cross-multiplication, no repair, so a caller can
     /// ask after every append and learn of the crossing at the append that
     /// made it. `false` on a monitor that keeps no margin yet (its kept
     /// margin stays at `1`), and once the kept labels have overflowed (where
@@ -1001,12 +1075,11 @@ impl IncrementalChecker {
     ///
     /// A tracking monitor ([`IncrementalChecker::enable_margin_tracking`]),
     /// and every monitor that has pruned, reads the margin it keeps: no
-    /// cycle probe, and at a margin of exactly `1` one `O(arcs)` pass over
-    /// its kept labels. Its witness is the cycle that last raised the
-    /// margin, which may be another cycle of the same ratio than the one a
-    /// search names. An untracked one searches its window, the whole
-    /// execution, with the max-ratio engine, a few runs of the
-    /// negative-cycle kernel per call.
+    /// repair, and at a margin of exactly `1` one `O(arcs)` pass over its
+    /// kept labels. An untracked one replays the margin it would have kept
+    /// over its window, the whole execution: every append's step again,
+    /// the same repairs and raises. Either way the witness is the cycle
+    /// that last raised the margin.
     ///
     /// ```
     /// use abc_core::monitor::IncrementalChecker;
@@ -1032,9 +1105,8 @@ impl IncrementalChecker {
     ///
     /// # Errors
     ///
-    /// [`CheckError::GraphTooLarge`] when the probe arithmetic would
-    /// overflow, exactly as in the batch computation; on a tracking monitor,
-    /// when its kept labels would.
+    /// [`CheckError::GraphTooLarge`] when the kept labels, or the replayed
+    /// ones, could overflow `i128`, exactly as in the batch computation.
     pub fn current_margin(&self) -> Result<Option<MarginReport>, CheckError> {
         self.margin(true)
     }
@@ -1064,43 +1136,41 @@ impl IncrementalChecker {
                 witness: witness.then(|| s.clone()),
             }));
         }
-        if self.keeps_margin() {
-            let Some(ratio) = self.kept_ratio()? else {
-                return Ok(None);
-            };
-            // At ratio exactly 1 there is no canonical cycle to show.
-            let witness = if !witness {
-                None
-            } else if self.kept.cycle.is_empty() {
-                self.kept.witness.clone()
-            } else {
-                Some(self.expand_window_cycle(self.tg.arcs(), &self.kept.cycle))
-            };
-            return Ok(Some(MarginReport { ratio, witness }));
-        }
-        // Nothing was pruned: the window is the whole execution, every arc
-        // in it plain. A deferring monitor searches an arena built for the
-        // query, and keeps deferring.
+        // A monitor that keeps no margin replays the one it would have
+        // kept over its arena (nothing was pruned: the arena is the whole
+        // execution), into scratch. A deferring monitor replays an arena
+        // built for the query, and keeps deferring.
         let mut built = TraversalGraph::new();
-        let tg = if self.deferred {
-            self.arena_into(&mut built);
-            &built
+        let mut replayed = KeptMargin::default();
+        let (tg, kept) = if self.keeps_margin() {
+            (&self.tg, &self.kept)
         } else {
-            &self.tg
+            let tg = if self.deferred {
+                self.arena_into(&mut built);
+                &built
+            } else {
+                &self.tg
+            };
+            replayed.replay(&mut NegCycle::default(), tg, &self.shortcuts);
+            (tg, &replayed)
         };
-        let best = maxratio::max_cycle_ratio(tg)?;
-        Ok(best.map(|found| {
-            let plain: Vec<(usize, usize)> = found.cycle.iter().map(|&ai| (ai, 0)).collect();
-            MarginReport {
-                ratio: maxratio::ratio_of((found.b, found.f)),
-                witness: (witness && !plain.is_empty())
-                    .then(|| self.expand_window_cycle(tg.arcs(), &plain)),
-            }
-        }))
+        let size = self.stats.events + self.stats.arcs;
+        let Some(ratio) = kept.margin(tg, &self.shortcuts, size)? else {
+            return Ok(None);
+        };
+        // At ratio exactly 1 there is no canonical cycle to show.
+        let witness = if !witness {
+            None
+        } else if kept.cycle.is_empty() {
+            kept.witness.clone()
+        } else {
+            Some(self.expand_window_cycle(tg.arcs(), &kept.cycle))
+        };
+        Ok(Some(MarginReport { ratio, witness }))
     }
 
     /// An upper bound on [`IncrementalChecker::current_margin`] that runs
-    /// no cycle probe. The bound is never above `Ξ` while the verdict is
+    /// no repair and no replay. The bound is never above `Ξ` while the verdict is
     /// open, equals the latched ratio after, and is `None` only when no
     /// relevant cycle can exist at all.
     ///
@@ -1127,7 +1197,8 @@ impl IncrementalChecker {
             return s.classification.ratio();
         }
         if self.keeps_margin() {
-            if let Ok(kept) = self.kept_ratio() {
+            let size = self.stats.events + self.stats.arcs;
+            if let Ok(kept) = self.kept.margin(&self.tg, &self.shortcuts, size) {
                 return kept;
             }
         }

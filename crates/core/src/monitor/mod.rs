@@ -36,7 +36,7 @@
 //! the same order either way, and the repair, its witness and everything
 //! after run as if it had been grown arc by arc. The `&self` margin
 //! readers of a deferring monitor build nothing into it: the bound scans
-//! the column, the margin searches an arena built for the query.
+//! the column, the margin is replayed over an arena built for the query.
 //!
 //! # One type, one concern per file
 //!
@@ -109,13 +109,16 @@ use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
 use margin::{EnvelopeScratch, KeptMargin};
-use prune::{FrontierRow, ShortcutTable};
-use repair::{ConfirmCtx, LexScratch};
+use prune::FrontierRow;
+
+pub(crate) use margin::batch_margin;
+pub(crate) use prune::ShortcutTable;
+use repair::{ConfirmCtx, LexArcs, LexScratch};
 
 // Flight-recorder hooks (no-ops unless the embedding process called
 // `abc_obs::enable`). The hot append path gets only relaxed counter
 // adds; RAII spans are reserved for the rare phases (frontier repair,
-// violation confirmation, prune condensation, margin probes), which
+// violation confirmation, prune condensation, margin queries), which
 // keep their counters next to their code.
 static OBS_APPENDS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.appends");
 static OBS_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.arcs");
@@ -215,6 +218,9 @@ pub struct IncrementalChecker {
     /// Scratch of the lex passes a prune runs: empty until the first, kept
     /// by [`IncrementalChecker::reset`].
     lex: LexScratch,
+    /// The columns a prune's cut and a latch confirmation index their arcs
+    /// in: likewise.
+    cut_arcs: LexArcs,
     /// Likewise for the prune's signature-envelope passes.
     envelopes: EnvelopeScratch,
     /// Latest event id of each process (survives pruning — it guards
@@ -266,6 +272,7 @@ impl IncrementalChecker {
             pot: Vec::new(),
             kernel: NegCycle::default(),
             lex: LexScratch::default(),
+            cut_arcs: LexArcs::default(),
             envelopes: EnvelopeScratch::default(),
             last_event: vec![None; num_processes],
             frontier_row: vec![None; num_processes],
@@ -315,6 +322,7 @@ impl IncrementalChecker {
             pot,
             kernel: _,    // clean between repairs; its capacity is the point
             lex: _,       // re-armed per landing; likewise
+            cut_arcs: _,  // refilled per cut; likewise
             envelopes: _, // likewise
             last_event,
             frontier_row,
@@ -372,6 +380,7 @@ impl IncrementalChecker {
             + self.pot.capacity()
             + self.kernel.capacity()
             + self.lex.capacity()
+            + self.cut_arcs.capacity()
             + self.envelopes.capacity()
             + self.last_event.capacity()
             + self.frontier_row.capacity()
@@ -435,7 +444,8 @@ impl IncrementalChecker {
     }
 
     /// Makes the monitor **keep** its margin from here on instead of
-    /// searching for it until its first prune.
+    /// replaying it at every [`IncrementalChecker::current_margin`] until
+    /// its first prune.
     ///
     /// Beside its potentials at `Ξ` the monitor then keeps a second column,
     /// feasible at the current margin, and raises that margin as appends
@@ -444,15 +454,15 @@ impl IncrementalChecker {
     /// if it was deferring it, and never defers it again. On the sweep's
     /// 500-event clock synchronisation runs that adds about 60 ns to an
     /// append (arena and kept column; a deferred replay is about 22 ns
-    /// per event), where the search a monitor that keeps nothing runs in
-    /// [`IncrementalChecker::current_margin`] costs about 170 ns per event
-    /// of the run (one thread, on a 2-hardware-thread host); on a quiet
-    /// stream it also costs the arena a monitor that keeps nothing would
-    /// not have built. Both
-    /// `current_margin` and [`IncrementalChecker::margin_upper_bound`] read
-    /// the kept margin, exactly, and its witness is the cycle that last
-    /// raised it, and [`IncrementalChecker::kept_margin_reaches`] answers
-    /// from the first append on.
+    /// per event), which a monitor that keeps nothing pays, and more, at
+    /// every `current_margin`: it replays the same steps over an arena it
+    /// builds for the query (one thread, on a 2-hardware-thread host); on
+    /// a quiet stream keeping also costs the arena a monitor that keeps
+    /// nothing would not have built. Both `current_margin` and
+    /// [`IncrementalChecker::margin_upper_bound`] read the kept margin,
+    /// exactly, its witness is the cycle that last raised it, and
+    /// [`IncrementalChecker::kept_margin_reaches`] answers from the first
+    /// append on.
     ///
     /// Every monitor keeps its margin from its first
     /// [`IncrementalChecker::prune_settled`] on, whether or not this was
@@ -463,7 +473,8 @@ impl IncrementalChecker {
     /// execution, mirror or no mirror.
     ///
     /// Callable at any time; a monitor that holds events and keeps nothing
-    /// yet seeds the kept column with one search of its window. A window
+    /// yet replays its window into the kept column, which then holds what
+    /// it would hold had this been called before the first append. A window
     /// whose kept labels could leave `i128` is reported by `current_margin`
     /// as [`CheckError::GraphTooLarge`] (and a prune is then declined),
     /// never by a panic while appending. The choice survives
@@ -477,7 +488,7 @@ impl IncrementalChecker {
 
     /// Whether the monitor keeps its margin: since its first append
     /// ([`IncrementalChecker::enable_margin_tracking`]), or since its first
-    /// prune. Only a monitor that has pruned nothing searches for it.
+    /// prune. Only a monitor that has pruned nothing replays it.
     fn keeps_margin(&self) -> bool {
         self.margin_tracking || self.stats.pruned_events > 0
     }

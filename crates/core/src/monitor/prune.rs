@@ -98,7 +98,7 @@ static OBS_LEX_RELAXATIONS: abc_obs::CounterDef =
 /// steps sit in the [`ShortcutTable`]'s pool (to reproduce witnesses
 /// byte-for-byte), and its margin signatures' run in the table.
 #[derive(Clone, Copy, Debug)]
-pub(super) struct ShortcutInfo {
+pub(crate) struct ShortcutInfo {
     pub(super) weight: Weight,
     pub(super) path: PathRef,
     /// Margin-signature envelope of *all* condensed paths behind it.
@@ -118,7 +118,7 @@ struct SigRun {
 /// appends what it composes; [`ShortcutTable::compact`] keeps what is
 /// still referenced.
 #[derive(Clone, Debug, Default)]
-pub(super) struct ShortcutTable {
+pub(crate) struct ShortcutTable {
     infos: Vec<ShortcutInfo>,
     sigs: Vec<MarginSig>,
     steps: Vec<Step>,
@@ -360,7 +360,8 @@ pub(super) struct Cut {
     entries: Vec<usize>,
     pub(super) exits: Vec<usize>,
     /// The internal arcs (both ends below the cut), indexed for every
-    /// landing's lex and envelope pass; empty without exits.
+    /// landing's lex and envelope pass in the monitor's columns, lent to
+    /// the cut; not refilled without exits, when no pass runs.
     pub(super) lex: LexArcs,
     /// Prefix events that need a shortest-path tree: entry-arc heads,
     /// freshly pruned frontiers, stale row heads (none without exits).
@@ -548,11 +549,12 @@ impl IncrementalChecker {
     /// with and without pruning, at any call cadence, and so is the margin:
     /// every prune keeps it. A monitor that was not keeping its margin
     /// ([`IncrementalChecker::enable_margin_tracking`]) starts at its first
-    /// prune, seeded by one search of its window, which is then still the
-    /// whole execution. Returns the number of events compacted by this call
-    /// — `0`, with the window left intact, when there is no exact margin to
-    /// condense with because the kept labels are beyond their integer range
-    /// ([`IncrementalChecker::current_margin`] is then
+    /// prune, by a replay of its window, which is then still the whole
+    /// execution: from then on it keeps what a monitor that kept its margin
+    /// from its first append keeps. Returns the number of events compacted
+    /// by this call — `0`, with the window left intact, when there is no
+    /// exact margin to condense with because the kept labels are beyond
+    /// their integer range ([`IncrementalChecker::current_margin`] is then
     /// [`crate::check::CheckError::GraphTooLarge`]).
     pub fn prune_settled(&mut self, oldest_inflight_send: Option<EventId>) -> usize {
         let _span = abc_obs::span("monitor.prune");
@@ -565,7 +567,7 @@ impl IncrementalChecker {
         if !self.keeps_margin() {
             // The first prune of a monitor that did not keep its margin from
             // its first append: the window is still the whole execution, so
-            // one search seeds the kept column, which is kept from here on.
+            // a replay seeds the kept column, which is kept from here on.
             self.seed_kept_margin();
         }
         if self.violation.is_none() {
@@ -654,7 +656,8 @@ impl IncrementalChecker {
     /// message arcs attach at or above the watermark, future local arcs
     /// attach to frontier rows), so these condensations stay exact forever.
     fn condense_boundary(&mut self, w: usize) {
-        let cut = self.classify_cut(w);
+        let lex_arcs = std::mem::take(&mut self.cut_arcs);
+        let cut = self.classify_cut(w, lex_arcs);
         // Lent to the prune's passes, then back for the next one.
         let mut table = std::mem::take(&mut self.shortcuts);
         let mut lex = std::mem::take(&mut self.lex);
@@ -666,18 +669,19 @@ impl IncrementalChecker {
         let rows = self.frontier_rows(&cut, &trees, &mut table);
         self.shortcuts = table;
         self.install(w, slots, rows);
+        self.cut_arcs = cut.lex;
     }
 
-    /// Classifies the arena against the cut, indexes the internal arcs and
-    /// finds the landing points.
-    pub(super) fn classify_cut(&self, w: usize) -> Cut {
+    /// Classifies the arena against the cut, indexes the internal arcs into
+    /// `lex` and finds the landing points.
+    pub(super) fn classify_cut(&self, w: usize, lex: LexArcs) -> Cut {
         let base = self.tg.base();
         let mut cut = Cut {
             base,
             w,
             entries: Vec::new(),
             exits: Vec::new(),
-            lex: LexArcs::default(),
+            lex,
             landings: Vec::new(),
             landing_idx: vec![None; w - base],
             floor: self.kept.ratio,
@@ -698,7 +702,7 @@ impl IncrementalChecker {
             .enumerate()
             .filter(|(_, a)| a.from < w && a.to < w);
         let indexed = internal.map(|(ai, &a)| (ai, a, self.arc_weight(a.kind)));
-        cut.lex = LexArcs::index(w - base, base, indexed, ArcLines::of);
+        cut.lex.index(w - base, base, indexed, ArcLines::of);
         let mut heads: Vec<usize> = Vec::new();
         heads.extend(cut.entries.iter().map(|&ai| arcs[ai].to));
         for p in 0..self.num_processes {
@@ -835,7 +839,7 @@ impl IncrementalChecker {
                     // A non-negative self-loop can never improve a shortest
                     // path nor close a violating cycle: drop it. (A negative
                     // one would be a negative cycle — impossible while the
-                    // verdict is open.) Margin probes lose nothing either:
+                    // verdict is open.) The kept margin loses nothing either:
                     // any cycle through the loop existed before this prune,
                     // so its ratio is already folded into the margin floor.
                     continue;

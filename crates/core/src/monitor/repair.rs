@@ -45,8 +45,10 @@ use super::{narrow, weight_of, IncrementalChecker, Weight};
 /// lex weight, and by windowed tail a CSR of what a scan of the arc reads,
 /// highest rank first, self-loops left out (in a region without negative
 /// cycles they never relax, and an envelope pass only laps a prefix cycle
-/// with them).
-#[derive(Debug, Default)]
+/// with them). The monitor keeps one, refilled by every prune's cut and
+/// every latch confirmation, so neither allocates once a cut of its size
+/// has been indexed.
+#[derive(Clone, Debug, Default)]
 pub(super) struct LexArcs {
     /// Arena index of each rank.
     pub(super) arena: Vec<usize>,
@@ -78,47 +80,82 @@ impl LexArcs {
     /// order, both ends in the window — over the `width` nodes from `base`,
     /// each CSR entry carrying `lines` of the arc's kind: [`ArcLines::of`]
     /// for an envelope pass, [`ArcLines::UNREAD`] for the lex pass alone.
+    /// Refills the columns in place, keeping their capacity.
     pub(super) fn index(
+        &mut self,
         width: usize,
         base: usize,
         arcs: impl Iterator<Item = (usize, Arc, Weight)>,
         lines: impl Fn(ArcKind) -> ArcLines,
-    ) -> LexArcs {
-        let mut lex = LexArcs {
-            out_start: vec![0; width + 1],
-            ..LexArcs::default()
-        };
+    ) {
+        let LexArcs {
+            arena,
+            tail,
+            by_rank,
+            weight,
+            out_start,
+            out,
+        } = self;
+        arena.clear();
+        tail.clear();
+        by_rank.clear();
+        weight.clear();
+        // First each tail's count, then (prefix sums) the end of its run.
+        out_start.clear();
+        out_start.resize(width + 1, 0);
         for (ai, arc, w) in arcs {
-            let (tail, head) = (arc.from - base, arc.to - base);
-            lex.by_rank.push(OutArc {
-                rank: narrow(lex.arena.len()),
+            let (from, head) = (arc.from - base, arc.to - base);
+            by_rank.push(OutArc {
+                rank: narrow(arena.len()),
                 head: narrow(head),
                 lines: lines(arc.kind),
             });
-            lex.arena.push(ai);
-            lex.tail.push(tail);
-            lex.weight.push(w);
-            if tail != head {
-                lex.out_start[tail + 1] += 1;
+            arena.push(ai);
+            tail.push(from);
+            weight.push(w);
+            if from != head {
+                out_start[from] += 1;
             }
         }
-        for v in 0..width {
-            lex.out_start[v + 1] += lex.out_start[v];
+        for v in 1..=width {
+            out_start[v] += out_start[v - 1];
         }
-        // Counting sort by tail, filled from the highest rank down.
-        let mut next = lex.out_start.clone();
-        lex.out = match lex.by_rank.first() {
-            Some(&any) => vec![any; next[width]],
-            None => Vec::new(),
+        // Counting sort by tail: ascending ranks fill each run from its
+        // end, so it lists the highest rank first, and its end cursor
+        // comes to rest at its start.
+        out.clear();
+        let unread = OutArc {
+            rank: 0,
+            head: 0,
+            lines: ArcLines::UNREAD,
         };
-        for r in (0..lex.arena.len()).rev() {
-            let (tail, entry) = (lex.tail[r], lex.by_rank[r]);
-            if tail != entry.head as usize {
-                lex.out[next[tail]] = entry;
-                next[tail] += 1;
+        out.resize(out_start[width], unread);
+        for (&from, &entry) in tail.iter().zip(by_rank.iter()) {
+            if from != entry.head as usize {
+                out_start[from] -= 1;
+                out[out_start[from]] = entry;
             }
         }
-        lex
+    }
+
+    /// What the monitor keeps of it across prunes, latches and
+    /// [`IncrementalChecker::reset`] (see [`IncrementalChecker::capacity`]).
+    pub(super) fn capacity(&self) -> usize {
+        // Exhaustive on purpose: a new column is counted or does not compile.
+        let LexArcs {
+            arena,
+            tail,
+            by_rank,
+            weight,
+            out_start,
+            out,
+        } = self;
+        arena.capacity()
+            + tail.capacity()
+            + by_rank.capacity()
+            + weight.capacity()
+            + out_start.capacity()
+            + out.capacity()
     }
 
     /// The out-arcs of windowed node `v`, highest rank first.
@@ -303,7 +340,10 @@ impl IncrementalChecker {
         if run.cycle.is_none() {
             return;
         }
-        let (cycle, summary) = self.confirm_violation(ctx);
+        // The monitor's cut columns, lent to the confirmation.
+        let mut cut_arcs = std::mem::take(&mut self.cut_arcs);
+        let (cycle, summary) = self.confirm_violation(ctx, &mut cut_arcs);
+        self.cut_arcs = cut_arcs;
         assert!(
             summary.classification.violates(&self.xi),
             "internal error: extracted cycle {cycle} does not violate Xi = {}",
@@ -323,7 +363,11 @@ impl IncrementalChecker {
     /// seeded pass terminates. Once per latch. Every cycle the append made
     /// has that shape: a `u` the pass did not reach is an internal error,
     /// as is a canonical cycle that does not violate (the caller's assert).
-    fn confirm_violation(&self, ctx: &ConfirmCtx) -> (Cycle, WitnessSummary) {
+    fn confirm_violation(
+        &self,
+        ctx: &ConfirmCtx,
+        pre_append: &mut LexArcs,
+    ) -> (Cycle, WitnessSummary) {
         let _span = abc_obs::span("monitor.confirm_sssp");
         OBS_CONFIRMS.add(1);
         let base = self.tg.base();
@@ -333,7 +377,7 @@ impl IncrementalChecker {
             .iter()
             .enumerate()
             .map(|(ai, &a)| (ai, a, weight_of(a.kind, self.p, self.q, &self.shortcuts)));
-        let pre_append = LexArcs::index(n, base, indexed, |_| ArcLines::UNREAD);
+        pre_append.index(n, base, indexed, |_| ArcLines::UNREAD);
         // A live `prev` seeds the pass at zero; a compacted one seeds it
         // with its condensed `prev ⇝ exit` paths, so `dist[u]` is the same
         // shortest `prev ⇝ u` distance the full graph would yield.
@@ -342,7 +386,7 @@ impl IncrementalChecker {
             Some(row) => row.outs.iter().map(|o| (o.head, o.info.weight)).collect(),
         };
         let mut lex = LexScratch::default();
-        lex.run(&pre_append, base, &seeds);
+        lex.run(pre_append, base, &seeds);
         let LexScratch { pred, seed_of, .. } = lex;
         // Collect the path prev ⇝ u by walking predecessors back from u;
         // the walk bottoms out at a seeded node (a compacted `prev`'s seed

@@ -1,6 +1,6 @@
 use super::margin::{margin_envelope, CostLine};
 use super::prune::Cut;
-use super::repair::{LexScratch, OutArc};
+use super::repair::{LexArcs, LexScratch, OutArc};
 use super::*;
 use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
@@ -611,10 +611,10 @@ fn margin_floor_survives_pruning_the_witness_away() {
 
 #[test]
 fn a_fold_beyond_the_integer_range_declines_the_prune() {
-    // No real execution gets kept labels past their guard (the boundary of
-    // the guard it is built on is pinned in `maxratio::tests`), so plant a
-    // kept margin whose parts alone overflow it: the margin query reports
-    // the clean error and the prune leaves the window as it was.
+    // No real execution gets kept labels past their guard (its boundary is
+    // pinned by `maxratio::tests::the_overflow_guard_is_exact_at_its_boundary`),
+    // so plant a kept margin whose parts alone overflow it: the margin query
+    // reports the clean error and the prune leaves the window as it was.
     let xi = Xi::from_integer(4);
     let mut mon = IncrementalChecker::new(4, &xi).unwrap();
     mon.enable_pruning();
@@ -1107,7 +1107,7 @@ fn assert_envelopes_match_the_cold_pass(
         mon.seed_kept_margin();
     }
     assert!(mon.fold_margin(), "small windows fold");
-    let cut = mon.classify_cut(w);
+    let cut = mon.classify_cut(w, LexArcs::default());
     let tree = |start: usize| {
         let mut lex = LexScratch::default();
         lex.run(&cut.lex, cut.base, &[(start, (0, 0))]);
@@ -1309,7 +1309,7 @@ fn assert_lex_trees_match_the_round_loop(
     if w <= mon.tg.base() || mon.violation.is_some() {
         return 0;
     }
-    let cut = mon.classify_cut(w);
+    let cut = mon.classify_cut(w, LexArcs::default());
     let width = w - cut.base;
     let mut lex = LexScratch::default();
     let mut compare = |seeds: &[(usize, Weight)]| {

@@ -135,10 +135,10 @@ impl IncrementalChecker {
         into_witness(&walk)
     }
 
-    /// Expands a non-empty probe cycle (picks of arena `arcs` + chosen
+    /// Expands a non-empty kept-margin cycle (picks of arena `arcs` + chosen
     /// signature, traversal order) into a witness summary, shortcut arcs
     /// spliced from the chosen signature. `arcs` is the window's arena, or
-    /// the one a deferring monitor built for a query.
+    /// the one a deferring monitor built for a query, with a replayed cycle.
     pub(super) fn expand_window_cycle(
         &self,
         arcs: &[Arc],

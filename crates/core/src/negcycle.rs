@@ -1,9 +1,10 @@
 //! The crate's one label-correcting loop: the negative-cycle kernel behind
 //! the batch checker ([`crate::check::find_violation`]) and Theorem 7's
 //! delay assignment ([`crate::assign::assign_delays`], the same run with
-//! its potential kept), every probe of the max-ratio engine and both
-//! repairs of the monitor ([`crate::monitor`]): its potentials at `Ξ`, and
-//! a tracking monitor's at its kept margin.
+//! its potential kept), and both repairs of the monitor
+//! ([`crate::monitor`]): its potentials at `Ξ`, and its labels at its kept
+//! margin — kept as it appends, or replayed, which is how
+//! [`crate::check::max_relevant_cycle_ratio`] runs it.
 //! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").
@@ -117,9 +118,9 @@ pub(crate) struct NegCycle {
 /// admissible executions the ascending arcs are usually satisfied too, and
 /// [`NegCycle::run`] from every node is one changeless scan, `O(V + E)`,
 /// where an all-zero start makes labels zigzag through the execution. The
-/// max-ratio probes seed their windows with it; the batch check reads the
-/// same labels straight off the execution graph (`check.rs`) and skips
-/// that scan when no ascending arc is tense.
+/// batch check reads these labels straight off the execution graph
+/// (`check.rs`, which holds them against this function) and skips that
+/// scan when no ascending arc is tense.
 pub(crate) fn seed_earliest_feasible(
     tg: &TraversalGraph,
     labels: &mut [i128],

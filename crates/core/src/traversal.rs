@@ -27,8 +27,9 @@
 //!   order equals insertion order;
 //! * **prefix-sum in-CSR**: [`TraversalGraph::in_csr`] builds the in-arc
 //!   adjacency as two flat arrays by counting sort, for the line-graph
-//!   simple-cycle pass (needed only for the ratio-1 probe of
-//!   [`crate::check::max_relevant_cycle_ratio`]).
+//!   simple-cycle pass (needed only when a kept margin is exactly `1`,
+//!   as [`crate::check::max_relevant_cycle_ratio`] and the monitor's
+//!   margin ask).
 //!
 //! # How check and monitor share it
 //!
@@ -38,15 +39,15 @@
 //! under it does it build a `TraversalGraph` with
 //! [`TraversalGraph::from_graph`] and hand it to the crate's worklist
 //! negative-cycle kernel, which walks the out-lists and decides and
-//! extracts the witness in one pass; `max_relevant_cycle_ratio` runs
-//! the same kernel over the same structure once per probe of its ratio
-//! ascent, and the line-graph pass reads the in-CSR. The online monitor
-//! builds the *same* structure on demand: a quiet append touches labels
-//! only, and the first append that leaves a forward arc tense (or the
-//! first kept margin) builds the arena in one pass, after which it grows
-//! incrementally ([`push_node`] / [`push_arc`]) as events are appended —
-//! and hands its pruned window to the same ratio ascent — so batch and
-//! streaming decisions literally walk the same arcs.
+//! extracts the witness in one pass; `max_relevant_cycle_ratio` replays
+//! the monitor's kept margin over the same structure, event by event, on
+//! the same kernel, and the line-graph pass reads the in-CSR. The online
+//! monitor builds the *same* structure on demand: a quiet append touches
+//! labels only, and the first append that leaves a forward arc tense (or
+//! the first kept margin) builds the arena in one pass, after which it
+//! grows incrementally ([`push_node`] / [`push_arc`]) as events are
+//! appended — so batch and streaming decisions literally walk the same
+//! arcs.
 //!
 //! # Bounded-memory compaction
 //!

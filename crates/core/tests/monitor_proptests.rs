@@ -27,6 +27,35 @@ fn xi_strategy() -> impl Strategy<Value = Xi> {
         .prop_map(|(num, den)| Xi::new(Ratio::new(num, den)).unwrap())
 }
 
+/// An exact margin checked by the batch decision alone, which shares no
+/// code with it: a margin `m > 1` is attained, so `g` violates `Ξ = m`,
+/// and nothing lies above it, so `g` satisfies `Ξ = m + 1/M²` (`M`: the
+/// messages of `g`; two cycle ratios `B/F ≠ B'/F'` with parts at most `M`
+/// lie more than `1/M²` apart). A margin of `1`, or none, is checked
+/// just above `1`.
+fn assert_bracketed(g: &ExecutionGraph, margin: Option<&Ratio>) -> Result<(), TestCaseError> {
+    let m = i64::try_from(g.num_messages().max(1)).expect("small graphs");
+    let gap = Ratio::new(1, m * m);
+    let one = Ratio::one();
+    let at = margin.filter(|&r| *r > one);
+    let above = &at.unwrap_or(&one).clone() + &gap;
+    if let Some(at) = at {
+        let xi = Xi::new(at.clone()).expect("a margin above 1 is a Xi");
+        prop_assert!(
+            check::find_violation(g, &xi).unwrap().is_some(),
+            "none at {}",
+            at
+        );
+    }
+    let xi = Xi::new(above.clone()).expect("above 1");
+    prop_assert!(
+        check::find_violation(g, &xi).unwrap().is_none(),
+        "one at {}",
+        above
+    );
+    Ok(())
+}
+
 /// The brute-force maximum `|Z−|/|Z+|` over every relevant cycle of `g`.
 fn enumerated_max_ratio(g: &ExecutionGraph) -> Option<Ratio> {
     enumerate_relevant_cycles(g, EnumerationLimits::default())
@@ -58,9 +87,9 @@ fn two_chains(first: usize, second: usize) -> ExecutionGraph {
     b.finish()
 }
 
-/// The three answers the max-ratio engine has separate code for — no
-/// relevant cycle, ratio exactly 1 (the tight-arc pass), ratio above 1
-/// (the ascent) — each against the enumeration.
+/// The three answers the kept margin has separate code for — no relevant
+/// cycle, ratio exactly 1 (the tight-arc pass), ratio above 1 (a raise) —
+/// each against the enumeration.
 #[test]
 fn max_ratio_matches_enumeration_in_each_of_its_three_cases() {
     let acyclic = {
@@ -198,7 +227,8 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
                     row_seeded_latches.set(row_seeded_latches.get() + u32::from(prev_compacted));
                     return Ok(());
                 }
-                prop_assert_eq!(margin, check::max_relevant_cycle_ratio(g).unwrap());
+                assert_bracketed(g, margin.as_ref())?;
+                prop_assert_eq!(&margin, &check::max_relevant_cycle_ratio(g).unwrap());
                 if plain.stats().relaxations > relaxations {
                     benign_repairs.set(benign_repairs.get() + 1);
                 }
@@ -227,14 +257,15 @@ struct Reached {
     latched: u32,
 }
 
-/// `kept ≡ ascent ≡ batch`: at every prefix of an execution — random
-/// sends, or the near-threshold gadgets above, whose cycles raise a margin
-/// several times within one append — with a faulty process and exempt
-/// sends among them, a monitor that keeps its margin reports what an
-/// untracked monitor's search and the batch `max_relevant_cycle_ratio`
-/// report: kept mirror-less and never pruned (a sweep worker's), pruned
-/// with the exact lookahead watermark at several cadences, and switched on
-/// half-way through a mirrored run (seeded from one search). Each
+/// `kept ≡ replay ≡ batch`, and exact: at every prefix of an execution —
+/// random sends, or the near-threshold gadgets above, whose cycles raise a
+/// margin several times within one append — with a faulty process and
+/// exempt sends among them, a monitor that keeps its margin reports what
+/// an untracked monitor's replay and the batch `max_relevant_cycle_ratio`
+/// report, and the batch decision brackets it ([`assert_bracketed`]):
+/// kept mirror-less and never pruned (a sweep worker's), pruned with the
+/// exact lookahead watermark at several cadences, and switched on half-way
+/// through a mirrored run (seeded by a replay). Each
 /// execution runs at `Ξ` just above its own final margin, where every cycle
 /// that raises the margin is a near miss, and, when that margin is a `Ξ`,
 /// at the margin itself, where it latches mid-stream. A kept witness
@@ -242,7 +273,7 @@ struct Reached {
 /// margin, and its threshold test (`kept_margin_reaches`) is reached at the
 /// margin and not just above it.
 #[test]
-fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
+fn the_kept_margin_equals_the_replay_and_the_batch_at_every_prefix() {
     use std::cell::Cell;
     let reached = Cell::new(Reached::default());
     let picks = proptest::collection::vec((any::<usize>(), any::<usize>(), any::<usize>()), 1..20);
@@ -251,7 +282,7 @@ fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
         (3usize..6, any::<usize>(), any::<bool>(), picks, 2usize..5),
         env!("CARGO_MANIFEST_DIR"),
         file!(),
-        "the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix",
+        "the_kept_margin_equals_the_replay_and_the_batch_at_every_prefix",
         |(n, pick, gadgets, picks, shape)| {
             let script = match gadgets {
                 true => near_threshold_script(n, shape, &picks),
@@ -308,8 +339,8 @@ fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
                         for mon in [&mut search, &mut kept, &mut late] {
                             feed(mon, step);
                         }
-                        let ascent = search.current_margin().unwrap();
-                        let expected = ascent.as_ref().map(|m| m.ratio.clone());
+                        let replay = search.current_margin().unwrap();
+                        let expected = replay.as_ref().map(|m| m.ratio.clone());
                         let mut seen = reached.get();
                         match &expected {
                             _ if !search.is_admissible() => seen.latched += 1,
@@ -320,7 +351,8 @@ fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
                         reached.set(seen);
                         if search.is_admissible() {
                             let batch = check::max_relevant_cycle_ratio(search.graph()).unwrap();
-                            prop_assert_eq!(&expected, &batch, "ascent ≠ batch at step {}", step);
+                            prop_assert_eq!(&expected, &batch, "replay ≠ batch at step {}", step);
+                            assert_bracketed(search.graph(), expected.as_ref())?;
                         }
                         let tracking = [(&kept, "kept")]
                             .into_iter()
@@ -329,6 +361,9 @@ fn the_kept_margin_equals_the_ascent_and_the_batch_at_every_prefix() {
                             prop_assert_eq!(mon.violation_summary(), search.violation_summary());
                             let report = mon.current_margin().unwrap();
                             let ratio = report.as_ref().map(|m| m.ratio.clone());
+                            if mon.is_admissible() {
+                                assert_bracketed(search.graph(), ratio.as_ref())?;
+                            }
                             prop_assert_eq!(&ratio, &expected, "{} at step {}", what, step);
                             prop_assert_eq!(mon.margin_upper_bound(), ratio.clone());
                             // The O(1) threshold test agrees with the margin
@@ -457,6 +492,104 @@ fn observe(
     seen
 }
 
+/// The kept column of `mon` as its `Debug` shows it: labels, ratio, the
+/// cycle that last raised it and its witness, the guard's state.
+fn kept_column(mon: &IncrementalChecker) -> String {
+    let shown = format!("{mon:?}");
+    let start = shown
+        .find("kept: KeptMargin")
+        .expect("a monitor shows its kept column");
+    let end = shown
+        .find(", stats: MonitorStats")
+        .expect("stats follow the kept column");
+    shown[start..end].to_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One margin algorithm, byte for byte. On random executions with a
+    /// faulty process and exempt sends, at every prefix:
+    ///
+    /// * an untracked monitor's margin — ratio and witness — is that of a
+    ///   monitor that kept it from its first append;
+    /// * a monitor switched to keeping it mid-stream
+    ///   (`enable_margin_tracking`) reports the same margins from then on,
+    ///   and, if its verdict was open at the switch, holds the same kept
+    ///   column: labels, raises and witness;
+    /// * so does a monitor that keeps it from its first prune, against one
+    ///   that kept it from its first append and prunes at the same
+    ///   cadence — and both return the same from every prune.
+    #[test]
+    fn an_untracked_or_late_margin_is_the_kept_margin_byte_for_byte(
+        (n, faulty, script) in execution_strategy(),
+        xi in xi_strategy(),
+        switch in any::<usize>(),
+        cadence in 1usize..4,
+        horizon in 1usize..5,
+    ) {
+        let switch = switch % (script.len() + 1);
+        let mut kept = IncrementalChecker::new(n, &xi).unwrap();
+        kept.enable_margin_tracking();
+        let mut plain = IncrementalChecker::new(n, &xi).unwrap();
+        plain.enable_pruning();
+        let mut late = IncrementalChecker::new(n, &xi).unwrap();
+        let mut kept_pruned = IncrementalChecker::new(n, &xi).unwrap();
+        kept_pruned.enable_pruning();
+        kept_pruned.enable_margin_tracking();
+        let mut late_pruned = IncrementalChecker::new(n, &xi).unwrap();
+        late_pruned.enable_pruning();
+        let (mut late_open, mut late_pruned_open) = (None, None);
+        let mut all = [&mut kept, &mut plain, &mut late, &mut kept_pruned, &mut late_pruned];
+        for mon in &mut all {
+            if let Some(p) = faulty {
+                mon.mark_faulty(ProcessId(p));
+            }
+            for p in 0..n {
+                mon.append_init(ProcessId(p));
+            }
+        }
+        let mut total = n;
+        for (step, &(back, to)) in script.iter().enumerate() {
+            if step == switch {
+                late_open = Some(late.is_admissible());
+                late.enable_margin_tracking();
+            }
+            // Sends only name one of the last `horizon` events, so the
+            // watermark below is an honest promise.
+            let from = EventId(total - 1 - back % horizon.min(total));
+            for mon in [&mut kept, &mut plain, &mut late, &mut kept_pruned, &mut late_pruned] {
+                match back % 7 {
+                    0 => mon.append_send_exempt(from, ProcessId(to % n)),
+                    _ => mon.append_send(from, ProcessId(to % n)),
+                };
+            }
+            total += 1;
+            let margin = kept.current_margin();
+            prop_assert_eq!(&plain.current_margin(), &margin, "untracked, event {}", total);
+            if let Some(open) = late_open {
+                prop_assert_eq!(&late.current_margin(), &margin, "late, event {}", total);
+                if open {
+                    prop_assert_eq!(kept_column(&late), kept_column(&kept), "event {}", total);
+                }
+            }
+            prop_assert_eq!(late_pruned.current_margin(), kept_pruned.current_margin());
+            if late_pruned_open == Some(true) {
+                prop_assert_eq!(kept_column(&late_pruned), kept_column(&kept_pruned));
+            }
+            if step % cadence == 0 {
+                let watermark = Some(EventId(total.saturating_sub(horizon)));
+                let open = late_pruned.is_admissible();
+                let pruned = late_pruned.prune_settled(watermark);
+                prop_assert_eq!(pruned, kept_pruned.prune_settled(watermark), "event {}", total);
+                if pruned > 0 {
+                    late_pruned_open = late_pruned_open.or(Some(open));
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(320))]
 
@@ -544,12 +677,18 @@ proptest! {
             }
             total += 1;
             let expected = if plain.is_admissible() {
-                check::max_relevant_cycle_ratio(plain.graph()).unwrap()
+                let batch = check::max_relevant_cycle_ratio(plain.graph()).unwrap();
+                assert_bracketed(plain.graph(), batch.as_ref())?;
+                batch
             } else {
                 plain.current_margin().unwrap().map(|m| m.ratio)
             };
             for mon in [&pruned, &mirrored, &bare] {
                 let report = mon.current_margin().unwrap();
+                if plain.is_admissible() {
+                    let ratio = report.as_ref().map(|m| &m.ratio);
+                    assert_bracketed(plain.graph(), ratio)?;
+                }
                 prop_assert_eq!(
                     report.as_ref().map(|m| m.ratio.clone()),
                     expected.clone(),

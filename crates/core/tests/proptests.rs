@@ -85,8 +85,8 @@ proptest! {
     /// Kernel ≡ textbook ≡ enumeration, on a `Ξ` grid that holds every
     /// relevant cycle's own ratio (a violation: Definition 4 is strict) and
     /// a step to either side of it: the verdicts agree and every witness is
-    /// a valid violating cycle. (The ratio ascent — the same kernel, one run
-    /// per probe — is held to the enumerated maximum by
+    /// a valid violating cycle. (The max ratio — the monitor's kept margin,
+    /// replayed on the same kernel — is held to the enumerated maximum by
     /// `checker_matches_enumeration` below; that a *no* leaves no tense arc
     /// is `debug_assert`ed in the kernel on every one of these runs, and
     /// checked label by label in its unit test.)

@@ -2,7 +2,9 @@
 //! and gossip runs*: at arbitrary prune cadences and sampling points a
 //! pruning, margin-tracking monitor must report exactly the margin of an
 //! unpruned monitor, both must equal the batch
-//! `max_relevant_cycle_ratio` over the same prefix, and the exact values
+//! `max_relevant_cycle_ratio` over the same prefix — three readings of
+//! one margin algorithm, so each is also bracketed by the batch decision
+//! `find_violation`, which shares no code with it — and the exact values
 //! must be consistent with `abc-lp`: the difference-constraint relaxation
 //! of Definition 4 is infeasible at the margin (with a verified negative
 //! cycle / Farkas certificate) and feasible just above it — and, with
@@ -126,6 +128,32 @@ fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
     }
 }
 
+/// An exact margin checked by the batch decision alone: a margin `m > 1`
+/// is attained, so `g` violates `Ξ = m`, and nothing lies above it, so `g`
+/// satisfies `Ξ = m + 1/M²` (`M`: the messages of `g`; two cycle ratios
+/// with parts at most `M` lie more than `1/M²` apart). A margin of `1`, or
+/// none, is checked just above `1`.
+fn assert_bracketed(g: &ExecutionGraph, margin: Option<&Ratio>, at_event: usize) {
+    let m = i64::try_from(g.num_messages().max(1)).expect("small runs");
+    let one = Ratio::one();
+    let at = margin.filter(|&r| *r > one);
+    if let Some(at) = at {
+        let xi = Xi::new(at.clone()).expect("a margin above 1 is a Xi");
+        let found = check::find_violation(g, &xi).unwrap();
+        assert!(
+            found.is_some(),
+            "no violation at the margin {at} (event {at_event})"
+        );
+    }
+    let above = &at.unwrap_or(&one).clone() + &Ratio::new(1, m * m);
+    let xi = Xi::new(above.clone()).expect("above 1");
+    let found = check::find_violation(g, &xi).unwrap();
+    assert!(
+        found.is_none(),
+        "a violation at {above}, above the margin (event {at_event})"
+    );
+}
+
 /// Replays `trace` into an unpruned monitor and a pruning,
 /// margin-tracking monitor (prune every `prune_every` appends at the
 /// exact lookahead watermark). Every `sample_every` events both margins
@@ -164,6 +192,11 @@ fn assert_margin_equivalence(trace: &Trace, xi: &Xi, prune_every: usize, sample_
         if (idx + 1) % sample_every == 0 || idx + 1 == events.len() {
             let pm = plain.current_margin().unwrap();
             let qm = pruned.current_margin().unwrap();
+            if plain.is_admissible() {
+                for m in [&pm, &qm] {
+                    assert_bracketed(plain.graph(), m.as_ref().map(|m| &m.ratio), idx);
+                }
+            }
             assert_eq!(
                 pm.as_ref().map(|m| m.ratio.clone()),
                 qm.as_ref().map(|m| m.ratio.clone()),

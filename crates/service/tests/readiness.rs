@@ -215,10 +215,18 @@ fn peers_with_nothing_to_consume_cost_no_wakeups() {
         owed < 1 << 20,
         "below the session's soft cap, so it reads on"
     );
+    let woken = wakeups();
     deaf.shutdown(Shutdown::Write).expect("half-close");
 
     // The server reads the EOF (one wake-up), keeps the session for the
-    // replies it owes, and then has nothing it can do: no wake-ups.
+    // replies it owes, and then has nothing it can do: no wake-ups. The
+    // window opens only once that wake-up was counted, however long a
+    // loaded host takes to get to it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while wakeups() == woken {
+        assert!(Instant::now() < deadline, "the server never read the EOF");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     settled(Duration::from_millis(50), wakeups);
     assert_eq!(handle.sessions().len(), 2);
     let before = (wakeups(), would_block());

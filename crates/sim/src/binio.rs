@@ -778,10 +778,14 @@ impl Trace {
             let structural = decoder.decode_frame(&payload, &mut |rec| {
                 let fed = match rec.to_trace_record() {
                     Some(tr) => parser.feed_record(tr),
-                    None => Err(wire_err(
-                        &parser,
-                        "unexpected xi record in a trace document".to_string(),
-                    )),
+                    None => {
+                        let name = match rec {
+                            WireRecord::Margin => "margin",
+                            _ => "xi",
+                        };
+                        let message = format!("unexpected {name} record in a trace document");
+                        Err(wire_err(&parser, message))
+                    }
                 };
                 match fed {
                     Ok(_) => true,
@@ -1040,10 +1044,16 @@ mod tests {
 
     #[test]
     fn from_binary_rejects_embedded_xi_records() {
-        let mut w = FrameWriter::new();
-        w.push_record(&WireRecord::Xi("3/2".to_string()));
-        let e = Trace::from_binary(&w.finish()).unwrap_err();
-        assert!(e.message.contains("xi"), "{e}");
+        for (record, name) in [
+            (WireRecord::Xi("3/2".to_string()), "xi"),
+            (WireRecord::Margin, "margin"),
+        ] {
+            let mut w = FrameWriter::new();
+            w.push_record(&record);
+            let e = Trace::from_binary(&w.finish()).unwrap_err();
+            let expected = format!("unexpected {name} record in a trace document");
+            assert!(e.message.contains(&expected), "{e}");
+        }
     }
 
     #[test]
