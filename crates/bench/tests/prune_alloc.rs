@@ -1,5 +1,6 @@
-//! A count, not a timing: how many heap allocations one tracked prune
-//! makes once the monitor has seen a document of its size.
+//! Counts, not timings: how many heap allocations one tracked prune
+//! makes once the monitor has seen a document of its size, and how many
+//! bytes a latch allocates once the monitor has latched on its document.
 //!
 //! A prune composes hundreds of condensed paths (`serve_v2_bounded`'s
 //! shape: ≈300 entry × exit candidates, ≈240 new shortcut arcs). A
@@ -9,13 +10,13 @@
 //! What is left is a few dozen buffers per cut: 91–101 allocations per
 //! prune on the documents below, where spelling every candidate into
 //! vectors of its own made ≈3 050. This binary counts with its own global
-//! allocator, per thread, so it holds one test and nothing else.
+//! allocator, per thread, so it holds these tests and nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use abc_bench::workloads;
-use abc_core::graph::EventId;
+use abc_core::graph::{EventId, ProcessId};
 use abc_core::monitor::IncrementalChecker;
 use abc_core::Xi;
 
@@ -25,10 +26,15 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 // SAFETY: both methods forward the caller's arguments to `System`, which
@@ -38,6 +44,7 @@ fn allocations() -> u64 {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         System.alloc(layout)
     }
 
@@ -125,5 +132,53 @@ fn a_prune_allocates_a_few_buffers_and_nothing_per_path() {
     assert!(
         worst <= MAX_PER_PRUNE,
         "a prune made {worst} allocations (at most {MAX_PER_PRUNE})"
+    );
+}
+
+/// Re-arms `mon` for a document of `rounds` relays `p0 → p1 → p2 → p0`,
+/// closed by a fast chain `p0 → p2 → p1` that a slow direct message
+/// `p0 → p1` spans (ratio 2, at Ξ = 2), and returns the bytes allocated by
+/// the append that latches it, the document's last.
+fn latch_bytes(mon: &mut IncrementalChecker, xi: &Xi, rounds: usize) -> u64 {
+    let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+    mon.reset(3, xi).unwrap();
+    let mut q = mon.append_init(p0);
+    mon.append_init(p1);
+    mon.append_init(p2);
+    for _ in 0..rounds {
+        let (_, a) = mon.append_send(q, p1);
+        let (_, b) = mon.append_send(a, p2);
+        (_, q) = mon.append_send(b, p0);
+    }
+    let (_, relay) = mon.append_send(q, p2);
+    mon.append_send(relay, p1);
+    assert!(mon.is_admissible(), "{rounds} rounds latched early");
+    let before = bytes();
+    mon.append_send(q, p1);
+    let made = bytes() - before;
+    assert!(!mon.is_admissible(), "{rounds} rounds did not latch");
+    made
+}
+
+#[test]
+fn a_latch_allocates_nothing_per_event_of_its_window() {
+    let xi = Xi::from_integer(2);
+    // Mirror-less, as a bounded session's monitor is: a mirror is rebuilt
+    // at every reset.
+    let mut mon = IncrementalChecker::new(3, &xi).unwrap();
+    mon.enable_pruning();
+    let mut made = Vec::new();
+    for rounds in [40, 320] {
+        // The first latch on a document grows the monitor's columns; the
+        // second finds them grown.
+        latch_bytes(&mut mon, &xi, rounds);
+        made.push(latch_bytes(&mut mon, &xi, rounds));
+    }
+    let (small, large) = (made[0], made[1]);
+    // The two latches close the same cycle through windows of ≈120 and
+    // ≈960 events: what they allocate is the witness, not the window.
+    assert!(
+        large <= small,
+        "a latch allocated {small} B after 40 rounds and {large} B after 320"
     );
 }

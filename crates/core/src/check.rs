@@ -632,7 +632,7 @@ mod tests {
     #[test]
     fn oversized_graphs_get_a_clean_ratio_error_not_a_panic() {
         // The ratio is the monitor's kept margin, replayed: its overflow
-        // guard (`kept_labels_fit`, whose boundary `maxratio::tests` pins)
+        // guard (`kept_labels_fit`, whose boundary `monitor::tests` pins)
         // adds bit lengths of the ratio's parts, the graph's size and the
         // heaviest arc. A graph that trips it does not fit in memory: a
         // 200 000-message chain is simply answered, in milliseconds,

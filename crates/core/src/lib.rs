@@ -76,7 +76,6 @@ pub mod cycle;
 pub mod cyclespace;
 pub mod enumerate;
 pub mod graph;
-mod maxratio;
 pub mod monitor;
 mod negcycle;
 pub mod timed;

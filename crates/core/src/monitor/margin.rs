@@ -31,7 +31,7 @@
 //! any query. The cycle that last raised `r` is the margin's witness,
 //! expanded on demand while its arcs are live and before a prune
 //! renumbers them. At `r = 1` "is there a cycle of ratio exactly `1`, or
-//! none" is the ratio-one pass over the kept labels (the `maxratio`
+//! none" is the ratio-one pass over the kept labels (the `ratio_one`
 //! module). On the `sweep_band` workload a run of 500 events takes about
 //! nine repairs and two or three raises (`crates/bench/tests/margin_work.rs`
 //! pins the counts), and its closing query runs none.
@@ -60,7 +60,9 @@
 //! margin when it was condensed (margins only grow, and a tracking
 //! monitor's kept `r` is that margin, so nothing below it is ever asked
 //! again), and the kept labels charge a shortcut the cheapest of its lines
-//! at `r`. So the probe weights see the exact minimum crossing cost, not
+//! at `r`, the first of equals (`cheapest_line`), and a raise counts that
+//! line, so a cycle's counts and witness come from the paths actually
+//! used. The probe weights thus see the exact minimum crossing cost, not
 //! just the `Ξ`-optimal path the violation machinery stores. Every prune
 //! grows the envelopes, so every pruned window answers its margin. On the
 //! bounded served documents (horizon 256, one prune of ≈8 landings and
@@ -95,16 +97,16 @@
 
 use std::collections::VecDeque;
 
-use abc_rational::Ratio;
+use abc_rational::{BigInt, Ratio};
 
 use crate::check::CheckError;
-use crate::cycle::{CycleStep, WitnessSummary};
+use crate::cycle::{CycleStep, ShadowEdge, WitnessSummary};
 use crate::graph::ProcessId;
-use crate::maxratio::{self, kept_labels_fit, step_reverses};
 use crate::negcycle::NegCycle;
 use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutTable};
+use super::ratio_one::tight_cycle_exists;
 use super::witness::{Part, PathRef, Spelling, Step};
 use super::{effective_send, narrow, IncrementalChecker, MarginReport};
 
@@ -209,6 +211,18 @@ impl Sig {
                 tail: Some(tail.path),
             },
         })
+    }
+}
+
+/// Do consecutive walk steps `a` then `b` immediately re-traverse one
+/// message in opposite directions? Such walks are excluded from cycles,
+/// and dropping them loses no optimal path at ratios `≥ 1`: contracting
+/// the pair yields a valid walk whose cost is lower by `x − 1 ≥ 0`, and
+/// that walk is explored on its own.
+pub(super) fn step_reverses(a: &CycleStep, b: &CycleStep) -> bool {
+    match (a.edge, b.edge) {
+        (ShadowEdge::Message(m1), ShadowEdge::Message(m2)) => m1 == m2 && a.against != b.against,
+        _ => false,
     }
 }
 
@@ -611,16 +625,7 @@ impl KeptMargin {
             let (mut b, mut f) = (0, 0);
             self.cycle.clear();
             for ai in cycle {
-                let kind = arcs[ai].kind;
-                let pick = match kind {
-                    ArcKind::Shortcut(id) => {
-                        maxratio::cheapest_line(shortcuts, id, ratio.0, ratio.1)
-                            .expect("a closed cycle takes no shortcut without lines")
-                            .1
-                    }
-                    _ => 0,
-                };
-                let (lf, lb) = maxratio::line(shortcuts, kind, pick);
+                let (pick, (lf, lb)) = charged_line(shortcuts, arcs[ai].kind, ratio);
                 (f, b) = (f + lf, b + lb);
                 self.cycle.push((ai, pick));
             }
@@ -696,9 +701,8 @@ impl KeptMargin {
         if !self.usable(size) {
             return Err(CheckError::GraphTooLarge);
         }
-        let exists =
-            self.above_one() || self.one || maxratio::tight_cycle_exists(tg, shortcuts, &self.pot);
-        Ok(exists.then(|| maxratio::ratio_of(self.ratio)))
+        let exists = self.above_one() || self.one || tight_cycle_exists(tg, shortcuts, &self.pot);
+        Ok(exists.then(|| ratio_of(self.ratio)))
     }
 }
 
@@ -721,28 +725,75 @@ fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &ShortcutTable) -
         ArcKind::Forward(_) => Some(b),
         ArcKind::Backward(_) => Some(-f),
         ArcKind::LocalBack => Some(0),
-        ArcKind::Shortcut(id) => maxratio::cheapest_line(shortcuts, id, b, f).map(|(w, _)| w),
+        ArcKind::Shortcut(id) => cheapest_line(shortcuts.sigs(id), b, f).map(|(w, _)| w),
     }
 }
 
-impl ShortcutTable {
-    /// How many cost lines shortcut `id` carries.
-    pub(crate) fn lines(&self, id: usize) -> usize {
-        self.sigs(id).len()
+/// The line of an arc a raise at the kept ratio `(b, f)` counts, and its
+/// counts `(f, b)`: a plain arc's one line, or the shortcut line
+/// [`kept_weight`] charged ([`cheapest_line`]).
+pub(super) fn charged_line(
+    shortcuts: &ShortcutTable,
+    kind: ArcKind,
+    (b, f): (i128, i128),
+) -> (usize, (i128, i128)) {
+    match kind.counts() {
+        Ok(counts) => (0, counts),
+        Err(id) => {
+            let sigs = shortcuts.sigs(id);
+            let (_, pick) =
+                cheapest_line(sigs, b, f).expect("a closed cycle takes no shortcut without lines");
+            (pick, (sigs[pick].f, sigs[pick].b))
+        }
     }
+}
 
-    /// Forward and backward message counts `(f, b)` of line `pick` of
-    /// shortcut `id`.
-    pub(crate) fn line(&self, id: usize, pick: usize) -> (i128, i128) {
-        let sig = &self.sigs(id)[pick];
-        (sig.f, sig.b)
+/// The cheapest cost line `p·f − q·b` of `sigs`, and which line it is (the
+/// first of equals); `None` for a shortcut without lines.
+fn cheapest_line(sigs: &[MarginSig], p: i128, q: i128) -> Option<(i128, usize)> {
+    let mut best: Option<(i128, usize)> = None;
+    for (pick, sig) in sigs.iter().enumerate() {
+        let cost = p * sig.f - q * sig.b;
+        if best.is_none_or(|(w, _)| cost < w) {
+            best = Some((cost, pick));
+        }
     }
+    best
+}
 
-    /// First and last step of the expansion of line `pick` of shortcut
-    /// `id`.
-    pub(crate) fn ends(&self, id: usize, pick: usize) -> (Option<CycleStep>, Option<CycleStep>) {
-        let (first, last) = self.path_ends(self.sigs(id)[pick].path);
-        (Some(first.step), Some(last.step))
+/// `b/f` as a [`Ratio`].
+fn ratio_of((b, f): (i128, i128)) -> Ratio {
+    Ratio::from_bigints(BigInt::from(b), BigInt::from(f))
+}
+
+/// Whether labels kept at ratio `(b, f)` stay inside `i128` on a monitor
+/// that has appended `size` events and arcs, shortcut lines standing for at
+/// most `mass` message steps. A kept label is a sum of arc weights (at most
+/// `part·mass` each, `part = max(b, f)`; a raise rescales the labels along
+/// with the weights) over a chain of the assignments that derived it: a
+/// simple path per repair, back to the label it was capped from, which an
+/// earlier append or repair set — `size` arcs per append, `size²` in all.
+/// A raise multiplies a label by the new `F` before it divides: hence
+/// `part²`. Asked at every append, so by bit lengths, which add under
+/// multiplication (a product of factors below `2^k₁ … 2^kₙ` is below
+/// `2^(k₁ + … + kₙ)`), not by `i128` multiplications.
+pub(super) fn kept_labels_fit((b, f): (i128, i128), mass: i128, size: usize) -> bool {
+    let bits = |x: u128| 128 - x.leading_zeros();
+    let part = bits(b.max(f).unsigned_abs());
+    let size = bits(size as u128 + 2);
+    2 * part + bits(mass.unsigned_abs()) + 2 * size <= 127
+}
+
+/// The steps line `pick` of a live arc begins and ends with: a plain
+/// arc's one step, or the ends of the path behind that shortcut line.
+#[inline]
+pub(super) fn line_ends(table: &ShortcutTable, arc: Arc, pick: usize) -> (CycleStep, CycleStep) {
+    match arc.step() {
+        Ok(step) => (step, step),
+        Err(id) => {
+            let (first, last) = table.path_ends(table.sigs(id)[pick].path);
+            (first.step, last.step)
+        }
     }
 }
 
@@ -925,11 +976,10 @@ impl IncrementalChecker {
     ) -> bool {
         sc.offers += 1;
         if let Some(k) = sc.links.get(parent as usize) {
-            let first = match self.tg.arcs()[arc].step() {
-                Ok(step) => step,
-                Err(id) => table.path_ends(table.sigs(id)[pick].path).0.step,
-            };
-            if step_reverses(&self.last_step(table, k), &first) {
+            let arcs = self.tg.arcs();
+            let (_, last) = line_ends(table, arcs[k.arc as usize], k.pick as usize);
+            let (first, _) = line_ends(table, arcs[arc], pick);
+            if step_reverses(&last, &first) {
                 sc.refused += 1;
                 return false;
             }
@@ -943,19 +993,6 @@ impl IncrementalChecker {
         });
         sc.insert(to, f, b, link, cut.floor);
         true
-    }
-
-    /// The last step of the path `link` ends.
-    fn last_step(&self, table: &ShortcutTable, link: &TreeLink) -> CycleStep {
-        match self.tg.arcs()[link.arc as usize].step() {
-            Ok(step) => step,
-            Err(id) => {
-                table
-                    .path_ends(table.sigs(id)[link.pick as usize].path)
-                    .1
-                    .step
-            }
-        }
     }
 
     /// Spells out, into `table`'s pool, what the landing whose tree `sc`
@@ -1042,7 +1079,7 @@ impl IncrementalChecker {
             self.kept.cycle.clear();
         }
         if !self.kept.above_one() && !self.kept.one {
-            self.kept.one = maxratio::tight_cycle_exists(&self.tg, &self.shortcuts, &self.kept.pot);
+            self.kept.one = tight_cycle_exists(&self.tg, &self.shortcuts, &self.kept.pot);
         }
         true
     }
@@ -1234,10 +1271,10 @@ impl IncrementalChecker {
                 ArcKind::Backward(_) | ArcKind::LocalBack => {}
             }
         }
-        let scan = best.map(maxratio::ratio_of);
+        let scan = best.map(ratio_of);
         // What the prunes condensed away is bounded by the kept margin.
         let kept = self.kept.above_one() || self.kept.one;
-        let floor = kept.then(|| maxratio::ratio_of(self.kept.ratio));
+        let floor = kept.then(|| ratio_of(self.kept.ratio));
         match (scan, floor) {
             (Some(s), Some(f)) => Some(if s > f { s } else { f }),
             (s, f) => s.or(f),

@@ -56,6 +56,8 @@
 //!   [`IncrementalChecker::margin_upper_bound`], the margin a monitor keeps
 //!   as appends come in (from its first append, or from its first prune),
 //!   and the signature envelopes that keep it exact across prunes;
+//! * `ratio_one` — whether a cycle of ratio exactly `1` exists, the one
+//!   margin question the kept labels do not answer alone;
 //! * `witness` — the canonical witness shape, and the one expansion that
 //!   turns live arcs and condensed paths back into steps of the execution.
 //!
@@ -96,6 +98,7 @@
 
 mod margin;
 mod prune;
+mod ratio_one;
 mod repair;
 mod witness;
 
@@ -109,10 +112,9 @@ use crate::traversal::{ArcKind, TraversalGraph};
 use crate::xi::Xi;
 
 use margin::{EnvelopeScratch, KeptMargin};
-use prune::FrontierRow;
+use prune::{FrontierRow, ShortcutTable};
 
 pub(crate) use margin::batch_margin;
-pub(crate) use prune::ShortcutTable;
 use repair::{ConfirmCtx, LexArcs, LexScratch};
 
 // Flight-recorder hooks (no-ops unless the embedding process called
@@ -215,8 +217,8 @@ pub struct IncrementalChecker {
     /// Scratch of the kernel the frontier repairs run on: empty until the
     /// first, clean between them, kept by [`IncrementalChecker::reset`].
     kernel: NegCycle,
-    /// Scratch of the lex passes a prune runs: empty until the first, kept
-    /// by [`IncrementalChecker::reset`].
+    /// Scratch of the lex passes a prune or a latch confirmation runs:
+    /// empty until the first, kept by [`IncrementalChecker::reset`].
     lex: LexScratch,
     /// The columns a prune's cut and a latch confirmation index their arcs
     /// in: likewise.

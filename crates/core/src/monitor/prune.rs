@@ -98,7 +98,7 @@ static OBS_LEX_RELAXATIONS: abc_obs::CounterDef =
 /// steps sit in the [`ShortcutTable`]'s pool (to reproduce witnesses
 /// byte-for-byte), and its margin signatures' run in the table.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ShortcutInfo {
+pub(super) struct ShortcutInfo {
     pub(super) weight: Weight,
     pub(super) path: PathRef,
     /// Margin-signature envelope of *all* condensed paths behind it.
@@ -118,7 +118,7 @@ struct SigRun {
 /// appends what it composes; [`ShortcutTable::compact`] keeps what is
 /// still referenced.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct ShortcutTable {
+pub(super) struct ShortcutTable {
     infos: Vec<ShortcutInfo>,
     sigs: Vec<MarginSig>,
     steps: Vec<Step>,

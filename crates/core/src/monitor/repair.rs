@@ -170,8 +170,9 @@ impl LexArcs {
 }
 
 /// The lex pass's labels and work lists, owned by the monitor and kept
-/// across landings, prunes and [`IncrementalChecker::reset`]: a landing's
-/// tree makes no allocation once a prune of its size has run.
+/// across landings, prunes, latch confirmations and
+/// [`IncrementalChecker::reset`]: a landing's tree, or a latch's, makes no
+/// allocation once a pass of its size has run.
 #[derive(Clone, Debug, Default)]
 pub(super) struct LexScratch {
     /// Per windowed node: its label, the arena index of the arc that last
@@ -340,10 +341,13 @@ impl IncrementalChecker {
         if run.cycle.is_none() {
             return;
         }
-        // The monitor's cut columns, lent to the confirmation.
+        // The monitor's cut columns and lex scratch, lent to the
+        // confirmation.
         let mut cut_arcs = std::mem::take(&mut self.cut_arcs);
-        let (cycle, summary) = self.confirm_violation(ctx, &mut cut_arcs);
+        let mut lex = std::mem::take(&mut self.lex);
+        let (cycle, summary) = self.confirm_violation(ctx, &mut cut_arcs, &mut lex);
         self.cut_arcs = cut_arcs;
+        self.lex = lex;
         assert!(
             summary.classification.violates(&self.xi),
             "internal error: extracted cycle {cycle} does not violate Xi = {}",
@@ -367,6 +371,7 @@ impl IncrementalChecker {
         &self,
         ctx: &ConfirmCtx,
         pre_append: &mut LexArcs,
+        lex: &mut LexScratch,
     ) -> (Cycle, WitnessSummary) {
         let _span = abc_obs::span("monitor.confirm_sssp");
         OBS_CONFIRMS.add(1);
@@ -385,9 +390,8 @@ impl IncrementalChecker {
             None => vec![(ctx.prev_global, (0, 0))],
             Some(row) => row.outs.iter().map(|o| (o.head, o.info.weight)).collect(),
         };
-        let mut lex = LexScratch::default();
         lex.run(pre_append, base, &seeds);
-        let LexScratch { pred, seed_of, .. } = lex;
+        let (pred, seed_of) = (&lex.pred, &lex.seed_of);
         // Collect the path prev ⇝ u by walking predecessors back from u;
         // the walk bottoms out at a seeded node (a compacted `prev`'s seed
         // carries the condensed expansion to splice into the witness).

@@ -1,10 +1,12 @@
-use super::margin::{margin_envelope, CostLine};
-use super::prune::Cut;
+use super::margin::{
+    charged_line, kept_labels_fit, margin_envelope, step_reverses, CostLine, MarginSig,
+};
+use super::prune::{Cut, ShortcutTable};
 use super::repair::{LexArcs, LexScratch, OutArc};
+use super::witness::PathRef;
 use super::*;
 use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
-use crate::maxratio::step_reverses;
 use crate::negcycle::Label;
 use crate::traversal::Arc;
 use abc_rational::Ratio;
@@ -610,9 +612,57 @@ fn margin_floor_survives_pruning_the_witness_away() {
 }
 
 #[test]
+fn the_overflow_guard_is_exact_at_its_boundary() {
+    // 2·bits(part) + bits(mass) + 2·bits(size + 2) against 127, with
+    // size + 2 = 2³⁰ (31 bits): a part of 32 bits fits beside a one-step
+    // mass, 33 bits do not, and a 32-bit part leaves room for no heavier
+    // mass.
+    let size = (1usize << 30) - 2;
+    assert!(kept_labels_fit(((1 << 32) - 1, 1), 1, size));
+    assert!(!kept_labels_fit((1 << 32, 1), 1, size));
+    assert!(kept_labels_fit((1, (1 << 32) - 1), 1, size));
+    assert!(kept_labels_fit((1 << 31, 1), 1, size));
+    assert!(!kept_labels_fit((1 << 31, 1), 2, size));
+    // At ratio 1/1 (a batch ratio, or a monitor that nothing raised) the
+    // guard fails only past 2⁶² − 3 events and arcs.
+    assert!(kept_labels_fit((1, 1), 1, (1 << 62) - 3));
+    assert!(!kept_labels_fit((1, 1), 1, (1 << 62) - 2));
+    // Everything a real monitor window or batch graph presents is far
+    // inside: a million messages in one graph still fits.
+    assert!(kept_labels_fit((1_000_000, 999_999), 1, 3_000_000));
+}
+
+#[test]
+fn a_raise_counts_the_first_of_equally_cheap_shortcut_lines() {
+    // At the kept ratio 3/2 a line `(f, b)` costs 3f − 2b: 13 for (5, 1),
+    // and 4 for both (2, 1) and (4, 4). The kept labels charge the
+    // shortcut 4, and a raise through it counts the first line of that
+    // cost, whose counts the raised ratio is made of.
+    let mut table = ShortcutTable::default();
+    let path = PathRef { start: 0, end: 1 };
+    let lines = [(5, 1), (2, 1), (4, 4)].map(|(f, b)| MarginSig { f, b, path });
+    let info = table.info((0, 0), path, lines);
+    let id = table.push(info);
+    assert_eq!(
+        charged_line(&table, ArcKind::Shortcut(id), (3, 2)),
+        (1, (2, 1))
+    );
+    // A plain arc has one line.
+    let m = MessageId(0);
+    assert_eq!(
+        charged_line(&table, ArcKind::Forward(m), (3, 2)),
+        (0, (1, 0))
+    );
+    assert_eq!(
+        charged_line(&table, ArcKind::Backward(m), (3, 2)),
+        (0, (0, 1))
+    );
+}
+
+#[test]
 fn a_fold_beyond_the_integer_range_declines_the_prune() {
     // No real execution gets kept labels past their guard (its boundary is
-    // pinned by `maxratio::tests::the_overflow_guard_is_exact_at_its_boundary`),
+    // pinned by `the_overflow_guard_is_exact_at_its_boundary`),
     // so plant a kept margin whose parts alone overflow it: the margin query
     // reports the clean error and the prune leaves the window as it was.
     let xi = Xi::from_integer(4);

@@ -2045,7 +2045,7 @@ mod tests {
         let mut want = String::new();
         for i in 0..20_000usize {
             let mut n = || number();
-            let mut opt = |n: u64| (n % 3 != 0).then_some(n);
+            let opt = |n: u64| (n % 3 != 0).then_some(n);
             let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
             let rec = match i % 6 {
                 0 => WireRecord::Event(EventRecord {
