@@ -138,9 +138,11 @@ fn a_prune_allocates_a_few_buffers_and_nothing_per_path() {
 /// Re-arms `mon` for a document of `rounds` relays `p0 → p1 → p2 → p0`,
 /// closed by a fast chain `p0 → p2 → p1` that a slow direct message
 /// `p0 → p1` spans (ratio 2, at Ξ = 2), and returns the bytes allocated by
-/// the append that latches it, the document's last.
-fn latch_bytes(mon: &mut IncrementalChecker, xi: &Xi, rounds: usize) -> u64 {
+/// the whole document, the reset included, and by the append that latches
+/// it, the document's last.
+fn document_bytes(mon: &mut IncrementalChecker, xi: &Xi, rounds: usize) -> (u64, u64) {
     let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+    let start = bytes();
     mon.reset(3, xi).unwrap();
     let mut q = mon.append_init(p0);
     mon.append_init(p1);
@@ -157,22 +159,21 @@ fn latch_bytes(mon: &mut IncrementalChecker, xi: &Xi, rounds: usize) -> u64 {
     mon.append_send(q, p1);
     let made = bytes() - before;
     assert!(!mon.is_admissible(), "{rounds} rounds did not latch");
-    made
+    (bytes() - start, made)
 }
 
 #[test]
 fn a_latch_allocates_nothing_per_event_of_its_window() {
     let xi = Xi::from_integer(2);
-    // Mirror-less, as a bounded session's monitor is: a mirror is rebuilt
-    // at every reset.
+    // Mirror-less, as a bounded session's monitor is.
     let mut mon = IncrementalChecker::new(3, &xi).unwrap();
     mon.enable_pruning();
     let mut made = Vec::new();
     for rounds in [40, 320] {
         // The first latch on a document grows the monitor's columns; the
         // second finds them grown.
-        latch_bytes(&mut mon, &xi, rounds);
-        made.push(latch_bytes(&mut mon, &xi, rounds));
+        document_bytes(&mut mon, &xi, rounds);
+        made.push(document_bytes(&mut mon, &xi, rounds).1);
     }
     let (small, large) = (made[0], made[1]);
     // The two latches close the same cycle through windows of ≈120 and
@@ -180,5 +181,30 @@ fn a_latch_allocates_nothing_per_event_of_its_window() {
     assert!(
         large <= small,
         "a latch allocated {small} B after 40 rounds and {large} B after 320"
+    );
+}
+
+/// What a mirror may add to a second equal document: the witness checks
+/// a debug build runs against it at the latch, and nothing per event.
+const MIRROR_SLACK: u64 = 4096;
+
+#[test]
+fn a_reset_mirror_keeps_its_columns() {
+    let xi = Xi::from_integer(2);
+    let mut bare = IncrementalChecker::new(3, &xi).unwrap();
+    bare.enable_pruning();
+    let mut mirrored = IncrementalChecker::new(3, &xi).unwrap();
+    let mut second = [0; 2];
+    for (mon, made) in [&mut bare, &mut mirrored].into_iter().zip(&mut second) {
+        // The first document grows the columns, the mirror's among them.
+        document_bytes(mon, &xi, 320);
+        *made = document_bytes(mon, &xi, 320).0;
+    }
+    let [bare, mirrored] = second;
+    // A mirror emptied at the reset finds its ≈960 events' room again; one
+    // rebuilt from nothing allocated ≈205 000 B here.
+    assert!(
+        mirrored <= bare + MIRROR_SLACK,
+        "a second document allocated {mirrored} B with a mirror and {bare} B without"
     );
 }

@@ -7,11 +7,13 @@
 //! rounds in descending arena order that visit only the arcs whose tail
 //! label changed since their last visit. The round loop it replaced
 //! visited every internal arc in every round, ≈3 500 visits per landing
-//! (4.6 rounds over 759 arcs) for ≈370 relaxations on the documents below;
-//! the exact-visit pass makes the same relaxations with ≈920 visits, about
-//! 2.5 per relaxation and 1.2 per internal arc. The counts come from the
-//! pass's own `abc_obs` counters (`monitor.prune_lex_scans` and
-//! `monitor.prune_lex_relaxations`, summed over a prune's landings),
+//! (4.6 rounds over 759 arcs) for ≈370 relaxations on the documents below.
+//! The passes run over certified windows of the prefix
+//! (`crates/core/src/monitor/window.rs`), where a landing's pass makes ≈67
+//! relaxations with ≈134 visits over its window's ≈105 arcs: 2.0 per
+//! relaxation and 1.2–1.3 per arc. The counts
+//! come from the pass's own `abc_obs` counters (`monitor.prune_lex_scans`
+//! and `monitor.prune_lex_relaxations`, summed over a prune's landings),
 //! beside `monitor.prune_sig_arcs` (the internal arcs each landing's
 //! envelope pass runs over, the same CSR); this file holds one test
 //! because the recorder is process-wide.

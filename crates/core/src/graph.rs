@@ -396,6 +396,26 @@ impl ExecutionGraphBuilder {
         self.graph.messages.reserve(messages);
     }
 
+    /// Empties the builder for a new graph over `num_processes` processes,
+    /// as [`ExecutionGraph::builder`] would start it, keeping the capacity
+    /// of its tables and of every kept process's event list.
+    pub fn clear(&mut self, num_processes: usize) {
+        let ExecutionGraph {
+            events,
+            messages,
+            process_events,
+            faulty,
+        } = &mut self.graph;
+        events.clear();
+        messages.clear();
+        process_events.resize_with(num_processes, Vec::new);
+        for list in process_events.iter_mut() {
+            list.clear();
+        }
+        faulty.clear();
+        faulty.resize(num_processes, false);
+    }
+
     /// Number of events added so far.
     #[must_use]
     pub fn num_events(&self) -> usize {

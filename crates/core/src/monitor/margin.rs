@@ -66,9 +66,12 @@
 //! just the `Ξ`-optimal path the violation machinery stores. Every prune
 //! grows the envelopes, so every pruned window answers its margin. On the
 //! bounded served documents (horizon 256, one prune of ≈8 landings and
-//! 759 internal arcs each) a prune takes about 0.43 ms on a shared
-//! 2-hardware-thread host, of which the envelope passes are 0.17, the lex
-//! trees 0.13 and the composition of the condensed paths 0.08.
+//! 759 internal arcs each) a prune takes about 0.14 ms on a shared
+//! 2-hardware-thread host: each landing's lex and envelope passes run
+//! over a certified window of the prefix (the `window` module), 46 of its
+//! 257 events on average, and take 0.020 and 0.028, the windows' index
+//! and bound 0.015 and their certificates 0.002; the composition of the
+//! condensed paths takes 0.040 and the exit spelling 0.017.
 //!
 //! # The envelope pass
 //!
@@ -77,9 +80,9 @@
 //! computation started from the tree that is optimal at one parameter
 //! value (Young, Tarjan & Orlin 1991) — the landing's lex tree, built a
 //! moment earlier, is that tree at `x = Ξ` — and then run as a FIFO
-//! worklist over one per-cut CSR, re-scanning only the events whose
-//! envelope changed (Cherkassky & Goldberg 1999, the discipline of the
-//! crate's kernel). The pass lives on flat columns. A CSR entry carries
+//! worklist over the CSR of the landing's window, re-scanning only the
+//! events whose envelope changed (Cherkassky & Goldberg 1999, the
+//! discipline of the crate's kernel). The pass lives on flat columns. A CSR entry carries
 //! what a scan reads: the head and the arc's lines (a plain arc's `(f, b)`,
 //! or a shortcut's id). A slot (`SlotLines`) holds its first line in
 //! place, and only a slot of two or more lines — about one in ten —
@@ -89,7 +92,8 @@
 //! on `[floor, ∞)` (`can_win`) — against a slot's one line, read in place,
 //! a slope test and one compare at the floor — and only a line that wins
 //! has its path's boundary steps read, a link made and its slot merged.
-//! Nine worklist scans in ten lose that way. The scratch is the monitor's
+//! Most scans lose that way, five to six in ten inside the certified
+//! windows of the bounded served documents. The scratch is the monitor's
 //! (`EnvelopeScratch`), so a tree makes no per-node allocation.
 //! `crates/bench/tests/prune_work.rs` pins the pass's work by count;
 //! `monitor/tests.rs` keeps the cold, round-based pass it replaced as a
@@ -107,6 +111,7 @@ use crate::traversal::{Arc, ArcKind, TraversalGraph};
 
 use super::prune::{Cut, ShortcutTable};
 use super::ratio_one::tight_cycle_exists;
+use super::window::Window;
 use super::witness::{Part, PathRef, Spelling, Step};
 use super::{effective_send, narrow, IncrementalChecker, MarginReport};
 
@@ -392,6 +397,15 @@ impl EnvelopeScratch {
         } else {
             self.lines[slot.start as usize + k]
         }
+    }
+
+    /// The `(f, b)` counts of the lines slot `slot` holds, steepest first.
+    pub(super) fn lines(&self, slot: usize) -> impl Iterator<Item = (i128, i128)> + '_ {
+        let s = self.slots[slot];
+        (0..s.len as usize).map(move |k| {
+            let line = self.line(&s, k);
+            (line.f, line.b)
+        })
     }
 
     /// Whether slot `slot` has a line.
@@ -720,7 +734,11 @@ pub(crate) fn batch_margin(tg: &TraversalGraph) -> Result<Option<Ratio>, CheckEr
 /// backward, `0` local, and a shortcut's cheapest line (`None`: it carries
 /// none, and stands for no path).
 #[inline]
-fn kept_weight(kind: ArcKind, (b, f): (i128, i128), shortcuts: &ShortcutTable) -> Option<i128> {
+pub(super) fn kept_weight(
+    kind: ArcKind,
+    (b, f): (i128, i128),
+    shortcuts: &ShortcutTable,
+) -> Option<i128> {
     match kind {
         ArcKind::Forward(_) => Some(b),
         ArcKind::Backward(_) => Some(-f),
@@ -815,12 +833,12 @@ pub(super) fn arc_sigs(
 }
 
 impl IncrementalChecker {
-    /// Signature-envelope shortest paths from `start` over the cut's
-    /// internal arcs — the parametric companion of the lex pass
-    /// (`LexScratch::run`): instead of the one lex-optimal path at `Ξ`,
-    /// every prefix event keeps the lower envelope of all incoming path
-    /// signatures over probe ratios at or above the margin floor, and so
-    /// does the live head of every exit arc (the internal envelopes
+    /// Signature-envelope shortest paths from `start` over the internal
+    /// arcs of window `win` of the cut — the parametric companion of the
+    /// lex pass (`LexScratch::run`): instead of the one lex-optimal path
+    /// at `Ξ`, every window event keeps the lower envelope of all incoming
+    /// path signatures over probe ratios at or above the margin floor, and
+    /// so does the live head of every exit arc (the internal envelopes
     /// extended by the exit arc), in the slot after the events.
     ///
     /// `pred` is the landing's lex tree, and it already *is* this
@@ -850,13 +868,14 @@ impl IncrementalChecker {
     pub(super) fn margin_sig_sssp(
         &self,
         cut: &Cut,
+        win: &Window,
         start: usize,
         pred: &[Option<usize>],
         table: &ShortcutTable,
         sc: &mut EnvelopeScratch,
     ) {
-        let base = cut.base;
-        let width = cut.w - base;
+        let base = win.base;
+        let width = win.width(cut);
         let arcs = self.tg.arcs();
         sc.arm(width + cut.exits.len());
         sc.insert(start - base, 0, 0, ROOT, cut.floor);
@@ -894,10 +913,10 @@ impl IncrementalChecker {
             // scanned: the CSR leaves self-loops out (they only lap a
             // prefix cycle), so every insert goes to another slot.
             let tail = sc.slots[from];
-            for o in cut.lex.out(from) {
+            for o in win.lex.out(from) {
                 let to = o.head as usize;
                 scans += 1;
-                let ai = cut.lex.arena[o.rank as usize];
+                let ai = win.lex.arena[o.rank as usize];
                 if self.relax_sigs(cut, table, sc, &tail, ai, o.lines, to) && !sc.queued[to] {
                     sc.queued[to] = true;
                     sc.queue.push_back(to);
@@ -913,7 +932,7 @@ impl IncrementalChecker {
         OBS_SIG_LINKS.add(sc.links.len() as u64);
         OBS_SIG_SCANS.add(scans);
         OBS_SIG_NODES.add(reached as u64);
-        OBS_SIG_ARCS.add(cut.lex.num_out() as u64);
+        OBS_SIG_ARCS.add(win.lex.num_out() as u64);
         OBS_SIG_OFFERS.add(sc.offers);
         OBS_SIG_REFUSALS.add(sc.refused as u64);
     }
@@ -996,18 +1015,20 @@ impl IncrementalChecker {
     }
 
     /// Spells out, into `table`'s pool, what the landing whose tree `sc`
-    /// holds sees behind exit `bi` of `cut`: the envelope of all its paths
-    /// to the exit's head. A path equal to `share`'s steps is `share`.
+    /// holds over window `win` sees behind exit `bi` of `cut`: the envelope
+    /// of all its paths to the exit's head. A path equal to `share`'s steps
+    /// is `share`.
     pub(super) fn exit_envelope<'s>(
         &self,
         cut: &Cut,
+        win: &Window,
         sc: &'s mut EnvelopeScratch,
         bi: usize,
         table: &mut ShortcutTable,
         share: Option<PathRef>,
     ) -> &'s [MarginSig] {
         let arcs = self.tg.arcs();
-        let slot = sc.slots[cut.w - cut.base + bi];
+        let slot = sc.slots[win.width(cut) + bi];
         sc.spelled.clear();
         for k in 0..slot.len as usize {
             let line = sc.line(&slot, k);

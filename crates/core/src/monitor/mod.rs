@@ -100,6 +100,7 @@ mod margin;
 mod prune;
 mod ratio_one;
 mod repair;
+mod window;
 mod witness;
 
 use abc_rational::Ratio;
@@ -116,6 +117,7 @@ use prune::{FrontierRow, ShortcutTable};
 
 pub(crate) use margin::batch_margin;
 use repair::{ConfirmCtx, LexArcs, LexScratch};
+use window::Windows;
 
 // Flight-recorder hooks (no-ops unless the embedding process called
 // `abc_obs::enable`). The hot append path gets only relaxed counter
@@ -220,11 +222,13 @@ pub struct IncrementalChecker {
     /// Scratch of the lex passes a prune or a latch confirmation runs:
     /// empty until the first, kept by [`IncrementalChecker::reset`].
     lex: LexScratch,
-    /// The columns a prune's cut and a latch confirmation index their arcs
-    /// in: likewise.
+    /// The columns a latch confirmation indexes its arcs in: likewise.
     cut_arcs: LexArcs,
     /// Likewise for the prune's signature-envelope passes.
     envelopes: EnvelopeScratch,
+    /// Likewise for the windows of the condemned prefix a prune's passes
+    /// run over, and their certificates.
+    windows: Windows,
     /// Latest event id of each process (survives pruning — it guards
     /// double-init and locates local predecessors).
     last_event: Vec<Option<usize>>,
@@ -276,6 +280,7 @@ impl IncrementalChecker {
             lex: LexScratch::default(),
             cut_arcs: LexArcs::default(),
             envelopes: EnvelopeScratch::default(),
+            windows: Windows::default(),
             last_event: vec![None; num_processes],
             frontier_row: vec![None; num_processes],
             shortcuts: ShortcutTable::default(),
@@ -299,7 +304,8 @@ impl IncrementalChecker {
     /// kept only since a prune is not, as on a new monitor) and every
     /// per-event column keeps its capacity, so a monitor that has seen a
     /// document of some size checks the next one of that size without
-    /// allocating. A kept mirror is rebuilt from nothing.
+    /// allocating. A kept mirror is emptied the same way
+    /// ([`ExecutionGraphBuilder::clear`]).
     ///
     /// # Errors
     ///
@@ -324,8 +330,9 @@ impl IncrementalChecker {
             pot,
             kernel: _,    // clean between repairs; its capacity is the point
             lex: _,       // re-armed per landing; likewise
-            cut_arcs: _,  // refilled per cut; likewise
+            cut_arcs: _,  // refilled per latch; likewise
             envelopes: _, // likewise
+            windows: _,   // refilled per cut; likewise
             last_event,
             frontier_row,
             shortcuts,
@@ -345,7 +352,7 @@ impl IncrementalChecker {
         has_sent.clear();
         has_sent.resize(num_processes, false);
         if let Some(mirror) = builder {
-            *mirror = ExecutionGraph::builder(num_processes);
+            mirror.clear(num_processes);
         }
         tg.clear();
         *deferred = !*margin_tracking;
@@ -368,8 +375,10 @@ impl IncrementalChecker {
     /// What [`IncrementalChecker::reset`] keeps, summed: the capacity of
     /// every per-process and per-event column (the kept margin's
     /// included), of the arc arena, of the shortcut table and of the
-    /// kernel's and the prunes' scratch (not the mirror, which a reset
-    /// rebuilds). For "a re-armed monitor allocates nothing" tests, here
+    /// kernel's and the prunes' scratch. The mirror keeps its tables too,
+    /// but is not counted here: `crates/bench/tests/prune_alloc.rs` holds a
+    /// mirrored monitor's second document to the bytes a mirror-less one
+    /// allocates. For "a re-armed monitor allocates nothing" tests, here
     /// and in the crates that lend a monitor to one replay after another.
     #[doc(hidden)]
     #[must_use]
@@ -384,6 +393,7 @@ impl IncrementalChecker {
             + self.lex.capacity()
             + self.cut_arcs.capacity()
             + self.envelopes.capacity()
+            + self.windows.capacity()
             + self.last_event.capacity()
             + self.frontier_row.capacity()
             + self.shortcuts.capacity()

@@ -44,17 +44,31 @@
 //! the same live endpoint, `Candidate::absorb` decides: the lex-min path
 //! keeps the slot, every path's margin signatures join its envelope.
 //!
-//! What a cut computes it computes once. The internal arcs are indexed
-//! into **flat columns** per cut (`LexArcs`: ends and lex weight by rank,
-//! one CSR by tail whose entries carry what a scan reads — rank, head and
-//! the arc's cost lines), which every landing's lex pass and envelope pass
-//! read; the lex pass visits only the arcs whose tail moved (the `repair`
-//! module has the argument). A landing's envelope pass is **warm-started
-//! from its lex tree**: that tree is the parametric tree at `x = Ξ`, its
-//! arcs give every reached event a genuine path line to start on, and from
-//! any start made of genuine path lines the worklist ends in the envelope
-//! of all paths (the `margin` module has the argument, and the one
-//! junction rule that reads which path holds a line). The composite
+//! What a cut computes it computes once. A landing's passes run over a
+//! **certified window** of the prefix, its top `K` events (the `window`
+//! module): `K` starts at twice the depth of the deepest exit tail,
+//! doubled until it holds the landing twice over, and doubles again, up
+//! to the whole prefix, while a bound on the paths that leave the window
+//! — each must descend out of it and climb back, priced on the monitor's
+//! feasible potentials from the exits' side — does not prove that none of
+//! them ties the window's lex label at an exit tail or wins a line at an
+//! exit head, or while the window's envelope pass refuses a junction. A
+//! kept window's passes leave the whole prefix's exit trees byte for
+//! byte, and its exit line sets wherever the whole prefix's pass refuses
+//! no junction either. On the bounded served documents the 124 landings
+//! of 16 first prunes run over 46 events each on average, of 257, and 15
+//! passes are rerun once. The window's internal arcs are indexed once per
+//! prune and window size into **flat columns** (`LexArcs`: ends and lex
+//! weight by rank, one CSR by tail whose entries carry what a scan reads —
+//! rank, head and the arc's cost lines), which every landing's lex pass and
+//! envelope pass over that window read; the lex pass visits only the arcs
+//! whose tail moved (the `repair` module has the argument). A landing's
+//! envelope pass is **warm-started from its lex tree**: that tree is the
+//! parametric tree at `x = Ξ`, its arcs give every reached event a
+//! genuine path line to start on, and from any start made of genuine path
+//! lines the worklist ends in the envelope of all paths (the `margin`
+//! module has the argument, and the one junction rule that reads which
+//! path holds a line). The composite
 //! `landing ⇝ exit` — the walk up the predecessor chain, its path, its
 //! envelope — is spelled **once per (landing, exit)**, in `landing_trees`;
 //! every entry arc and row that lands there composes with it by
@@ -79,8 +93,9 @@ use crate::graph::{EventId, LocalEdge, ProcessId};
 use crate::negcycle::Label;
 use crate::traversal::{Arc, ArcKind};
 
-use super::margin::{arc_sigs, margin_envelope, ArcLines, EnvelopeScratch, MarginSig, Sig};
-use super::repair::{LexArcs, LexScratch};
+use super::margin::{arc_sigs, margin_envelope, EnvelopeScratch, MarginSig, Sig};
+use super::repair::LexScratch;
+use super::window::Windows;
 use super::witness::{Part, PathRef, Spelling, Step};
 use super::{narrow, weight_of, IncrementalChecker, Weight};
 
@@ -92,6 +107,17 @@ static OBS_PRUNED_ARCS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.
 static OBS_LEX_SCANS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_lex_scans");
 static OBS_LEX_RELAXATIONS: abc_obs::CounterDef =
     abc_obs::CounterDef::new("monitor.prune_lex_relaxations");
+// Where the landings' passes ran (`crates/bench/tests/prune_work.rs` holds
+// them to the prefix): the landings, their passes' window widths summed,
+// the passes rerun over twice the window, and the landings whose passes
+// ended over the whole prefix.
+static OBS_LANDINGS: abc_obs::CounterDef = abc_obs::CounterDef::new("monitor.prune_landings");
+static OBS_WINDOW_EVENTS: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("monitor.prune_window_events");
+static OBS_WINDOW_RETRIES: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("monitor.prune_window_retries");
+static OBS_WINDOW_WHOLES: abc_obs::CounterDef =
+    abc_obs::CounterDef::new("monitor.prune_window_wholes");
 
 /// A condensed boundary path of a pruned prefix: the exact lexicographic
 /// weight of the shortest settled-region path it stands for, where its
@@ -359,10 +385,6 @@ pub(super) struct Cut {
     pub(super) w: usize,
     entries: Vec<usize>,
     pub(super) exits: Vec<usize>,
-    /// The internal arcs (both ends below the cut), indexed for every
-    /// landing's lex and envelope pass in the monitor's columns, lent to
-    /// the cut; not refilled without exits, when no pass runs.
-    pub(super) lex: LexArcs,
     /// Prefix events that need a shortest-path tree: entry-arc heads,
     /// freshly pruned frontiers, stale row heads (none without exits).
     pub(super) landings: Vec<usize>,
@@ -521,6 +543,19 @@ impl Merge {
     }
 }
 
+/// What the landing passes of a prune did, for its counters: lex arc
+/// visits and relaxations, window widths summed over the passes, passes
+/// rerun over twice the window, and landings whose passes ran over the
+/// whole prefix.
+#[derive(Clone, Copy, Debug, Default)]
+pub(super) struct PassWork {
+    pub(super) scans: u64,
+    pub(super) relaxations: u64,
+    pub(super) events: u64,
+    pub(super) retries: u64,
+    pub(super) wholes: u64,
+}
+
 /// The shortcut between one pair of live endpoints after this prune.
 struct Slot {
     from: usize,
@@ -656,32 +691,33 @@ impl IncrementalChecker {
     /// message arcs attach at or above the watermark, future local arcs
     /// attach to frontier rows), so these condensations stay exact forever.
     fn condense_boundary(&mut self, w: usize) {
-        let lex_arcs = std::mem::take(&mut self.cut_arcs);
-        let cut = self.classify_cut(w, lex_arcs);
         // Lent to the prune's passes, then back for the next one.
+        let mut windows = std::mem::take(&mut self.windows);
+        let cut = self.classify_cut(w, &mut windows.internal);
         let mut table = std::mem::take(&mut self.shortcuts);
         let mut lex = std::mem::take(&mut self.lex);
         let mut envelopes = std::mem::take(&mut self.envelopes);
-        let trees = self.landing_trees(&cut, &mut table, &mut lex, &mut envelopes);
+        let passes = (&mut lex, &mut envelopes, &mut windows);
+        let trees = self.landing_trees(&cut, &mut table, passes);
         self.lex = lex;
         self.envelopes = envelopes;
+        self.windows = windows;
         let slots = self.entry_exit_shortcuts(&cut, &trees, &mut table);
         let rows = self.frontier_rows(&cut, &trees, &mut table);
         self.shortcuts = table;
         self.install(w, slots, rows);
-        self.cut_arcs = cut.lex;
     }
 
-    /// Classifies the arena against the cut, indexes the internal arcs into
-    /// `lex` and finds the landing points.
-    pub(super) fn classify_cut(&self, w: usize, lex: LexArcs) -> Cut {
+    /// Classifies the arena against the cut, collects the internal arcs
+    /// into `internal` (in arena order; not refilled without exits, when no
+    /// pass runs) and finds the landing points.
+    pub(super) fn classify_cut(&self, w: usize, internal: &mut Vec<usize>) -> Cut {
         let base = self.tg.base();
         let mut cut = Cut {
             base,
             w,
             entries: Vec::new(),
             exits: Vec::new(),
-            lex,
             landings: Vec::new(),
             landing_idx: vec![None; w - base],
             floor: self.kept.ratio,
@@ -697,12 +733,8 @@ impl IncrementalChecker {
         if cut.exits.is_empty() {
             return cut;
         }
-        let internal = arcs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.from < w && a.to < w);
-        let indexed = internal.map(|(ai, &a)| (ai, a, self.arc_weight(a.kind)));
-        cut.lex.index(w - base, base, indexed, ArcLines::of);
+        internal.clear();
+        internal.extend((0..arcs.len()).filter(|&ai| arcs[ai].from < w && arcs[ai].to < w));
         let mut heads: Vec<usize> = Vec::new();
         heads.extend(cut.entries.iter().map(|&ai| arcs[ai].to));
         for p in 0..self.num_processes {
@@ -727,26 +759,28 @@ impl IncrementalChecker {
     /// (the lex pass the confirmation runs too — settled prefixes
     /// typically converge in a handful of rounds), its parametric
     /// companion, started from that tree, and what the two say about
-    /// every exit, spelled into `table`'s pool.
+    /// every exit, spelled into `table`'s pool. Both passes run over the
+    /// smallest window of the prefix that certifies them
+    /// ([`IncrementalChecker::landing_passes`]).
     fn landing_trees(
         &self,
         cut: &Cut,
         table: &mut ShortcutTable,
-        lex: &mut LexScratch,
-        envelopes: &mut EnvelopeScratch,
+        (lex, envelopes, windows): (&mut LexScratch, &mut EnvelopeScratch, &mut Windows),
     ) -> Trees {
         let arcs = self.tg.arcs();
         let mut trees = Trees::with_capacity(cut.landings.len() * cut.exits.len());
         let mut chain = Vec::new();
-        let (mut scans, mut relaxations) = (0, 0);
+        let mut work = PassWork::default();
+        windows.start_prune();
         for &start in &cut.landings {
-            let (visits, relaxed) = lex.run(&cut.lex, cut.base, &[(start, (0, 0))]);
-            scans += visits;
-            relaxations += relaxed;
-            self.margin_sig_sssp(cut, start, &lex.pred, table, envelopes);
+            let passes = (&mut *lex, &mut *envelopes, &mut *windows);
+            let at = self.landing_passes(cut, table, start, passes, &mut work);
+            let win = windows.window(at);
+            let base = win.base;
             for (bi, &b) in cut.exits.iter().enumerate() {
                 let exit_arc = arcs[b];
-                let Some(d) = lex.dist[exit_arc.from - cut.base] else {
+                let Some(d) = lex.dist[exit_arc.from - base] else {
                     trees.push(None);
                     continue;
                 };
@@ -755,7 +789,7 @@ impl IncrementalChecker {
                 chain.push(b);
                 let mut node = exit_arc.from;
                 while node != start {
-                    let ai = lex.pred[node - cut.base].expect("reachable nodes have predecessors");
+                    let ai = lex.pred[node - base].expect("reachable nodes have predecessors");
                     chain.push(ai);
                     node = arcs[ai].from;
                 }
@@ -766,13 +800,60 @@ impl IncrementalChecker {
                 }
                 let path = table.close(open, None);
                 let weight = d.plus(weight_of(exit_arc.kind, self.p, self.q, table));
-                let sigs = self.exit_envelope(cut, envelopes, bi, table, Some(path));
+                let sigs = self.exit_envelope(cut, win, envelopes, bi, table, Some(path));
                 trees.push(Some(table.info(weight, path, sigs.iter().copied())));
             }
         }
-        OBS_LEX_SCANS.add(scans);
-        OBS_LEX_RELAXATIONS.add(relaxations);
+        OBS_LEX_SCANS.add(work.scans);
+        OBS_LEX_RELAXATIONS.add(work.relaxations);
+        OBS_LANDINGS.add(cut.landings.len() as u64);
+        OBS_WINDOW_EVENTS.add(work.events);
+        OBS_WINDOW_RETRIES.add(work.retries);
+        OBS_WINDOW_WHOLES.add(work.wholes);
         trees
+    }
+
+    /// Runs the lex pass and the envelope pass of landing `start` over the
+    /// smallest window of `cut`'s prefix that certifies them (the `window`
+    /// module): `K` from twice the depth of the deepest exit tail, doubled
+    /// until it holds the landing twice over, then once per window that
+    /// does not certify, the whole prefix at worst. Leaves the passes in
+    /// `lex` and `envelopes`, counts their work into `work`, and returns
+    /// where `windows` keeps the window ([`Windows::window`]).
+    pub(super) fn landing_passes(
+        &self,
+        cut: &Cut,
+        table: &ShortcutTable,
+        start: usize,
+        (lex, envelopes, windows): (&mut LexScratch, &mut EnvelopeScratch, &mut Windows),
+        work: &mut PassWork,
+    ) -> usize {
+        let arcs = self.tg.arcs();
+        let prefix = cut.w - cut.base;
+        let deepest = cut.exits.iter().map(|&b| cut.w - arcs[b].from).max();
+        let mut k = 2 * deepest.unwrap_or(1);
+        while k < 2 * (cut.w - start) {
+            k *= 2;
+        }
+        loop {
+            let lo = if k < prefix { cut.w - k } else { cut.base };
+            let at = windows.slot(self, cut, table, lo);
+            let win = windows.window(at);
+            let (visits, relaxed) = lex.run(&win.lex, lo, &[(start, (0, 0))]);
+            work.scans += visits;
+            work.relaxations += relaxed;
+            self.margin_sig_sssp(cut, win, start, &lex.pred, table, envelopes);
+            work.events += win.width(cut) as u64;
+            if lo == cut.base {
+                work.wholes += 1;
+                return at;
+            }
+            if win.certifies(self, cut, table, start, lex, envelopes) {
+                return at;
+            }
+            work.retries += 1;
+            k *= 2;
+        }
     }
 
     /// Entry → exit shortcuts, one slot per live endpoint pair — shared

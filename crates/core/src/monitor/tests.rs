@@ -1,8 +1,9 @@
 use super::margin::{
     charged_line, kept_labels_fit, margin_envelope, step_reverses, CostLine, MarginSig,
 };
-use super::prune::{Cut, ShortcutTable};
-use super::repair::{LexArcs, LexScratch, OutArc};
+use super::prune::{Cut, PassWork, ShortcutTable};
+use super::repair::{LexScratch, OutArc};
+use super::window::{Window, Windows};
 use super::witness::PathRef;
 use super::*;
 use crate::check;
@@ -968,6 +969,16 @@ fn a_repair_leaves_the_unique_fixpoint_or_latches() {
     );
 }
 
+/// The cut a tracked `prune_settled` at `w` classifies, and windows that
+/// hold its whole prefix indexed as the prune's passes read it.
+fn cut_and_prefix(mon: &IncrementalChecker, w: usize) -> (Cut, Windows) {
+    let mut windows = Windows::default();
+    let cut = mon.classify_cut(w, &mut windows.internal);
+    windows.start_prune();
+    windows.slot(mon, &cut, &mon.shortcuts, cut.base);
+    (cut, windows)
+}
+
 /// A line of the reference pass: counts and boundary steps, no path.
 #[derive(Clone, Copy, Debug)]
 struct ColdLine {
@@ -1037,6 +1048,7 @@ impl ColdLine {
 fn cold_exit_lines(
     mon: &IncrementalChecker,
     cut: &Cut,
+    whole: &Window,
     start: usize,
 ) -> (Vec<Vec<(i128, i128)>>, usize) {
     let (base, floor) = (cut.base, cut.floor);
@@ -1073,7 +1085,7 @@ fn cold_exit_lines(
     for round in 0.. {
         assert!(round <= 100_000, "the reference pass failed to converge");
         let mut changed = false;
-        for &ai in cut.lex.arena.iter().rev() {
+        for &ai in whole.lex.arena.iter().rev() {
             let arc = arcs[ai];
             let (from, to) = (arc.from - base, arc.to - base);
             if from == to {
@@ -1157,21 +1169,23 @@ fn assert_envelopes_match_the_cold_pass(
         mon.seed_kept_margin();
     }
     assert!(mon.fold_margin(), "small windows fold");
-    let cut = mon.classify_cut(w, LexArcs::default());
+    let (cut, mut windows) = cut_and_prefix(&mon, w);
+    let at = windows.slot(&mon, &cut, &mon.shortcuts, cut.base);
+    let whole = windows.window(at);
     let tree = |start: usize| {
         let mut lex = LexScratch::default();
-        lex.run(&cut.lex, cut.base, &[(start, (0, 0))]);
+        lex.run(&whole.lex, cut.base, &[(start, (0, 0))]);
         lex.pred
     };
     let mut scratch = margin::EnvelopeScratch::default();
     let mut table = mon.shortcuts.clone();
     let arcs = mon.tg.arcs();
-    let relaxed = cut.lex.arena.iter().chain(&cut.exits).map(|&ai| arcs[ai]);
+    let relaxed = whole.lex.arena.iter().chain(&cut.exits).map(|&ai| arcs[ai]);
     let multi_line: Vec<Arc> = relaxed
         .filter(|a| matches!(a.kind, ArcKind::Shortcut(id) if mon.shortcuts.sigs(id).len() >= 2))
         .collect();
     let mut lines_after = |start: usize, pred: &[Option<usize>]| {
-        mon.margin_sig_sssp(&cut, start, pred, &table, &mut scratch);
+        mon.margin_sig_sssp(&cut, whole, start, pred, &table, &mut scratch);
         let refused = scratch.refused;
         let multi = multi_line
             .iter()
@@ -1179,7 +1193,7 @@ fn assert_envelopes_match_the_cold_pass(
             .count();
         let mut lines = Vec::new();
         for bi in 0..cut.exits.len() {
-            let sigs = mon.exit_envelope(&cut, &mut scratch, bi, &mut table, None);
+            let sigs = mon.exit_envelope(&cut, whole, &mut scratch, bi, &mut table, None);
             for s in sigs {
                 let steps = table.path(s.path);
                 let messages = |against: bool| {
@@ -1204,7 +1218,7 @@ fn assert_envelopes_match_the_cold_pass(
         (lines, refused, multi)
     };
     for (li, &start) in cut.landings.iter().enumerate() {
-        let (cold, cold_refused) = cold_exit_lines(&mon, &cut, start);
+        let (cold, cold_refused) = cold_exit_lines(&mon, &cut, whole, start);
         let other = cut.landings[(li + 1) % cut.landings.len()];
         for from in [start, other] {
             let (warm, warm_refused, multi) = lines_after(start, &tree(from));
@@ -1359,12 +1373,14 @@ fn assert_lex_trees_match_the_round_loop(
     if w <= mon.tg.base() || mon.violation.is_some() {
         return 0;
     }
-    let cut = mon.classify_cut(w, LexArcs::default());
+    let (cut, mut windows) = cut_and_prefix(mon, w);
+    let at = windows.slot(mon, &cut, &mon.shortcuts, cut.base);
+    let whole = windows.window(at);
     let width = w - cut.base;
     let mut lex = LexScratch::default();
     let mut compare = |seeds: &[(usize, Weight)]| {
-        let want = reference_lex_pass(mon, &cut.lex.arena, cut.base, width, seeds);
-        lex.run(&cut.lex, cut.base, seeds);
+        let want = reference_lex_pass(mon, &whole.lex.arena, cut.base, width, seeds);
+        lex.run(&whole.lex, cut.base, seeds);
         let got = (lex.dist.clone(), lex.pred.clone(), lex.seed_of.clone());
         assert_eq!(got, want, "seeds {seeds:?}");
     };
@@ -1424,6 +1440,273 @@ fn lex_trees_equal_the_round_loop_at_every_prune() {
     );
     let compared = compared.get();
     assert!(compared > 2_000, "{compared} lex passes compared");
+}
+
+/// What the window oracle compared, in landings: all of them, those
+/// whose passes certified a window below the whole prefix, those that
+/// refused a smaller window first, and those whose pass over the whole
+/// prefix refused a junction; over the certified ones, in exits, the
+/// tails' trees compared byte for byte and the line sets compared where
+/// the whole prefix's pass refused no junction.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct WindowsCompared {
+    landings: usize,
+    below: usize,
+    retried: usize,
+    refusing: usize,
+    chains: usize,
+    line_sets: usize,
+}
+
+impl WindowsCompared {
+    fn plus(self, other: WindowsCompared) -> WindowsCompared {
+        WindowsCompared {
+            landings: self.landings + other.landings,
+            below: self.below + other.below,
+            retried: self.retried + other.retried,
+            refusing: self.refusing + other.refusing,
+            chains: self.chains + other.chains,
+            line_sets: self.line_sets + other.line_sets,
+        }
+    }
+}
+
+/// The differential oracle of the certified windows, run on the state a
+/// tracked `prune_settled(watermark)` would condense: per landing, the
+/// passes `landing_passes` keeps over the window it certified against the
+/// passes over the whole prefix — the lex label and predecessor chain at
+/// every exit tail, byte for byte, and every exit's line set unless the
+/// whole prefix's envelope pass refused a junction whose line could win
+/// (which path holds a line is the scan order's choice, and a refusal
+/// reads it). A kept window's own pass may refuse nothing.
+fn assert_windows_match_the_whole_prefix(
+    mon: &IncrementalChecker,
+    watermark: Option<EventId>,
+) -> WindowsCompared {
+    let mut seen = WindowsCompared::default();
+    let total = mon.total_events();
+    let w = watermark.map_or(total, |e| e.0.min(total));
+    if w <= mon.tg.base() || mon.violation.is_some() {
+        return seen;
+    }
+    let mut mon = mon.clone();
+    if !mon.keeps_margin() {
+        mon.seed_kept_margin();
+    }
+    assert!(mon.fold_margin(), "small windows fold");
+    let (cut, mut windows) = cut_and_prefix(&mon, w);
+    let (arcs, table) = (mon.tg.arcs(), &mon.shortcuts);
+    // Per exit, the tail's label and the arcs of its chain up to the
+    // landing; `None` where the pass did not reach the tail.
+    let trees = |lex: &LexScratch, base: usize, start: usize| -> Vec<_> {
+        let tree = |&b: &usize| {
+            let mut node = arcs[b].from;
+            let label = lex.dist[node - base]?;
+            let mut chain = Vec::new();
+            while node != start {
+                let ai = lex.pred[node - base].expect("reached nodes have predecessors");
+                chain.push(ai);
+                node = arcs[ai].from;
+            }
+            Some((label, chain))
+        };
+        cut.exits.iter().map(tree).collect()
+    };
+    let line_sets = |sc: &margin::EnvelopeScratch, base: usize| -> Vec<Vec<(i128, i128)>> {
+        let heads = (0..cut.exits.len()).map(|j| {
+            let mut lines: Vec<_> = sc.lines(cut.w - base + j).collect();
+            lines.sort_unstable();
+            lines
+        });
+        heads.collect()
+    };
+    let (mut lex, mut sc) = (LexScratch::default(), margin::EnvelopeScratch::default());
+    let (mut kept_lex, mut kept_sc) = (LexScratch::default(), margin::EnvelopeScratch::default());
+    for &start in &cut.landings {
+        seen.landings += 1;
+        let at = windows.slot(&mon, &cut, table, cut.base);
+        let whole = windows.window(at);
+        lex.run(&whole.lex, cut.base, &[(start, (0, 0))]);
+        mon.margin_sig_sssp(&cut, whole, start, &lex.pred, table, &mut sc);
+        seen.refusing += usize::from(sc.refused > 0);
+        let mut work = PassWork::default();
+        let passes = (&mut kept_lex, &mut kept_sc, &mut windows);
+        let at = mon.landing_passes(&cut, table, start, passes, &mut work);
+        let base = windows.window(at).base;
+        seen.retried += usize::from(work.retries > 0);
+        if base == cut.base {
+            continue;
+        }
+        seen.below += 1;
+        let context = format!(
+            "landing e{start}, window from e{base} of [e{}, e{w})",
+            cut.base
+        );
+        assert_eq!(
+            trees(&kept_lex, base, start),
+            trees(&lex, cut.base, start),
+            "{context}"
+        );
+        seen.chains += cut.exits.len();
+        assert_eq!(
+            kept_sc.refused, 0,
+            "{context}: a window that refused was kept"
+        );
+        if sc.refused == 0 {
+            assert_eq!(
+                line_sets(&kept_sc, base),
+                line_sets(&sc, cut.base),
+                "{context}"
+            );
+            seen.line_sets += cut.exits.len();
+        }
+    }
+    seen
+}
+
+/// Replays `script` — `(back, to)` steps, sending from the event `back`
+/// before the newest to process `to` — into a tracking monitor over `n`
+/// processes, prunes `horizon` events behind the newest after every
+/// `cadence`-th step, and runs the window oracle before every prune.
+fn windows_checked(
+    n: usize,
+    xi: &Xi,
+    script: &[(usize, usize)],
+    cadence: usize,
+    horizon: usize,
+) -> WindowsCompared {
+    let mut seen = WindowsCompared::default();
+    let mut mon = IncrementalChecker::new(n, xi).unwrap();
+    mon.enable_pruning();
+    mon.enable_margin_tracking();
+    for p in 0..n {
+        mon.append_init(ProcessId(p));
+    }
+    let mut total = n;
+    for (step, &(back, to)) in script.iter().enumerate() {
+        // Sends name one of the last `horizon` events, so the watermark
+        // below is an honest promise.
+        let from = EventId(total - 1 - back % horizon.min(total));
+        mon.append_send(from, ProcessId(to % n));
+        total += 1;
+        if step % cadence == 0 {
+            let watermark = Some(EventId(total.saturating_sub(horizon)));
+            seen = seen.plus(assert_windows_match_the_whole_prefix(&mon, watermark));
+            mon.prune_settled(watermark);
+        }
+    }
+    seen
+}
+
+/// The certified windows against the whole prefix at every prune of random
+/// scripts that prune many times, each a few dozen events deep (cadences
+/// 8–63) below a horizon of 1–23 events: the windows hold shortcut arcs of
+/// earlier prunes, stale rows' heads land in them, and half the sends
+/// reach back the whole horizon, so a path below a window can climb back
+/// to an exit tail on one message. Counts what it compared, so that
+/// "equal" is known to have been asserted on windows below the whole
+/// prefix and not let off.
+#[test]
+fn certified_windows_equal_the_whole_prefix_at_every_prune() {
+    use std::cell::Cell;
+    let seen = Cell::new(WindowsCompared::default());
+    let script = proptest::collection::vec((any::<usize>(), any::<usize>()), 0..240);
+    let xi = (2i64..8, 1i64..5).prop_filter("Xi > 1", |(num, den)| num > den);
+    proptest::test_runner::run_proptest(
+        ProptestConfig::with_cases(512),
+        (2usize..5, script, xi, 8usize..64, 1usize..24),
+        env!("CARGO_MANIFEST_DIR"),
+        file!(),
+        "certified_windows_equal_the_whole_prefix_at_every_prune",
+        |(n, script, (num, den), cadence, horizon)| {
+            // Half of the sends reach back as far as the horizon allows.
+            let far = |&(back, to): &(usize, usize)| ((back % (2 * horizon)).min(horizon - 1), to);
+            let script: Vec<_> = script.iter().map(far).collect();
+            let xi = Xi::from_fraction(num, den);
+            let compared = windows_checked(n, &xi, &script, cadence, horizon);
+            seen.set(seen.get().plus(compared));
+            Ok(())
+        },
+    );
+    let seen = seen.get();
+    // Measured: 1 996 of 4 950 landings certified below the whole prefix,
+    // 1 106 refused a smaller window first, 9 516 exits compared.
+    assert!(
+        10 * seen.below >= 3 * seen.landings && seen.retried > 500,
+        "{seen:?}"
+    );
+    assert!(seen.chains > 5_000 && seen.line_sets > 5_000, "{seen:?}");
+}
+
+/// A document where a path below a landing's first window is flatter at
+/// an exit than every line the window finds: it dips below the window and
+/// climbs back on one message of the horizon's length, where the window's
+/// paths to that exit take one forward message more. Its line loses at the
+/// kept floor and wins at large probe ratios, so only the slope condition
+/// tells the window that it has not seen everything.
+#[test]
+fn a_flatter_path_below_the_window_keeps_it_from_certifying() {
+    let backs = [
+        13, 11, 10, 13, 13, 13, 7, 0, 6, 1, 10, 13, 3, 13, 13, 12, 6, 13, 0, 13, 12, 1, 11, 2, 0,
+        13, 13, 6, 13, 13, 10, 4, 0, 13, 13, 13, 11, 8, 13, 1, 9, 13, 7, 13, 9, 13, 12, 13, 8, 13,
+        0, 13, 13,
+    ];
+    let tos = [
+        2, 1, 3, 1, 3, 2, 3, 0, 0, 1, 3, 3, 3, 3, 0, 0, 1, 2, 0, 1, 3, 1, 2, 3, 0, 0, 2, 1, 3, 2,
+        3, 1, 2, 3, 2, 1, 2, 0, 1, 1, 0, 3, 3, 0, 1, 1, 0, 1, 0, 0, 0, 0, 3,
+    ];
+    let script: Vec<(usize, usize)> = backs.into_iter().zip(tos).collect();
+    let seen = windows_checked(4, &Xi::from_fraction(7, 2), &script, 26, 14);
+    assert!(seen.below > 0 && seen.retried > 0, "{seen:?}");
+}
+
+/// A document where a landing's window certifies although the envelope
+/// pass over the whole prefix refuses a junction: below the window two
+/// shortcut arcs of earlier prunes meet, and the path holding the tail's
+/// line takes back the message the next shortcut starts with. The oracle
+/// then compares the lex trees only; the window's exit line sets are the
+/// envelope of all paths, the whole prefix's are what its scan order
+/// left. The margin the pruning monitor keeps must still be the margin of
+/// the whole execution after every step, as an unpruned monitor has it.
+#[test]
+fn a_window_certifies_where_the_whole_prefix_refuses_a_junction() {
+    let backs = [
+        1, 4, 4, 0, 4, 4, 2, 0, 4, 0, 4, 1, 0, 4, 4, 4, 4, 4, 2, 1, 3, 4, 1, 4, 1, 1, 4, 2, 4, 4,
+        4, 4, 4, 4, 4, 0, 2, 0, 4, 3, 0, 0, 4, 4, 4, 4, 0, 3, 4, 2, 2, 4, 4, 4, 4, 4, 1, 2, 0, 4,
+        4, 3, 4, 1, 4, 0, 4,
+    ];
+    let tos = [
+        3, 1, 0, 3, 2, 1, 0, 2, 1, 3, 0, 3, 0, 1, 1, 1, 1, 1, 3, 2, 1, 3, 3, 3, 3, 2, 2, 3, 2, 1,
+        3, 2, 3, 2, 1, 1, 1, 0, 2, 1, 1, 1, 1, 2, 0, 3, 3, 1, 2, 3, 3, 3, 1, 2, 3, 2, 2, 3, 2, 1,
+        2, 2, 0, 3, 0, 3, 2,
+    ];
+    let script: Vec<(usize, usize)> = backs.into_iter().zip(tos).collect();
+    let (n, xi, cadence, horizon) = (4, Xi::from_fraction(6, 3), 11, 5);
+    let seen = windows_checked(n, &xi, &script, cadence, horizon);
+    assert!(
+        seen.refusing > 0 && seen.line_sets < seen.chains,
+        "{seen:?}"
+    );
+    let mut plain = IncrementalChecker::new(n, &xi).unwrap();
+    let mut pruned = IncrementalChecker::new(n, &xi).unwrap();
+    pruned.enable_pruning();
+    pruned.enable_margin_tracking();
+    for p in 0..n {
+        plain.append_init(ProcessId(p));
+        pruned.append_init(ProcessId(p));
+    }
+    let ratio = |mon: &IncrementalChecker| mon.current_margin().unwrap().map(|m| m.ratio);
+    for (step, &(back, to)) in script.iter().enumerate() {
+        let total = plain.total_events();
+        let from = EventId(total - 1 - back % horizon.min(total));
+        plain.append_send(from, ProcessId(to % n));
+        pruned.append_send(from, ProcessId(to % n));
+        if step % cadence == 0 {
+            pruned.prune_settled(Some(EventId((total + 1).saturating_sub(horizon))));
+        }
+        assert_eq!(ratio(&pruned), ratio(&plain), "step {step}");
+    }
+    assert!(plain.is_admissible() && ratio(&plain).is_some());
 }
 
 /// A random execution for the deferral tests: process count, an optional
