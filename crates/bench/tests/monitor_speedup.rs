@@ -1,21 +1,22 @@
 //! Correctness half of the incremental-vs-batch claim. The speed half is a
-//! measurement, not a test: one batch check of a quiet trace costs *less*
-//! per event it holds than appending one event to the incremental monitor
-//! (it certifies the timestamp potential in one pass, with no arena), but
+//! measurement, not a test: one batch check replays its graph into a
+//! monitor once, a few tens of nanoseconds per event on a quiet trace, but
 //! a re-check after every event is O(n) per event, so checking a growing
-//! trace that way is still orders of magnitude dearer than monitoring it.
+//! trace that way is orders of magnitude dearer than monitoring it.
 //! `bench_ledger` carries both figures as
 //! `core.monitor.append_ns_per_event` and
 //! `core.check.find_violation_ns_per_event` (run
 //! `cargo run --release -p abc-bench --bin bench_ledger -- run`; how much
-//! kernel work one batch check does is pinned by count in
-//! `check_work.rs`). What is asserted here holds on any machine: the two
-//! deciders agree, a pruned monitor compacts the stream without changing
-//! the verdict, and an untracked monitor holds no arena on a quiet stream.
+//! monitor work one batch check does is pinned by count in
+//! `check_work.rs`). What is asserted here holds on any machine: streaming
+//! a trace and replaying its graph reach one certified verdict, a pruned
+//! monitor compacts the stream without changing the verdict, and an
+//! untracked monitor holds no arena on a quiet stream.
 
 use abc_bench::workloads;
+use abc_core::assign::assign_delays;
 use abc_core::monitor::IncrementalChecker;
-use abc_core::{check, EventId, Xi};
+use abc_core::{certify, check, EventId, Xi};
 
 #[test]
 fn incremental_append_beats_batch_recheck_by_10x() {
@@ -25,11 +26,13 @@ fn incremental_append_beats_batch_recheck_by_10x() {
     let g = trace.to_execution_graph();
     assert_eq!(g.num_events(), events);
 
-    // The two deciders agree: streaming all `events` appends reaches the
-    // verdict of one batch check at full size.
+    // Streaming all `events` appends reaches the verdict of one batch
+    // check at full size, and the verdict carries its certificate.
     let mon = trace.replay_into_monitor(&xi).unwrap();
     assert!(mon.is_admissible());
     assert!(check::is_admissible(&g, &xi).unwrap());
+    let timed = assign_delays(&g, &xi).unwrap();
+    assert_eq!(certify::admissible(&g, &xi, &timed), Ok(()));
 }
 
 #[test]

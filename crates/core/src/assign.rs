@@ -8,28 +8,31 @@
 //! system (`abc-bench` builds that system literally and solves it with the
 //! exact simplex of `abc-lp`: exponential, for small graphs). This module
 //! *constructs* the assignment in polynomial time, and the construction is
-//! the batch checker's own run.
+//! the decision procedure's own replay.
 //!
-//! [`crate::check::find_violation`] looks for a potential of the traversal
-//! graph under the integer weights, for `Ξ = p/q` and `K = #arcs + 1`,
-//! `p·K − 1` on the forward arc `send → recv` of every effective message,
-//! `−q·K − 1` on its backward arc `recv → send`, and `−1` on the back-arc
-//! `next → prev` of every local edge. It tries the timestamp potential
-//! first and runs the crate's negative-cycle kernel from it only when a
-//! forward arc is tense. A *no* leaves labels `d` under which no arc is
-//! tense (`d(head) ≤ d(tail) + w`), and that reads:
+//! [`crate::check`] replays the graph into a monitor, which keeps a
+//! potential `π` of lexicographic pair labels `(a, b)` under the arc
+//! weights `(p, −1)` on the forward arc `send → recv` of every effective
+//! message, `(−q, −1)` on its backward arc `recv → send`, and `(0, −1)` on
+//! the back-arc `next → prev` of every local edge (`Ξ = p/q`). A *no*
+//! leaves `π` feasible: `π(head) ≤ π(tail) + w` for every arc, compared
+//! lexicographically. Read each label as the integer `a·m + b`, with `m`
+//! the spread of the second components plus two. Where `a` has room the
+//! slack is at least `m` minus that spread, and where `a` is tight `b`
+//! drops by at least one; either way each pair weight `(w, −1)` becomes
+//! the integer weight `w·m − 1`, and the integer labels `d` satisfy:
 //!
-//! * `d(recv) − d(send) ≤ p·K − 1` for every effective message (forward);
-//! * `d(recv) − d(send) ≥ q·K + 1` for every effective message (backward);
+//! * `d(recv) − d(send) ≤ p·m − 1` for every effective message (forward);
+//! * `d(recv) − d(send) ≥ q·m + 1` for every effective message (backward);
 //! * `d(next) − d(prev) ≥ 1` along every process line (local).
 //!
-//! So the times `t = d / (q·K)` give every effective message a delay in
-//! `[1 + 1/(q·K), Ξ − 1/(q·K)]`, strictly inside `(1, Ξ)`, and every
+//! So the times `t = d / (q·m)` give every effective message a delay in
+//! `[1 + 1/(q·m), Ξ − 1/(q·m)]`, strictly inside `(1, Ξ)`, and every
 //! process line strictly increasing times: a normalized assignment.
 //! Exempt messages have no arcs and are owed nothing. A *yes* is the
-//! kernel's violating cycle, the very witness `find_violation` returns, so
-//! an assignment exists **iff** `G` is ABC-admissible for `Ξ`: the theorem,
-//! re-proved constructively.
+//! monitor's latched violating cycle, the very witness `find_violation`
+//! returns, so an assignment exists **iff** `G` is ABC-admissible for `Ξ`:
+//! the theorem, re-proved constructively.
 
 use abc_rational::{BigInt, Ratio};
 
@@ -65,10 +68,9 @@ impl std::fmt::Display for AssignError {
 impl std::error::Error for AssignError {}
 
 /// Constructs a normalized assignment for `g` and `xi` in polynomial time,
-/// or returns the violating relevant cycle. The timestamp potential comes
-/// first: when it is feasible it *is* the assignment, after one pass over
-/// the events, with no arena and no kernel run. Otherwise one run of the
-/// checker's negative-cycle kernel decides, `O(V·E)` at worst.
+/// or returns the violating relevant cycle: the replay of
+/// [`crate::check::find_violation`], its potential scaled back (see the
+/// module docs).
 ///
 /// On success the returned [`TimedGraph`] satisfies
 /// [`TimedGraph::is_normalized`]: effective message delays strictly inside
@@ -80,7 +82,8 @@ impl std::error::Error for AssignError {}
 /// [`AssignError::NotAdmissible`] with [`crate::check::find_violation`]'s
 /// witness when the ABC condition fails for `xi`;
 /// [`AssignError::XiTooLarge`] where `find_violation` reports
-/// [`CheckError::XiTooLarge`].
+/// [`CheckError::XiTooLarge`], or where the scaled labels would leave
+/// `i128` (a graph of billions of events).
 ///
 /// # Example
 ///
@@ -99,25 +102,37 @@ impl std::error::Error for AssignError {}
 /// assert!(timed.is_normalized(&g, &Xi::from_fraction(3, 2)));
 /// ```
 pub fn assign_delays(g: &ExecutionGraph, xi: &Xi) -> Result<TimedGraph, AssignError> {
-    match check::potential_or_cycle(g, xi).map_err(|_| AssignError::XiTooLarge)? {
-        Ok((labels, scale)) => {
-            let timed = scaled_back(labels, scale);
-            debug_assert!(timed.is_normalized(g, xi));
-            Ok(timed)
+    let assigned = check::replayed(g, xi, |mon| match mon.violation() {
+        Some(cycle) => Err(AssignError::NotAdmissible(cycle.clone())),
+        None => {
+            let (labels, q) = mon.potential();
+            scaled_back(labels, q).ok_or(AssignError::XiTooLarge)
         }
-        Err(cycle) => {
-            debug_assert!(cycle.classify().violates(xi), "witness must violate Xi");
-            Err(AssignError::NotAdmissible(cycle))
-        }
+    });
+    let assigned = assigned.map_err(|_| AssignError::XiTooLarge)?;
+    if let Ok(timed) = &assigned {
+        debug_assert!(timed.is_normalized(g, xi));
     }
+    assigned
 }
 
-/// The times `label / scale` of integer labels indexed by event: a feasible
-/// potential of weights scaled by `scale`, read back as a [`TimedGraph`].
-pub(crate) fn scaled_back(labels: impl IntoIterator<Item = i128>, scale: i128) -> TimedGraph {
-    let scale = BigInt::from(scale);
-    let time = |d: i128| Ratio::from_bigints(BigInt::from(d), scale.clone());
-    TimedGraph::new(labels.into_iter().map(time).collect())
+/// The times `(a·m + b) / (q·m)` of the pair labels `(a, b)`, `m` the
+/// spread of their second components plus two; `None` where a product
+/// leaves `i128`.
+pub(crate) fn scaled_back(labels: &[(i128, i128)], q: i128) -> Option<TimedGraph> {
+    let seconds = labels.iter().map(|&(_, b)| b);
+    let spread = (seconds.clone().max().unwrap_or(0)).checked_sub(seconds.min().unwrap_or(0))?;
+    let m = spread.checked_add(2)?;
+    let scale = BigInt::from(q.checked_mul(m)?);
+    let time = |&(a, b): &(i128, i128)| {
+        let label = a.checked_mul(m)?.checked_add(b)?;
+        Some(Ratio::from_bigints(BigInt::from(label), scale.clone()))
+    };
+    labels
+        .iter()
+        .map(time)
+        .collect::<Option<_>>()
+        .map(TimedGraph::new)
 }
 
 #[cfg(test)]

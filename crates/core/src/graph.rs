@@ -301,17 +301,6 @@ impl ExecutionGraph {
     pub fn topological_order(&self) -> impl Iterator<Item = EventId> + '_ {
         (0..self.num_events()).map(EventId)
     }
-
-    /// Total number of shadow-graph edges (messages + local edges).
-    #[must_use]
-    pub fn num_shadow_edges(&self) -> usize {
-        let locals: usize = self
-            .process_events
-            .iter()
-            .map(|evs| evs.len().saturating_sub(1))
-            .sum();
-        self.num_messages() + locals
-    }
 }
 
 /// Builder for [`ExecutionGraph`].
@@ -493,7 +482,6 @@ mod tests {
         assert_eq!(edges.len(), 2);
         assert!(edges.contains(&LocalEdge { from: a, to: r2 }));
         assert!(edges.contains(&LocalEdge { from: c, to: r1 }));
-        assert_eq!(g.num_shadow_edges(), 4);
     }
 
     #[test]

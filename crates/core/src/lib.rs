@@ -70,6 +70,8 @@
 #![warn(missing_docs)]
 
 pub mod assign;
+#[doc(hidden)]
+pub mod certify;
 pub mod check;
 pub mod cut;
 pub mod cycle;

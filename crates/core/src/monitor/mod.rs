@@ -1,31 +1,27 @@
-//! Online (incremental) monitoring of the ABC synchrony condition.
+//! Online (incremental) monitoring of the ABC synchrony condition: the
+//! crate's one decision procedure ([`crate::check`] replays a finished
+//! graph into it).
 //!
-//! [`crate::check`] decides Definition 4 in `O(V·E)` — but from scratch,
-//! over the whole execution, every time it is asked. A long-running system
-//! that wants to *monitor* the condition as its execution unfolds cannot
-//! afford a full Bellman–Ford pass per event: re-checking an execution of
-//! `n` events after each of its events costs `O(n²·E)` overall.
-//!
-//! [`IncrementalChecker`] turns the batch reduction into a streaming one.
-//! It mirrors the [`crate::graph::ExecutionGraphBuilder`] API (`append_init`
-//! / `append_send`) and maintains Bellman–Ford *potentials* over the graph
-//! `T` the batch checker walks: a label `π(v)` per event such that every
-//! arc `u → v` of weight `w` satisfies `π(v) ≤ π(u) + w`. Such labels exist
-//! iff `T` has no negative cycle, i.e. iff the execution so far is
-//! admissible. Appending an event adds at most three arcs (forward +
-//! backward for its triggering message, one local back-arc) and gives the
-//! receive the earliest label its window allows — its Lamport timestamp,
-//! every message charged its minimum delay. Only a window that is empty
-//! (a *tense* append) needs the arcs: the labels are then repaired by
-//! re-relaxing only the affected frontier, on the batch checker's own
-//! negative-cycle kernel. The first violation is latched together with a
-//! witness of the same [`Cycle`] type the batch checker produces
-//! (violations never go away: appending events only adds cycles).
+//! [`IncrementalChecker`] mirrors the [`crate::graph::ExecutionGraphBuilder`]
+//! API (`append_init` / `append_send`) and maintains Bellman–Ford
+//! *potentials* over the traversal graph `T` of the reduction: a label
+//! `π(v)` per event such that every arc `u → v` of weight `w` satisfies
+//! `π(v) ≤ π(u) + w`. Such labels exist iff `T` has no negative cycle,
+//! i.e. iff the execution so far is admissible. Appending an event adds at
+//! most three arcs (forward + backward for its triggering message, one
+//! local back-arc) and gives the receive the earliest label its window
+//! allows — its Lamport timestamp, every message charged its minimum
+//! delay. Only a window that is empty (a *tense* append) needs the arcs:
+//! the labels are then repaired by re-relaxing only the affected frontier,
+//! on the crate's negative-cycle kernel. The first violation is latched
+//! together with a [`Cycle`] witness (violations never go away: appending
+//! events only adds cycles). Re-deciding from scratch after every event
+//! would cost `O(n)` per event at best.
 //!
 //! # The arena on demand
 //!
-//! The arcs live in the same arena-backed [`TraversalGraph`] the batch
-//! checker walks, but a monitor builds it only once something reads arcs.
+//! The arcs live in an arena-backed [`TraversalGraph`], but a monitor
+//! builds it only once something reads arcs.
 //! From [`IncrementalChecker::new`] / [`IncrementalChecker::reset`] until
 //! its first tense append, or until it starts keeping its margin, a monitor
 //! *defers* it: a quiet append touches labels only, and besides them the
@@ -68,10 +64,10 @@
 //!
 //! # Weights without a global scale factor
 //!
-//! The batch reduction encodes the predicate "some cycle has
-//! `q·B − p·F ≥ 0`" by scaling arc weights with `K = #arcs + 1`, which
-//! changes whenever an arc is added — useless incrementally. The monitor
-//! instead uses *lexicographic pairs* `(p·[fwd] − q·[bwd], −1)` compared
+//! Encoding the predicate "some cycle has `q·B − p·F ≥ 0`" in integer
+//! weights takes a tie-break scaled by the graph's size, which changes
+//! whenever an arc is added — useless incrementally. The monitor instead
+//! uses *lexicographic pairs* `(p·[fwd] − q·[bwd], −1)` compared
 //! component-wise: a cycle's pair sum is `(p·F − q·B, −len)`, which is
 //! lexicographically negative iff `q·B − p·F ≥ 0` — the same predicate,
 //! stable under insertion.
@@ -259,8 +255,8 @@ impl IncrementalChecker {
     ///
     /// [`CheckError::XiTooLarge`] if `Ξ`'s parts exceed `i64` — the label
     /// arithmetic accumulates weights along relaxation paths and needs the
-    /// headroom of `i128` above machine-word parts. (The batch checker
-    /// accepts wider parts; astronomically large `Ξ` is its domain.)
+    /// headroom of `i128` above machine-word parts. The one ceiling of the
+    /// crate: the checks of [`crate::check`] replay into a monitor.
     pub fn new(num_processes: usize, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
         let (p, q) = xi.as_i64_parts().ok_or(CheckError::XiTooLarge)?;
         Ok(IncrementalChecker {
@@ -408,23 +404,40 @@ impl IncrementalChecker {
     /// [`CheckError::XiTooLarge`] as in [`IncrementalChecker::new`].
     pub fn from_graph(g: &ExecutionGraph, xi: &Xi) -> Result<IncrementalChecker, CheckError> {
         let mut mon = IncrementalChecker::new(g.num_processes(), xi)?;
-        for p in 0..g.num_processes() {
-            if g.is_faulty(ProcessId(p)) {
-                mon.mark_faulty(ProcessId(p));
+        mon.replay(g, false);
+        Ok(mon)
+    }
+
+    /// Replays `g` into this monitor, which holds no event yet (new, or
+    /// [`IncrementalChecker::reset`] to `g`'s process count): marks `g`'s
+    /// faulty processes, then appends its events in creation order; with
+    /// `until_latch`, up to the append that latches a violation.
+    pub(crate) fn replay(&mut self, g: &ExecutionGraph, until_latch: bool) {
+        for p in (0..g.num_processes()).map(ProcessId) {
+            if g.is_faulty(p) {
+                self.mark_faulty(p);
             }
         }
         for ev in g.events() {
             match ev.trigger {
                 Trigger::Init => {
-                    mon.append_init(ev.process);
+                    self.append_init(ev.process);
                 }
                 Trigger::Message(m) => {
                     let msg = g.message(m);
-                    mon.append_send_inner(msg.from, ev.process, msg.exempt);
+                    self.append_send_inner(msg.from, ev.process, msg.exempt);
                 }
             }
+            if until_latch && self.violation.is_some() {
+                break;
+            }
         }
-        Ok(mon)
+    }
+
+    /// The live potential, one pair label per live event, with `Ξ`'s
+    /// denominator: feasible for every arc while no violation is latched.
+    pub(crate) fn potential(&self) -> (&[Weight], i128) {
+        (&self.pot, self.q)
     }
 
     /// Drops the full execution-graph mirror, and does nothing else: no

@@ -6,10 +6,10 @@ use super::repair::{LexScratch, OutArc};
 use super::window::{Window, Windows};
 use super::witness::PathRef;
 use super::*;
-use crate::check;
 use crate::cycle::{CycleStep, ShadowEdge};
 use crate::negcycle::Label;
 use crate::traversal::Arc;
+use crate::{assign, certify, check};
 use abc_rational::Ratio;
 use proptest::prelude::*;
 
@@ -61,6 +61,32 @@ fn violation_is_latched() {
     assert_eq!(mon.violation().cloned(), before);
 }
 
+/// Certifies the monitor's verdict on its own graph, with checks that
+/// share no code with it ([`certify`]): its latched witness as a
+/// violation, or the assignment `assign_delays` reads off a replay of the
+/// graph as admissibility.
+fn assert_certified(mon: &IncrementalChecker) {
+    let (g, xi) = (mon.graph(), mon.xi());
+    let certified = match mon.violation() {
+        Some(cycle) => certify::violation(g, xi, cycle),
+        None => assign::assign_delays(g, xi)
+            .map_err(|e| e.to_string())
+            .and_then(|timed| certify::admissible(g, xi, &timed)),
+    };
+    assert_eq!(certified, Ok(()), "{} events", g.num_events());
+}
+
+/// Certifies `margin` as the maximum ratio of `g`'s relevant cycles: a
+/// cycle that the replay of `find_violation` finds at the margin, and the
+/// assignment `assign_delays` gives just above it ([`certify::margin`]).
+fn assert_margin_certified(g: &ExecutionGraph, margin: Option<&Ratio>) {
+    let at = margin.filter(|&m| *m > Ratio::one()).cloned();
+    let witness = at.map(|m| check::find_violation(g, &Xi::new(m).unwrap()).unwrap());
+    let witness = witness.map(|w| w.expect("a cycle at the margin"));
+    let timed = assign::assign_delays(g, &certify::above_margin(g, margin)).unwrap();
+    assert_eq!(certify::margin(g, margin, witness.as_ref(), &timed), Ok(()));
+}
+
 #[test]
 fn agrees_with_batch_after_every_event() {
     // A dense little exchange, checked step by step.
@@ -74,11 +100,7 @@ fn agrees_with_batch_after_every_event() {
     for &(from, to) in script {
         let from = EventId(from % mon.graph().num_events());
         mon.append_send(from, ProcessId(to % 3));
-        assert_eq!(
-            mon.is_admissible(),
-            check::is_admissible(mon.graph(), &xi).unwrap(),
-            "monitor and batch disagree after appending from {from:?}"
-        );
+        assert_certified(&mon);
     }
 }
 
@@ -99,10 +121,7 @@ fn faulty_and_exempt_messages_carry_no_arcs() {
     mon.append_send(r4, ProcessId(1));
     mon.append_send(q, ProcessId(1));
     assert!(mon.is_admissible(), "faulty relay breaks the chain");
-    assert_eq!(
-        check::is_admissible(mon.graph(), &xi).unwrap(),
-        mon.is_admissible()
-    );
+    assert_certified(&mon);
 
     let mut mon = IncrementalChecker::new(5, &xi).unwrap();
     let q = mon.append_init(ProcessId(0));
@@ -115,10 +134,7 @@ fn faulty_and_exempt_messages_carry_no_arcs() {
     mon.append_send(r4, ProcessId(1));
     mon.append_send_exempt(q, ProcessId(1));
     assert!(mon.is_admissible(), "exempt spanning message");
-    assert_eq!(
-        check::is_admissible(mon.graph(), &xi).unwrap(),
-        mon.is_admissible()
-    );
+    assert_certified(&mon);
 }
 
 #[test]
@@ -153,11 +169,8 @@ fn from_graph_replays_faithfully() {
         let g = b.finish();
         let mon = IncrementalChecker::from_graph(&g, &xi).unwrap();
         assert_eq!(mon.graph(), &g);
-        assert_eq!(
-            mon.is_admissible(),
-            check::is_admissible(&g, &xi).unwrap(),
-            "hops = {hops}"
-        );
+        assert_eq!(mon.is_admissible(), hops < 3, "hops = {hops}");
+        assert_certified(&mon);
     }
 }
 
@@ -484,6 +497,7 @@ fn assert_margin_prune_equivalent(n: usize, script: &[(usize, usize)], xi: &Xi, 
                 batch,
                 "margin disagrees with batch at event {total}"
             );
+            assert_margin_certified(plain.graph(), batch.as_ref());
         } else {
             // Latched: both froze at the (identical) witness ratio.
             let latched = plain.violation_summary().unwrap().classification.ratio();
@@ -743,10 +757,10 @@ fn feed_script(
 
 /// Theorem 7 from the monitor's own potential. Read as `a·M + b`, with `M`
 /// wider than the spread of the second components, a pair label `(a, b)`
-/// turns every pair arc weight `(w, −1)` into the batch checker's `w·M − 1`
+/// turns every pair arc weight `(w, −1)` into the integer weight `w·M − 1`
 /// and keeps every arc slack: so at every admissible prefix the times
-/// `(a·M + b) / (q·M)` are a normalized assignment, as the batch
-/// potential's are.
+/// `(a·M + b) / (q·M)` that `assign_delays` reads off a replay are a
+/// normalized assignment, certified by `certify::admissible`.
 #[test]
 fn the_live_potential_is_a_normalized_assignment_at_every_admissible_prefix() {
     let mut prefixes = 0;
@@ -763,14 +777,10 @@ fn the_live_potential_is_a_normalized_assignment_at_every_admissible_prefix() {
                 if !mon.is_admissible() {
                     return;
                 }
-                let seconds = mon.pot.iter().map(|&(_, b)| b);
-                let m = seconds.clone().max().unwrap() - seconds.min().unwrap() + 2;
-                let labels = mon.pot.iter().map(|&(a, b)| a * m + b);
-                let timed = crate::assign::scaled_back(labels, mon.q * m);
-                assert!(
-                    timed.is_normalized(mon.graph(), &xi),
-                    "seed {seed}, Xi = {xi}, event {total}"
-                );
+                let (labels, q) = mon.potential();
+                let timed = crate::assign::scaled_back(labels, q).expect("small labels");
+                let certified = crate::certify::admissible(mon.graph(), &xi, &timed);
+                assert_eq!(certified, Ok(()), "seed {seed}, Xi = {xi}, event {total}");
                 prefixes += 1;
             });
         }

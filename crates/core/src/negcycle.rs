@@ -1,19 +1,18 @@
 //! The crate's one label-correcting loop: the negative-cycle kernel behind
-//! the batch checker ([`crate::check::find_violation`]) and Theorem 7's
-//! delay assignment ([`crate::assign::assign_delays`], the same run with
-//! its potential kept), and both repairs of the monitor
-//! ([`crate::monitor`]): its potentials at `Ξ`, and its labels at its kept
-//! margin — kept as it appends, or replayed, which is how
-//! [`crate::check::max_relevant_cycle_ratio`] runs it.
+//! both repairs of the monitor ([`crate::monitor`]): its potentials at
+//! `Ξ` — which is how [`crate::check::find_violation`] and Theorem 7's
+//! [`crate::assign::assign_delays`] decide, by replaying a graph into a
+//! monitor — and its labels at its kept margin, kept as it appends, or
+//! replayed, which is how [`crate::check::max_relevant_cycle_ratio`] runs
+//! it.
 //! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").
 //!
 //! Labels are the caller's — any [`Label`] — and start wherever the caller
 //! put them; the caller also names the **start set**, queued in the order
-//! given. The batch callers start every node, in event order, from the
-//! earliest-feasible potential; the monitor starts the one node its append
-//! left tense, over potentials feasible everywhere else (Ramalingam, Song,
+//! given. The monitor starts the one node its append left tense, over
+//! potentials feasible everywhere else (Ramalingam, Song,
 //! Joskowicz & Miller 1999, "Solving systems of difference constraints
 //! incrementally"). A scan relaxes one node's out-arcs in insertion order.
 //! The arcs that last lowered a label form a forest, kept as child/sibling
@@ -40,8 +39,9 @@
 //!
 //! Deterministic: queue order and arc order are fixed by the graph, so the
 //! cycle handed back is a pure function of graph, weights, start labels
-//! and start set. The batch callers report it; the monitor drops it for its
-//! canonical `u → v → prev ⇝ u` witness, which no prune cadence changes.
+//! and start set. The kept margin raises itself to its ratio; the
+//! monitor's verdict drops it for its canonical `u → v → prev ⇝ u`
+//! witness, which no prune cadence changes.
 
 use std::collections::VecDeque;
 
@@ -87,9 +87,8 @@ enum Mark {
 pub(crate) struct Run {
     /// Arc indices of a negative cycle, in traversal order.
     pub(crate) cycle: Option<Vec<usize>>,
-    /// Successful relaxations, and arcs examined.
+    /// Successful relaxations.
     pub(crate) relaxations: u64,
-    pub(crate) arc_visits: u64,
 }
 
 /// The kernel's per-node scratch, windowed by the graph's `base`.
@@ -107,40 +106,6 @@ pub(crate) struct NegCycle {
     subtree: Vec<usize>,
     /// Every node whose mark is not `Clean`: what the run resets.
     touched: Vec<usize>,
-}
-
-/// Sets `labels` to the **earliest-feasible potential**: in event order,
-/// the smallest label the arcs into older events allow (backward, local
-/// and descending shortcut arcs form a DAG, so one pass satisfies all of
-/// them; an event without any continues from its predecessor's label,
-/// which keeps it in step with its neighbourhood). Timestamp semantics —
-/// every message charged its minimum delay — and the monitor's trick: on
-/// admissible executions the ascending arcs are usually satisfied too, and
-/// [`NegCycle::run`] from every node is one changeless scan, `O(V + E)`,
-/// where an all-zero start makes labels zigzag through the execution. The
-/// batch check reads these labels straight off the execution graph
-/// (`check.rs`, which holds them against this function) and skips that
-/// scan when no ascending arc is tense.
-pub(crate) fn seed_earliest_feasible(
-    tg: &TraversalGraph,
-    labels: &mut [i128],
-    weight: impl Fn(usize) -> Option<i128>,
-) {
-    let arcs = tg.arcs();
-    let base = tg.base();
-    for v in 0..labels.len() {
-        let mut label: Option<i128> = None;
-        let mut cursor = tg.first_out(base + v);
-        while let Some(ai) = cursor {
-            cursor = tg.next_out(ai);
-            let to = arcs[ai].to - base;
-            if let Some(w) = weight(ai).filter(|_| to < v) {
-                let bound = labels[to] - w;
-                label = Some(label.map_or(bound, |l| l.max(bound)));
-            }
-        }
-        labels[v] = label.unwrap_or(if v > 0 { labels[v - 1] } else { 0 });
-    }
 }
 
 impl NegCycle {
@@ -192,7 +157,6 @@ impl NegCycle {
             let mut cursor = tg.first_out(base + u);
             while let Some(ai) = cursor {
                 cursor = tg.next_out(ai);
-                run.arc_visits += 1;
                 let v = arcs[ai].to - base;
                 let Some(cand) = weight(ai).map(|w| du.plus(w)).filter(|&c| c < labels[v]) else {
                     continue;
@@ -326,6 +290,33 @@ mod tests {
         }
     }
 
+    /// Sets `labels` to the **earliest-feasible potential**: in node
+    /// order, the smallest label its arcs to older nodes allow (one pass
+    /// satisfies all of them); a node without any continues from its
+    /// predecessor's label. Timestamp semantics, the monitor's quiet label:
+    /// a start from which the ascending arcs are often already slack.
+    fn seed_earliest_feasible(
+        tg: &TraversalGraph,
+        labels: &mut [i128],
+        weight: impl Fn(usize) -> Option<i128>,
+    ) {
+        let arcs = tg.arcs();
+        let base = tg.base();
+        for v in 0..labels.len() {
+            let mut label: Option<i128> = None;
+            let mut cursor = tg.first_out(base + v);
+            while let Some(ai) = cursor {
+                cursor = tg.next_out(ai);
+                let to = arcs[ai].to - base;
+                if let Some(w) = weight(ai).filter(|_| to < v) {
+                    let bound = labels[to] - w;
+                    label = Some(label.map_or(bound, |l| l.max(bound)));
+                }
+            }
+            labels[v] = label.unwrap_or(if v > 0 { labels[v - 1] } else { 0 });
+        }
+    }
+
     /// One run on the `shared` scratch and one on a new scratch, which
     /// must agree in everything (the shared one is clean between runs,
     /// whatever sizes and bases it served before). Then the answer's own
@@ -349,8 +340,8 @@ mod tests {
         let mut moved = vec![(usize::MAX, zero)]; // a stale entry: the run clears it
         let run = shared.run(tg, labels, starts(), |ai| weights[ai], Some(&mut moved));
         assert_eq!(
-            (&run.cycle, run.relaxations, run.arc_visits, &*labels),
-            (&anew.cycle, anew.relaxations, anew.arc_visits, &*relabeled),
+            (&run.cycle, run.relaxations, &*labels),
+            (&anew.cycle, anew.relaxations, &*relabeled),
             "{case}: a used scratch answers differently"
         );
         // What the run hands back undoes it, naming each node once.

@@ -31,23 +31,17 @@
 //!   as [`crate::check::max_relevant_cycle_ratio`] and the monitor's
 //!   margin ask).
 //!
-//! # How check and monitor share it
+//! # Who walks it
 //!
-//! The batch checker ([`crate::check::find_violation`] /
-//! [`crate::check::is_admissible`]) first tries the timestamp potential
-//! straight off the execution graph; only when a forward arc is tense
-//! under it does it build a `TraversalGraph` with
-//! [`TraversalGraph::from_graph`] and hand it to the crate's worklist
-//! negative-cycle kernel, which walks the out-lists and decides and
-//! extracts the witness in one pass; `max_relevant_cycle_ratio` replays
-//! the monitor's kept margin over the same structure, event by event, on
-//! the same kernel, and the line-graph pass reads the in-CSR. The online
-//! monitor builds the *same* structure on demand: a quiet append touches
-//! labels only, and the first append that leaves a forward arc tense (or
-//! the first kept margin) builds the arena in one pass, after which it
-//! grows incrementally ([`push_node`] / [`push_arc`]) as events are
-//! appended — so batch and streaming decisions literally walk the same
-//! arcs.
+//! The online monitor builds it on demand: a quiet append touches labels
+//! only, and the first append that leaves a forward arc tense (or the
+//! first kept margin) builds the arena in one pass, after which it grows
+//! incrementally ([`push_node`] / [`push_arc`]) as events are appended,
+//! and the crate's worklist negative-cycle kernel walks its out-lists.
+//! The checks of [`crate::check`] replay a finished graph into a monitor;
+//! `max_relevant_cycle_ratio` replays the monitor's kept margin over a
+//! batch build ([`TraversalGraph::from_graph`]) on the same kernel, and
+//! the line-graph pass reads the in-CSR.
 //!
 //! # Bounded-memory compaction
 //!
@@ -142,9 +136,8 @@ const NONE: usize = usize::MAX;
 /// The arena-backed CSR traversal graph (see the module docs).
 ///
 /// Nodes are event ids `base..base + num_live_nodes()`; arcs live in one
-/// flat arena with intrusive per-tail linked lists. Both the batch checker
-/// and the incremental monitor drive their label-correcting passes over
-/// this structure.
+/// flat arena with intrusive per-tail linked lists. The incremental
+/// monitor drives its label-correcting passes over this structure.
 #[derive(Clone, Debug, Default)]
 pub struct TraversalGraph {
     arcs: Vec<Arc>,

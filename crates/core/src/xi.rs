@@ -80,22 +80,11 @@ impl Xi {
 
     /// `(p, q)` with `Ξ = p/q` in lowest terms, as machine integers.
     ///
-    /// Returns `None` if the parts overflow `i64` (astronomically large `Ξ`
-    /// values are rejected by the polynomial checker, which needs integer
-    /// weights).
+    /// Returns `None` if the parts overflow `i64` (such `Ξ` are rejected by
+    /// every entry point of the checker, whose labels need the headroom).
     #[must_use]
     pub fn as_i64_parts(&self) -> Option<(i64, i64)> {
         Some((self.0.numer().to_i64()?, self.0.denom().to_i64()?))
-    }
-
-    /// `(p, q)` with `Ξ = p/q` in lowest terms, as wide machine integers.
-    ///
-    /// Returns `None` only when a part overflows `i128`; the polynomial
-    /// checker accepts everything this returns unless the graph-size
-    /// scaling overflows too (see [`crate::check::CheckError::XiTooLarge`]).
-    #[must_use]
-    pub fn as_i128_parts(&self) -> Option<(i128, i128)> {
-        Some((self.0.numer().to_i128()?, self.0.denom().to_i128()?))
     }
 
     /// `⌈Ξ⌉` as `u64` (used for chain-length timeouts like the Fig. 3

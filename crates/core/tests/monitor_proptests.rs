@@ -1,12 +1,15 @@
 //! Property tests for the incremental ABC monitor: after *every* appended
-//! event, [`abc_core::monitor::IncrementalChecker`] must agree with the
-//! batch checker — and, on small graphs, with brute-force enumeration.
+//! event, [`abc_core::monitor::IncrementalChecker`]'s verdict and margin
+//! must carry certificates that [`abc_core::certify`] accepts — checks
+//! that share no code with any decider — and, on small graphs, agree with
+//! brute-force enumeration.
 
-use abc_core::check;
+use abc_core::assign::assign_delays;
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
 use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
 use abc_core::monitor::{IncrementalChecker, MarginReport};
 use abc_core::Xi;
+use abc_core::{certify, check};
 use abc_rational::Ratio;
 use proptest::prelude::*;
 
@@ -27,32 +30,45 @@ fn xi_strategy() -> impl Strategy<Value = Xi> {
         .prop_map(|(num, den)| Xi::new(Ratio::new(num, den)).unwrap())
 }
 
-/// An exact margin checked by the batch decision alone, which shares no
-/// code with it: a margin `m > 1` is attained, so `g` violates `Ξ = m`,
-/// and nothing lies above it, so `g` satisfies `Ξ = m + 1/M²` (`M`: the
-/// messages of `g`; two cycle ratios `B/F ≠ B'/F'` with parts at most `M`
-/// lie more than `1/M²` apart). A margin of `1`, or none, is checked
-/// just above `1`.
-fn assert_bracketed(g: &ExecutionGraph, margin: Option<&Ratio>) -> Result<(), TestCaseError> {
-    let m = i64::try_from(g.num_messages().max(1)).expect("small graphs");
-    let gap = Ratio::new(1, m * m);
-    let one = Ratio::one();
-    let at = margin.filter(|&r| *r > one);
-    let above = &at.unwrap_or(&one).clone() + &gap;
-    if let Some(at) = at {
-        let xi = Xi::new(at.clone()).expect("a margin above 1 is a Xi");
-        prop_assert!(
-            check::find_violation(g, &xi).unwrap().is_some(),
-            "none at {}",
-            at
-        );
-    }
-    let xi = Xi::new(above.clone()).expect("above 1");
-    prop_assert!(
-        check::find_violation(g, &xi).unwrap().is_none(),
-        "one at {}",
-        above
-    );
+/// An exact margin, certified ([`certify::margin`]): a margin `m > 1`
+/// comes with the cycle `find_violation` finds at `Ξ = m`, of ratio
+/// exactly `m`, and every margin with the assignment `assign_delays` gives
+/// at `m + 1/M²` (`M`: the messages of `g`; two cycle ratios
+/// `B/F ≠ B'/F'` with parts at most `M` lie at least `1/M²` apart). A
+/// margin of `1`, or none, is certified just above `1`.
+fn assert_margin_certified(
+    g: &ExecutionGraph,
+    margin: Option<&Ratio>,
+) -> Result<(), TestCaseError> {
+    let at = margin.filter(|&m| *m > Ratio::one()).cloned();
+    let witness = match at {
+        Some(m) => {
+            let found = check::find_violation(g, &Xi::new(m.clone()).unwrap()).unwrap();
+            prop_assert!(found.is_some(), "none at {}", m);
+            found
+        }
+        None => None,
+    };
+    let above = certify::above_margin(g, margin);
+    let timed = assign_delays(g, &above);
+    prop_assert!(timed.is_ok(), "one at {}: {:?}", above, timed);
+    let certified = certify::margin(g, margin, witness.as_ref(), &timed.unwrap());
+    prop_assert_eq!(certified, Ok(()));
+    Ok(())
+}
+
+/// Certifies a monitor's verdict on `g`: its latched witness as a
+/// violation ([`certify::violation`]), or the assignment `assign_delays`
+/// reads off a replay of `g` as admissibility ([`certify::admissible`]).
+fn assert_certified(mon: &IncrementalChecker, g: &ExecutionGraph) -> Result<(), TestCaseError> {
+    let xi = mon.xi();
+    let certified = match mon.violation() {
+        Some(cycle) => certify::violation(g, xi, cycle),
+        None => assign_delays(g, xi)
+            .map_err(|e| e.to_string())
+            .and_then(|timed| certify::admissible(g, xi, &timed)),
+    };
+    prop_assert_eq!(certified, Ok(()), "{} events", g.num_events());
     Ok(())
 }
 
@@ -175,9 +191,9 @@ fn near_threshold_script(n: usize, xi: usize, picks: &[(usize, usize, usize)]) -
 
 /// Near-threshold scripts — the inputs random scripts almost never draw
 /// and the benchmark's `canon` family skips as "not quiet": at every
-/// prefix the monitor, the batch checker and a margin-tracking monitor
-/// that prunes with the exact lookahead watermark agree on the verdict,
-/// the witness and the margin. The leg also counts what it reached, so
+/// prefix the monitor and a margin-tracking monitor that prunes with the
+/// exact lookahead watermark agree on the verdict, the witness and the
+/// margin, and the verdict and the margin are certified. The leg also counts what it reached, so
 /// that frontier repair without a latch (`restore_feasibility` to
 /// quiescence) and the confirmation seeded by a frontier row (the closing
 /// receive's local predecessor already compacted) are known to be
@@ -217,7 +233,7 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
                 pruned.append_send(EventId(from), ProcessId(to));
                 last[to] = n + step;
                 let g = plain.graph();
-                prop_assert_eq!(plain.is_admissible(), check::is_admissible(g, &xi).unwrap());
+                assert_certified(&plain, g)?;
                 prop_assert_eq!(plain.violation(), pruned.violation(), "event {}", n + step);
                 prop_assert_eq!(plain.violation_summary(), pruned.violation_summary());
                 let margin = pruned.current_margin().unwrap().map(|m| m.ratio);
@@ -227,7 +243,7 @@ fn near_threshold_scripts_agree_at_every_prefix_and_reach_repair_and_row_seeded_
                     row_seeded_latches.set(row_seeded_latches.get() + u32::from(prev_compacted));
                     return Ok(());
                 }
-                assert_bracketed(g, margin.as_ref())?;
+                assert_margin_certified(g, margin.as_ref())?;
                 prop_assert_eq!(&margin, &check::max_relevant_cycle_ratio(g).unwrap());
                 if plain.stats().relaxations > relaxations {
                     benign_repairs.set(benign_repairs.get() + 1);
@@ -262,7 +278,7 @@ struct Reached {
 /// margin several times within one append — with a faulty process and
 /// exempt sends among them, a monitor that keeps its margin reports what
 /// an untracked monitor's replay and the batch `max_relevant_cycle_ratio`
-/// report, and the batch decision brackets it ([`assert_bracketed`]):
+/// report, and its certificate holds ([`assert_margin_certified`]):
 /// kept mirror-less and never pruned (a sweep worker's), pruned with the
 /// exact lookahead watermark at several cadences, and switched on half-way
 /// through a mirrored run (seeded by a replay). Each
@@ -352,7 +368,7 @@ fn the_kept_margin_equals_the_replay_and_the_batch_at_every_prefix() {
                         if search.is_admissible() {
                             let batch = check::max_relevant_cycle_ratio(search.graph()).unwrap();
                             prop_assert_eq!(&expected, &batch, "replay ≠ batch at step {}", step);
-                            assert_bracketed(search.graph(), expected.as_ref())?;
+                            assert_margin_certified(search.graph(), expected.as_ref())?;
                         }
                         let tracking = [(&kept, "kept")]
                             .into_iter()
@@ -362,7 +378,7 @@ fn the_kept_margin_equals_the_replay_and_the_batch_at_every_prefix() {
                             let report = mon.current_margin().unwrap();
                             let ratio = report.as_ref().map(|m| m.ratio.clone());
                             if mon.is_admissible() {
-                                assert_bracketed(search.graph(), ratio.as_ref())?;
+                                assert_margin_certified(search.graph(), ratio.as_ref())?;
                             }
                             prop_assert_eq!(&ratio, &expected, "{} at step {}", what, step);
                             prop_assert_eq!(mon.margin_upper_bound(), ratio.clone());
@@ -678,7 +694,7 @@ proptest! {
             total += 1;
             let expected = if plain.is_admissible() {
                 let batch = check::max_relevant_cycle_ratio(plain.graph()).unwrap();
-                assert_bracketed(plain.graph(), batch.as_ref())?;
+                assert_margin_certified(plain.graph(), batch.as_ref())?;
                 batch
             } else {
                 plain.current_margin().unwrap().map(|m| m.ratio)
@@ -687,7 +703,7 @@ proptest! {
                 let report = mon.current_margin().unwrap();
                 if plain.is_admissible() {
                     let ratio = report.as_ref().map(|m| &m.ratio);
-                    assert_bracketed(plain.graph(), ratio)?;
+                    assert_margin_certified(plain.graph(), ratio)?;
                 }
                 prop_assert_eq!(
                     report.as_ref().map(|m| m.ratio.clone()),
@@ -710,8 +726,8 @@ proptest! {
         }
     }
 
-    /// Streaming the script through the monitor matches re-running the
-    /// batch checker from scratch at every single prefix.
+    /// Streaming the script through the monitor gives a certified verdict
+    /// at every single prefix.
     #[test]
     fn monitor_agrees_with_batch_at_every_prefix(
         (n, script) in script_strategy(),
@@ -725,19 +741,7 @@ proptest! {
         for &(from, to) in &script {
             let from_event = EventId(from % mon.graph().num_events());
             mon.append_send(from_event, ProcessId(to % n));
-            let batch = check::is_admissible(mon.graph(), &xi).unwrap();
-            prop_assert_eq!(
-                mon.is_admissible(),
-                batch,
-                "prefix of {} events: monitor {} vs batch {}",
-                mon.graph().num_events(),
-                mon.is_admissible(),
-                batch
-            );
-            if let Some(w) = mon.violation() {
-                prop_assert!(w.validate(mon.graph()).is_ok());
-                prop_assert!(w.classify().violates(&xi));
-            }
+            assert_certified(&mon, mon.graph())?;
         }
     }
 
@@ -787,8 +791,9 @@ proptest! {
         prop_assert_eq!(replayed.is_admissible(), mon.is_admissible());
     }
 
-    /// Faulty processes declared up front are exempt in both the monitor
-    /// and the batch checker.
+    /// Faulty processes declared up front are exempt: the streamed
+    /// monitor's verdict is certified on the graph that marks them, whose
+    /// replay marks them too.
     #[test]
     fn monitor_handles_faulty_processes(
         (n, script) in script_strategy(),
@@ -804,10 +809,7 @@ proptest! {
         for &(from, to) in &script {
             let from_event = EventId(from % mon.graph().num_events());
             mon.append_send(from_event, ProcessId(to % n));
-            prop_assert_eq!(
-                mon.is_admissible(),
-                check::is_admissible(mon.graph(), &xi).unwrap()
-            );
+            assert_certified(&mon, mon.graph())?;
         }
         prop_assert!(mon.graph().is_faulty(faulty));
     }

@@ -1,15 +1,16 @@
-//! Property tests for `abc-core`: the polynomial checker against
-//! brute-force enumeration, Theorem 7 assignments, Corollary 1 on random
-//! cycle sums, and cut invariants — on randomly generated execution graphs.
+//! Property tests for `abc-core`: the polynomial checker's certified
+//! answers against brute-force enumeration, Theorem 7 assignments,
+//! Corollary 1 on random cycle sums, and cut invariants — on randomly
+//! generated execution graphs.
 
 use abc_core::assign::{assign_delays, AssignError};
-use abc_core::check;
 use abc_core::cut::{causal_past, cut_interval, Cut};
 use abc_core::cyclespace::{decompose, CycleVector};
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
 use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
 use abc_core::traversal::{ArcKind, TraversalGraph};
 use abc_core::Xi;
+use abc_core::{certify, check};
 use abc_rational::Ratio;
 use proptest::prelude::*;
 
@@ -55,7 +56,8 @@ fn graph_strategy() -> impl Strategy<Value = ExecutionGraph> {
 /// relevant cycle with ratio `≥ Ξ = p/q`.
 fn textbook_violates(g: &ExecutionGraph, xi: &Xi) -> bool {
     let tg = TraversalGraph::from_graph(g);
-    let (p, q) = xi.as_i128_parts().unwrap();
+    let (p, q) = xi.as_i64_parts().unwrap();
+    let (p, q) = (i128::from(p), i128::from(q));
     let k = tg.num_arcs() as i128 + 1;
     let mut dist = vec![0i128; g.num_events()];
     for _round in 0..=g.num_events() {
@@ -82,14 +84,13 @@ fn textbook_violates(g: &ExecutionGraph, xi: &Xi) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Kernel ≡ textbook ≡ enumeration, on a `Ξ` grid that holds every
+    /// Replay ≡ textbook ≡ enumeration, on a `Ξ` grid that holds every
     /// relevant cycle's own ratio (a violation: Definition 4 is strict) and
-    /// a step to either side of it: the verdicts agree and every witness is
-    /// a valid violating cycle. (The max ratio — the monitor's kept margin,
-    /// replayed on the same kernel — is held to the enumerated maximum by
-    /// `checker_matches_enumeration` below; that a *no* leaves no tense arc
-    /// is `debug_assert`ed in the kernel on every one of these runs, and
-    /// checked label by label in its unit test.)
+    /// a step to either side of it: the verdicts agree, and each answer is
+    /// certified first — a witness as a violation, a *no* by the
+    /// assignment `assign_delays` gives. (The max ratio — the monitor's
+    /// kept margin, replayed on the same kernel — is held to the enumerated
+    /// maximum by `checker_matches_enumeration` below.)
     #[test]
     fn kernel_agrees_with_textbook_bellman_ford_and_enumeration(g in graph_strategy()) {
         let ratios: Vec<Ratio> = enumerate_relevant_cycles(&g, EnumerationLimits::default())
@@ -106,13 +107,16 @@ proptest! {
         for xi in grid.into_iter().filter_map(|r| Xi::new(r).ok()) {
             let violates = max.is_some_and(|m| m >= xi.as_ratio());
             prop_assert_eq!(textbook_violates(&g, &xi), violates, "textbook, Xi = {}", &xi);
-            prop_assert_eq!(check::is_admissible(&g, &xi).unwrap(), !violates, "Xi = {}", &xi);
             let witness = check::find_violation(&g, &xi).unwrap();
+            let certified = match &witness {
+                Some(w) => certify::violation(&g, &xi, w),
+                None => assign_delays(&g, &xi)
+                    .map_err(|e| e.to_string())
+                    .and_then(|timed| certify::admissible(&g, &xi, &timed)),
+            };
+            prop_assert_eq!(certified, Ok(()), "Xi = {}", &xi);
             prop_assert_eq!(witness.is_some(), violates, "Xi = {}", &xi);
-            if let Some(w) = witness {
-                prop_assert!(w.validate(&g).is_ok(), "{} at Xi = {}", w, &xi);
-                prop_assert!(w.classify().violates(&xi), "{} at Xi = {}", w, &xi);
-            }
+            prop_assert_eq!(check::is_admissible(&g, &xi).unwrap(), !violates, "Xi = {}", &xi);
         }
     }
 
@@ -171,12 +175,11 @@ proptest! {
         match assign_delays(&g, &xi) {
             Ok(timed) => {
                 prop_assert!(witness.is_none());
-                prop_assert!(timed.is_normalized(&g, &xi));
+                prop_assert_eq!(certify::admissible(&g, &xi, &timed), Ok(()));
                 prop_assert!(timed.is_theta_admissible(&g, xi.as_ratio()));
             }
             Err(AssignError::NotAdmissible(cycle)) => {
-                prop_assert!(cycle.validate(&g).is_ok());
-                prop_assert!(cycle.classify().violates(&xi));
+                prop_assert_eq!(certify::violation(&g, &xi, &cycle), Ok(()));
                 prop_assert_eq!(Some(cycle), witness);
             }
             Err(other) => prop_assert!(false, "unexpected error {other}"),

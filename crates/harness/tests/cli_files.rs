@@ -136,6 +136,149 @@ fn sweep_saves_violating_traces_that_recheck_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The witness line `abc check` or `abc monitor` prints for `file` at
+/// `Ξ = xi`: the text after the first `": "` of its `VIOLATION` line (the
+/// monitor's line also names the latch event before it).
+fn printed_witness(command: &str, file: &str, xi: &str) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_abc"))
+        .args([command, file, "--xi", xi])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(EXIT_VIOLATION), "{command} {file}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let line = stdout.lines().find(|l| l.starts_with("VIOLATION for Xi"));
+    let line = line.unwrap_or_else(|| panic!("{command} {file}: {stdout}"));
+    line.split_once(": ").unwrap().1.to_string()
+}
+
+/// One decision procedure, one witness: `abc check` replays the file's
+/// graph into the monitor `abc monitor` streams it into, and prints the
+/// same canonical cycle — on the sample at Ξ = 2 and on every trace a
+/// violating sweep keeps (CI's sweep, whose traces the `check` golden
+/// pins).
+#[test]
+fn check_and_monitor_print_the_same_witness() {
+    let sample = sample_path();
+    let witness = printed_witness("check", &sample, "2");
+    assert_eq!(witness, printed_witness("monitor", &sample, "2"));
+    let dir = std::env::temp_dir().join(format!("abc-same-witness-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let sweep = sv(&[
+        "sweep",
+        "--protocol",
+        "clocksync",
+        "--n",
+        "4",
+        "--f",
+        "1",
+        "--delay",
+        "band:1:6",
+        "--xi",
+        "3/2",
+        "--runs",
+        "16",
+        "--max-events",
+        "200",
+        "--threads",
+        "2",
+        "--save-violations",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(run(&sweep).unwrap(), EXIT_VIOLATION);
+    let saved: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(saved.len(), 16, "every run of the band violates");
+    let xi = "3/2".parse().unwrap();
+    for path in &saved {
+        let file = path.to_str().unwrap();
+        let checked = printed_witness("check", file, "3/2");
+        assert_eq!(checked, printed_witness("monitor", file, "3/2"), "{file}");
+        // …and the witness is a violating cycle of the file's graph.
+        let text = std::fs::read_to_string(path).unwrap();
+        let g = abc_sim::Trace::from_text(&text)
+            .unwrap()
+            .to_execution_graph();
+        let cycle = abc_core::check::find_violation(&g, &xi).unwrap().unwrap();
+        assert_eq!(
+            abc_core::certify::violation(&g, &xi, &cycle),
+            Ok(()),
+            "{file}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What `abc check` answers on the files and scenarios its golden pins
+/// carries a certificate: a violating cycle, or a normalized assignment.
+#[test]
+fn check_answers_on_the_pinned_inputs_are_certified() {
+    use abc_core::assign::assign_delays;
+    use abc_core::{certify, check, ExecutionGraph, Xi};
+
+    let certified = |g: &ExecutionGraph, xi: &Xi| match check::find_violation(g, xi).unwrap() {
+        Some(cycle) => certify::violation(g, xi, &cycle),
+        None => certify::admissible(g, xi, &assign_delays(g, xi).unwrap()),
+    };
+    let xis = ["3/2", "2", "4", "5"].map(|x| x.parse::<Xi>().unwrap());
+    for (name, _, build) in abc_models::scenarios::named() {
+        for xi in &xis {
+            assert_eq!(certified(&build(), xi), Ok(()), "{name} at {xi}");
+        }
+    }
+    let file = std::fs::read_to_string(sample_path()).unwrap();
+    let g = abc_sim::Trace::from_text(&file)
+        .unwrap()
+        .to_execution_graph();
+    for xi in &xis {
+        assert_eq!(certified(&g, xi), Ok(()), "the sample at {xi}");
+    }
+}
+
+/// One ceiling for `Ξ`: every entry point takes `(2^63 − 1)/1` and refuses
+/// `2^63/1` with `XiTooLarge`, the batch check, Theorem 7's assignment,
+/// the monitor and a trace's replay alike.
+#[test]
+fn every_entry_point_shares_one_xi_ceiling() {
+    use abc_core::assign::{assign_delays, AssignError};
+    use abc_core::check::{self, CheckError};
+    use abc_core::{IncrementalChecker, Xi};
+    use abc_rational::{BigInt, Ratio};
+
+    let file = std::fs::read_to_string(sample_path()).unwrap();
+    let trace = abc_sim::Trace::from_text(&file).unwrap();
+    let g = trace.to_execution_graph();
+    let xi = |p: BigInt| Xi::new(Ratio::from_bigints(p, BigInt::from(1))).unwrap();
+    let largest = xi(BigInt::from(i64::MAX));
+    assert_eq!(check::find_violation(&g, &largest), Ok(None));
+    assert_eq!(check::is_admissible(&g, &largest), Ok(true));
+    assert!(assign_delays(&g, &largest)
+        .unwrap()
+        .is_normalized(&g, &largest));
+    let n = g.num_processes();
+    assert!(IncrementalChecker::new(n, &largest).is_ok());
+    assert!(trace.replay_into_monitor(&largest).unwrap().is_admissible());
+    let beyond = xi(BigInt::from(i128::from(i64::MAX) + 1));
+    assert_eq!(
+        check::find_violation(&g, &beyond),
+        Err(CheckError::XiTooLarge)
+    );
+    assert_eq!(
+        check::is_admissible(&g, &beyond),
+        Err(CheckError::XiTooLarge)
+    );
+    assert_eq!(assign_delays(&g, &beyond), Err(AssignError::XiTooLarge));
+    assert_eq!(
+        IncrementalChecker::new(n, &beyond).err(),
+        Some(CheckError::XiTooLarge)
+    );
+    assert_eq!(
+        trace.replay_into_monitor(&beyond).err(),
+        Some(CheckError::XiTooLarge)
+    );
+}
+
 #[test]
 fn sweep_refuses_a_path_in_name_before_it_runs() {
     // `--name a/b` used to run the whole sweep and fail on the first write

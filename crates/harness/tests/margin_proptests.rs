@@ -3,19 +3,20 @@
 //! pruning, margin-tracking monitor must report exactly the margin of an
 //! unpruned monitor, both must equal the batch
 //! `max_relevant_cycle_ratio` over the same prefix — three readings of
-//! one margin algorithm, so each is also bracketed by the batch decision
-//! `find_violation`, which shares no code with it — and the exact values
+//! one margin algorithm, so each is also certified by `abc_core::certify`,
+//! which shares no code with any decider: a cycle of exactly that ratio,
+//! and a normalized assignment just above it — and the exact values
 //! must be consistent with `abc-lp`: the difference-constraint relaxation
 //! of Definition 4 is infeasible at the margin (with a verified negative
 //! cycle / Farkas certificate) and feasible just above it — and, with
-//! `diffcon` as the oracle, `assign_delays` (the checker's kernel on that
+//! `diffcon` as the oracle, `assign_delays` (the monitor's replay on that
 //! system) flips at the same point.
 
 use abc_clocksync::TickGen;
 use abc_core::assign::{assign_delays, AssignError};
 use abc_core::graph::ExecutionGraph;
 use abc_core::monitor::IncrementalChecker;
-use abc_core::{check, EventId, ProcessId, Xi};
+use abc_core::{certify, check, EventId, ProcessId, Xi};
 use abc_lp::diffcon::{self, DiffConstraint};
 use abc_lp::{simplex, LinearSystem, Rel};
 use abc_rational::Ratio;
@@ -92,7 +93,7 @@ fn margin_constraints(g: &ExecutionGraph, x: &Ratio) -> Vec<DiffConstraint> {
 /// Cross-checks an exact margin against the LP layer: infeasible (with a
 /// verified negative-cycle certificate) at `x = margin`, feasible (with a
 /// verified rational solution) just above it. `assign_delays` — the
-/// checker's kernel on the same system — must agree: it refuses at the
+/// monitor's replay on the same system — must agree: it refuses at the
 /// margin and assigns normalized delays just above it.
 fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
     let nudge = Ratio::new(1, 7);
@@ -108,7 +109,7 @@ fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
             let at = Xi::new(r.clone()).unwrap();
             assert!(
                 matches!(assign_delays(g, &at), Err(AssignError::NotAdmissible(_))),
-                "the kernel assigns delays at the margin {r}"
+                "the replay assigns delays at the margin {r}"
             );
         }
     }
@@ -123,35 +124,30 @@ fn assert_lp_consistent(g: &ExecutionGraph, margin: Option<&Ratio>) {
     }
     let above = Xi::new(above).unwrap();
     match assign_delays(g, &above) {
-        Ok(timed) => assert!(timed.is_normalized(g, &above), "not normalized at {above}"),
-        Err(e) => panic!("the kernel refuses above the margin {margin:?}: {e}"),
+        Ok(timed) => assert_eq!(certify::admissible(g, &above, &timed), Ok(())),
+        Err(e) => panic!("the replay refuses above the margin {margin:?}: {e}"),
     }
 }
 
-/// An exact margin checked by the batch decision alone: a margin `m > 1`
-/// is attained, so `g` violates `Ξ = m`, and nothing lies above it, so `g`
-/// satisfies `Ξ = m + 1/M²` (`M`: the messages of `g`; two cycle ratios
-/// with parts at most `M` lie more than `1/M²` apart). A margin of `1`, or
-/// none, is checked just above `1`.
-fn assert_bracketed(g: &ExecutionGraph, margin: Option<&Ratio>, at_event: usize) {
-    let m = i64::try_from(g.num_messages().max(1)).expect("small runs");
-    let one = Ratio::one();
-    let at = margin.filter(|&r| *r > one);
-    if let Some(at) = at {
+/// An exact margin, certified ([`certify::margin`]): a margin `m > 1`
+/// comes with the cycle `find_violation` finds at `Ξ = m`, which must have
+/// ratio exactly `m`, and every margin with the normalized assignment
+/// `assign_delays` gives at `m + 1/M²` (`M`: the messages of `g`; two
+/// cycle ratios with parts at most `M` lie at least `1/M²` apart). A
+/// margin of `1`, or none, is certified just above `1`.
+fn assert_margin_certified(g: &ExecutionGraph, margin: Option<&Ratio>, at_event: usize) {
+    let at = margin.filter(|&r| *r > Ratio::one());
+    let witness = at.map(|at| {
         let xi = Xi::new(at.clone()).expect("a margin above 1 is a Xi");
         let found = check::find_violation(g, &xi).unwrap();
-        assert!(
-            found.is_some(),
-            "no violation at the margin {at} (event {at_event})"
-        );
+        found.unwrap_or_else(|| panic!("no violation at the margin {at} (event {at_event})"))
+    });
+    let above = certify::above_margin(g, margin);
+    let timed = assign_delays(g, &above)
+        .unwrap_or_else(|e| panic!("no assignment at {above} (event {at_event}): {e}"));
+    if let Err(e) = certify::margin(g, margin, witness.as_ref(), &timed) {
+        panic!("margin {margin:?} refused at event {at_event}: {e}");
     }
-    let above = &at.unwrap_or(&one).clone() + &Ratio::new(1, m * m);
-    let xi = Xi::new(above.clone()).expect("above 1");
-    let found = check::find_violation(g, &xi).unwrap();
-    assert!(
-        found.is_none(),
-        "a violation at {above}, above the margin (event {at_event})"
-    );
 }
 
 /// Replays `trace` into an unpruned monitor and a pruning,
@@ -194,7 +190,7 @@ fn assert_margin_equivalence(trace: &Trace, xi: &Xi, prune_every: usize, sample_
             let qm = pruned.current_margin().unwrap();
             if plain.is_admissible() {
                 for m in [&pm, &qm] {
-                    assert_bracketed(plain.graph(), m.as_ref().map(|m| &m.ratio), idx);
+                    assert_margin_certified(plain.graph(), m.as_ref().map(|m| &m.ratio), idx);
                 }
             }
             assert_eq!(

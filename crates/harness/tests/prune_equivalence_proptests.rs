@@ -2,12 +2,13 @@
 //! gossip runs*: a pruning monitor (settled-prefix compaction at an honest
 //! watermark, any cadence) must report the same verdict, latch at the same
 //! event, produce byte-identical `Cycle` witnesses and wire summaries, and
-//! end at the same margin as an unpruned monitor — and both must agree
-//! with the batch checker.
+//! end at the same margin as an unpruned monitor — and the verdict must
+//! carry a certificate `abc_core::certify` accepts on the whole graph.
 
 use abc_clocksync::TickGen;
+use abc_core::assign::assign_delays;
 use abc_core::monitor::{IncrementalChecker, MonitorStats};
-use abc_core::{check, EventId, ProcessId, Xi};
+use abc_core::{certify, EventId, ProcessId, Xi};
 use abc_sim::delay::BandDelay;
 use abc_sim::{Context, CrashAt, Process, RunLimits, Simulation, Trace};
 use proptest::prelude::*;
@@ -63,7 +64,7 @@ fn gossip_run(n: usize, lo: u64, hi: u64, seed: u64, budget: u32, events: usize)
 /// every `prune_every` appends at the exact lookahead watermark), checking
 /// step-by-step that verdicts flip at the same event; then asserts final
 /// verdict, witness bytes, wire summaries and margins are identical, and
-/// that both agree with the batch checker over the full execution graph.
+/// that the verdict is certified over the full execution graph.
 /// Returns the pruning monitor's stats.
 fn assert_three_way_equivalence(trace: &Trace, xi: &Xi, prune_every: usize) -> MonitorStats {
     let mut plain = IncrementalChecker::new(trace.num_processes(), xi).unwrap();
@@ -114,12 +115,16 @@ fn assert_three_way_equivalence(trace: &Trace, xi: &Xi, prune_every: usize) -> M
         pruned.violation_summary().map(|s| s.wire().to_string()),
         "wire summaries must be byte-identical"
     );
+    // The verdict carries its certificate on the whole execution: the
+    // latched witness, or the assignment a replay of the graph gives.
     let g = trace.to_execution_graph();
-    assert_eq!(
-        check::is_admissible(&g, xi).unwrap(),
-        plain.is_admissible(),
-        "monitor and batch checker disagree"
-    );
+    let certified = match plain.violation() {
+        Some(cycle) => certify::violation(&g, xi, cycle),
+        None => assign_delays(&g, xi)
+            .map_err(|e| e.to_string())
+            .and_then(|timed| certify::admissible(&g, xi, &timed)),
+    };
+    assert_eq!(certified, Ok(()), "the monitor's verdict is not certified");
     // Every prune keeps the margin: the mirror-less monitor reports the
     // unpruned one's.
     let margin = |mon: &IncrementalChecker| mon.current_margin().unwrap().map(|m| m.ratio);

@@ -189,6 +189,10 @@ pub struct Metrics {
     pub margin_warnings: AtomicU64,
     /// Forensics bundles written (latch-triggered or `dump`-requested).
     pub forensics_dumps: AtomicU64,
+    /// Events the sessions' monitors compacted away, over the server's
+    /// lifetime (a session adds what it prunes; closing it takes nothing
+    /// back). The status port renders it with the monitor gauges.
+    pub monitor_pruned_events: AtomicU64,
     /// Workspace-wide distribution of exactly computed margins, in basis
     /// points (ratio × 10⁴).
     pub margin_hist: Histogram,
@@ -218,6 +222,7 @@ impl Metrics {
             acks: AtomicU64::new(0),
             margin_warnings: AtomicU64::new(0),
             forensics_dumps: AtomicU64::new(0),
+            monitor_pruned_events: AtomicU64::new(0),
             margin_hist: Histogram::new(MARGIN_BUCKETS_BP, MARGIN_SCALE_POW10),
             ingest_hist: Histogram::new(LATENCY_BUCKETS_US, 6),
             ack_hist: Histogram::new(LATENCY_BUCKETS_US, 6),

@@ -810,14 +810,11 @@ fn snapshot_sessions(table: &SessionTable) -> Vec<(u64, SessionMeta)> {
 }
 
 /// Aggregate monitor memory over the live sessions: `(live_events,
-/// live_arcs, pruned_events)`.
-fn monitor_totals(rows: &[(u64, SessionMeta)]) -> (u64, u64, u64) {
+/// live_arcs)`. (Pruned events are a registry counter, which outlives the
+/// sessions that added to it.)
+fn monitor_totals(rows: &[(u64, SessionMeta)]) -> (u64, u64) {
     let sum = |gauge: fn(&SessionMeta) -> u64| rows.iter().map(|(_, meta)| gauge(meta)).sum();
-    (
-        sum(SessionMeta::live_events),
-        sum(SessionMeta::live_arcs),
-        sum(SessionMeta::pruned_events),
-    )
+    (sum(SessionMeta::live_events), sum(SessionMeta::live_arcs))
 }
 
 /// Renders the human status page: the metrics registry, aggregate
@@ -825,7 +822,8 @@ fn monitor_totals(rows: &[(u64, SessionMeta)]) -> (u64, u64, u64) {
 fn render_human_status(metrics: &Metrics, rows: &[(u64, SessionMeta)]) -> String {
     use std::fmt::Write;
     let mut body = metrics.render();
-    let (live_events, live_arcs, pruned) = monitor_totals(rows);
+    let (live_events, live_arcs) = monitor_totals(rows);
+    let pruned = metrics.monitor_pruned_events.load(Ordering::Relaxed);
     let _ = writeln!(body, "abc_service_monitor_live_events {live_events}");
     let _ = writeln!(body, "abc_service_monitor_live_arcs {live_arcs}");
     let _ = writeln!(body, "abc_service_monitor_pruned_events_total {pruned}");
@@ -858,7 +856,8 @@ fn render_prometheus_status(metrics: &Metrics, rows: &[(u64, SessionMeta)]) -> S
     use crate::metrics::{prom_header, Kind};
     use std::fmt::Write;
     let mut body = metrics.render_prometheus();
-    let (live_events, live_arcs, pruned) = monitor_totals(rows);
+    let (live_events, live_arcs) = monitor_totals(rows);
+    let pruned = metrics.monitor_pruned_events.load(Ordering::Relaxed);
     prom_header(
         &mut body,
         "abc_service_monitor_live_events",

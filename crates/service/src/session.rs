@@ -776,7 +776,7 @@ impl ReplyHalf {
             self.counters
                 .live_arcs
                 .store(mon.live_arcs() as u64, Ordering::Relaxed);
-            self.note_pruned(mon.stats().pruned_events);
+            self.note_pruned(mon.stats().pruned_events, metrics);
         }
         // (A completed handshake restarted the numbering: that batch goes
         // unobserved.)
@@ -790,13 +790,17 @@ impl ReplyHalf {
     }
 
     /// Folds the open document's monitor `pruned_events` running total into
-    /// the session-lifetime counter (exactly once per pruned event).
-    fn note_pruned(&mut self, doc_total: usize) {
-        let delta = doc_total.saturating_sub(self.doc_pruned_reported);
+    /// the session-lifetime counter and the server's (exactly once per
+    /// pruned event).
+    fn note_pruned(&mut self, doc_total: usize, metrics: &Metrics) {
+        let delta = doc_total.saturating_sub(self.doc_pruned_reported) as u64;
         if delta > 0 {
             self.counters
                 .pruned_events
-                .fetch_add(delta as u64, Ordering::Relaxed);
+                .fetch_add(delta, Ordering::Relaxed);
+            metrics
+                .monitor_pruned_events
+                .fetch_add(delta, Ordering::Relaxed);
             self.doc_pruned_reported = doc_total;
         }
     }
@@ -1177,7 +1181,7 @@ impl ReplyHalf {
                         if self.v2 {
                             self.unacked = Some(seq);
                         }
-                        self.note_pruned(stats.pruned_events);
+                        self.note_pruned(stats.pruned_events, metrics);
                         self.counters.live_events.store(0, Ordering::Relaxed);
                         self.counters.live_arcs.store(0, Ordering::Relaxed);
                         // Forensics freezes its view of the returned

@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 
 use abc_core::Xi;
 use abc_service::client::status_command;
@@ -479,6 +480,57 @@ fn prune_horizon_bounds_session_memory_with_identical_verdicts() {
     let offline = offline_verdict(&violating, &xi).unwrap().to_string();
     assert!(offline.starts_with("violation"), "seed picks a violation");
     assert_eq!(outcome.verdict.to_string(), offline);
+    handle.join();
+}
+
+/// The value of the unlabelled series `name` on a status page.
+fn series(page: &str, name: &str) -> u64 {
+    let prefix = format!("{name} ");
+    let line = page.lines().find_map(|l| l.strip_prefix(&prefix));
+    let line = line.unwrap_or_else(|| panic!("no {name} in:\n{page}"));
+    line.parse().unwrap()
+}
+
+/// `abc_service_monitor_pruned_events_total` is a counter of the server's
+/// lifetime: a session that pruned adds to it, and closing the session
+/// takes nothing back, on the human page and the Prometheus one alike.
+#[test]
+fn pruned_events_total_outlives_its_sessions() {
+    const NAME: &str = "abc_service_monitor_pruned_events_total";
+    let handle = start(ServerConfig {
+        shards: 1,
+        prune_horizon: Some(64),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback server");
+    let (addr, status) = (handle.addr().to_string(), handle.status_addr().to_string());
+    let xi = Xi::from_fraction(3, 2);
+    let closed = |sessions: u64| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while handle.metrics().sessions_closed.load(Ordering::Relaxed) < sessions {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "session {sessions} never closed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+    };
+    let mut totals = Vec::new();
+    for (seed, sessions) in [(21, 1), (22, 2)] {
+        let trace = clocksync_trace(10, 19, seed, 1_500);
+        let outcome = feed_stream_text(&addr, &xi, &trace.to_stream_text()).unwrap();
+        assert_eq!(outcome.verdict, offline_verdict(&trace, &xi).unwrap());
+        closed(sessions);
+        assert_eq!(handle.metrics().sessions_active(), 0);
+        let human = series(&status_command(&status, "metrics").unwrap(), NAME);
+        assert_eq!(
+            series(&status_command(&status, "prom").unwrap(), NAME),
+            human
+        );
+        totals.push(human);
+    }
+    assert!(totals[0] > 1_000, "{totals:?}");
+    assert!(totals[1] > totals[0] + 1_000, "{totals:?}");
     handle.join();
 }
 

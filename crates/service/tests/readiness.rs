@@ -204,10 +204,16 @@ fn peers_with_nothing_to_consume_cost_no_wakeups() {
             assert!(Instant::now() < deadline, "the server stopped reading");
             std::thread::sleep(Duration::from_millis(1));
         }
-        let written = settled(Duration::from_millis(20), bytes_out);
-        let owed = 2 * greeting + sent / 7 * 12 - written;
-        if owed > 0 {
-            break owed;
+        let due = 2 * greeting + sent / 7 * 12;
+        // A full socket is not yet a full socket for good: loopback TCP
+        // still grows its windows on acknowledgements that a receiver may
+        // delay by up to 200 ms, and the server writes into what opens.
+        // Only a quiet longer than that shows the replies stuck.
+        if settled(Duration::from_millis(20), bytes_out) < due {
+            let owed = due - settled(Duration::from_millis(300), bytes_out);
+            if owed > 0 {
+                break owed;
+            }
         }
         assert!(sent < 1 << 28, "256 MiB of replies fit the socket");
     };

@@ -130,9 +130,10 @@ impl Trace {
     /// Streams the trace event by event into a fresh
     /// [`IncrementalChecker`] for `Ξ = xi`, appending to the execution
     /// graph incrementally (no per-step rebuild). The resulting monitor's
-    /// graph equals [`Trace::to_execution_graph`], and its verdict equals
-    /// the batch checker's — this is the offline counterpart of attaching
-    /// the monitor to a live [`crate::Simulation`].
+    /// graph equals [`Trace::to_execution_graph`], and its verdict and
+    /// witness are `check::find_violation`'s (a replay of that graph) —
+    /// this is the offline counterpart of attaching the monitor to a live
+    /// [`crate::Simulation`].
     ///
     /// # Errors
     ///
