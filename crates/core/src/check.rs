@@ -8,8 +8,8 @@
 //! # The reduction the monitor decides
 //!
 //! Definition 4 quantifies over *all* relevant cycles — exponentially many.
-//! Take the *traversal graph* `T` over the events of `G`
-//! ([`crate::traversal::TraversalGraph`]):
+//! Take the *traversal graph* `T` over the events of `G`, the arcs the
+//! monitor holds in its arena:
 //!
 //! * for every effective message `m = (u → v)`: a **forward** arc `u → v`
 //!   and a **backward** arc `v → u`;
@@ -38,10 +38,12 @@
 //! re-armed with [`IncrementalChecker::reset`]. Its ceiling is the crate's
 //! one: `Ξ` with parts beyond `i64` is [`CheckError::XiTooLarge`].
 //!
-//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` is the
-//! margin the incremental monitor keeps, replayed over the same
-//! [`TraversalGraph`] event by event (the monitor's `margin` module has
-//! the argument): the one margin algorithm of the crate.
+//! The exact **maximum relevant-cycle ratio** `max |Z−|/|Z+|` is one more
+//! such replay, at a `Ξ` no relevant cycle of `g` reaches, read off with
+//! [`IncrementalChecker::margin_ratio`]: the margin the monitor would have
+//! kept, replayed over its own arena (the monitor's `margin` module has
+//! the argument), the one margin algorithm of the crate. Every question
+//! about a finished graph is one replay into the lent monitor.
 
 use std::cell::RefCell;
 
@@ -49,8 +51,7 @@ use abc_rational::Ratio;
 
 use crate::cycle::Cycle;
 use crate::graph::ExecutionGraph;
-use crate::monitor::{self, IncrementalChecker};
-use crate::traversal::TraversalGraph;
+use crate::monitor::IncrementalChecker;
 use crate::xi::Xi;
 
 /// Errors reported by the checker.
@@ -169,9 +170,10 @@ pub fn is_admissible(g: &ExecutionGraph, xi: &Xi) -> Result<bool, CheckError> {
 /// Whether the graph contains any relevant cycle at all.
 #[must_use]
 pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
-    // A relevant cycle has B >= F, i.e. ratio >= 1. The ratio's guard
-    // fails only at a raise, which found a cycle above 1, or at 1/1 past
-    // 2^62 events and arcs: an error, too, means a relevant cycle.
+    // A relevant cycle has B >= F, i.e. ratio >= 1. The ratio fails only
+    // at a raise, which found a cycle above 1, at 1/1 past 2^62 events
+    // and arcs, or for a graph of 2^63 messages: an error, too, means a
+    // relevant cycle.
     !matches!(max_relevant_cycle_ratio(g), Ok(None))
 }
 
@@ -181,21 +183,33 @@ pub fn has_relevant_cycle(g: &ExecutionGraph) -> bool {
 /// The value is the *infimum* of the `Ξ` values for which `g` is admissible:
 /// `is_admissible(g, xi)` holds iff `xi > max_relevant_cycle_ratio(g)`.
 ///
-/// The margin an incremental monitor keeps, replayed over `g`'s traversal
-/// graph in event order: each event gives its receive the earliest label
-/// its window allows at the margin so far, and only an empty window runs
-/// the negative-cycle kernel, whose cycle, if it closes one, raises the
-/// margin to that cycle's ratio. `O(V + E)` when no window is empty,
-/// `O(V·E)` per repair at worst; at a margin of `1` one more `O(E)` pass.
+/// One replay of `g` into the lent monitor (see the module docs), armed at
+/// `Ξ = M + 2` for the graph's `M` messages, and its
+/// [`IncrementalChecker::margin_ratio`]. That `Ξ` lies above every ratio:
+/// a relevant cycle has `|Z+| ≥ 1` and `|Z−| ≤ M − 1`, so the replay never
+/// latches. No append is tense either: with `q = 1` a receive's earliest
+/// label has a first component of at most `M`, the most messages a causal
+/// chain holds, below the `π(send) + M + 2` its window allows. So the
+/// monitor defers its arena to the end, and the query replays the margin
+/// it would have kept over the arena it builds then: each event gives its
+/// receive the earliest label its window allows at the margin so far, and
+/// only an empty window runs the negative-cycle kernel, whose cycle, if it
+/// closes one, raises the margin to that cycle's ratio. `O(V + E)` when no
+/// window is empty, `O(V·E)` per repair at worst; at a margin of `1` one
+/// more `O(E)` pass.
 ///
 /// # Errors
 ///
 /// [`CheckError::GraphTooLarge`] when the graph is so large that the
-/// labels could overflow the exact `i128` arithmetic (beyond any graph
-/// that fits in memory today). Checked before every step that could
-/// overflow — a clean error, never a panic or a silent wrap.
+/// labels could overflow the exact `i128` arithmetic, or `M + 2` exceeds
+/// `i64` (beyond any graph that fits in memory today). Checked before
+/// every step that could overflow — a clean error, never a panic or a
+/// silent wrap.
 pub fn max_relevant_cycle_ratio(g: &ExecutionGraph) -> Result<Option<Ratio>, CheckError> {
-    monitor::batch_margin(&TraversalGraph::from_graph(g))
+    let messages = i64::try_from(g.num_messages()).ok();
+    let above = messages.and_then(|m| m.checked_add(2));
+    let xi = Xi::from_integer(above.ok_or(CheckError::GraphTooLarge)?);
+    replayed(g, &xi, IncrementalChecker::margin_ratio)?
 }
 
 #[cfg(test)]
@@ -222,6 +236,23 @@ mod tests {
         b.send(cur, ProcessId(1));
         // Slow direct message arrives second: it spans the fast chain.
         b.send(q, ProcessId(1));
+        b.finish()
+    }
+
+    /// A ratio-2 span (`two_chain(2)`'s, on processes 0–2) closes first
+    /// and a ratio-4 one (processes 3–7) later.
+    fn two_spans() -> ExecutionGraph {
+        let mut b = ExecutionGraph::builder(8);
+        let inits: Vec<_> = (0..8).map(|p| b.init(ProcessId(p))).collect();
+        let (_, relay) = b.send(inits[0], ProcessId(2));
+        b.send(relay, ProcessId(1));
+        b.send(inits[0], ProcessId(1));
+        let mut cur = inits[3];
+        for p in [5, 6, 7] {
+            cur = b.send(cur, ProcessId(p)).1;
+        }
+        b.send(cur, ProcessId(4));
+        b.send(inits[3], ProcessId(4));
         b.finish()
     }
 
@@ -323,15 +354,15 @@ mod tests {
     #[test]
     fn checker_agrees_with_enumeration_on_small_graphs() {
         // Cross-validation: the max ratio from brute-force enumeration
-        // equals the checker's on several hand-built graphs.
-        for hops in 2..=5 {
-            let g = two_chain(hops);
+        // equals the checker's on several hand-built graphs. On the last a
+        // replay that latched at its first span would report 2, not 4.
+        for (i, g) in (2..=5).map(two_chain).chain([two_spans()]).enumerate() {
             let brute = enumerate_relevant_cycles(&g, EnumerationLimits::default())
                 .cycles
                 .iter()
                 .filter_map(|c| c.classify().ratio())
                 .max();
-            assert_eq!(max_relevant_cycle_ratio(&g), Ok(brute), "hops = {hops}");
+            assert_eq!(max_relevant_cycle_ratio(&g), Ok(brute), "graph {i}");
         }
     }
 

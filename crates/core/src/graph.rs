@@ -295,12 +295,6 @@ impl ExecutionGraph {
         }
         false
     }
-
-    /// Events in topological (creation) order. The builder only ever appends
-    /// events whose causes already exist, so creation order is topological.
-    pub fn topological_order(&self) -> impl Iterator<Item = EventId> + '_ {
-        (0..self.num_events()).map(EventId)
-    }
 }
 
 /// Builder for [`ExecutionGraph`].

@@ -27,9 +27,8 @@
 //! |---|---|
 //! | Execution graphs (Def. 1), faulty-message dropping | [`graph`] |
 //! | Chains, cycles, relevant cycles (Defs. 2–3) | [`cycle`] |
-//! | ABC synchrony condition (Def. 4), polynomial checking | [`check`] |
-//! | The shared CSR traversal graph behind every Def.-4 decision | [`traversal`] |
-//! | Online (incremental) monitoring of Def. 4: append, frontier repair, bounded-memory pruning, live margin, witness expansion (one file each under `monitor/`) | [`monitor`] |
+//! | ABC synchrony condition (Def. 4), polynomial checking: every question about a finished graph — verdict, witness, maximum ratio — is one replay into the monitor | [`check`] |
+//! | Online (incremental) monitoring of Def. 4 over its own CSR traversal graph: append, frontier repair, bounded-memory pruning, live margin, witness expansion (one file each under `monitor/`) | [`monitor`] |
 //! | Exhaustive cycle enumeration (ground truth) | [`enumerate`] |
 //! | Consistent cuts, causal cones, cut intervals (Defs. 5–6) | [`cut`] |
 //! | The non-standard cycle space, `⊕`, Thm. 11 / Cor. 1 | [`cyclespace`] |
@@ -81,7 +80,7 @@ pub mod graph;
 pub mod monitor;
 mod negcycle;
 pub mod timed;
-pub mod traversal;
+mod traversal;
 pub mod xi;
 
 pub use graph::{EventId, ExecutionGraph, MessageId, ProcessId};

@@ -5,10 +5,11 @@
 //! Beyond the binary verdict, the monitor can report how *close* the
 //! execution is to the tripwire: [`IncrementalChecker::current_margin`]
 //! returns the exact maximum `|Z−|/|Z+|` over all relevant cycles so far
-//! (the same value [`crate::check::max_relevant_cycle_ratio`] computes
-//! batch-side), and [`IncrementalChecker::margin_upper_bound`] an upper
-//! bound that runs no repair. There is one margin algorithm, and every
-//! margin is the kept one.
+//! (the value [`crate::check::max_relevant_cycle_ratio`] reads off a
+//! replay of a finished graph), and
+//! [`IncrementalChecker::margin_upper_bound`] an upper bound that runs no
+//! repair. There is one margin algorithm, and every margin is the kept
+//! one.
 //!
 //! A **tracking** monitor keeps its margin as appends come in: from its
 //! first append ([`IncrementalChecker::enable_margin_tracking`]), or from
@@ -44,13 +45,12 @@
 //! scans, and the replay repeats the appends' run exactly — the same
 //! labels, raises and witness. An **untracked** monitor answers
 //! `current_margin` with a replay into scratch (its bound is an `O(arcs)`
-//! scan of the potentials at `Ξ`); a monitor that starts keeping late — at
-//! `enable_margin_tracking`, or at its first prune — replays into its own
-//! kept column and goes on from there; and the batch
-//! [`crate::check::max_relevant_cycle_ratio`] replays the traversal graph
-//! of an execution graph, whose arcs lie in another order (message arcs
-//! first): the same margin, not necessarily raised through the same
-//! cycles, and only the ratio is reported.
+//! scan of the potentials at `Ξ`), and a monitor that starts keeping late —
+//! at `enable_margin_tracking`, or at its first prune — replays into its
+//! own kept column and goes on from there.
+//! [`crate::check::max_relevant_cycle_ratio`] is the first case: a finished
+//! graph replayed into an untracked monitor at a `Ξ` above every ratio it
+//! holds, and that monitor's query.
 //!
 //! # Signature envelopes
 //!
@@ -720,16 +720,6 @@ impl KeptMargin {
     }
 }
 
-/// The margin of the batch graph `tg`, built by
-/// [`TraversalGraph::from_graph`]: the kept margin replayed over it
-/// ([`KeptMargin::replay`]), with an empty shortcut table and no `Ξ` to
-/// latch at.
-pub(crate) fn batch_margin(tg: &TraversalGraph) -> Result<Option<Ratio>, CheckError> {
-    let (mut kept, shortcuts) = (KeptMargin::default(), ShortcutTable::default());
-    let size = kept.replay(&mut NegCycle::default(), tg, &shortcuts);
-    kept.margin(tg, &shortcuts, size)
-}
-
 /// The weight of an arc at the kept ratio `(b, f)`: `+b` forward, `−f`
 /// backward, `0` local, and a shortcut's cheapest line (`None`: it carries
 /// none, and stands for no path).
@@ -1124,7 +1114,7 @@ impl IncrementalChecker {
 
     /// The execution's current **synchrony margin**: the exact maximum
     /// relevant-cycle ratio `|Z−|/|Z+|` over everything appended so far, or
-    /// `Ok(None)` while no relevant cycle exists. Matches the batch
+    /// `Ok(None)` while no relevant cycle exists. Matches
     /// [`crate::check::max_relevant_cycle_ratio`] over the same events at
     /// every point of the stream — pruned or not — so the margin is a
     /// monotone "distance to violation" gauge: the monitor stays admissible
@@ -1164,7 +1154,7 @@ impl IncrementalChecker {
     /// # Errors
     ///
     /// [`CheckError::GraphTooLarge`] when the kept labels, or the replayed
-    /// ones, could overflow `i128`, exactly as in the batch computation.
+    /// ones, could overflow `i128`.
     pub fn current_margin(&self) -> Result<Option<MarginReport>, CheckError> {
         self.margin(true)
     }

@@ -20,8 +20,9 @@
 //!
 //! # The arena on demand
 //!
-//! The arcs live in an arena-backed [`TraversalGraph`], but a monitor
-//! builds it only once something reads arcs.
+//! The arcs live in the crate's arena-backed traversal graph (private to
+//! the crate: the monitor owns it), but a monitor builds it only once
+//! something reads arcs.
 //! From [`IncrementalChecker::new`] / [`IncrementalChecker::reset`] until
 //! its first tense append, or until it starts keeping its margin, a monitor
 //! *defers* it: a quiet append touches labels only, and besides them the
@@ -110,8 +111,6 @@ use crate::xi::Xi;
 
 use margin::{EnvelopeScratch, KeptMargin};
 use prune::{FrontierRow, ShortcutTable};
-
-pub(crate) use margin::batch_margin;
 use repair::{ConfirmCtx, LexArcs, LexScratch};
 use window::Windows;
 
@@ -141,6 +140,9 @@ pub struct MonitorStats {
     pub arcs: usize,
     /// Total label relaxations performed across all appends.
     pub relaxations: u64,
+    /// The most label relaxations one append made: the largest
+    /// `relaxations` of a single frontier repair so far.
+    pub max_append_relaxations: u64,
     /// Events compacted away by [`IncrementalChecker::prune_settled`].
     pub pruned_events: usize,
     /// Arcs compacted away by [`IncrementalChecker::prune_settled`].
@@ -493,7 +495,7 @@ impl IncrementalChecker {
     /// [`IncrementalChecker::prune_settled`] on, whether or not this was
     /// called: a prune condenses its boundary shortcuts with
     /// margin-signature envelopes over the ratios at or above the kept
-    /// margin, so the margin stays equal to the batch
+    /// margin, so the margin stays equal to
     /// [`crate::check::max_relevant_cycle_ratio`] on the full (never-pruned)
     /// execution, mirror or no mirror.
     ///

@@ -344,6 +344,8 @@ impl IncrementalChecker {
             .kernel
             .run(&self.tg, &mut self.pot, [start], weight, None);
         self.stats.relaxations += run.relaxations;
+        let worst = &mut self.stats.max_append_relaxations;
+        *worst = (*worst).max(run.relaxations);
         OBS_RELAXATIONS.add(run.relaxations);
         if run.cycle.is_none() {
             return;

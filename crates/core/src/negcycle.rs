@@ -1,10 +1,10 @@
 //! The crate's one label-correcting loop: the negative-cycle kernel behind
 //! both repairs of the monitor ([`crate::monitor`]): its potentials at
-//! `Ξ` — which is how [`crate::check::find_violation`] and Theorem 7's
-//! [`crate::assign::assign_delays`] decide, by replaying a graph into a
-//! monitor — and its labels at its kept margin, kept as it appends, or
-//! replayed, which is how [`crate::check::max_relevant_cycle_ratio`] runs
-//! it.
+//! `Ξ` and its labels at its kept margin, kept as it appends, or replayed
+//! for a query. Every question about a finished graph is one replay into
+//! a monitor, so this is also how [`crate::check::find_violation`],
+//! Theorem 7's [`crate::assign::assign_delays`] and
+//! [`crate::check::max_relevant_cycle_ratio`] run it.
 //! FIFO label-correcting with **subtree disassembly** (Tarjan 1981,
 //! "Shortest paths"; the BFCT variant of Cherkassky & Goldberg 1999,
 //! "Negative-cycle detection algorithms").

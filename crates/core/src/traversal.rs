@@ -1,8 +1,10 @@
-//! The shared traversal-graph core: one compact, arena-backed CSR
+//! The monitor's traversal graph: one compact, arena-backed CSR
 //! representation of the graph `T` that every Definition-4 decision in this
-//! workspace walks.
+//! crate walks. Private to the crate: every question about a finished
+//! graph is one replay into a monitor ([`crate::check`]), and the monitor
+//! owns its arena.
 //!
-//! # Why one representation
+//! # One representation
 //!
 //! The reduction of [`crate::check`] decides the ABC condition by
 //! negative-cycle detection over the *traversal graph* `T` of an execution
@@ -12,24 +14,19 @@
 //!   and a **backward** arc `v → u`;
 //! * for every local edge `(u → v)`: a **backward** arc `v → u` only.
 //!
-//! Historically this repo materialized `T` three different ways — a
-//! throwaway arc list per batch check, per-head `Vec<Vec<usize>>` in-arc
-//! buckets inside the line-graph pass, and per-tail `Vec<Vec<usize>>`
-//! out-arc pushes inside [`crate::monitor::IncrementalChecker`]. This
-//! module replaces all of them with a single [`TraversalGraph`]:
+//! One [`TraversalGraph`] holds it, for every pass that walks it:
 //!
-//! * **arena arcs**: one flat `Vec<Arc>` in insertion order (batch builds
-//!   list all message arcs first, then all local arcs — the exact legacy
-//!   order, so witness extraction stays byte-stable);
+//! * **arena arcs**: one flat `Vec<Arc>` in insertion order, each
+//!   receive's arcs pushed together as it is appended
+//!   ([`TraversalGraph::push_receive`]);
 //! * **intrusive out-CSR**: `out_head`/`out_tail` per node plus `out_next`
 //!   per arc form per-tail adjacency as linked lists threaded through the
 //!   arena — `push_arc` is O(1), there is no per-node `Vec`, and iteration
 //!   order equals insertion order;
-//! * **prefix-sum in-CSR**: [`TraversalGraph::in_csr`] builds the in-arc
-//!   adjacency as two flat arrays by counting sort, for the line-graph
-//!   simple-cycle pass (needed only when a kept margin is exactly `1`,
-//!   as [`crate::check::max_relevant_cycle_ratio`] and the monitor's
-//!   margin ask).
+//! * **prefix-sum in-CSR**: [`TraversalGraph::in_csr_into`] builds the
+//!   in-arc adjacency as two flat arrays by counting sort, for the
+//!   line-graph simple-cycle pass (needed only when a kept margin is
+//!   exactly `1`).
 //!
 //! # Who walks it
 //!
@@ -37,11 +34,11 @@
 //! only, and the first append that leaves a forward arc tense (or the
 //! first kept margin) builds the arena in one pass, after which it grows
 //! incrementally ([`push_node`] / [`push_arc`]) as events are appended,
-//! and the crate's worklist negative-cycle kernel walks its out-lists.
-//! The checks of [`crate::check`] replay a finished graph into a monitor;
-//! `max_relevant_cycle_ratio` replays the monitor's kept margin over a
-//! batch build ([`TraversalGraph::from_graph`]) on the same kernel, and
-//! the line-graph pass reads the in-CSR.
+//! and the crate's worklist negative-cycle kernel walks its out-lists. A
+//! margin query on a monitor that still defers builds one for the query
+//! alone. The checks of [`crate::check`], the maximum ratio included,
+//! replay a finished graph into a monitor, and the line-graph pass reads
+//! the in-CSR.
 //!
 //! # Bounded-memory compaction
 //!
@@ -56,7 +53,7 @@
 //! [`push_arc`]: TraversalGraph::push_arc
 
 use crate::cycle::{CycleStep, ShadowEdge};
-use crate::graph::{EventId, ExecutionGraph, LocalEdge, MessageId};
+use crate::graph::{EventId, LocalEdge, MessageId};
 
 /// Role of a traversal-graph arc.
 ///
@@ -81,7 +78,6 @@ pub enum ArcKind {
     /// for a shortest path through compacted events, identified by an index
     /// into the owning [`crate::monitor::IncrementalChecker`]'s shortcut
     /// table (which holds its weight and its step-by-step expansion).
-    /// Batch builds ([`TraversalGraph::from_graph`]) never create these.
     Shortcut(usize),
 }
 
@@ -156,30 +152,6 @@ impl TraversalGraph {
     #[must_use]
     pub fn new() -> TraversalGraph {
         TraversalGraph::default()
-    }
-
-    /// Builds the whole traversal graph of `g` in one pass (the batch
-    /// path): forward + backward arcs for every effective message in id
-    /// order, then the local back-arc of every local edge — the canonical
-    /// arc order every witness extraction in this crate relies on.
-    #[must_use]
-    pub fn from_graph(g: &ExecutionGraph) -> TraversalGraph {
-        let n = g.num_events();
-        let mut tg = TraversalGraph {
-            arcs: Vec::with_capacity(2 * g.num_messages() + n),
-            out_head: vec![NONE; n],
-            out_tail: vec![NONE; n],
-            out_next: Vec::with_capacity(2 * g.num_messages() + n),
-            base: 0,
-        };
-        for m in g.effective_messages() {
-            tg.push_arc(m.from.0, m.to.0, ArcKind::Forward(m.id));
-            tg.push_arc(m.to.0, m.from.0, ArcKind::Backward(m.id));
-        }
-        for l in g.local_edges() {
-            tg.push_arc(l.to.0, l.from.0, ArcKind::LocalBack);
-        }
-        tg
     }
 
     /// Empties the graph in place — no node, no arc, base `0`, as after
@@ -401,20 +373,12 @@ impl TraversalGraph {
         (nodes_dropped, arcs_dropped)
     }
 
-    /// Builds the in-arc adjacency as a prefix-sum CSR over the live nodes:
+    /// Builds the in-arc adjacency as a prefix-sum CSR over the live nodes,
+    /// into buffers the caller keeps, which are overwritten whole:
     /// `(starts, arc_indices)` with the in-arcs of local node `v` (global id
     /// `base + v`) at `arc_indices[starts[v]..starts[v + 1]]`, each bucket
     /// in insertion order. Two flat arrays — no per-node `Vec` — feeding the
-    /// line-graph pass of [`crate::check`].
-    #[must_use]
-    pub fn in_csr(&self) -> (Vec<usize>, Vec<usize>) {
-        let (mut starts, mut arc_indices) = (Vec::new(), Vec::new());
-        self.in_csr_into(&mut starts, &mut arc_indices);
-        (starts, arc_indices)
-    }
-
-    /// [`TraversalGraph::in_csr`] into buffers the caller keeps, which are
-    /// overwritten whole.
+    /// monitor's ratio-one pass.
     pub(crate) fn in_csr_into(&self, starts: &mut Vec<usize>, arc_indices: &mut Vec<usize>) {
         let n = self.num_live_nodes();
         starts.clear();
@@ -462,41 +426,26 @@ impl Iterator for OutArcs<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::ProcessId;
 
-    fn sample() -> ExecutionGraph {
-        let mut b = ExecutionGraph::builder(3);
-        let a = b.init(ProcessId(0));
-        b.init(ProcessId(1));
-        b.init(ProcessId(2));
-        let (_, r) = b.send(a, ProcessId(2));
-        b.send(r, ProcessId(1));
-        b.send(a, ProcessId(1));
-        b.finish()
+    /// The arena of a two-message chain spanned by a slow message, as a
+    /// monitor grows it: three inits, then the receives 3 (sent at 0), 4
+    /// (sent at 3) and 5 (sent at 0).
+    fn sample() -> TraversalGraph {
+        let mut tg = TraversalGraph::new();
+        for _ in 0..6 {
+            tg.push_node();
+        }
+        tg.push_receive(3, Some((0, MessageId(0))), Some(2));
+        tg.push_receive(4, Some((3, MessageId(1))), Some(1));
+        tg.push_receive(5, Some((0, MessageId(2))), Some(4));
+        tg
     }
 
-    #[test]
-    fn from_graph_matches_the_legacy_arc_order() {
-        let g = sample();
-        let tg = TraversalGraph::from_graph(&g);
-        assert_eq!(tg.num_live_nodes(), g.num_events());
-        // fwd+bwd per message, then local backs.
-        assert_eq!(tg.num_arcs(), 2 * g.num_messages() + 3);
-        for (i, m) in g.effective_messages().enumerate() {
-            assert!(matches!(tg.arcs()[2 * i].kind, ArcKind::Forward(id) if id == m.id));
-            assert!(matches!(tg.arcs()[2 * i + 1].kind, ArcKind::Backward(id) if id == m.id));
-        }
-        // Each local arc's step is rebuilt from its endpoints: its edge is
-        // the graph's, the arc reversed.
-        let locals = &tg.arcs()[2 * g.num_messages()..];
-        assert!(locals.iter().all(|a| a.kind == ArcKind::LocalBack));
-        for (arc, edge) in locals.iter().zip(g.local_edges()) {
-            let step = CycleStep {
-                edge: ShadowEdge::Local(edge),
-                against: true,
-            };
-            assert_eq!(arc.step(), Ok(step));
-        }
+    /// The in-CSR of `tg`, into new buffers.
+    fn in_csr(tg: &TraversalGraph) -> (Vec<usize>, Vec<usize>) {
+        let (mut starts, mut arc_indices) = (Vec::new(), Vec::new());
+        tg.in_csr_into(&mut starts, &mut arc_indices);
+        (starts, arc_indices)
     }
 
     /// Layout pins. A kind of more than two words, or an arc of more than
@@ -577,9 +526,8 @@ mod tests {
 
     #[test]
     fn in_csr_buckets_by_head() {
-        let g = sample();
-        let tg = TraversalGraph::from_graph(&g);
-        let (starts, idx) = tg.in_csr();
+        let tg = sample();
+        let (starts, idx) = in_csr(&tg);
         assert_eq!(starts.len(), tg.num_live_nodes() + 1);
         assert_eq!(*starts.last().unwrap(), tg.num_arcs());
         for v in 0..tg.num_live_nodes() {
@@ -666,7 +614,7 @@ mod tests {
                 fresh.out_arcs(v).collect::<Vec<_>>()
             );
         }
-        assert_eq!(tg.in_csr(), fresh.in_csr());
+        assert_eq!(in_csr(&tg), in_csr(&fresh));
     }
 
     #[test]

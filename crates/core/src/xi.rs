@@ -87,18 +87,6 @@ impl Xi {
         Some((self.0.numer().to_i64()?, self.0.denom().to_i64()?))
     }
 
-    /// `⌈Ξ⌉` as `u64` (used for chain-length timeouts like the Fig. 3
-    /// detector and the `2Ξ` phase count of Algorithm 2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `Ξ` exceeds `u64::MAX` (unreasonable model parameters).
-    #[must_use]
-    pub fn ceil_u64(&self) -> u64 {
-        u64::try_from(self.0.ceil().to_i128().expect("Xi fits i128"))
-            .expect("Xi is positive and fits u64")
-    }
-
     /// The smallest integer strictly greater than or equal to `2Ξ` — the
     /// tick distance used by Theorem 2's precision bound and Algorithm 2's
     /// round length. Exact: `⌈2Ξ⌉`.
@@ -146,8 +134,6 @@ mod tests {
 
     #[test]
     fn ceil_helpers() {
-        assert_eq!(Xi::from_fraction(3, 2).ceil_u64(), 2);
-        assert_eq!(Xi::from_integer(2).ceil_u64(), 2);
         assert_eq!(Xi::from_fraction(3, 2).two_xi_ceil(), 3);
         assert_eq!(Xi::from_integer(2).two_xi_ceil(), 4);
         assert_eq!(Xi::from_fraction(5, 2).two_xi_ceil(), 5);

@@ -8,7 +8,6 @@ use abc_core::cut::{causal_past, cut_interval, Cut};
 use abc_core::cyclespace::{decompose, CycleVector};
 use abc_core::enumerate::{enumerate_relevant_cycles, EnumerationLimits};
 use abc_core::graph::{EventId, ExecutionGraph, ProcessId};
-use abc_core::traversal::{ArcKind, TraversalGraph};
 use abc_core::Xi;
 use abc_core::{certify, check};
 use abc_rational::Ratio;
@@ -51,26 +50,32 @@ fn graph_strategy() -> impl Strategy<Value = ExecutionGraph> {
 
 /// The oracle for the checker's negative-cycle kernel: textbook
 /// round-based Bellman–Ford from an all-zero start over the reduction's
-/// scaled weights `(p·[fwd] − q·[bwd])·K − 1`, `K = #arcs + 1`. Labels
-/// still moving in round `#nodes + 1` mean a negative cycle, i.e. a
-/// relevant cycle with ratio `≥ Ξ = p/q`.
+/// scaled weights `(p·[fwd] − q·[bwd])·K − 1`, `K = #arcs + 1`, on arcs
+/// spelled here from the graph's effective messages and local edges (no
+/// code shared with the decider). Labels still moving in round
+/// `#nodes + 1` mean a negative cycle, i.e. a relevant cycle with ratio
+/// `≥ Ξ = p/q`.
 fn textbook_violates(g: &ExecutionGraph, xi: &Xi) -> bool {
-    let tg = TraversalGraph::from_graph(g);
     let (p, q) = xi.as_i64_parts().unwrap();
     let (p, q) = (i128::from(p), i128::from(q));
-    let k = tg.num_arcs() as i128 + 1;
+    // (tail, head, p·[fwd] − q·[bwd]) per arc: a message's forward and
+    // backward arc, a local edge's backward arc.
+    let mut arcs = Vec::new();
+    for m in g.effective_messages() {
+        arcs.push((m.from.0, m.to.0, p));
+        arcs.push((m.to.0, m.from.0, -q));
+    }
+    for l in g.local_edges() {
+        arcs.push((l.to.0, l.from.0, 0));
+    }
+    let k = arcs.len() as i128 + 1;
     let mut dist = vec![0i128; g.num_events()];
     for _round in 0..=g.num_events() {
         let mut changed = false;
-        for arc in tg.arcs() {
-            let weight = match arc.kind {
-                ArcKind::Forward(_) => p * k - 1,
-                ArcKind::Backward(_) => -q * k - 1,
-                ArcKind::LocalBack => -1,
-                ArcKind::Shortcut(_) => unreachable!("batch graphs carry no shortcut arcs"),
-            };
-            if dist[arc.from] + weight < dist[arc.to] {
-                dist[arc.to] = dist[arc.from] + weight;
+        for &(from, to, w) in &arcs {
+            let weight = w * k - 1;
+            if dist[from] + weight < dist[to] {
+                dist[to] = dist[from] + weight;
                 changed = true;
             }
         }
